@@ -44,13 +44,10 @@ from .weighting import (
     CamooConfig,
     PamooConfig,
     PamooContext,
-    camoo_weights_diag,
-    camoo_weights_exact,
     equal_weights,
     pamoo_context,
     pamoo_weights,
     solve_bilinear_pu,
-    weight_optimizer_step,
 )
 from .analysis import (
     RecurrenceParams,
@@ -91,8 +88,6 @@ __all__ = [
     "WeightingChoice",
     "build",
     "build_mlp_matching",
-    "camoo_weights_diag",
-    "camoo_weights_exact",
     "diag_hessian_matrix",
     "equal_weights",
     "fit_rate",
@@ -111,7 +106,6 @@ __all__ = [
     "step_adam",
     "step_gd",
     "theorem_bound_check",
-    "weight_optimizer_step",
     "weighted_gradient",
     "weighted_hessian",
     "weighted_value",

@@ -25,23 +25,27 @@ from .plotting import write_trace_svg
 _PRESETS = ("camoo-theory", "pamoo-theory", "practical-sgd", "practical-adam")
 
 
-def _require_keys(section: dict, allowed: dict, where: str) -> dict:
-    """Reject unknown keys and apply per-key parsers; returns parsed values."""
-    out = {}
+def _parse_keys(section: dict, parsers: dict, where: str) -> dict:
+    """Reject unknown keys and parse the keys present; returns parsed values."""
     for key in section:
-        if key not in allowed:
+        if key not in parsers:
             raise ConfigurationError(f"unknown key {key!r} in {where}")
-    for key, (parser, default) in allowed.items():
-        if key in section:
-            try:
-                out[key] = parser(section[key])
-            except ConfigurationError:
-                raise
-            except (TypeError, ValueError) as exc:
-                raise ConfigurationError(f"bad value for {where}.{key}: {exc}")
-        else:
-            out[key] = default
+    out = {}
+    for key, value in section.items():
+        try:
+            out[key] = parsers[key](value)
+        except ConfigurationError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"bad value for {where}.{key}: {exc}")
     return out
+
+
+def _require_keys(section: dict, allowed: dict, where: str) -> dict:
+    """Like ``_parse_keys`` for a table of (parser, default) pairs; absent
+    keys take their default."""
+    parsed = _parse_keys(section, {k: p for k, (p, _) in allowed.items()}, where)
+    return {key: parsed.get(key, default) for key, (_, default) in allowed.items()}
 
 
 _REQUIRED = object()
@@ -49,6 +53,10 @@ _REQUIRED = object()
 
 def _as_tuple(v):
     return tuple(v)
+
+
+def _optional(parse):
+    return lambda v: None if v is None else parse(v)
 
 
 def _as_nested_tuple(v):
@@ -97,86 +105,81 @@ def parse_problem_spec(section: dict, where: str = "problem") -> problems.Proble
     return problems.ProblemSpec(**parsed)
 
 
+# Keys of the sections that configure a dataclass; an absent key takes the
+# dataclass default.
+_CAMOO_KEYS = {
+    "mode": str,
+    "w_min": float,
+    "pu_iterations": int,
+    "pu_tau": float,
+    "supergrad_iterations": int,
+    "supergrad_step": float,
+    "warm_start": bool,
+}
+_PAMOO_KEYS = {
+    "step": float,
+    "iterations": int,
+    "clip_floor": float,
+    "gram_tau": float,
+    "warm_start": bool,
+}
+_HUTCHINSON_KEYS = {
+    "num_samples": int,
+    "fd_step": float,
+    "rng_seed": int,
+    "ema_decay": _optional(float),
+}
+
+
 def _parse_weighting(section: dict) -> driver.WeightingChoice:
-    allowed = {
-        "kind": (str, "ew"),
-        "camoo": (dict, {}),
-        "pamoo": (dict, {}),
-        "weights": (_as_tuple, ()),
-        "hutchinson": (dict, {}),
-        "force_hutchinson": (bool, False),
-    }
-    parsed = _require_keys(section, allowed, "weighting")
-    camoo_vals = _require_keys(
-        parsed["camoo"],
+    parsed = _parse_keys(
+        section,
         {
-            "mode": (str, weighting.MODE_EXACT),
-            "w_min": (float, 0.0),
-            "pu_iterations": (int, 100),
-            "pu_tau": (float, 0.01),
-            "supergrad_iterations": (int, 500),
-            "supergrad_step": (float, 0.1),
-            "warm_start": (bool, True),
+            "kind": str,
+            "camoo": dict,
+            "pamoo": dict,
+            "weights": _as_tuple,
+            "hutchinson": dict,
+            "force_hutchinson": bool,
         },
-        "weighting.camoo",
+        "weighting",
     )
-    pamoo_vals = _require_keys(
-        parsed["pamoo"],
-        {
-            "step": (float, 3e-3),
-            "iterations": (int, 200),
-            "clip_floor": (float, 1e-6),
-            "gram_tau": (float, 1e-4),
-            "f_star": (lambda v: None if v is None else tuple(v), None),
-            "warm_start": (bool, True),
-        },
-        "weighting.pamoo",
-    )
-    hutch_vals = _require_keys(
-        parsed["hutchinson"],
-        {
-            "num_samples": (int, 10),
-            "fd_step": (float, 1e-4),
-            "rng_seed": (int, 0),
-            "ema_decay": (lambda v: None if v is None else float(v), None),
-        },
-        "weighting.hutchinson",
-    )
-    if pamoo_vals["f_star"] is not None:
-        pamoo_vals["f_star"] = np.asarray(pamoo_vals["f_star"], dtype=np.float64)
-    return driver.WeightingChoice(
-        kind=parsed["kind"],
-        camoo=weighting.CamooConfig(**camoo_vals),
-        pamoo=weighting.PamooConfig(**pamoo_vals),
-        fixed_weights=parsed["weights"],
-        hutchinson=HutchinsonConfig(**hutch_vals),
-        force_hutchinson=parsed["force_hutchinson"],
-    )
+    for key, cls, parsers in (
+        ("camoo", weighting.CamooConfig, _CAMOO_KEYS),
+        ("pamoo", weighting.PamooConfig, _PAMOO_KEYS),
+        ("hutchinson", HutchinsonConfig, _HUTCHINSON_KEYS),
+    ):
+        if key in parsed:
+            where = f"weighting.{key}"
+            values = _parse_keys(parsed[key], parsers, where)
+            try:
+                parsed[key] = cls(**values)
+            except ValueError as exc:
+                raise ConfigurationError(f"bad value in {where}: {exc}")
+    if "weights" in parsed:
+        parsed["fixed_weights"] = parsed.pop("weights")
+    return driver.WeightingChoice(**parsed)
 
 
 def _parse_inner(section: dict):
-    allowed = {
-        "kind": (str, "gd"),
-        "step": (float, _REQUIRED),
-        "b1": (float, 0.9),
-        "b2": (float, 0.999),
-        "eps": (float, 1e-8),
-    }
-    parsed = _require_keys(section, allowed, "inner")
-    if parsed["step"] is _REQUIRED:
+    parsed = _parse_keys(
+        section,
+        {"kind": str, "step": float, "b1": float, "b2": float, "eps": float},
+        "inner",
+    )
+    if "step" not in parsed:
         raise ConfigurationError("inner.step is required")
-    if parsed["kind"] == "gd":
+    kind = parsed.pop("kind", "gd")
+    if kind == "gd":
         return driver.GDConfig(step=parsed["step"])
-    if parsed["kind"] == "adam":
-        return driver.AdamConfig(
-            step=parsed["step"], b1=parsed["b1"], b2=parsed["b2"], eps=parsed["eps"]
-        )
-    raise ConfigurationError(f"unknown inner.kind {parsed['kind']!r}")
+    if kind == "adam":
+        return driver.AdamConfig(**parsed)
+    raise ConfigurationError(f"unknown inner.kind {kind!r}")
 
 
 def _apply_preset(name: str, problem: problems.ProblemSpec):
-    built = problems.build(problem)
     if name == "camoo-theory":
+        built = problems.build(problem)
         wc, inner = driver.theory_camoo(built.meta, built.objectives.m)
         return wc, inner, False
     if name == "pamoo-theory":
@@ -213,30 +216,23 @@ def parse_run_config(doc: dict) -> driver.RunConfig:
         weighting_choice = _parse_weighting(doc.get("weighting", {}))
         inner = _parse_inner(doc["inner"])
 
-    run_vals = _require_keys(
+    run_vals = _parse_keys(
         doc.get("run", {}),
         {
-            "steps": (int, _REQUIRED),
-            "seed": (int, 0),
-            "record_every": (int, 1),
-            "camoo_lr_scale_by_m": (bool, scale_default),
-            "x0": (lambda v: None if v is None else tuple(v), None),
-            "f_star_override": (lambda v: None if v is None else tuple(v), None),
+            "steps": int,
+            "seed": int,
+            "record_every": int,
+            "camoo_lr_scale_by_m": bool,
+            "x0": _optional(tuple),
+            "f_star_override": _optional(tuple),
         },
         "run",
     )
-    if run_vals["steps"] is _REQUIRED:
+    if "steps" not in run_vals:
         raise ConfigurationError("run.steps is required")
+    run_vals.setdefault("camoo_lr_scale_by_m", scale_default)
     return driver.RunConfig(
-        problem=problem,
-        weighting=weighting_choice,
-        inner=inner,
-        steps=run_vals["steps"],
-        seed=run_vals["seed"],
-        record_every=run_vals["record_every"],
-        camoo_lr_scale_by_m=run_vals["camoo_lr_scale_by_m"],
-        x0=run_vals["x0"],
-        f_star_override=run_vals["f_star_override"],
+        problem=problem, weighting=weighting_choice, inner=inner, **run_vals
     )
 
 
@@ -256,10 +252,9 @@ def _default_out_dir(explicit: str | None) -> Path:
 
 def _run_verdicts(trace: driver.RunTrace) -> dict:
     verdicts: dict = {"finite": trace.error is None}
-    cfg = trace.config
-    built = problems.build(cfg.problem)
-    meta = built.meta
-    kind = cfg.weighting.kind
+    problem = trace.problem
+    meta = problem.meta
+    kind = trace.config.weighting.kind
     if (
         trace.error is None
         and kind in ("camoo", "pamoo")
@@ -274,7 +269,7 @@ def _run_verdicts(trace: driver.RunTrace) -> dict:
             beta=meta.beta,
             mu=meta.mu_g if kind == "camoo" else (meta.mu_l or meta.mu_g),
             m_self=meta.m_self,
-            m=built.objectives.m,
+            m=problem.objectives.m,
             r0=trace.records[0].residual,
             which=analysis.CAMOO if kind == "camoo" else analysis.PAMOO,
         )

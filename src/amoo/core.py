@@ -222,24 +222,25 @@ class OptimalInfo:
             raise ValueError("alignment_eps must be nonnegative")
 
 
-def _check_pair(objectives: ObjectiveSet, w: WeightVector, x) -> tuple[Array, Array]:
-    if len(w) != objectives.m:
-        raise ValueError(
-            f"weight vector has {len(w)} entries for {objectives.m} objectives"
-        )
-    return as_vector(x, objectives.dim), w.as_array()
+def _check_count(w: WeightVector, m: int) -> Array:
+    if len(w) != m:
+        raise ValueError(f"weight vector has {len(w)} entries for {m} objectives")
+    return w.as_array()
 
 
 def weighted_value(objectives: ObjectiveSet, w: WeightVector, x) -> float:
     """Scalarized objective sum_i w_i f_i(x); linear in w."""
-    x, wa = _check_pair(objectives, w, x)
-    return float(wa @ objectives.values(x))
+    return float(_check_count(w, objectives.m) @ objectives.values(x))
 
 
-def weighted_gradient(objectives: ObjectiveSet, w: WeightVector, x) -> Array:
-    """Gradient of the scalarized objective, sum_i w_i grad f_i(x)."""
-    x, wa = _check_pair(objectives, w, x)
-    return wa @ objectives.gradients(x)
+def weighted_gradient(J, w: WeightVector) -> Array:
+    """Gradient of the scalarized objective, sum_i w_i grad f_i(x).
+
+    ``J`` holds the stacked objective gradients at x, shape (m, n), as
+    returned by ``ObjectiveSet.gradients``.
+    """
+    J = np.asarray(J, dtype=np.float64)
+    return _check_count(w, len(J)) @ J
 
 
 def residual(x, opt: OptimalInfo) -> float:

@@ -2,7 +2,8 @@
 
 Each iteration asks a weight optimizer for objective weights at the current
 iterate, forms the weighted gradient, and applies one inner update (plain
-gradient descent or Adam).  Per-step records accumulate into a RunTrace.
+gradient descent or Adam).  ``run`` is the one place that dispatches on the
+weighting kind.  Per-step records accumulate into a RunTrace.
 Runs are strictly sequential and deterministic given the config.
 """
 
@@ -13,6 +14,8 @@ import numpy as np
 
 from . import problems
 from .core import (
+    FLOORED_SIMPLEX,
+    SIMPLEX,
     Array,
     NumericError,
     WeightVector,
@@ -163,6 +166,7 @@ class RunTrace:
     config: RunConfig
     wall_time: float = 0.0
     error: str | None = None
+    problem: problems.Problem | None = None
 
     @property
     def m(self) -> int:
@@ -187,8 +191,10 @@ def run(cfg: RunConfig) -> RunTrace:
     weights computed there.  When the weighting is curvature-adaptive and
     ``camoo_lr_scale_by_m`` is set, the inner step is multiplied by the
     number of objectives (simplex weights sum to 1 where equal weighting
-    effectively sums to m).  A NaN or Inf anywhere aborts the run with a
-    NumericError whose payload is the trace up to the failure.
+    effectively sums to m).  Values and gradients are evaluated once per
+    iterate and shared by the weight optimizer and the inner step.  A NaN or
+    Inf anywhere aborts the run with a NumericError whose payload is the
+    trace up to the failure.  The trace carries the built problem.
     """
     t_start = time.perf_counter()
     problem = problems.build(cfg.problem)
@@ -208,8 +214,6 @@ def run(cfg: RunConfig) -> RunTrace:
     if wc.kind == WEIGHTING_PAMOO:
         if cfg.f_star_override is not None:
             f_star = np.asarray(cfg.f_star_override, dtype=np.float64)
-        elif wc.pamoo.f_star is not None:
-            f_star = np.asarray(wc.pamoo.f_star, dtype=np.float64)
         elif problem.optimum.f_star is not None:
             f_star = np.array(problem.optimum.f_star)
         else:
@@ -229,7 +233,7 @@ def run(cfg: RunConfig) -> RunTrace:
             )
         )
 
-    trace = RunTrace(records=[], config=cfg)
+    trace = RunTrace(records=[], config=cfg, problem=problem)
     adam_state = adam_init(x) if isinstance(cfg.inner, AdamConfig) else None
     warm_w: Array | None = None
     warm_q: Array | None = None
@@ -245,6 +249,7 @@ def run(cfg: RunConfig) -> RunTrace:
         fvals = objs.values(x)
         if not np.all(np.isfinite(fvals)):
             raise fail("non-finite objective value", k)
+        J = objs.gradients(x)
 
         lambda_est = None
         gap = None
@@ -270,20 +275,20 @@ def run(cfg: RunConfig) -> RunTrace:
                 w_arr = project_floored_simplex(w_arr, wc.camoo.w_min)
             w = WeightVector(
                 w_arr,
-                "floored-simplex" if wc.camoo.w_min > 0 else "simplex",
+                FLOORED_SIMPLEX if wc.camoo.w_min > 0 else SIMPLEX,
                 wc.camoo.w_min,
             )
             warm_q = sol.q
             gap = sol.gap
             lambda_est = float(np.min(w_arr @ diag))
         else:  # pamoo
-            ctx = pamoo_context(objs, x, f_star)
+            ctx = pamoo_context(fvals, J, f_star)
             w = pamoo_weights(
                 ctx, wc.pamoo, warm=warm_w if wc.pamoo.warm_start else None
             )
         warm_w = w.as_array()
 
-        g = weighted_gradient(objs, w, x)
+        g = weighted_gradient(J, w)
         if not np.all(np.isfinite(g)):
             raise fail("non-finite gradient", k)
         grad_norm = float(np.linalg.norm(g))

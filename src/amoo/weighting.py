@@ -14,7 +14,7 @@ Solvers are deterministic single-threaded state machines; warm starts are
 passed in explicitly by the caller.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,7 +69,6 @@ class PamooConfig:
     iterations: int = 200
     clip_floor: float = 1e-6
     gram_tau: float = 1e-4
-    f_star: Array | None = None
     warm_start: bool = True
 
     def __post_init__(self):
@@ -361,30 +360,6 @@ def solve_camoo_exact(
     )
 
 
-def camoo_weights_exact(
-    hessians, cfg: CamooConfig | None = None, warm: Array | None = None
-) -> WeightVector:
-    return solve_camoo_exact(hessians, cfg, warm).weights
-
-
-def camoo_weights_diag(
-    diag_matrix, cfg: CamooConfig | None = None, warm: tuple | None = None
-) -> WeightVector:
-    """Curvature-adaptive weights from Hessian diagonals.
-
-    With diagonal Hessians the smallest eigenvalue of the weighted sum is
-    min_j (w'A)_j for the (m, n) matrix A of stacked diagonals, so the
-    maximization becomes the bilinear game solved by ``solve_bilinear_pu``.
-    """
-    cfg = cfg or CamooConfig()
-    sol = solve_bilinear_pu(diag_matrix, cfg, warm=warm)
-    w = sol.w
-    if cfg.w_min > 0:
-        w = project_floored_simplex(w, cfg.w_min)
-        return WeightVector(w, FLOORED_SIMPLEX, cfg.w_min)
-    return WeightVector(w, SIMPLEX)
-
-
 # ---------------------------------------------------------------------------
 # Polyak-style weights
 # ---------------------------------------------------------------------------
@@ -412,12 +387,16 @@ class PamooContext:
         object.__setattr__(self, "gram", gram)
 
 
-def pamoo_context(objectives, x, f_star) -> PamooContext:
-    """Build gaps and the gradient Gram matrix at x."""
-    f_star = as_vector(f_star, objectives.m, "f_star")
-    gaps = objectives.values(x) - f_star
-    J = objectives.gradients(x)
-    return PamooContext(gaps=gaps, gram=J @ J.T)
+def pamoo_context(fvals, J, f_star) -> PamooContext:
+    """Gaps and the gradient Gram matrix from one iterate's evaluations.
+
+    ``fvals`` are the objective values and ``J`` the stacked gradients,
+    shape (m, n), at the same point.
+    """
+    fvals = as_vector(fvals, name="fvals")
+    f_star = as_vector(f_star, len(fvals), "f_star")
+    J = np.asarray(J, dtype=np.float64)
+    return PamooContext(gaps=fvals - f_star, gram=J @ J.T)
 
 
 def pamoo_weights(
@@ -459,66 +438,3 @@ def pamoo_weights(
         if moved <= 1e-16 * (1.0 + float(np.max(np.abs(w)))):
             break
     return WeightVector(w, ORTHANT)
-
-
-# ---------------------------------------------------------------------------
-# Dispatch
-# ---------------------------------------------------------------------------
-
-KIND_EW = "EW"
-KIND_CAMOO = "CAMOO"
-KIND_PAMOO = "PAMOO"
-KIND_FIXED = "FIXED"
-
-
-@dataclass
-class WeightContext:
-    """Everything a weight-optimizer step might need; fill what applies."""
-
-    m: int | None = None
-    hessians: list | None = None
-    diag_matrix: Array | None = None
-    gaps: Array | None = None
-    gram: Array | None = None
-    warm: Array | None = None
-    warm_q: Array | None = None
-    fixed: Array | None = None
-    camoo: CamooConfig = field(default_factory=CamooConfig)
-    pamoo: PamooConfig = field(default_factory=PamooConfig)
-
-
-def weight_optimizer_step(kind: str, context: WeightContext) -> WeightVector:
-    """Dispatch one weight computation to the requested optimizer."""
-    kind = kind.upper()
-    if kind == KIND_EW:
-        if context.m is None:
-            raise ValueError("EW requires context.m")
-        return equal_weights(context.m)
-    if kind == KIND_FIXED:
-        if context.fixed is None:
-            raise ValueError("FIXED requires context.fixed")
-        return WeightVector(context.fixed, ORTHANT)
-    if kind == KIND_CAMOO:
-        cfg = context.camoo
-        if cfg.mode == MODE_EXACT:
-            if context.hessians is None:
-                raise ValueError(
-                    "CAMOO in exact-eigen mode requires context.hessians"
-                )
-            return camoo_weights_exact(context.hessians, cfg, warm=context.warm)
-        if context.diag_matrix is None:
-            raise ValueError(
-                "CAMOO in diagonal-bilinear mode requires context.diag_matrix"
-            )
-        warm = None
-        if context.warm is not None and context.warm_q is not None:
-            warm = (context.warm, context.warm_q)
-        return camoo_weights_diag(context.diag_matrix, cfg, warm=warm)
-    if kind == KIND_PAMOO:
-        if context.gaps is None:
-            raise ValueError("PAMOO requires context.gaps")
-        if context.gram is None:
-            raise ValueError("PAMOO requires context.gram")
-        ctx = PamooContext(gaps=context.gaps, gram=context.gram)
-        return pamoo_weights(ctx, context.pamoo, warm=context.warm)
-    raise ValueError(f"unknown weight optimizer kind {kind!r}")

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from amoo import cli, driver, traceio
+from amoo import cli, driver, problems, traceio
 from amoo.driver import GDConfig, RunConfig, WeightingChoice
 from amoo.plotting import trace_svg
 from amoo.problems import ProblemSpec
@@ -60,6 +60,23 @@ class TestRunCommand:
         assert code == 2
         assert "lr_sched" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "section,values",
+        [
+            ("camoo", {"mode": "bogus"}),
+            ("pamoo", {"iterations": 0}),
+            ("hutchinson", {"num_samples": 0}),
+        ],
+    )
+    def test_rejected_weighting_value_names_section(
+        self, tmp_path, capsys, section, values
+    ):
+        doc = dict(VALID_CONFIG)
+        doc["weighting"] = {"kind": "ew", section: values}
+        code = cli.cmd_run(write_config(tmp_path, doc), str(tmp_path / "o"))
+        assert code == 2
+        assert f"weighting.{section}" in capsys.readouterr().out
+
     def test_missing_required_field(self, tmp_path, capsys):
         doc = {"problem": {"kind": "specification"}, "inner": {"kind": "gd"}}
         code = cli.cmd_run(write_config(tmp_path, doc), str(tmp_path / "o"))
@@ -100,6 +117,33 @@ class TestRunCommand:
         assert cli.cmd_run(write_config(tmp_path, doc), str(out)) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["verdicts"]["theorem_bound"] is True
+
+    @pytest.mark.parametrize("preset", [None, "pamoo-theory"])
+    def test_misaligned_run_builds_problem_once(self, tmp_path, monkeypatch, preset):
+        built = []
+        original = problems.build
+
+        def counted(spec):
+            built.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(problems, "build", counted)
+        doc = {
+            "problem": {
+                "kind": "misaligned",
+                "base": {"kind": "specification", "delta": 0.1},
+                "shifts": [[0.0, 0.0], [0.2, 0.0]],
+            },
+            "run": {"steps": 5, "x0": [1.0, 1.0]},
+        }
+        if preset is None:
+            doc["weighting"] = {"kind": "pamoo"}
+            doc["inner"] = {"kind": "gd", "step": 0.25}
+        else:
+            doc["preset"] = preset
+        assert cli.cmd_run(write_config(tmp_path, doc), str(tmp_path / "o")) == 0
+        # Building a misaligned problem also builds its base problem once.
+        assert [spec.kind for spec in built] == ["misaligned", "specification"]
 
     def test_preset_conflicts_with_sections(self, tmp_path, capsys):
         doc = dict(VALID_CONFIG)

@@ -84,7 +84,8 @@ class TestWeightedValue:
 class TestWeightedGradient:
     def test_specification_example(self, spec_problem):
         w = WeightVector([0.5, 0.5], SIMPLEX)
-        g = weighted_gradient(spec_problem.objectives, w, [1.0, 1.0])
+        J = spec_problem.objectives.gradients([1.0, 1.0])
+        g = weighted_gradient(J, w)
         np.testing.assert_allclose(g, [1.0, 1.0], atol=1e-12)
 
     def test_zero_at_shared_optimum(self, spec_problem, selection_problem):
@@ -94,15 +95,20 @@ class TestWeightedGradient:
             for _ in range(5):
                 w = rng.uniform(0, 1, size=problem.objectives.m)
                 w = WeightVector(w / w.sum(), SIMPLEX)
-                g = weighted_gradient(problem.objectives, w, x_star)
+                g = weighted_gradient(problem.objectives.gradients(x_star), w)
                 assert np.linalg.norm(g) <= 1e-8
 
     def test_local_curvature_at_origin(self):
         problem = build(ProblemSpec(kind="local_curvature", n=1))
         g = weighted_gradient(
-            problem.objectives, WeightVector([1.0, 0.0], SIMPLEX), [0.0]
+            problem.objectives.gradients([0.0]), WeightVector([1.0, 0.0], SIMPLEX)
         )
         np.testing.assert_allclose(g, [0.0], atol=1e-12)
+
+    def test_weight_count_checked(self, spec_problem):
+        J = spec_problem.objectives.gradients([1.0, 1.0])
+        with pytest.raises(ValueError, match="1 entries for 2 objectives"):
+            weighted_gradient(J, WeightVector([1.0]))
 
     def test_matches_finite_differences(self, spec_problem, selection_problem):
         rng = np.random.default_rng(2)
@@ -112,7 +118,7 @@ class TestWeightedGradient:
                 x = rng.normal(size=objs.dim)
                 w = rng.uniform(0, 1, size=objs.m)
                 wv = WeightVector(w, ORTHANT)
-                g = weighted_gradient(objs, wv, x)
+                g = weighted_gradient(objs.gradients(x), wv)
                 ref = fd_gradient(lambda y: weighted_value(objs, wv, y), x)
                 np.testing.assert_allclose(g, ref, rtol=1e-4, atol=1e-8)
 

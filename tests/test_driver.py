@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from amoo.core import NumericError
+from amoo.core import NumericError, ObjectiveSet
 from amoo.driver import (
     AdamConfig,
     ConfigurationError,
@@ -145,6 +145,17 @@ class TestRunBasics:
         ew = spec_run(WeightingChoice(kind="ew"), steps=100)
         assert trace.final().residual > 1e6 * ew.final().residual
 
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"kind": "magic"}, "unknown weighting kind"),
+            ({"kind": "fixed"}, "needs fixed_weights"),
+        ],
+    )
+    def test_weighting_choice_validated(self, kwargs, message):
+        with pytest.raises(ConfigurationError, match=message):
+            WeightingChoice(**kwargs)
+
 
 class TestCamooRuns:
     def test_local_curvature_weight_tracks_sign(self):
@@ -193,6 +204,56 @@ class TestCamooRuns:
             assert rec.pu_gap is not None and rec.pu_gap >= -1e-10
 
 
+    def test_diag_mode_floor(self):
+        # Unfloored, the selection weights put all mass on the strong third
+        # objective; the floor lifts the two weak ones to w_min.
+        wc = WeightingChoice(
+            kind="camoo",
+            camoo=CamooConfig(
+                mode="diagonal-bilinear", w_min=0.2, pu_iterations=200
+            ),
+        )
+        trace = run(
+            RunConfig(
+                problem=ProblemSpec(kind="selection", delta=0.1, m=3, n=2),
+                weighting=wc,
+                inner=GDConfig(step=0.1),
+                steps=5,
+            )
+        )
+        for rec in trace.records:
+            assert np.all(rec.w >= 0.2 - 1e-12)
+            assert rec.w.sum() == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(rec.w, [0.2, 0.2, 0.6], atol=1e-9)
+
+
+class TestOneEvaluationPerIterate:
+    @pytest.mark.parametrize(
+        "weighting",
+        [
+            WeightingChoice(kind="ew"),
+            WeightingChoice(
+                kind="camoo", camoo=CamooConfig(mode="diagonal-bilinear")
+            ),
+            WeightingChoice(kind="pamoo"),
+        ],
+        ids=["ew", "camoo-diag", "pamoo"],
+    )
+    def test_values_and_gradients_once(self, monkeypatch, weighting):
+        calls = {"values": 0, "gradients": 0}
+        for name in calls:
+            original = getattr(ObjectiveSet, name)
+
+            def counted(self, x, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, x)
+
+            monkeypatch.setattr(ObjectiveSet, name, counted)
+        trace = spec_run(weighting, steps=10, step=0.1)
+        assert len(trace.records) == 11
+        assert calls == {"values": 11, "gradients": 11}
+
+
 class TestPamooRuns:
     def test_polyak_reduction_m1(self):
         # One quadratic objective, unit inner step: the update must equal the
@@ -227,6 +288,13 @@ class TestPamooRuns:
                     f_star_override=(0.0,),
                 )
             )
+
+    def test_run_carries_its_problem(self):
+        trace = spec_run(WeightingChoice(kind="pamoo"), steps=2, step=1.0)
+        assert trace.problem.spec == SPEC01
+        np.testing.assert_array_equal(
+            trace.problem.optimum.f_star, build(SPEC01).optimum.f_star
+        )
 
     def test_pamoo_converges_on_specification(self):
         wc, inner = theory_pamoo()

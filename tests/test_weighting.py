@@ -5,17 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
-from amoo.core import ORTHANT, WeightVector
+from amoo.core import ORTHANT
 from amoo.linalg import min_eigenpair, spectral_norm, weighted_hessian
 from amoo.weighting import (
     MODE_DIAGONAL,
-    MODE_EXACT,
     CamooConfig,
     PamooConfig,
     PamooContext,
-    WeightContext,
-    camoo_weights_diag,
-    camoo_weights_exact,
     equal_weights,
     pamoo_context,
     pamoo_weights,
@@ -23,7 +19,6 @@ from amoo.weighting import (
     project_simplex,
     solve_bilinear_pu,
     solve_camoo_exact,
-    weight_optimizer_step,
 )
 from amoo.problems import ProblemSpec, build
 
@@ -327,31 +322,35 @@ class TestCamooExact:
 
 
 class TestCamooDiag:
+    """The bilinear PU game as the diagonal-mode CAMOO weight solve: with
+    diagonal Hessians, lambda_min of the weighted sum is min_j (w'A)_j."""
+
     def test_specification_diagonals(self):
         A = np.array([[1.8, 0.2], [0.2, 1.8]])
-        w = camoo_weights_diag(
+        sol = solve_bilinear_pu(
             A, CamooConfig(mode=MODE_DIAGONAL, pu_iterations=20000, pu_tau=0.0)
         )
-        np.testing.assert_allclose(w.as_array(), [0.5, 0.5], atol=1e-2)
-        assert bilinear_value_of_w(A, w.as_array()) >= 1.0 - 1e-2
+        np.testing.assert_allclose(sol.w, [0.5, 0.5], atol=1e-2)
+        assert bilinear_value_of_w(A, sol.w) >= 1.0 - 1e-2
 
     def test_single_row(self):
-        w = camoo_weights_diag(np.array([[1.5, 0.4, 0.2]]), CamooConfig())
-        np.testing.assert_allclose(w.as_array(), [1.0])
+        sol = solve_bilinear_pu(np.array([[1.5, 0.4, 0.2]]), CamooConfig())
+        np.testing.assert_allclose(sol.w, [1.0])
 
     def test_identical_rows_value_unchanged(self):
         A = np.array([[1.0, 0.5], [1.0, 0.5]])
-        w = camoo_weights_diag(
-            A, CamooConfig(pu_iterations=4000, pu_tau=0.0)
-        )
-        assert bilinear_value_of_w(A, w.as_array()) == pytest.approx(0.5, abs=1e-6)
+        sol = solve_bilinear_pu(A, CamooConfig(pu_iterations=4000, pu_tau=0.0))
+        assert bilinear_value_of_w(A, sol.w) == pytest.approx(0.5, abs=1e-6)
 
     def test_floor_applies(self):
+        # The game concentrates on the strong row; the floored projection
+        # the driver applies afterwards lifts the weak row to the floor.
         A = np.array([[2.0, 2.0], [0.1, 0.1]])
-        w = camoo_weights_diag(
-            A, CamooConfig(w_min=0.2, pu_iterations=4000, pu_tau=0.0)
-        )
-        assert np.all(w.as_array() >= 0.2 - 1e-12)
+        sol = solve_bilinear_pu(A, CamooConfig(pu_iterations=4000, pu_tau=0.0))
+        assert sol.w[0] > 0.99
+        w = project_floored_simplex(sol.w, 0.2)
+        np.testing.assert_allclose(w, [0.8, 0.2], atol=1e-12)
+        assert bilinear_value_of_w(A, w) == pytest.approx(1.62, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -428,72 +427,11 @@ class TestPamoo:
     def test_context_from_objectives(self):
         problem = build(ProblemSpec(kind="specification", delta=0.1))
         x = np.array([1.0, -0.5])
-        ctx = pamoo_context(problem.objectives, x, problem.optimum.f_star)
         J = problem.objectives.gradients(x)
+        ctx = pamoo_context(
+            problem.objectives.values(x), J, problem.optimum.f_star
+        )
         np.testing.assert_allclose(ctx.gram, J @ J.T, atol=1e-14)
         np.testing.assert_allclose(ctx.gaps, problem.objectives.values(x), atol=1e-14)
         assert np.all(ctx.gaps >= -1e-9)
         assert np.linalg.eigvalsh(ctx.gram)[0] >= -1e-10
-
-
-# ---------------------------------------------------------------------------
-# Dispatch
-# ---------------------------------------------------------------------------
-
-
-class TestDispatch:
-    def test_ew(self):
-        w = weight_optimizer_step("EW", WeightContext(m=3))
-        np.testing.assert_allclose(w.as_array(), [1 / 3] * 3)
-
-    def test_fixed(self):
-        w = weight_optimizer_step("FIXED", WeightContext(fixed=np.array([1.0, 0.0])))
-        np.testing.assert_allclose(w.as_array(), [1.0, 0.0])
-
-    def test_camoo_exact(self):
-        ctx = WeightContext(
-            hessians=[np.diag([1.8, 0.2]), np.diag([0.2, 1.8])],
-            camoo=CamooConfig(mode=MODE_EXACT),
-        )
-        w = weight_optimizer_step("CAMOO", ctx)
-        np.testing.assert_allclose(w.as_array(), [0.5, 0.5], atol=1e-2)
-
-    def test_camoo_diag(self):
-        ctx = WeightContext(
-            diag_matrix=np.array([[1.8, 0.2], [0.2, 1.8]]),
-            camoo=CamooConfig(mode=MODE_DIAGONAL, pu_iterations=5000, pu_tau=0.0),
-        )
-        w = weight_optimizer_step("CAMOO", ctx)
-        np.testing.assert_allclose(w.as_array(), [0.5, 0.5], atol=1e-2)
-
-    def test_pamoo(self):
-        ctx = WeightContext(
-            gaps=np.array([2.0]),
-            gram=np.array([[4.0]]),
-            pamoo=PamooConfig(gram_tau=0.0, iterations=1000),
-        )
-        w = weight_optimizer_step("PAMOO", ctx)
-        assert w.as_array()[0] == pytest.approx(0.5, abs=1e-9)
-
-    @pytest.mark.parametrize(
-        "kind,context,missing",
-        [
-            ("EW", WeightContext(), "m"),
-            ("FIXED", WeightContext(), "fixed"),
-            ("CAMOO", WeightContext(camoo=CamooConfig(mode=MODE_EXACT)), "hessians"),
-            (
-                "CAMOO",
-                WeightContext(camoo=CamooConfig(mode=MODE_DIAGONAL)),
-                "diag_matrix",
-            ),
-            ("PAMOO", WeightContext(), "gaps"),
-            ("PAMOO", WeightContext(gaps=np.array([1.0])), "gram"),
-        ],
-    )
-    def test_missing_context_named(self, kind, context, missing):
-        with pytest.raises(ValueError, match=missing):
-            weight_optimizer_step(kind, context)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            weight_optimizer_step("MAGIC", WeightContext(m=1))
