@@ -73,7 +73,7 @@ class AdamState:
 def step_gd(x: Array, g: Array, step: float) -> Array:
     """One plain gradient step x - step * g."""
     g = np.asarray(g, dtype=np.float64)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NumericError("non-finite gradient in GD step")
     return np.asarray(x, dtype=np.float64) - step * g
 
@@ -86,7 +86,7 @@ def adam_init(x: Array) -> AdamState:
 def step_adam(state: AdamState, g: Array, cfg: AdamConfig, step: float | None = None):
     """One Adam update with bias correction; returns (new_state, new_x)."""
     g = np.asarray(g, dtype=np.float64)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NumericError("non-finite gradient in Adam step")
     lr = cfg.step if step is None else step
     t = state.t + 1
@@ -233,6 +233,14 @@ def run(cfg: RunConfig) -> RunTrace:
             )
         )
 
+    const_w = None
+    if wc.kind == WEIGHTING_EW:
+        const_w = equal_weights(m)
+    elif wc.kind == WEIGHTING_FIXED:
+        const_w = WeightVector(np.asarray(wc.fixed_weights, dtype=np.float64))
+    scale = float(m) if wc.kind == WEIGHTING_CAMOO and cfg.camoo_lr_scale_by_m else 1.0
+    inner_step = cfg.inner.step * scale
+
     trace = RunTrace(records=[], config=cfg, problem=problem)
     adam_state = adam_init(x) if isinstance(cfg.inner, AdamConfig) else None
     warm_w: Array | None = None
@@ -244,19 +252,17 @@ def run(cfg: RunConfig) -> RunTrace:
         return NumericError(trace.error, payload=trace)
 
     for k in range(cfg.steps + 1):
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise fail("non-finite iterate", k)
         fvals = objs.values(x)
-        if not np.all(np.isfinite(fvals)):
+        if not np.isfinite(fvals).all():
             raise fail("non-finite objective value", k)
         J = objs.gradients(x)
 
         lambda_est = None
         gap = None
-        if wc.kind == WEIGHTING_EW:
-            w = equal_weights(m)
-        elif wc.kind == WEIGHTING_FIXED:
-            w = WeightVector(np.asarray(wc.fixed_weights, dtype=np.float64))
+        if const_w is not None:
+            w = const_w
         elif wc.kind == WEIGHTING_CAMOO and wc.camoo.mode == MODE_EXACT:
             hs = objs.hessians(x)
             result = solve_camoo_exact(
@@ -280,7 +286,7 @@ def run(cfg: RunConfig) -> RunTrace:
             )
             warm_q = sol.q
             gap = sol.gap
-            lambda_est = float(np.min(w_arr @ diag))
+            lambda_est = float((w_arr @ diag).min())
         else:  # pamoo
             ctx = pamoo_context(fvals, J, f_star)
             w = pamoo_weights(
@@ -289,7 +295,7 @@ def run(cfg: RunConfig) -> RunTrace:
         warm_w = w.as_array()
 
         g = weighted_gradient(J, w)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise fail("non-finite gradient", k)
         grad_norm = float(np.linalg.norm(g))
 
@@ -300,7 +306,7 @@ def run(cfg: RunConfig) -> RunTrace:
             record = IterateRecord(
                 step=k,
                 f=fvals,
-                w=w.as_array(),
+                w=warm_w,
                 grad_norm=grad_norm,
                 residual=res,
                 msq=problem.msq(x) if problem.msq is not None else None,
@@ -313,17 +319,10 @@ def run(cfg: RunConfig) -> RunTrace:
         if k == cfg.steps:
             break
 
-        scale = (
-            float(m)
-            if wc.kind == WEIGHTING_CAMOO and cfg.camoo_lr_scale_by_m
-            else 1.0
-        )
-        if isinstance(cfg.inner, GDConfig):
-            x = step_gd(x, g, cfg.inner.step * scale)
+        if adam_state is None:
+            x = step_gd(x, g, inner_step)
         else:
-            adam_state, x = step_adam(
-                adam_state, g, cfg.inner, step=cfg.inner.step * scale
-            )
+            adam_state, x = step_adam(adam_state, g, cfg.inner, step=inner_step)
 
     trace.wall_time = time.perf_counter() - t_start
     return trace

@@ -1,17 +1,17 @@
 """Dense symmetric eigen-routines for desk-scale matrices.
 
-A cyclic Jacobi sweep is enough at the sizes this package works with
-(weight optimization touches Hessians of a few hundred rows at most).  The
-contracts are on the results, not the method: ``min_eigenpair`` returns a
+Every routine validates its input with ``check_symmetric`` and hands the
+decomposition to LAPACK (``numpy.linalg``); 1x1 and 2x2 smallest eigenpairs
+use the closed form.  The contracts are on the results: ``eigh`` returns
+ascending eigenvalues with orthonormal eigenvectors, ``min_eigenpair`` a
 certified eigenpair, ``spectral_norm`` the largest absolute eigenvalue.
 """
 
 import numpy as np
 
-from .core import Array, NumericError
+from .core import Array
 
 SYMMETRY_TOL = 1e-12
-MAX_SWEEPS = 10_000
 
 
 def check_symmetric(A, tol: float = SYMMETRY_TOL) -> Array:
@@ -42,69 +42,52 @@ def weighted_hessian(hessians, w) -> Array:
     return np.einsum("i,ijk->jk", wa, np.stack(mats))
 
 
-def jacobi_eigh(A, tol: float = 1e-10, max_sweeps: int = MAX_SWEEPS):
-    """Full eigendecomposition by cyclic Jacobi rotations.
+def eigh(A):
+    """Full eigendecomposition: (eigenvalues ascending, eigenvectors as columns)."""
+    return np.linalg.eigh(check_symmetric(A))
 
-    Returns (eigenvalues ascending, eigenvectors as columns).  Raises
-    NumericError carrying the best estimate if the off-diagonal mass has not
-    dropped below ``tol * (1 + ||A||_F)`` within ``max_sweeps`` sweeps.
+
+# ``perfbench/layers.py`` binds this name; remove the alias with that binding.
+jacobi_eigh = eigh
+
+
+def min_eigenpair_unchecked(M: Array):
+    """Smallest eigenpair of an already validated symmetric matrix.
+
+    Closed form for n <= 2, LAPACK above; the eigenvector has unit norm.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    A = check_symmetric(A)
-    n = A.shape[0]
-    V = np.eye(n)
+    n = M.shape[0]
     if n == 1:
-        return A.diagonal().copy(), V
-
-    target = tol * (1.0 + np.linalg.norm(A, "fro"))
-    M = A.copy()
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.square(M - np.diag(np.diagonal(M)))))
-        if off <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = M[p, q]
-                if abs(apq) <= 0.25 * target / max(n, 1):
-                    continue
-                # Annihilation angle: t solves t^2 - 2 theta t - 1 = 0; take
-                # the smaller-magnitude root for stability.
-                theta = (M[q, q] - M[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = -np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                rot = np.array([[c, s], [-s, c]])
-                M[[p, q], :] = rot @ M[[p, q], :]
-                M[:, [p, q]] = M[:, [p, q]] @ rot.T
-                M[p, q] = M[q, p] = 0.0
-                V[:, [p, q]] = V[:, [p, q]] @ rot.T
-    else:
-        raise NumericError(
-            f"Jacobi did not converge in {max_sweeps} sweeps",
-            payload=(np.sort(np.diagonal(M)), V),
+        return float(M[0, 0]), np.ones(1)
+    if n == 2:
+        a, b, c = M[0, 0], M[0, 1], M[1, 1]
+        half_gap = 0.5 * (a - c)
+        root = np.hypot(half_gap, b)
+        lam = 0.5 * (a + c) - root
+        if root == 0.0:
+            return float(lam), np.array([1.0, 0.0])
+        # Eigenvector from the better-conditioned row of (M - lam I).
+        v = np.array([-b, a - lam]) if abs(a - lam) > abs(c - lam) else np.array(
+            [c - lam, -b]
         )
+        norm = np.linalg.norm(v)
+        if norm == 0.0:
+            return float(lam), np.array([1.0, 0.0])
+        return float(lam), v / norm
+    evals, evecs = np.linalg.eigh(M)
+    return float(evals[0]), evecs[:, 0]
 
-    evals = np.diagonal(M).copy()
-    order = np.argsort(evals)
-    return evals[order], V[:, order]
 
-
-def min_eigenpair(A, tol: float = 1e-10):
+def min_eigenpair(A):
     """Smallest eigenvalue and a unit eigenvector of a symmetric matrix.
 
     The eigenvector is defined up to sign, and arbitrary within the
     eigenspace when the smallest eigenvalue is repeated.
     """
-    evals, evecs = jacobi_eigh(A, tol=tol)
-    v = evecs[:, 0]
-    return float(evals[0]), v / np.linalg.norm(v)
+    return min_eigenpair_unchecked(check_symmetric(A))
 
 
 def spectral_norm(A) -> float:
     """Largest absolute eigenvalue of a symmetric matrix."""
-    evals, _ = jacobi_eigh(A)
+    evals = np.linalg.eigvalsh(check_symmetric(A))
     return float(np.max(np.abs(evals), initial=0.0))

@@ -34,22 +34,23 @@ def trace_header(m: int) -> list[str]:
 
 
 def write_trace_csv(trace: RunTrace, path) -> None:
-    m = trace.m
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(trace_header(m))
-        for rec in trace.records:
-            row = [str(rec.step)]
-            row += [_fmt(v) for v in rec.f]
-            row += [_fmt(v) for v in rec.w]
-            row += [
+        writer.writerow(trace_header(trace.m))
+        writer.writerows(
+            [
+                str(rec.step),
+                # tolist() yields Python floats, so repr matches _fmt.
+                *map(repr, rec.f.tolist()),
+                *map(repr, rec.w.tolist()),
                 _fmt(rec.grad_norm),
                 _fmt(rec.residual),
                 _fmt(rec.msq),
                 _fmt(rec.lambda_min_est),
                 _fmt(rec.pu_gap),
             ]
-            writer.writerow(row)
+            for rec in trace.records
+        )
 
 
 @dataclass

@@ -26,7 +26,7 @@ from .core import (
     WeightVector,
     as_vector,
 )
-from .linalg import check_symmetric, spectral_norm
+from .linalg import check_symmetric, min_eigenpair_unchecked, spectral_norm
 
 MODE_EXACT = "exact-eigen"
 MODE_DIAGONAL = "diagonal-bilinear"
@@ -53,11 +53,13 @@ class CamooConfig:
     def __post_init__(self):
         if self.mode not in (MODE_EXACT, MODE_DIAGONAL):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.w_min < 0:
+        if not self.w_min >= 0:
             raise ValueError("w_min must be nonnegative")
+        if not self.pu_tau >= 0:
+            raise ValueError("pu_tau must be nonnegative")
         if self.pu_iterations < 1 or self.supergrad_iterations < 1:
             raise ValueError("iteration counts must be positive")
-        if self.supergrad_step <= 0:
+        if not self.supergrad_step > 0:
             raise ValueError("supergrad_step must be positive")
 
 
@@ -72,11 +74,13 @@ class PamooConfig:
     warm_start: bool = True
 
     def __post_init__(self):
-        if self.step <= 0:
+        if not self.step > 0:
             raise ValueError("step must be positive")
         if self.iterations < 1:
             raise ValueError("iterations must be positive")
-        if self.gram_tau < 0:
+        if not self.clip_floor >= 0:
+            raise ValueError("clip_floor must be nonnegative")
+        if not self.gram_tau >= 0:
             raise ValueError("gram_tau must be nonnegative")
 
 
@@ -254,30 +258,6 @@ class CamooExactResult:
     converged: bool
 
 
-def _min_eigenpair_fast(M: Array):
-    """Smallest eigenpair; closed form for n <= 2, LAPACK above."""
-    n = M.shape[0]
-    if n == 1:
-        return float(M[0, 0]), np.ones(1)
-    if n == 2:
-        a, b, c = M[0, 0], M[0, 1], M[1, 1]
-        half_gap = 0.5 * (a - c)
-        root = np.hypot(half_gap, b)
-        lam = 0.5 * (a + c) - root
-        if root == 0.0:
-            return float(lam), np.array([1.0, 0.0])
-        # Eigenvector from the better-conditioned row of (M - lam I).
-        v = np.array([-b, a - lam]) if abs(a - lam) > abs(c - lam) else np.array(
-            [c - lam, -b]
-        )
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            return float(lam), np.array([1.0, 0.0])
-        return float(lam), v / norm
-    evals, evecs = np.linalg.eigh(M)
-    return float(evals[0]), evecs[:, 0]
-
-
 def solve_camoo_exact(
     hessians, cfg: CamooConfig | None = None, warm: Array | None = None
 ) -> CamooExactResult:
@@ -324,7 +304,7 @@ def solve_camoo_exact(
     stack = np.stack(mats)
 
     best_w = w.copy()
-    best_val, _ = _min_eigenpair_fast(np.einsum("i,ijk->jk", w, stack))
+    best_val, _ = min_eigenpair_unchecked(np.einsum("i,ijk->jk", w, stack))
     gain_tol = 1e-12 * (1.0 + abs(best_val) + scale)
     prev_gain, gain = np.inf, 0.0
     done = 0
@@ -335,7 +315,7 @@ def solve_camoo_exact(
             if prev_gain <= gain_tol and gain <= gain_tol:
                 break
             prev_gain, gain = gain, 0.0
-        lam, v = _min_eigenpair_fast(np.einsum("i,ijk->jk", w, stack))
+        lam, v = min_eigenpair_unchecked(np.einsum("i,ijk->jk", w, stack))
         if lam > best_val:
             gain += lam - best_val
             best_val, best_w = lam, w.copy()
@@ -347,7 +327,7 @@ def solve_camoo_exact(
         done = k + 1
         if moved <= 1e-15:
             break
-    lam, _ = _min_eigenpair_fast(np.einsum("i,ijk->jk", w, stack))
+    lam, _ = min_eigenpair_unchecked(np.einsum("i,ijk->jk", w, stack))
     if lam > best_val:
         best_val, best_w = lam, w.copy()
 
@@ -430,11 +410,14 @@ def pamoo_weights(
     else:
         diag = np.diagonal(Gp)
         w = np.where(diag > 0, gaps / np.where(diag > 0, diag, 1.0), 0.0)
-    w = np.maximum(w, cfg.clip_floor)
+    floor = cfg.clip_floor
+    step2 = eta * 2.0
+    w = np.maximum(w, floor)
     for _ in range(cfg.iterations):
-        w_next = np.maximum(w + eta * 2.0 * (gaps - Gp @ w), cfg.clip_floor)
-        moved = float(np.max(np.abs(w_next - w)))
+        w_next = np.maximum(w + step2 * (gaps - Gp @ w), floor)
+        moved = np.abs(w_next - w).max()
         w = w_next
-        if moved <= 1e-16 * (1.0 + float(np.max(np.abs(w)))):
+        # w >= floor >= 0, so its largest entry is its largest magnitude.
+        if moved <= 1e-16 * (1.0 + w.max()):
             break
     return WeightVector(w, ORTHANT)

@@ -1,5 +1,6 @@
 """Command-line verbs, config validation, trace persistence, plotting."""
 
+import csv
 import json
 import xml.etree.ElementTree as ET
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from amoo import cli, driver, problems, traceio
-from amoo.driver import GDConfig, RunConfig, WeightingChoice
+from amoo.driver import GDConfig, IterateRecord, RunConfig, RunTrace, WeightingChoice
 from amoo.plotting import trace_svg
 from amoo.problems import ProblemSpec
 
@@ -66,6 +67,10 @@ class TestRunCommand:
             ("camoo", {"mode": "bogus"}),
             ("pamoo", {"iterations": 0}),
             ("hutchinson", {"num_samples": 0}),
+            ("camoo", {"pu_tau": -0.01}),
+            ("camoo", {"pu_tau": float("nan")}),
+            ("pamoo", {"clip_floor": -1e-6}),
+            ("pamoo", {"clip_floor": float("nan")}),
         ],
     )
     def test_rejected_weighting_value_names_section(
@@ -175,6 +180,46 @@ class TestTraceRoundTrip:
         loaded = traceio.read_trace_csv(path)
         for i, rec in enumerate(trace.records):
             assert loaded.lambda_min_est[i] == rec.lambda_min_est
+
+    def test_bytes_match_per_value_repr(self, tmp_path):
+        records = [
+            IterateRecord(
+                step=k,
+                f=np.array([-0.0, 5e-324, 1e308]),
+                w=np.array([1.0, 2.0, 0.0]) + k,
+                grad_norm=0.1 * k,
+                residual=-0.0 if k else None,
+                msq=5e-324,
+                lambda_min_est=1e308,
+                pu_gap=None,
+            )
+            for k in range(3)
+        ]
+        path = tmp_path / "t.csv"
+        traceio.write_trace_csv(RunTrace(records=records, config=None), path)
+
+        def old_fmt(v):
+            return "" if v is None else repr(float(v))
+
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(traceio.trace_header(3))
+            for r in records:
+                writer.writerow(
+                    [str(r.step)]
+                    + [old_fmt(v) for v in [*r.f, *r.w]]
+                    + [old_fmt(v) for v in (r.grad_norm, r.residual, r.msq)]
+                    + [old_fmt(r.lambda_min_est), old_fmt(r.pu_gap)]
+                )
+        assert path.read_bytes() == ref.read_bytes()
+
+        loaded = traceio.read_trace_csv(path)
+        assert loaded.f.tobytes() == np.stack([r.f for r in records]).tobytes()
+        assert loaded.w.tobytes() == np.stack([r.w for r in records]).tobytes()
+        assert np.signbit(loaded.residual[1])
+        assert loaded.residual[0] is None and loaded.pu_gap == [None] * 3
+        assert loaded.msq == [5e-324] * 3 and loaded.lambda_min_est == [1e308] * 3
 
     def test_rejects_non_trace(self, tmp_path):
         path = tmp_path / "junk.csv"

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from amoo.core import NumericError, WeightVector
+from amoo.core import WeightVector
 from amoo.linalg import (
     check_symmetric,
-    jacobi_eigh,
+    eigh,
     min_eigenpair,
     spectral_norm,
     weighted_hessian,
@@ -62,15 +62,43 @@ class TestMinEigenpair:
         with pytest.raises(ValueError):
             min_eigenpair([[1.0, 2.0], [0.0, 1.0]])
 
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            jacobi_eigh(np.eye(2), tol=0.0)
+    def test_closed_form_matches_lapack(self):
+        # n <= 2 takes the closed form; LAPACK is the reference.
+        rng = np.random.default_rng(16)
+        cases = [random_symmetric(rng, n) for n in (1, 2) for _ in range(100)]
+        cases += [
+            np.diag([0.7, 0.7]),  # repeated eigenvalue
+            np.zeros((2, 2)),
+            np.diag([3.0, -1.0]),  # b = 0, a > c
+            np.diag([-2.0, 5.0]),  # b = 0, a < c
+            np.array([[1.0, 1e-300], [1e-300, 1.0]]),
+        ]
+        for A in cases:
+            lam, v = min_eigenpair(A)
+            ref = np.linalg.eigh(A)[0][0]
+            norm_a = np.linalg.norm(A, 2)
+            assert abs(lam - ref) <= 1e-12 * (1.0 + norm_a)
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+            assert np.linalg.norm(A @ v - lam * v) <= 1e-10 * (1.0 + norm_a)
 
-    def test_iteration_cap_carries_best_estimate(self):
-        A = random_symmetric(np.random.default_rng(1), 6)
-        with pytest.raises(NumericError) as err:
-            jacobi_eigh(A, tol=1e-14, max_sweeps=0)
-        assert err.value.payload is not None
+
+class TestEigh:
+    def test_ascending_orthonormal_certified(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            n = int(rng.integers(1, 12))
+            A = random_symmetric(rng, n, scale=rng.uniform(0.1, 10.0))
+            evals, V = eigh(A)
+            assert np.all(np.diff(evals) >= 0.0)
+            np.testing.assert_allclose(V.T @ V, np.eye(n), atol=1e-12)
+            norm_a = np.linalg.norm(A, 2)
+            for j in range(n):
+                r = A @ V[:, j] - evals[j] * V[:, j]
+                assert np.linalg.norm(r) <= 1e-10 * (1.0 + norm_a)
+
+    def test_rejects_nonsymmetric(self):
+        with pytest.raises(ValueError):
+            eigh([[1.0, 2.0], [0.0, 1.0]])
 
 
 class TestWeyl:
@@ -81,8 +109,8 @@ class TestWeyl:
             n = int(rng.integers(2, 7))
             A = random_symmetric(rng, n, scale=rng.uniform(0.5, 5.0))
             D = random_symmetric(rng, n, scale=rng.uniform(0.01, 2.0))
-            ev_a, _ = jacobi_eigh(A)
-            ev_ad, _ = jacobi_eigh(A + D)
+            ev_a, _ = eigh(A)
+            ev_ad, _ = eigh(A + D)
             assert np.max(np.abs(ev_a - ev_ad)) <= spectral_norm(D) + 1e-10
 
 

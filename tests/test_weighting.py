@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from amoo.core import ORTHANT
-from amoo.linalg import min_eigenpair, spectral_norm, weighted_hessian
+from amoo.linalg import (
+    check_symmetric,
+    min_eigenpair,
+    spectral_norm,
+    weighted_hessian,
+)
 from amoo.weighting import (
     MODE_DIAGONAL,
     CamooConfig,
@@ -207,6 +212,12 @@ class TestBilinearPU:
         with pytest.raises(ValueError):
             solve_bilinear_pu(np.array([[np.nan, 1.0]]), CamooConfig())
 
+    @pytest.mark.parametrize("field", ["pu_tau", "w_min", "supergrad_step"])
+    @pytest.mark.parametrize("value", [-0.01, float("nan")])
+    def test_config_rejects_negative_or_nan(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CamooConfig(**{field: value})
+
     def test_gap_certificate_nonnegative_and_weak_duality(self):
         rng = np.random.default_rng(32)
         A = rng.uniform(0, 3, size=(5, 8))
@@ -358,6 +369,32 @@ class TestCamooDiag:
 # ---------------------------------------------------------------------------
 
 
+def pamoo_weights_reference(ctx, cfg, warm=None):
+    """The projected-ascent loop as first written, with its per-iteration
+    constants and ``np.max`` reductions; ``pamoo_weights`` must match it bit
+    for bit."""
+    gaps = ctx.gaps
+    gram = check_symmetric(ctx.gram, tol=1e-8)
+    m = len(gaps)
+    evals = np.linalg.eigvalsh(gram)
+    Gp = gram + cfg.gram_tau * np.eye(m)
+    lam_max = float(evals[-1]) + cfg.gram_tau
+    eta = cfg.step if lam_max <= 0 else min(cfg.step, 0.9 / lam_max)
+    if warm is not None:
+        w = np.asarray(warm, dtype=np.float64).copy()
+    else:
+        diag = np.diagonal(Gp)
+        w = np.where(diag > 0, gaps / np.where(diag > 0, diag, 1.0), 0.0)
+    w = np.maximum(w, cfg.clip_floor)
+    for _ in range(cfg.iterations):
+        w_next = np.maximum(w + eta * 2.0 * (gaps - Gp @ w), cfg.clip_floor)
+        moved = float(np.max(np.abs(w_next - w)))
+        w = w_next
+        if moved <= 1e-16 * (1.0 + float(np.max(np.abs(w)))):
+            break
+    return w
+
+
 class TestPamoo:
     def test_scalar_polyak_ratio(self):
         ctx = PamooContext(gaps=np.array([2.0]), gram=np.array([[4.0]]))
@@ -416,6 +453,31 @@ class TestPamoo:
             active = w <= cfg.clip_floor + 1e-15
             projected = np.where(active & (grad <= 0), 0.0, grad)
             assert np.linalg.norm(projected) <= 1e-5
+
+    @pytest.mark.parametrize("clip_floor", [0.0, 1e-6])
+    @pytest.mark.parametrize("gram_tau", [0.0, 1e-4])
+    def test_bitwise_equal_to_reference_loop(self, clip_floor, gram_tau):
+        rng = np.random.default_rng(37)
+        for trial in range(12):
+            m = int(rng.integers(1, 6))
+            B = rng.normal(size=(m, int(rng.integers(1, m + 3))))
+            ctx = PamooContext(gaps=rng.uniform(-0.5, 2.0, size=m), gram=B @ B.T)
+            cfg = PamooConfig(
+                step=float(rng.choice([3e-3, 1.0])),
+                iterations=int(rng.choice([200, 4000])),
+                clip_floor=clip_floor,
+                gram_tau=gram_tau,
+            )
+            warm = rng.uniform(-0.5, 2.0, size=m) if trial % 2 else None
+            got = pamoo_weights(ctx, cfg, warm=warm).as_array()
+            want = pamoo_weights_reference(ctx, cfg, warm=warm)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("field", ["clip_floor", "gram_tau", "step"])
+    @pytest.mark.parametrize("value", [-1e-6, float("nan")])
+    def test_config_rejects_negative_or_nan(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PamooConfig(**{field: value})
 
     def test_non_psd_gram_rejected(self):
         with pytest.raises(ValueError):
