@@ -88,8 +88,10 @@ class ObjectiveOracle:
         return float(self.value(as_vector(x, self.dim)))
 
     def gradient_at(self, x) -> Array:
-        g = np.asarray(self.gradient(as_vector(x, self.dim)), dtype=np.float64)
-        return g.reshape(self.dim)
+        return self._checked_gradient(as_vector(x, self.dim))
+
+    def _checked_gradient(self, x: Array) -> Array:
+        return np.asarray(self.gradient(x), dtype=np.float64).reshape(self.dim)
 
     def hessian_at(self, x) -> Array:
         if self.hessian is None:
@@ -110,9 +112,15 @@ class ObjectiveOracle:
 
 @dataclass(frozen=True)
 class ObjectiveSet:
-    """m objectives sharing one parameter space."""
+    """m objectives sharing one parameter space.
+
+    ``stacked``, when given, replaces the per-oracle loop: its ``values(x)``,
+    ``gradients(x)`` and ``diag_hessians(x)`` return (m,), (m, n) and (m, n)
+    arrays bitwise equal to stacking the oracles' own results.
+    """
 
     objectives: tuple[ObjectiveOracle, ...]
+    stacked: object = None
 
     def __post_init__(self):
         if len(self.objectives) < 1:
@@ -132,12 +140,16 @@ class ObjectiveSet:
 
     def values(self, x) -> Array:
         x = as_vector(x, self.dim)
+        if self.stacked is not None:
+            return self.stacked.values(x)
         return np.array([o.value(x) for o in self.objectives], dtype=np.float64)
 
     def gradients(self, x) -> Array:
         """Stacked gradients, shape (m, n)."""
         x = as_vector(x, self.dim)
-        return np.stack([o.gradient_at(x) for o in self.objectives])
+        if self.stacked is not None:
+            return self.stacked.gradients(x)
+        return np.stack([o._checked_gradient(x) for o in self.objectives])
 
     def hessians(self, x) -> list[Array]:
         x = as_vector(x, self.dim)

@@ -102,16 +102,21 @@ def diag_hessian_matrix(
     """Stack per-objective Hessian diagonals into an (m, n) matrix.
 
     Row i is the analytic diagonal when objective i provides one (unless
-    ``force_estimate``), and the Hutchinson estimate otherwise.  Objective i
-    estimates from the i-th spawned substream of ``cfg.rng_seed``.
+    ``force_estimate``; one pass for a set with a stacked evaluator), and the
+    Hutchinson estimate otherwise, from the i-th substream of
+    ``cfg.rng_seed``, spawned only when some row is estimated.
     """
     x = as_vector(x, objectives.dim)
+    if objectives.stacked is not None and not force_estimate:
+        return objectives.stacked.diag_hessians(x)
     rows = np.empty((objectives.m, objectives.dim))
-    seeds = np.random.SeedSequence(cfg.rng_seed).spawn(objectives.m)
+    seeds = None
     for i, oracle in enumerate(objectives.objectives):
         if oracle.has_diag_hessian and not force_estimate:
             rows[i] = oracle.diag_hessian_at(x)
         else:
+            if seeds is None:
+                seeds = np.random.SeedSequence(cfg.rng_seed).spawn(objectives.m)
             sub = HutchinsonConfig(
                 num_samples=cfg.num_samples,
                 fd_step=cfg.fd_step,

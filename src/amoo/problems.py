@@ -16,7 +16,6 @@ several output-weighted losses, and ``misalign`` shifts each objective of a
 base problem to produce approximately aligned instances.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,6 +254,12 @@ class _TwoLayerMatching:
     constant output offset, folded into the effective teacher's b2 so the
     targets stay exactly representable).  Objective i averages
     (r' H_i r)^alpha_i over the dataset, r = h(x) - t(x).
+
+    ``values``, ``gradients`` and ``diag_hessians`` evaluate the objectives in
+    ``rows`` (all by default) with one forward pass and products batched over
+    the stacked H_i; each oracle is its objective's one-row slice.  The powers
+    q^alpha (numpy's scalar-exponent fast paths) and p1 @ A^2 stay per
+    objective because their batched forms round differently.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -278,6 +283,7 @@ class _TwoLayerMatching:
 
         d_rng = np.random.default_rng(data_seq)
         self.X = d_rng.uniform(-1.0, 1.0, size=(spec.dataset_size, d_i))
+        self.X2 = self.X**2
         # The constant target offset is folded into the effective teacher's
         # output bias, so theta_star reproduces the targets bitwise and every
         # objective attains exactly zero there.
@@ -294,20 +300,21 @@ class _TwoLayerMatching:
         )
 
         if spec.variant == "selection":
-            self.h_mats = [
-                np.diag(np.r_[1.0, np.full(d_o - 1, 0.01**i)]) for i in range(3)
-            ]
-            self.alphas = [1.0, 1.0, 1.0]
+            h_mats = [np.diag(np.r_[1.0, np.full(d_o - 1, 0.01**i)]) for i in range(3)]
+            self.alphas = (1.0, 1.0, 1.0)
         elif spec.variant == "local_curvature":
-            self.h_mats = [np.eye(d_o) for _ in range(3)]
-            self.alphas = [1.0, 1.5, 2.0]
+            h_mats = [np.eye(d_o) for _ in range(3)]
+            self.alphas = (1.0, 1.5, 2.0)
         else:
             raise ValueError(f"unknown mlp variant {spec.variant!r}")
-        self.m = len(self.h_mats)
-        # diag(W2' H W2) per objective is x-dependent; computed in _forward.
+        self.h_stack = np.stack(h_mats)
+        self.m = len(h_mats)
 
     def pack(self, w1, b1, w2, b2) -> Array:
-        return np.concatenate([w1.ravel(), b1, w2.ravel(), b2])
+        lead = b1.shape[:-1]  # (k,) when packing k stacked parameter sets
+        return np.concatenate(
+            [w1.reshape(*lead, -1), b1, w2.reshape(*lead, -1), b2], axis=-1
+        )
 
     def unpack(self, theta: Array):
         d_i, h, d_o = self.sizes
@@ -335,45 +342,49 @@ class _TwoLayerMatching:
         s = 1.0 / (1.0 + np.exp(-z))
         return s * (1.0 - s)
 
-    @functools.lru_cache(maxsize=8)
-    def _forward_cached(self, key: bytes):
-        theta = np.frombuffer(key, dtype=np.float64)
-        w1, b1, w2, b2 = self.unpack(theta)
+    def _forward(self, theta: Array):
+        w1, b1, w2, b2 = self.unpack(np.ascontiguousarray(theta, np.float64))
         Z = self.X @ w1.T + b1
         A = self._act(Z)
         R = A @ w2.T + b2 - self.targets
-        return w1, b1, w2, b2, Z, A, R
+        return w2, Z, A, R
 
-    def _forward(self, theta: Array):
-        return self._forward_cached(np.ascontiguousarray(theta, np.float64).tobytes())
+    def _per_sample(self, R: Array, rows: slice):
+        """Per-sample losses q = r'H r and the products H r, one row per objective."""
+        V = np.matmul(R, self.h_stack[rows])
+        return np.einsum("nd,knd->kn", R, V), V
 
-    def _per_sample(self, R: Array, i: int):
-        """Per-sample loss value q, scalar weight 2*alpha*q^(alpha-1), and Hr."""
-        H = self.h_mats[i]
-        alpha = self.alphas[i]
-        V = R @ H
-        q = np.einsum("nd,nd->n", R, V)
-        p1 = 2.0 * alpha * q ** (alpha - 1.0)
-        return q, p1, V
+    def _slopes(self, q: Array, rows: slice) -> Array:
+        """Per-sample weights 2 alpha q^(alpha-1), one row per objective."""
+        return np.stack([2 * a * qk ** (a - 1) for a, qk in zip(self.alphas[rows], q)])
 
-    def value(self, theta: Array, i: int) -> float:
+    @staticmethod
+    def _curvature(q: Array, alpha: float) -> Array:
+        """4 alpha (alpha-1) q^(alpha-2), with its limit where q = 0."""
+        if alpha == 2.0:
+            return np.full_like(q, 8.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c2 = 4.0 * alpha * (alpha - 1.0) * q ** (alpha - 2.0)
+        return np.where(q > 0.0, c2, 0.0) if alpha < 2.0 else c2
+
+    def values(self, theta: Array, rows: slice = slice(None)) -> Array:
         *_, R = self._forward(theta)
-        q, _, _ = self._per_sample(R, i)
-        return float(np.mean(q ** self.alphas[i]))
+        q, _ = self._per_sample(R, rows)
+        return np.stack([qk**a for a, qk in zip(self.alphas[rows], q)]).mean(axis=1)
 
-    def gradient(self, theta: Array, i: int) -> Array:
-        w1, b1, w2, b2, Z, A, R = self._forward(theta)
-        _, p1, V = self._per_sample(R, i)
+    def gradients(self, theta: Array, rows: slice = slice(None)) -> Array:
+        w2, Z, A, R = self._forward(theta)
+        q, V = self._per_sample(R, rows)
         N = R.shape[0]
-        U = p1[:, None] * V
-        gw2 = U.T @ A / N
-        gb2 = U.sum(axis=0) / N
-        S = (U @ w2) * self._act_prime(Z)
-        gw1 = S.T @ self.X / N
-        gb1 = S.sum(axis=0) / N
+        U = self._slopes(q, rows)[:, :, None] * V
+        gw2 = np.matmul(U.transpose(0, 2, 1), A) / N
+        gb2 = U.sum(axis=1) / N
+        S = np.matmul(U, w2) * self._act_prime(Z)
+        gw1 = np.matmul(S.transpose(0, 2, 1), self.X) / N
+        gb1 = S.sum(axis=1) / N
         return self.pack(gw1, gb1, gw2, gb2)
 
-    def diag_hessian(self, theta: Array, i: int) -> Array:
+    def diag_hessians(self, theta: Array, rows: slice = slice(None)) -> Array:
         """Exact parameterwise second derivatives (almost everywhere for relu).
 
         Each single parameter enters the network output linearly except
@@ -381,34 +392,27 @@ class _TwoLayerMatching:
         activation's second derivative; the rest is the output-space loss
         curvature pushed through squared per-parameter sensitivities.
         """
-        w1, b1, w2, b2, Z, A, R = self._forward(theta)
-        H = self.h_mats[i]
-        alpha = self.alphas[i]
-        q, p1, V = self._per_sample(R, i)
+        w2, Z, A, R = self._forward(theta)
+        q, V = self._per_sample(R, rows)
+        p1 = self._slopes(q, rows)
+        c2 = np.stack([self._curvature(qk, a) for a, qk in zip(self.alphas[rows], q)])
+        P1, C2 = p1[:, :, None], c2[:, :, None]
+        H = self.h_stack[rows]
         N = R.shape[0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c2 = 4.0 * alpha * (alpha - 1.0) * q ** (alpha - 2.0)
-        if alpha == 2.0:
-            c2 = np.full_like(q, 8.0)
-        elif alpha < 2.0:
-            c2 = np.where(q > 0.0, c2, 0.0)
 
-        hdiag = np.diagonal(H)
-        g2 = np.einsum("oj,op,pj->j", w2, H, w2)
-        ap = self._act_prime(Z)
-        app = self._act_second(Z)
-        S = V @ w2
-        X2 = self.X**2
-        A2 = A**2
+        hdiag = np.diagonal(H, axis1=1, axis2=2)
+        g2 = np.einsum("oj,kop,pj->kj", w2, H, w2)
+        S = np.matmul(V, w2)
+        A2, V2 = A**2, V**2
+        pA2 = np.stack([pk @ A2 for pk in p1])
+        cVA = np.einsum("kn,kno,nj->koj", c2, V2, A2)
 
-        dw2 = np.outer(hdiag, p1 @ A2) / N + np.einsum(
-            "n,no,nj->oj", c2, V**2, A2
-        ) / N
-        db2 = hdiag * np.mean(p1) + (c2[:, None] * V**2).sum(axis=0) / N
-        coeff = (p1[:, None] * g2 + c2[:, None] * S**2) * ap**2
-        coeff = coeff + (p1[:, None] * S) * app
-        dw1 = coeff.T @ X2 / N
-        db1 = coeff.sum(axis=0) / N
+        dw2 = hdiag[:, :, None] * pA2[:, None, :] / N + cVA / N
+        db2 = hdiag * np.mean(p1, axis=1)[:, None] + (C2 * V2).sum(axis=1) / N
+        coeff = (P1 * g2[:, None, :] + C2 * S**2) * self._act_prime(Z) ** 2
+        coeff = coeff + (P1 * S) * self._act_second(Z)
+        dw1 = np.matmul(coeff.transpose(0, 2, 1), self.X2) / N
+        db1 = coeff.sum(axis=1) / N
         return self.pack(dw1, db1, dw2, db2)
 
     def msq(self, theta: Array) -> float:
@@ -423,9 +427,9 @@ class _TwoLayerMatching:
         def make(i: int) -> ObjectiveOracle:
             return ObjectiveOracle(
                 dim=self.n_params,
-                value=lambda th, i=i: self.value(th, i),
-                gradient=lambda th, i=i: self.gradient(th, i),
-                diag_hessian=lambda th, i=i: self.diag_hessian(th, i),
+                value=lambda th: float(self.values(th, slice(i, i + 1))[0]),
+                gradient=lambda th: self.gradients(th, slice(i, i + 1))[0],
+                diag_hessian=lambda th: self.diag_hessians(th, slice(i, i + 1))[0],
                 optimal_value=0.0,
                 name=f"match_f{i + 1}",
             )
@@ -436,7 +440,7 @@ class _TwoLayerMatching:
 def build_mlp_matching(spec: ProblemSpec) -> Problem:
     """Construct the network-matching problem for the given spec."""
     model = _TwoLayerMatching(spec)
-    objectives = ObjectiveSet(model.oracles())
+    objectives = ObjectiveSet(model.oracles(), stacked=model)
     optimum = OptimalInfo(x_star=model.theta_star, f_star=np.zeros(model.m))
     meta = ProblemMeta(beta=None, mu_g=None, mu_l=None, m_self=None)
     return Problem(

@@ -185,7 +185,7 @@ def solve_bilinear_pu(
         q = np.full(n, 1.0 / n)
 
     Aeta = eta * A
-    AetaT = np.ascontiguousarray(Aeta.T)
+    neg_AetaT = np.ascontiguousarray(-Aeta.T)
     w_acc = np.zeros(m)
     q_acc = np.zeros(n)
     tail_acc_w = np.zeros(m)
@@ -209,10 +209,10 @@ def solve_bilinear_pu(
             base_q = q ** (1.0 - kappa)
         # Predictive half step from the current payoffs.
         wb = _normalized(base_w * np.exp(Aeta @ q))
-        qb = _normalized(base_q * np.exp(-(AetaT @ w)))
+        qb = _normalized(base_q * np.exp(neg_AetaT @ w))
         # Full step from the midpoint payoffs.
         w = _normalized(base_w * np.exp(Aeta @ qb))
-        q = _normalized(base_q * np.exp(-(AetaT @ wb)))
+        q = _normalized(base_q * np.exp(neg_AetaT @ wb))
         w_acc += wb
         q_acc += qb
         tail_acc_w += wb
@@ -221,14 +221,11 @@ def solve_bilinear_pu(
         if done % check_every == 0 or done == cfg.pu_iterations:
             g_best = consider(w_acc / done, q_acc / done)
             g_best = min(g_best, consider(w, q))
-            if done > tail_start:
-                g_best = min(
-                    g_best,
-                    consider(
-                        tail_acc_w / (done - tail_start),
-                        tail_acc_q / (done - tail_start),
-                    ),
-                )
+            # Before the first restart the tail average is the running
+            # average bit for bit, so it has nothing new to certify.
+            if tail_start > 0:
+                span = done - tail_start
+                g_best = min(g_best, consider(tail_acc_w / span, tail_acc_q / span))
             if gap_target is not None and g_best <= gap_target:
                 break
             # Restart the tail window once it spans half the history, so the

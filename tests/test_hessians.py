@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from amoo.core import ObjectiveOracle
+from amoo.core import ObjectiveOracle, ObjectiveSet
 from amoo.hessians import (
     DiagHessianTracker,
     HutchinsonConfig,
@@ -122,6 +122,26 @@ class TestHutchinsonDiag:
         np.testing.assert_array_equal(a, b)
 
 
+def diag_hessian_matrix_reference(objectives, x, cfg, force_estimate=False):
+    """``diag_hessian_matrix`` as first written, spawning the per-objective
+    seeds on every call; the lazy spawn must match it bit for bit."""
+    x = np.asarray(x, dtype=np.float64)
+    rows = np.empty((objectives.m, objectives.dim))
+    seeds = np.random.SeedSequence(cfg.rng_seed).spawn(objectives.m)
+    for i, oracle in enumerate(objectives.objectives):
+        if oracle.has_diag_hessian and not force_estimate:
+            rows[i] = oracle.diag_hessian_at(x)
+        else:
+            sub = HutchinsonConfig(
+                num_samples=cfg.num_samples,
+                fd_step=cfg.fd_step,
+                rng_seed=seeds[i].generate_state(1)[0],
+                ema_decay=cfg.ema_decay,
+            )
+            rows[i] = hutchinson_diag(oracle, x, sub).values
+    return rows
+
+
 class TestDiagHessianMatrix:
     def test_selection_example(self):
         problem = build(ProblemSpec(kind="selection", delta=0.1, m=3, n=2))
@@ -184,6 +204,47 @@ class TestDiagHessianMatrix:
         )
         scale = np.abs(analytic).max(axis=1, keepdims=True)
         assert (np.abs(est - analytic) / scale).max() <= 0.20
+
+
+    def test_no_seeds_spawned_when_every_row_is_analytic(self, monkeypatch):
+        problem = build(ProblemSpec(kind="selection", delta=0.1, m=3, n=4))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Hutchinson seeds spawned for analytic rows")
+
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        rows = diag_hessian_matrix(problem.objectives, problem.x0, HutchinsonConfig())
+        assert rows.shape == (3, 4)
+
+    @pytest.mark.parametrize("force_estimate", [False, True])
+    def test_bitwise_equal_to_reference(self, force_estimate):
+        rng = np.random.default_rng(12)
+        H = np.diag([3.0, 1.0, 0.5]) + 0.2
+        mixed = ObjectiveSet(
+            (
+                ObjectiveOracle(
+                    dim=3,
+                    value=lambda x: float(0.5 * x @ H @ x),
+                    gradient=lambda x: H @ x,
+                    diag_hessian=lambda x: np.diagonal(H).copy(),
+                ),
+                quadratic_oracle(2.0 * H),
+                quadratic_oracle(H + np.eye(3), with_hessian=True),
+            )
+        )
+        small_mlp = build(
+            ProblemSpec(
+                kind="mlp_matching", input_dim=4, hidden=5, output_dim=3,
+                dataset_size=6, seed=2, activation="softplus",
+            )
+        )
+        for objectives in (mixed, small_mlp.objectives):
+            for rng_seed in (0, 5, 2**40 + 3):
+                x = rng.normal(size=objectives.dim)
+                cfg = HutchinsonConfig(num_samples=4, rng_seed=rng_seed)
+                got = diag_hessian_matrix(objectives, x, cfg, force_estimate)
+                want = diag_hessian_matrix_reference(objectives, x, cfg, force_estimate)
+                assert np.array_equal(got, want)
 
 
 class TestTracker:

@@ -1,9 +1,15 @@
 """Benchmark factory: analytic constants, network matching, misalignment."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amoo.core import WeightVector
+from amoo.hessians import HutchinsonConfig, diag_hessian_matrix
 from amoo.linalg import min_eigenpair, weighted_hessian
 from amoo.problems import ProblemSpec, build, build_mlp_matching, misalign
 
@@ -129,6 +135,45 @@ class TestAnalyticKinds:
         assert np.all(np.isfinite(oracle.hessian_at(np.zeros(2))))
 
 
+def mlp_objective_reference(model, theta, i):
+    """Value, gradient and Hessian diagonal of network-matching objective i,
+    computed one objective at a time as first written; the stacked
+    evaluation must match it bit for bit."""
+    w1, b1, w2, b2 = model.unpack(np.ascontiguousarray(theta))
+    Z = model.X @ w1.T + b1
+    A = model._act(Z)
+    R = A @ w2.T + b2 - model.targets
+    H, alpha = model.h_stack[i], model.alphas[i]
+    N = R.shape[0]
+    V = R @ H
+    q = np.einsum("nd,nd->n", R, V)
+    p1 = 2.0 * alpha * q ** (alpha - 1.0)
+    value = float(np.mean(q**alpha))
+
+    U = p1[:, None] * V
+    S = (U @ w2) * model._act_prime(Z)
+    grad = model.pack(
+        S.T @ model.X / N, S.sum(axis=0) / N, U.T @ A / N, U.sum(axis=0) / N
+    )
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c2 = 4.0 * alpha * (alpha - 1.0) * q ** (alpha - 2.0)
+    if alpha == 2.0:
+        c2 = np.full_like(q, 8.0)
+    elif alpha < 2.0:
+        c2 = np.where(q > 0.0, c2, 0.0)
+    hdiag = np.diagonal(H)
+    g2 = np.einsum("oj,op,pj->j", w2, H, w2)
+    S = V @ w2
+    X2, A2 = model.X**2, A**2
+    dw2 = np.outer(hdiag, p1 @ A2) / N + np.einsum("n,no,nj->oj", c2, V**2, A2) / N
+    db2 = hdiag * np.mean(p1) + (c2[:, None] * V**2).sum(axis=0) / N
+    coeff = (p1[:, None] * g2 + c2[:, None] * S**2) * model._act_prime(Z) ** 2
+    coeff = coeff + (p1[:, None] * S) * model._act_second(Z)
+    diag = model.pack(coeff.T @ X2 / N, coeff.sum(axis=0) / N, dw2, db2)
+    return value, grad, diag
+
+
 class TestMlpMatching:
     SMALL = dict(
         kind="mlp_matching",
@@ -207,6 +252,57 @@ class TestMlpMatching:
             tm[j] -= h
             fd = (oracle.gradient_at(tp)[j] - oracle.gradient_at(tm)[j]) / (2 * h)
             assert abs(fd - d[j]) <= 0.2 * scale + 1e-8
+
+    @pytest.mark.parametrize("variant", ["selection", "local_curvature"])
+    @pytest.mark.parametrize("activation", ["relu", "softplus"])
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        near_star=st.booleans(),
+        log_scale=st.one_of(st.none(), st.floats(-12.0, 0.5)),
+    )
+    def test_stacked_evaluation_matches_each_oracle(
+        self, variant, activation, seed, near_star, log_scale
+    ):
+        problem = build(
+            ProblemSpec(kind="mlp_matching", variant=variant, activation=activation)
+        )
+        objs = problem.objectives
+        theta = np.array(problem.optimum.x_star if near_star else problem.x0)
+        if log_scale is not None:
+            rng = np.random.default_rng(seed)
+            theta += 10.0**log_scale * rng.normal(size=theta.shape)
+        values = objs.values(theta)
+        J = objs.gradients(theta)
+        D = diag_hessian_matrix(objs, theta, HutchinsonConfig())
+        assert np.array_equal(values, [o.value_at(theta) for o in objs.objectives])
+        assert np.array_equal(J, np.stack([o.gradient_at(theta) for o in objs.objectives]))
+        assert np.array_equal(
+            D, np.stack([o.diag_hessian_at(theta) for o in objs.objectives])
+        )
+        for i in range(objs.m):
+            value, grad, diag = mlp_objective_reference(objs.stacked, theta, i)
+            assert values[i] == value
+            assert np.array_equal(J[i], grad)
+            assert np.array_equal(D[i], diag)
+
+    def test_evaluated_problem_is_garbage_collected(self):
+        # Nothing may keep the network alive once its problem is dropped,
+        # such as a cache keyed on its bound methods.
+        problem = build(ProblemSpec(variant="selection", **self.SMALL))
+        theta = problem.x0
+        problem.objectives.values(theta)
+        problem.objectives.gradients(theta)
+        diag_hessian_matrix(problem.objectives, theta, HutchinsonConfig())
+        for oracle in problem.objectives.objectives:
+            oracle.value_at(theta)
+            oracle.gradient_at(theta)
+            oracle.diag_hessian_at(theta)
+        problem.msq(theta)
+        model = weakref.ref(problem.msq.__self__)
+        del problem, oracle
+        gc.collect()
+        assert model() is None
 
     def test_bad_sizes_rejected(self):
         with pytest.raises(ValueError):

@@ -146,6 +146,69 @@ class TestEqualWeights:
 # ---------------------------------------------------------------------------
 
 
+def solve_bilinear_pu_reference(A, cfg, warm=None, gap_target=None):
+    """The predictive primal-dual loop as first written, with its negated
+    payoff products and a tail-average check before the first restart;
+    ``solve_bilinear_pu`` must match it bit for bit."""
+    m, n = A.shape
+    tau = cfg.pu_tau
+    eta = 1.0 / (2.0 * float(np.abs(A).max()) + tau)
+    kappa = eta * tau
+    if warm is not None:
+        w = np.clip(warm[0], 1e-300, None)
+        w = w / w.sum()
+        q = np.clip(warm[1], 1e-300, None)
+        q = q / q.sum()
+    else:
+        w = np.full(m, 1.0 / m)
+        q = np.full(n, 1.0 / n)
+    Aeta = eta * A
+    AetaT = np.ascontiguousarray(Aeta.T)
+    w_acc, q_acc = np.zeros(m), np.zeros(n)
+    tail_w, tail_q = np.zeros(m), np.zeros(n)
+    tail_start = 0
+    best = None
+
+    def consider(wc, qc):
+        nonlocal best
+        g = float(np.max(A @ qc) - np.min(A.T @ wc))
+        if best is None or g < best[0]:
+            best = (g, wc.copy(), qc.copy())
+        return g
+
+    def normalized(v):
+        return v / v.sum()
+
+    for t in range(cfg.pu_iterations):
+        if kappa == 0.0:
+            base_w, base_q = w, q
+        else:
+            base_w, base_q = w ** (1.0 - kappa), q ** (1.0 - kappa)
+        wb = normalized(base_w * np.exp(Aeta @ q))
+        qb = normalized(base_q * np.exp(-(AetaT @ w)))
+        w = normalized(base_w * np.exp(Aeta @ qb))
+        q = normalized(base_q * np.exp(-(AetaT @ wb)))
+        w_acc += wb
+        q_acc += qb
+        tail_w += wb
+        tail_q += qb
+        done = t + 1
+        if done % 64 == 0 or done == cfg.pu_iterations:
+            g_best = consider(w_acc / done, q_acc / done)
+            g_best = min(g_best, consider(w, q))
+            if done > tail_start:
+                span = done - tail_start
+                g_best = min(g_best, consider(tail_w / span, tail_q / span))
+            if gap_target is not None and g_best <= gap_target:
+                break
+            if done - tail_start >= max(tail_start, 256):
+                tail_w[:] = 0.0
+                tail_q[:] = 0.0
+                tail_start = done
+    gap, w_out, q_out = best
+    return w_out, q_out, gap, float(w_out @ A @ q_out)
+
+
 class TestBilinearPU:
     def test_identity_game(self):
         sol = solve_bilinear_pu(
@@ -245,6 +308,23 @@ class TestBilinearPU:
         sol = solve_bilinear_pu(A, CamooConfig(pu_iterations=2000))
         assert sol.gap <= 5e-2
         np.testing.assert_allclose(sol.w, [0.5, 0.5], atol=5e-2)
+
+    @pytest.mark.parametrize("shape", [(5, 8), (2, 6), (3, 903)])
+    @pytest.mark.parametrize("pu_tau", [0.0, 0.01])
+    @pytest.mark.parametrize("gap_target", [None, 2e-3])
+    def test_bitwise_equal_to_reference_loop(self, shape, pu_tau, gap_target):
+        rng = np.random.default_rng(38)
+        for trial, iterations in enumerate((10, 64, 300, 1100)):
+            A = rng.uniform(0.0, 3.0, size=shape) * 10.0 ** rng.uniform(-3, 1)
+            cfg = CamooConfig(pu_iterations=iterations, pu_tau=pu_tau)
+            for warm in (
+                None,
+                (rng.dirichlet(np.ones(shape[0])), rng.dirichlet(np.ones(shape[1]))),
+            ):
+                sol = solve_bilinear_pu(A, cfg, warm=warm, gap_target=gap_target)
+                want = solve_bilinear_pu_reference(A, cfg, warm, gap_target)
+                for got, ref in zip((sol.w, sol.q, sol.gap, sol.value), want):
+                    assert np.array_equal(got, ref)
 
     def test_warm_start_accepted(self):
         A = np.array([[1.8, 0.2], [0.2, 1.8]])
