@@ -9,9 +9,12 @@ verification.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -19,167 +22,99 @@ import numpy as np
 from . import analysis, driver, problems, traceio, weighting
 from .core import NumericError, ObjectiveOracle
 from .driver import ConfigurationError
-from .hessians import HutchinsonConfig
 from .plotting import write_trace_svg
 
 _PRESETS = ("camoo-theory", "pamoo-theory", "practical-sgd", "practical-adam")
 
 
-def _parse_keys(section: dict, parsers: dict, where: str) -> dict:
-    """Reject unknown keys and parse the keys present; returns parsed values."""
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{where} must be a JSON object, got {value!r}")
+    return value
+
+
+def _convert(tp, value, where: str):
+    """Check a JSON value against the annotation ``tp`` and convert it:
+    arrays become tuples, objects become dataclasses, numbers become float
+    where a float is expected."""
+    if isinstance(tp, types.UnionType):  # X | None
+        if value is None:
+            return None
+        (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
+    if tp is problems.ProblemSpec:
+        return parse_problem_spec(value, where)
+    if dataclasses.is_dataclass(tp):
+        return _build(tp, value, where)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{where} must be an array, got {value!r}")
+        item = typing.get_args(tp)[0]
+        return tuple(_convert(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+    json_types = (int, float) if tp is float else tp
+    if isinstance(value, bool) != (tp is bool) or not isinstance(value, json_types):
+        raise ConfigurationError(f"{where} must be {tp.__name__}, got {value!r}")
+    try:
+        return tp(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigurationError(f"{where} is out of the float range") from None
+
+
+def _build(cls, section, where: str, keys=None, **given):
+    """Build the dataclass ``cls`` from the JSON object ``section``.
+
+    The accepted keys are ``keys`` or else the fields not ``given``; a field
+    is read from the key in its ``metadata["key"]``, else from its name.  An
+    absent key takes the field's default, each value must have the JSON type
+    of the field's annotation, and a ValueError from ``cls`` is reported as a
+    configuration error that names ``where``.
+    """
+    section = _object(section, where)
+    fields = {f.metadata.get("key", f.name): f for f in dataclasses.fields(cls)}
+    if keys is None:
+        keys = [key for key, f in fields.items() if f.name not in given]
     for key in section:
-        if key not in parsers:
+        if key not in keys:
             raise ConfigurationError(f"unknown key {key!r} in {where}")
-    out = {}
-    for key, value in section.items():
-        try:
-            out[key] = parsers[key](value)
-        except ConfigurationError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"bad value for {where}.{key}: {exc}")
-    return out
-
-
-def _require_keys(section: dict, allowed: dict, where: str) -> dict:
-    """Like ``_parse_keys`` for a table of (parser, default) pairs; absent
-    keys take their default."""
-    parsed = _parse_keys(section, {k: p for k, (p, _) in allowed.items()}, where)
-    return {key: parsed.get(key, default) for key, (_, default) in allowed.items()}
-
-
-_REQUIRED = object()
-
-
-def _as_tuple(v):
-    return tuple(v)
-
-
-def _optional(parse):
-    return lambda v: None if v is None else parse(v)
-
-
-def _as_nested_tuple(v):
-    return tuple(tuple(row) for row in v)
+    hints = typing.get_type_hints(cls)
+    values = dict(given)
+    for key in keys:
+        f = fields[key]
+        if key in section:
+            values[f.name] = _convert(hints[f.name], section[key], f"{where}.{key}")
+        elif f.default is f.default_factory is dataclasses.MISSING:
+            raise ConfigurationError(f"{where}.{key} is required")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigurationError(f"bad value in {where}: {exc}") from exc
 
 
 def parse_problem_spec(section: dict, where: str = "problem") -> problems.ProblemSpec:
-    if "kind" not in section:
+    kind = _object(section, where).get("kind")
+    if kind is None:
         raise ConfigurationError(f"{where}.kind is required")
-    kind = section["kind"]
-    common = {"kind": (str, _REQUIRED)}
-    by_kind = {
-        "specification": {"delta": (float, 0.1)},
-        "selection": {"delta": (float, 0.1), "m": (int, 2), "n": (int, 2)},
-        "local_curvature": {"n": (int, 1)},
-        "quad_family": {
-            "h_list": (_as_nested_tuple, ()),
-            "alpha_list": (_as_tuple, ()),
-        },
-        "mlp_matching": {
-            "variant": (str, "selection"),
-            "input_dim": (int, 20),
-            "hidden": (int, 32),
-            "output_dim": (int, 7),
-            "dataset_size": (int, 50),
-            "seed": (int, 0),
-            "activation": (str, "relu"),
-            "target_offset": (float, 10.0),
-        },
-        "misaligned": {
-            "base": (dict, _REQUIRED),
-            "shifts": (_as_nested_tuple, _REQUIRED),
-        },
-    }
-    if kind not in by_kind:
+    if not isinstance(kind, str) or kind not in problems.KINDS:
         raise ConfigurationError(
             f"unknown problem kind {kind!r}; see `amoo list-problems`"
         )
-    parsed = _require_keys(section, {**common, **by_kind[kind]}, where)
-    for key, value in parsed.items():
-        if value is _REQUIRED:
-            raise ConfigurationError(f"{where}.{key} is required")
-    if kind == "misaligned":
-        base = parse_problem_spec(parsed.pop("base"), where=f"{where}.base")
-        return problems.ProblemSpec(kind=kind, base=base, shifts=parsed["shifts"])
-    return problems.ProblemSpec(**parsed)
+    keys = ("kind", *problems.KINDS[kind].params)
+    return _build(problems.ProblemSpec, section, where, keys)
 
 
-# Keys of the sections that configure a dataclass; an absent key takes the
-# dataclass default.
-_CAMOO_KEYS = {
-    "mode": str,
-    "w_min": float,
-    "pu_iterations": int,
-    "pu_tau": float,
-    "supergrad_iterations": int,
-    "supergrad_step": float,
-    "warm_start": bool,
-}
-_PAMOO_KEYS = {
-    "step": float,
-    "iterations": int,
-    "clip_floor": float,
-    "gram_tau": float,
-    "warm_start": bool,
-}
-_HUTCHINSON_KEYS = {
-    "num_samples": int,
-    "fd_step": float,
-    "rng_seed": int,
-    "ema_decay": _optional(float),
-}
-
-
-def _parse_weighting(section: dict) -> driver.WeightingChoice:
-    parsed = _parse_keys(
-        section,
-        {
-            "kind": str,
-            "camoo": dict,
-            "pamoo": dict,
-            "weights": _as_tuple,
-            "hutchinson": dict,
-            "force_hutchinson": bool,
-        },
-        "weighting",
-    )
-    for key, cls, parsers in (
-        ("camoo", weighting.CamooConfig, _CAMOO_KEYS),
-        ("pamoo", weighting.PamooConfig, _PAMOO_KEYS),
-        ("hutchinson", HutchinsonConfig, _HUTCHINSON_KEYS),
-    ):
-        if key in parsed:
-            where = f"weighting.{key}"
-            values = _parse_keys(parsed[key], parsers, where)
-            try:
-                parsed[key] = cls(**values)
-            except ValueError as exc:
-                raise ConfigurationError(f"bad value in {where}: {exc}")
-    if "weights" in parsed:
-        parsed["fixed_weights"] = parsed.pop("weights")
-    return driver.WeightingChoice(**parsed)
+_INNER = {"gd": driver.GDConfig, "adam": driver.AdamConfig}
 
 
 def _parse_inner(section: dict):
-    parsed = _parse_keys(
-        section,
-        {"kind": str, "step": float, "b1": float, "b2": float, "eps": float},
-        "inner",
-    )
-    if "step" not in parsed:
-        raise ConfigurationError("inner.step is required")
-    kind = parsed.pop("kind", "gd")
-    if kind == "gd":
-        return driver.GDConfig(step=parsed["step"])
-    if kind == "adam":
-        return driver.AdamConfig(**parsed)
-    raise ConfigurationError(f"unknown inner.kind {kind!r}")
+    section = dict(_object(section, "inner"))
+    kind = section.pop("kind", "gd")
+    if not isinstance(kind, str) or kind not in _INNER:
+        raise ConfigurationError(f"unknown inner.kind {kind!r}")
+    return _build(_INNER[kind], section, "inner")
 
 
 def _apply_preset(name: str, problem: problems.ProblemSpec):
     if name == "camoo-theory":
-        built = problems.build(problem)
+        built = driver.build_problem(problem)
         wc, inner = driver.theory_camoo(built.meta, built.objectives.m)
         return wc, inner, False
     if name == "pamoo-theory":
@@ -213,35 +148,36 @@ def parse_run_config(doc: dict) -> driver.RunConfig:
     else:
         if "inner" not in doc:
             raise ConfigurationError("config section 'inner' is required")
-        weighting_choice = _parse_weighting(doc.get("weighting", {}))
+        weighting_choice = _build(
+            driver.WeightingChoice, doc.get("weighting", {}), "weighting"
+        )
         inner = _parse_inner(doc["inner"])
 
-    run_vals = _parse_keys(
-        doc.get("run", {}),
-        {
-            "steps": int,
-            "seed": int,
-            "record_every": int,
-            "camoo_lr_scale_by_m": bool,
-            "x0": _optional(tuple),
-            "f_star_override": _optional(tuple),
-        },
+    run_section = doc.get("run", {})
+    cfg = _build(
+        driver.RunConfig,
+        run_section,
         "run",
+        problem=problem,
+        weighting=weighting_choice,
+        inner=inner,
     )
-    if "steps" not in run_vals:
-        raise ConfigurationError("run.steps is required")
-    run_vals.setdefault("camoo_lr_scale_by_m", scale_default)
-    return driver.RunConfig(
-        problem=problem, weighting=weighting_choice, inner=inner, **run_vals
-    )
+    if not scale_default and "camoo_lr_scale_by_m" not in run_section:
+        cfg = dataclasses.replace(cfg, camoo_lr_scale_by_m=False)
+    return cfg
 
 
-def parse_output_options(doc: dict) -> dict:
-    return _require_keys(
-        doc.get("output", {}),
-        {"plot": (bool, False), "fit_rate_tail": (float, 0.5)},
-        "output",
-    )
+@dataclasses.dataclass(frozen=True)
+class OutputOptions:
+    """The ``output`` section: whether to write plot.svg, and the tail
+    fraction of the trace that the summary's contraction rate is fitted on."""
+
+    plot: bool = False
+    fit_rate_tail: float = 0.5
+
+
+def parse_output_options(doc: dict) -> OutputOptions:
+    return _build(OutputOptions, doc.get("output", {}), "output")
 
 
 def _default_out_dir(explicit: str | None) -> Path:
@@ -315,7 +251,7 @@ def cmd_run(config_path: str, out_dir: str | None, print_fn=print) -> int:
     fitted = None
     if code == 0 and len(trace.residuals()) >= 20:
         try:
-            fitted = analysis.fit_rate(trace, out_opts["fit_rate_tail"])
+            fitted = analysis.fit_rate(trace, out_opts.fit_rate_tail)
         except ValueError:
             fitted = None
     verdicts = _run_verdicts(trace) if code == 0 else {"finite": False}
@@ -323,7 +259,7 @@ def cmd_run(config_path: str, out_dir: str | None, print_fn=print) -> int:
         traceio.summary_dict(trace, fitted_rate=fitted, verdicts=verdicts),
         out / "summary.json",
     )
-    if out_opts["plot"] and trace.records:
+    if out_opts.plot and trace.records:
         write_trace_svg(trace, out / "plot.svg")
     final = trace.final()
     print_fn(
@@ -382,17 +318,8 @@ def cmd_plot(trace_path: str, out_path: str, print_fn=print) -> int:
 
 
 def cmd_list_problems(print_fn=print) -> int:
-    listing = {
-        "specification": "two 2-D quadratics, weakly curved alone (delta)",
-        "selection": "m-1 weak quadratics plus one well-conditioned (delta, m, n)",
-        "local_curvature": "exp(x)-x against its mirror image (n)",
-        "quad_family": "generalized quadratics (x'Hx)^alpha (h_list, alpha_list)",
-        "mlp_matching": "two-layer network matches a fixed teacher "
-        "(variant, input_dim, hidden, output_dim, dataset_size, seed)",
-        "misaligned": "per-objective shifts of a base problem (base, shifts)",
-    }
-    for kind, desc in listing.items():
-        print_fn(f"{kind:18s} {desc}")
+    for kind, entry in problems.KINDS.items():
+        print_fn(f"{kind:18s} {entry.summary} ({', '.join(entry.params)})")
     return 0
 
 

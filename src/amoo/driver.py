@@ -112,7 +112,7 @@ class WeightingChoice:
     kind: str = WEIGHTING_EW
     camoo: CamooConfig = field(default_factory=CamooConfig)
     pamoo: PamooConfig = field(default_factory=PamooConfig)
-    fixed_weights: tuple = ()
+    fixed_weights: tuple[float, ...] = field(default=(), metadata={"key": "weights"})
     hutchinson: HutchinsonConfig = field(default_factory=HutchinsonConfig)
     force_hutchinson: bool = False
 
@@ -137,8 +137,8 @@ class RunConfig:
     seed: int = 0
     record_every: int = 1
     camoo_lr_scale_by_m: bool = True
-    x0: tuple | None = None
-    f_star_override: tuple | None = None
+    x0: tuple[float, ...] | None = None
+    f_star_override: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.steps < 0:
@@ -183,6 +183,15 @@ def _mixed_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
+def build_problem(spec: problems.ProblemSpec) -> problems.Problem:
+    """``problems.build``, reporting a spec its builder rejects as a
+    ConfigurationError."""
+    try:
+        return problems.build(spec)
+    except ValueError as exc:
+        raise ConfigurationError(f"bad value in problem: {exc}") from exc
+
+
 def run(cfg: RunConfig) -> RunTrace:
     """Execute the weighted descent loop and return its trace.
 
@@ -194,10 +203,12 @@ def run(cfg: RunConfig) -> RunTrace:
     effectively sums to m).  Values and gradients are evaluated once per
     iterate and shared by the weight optimizer and the inner step.  A NaN or
     Inf anywhere aborts the run with a NumericError whose payload is the
-    trace up to the failure.  The trace carries the built problem.
+    trace up to the failure.  The trace carries the built problem.  A problem
+    spec that its builder rejects, or fixed weights that do not fit the
+    problem, raise ConfigurationError before the first step.
     """
     t_start = time.perf_counter()
-    problem = problems.build(cfg.problem)
+    problem = build_problem(cfg.problem)
     objs = problem.objectives
     m = objs.m
     wc = cfg.weighting
@@ -237,7 +248,15 @@ def run(cfg: RunConfig) -> RunTrace:
     if wc.kind == WEIGHTING_EW:
         const_w = equal_weights(m)
     elif wc.kind == WEIGHTING_FIXED:
-        const_w = WeightVector(np.asarray(wc.fixed_weights, dtype=np.float64))
+        if len(wc.fixed_weights) != m:
+            raise ConfigurationError(
+                f"weighting has {len(wc.fixed_weights)} fixed weights "
+                f"for {m} objectives"
+            )
+        try:
+            const_w = WeightVector(np.asarray(wc.fixed_weights, dtype=np.float64))
+        except ValueError as exc:
+            raise ConfigurationError(f"bad fixed weights in weighting: {exc}") from exc
     scale = float(m) if wc.kind == WEIGHTING_CAMOO and cfg.camoo_lr_scale_by_m else 1.0
     inner_step = cfg.inner.step * scale
 

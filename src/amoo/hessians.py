@@ -7,7 +7,7 @@ probe draws from its own counter-split RNG stream, so results do not depend
 on evaluation order.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -117,12 +117,7 @@ def diag_hessian_matrix(
         else:
             if seeds is None:
                 seeds = np.random.SeedSequence(cfg.rng_seed).spawn(objectives.m)
-            sub = HutchinsonConfig(
-                num_samples=cfg.num_samples,
-                fd_step=cfg.fd_step,
-                rng_seed=seeds[i].generate_state(1)[0],
-                ema_decay=cfg.ema_decay,
-            )
+            sub = replace(cfg, rng_seed=seeds[i].generate_state(1)[0])
             rows[i] = hutchinson_diag(oracle, x, sub).values
     return rows
 
@@ -140,12 +135,7 @@ class DiagHessianTracker:
         self._calls = 0
 
     def update(self, objectives: ObjectiveSet, x, force_estimate: bool = False) -> Array:
-        call_cfg = HutchinsonConfig(
-            num_samples=self.cfg.num_samples,
-            fd_step=self.cfg.fd_step,
-            rng_seed=self.cfg.rng_seed + self._calls,
-            ema_decay=self.cfg.ema_decay,
-        )
+        call_cfg = replace(self.cfg, rng_seed=self.cfg.rng_seed + self._calls)
         self._calls += 1
         fresh = diag_hessian_matrix(objectives, x, call_cfg, force_estimate)
         if self.cfg.ema_decay is None:

@@ -17,6 +17,7 @@ base problem to produce approximately aligned instances.
 """
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import optimize
@@ -28,33 +29,18 @@ from .core import (
     OptimalInfo,
 )
 
-KIND_SPECIFICATION = "specification"
-KIND_SELECTION = "selection"
-KIND_LOCAL_CURVATURE = "local_curvature"
-KIND_QUAD_FAMILY = "quad_family"
-KIND_MLP_MATCHING = "mlp_matching"
-KIND_MISALIGNED = "misaligned"
-
-KINDS = (
-    KIND_SPECIFICATION,
-    KIND_SELECTION,
-    KIND_LOCAL_CURVATURE,
-    KIND_QUAD_FAMILY,
-    KIND_MLP_MATCHING,
-    KIND_MISALIGNED,
-)
-
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Parameters of a buildable benchmark problem; see ``build``."""
+    """Parameters of a buildable benchmark problem; see ``build``.  Each kind
+    reads only the fields that its ``KINDS`` entry lists."""
 
     kind: str
     delta: float = 0.1
     m: int = 2
     n: int = 2
-    h_list: tuple = ()
-    alpha_list: tuple = ()
+    h_list: tuple[tuple[tuple[float, ...], ...], ...] = ()
+    alpha_list: tuple[float, ...] = ()
     variant: str = "selection"
     input_dim: int = 20
     hidden: int = 32
@@ -64,11 +50,13 @@ class ProblemSpec:
     activation: str = "relu"
     target_offset: float = 10.0
     base: "ProblemSpec | None" = None
-    shifts: tuple = ()
+    shifts: tuple[tuple[float, ...], ...] = ()
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown problem kind {self.kind!r}")
+        if self.kind == "misaligned" and self.base is None:
+            raise ValueError("misaligned spec needs a base spec")
 
 
 @dataclass(frozen=True)
@@ -529,25 +517,62 @@ def misalign(base: Problem, shifts) -> Problem:
         alignment_eps=eps,
     )
     spec = ProblemSpec(
-        kind=KIND_MISALIGNED, base=base.spec, shifts=tuple(map(tuple, shifts))
+        kind="misaligned", base=base.spec, shifts=tuple(map(tuple, shifts))
     )
     return Problem(objectives, optimum, meta, x0=np.array(base.x0), spec=spec)
 
 
+def _build_misaligned(spec: ProblemSpec) -> Problem:
+    return misalign(build(spec.base), np.asarray(spec.shifts))
+
+
+@dataclass(frozen=True)
+class ProblemKind:
+    """A buildable problem kind: its builder, the ``ProblemSpec`` fields it
+    reads besides ``kind``, and a one-line description."""
+
+    build: Callable[[ProblemSpec], Problem]
+    params: tuple[str, ...]
+    summary: str
+
+
+KINDS = {
+    "specification": ProblemKind(
+        _build_specification, ("delta",), "two 2-D quadratics, weakly curved alone"
+    ),
+    "selection": ProblemKind(
+        _build_selection,
+        ("delta", "m", "n"),
+        "m-1 weak quadratics plus one well-conditioned",
+    ),
+    "local_curvature": ProblemKind(
+        _build_local_curvature, ("n",), "exp(x)-x against its mirror image"
+    ),
+    "quad_family": ProblemKind(
+        _build_quad_family,
+        ("h_list", "alpha_list"),
+        "generalized quadratics (x'Hx)^alpha",
+    ),
+    "mlp_matching": ProblemKind(
+        build_mlp_matching,
+        (
+            "variant",
+            "input_dim",
+            "hidden",
+            "output_dim",
+            "dataset_size",
+            "seed",
+            "activation",
+            "target_offset",
+        ),
+        "two-layer network matches a fixed teacher",
+    ),
+    "misaligned": ProblemKind(
+        _build_misaligned, ("base", "shifts"), "per-objective shifts of a base problem"
+    ),
+}
+
+
 def build(spec: ProblemSpec) -> Problem:
     """Build the problem described by ``spec``."""
-    if spec.kind == KIND_SPECIFICATION:
-        return _build_specification(spec)
-    if spec.kind == KIND_SELECTION:
-        return _build_selection(spec)
-    if spec.kind == KIND_LOCAL_CURVATURE:
-        return _build_local_curvature(spec)
-    if spec.kind == KIND_QUAD_FAMILY:
-        return _build_quad_family(spec)
-    if spec.kind == KIND_MLP_MATCHING:
-        return build_mlp_matching(spec)
-    if spec.kind == KIND_MISALIGNED:
-        if spec.base is None:
-            raise ValueError("misaligned spec needs a base spec")
-        return misalign(build(spec.base), np.asarray(spec.shifts))
-    raise ValueError(f"unknown problem kind {spec.kind!r}")
+    return KINDS[spec.kind].build(spec)

@@ -215,14 +215,15 @@ def solve_bilinear_pu(
         q = _normalized(base_q * np.exp(neg_AetaT @ wb))
         w_acc += wb
         q_acc += qb
-        tail_acc_w += wb
-        tail_acc_q += qb
+        # The tail window opens at the first restart; before it, the tail
+        # average would be the running average bit for bit.
+        if tail_start > 0:
+            tail_acc_w += wb
+            tail_acc_q += qb
         done = t + 1
         if done % check_every == 0 or done == cfg.pu_iterations:
             g_best = consider(w_acc / done, q_acc / done)
             g_best = min(g_best, consider(w, q))
-            # Before the first restart the tail average is the running
-            # average bit for bit, so it has nothing new to certify.
             if tail_start > 0:
                 span = done - tail_start
                 g_best = min(g_best, consider(tail_acc_w / span, tail_acc_q / span))

@@ -8,9 +8,19 @@ import numpy as np
 import pytest
 
 from amoo import cli, driver, problems, traceio
-from amoo.driver import GDConfig, IterateRecord, RunConfig, RunTrace, WeightingChoice
+from amoo.driver import (
+    AdamConfig,
+    ConfigurationError,
+    GDConfig,
+    IterateRecord,
+    RunConfig,
+    RunTrace,
+    WeightingChoice,
+)
+from amoo.hessians import HutchinsonConfig
 from amoo.plotting import trace_svg
 from amoo.problems import ProblemSpec
+from amoo.weighting import CamooConfig, PamooConfig
 
 
 VALID_CONFIG = {
@@ -81,6 +91,131 @@ class TestRunCommand:
         code = cli.cmd_run(write_config(tmp_path, doc), str(tmp_path / "o"))
         assert code == 2
         assert f"weighting.{section}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "section,value",
+        [
+            ("output", {"plot": "false"}),
+            ("weighting", {"kind": "ew", "camoo": {"warm_start": "no"}}),
+            ("run", {"steps": 2.9}),
+            ("run", {"steps": True}),
+            ("run", {"steps": 5, "x0": "ab"}),
+            ("run", [1, 2]),
+        ],
+    )
+    def test_json_types_checked(self, tmp_path, capsys, section, value):
+        doc = {**VALID_CONFIG, section: value}
+        out = tmp_path / "o"
+        code = cli.cmd_run(write_config(tmp_path, doc), str(out))
+        text = capsys.readouterr().out
+        assert code == 2
+        assert "config error" in text and section in text and "must be" in text
+        assert not (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize(
+        "section,value,preset",
+        [
+            ("problem", {"kind": "selection", "m": 1}, None),
+            ("problem", {"kind": "specification", "delta": 0.9}, None),
+            ("problem", {"kind": "specification", "delta": 10**400}, None),
+            ("problem", {"kind": "mlp_matching", "activation": "tanh"}, None),
+            ("weighting", {"kind": "fixed", "weights": [1.0]}, None),
+            ("problem", {"kind": "selection", "m": 1}, "camoo-theory"),
+        ],
+    )
+    def test_invalid_problem_or_weights_exit_2(
+        self, tmp_path, capsys, section, value, preset
+    ):
+        doc = {**VALID_CONFIG, "run": {"steps": 5}, section: value}
+        if preset is not None:
+            del doc["weighting"], doc["inner"]
+            doc["preset"] = preset
+        code = cli.cmd_run(write_config(tmp_path, doc), str(tmp_path / "o"))
+        text = capsys.readouterr().out
+        assert code == 2
+        assert "config error" in text and section in text
+
+    def test_every_key_parses_to_its_field(self):
+        doc = {
+            "problem": {
+                "kind": "misaligned",
+                "base": {"kind": "quad_family", "h_list": [[[2, 0], [0, 1]]] * 2},
+                "shifts": [[0, 0], [0.5, 0]],
+            },
+            "weighting": {
+                "kind": "fixed",
+                "camoo": {
+                    "mode": "diagonal-bilinear",
+                    "w_min": 0.1,
+                    "pu_iterations": 7,
+                    "pu_tau": 0,
+                    "supergrad_iterations": 8,
+                    "supergrad_step": 0.5,
+                    "warm_start": False,
+                },
+                "pamoo": {
+                    "step": 1,
+                    "iterations": 9,
+                    "clip_floor": 0,
+                    "gram_tau": 0.5,
+                    "warm_start": False,
+                },
+                "weights": [1, 0.5],
+                "hutchinson": {
+                    "num_samples": 3,
+                    "fd_step": 0.001,
+                    "rng_seed": 4,
+                    "ema_decay": 0.9,
+                },
+                "force_hutchinson": True,
+            },
+            "inner": {"kind": "adam", "step": 0.1, "b1": 0.8, "b2": 0.99, "eps": 1e-6},
+            "run": {
+                "steps": 3,
+                "seed": 5,
+                "record_every": 2,
+                "camoo_lr_scale_by_m": False,
+                "x0": [1, 2],
+                "f_star_override": [0, 0.5],
+            },
+            "output": {"plot": True, "fit_rate_tail": 0.25},
+        }
+        base = ProblemSpec(kind="quad_family", h_list=(((2.0, 0.0), (0.0, 1.0)),) * 2)
+        assert cli.parse_run_config(doc) == RunConfig(
+            problem=ProblemSpec(
+                kind="misaligned", base=base, shifts=((0.0, 0.0), (0.5, 0.0))
+            ),
+            weighting=WeightingChoice(
+                kind="fixed",
+                camoo=CamooConfig("diagonal-bilinear", 0.1, 7, 0.0, 8, 0.5, False),
+                pamoo=PamooConfig(1.0, 9, 0.0, 0.5, False),
+                fixed_weights=(1.0, 0.5),
+                hutchinson=HutchinsonConfig(3, 0.001, 4, 0.9),
+                force_hutchinson=True,
+            ),
+            inner=AdamConfig(step=0.1, b1=0.8, b2=0.99, eps=1e-6),
+            steps=3,
+            seed=5,
+            record_every=2,
+            camoo_lr_scale_by_m=False,
+            x0=(1.0, 2.0),
+            f_star_override=(0.0, 0.5),
+        )
+        assert cli.parse_output_options(doc) == cli.OutputOptions(True, 0.25)
+
+    def test_absent_keys_take_the_defaults(self):
+        doc = {
+            "problem": {"kind": "mlp_matching"},
+            "inner": {"step": 0.1},
+            "run": {"steps": 3},
+        }
+        assert cli.parse_run_config(doc) == RunConfig(
+            problem=ProblemSpec(kind="mlp_matching"),
+            weighting=WeightingChoice(),
+            inner=GDConfig(step=0.1),
+            steps=3,
+        )
+        assert cli.parse_output_options(doc) == cli.OutputOptions()
 
     def test_missing_required_field(self, tmp_path, capsys):
         doc = {"problem": {"kind": "specification"}, "inner": {"kind": "gd"}}
@@ -294,6 +429,26 @@ class TestListAndVerify:
             "misaligned",
         ):
             assert kind in out
+
+    def test_list_problems_names_the_accepted_parameters(self, capsys):
+        assert cli.cmd_list_problems() == 0
+        listed = {}
+        for line in capsys.readouterr().out.splitlines():
+            kind, _, rest = line.partition(" ")
+            listed[kind] = set(rest.rsplit("(", 1)[1].rstrip(")").split(", "))
+        assert set(listed) == set(problems.KINDS)
+        every_param = set().union(*listed.values())
+        for kind, params in listed.items():
+            for param in every_param:
+                section = {"kind": kind, param: None}
+                with pytest.raises(ConfigurationError) as err:
+                    cli.parse_problem_spec(section)
+                unknown = f"unknown key {param!r} in problem" in str(err.value)
+                assert unknown == (param not in params), (kind, param)
+
+    def test_other_kinds_parameter_rejected_by_name(self):
+        with pytest.raises(ConfigurationError, match="unknown key 'delta' in problem"):
+            cli.parse_problem_spec({"kind": "mlp_matching", "delta": 0.1})
 
     def test_verify_passes_default_seed(self, capsys):
         assert cli.cmd_verify(seed=0) == 0

@@ -156,6 +156,43 @@ class TestRunBasics:
         with pytest.raises(ConfigurationError, match=message):
             WeightingChoice(**kwargs)
 
+    @pytest.mark.parametrize(
+        "problem,weighting,message",
+        [
+            (ProblemSpec(kind="selection", m=1), None, "bad value in problem"),
+            (
+                ProblemSpec(kind="specification", delta=0.9),
+                None,
+                "bad value in problem",
+            ),
+            (
+                ProblemSpec(kind="mlp_matching", activation="tanh"),
+                None,
+                "bad value in problem",
+            ),
+            (
+                SPEC01,
+                WeightingChoice(kind="fixed", fixed_weights=(1.0,)),
+                "1 fixed weights",
+            ),
+            (
+                SPEC01,
+                WeightingChoice(kind="fixed", fixed_weights=(1.0, -1.0)),
+                "bad fixed weights",
+            ),
+        ],
+    )
+    def test_rejected_before_first_step(self, monkeypatch, problem, weighting, message):
+        monkeypatch.setattr(ObjectiveSet, "values", lambda *a: pytest.fail("stepped"))
+        cfg = RunConfig(
+            problem=problem,
+            weighting=weighting or WeightingChoice(kind="ew"),
+            inner=GDConfig(step=0.25),
+            steps=5,
+        )
+        with pytest.raises(ConfigurationError, match=message):
+            run(cfg)
+
 
 class TestCamooRuns:
     def test_local_curvature_weight_tracks_sign(self):
