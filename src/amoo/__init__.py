@@ -16,7 +16,6 @@ from .core import (
     WeightVector,
     residual,
     weighted_gradient,
-    weighted_value,
 )
 from .driver import (
     AdamConfig,
@@ -108,6 +107,5 @@ __all__ = [
     "theorem_bound_check",
     "weighted_gradient",
     "weighted_hessian",
-    "weighted_value",
     "weyl_degradation_suite",
 ]

@@ -232,8 +232,6 @@ def cmd_run(config_path: str, out_dir: str | None, print_fn=print) -> int:
         print_fn(f"config error: {exc}")
         return 2
 
-    out = _default_out_dir(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     code = 0
     try:
         trace = driver.run(cfg)
@@ -247,6 +245,9 @@ def cmd_run(config_path: str, out_dir: str | None, print_fn=print) -> int:
         print_fn(f"config error: {exc}")
         return 2
 
+    # Created only once there is a trace, so a config error leaves nothing.
+    out = _default_out_dir(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     traceio.write_trace_csv(trace, out / "trace.csv")
     fitted = None
     if code == 0 and len(trace.residuals()) >= 20:
@@ -389,27 +390,16 @@ def _suite_self_concordance() -> tuple[bool, str]:
 
 def _suite_bilinear(seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
-    fails = 0
-    for _ in range(20):
-        A = rng.uniform(0.0, 3.0, size=(5, 8))
-        sol = weighting.solve_bilinear_pu(
-            A,
-            weighting.CamooConfig(pu_iterations=60000, pu_tau=0.0),
-            gap_target=9e-4,
-        )
-        if sol.gap > 1e-3:
-            fails += 1
-    for _ in range(10):
-        A = rng.uniform(0.0, 3.0, size=(2, 6))
-        sol = weighting.solve_bilinear_pu(
-            A,
-            weighting.CamooConfig(pu_iterations=40000, pu_tau=0.0),
-            gap_target=2.5e-4,
-        )
-        grid_w = np.linspace(0.0, 1.0, 10001)
-        vals = np.minimum.reduce(
-            [grid_w * A[0, j] + (1.0 - grid_w) * A[1, j] for j in range(A.shape[1])]
-        )
+    stack = rng.uniform(0.0, 3.0, size=(20, 5, 8))
+    cfg = weighting.CamooConfig(pu_iterations=60000, pu_tau=0.0)
+    sols = weighting.solve_bilinear_pu_stack(stack, cfg, gap_target=9e-4)
+    fails = sum(sol.gap > 1e-3 for sol in sols)
+    stack = rng.uniform(0.0, 3.0, size=(10, 2, 6))
+    cfg = weighting.CamooConfig(pu_iterations=40000, pu_tau=0.0)
+    sols = weighting.solve_bilinear_pu_stack(stack, cfg, gap_target=2.5e-4)
+    grid_w = np.linspace(0.0, 1.0, 10001)
+    for A, sol in zip(stack, sols):
+        vals = np.min(np.outer(grid_w, A[0]) + np.outer(1.0 - grid_w, A[1]), axis=1)
         if abs(float(np.min(A.T @ sol.w)) - float(vals.max())) > 1e-3:
             fails += 1
     return fails == 0, f"{30 - fails}/30 games solved to tolerance"

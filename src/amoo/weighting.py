@@ -130,20 +130,22 @@ class BilinearSolution:
 
     ``gap`` is max_i (Aq)_i - min_j (A'w)_j, which is zero exactly at a
     saddle point and upper-bounds the suboptimality of both players.
+    ``iterations`` is the number of primal-dual iterations the game ran.
     """
 
     w: Array
     q: Array
     gap: float
     value: float
+    iterations: int
 
 
-def _game_gap(A: Array, w: Array, q: Array) -> float:
-    return float(np.max(A @ q) - np.min(A.T @ w))
-
-
-def _normalized(v: Array) -> Array:
-    return v / v.sum()
+def _entropic_step(base: Array, payoff: Array, axis, keep: bool) -> Array:
+    """base * exp(payoff), normalized per game, in the payoff's buffer."""
+    v = np.exp(payoff, out=payoff)
+    v *= base
+    v /= v.sum(axis, keepdims=keep)
+    return v
 
 
 def solve_bilinear_pu(
@@ -161,86 +163,136 @@ def solve_bilinear_pu(
     certified duality gap is returned.  ``gap_target`` enables early exit
     once a candidate certifies at or below the target.
     """
-    cfg = cfg or CamooConfig()
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise ValueError(f"payoff matrix must be 2-D, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("payoff matrix has non-finite entries")
     m, n = A.shape
-    amax = float(np.abs(A).max(initial=0.0))
-    if amax == 0.0:
-        w = np.full(m, 1.0 / m)
-        q = np.full(n, 1.0 / n)
-        return BilinearSolution(w=w, q=q, gap=0.0, value=0.0)
-
-    tau = cfg.pu_tau
-    eta = 1.0 / (2.0 * amax + tau)
-    kappa = eta * tau
     if warm is not None:
-        w = _normalized(np.clip(as_vector(warm[0], m, "warm w"), 1e-300, None))
-        q = _normalized(np.clip(as_vector(warm[1], n, "warm q"), 1e-300, None))
+        w0, q0 = as_vector(warm[0], m, "warm w"), as_vector(warm[1], n, "warm q")
+        warm = (w0[None], q0[None])
+    return solve_bilinear_pu_stack(A[None], cfg, warm, gap_target)[0]
+
+
+def solve_bilinear_pu_stack(
+    A,
+    cfg: CamooConfig | None = None,
+    warm: tuple[Array, Array] | None = None,
+    gap_target: float | None = None,
+) -> list[BilinearSolution]:
+    """Solve G independent games, ``A`` of shape (G, m, n), as one stack.
+
+    Each game keeps its own step, exponent and best candidate, so it gets
+    the ``solve_bilinear_pu`` answer bit for bit; the tail restarts depend
+    only on the iteration count.  ``warm`` is (W, Q), shapes (G, m) and
+    (G, n).  A game that meets ``gap_target`` leaves the stack at that check.
+    """
+    cfg = cfg or CamooConfig()
+    A = np.ascontiguousarray(A, dtype=np.float64)
+    if A.ndim != 3:
+        raise ValueError(f"payoff stack must be 3-D, got shape {A.shape}")
+    # max |A_ij| is NaN or inf exactly when a game has a non-finite entry.
+    amax = np.abs(A).max(axis=(1, 2), initial=0.0)
+    if not np.isfinite(amax).all():
+        raise ValueError("payoff matrix has non-finite entries")
+    G, m, n = A.shape
+    # Players are per-game column vectors: (g, m, n) @ (g, n, 1) -> (g, m, 1).
+    if warm is None:
+        w, q = np.full((G, m, 1), 1.0 / m), np.full((G, n, 1), 1.0 / n)
     else:
-        w = np.full(m, 1.0 / m)
-        q = np.full(n, 1.0 / n)
-
-    Aeta = eta * A
-    neg_AetaT = np.ascontiguousarray(-Aeta.T)
-    w_acc = np.zeros(m)
-    q_acc = np.zeros(n)
-    tail_acc_w = np.zeros(m)
-    tail_acc_q = np.zeros(n)
+        w, q = (np.asarray(v, dtype=np.float64) for v in warm)
+        if w.shape != (G, m) or q.shape != (G, n):
+            raise ValueError(f"warm shapes {w.shape}, {q.shape} do not fit {A.shape}")
+        w, q = np.maximum(w, 1e-300)[:, :, None], np.maximum(q, 1e-300)[:, :, None]
+    out: list = [None] * G
+    games = np.arange(G)
+    if not amax.all():
+        # Uniform play solves a zero game; it never enters the loop.
+        for k in games[amax == 0.0]:
+            w0, q0 = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+            out[k] = BilinearSolution(w0, q0, 0.0, 0.0, 0)
+        games = games[amax > 0.0]
+        A, amax, w, q = A[games], amax[games], w[games], q[games]
+    if not len(games):
+        return out
+    eta = 1.0 / (2.0 * amax + cfg.pu_tau)
+    kappa = eta * cfg.pu_tau
+    # A shared exponent and a lone game's sums stay scalars: numpy's
+    # broadcasting costs more than the arithmetic on games this small.
+    if len(kappa) == 1 or (kappa == kappa[0]).all():
+        expo = None if kappa[0] == 0.0 else float(1.0 - kappa[0])
+    else:
+        expo = (1.0 - kappa)[:, None, None]
+    axis, keep = (None, False) if len(games) == 1 else (1, True)
+    if warm is not None:
+        w, q = w / w.sum(axis, keepdims=keep), q / q.sum(axis, keepdims=keep)
+    Aeta = eta[:, None, None] * A
+    neg_AetaT = np.ascontiguousarray(-Aeta.transpose(0, 2, 1))
+    w_acc, tail_w, q_acc, tail_q = (np.zeros(v.shape) for v in (w, w, q, q))
     tail_start = 0
-    best: tuple[float, Array, Array] | None = None
-    check_every = 64
+    best_gap = best_w = best_q = None
 
-    def consider(wc: Array, qc: Array) -> float:
-        nonlocal best
-        g = _game_gap(A, wc, qc)
-        if best is None or g < best[0]:
-            best = (g, wc.copy(), qc.copy())
-        return g
+    def finish(rows, done: int) -> None:
+        for r in rows:
+            wo, qo = best_w[r].ravel(), best_q[r].ravel()
+            gap, value = float(best_gap[r, 0, 0]), float(wo @ A[r] @ qo)
+            out[games[r]] = BilinearSolution(wo, qo, gap, value, done)
 
     for t in range(cfg.pu_iterations):
-        if kappa == 0.0:
-            base_w, base_q = w, q
-        else:
-            base_w = w ** (1.0 - kappa)
-            base_q = q ** (1.0 - kappa)
+        base_w, base_q = (w, q) if expo is None else (w**expo, q**expo)
         # Predictive half step from the current payoffs.
-        wb = _normalized(base_w * np.exp(Aeta @ q))
-        qb = _normalized(base_q * np.exp(neg_AetaT @ w))
+        wb = _entropic_step(base_w, Aeta @ q, axis, keep)
+        qb = _entropic_step(base_q, neg_AetaT @ w, axis, keep)
         # Full step from the midpoint payoffs.
-        w = _normalized(base_w * np.exp(Aeta @ qb))
-        q = _normalized(base_q * np.exp(neg_AetaT @ wb))
+        w = _entropic_step(base_w, Aeta @ qb, axis, keep)
+        q = _entropic_step(base_q, neg_AetaT @ wb, axis, keep)
         w_acc += wb
         q_acc += qb
         # The tail window opens at the first restart; before it, the tail
         # average would be the running average bit for bit.
         if tail_start > 0:
-            tail_acc_w += wb
-            tail_acc_q += qb
+            tail_w += wb
+            tail_q += qb
         done = t + 1
-        if done % check_every == 0 or done == cfg.pu_iterations:
-            g_best = consider(w_acc / done, q_acc / done)
-            g_best = min(g_best, consider(w, q))
+        if done % 64 == 0 or done == cfg.pu_iterations:
+            cands = [(w_acc / done, q_acc / done), (w, q)]
             if tail_start > 0:
                 span = done - tail_start
-                g_best = min(g_best, consider(tail_acc_w / span, tail_acc_q / span))
-            if gap_target is not None and g_best <= gap_target:
-                break
+                cands.append((tail_w / span, tail_q / span))
+            gaps = []
+            for wc, qc in cands:
+                g = (A @ qc).max(axis=1, keepdims=True)
+                g -= (A.transpose(0, 2, 1) @ wc).min(axis=1, keepdims=True)
+                gaps.append(g)
+                # Nothing writes to a candidate once it is made, so the best is
+                # kept, and returned, as a view.
+                better = None if best_gap is None else g < best_gap
+                if better is None or better.all():
+                    best_gap, best_w, best_q = g, wc, qc
+                elif better.any():
+                    best_gap = np.where(better, g, best_gap)
+                    best_w = np.where(better, wc, best_w)
+                    best_q = np.where(better, qc, best_q)
+            hit = None if gap_target is None else np.min(gaps, 0).ravel() <= gap_target
+            if hit is not None and hit.any():
+                finish(np.flatnonzero(hit), done)
+                if hit.all():
+                    return out
+                live = ~hit
+                state = (games, A, Aeta, neg_AetaT, w, q, w_acc, q_acc, tail_w, tail_q)
+                games, A, Aeta, neg_AetaT, w, q, w_acc, q_acc, tail_w, tail_q = (
+                    x[live] for x in state
+                )
+                best_gap, best_w, best_q = best_gap[live], best_w[live], best_q[live]
+                if isinstance(expo, np.ndarray):
+                    expo = expo[live]
             # Restart the tail window once it spans half the history, so the
             # tail average forgets the transient.
             if done - tail_start >= max(tail_start, 256):
-                tail_acc_w[:] = 0.0
-                tail_acc_q[:] = 0.0
+                tail_w, tail_q = np.zeros(w.shape), np.zeros(q.shape)
                 tail_start = done
 
-    assert best is not None
-    gap, w_out, q_out = best
-    return BilinearSolution(
-        w=w_out, q=q_out, gap=gap, value=float(w_out @ A @ q_out)
-    )
+    finish(range(len(games)), cfg.pu_iterations)
+    return out
 
 
 # ---------------------------------------------------------------------------

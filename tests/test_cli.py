@@ -135,6 +135,18 @@ class TestRunCommand:
         assert code == 2
         assert "config error" in text and section in text
 
+    def test_run_config_error_leaves_no_out_dir(self, tmp_path, capsys):
+        doc = {
+            "problem": {"kind": "selection", "m": 1},
+            "inner": {"step": 0.1},
+            "run": {"steps": 1},
+        }
+        out = tmp_path / "od" / "x"
+        code = cli.cmd_run(write_config(tmp_path, doc), str(out))
+        assert code == 2
+        assert "config error" in capsys.readouterr().out
+        assert not out.exists() and not out.parent.exists()
+
     def test_every_key_parses_to_its_field(self):
         doc = {
             "problem": {

@@ -12,9 +12,8 @@ from amoo import (
     equal_weights,
     residual,
     weighted_gradient,
-    weighted_value,
 )
-from amoo.core import FLOORED_SIMPLEX, ORTHANT, SIMPLEX
+from amoo.core import FLOORED_SIMPLEX, ORTHANT, SIMPLEX, weighted_value
 from amoo.problems import ProblemSpec, build
 
 

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amoo.core import ORTHANT
 from amoo.linalg import (
@@ -23,6 +25,7 @@ from amoo.weighting import (
     project_floored_simplex,
     project_simplex,
     solve_bilinear_pu,
+    solve_bilinear_pu_stack,
     solve_camoo_exact,
 )
 from amoo.problems import ProblemSpec, build
@@ -334,6 +337,111 @@ class TestBilinearPU:
             gap_target=1e-4,
         )
         assert sol.gap <= 1e-3
+
+    @pytest.mark.parametrize("gap_target", [None, 2e-3])
+    def test_iterations_reported(self, gap_target):
+        rng = np.random.default_rng(41)
+        for shape, iterations in (((5, 8), 1000), ((2, 6), 300), ((3, 903), 10)):
+            A = rng.uniform(0.0, 3.0, size=shape)
+            cfg = CamooConfig(pu_iterations=iterations, pu_tau=0.0)
+            sol = solve_bilinear_pu(A, cfg, gap_target=gap_target)
+            if gap_target is None:
+                assert sol.iterations == iterations
+            elif sol.gap <= gap_target:
+                assert sol.iterations % 64 == 0 or sol.iterations == iterations
+        # 2e-3 is met on the 5x8 game at a check before the last iteration.
+        A = rng.uniform(0.0, 3.0, size=(5, 8))
+        cfg = CamooConfig(pu_iterations=60000, pu_tau=0.0)
+        sol = solve_bilinear_pu(A, cfg, gap_target=2e-3)
+        assert sol.gap <= 2e-3 and sol.iterations % 64 == 0 and sol.iterations < 60000
+
+
+def assert_same_solution(sol, want):
+    for got, ref in zip((sol.w, sol.q, sol.gap, sol.value), want):
+        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+
+class TestBilinearStack:
+    """A stack of games solved at once equals each game solved alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        games=st.integers(1, 6),
+        m=st.sampled_from([1, 2, 3, 5]),
+        n=st.one_of(st.integers(1, 12), st.integers(13, 903)),
+        log_scales=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+        pu_tau=st.sampled_from([0.0, 0.01]),
+        iterations=st.integers(1, 400),
+        warm=st.booleans(),
+        gap_target=st.sampled_from([None, 1e-3, 1e-2, 1e-1]),
+        zero_game=st.one_of(st.none(), st.integers(0, 5)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_equal_to_reference_loop_per_game(
+        self, games, m, n, log_scales, pu_tau, iterations, warm, gap_target,
+        zero_game, seed,
+    ):
+        rng = np.random.default_rng(seed)
+        scales = 10.0 ** np.array(log_scales[:games])
+        A = rng.uniform(0.0, 3.0, size=(games, m, n)) * scales[:, None, None]
+        if zero_game is not None and zero_game < games:
+            A[zero_game] = 0.0
+        W = rng.dirichlet(np.ones(m), size=games) if warm else None
+        Q = rng.dirichlet(np.ones(n), size=games) if warm else None
+        cfg = CamooConfig(pu_iterations=iterations, pu_tau=pu_tau)
+        sols = solve_bilinear_pu_stack(
+            A, cfg, warm=(W, Q) if warm else None, gap_target=gap_target
+        )
+        assert len(sols) == games
+        for k, sol in enumerate(sols):
+            warm_k = (W[k], Q[k]) if warm else None
+            if not A[k].any():
+                want = (np.full(m, 1.0 / m), np.full(n, 1.0 / n), 0.0, 0.0)
+                assert sol.iterations == 0
+            else:
+                want = solve_bilinear_pu_reference(A[k], cfg, warm_k, gap_target)
+            assert_same_solution(sol, want)
+            alone = solve_bilinear_pu(A[k], cfg, warm=warm_k, gap_target=gap_target)
+            assert_same_solution(sol, (alone.w, alone.q, alone.gap, alone.value))
+            assert sol.iterations == alone.iterations
+
+    def test_games_leave_at_different_checks(self):
+        rng = np.random.default_rng(42)
+        A = rng.uniform(0.0, 3.0, size=(6, 5, 8)) * np.logspace(-2, 2, 6)[:, None, None]
+        A[3] = 0.0
+        cfg = CamooConfig(pu_iterations=3000, pu_tau=0.0)
+        sols = solve_bilinear_pu_stack(A, cfg, gap_target=1e-3)
+        assert len({sol.iterations for sol in sols}) >= 4
+        assert sols[3].iterations == 0 and sols[3].gap == 0.0
+        for k in (0, 1, 2, 4, 5):
+            want = solve_bilinear_pu_reference(A[k], cfg, None, 1e-3)
+            assert_same_solution(sols[k], want)
+            met = sols[k].gap <= 1e-3
+            assert sols[k].iterations % 64 == 0 if met else sols[k].iterations == 3000
+
+    def test_iterations_without_target(self):
+        rng = np.random.default_rng(43)
+        sols = solve_bilinear_pu_stack(
+            rng.uniform(0.0, 3.0, size=(4, 3, 7)), CamooConfig(pu_iterations=130)
+        )
+        assert [sol.iterations for sol in sols] == [130] * 4
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_game_rejected(self, bad):
+        A = np.ones((4, 2, 3))
+        A[2, 1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_bilinear_pu_stack(A, CamooConfig())
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2,), (1, 2, 3, 4)])
+    def test_not_three_dimensional_rejected(self, shape):
+        with pytest.raises(ValueError, match="3-D"):
+            solve_bilinear_pu_stack(np.ones(shape), CamooConfig())
+
+    def test_warm_shape_checked(self):
+        warm = (np.ones((2, 2)), np.ones((1, 3)))
+        with pytest.raises(ValueError, match="warm"):
+            solve_bilinear_pu_stack(np.ones((2, 2, 3)), CamooConfig(), warm=warm)
 
 
 # ---------------------------------------------------------------------------
