@@ -8,6 +8,7 @@ best weighted curvature under diagonal Hessian approximation is stress
 tested on random positive-definite instances.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -276,21 +277,23 @@ def self_concordance_check(
     return lhs >= rhs - slack * (1.0 + abs(lhs))
 
 
+@functools.lru_cache
 def _simplex_grid(m: int, step: float) -> Array:
-    """All weight vectors on the simplex grid with the given resolution."""
+    """All weight vectors on the simplex grid with the given resolution;
+    built once per (m, step) and returned read-only."""
     k = int(round(1.0 / step))
     if m == 1:
-        return np.array([[1.0]])
-    if m == 2:
+        grid = np.array([[1.0]])
+    elif m == 2:
         a = np.linspace(0.0, 1.0, k + 1)
-        return np.stack([a, 1.0 - a], axis=1)
-    if m == 3:
-        pts = []
-        for i in range(k + 1):
-            for j in range(k + 1 - i):
-                pts.append((i / k, j / k, (k - i - j) / k))
-        return np.array(pts)
-    raise ValueError("simplex grid supported for m <= 3")
+        grid = np.stack([a, 1.0 - a], axis=1)
+    elif m == 3:
+        i, j = np.nonzero(np.add.outer(np.arange(k + 1), np.arange(k + 1)) <= k)
+        grid = np.stack([i, j, k - i - j], axis=1) / k
+    else:
+        raise ValueError("simplex grid supported for m <= 3")
+    grid.setflags(write=False)
+    return grid
 
 
 def grid_best_weighted_curvature(hessians, step: float = 1e-2):
@@ -303,7 +306,7 @@ def grid_best_weighted_curvature(hessians, step: float = 1e-2):
     weighted = np.einsum("gi,ijk->gjk", grid, mats)
     lam = np.linalg.eigvalsh(weighted)[:, 0]
     best = int(np.argmax(lam))
-    return float(lam[best]), grid[best]
+    return float(lam[best]), grid[best].copy()
 
 
 def best_diag_weights_lp(diag_matrix) -> Array:

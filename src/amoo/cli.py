@@ -262,11 +262,8 @@ def cmd_run(config_path: str, out_dir: str | None, print_fn=print) -> int:
     )
     if out_opts.plot and trace.records:
         write_trace_svg(trace, out / "plot.svg")
-    final = trace.final()
-    print_fn(
-        f"wrote {out / 'trace.csv'} ({len(trace.records)} records, "
-        f"final step {final.step})"
-    )
+    last = f", final step {trace.final().step}" if trace.records else ""
+    print_fn(f"wrote {out / 'trace.csv'} ({len(trace.records)} records{last})")
     return code
 
 
@@ -312,6 +309,9 @@ def cmd_plot(trace_path: str, out_path: str, print_fn=print) -> int:
         trace = traceio.read_trace_csv(trace_path)
     except (OSError, ValueError) as exc:
         print_fn(f"error: cannot read trace {trace_path}: {exc}")
+        return 2
+    if not trace.steps:
+        print_fn(f"error: trace {trace_path} has no records to plot")
         return 2
     write_trace_svg(trace, out_path)
     print_fn(f"wrote {out_path}")

@@ -170,7 +170,9 @@ class RunTrace:
 
     @property
     def m(self) -> int:
-        return len(self.records[0].f) if self.records else 0
+        if self.records:
+            return len(self.records[0].f)
+        return self.problem.objectives.m if self.problem is not None else 0
 
     def final(self) -> IterateRecord:
         return self.records[-1]

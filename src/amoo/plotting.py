@@ -69,12 +69,12 @@ def trace_svg(trace) -> str:
         steps = [r.step for r in trace.records]
         residual = [r.residual for r in trace.records]
         msq = [r.msq for r in trace.records]
-        weights = [list(r.w) for r in trace.records]
+        weights = [list(col) for col in zip(*(r.w.tolist() for r in trace.records))]
     else:  # LoadedTrace
         steps = list(trace.steps)
         residual = list(trace.residual)
         msq = list(trace.msq)
-        weights = [list(row) for row in trace.w]
+        weights = trace.w.T.tolist()  # one list per objective
     if not steps:
         raise ValueError("cannot plot an empty trace")
 
@@ -96,23 +96,18 @@ def trace_svg(trace) -> str:
     if series:
         all_vals = [v for _, vals, _ in series for v in vals if v is not None]
         y_of = _scale_log_y(all_vals)
-        for label, vals, color in series:
-            pts = [
-                (x_of(s), y_of(v)) for s, v in zip(steps, vals) if v is not None
-            ]
-            if len(pts) >= 1:
-                parts.append(_polyline(pts, color, label))
+        for label, vals, color in series:  # each has a value, by construction
+            pts = ((x_of(s), y_of(v)) for s, v in zip(steps, vals) if v is not None)
+            parts.append(_polyline(pts, color, label))
 
     # Right panel: weight evolution, linear scale.
     x_right = _PANEL_W + _MARGIN
     x_of_r = _scale_x(steps, x_right)
     parts.append(_panel_frame(x_right, "weights"))
-    if weights and weights[0]:
-        m = len(weights[0])
-        flat = [w for row in weights for w in row]
-        y_of_w = _scale_linear_y(flat)
-        for i in range(m):
-            pts = [(x_of_r(s), y_of_w(row[i])) for s, row in zip(steps, weights)]
+    if weights:
+        y_of_w = _scale_linear_y([w for col in weights for w in col])
+        for i, col in enumerate(weights):
+            pts = ((x_of_r(s), y_of_w(v)) for s, v in zip(steps, col))
             parts.append(_polyline(pts, _COLORS[i % len(_COLORS)], f"w_{i + 1}"))
 
     parts.append("</svg>")

@@ -16,7 +16,7 @@ several output-weighted losses, and ``misalign`` shifts each objective of a
 base problem to produce approximately aligned instances.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -107,6 +107,24 @@ def _quadratic_oracle(H: Array, name: str) -> ObjectiveOracle:
     )
 
 
+class _QuadraticStack:
+    """x'H_i x for H of shape (m, n, n), one matmul per call.  Each matrix
+    gets the same BLAS product and 1-D dot as its ``_quadratic_oracle``, so
+    rows are bitwise equal; a matvec ``(x @ H) @ x`` would round differently."""
+
+    def __init__(self, mats):
+        self.H = np.stack(mats)
+
+    def values(self, x: Array) -> Array:
+        return np.array([r.dot(x) for r in x @ self.H])
+
+    def gradients(self, x: Array) -> Array:
+        return 2.0 * (self.H @ x)
+
+    def diag_hessians(self, x: Array) -> Array:
+        return 2.0 * np.diagonal(self.H, axis1=1, axis2=2)
+
+
 def _specification_curvatures(delta: float):
     A1 = np.diag([1.0 - delta, delta])
     A2 = np.diag([delta, 1.0 - delta])
@@ -127,7 +145,8 @@ def _build_specification(spec: ProblemSpec) -> Problem:
         raise ValueError(f"delta must lie in [0, 0.5], got {delta}")
     mats = _specification_curvatures(delta)
     objectives = ObjectiveSet(
-        tuple(_quadratic_oracle(A, f"spec_f{i + 1}") for i, A in enumerate(mats))
+        tuple(_quadratic_oracle(A, f"spec_f{i + 1}") for i, A in enumerate(mats)),
+        stacked=_QuadraticStack(mats),
     )
     optimum = OptimalInfo(x_star=np.zeros(2), f_star=np.zeros(2))
     meta = ProblemMeta(beta=2.0 * (1.0 - delta), mu_g=1.0, mu_l=1.0, m_self=0.0)
@@ -142,7 +161,8 @@ def _build_selection(spec: ProblemSpec) -> Problem:
         raise ValueError("selection needs m >= 2 objectives and n >= 1 dims")
     mats = _selection_curvatures(delta, m, n)
     objectives = ObjectiveSet(
-        tuple(_quadratic_oracle(A, f"sel_f{i + 1}") for i, A in enumerate(mats))
+        tuple(_quadratic_oracle(A, f"sel_f{i + 1}") for i, A in enumerate(mats)),
+        stacked=_QuadraticStack(mats),
     )
     optimum = OptimalInfo(x_star=np.zeros(n), f_star=np.zeros(m))
     meta = ProblemMeta(beta=2.0, mu_g=2.0, mu_l=2.0, m_self=0.0)
@@ -222,6 +242,8 @@ def _build_quad_family(spec: ProblemSpec) -> Problem:
     objectives = ObjectiveSet(oracles)
     optimum = OptimalInfo(x_star=np.zeros(n), f_star=np.zeros(len(mats)))
     pure_quad = all(a == 1.0 for a in alphas)
+    if pure_quad:  # stacked once the set has checked the shared dimension
+        objectives = replace(objectives, stacked=_QuadraticStack(mats))
     beta = 2.0 * max(np.linalg.eigvalsh(H)[-1] for H in mats) if pure_quad else None
     meta = ProblemMeta(
         beta=beta, mu_g=None, mu_l=None, m_self=0.0 if pure_quad else None

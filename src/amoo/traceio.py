@@ -10,6 +10,7 @@ Missing quantities are written as empty fields.  Floats are written with
 
 import csv
 import dataclasses
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -79,42 +80,41 @@ class LoadedTrace:
         return [(s, v) for s, v in zip(self.steps, self.msq) if v is not None]
 
 
-def _parse(cell: str):
-    return None if cell == "" else float(cell)
+_CHUNK_ROWS = 512  # rows held as strings at once, converted column by column
+
+
+def _column(cells) -> list:
+    """Floats from one column's cells; None where a cell is empty."""
+    if "" not in cells:
+        return list(map(float, cells))
+    return [None if c == "" else float(c) for c in cells]
 
 
 def read_trace_csv(path) -> LoadedTrace:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if not header or header[0] != "step":
             raise ValueError(f"{path} is not a trace file (header {header!r})")
         m = sum(1 for name in header if name.startswith("f_"))
         expected = trace_header(m)
         if header != expected:
             raise ValueError(f"unexpected trace header {header!r}")
-        steps, grad, res, msq, lam, gap = [], [], [], [], [], []
-        f_rows, w_rows = [], []
-        for row in reader:
-            steps.append(int(row[0]))
-            f_rows.append([_parse(c) for c in row[1 : 1 + m]])
-            w_rows.append([_parse(c) for c in row[1 + m : 1 + 2 * m]])
-            tail = row[1 + 2 * m :]
-            grad.append(_parse(tail[0]))
-            res.append(_parse(tail[1]))
-            msq.append(_parse(tail[2]))
-            lam.append(_parse(tail[3]))
-            gap.append(_parse(tail[4]))
-    return LoadedTrace(
-        steps=steps,
-        f=np.array(f_rows, dtype=np.float64),
-        w=np.array(w_rows, dtype=np.float64),
-        grad_norm=grad,
-        residual=res,
-        msq=msq,
-        lambda_min_est=lam,
-        pu_gap=gap,
-    )
+        width = len(header)
+        steps, tails = [], [[] for _ in range(5)]
+        blocks = [np.empty((2 * m, 0))]  # f and w columns, (2m, rows) per chunk
+        while rows := list(itertools.islice(reader, _CHUNK_ROWS)):
+            if any(len(row) != width for row in rows):
+                raise ValueError(f"a row of {path} does not have {width} fields")
+            step_cells, *cells = zip(*rows)
+            steps += map(int, step_cells)
+            block = np.array([_column(c) for c in cells[: 2 * m]], dtype=np.float64)
+            blocks.append(block.reshape(2 * m, len(rows)))
+            for col, c in zip(tails, cells[2 * m :]):
+                col += _column(c)
+    fw = np.concatenate(blocks, axis=1)
+    f, w = np.ascontiguousarray(fw[:m].T), np.ascontiguousarray(fw[m:].T)
+    return LoadedTrace(steps, f, w, *tails)  # fields in the CSV's column order
 
 
 def _jsonable(obj):

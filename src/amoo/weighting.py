@@ -463,11 +463,20 @@ def pamoo_weights(
     floor = cfg.clip_floor
     step2 = eta * 2.0
     w = np.maximum(w, floor)
+    # Python floats round like the elementwise numpy ops; the matvec stays in
+    # BLAS.  The clip is np.maximum(t, floor): NaN stays NaN, and a tie
+    # between signed zeros takes floor.
+    g, w_now = gaps.tolist(), w.tolist()
     for _ in range(cfg.iterations):
-        w_next = np.maximum(w + step2 * (gaps - Gp @ w), floor)
-        moved = np.abs(w_next - w).max()
-        w = w_next
+        w_next, moved = [], 0.0
+        for wi, gi, hi in zip(w_now, g, (Gp @ w).tolist()):
+            t = wi + step2 * (gi - hi)
+            t = floor if t <= floor else t
+            d = abs(t - wi)
+            moved = d if d > moved else moved
+            w_next.append(t)
+        w_now, w = w_next, np.array(w_next)
         # w >= floor >= 0, so its largest entry is its largest magnitude.
-        if moved <= 1e-16 * (1.0 + w.max()):
+        if moved <= 1e-16 * (1.0 + max(w_next)):
             break
     return WeightVector(w, ORTHANT)

@@ -249,6 +249,24 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["error"] is not None
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_failure_at_step_zero_writes_header_only_trace(self, tmp_path, capsys):
+        doc = {
+            "problem": {"kind": "local_curvature", "n": 2},
+            "weighting": {"kind": "ew"},
+            "inner": {"kind": "gd", "step": 0.1},
+            "run": {"steps": 5, "x0": [1000.0, 0.0]},
+        }
+        out = tmp_path / "out"
+        assert cli.cmd_run(write_config(tmp_path, doc), str(out)) == 3
+        assert "step 0" in capsys.readouterr().out
+        lines = (out / "trace.csv").read_text().splitlines()
+        assert lines == [",".join(traceio.trace_header(2))]
+        loaded = traceio.read_trace_csv(out / "trace.csv")
+        assert loaded.steps == [] and loaded.f.shape == loaded.w.shape == (0, 2)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["num_records"] == 0 and summary["final"] is None
+
     def test_unreadable_config(self, tmp_path, capsys):
         assert cli.cmd_run(str(tmp_path / "missing.json"), str(tmp_path)) == 2
 
@@ -374,6 +392,47 @@ class TestTraceRoundTrip:
         with pytest.raises(ValueError):
             traceio.read_trace_csv(path)
 
+    @pytest.mark.parametrize("body", [None, "0,1.0,1.0,2.0,,,", "0,1.0,1.0,2.0,,,,,"])
+    def test_rejects_empty_file_and_ragged_rows(self, tmp_path, body):
+        path = tmp_path / "t.csv"
+        header = ",".join(traceio.trace_header(1))
+        path.write_text("" if body is None else f"{header}\n{body}\n")
+        with pytest.raises(ValueError):
+            traceio.read_trace_csv(path)
+
+    @pytest.mark.parametrize("rows", [0, 1, 2047, 2048, 2049, 4097])
+    def test_lossless_across_chunk_boundaries(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        values = rng.normal(size=(rows, 6)) * 10.0 ** rng.integers(-300, 300, (rows, 6))
+        records = [
+            IterateRecord(
+                step=k,
+                f=values[k, :2],
+                w=np.abs(values[k, 2:4]),
+                grad_norm=abs(values[k, 4]),
+                residual=values[k, 5] if k % 3 else None,
+                lambda_min_est=-0.0 if k % 2 else None,
+            )
+            for k in range(rows)
+        ]
+        # With no records the header takes m from the problem.
+        problem = problems.build(ProblemSpec(kind="specification"))
+        trace = RunTrace(records=records, config=None, problem=problem)
+        path = tmp_path / "t.csv"
+        traceio.write_trace_csv(trace, path)
+        loaded = traceio.read_trace_csv(path)
+        assert loaded.steps == list(range(rows))
+        assert loaded.f.shape == loaded.w.shape == (rows, 2)
+        assert loaded.f.tobytes() == values[:, :2].tobytes()
+        assert loaded.w.tobytes() == np.abs(values[:, 2:4]).tobytes()
+        for col in ("grad_norm", "residual", "lambda_min_est"):
+            got = getattr(loaded, col)
+            want = [getattr(r, col) for r in records]
+            assert [None if v is None else np.float64(v).tobytes() for v in got] == [
+                None if v is None else np.float64(v).tobytes() for v in want
+            ]
+        assert loaded.msq == loaded.pu_gap == [None] * rows
+
 
 class TestAnalyzeCommand:
     def test_fit_rate_on_geometric_trace(self, tmp_path, capsys):
@@ -416,6 +475,14 @@ class TestPlotCommand:
         out = tmp_path / "p.svg"
         assert cli.cmd_plot(str(csv_path), str(out)) == 0
         ET.parse(out)
+
+    def test_header_only_trace_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        path.write_text(",".join(traceio.trace_header(2)) + "\n")
+        out = tmp_path / "p.svg"
+        assert cli.cmd_plot(str(path), str(out)) == 2
+        assert "no records" in capsys.readouterr().out
+        assert not out.exists()
 
     def test_weights_panel_has_m_polylines(self, tmp_path):
         trace = make_trace(

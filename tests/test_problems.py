@@ -174,6 +174,57 @@ def mlp_objective_reference(model, theta, i):
     return value, grad, diag
 
 
+class TestQuadraticStack:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 5),
+        n=st.integers(1, 40),
+        diagonal=st.booleans(),
+        log_scale=st.floats(-10.0, 10.0),
+    )
+    def test_bitwise_equal_to_each_oracle(self, seed, m, n, diagonal, log_scale):
+        rng = np.random.default_rng(seed)
+        if diagonal:
+            mats = [np.diag(rng.uniform(0.0, 2.0, size=n)) for _ in range(m)]
+        else:
+            mats = [rng.normal(size=(n, n)) for _ in range(m)]
+        problem = build(
+            ProblemSpec(kind="quad_family", h_list=tuple(H.tolist() for H in mats))
+        )
+        objs = problem.objectives
+        stack = objs.stacked
+        assert stack is not None
+        x = 10.0**log_scale * rng.normal(size=n)
+        oracles = objs.objectives
+        want_values = np.array([o.value(x) for o in oracles], dtype=np.float64)
+        assert stack.values(x).tobytes() == want_values.tobytes()
+        assert objs.values(x).tobytes() == want_values.tobytes()
+        want_grads = np.stack([o.gradient_at(x) for o in oracles])
+        assert stack.gradients(x).tobytes() == want_grads.tobytes()
+        assert objs.gradients(x).tobytes() == want_grads.tobytes()
+        want_diags = np.stack([o.diag_hessian_at(x) for o in oracles])
+        assert stack.diag_hessians(x).tobytes() == want_diags.tobytes()
+
+    @pytest.mark.parametrize(
+        "spec, stacked",
+        [
+            (ProblemSpec(kind="specification"), True),
+            (ProblemSpec(kind="selection", m=3, n=4), True),
+            (ProblemSpec(kind="quad_family", h_list=([[1.0]], [[2.0]])), True),
+            (
+                ProblemSpec(
+                    kind="quad_family", h_list=([[1.0]], [[2.0]]), alpha_list=(1.0, 2.0)
+                ),
+                False,
+            ),
+            (ProblemSpec(kind="local_curvature"), False),
+        ],
+    )
+    def test_pure_quadratic_kinds_are_stacked(self, spec, stacked):
+        assert (build(spec).objectives.stacked is not None) == stacked
+
+
 class TestMlpMatching:
     SMALL = dict(
         kind="mlp_matching",

@@ -642,30 +642,43 @@ class TestPamoo:
             projected = np.where(active & (grad <= 0), 0.0, grad)
             assert np.linalg.norm(projected) <= 1e-5
 
-    @pytest.mark.parametrize("clip_floor", [0.0, 1e-6])
+    @pytest.mark.parametrize("clip_floor", [0.0, 1e-6, -0.0])
     @pytest.mark.parametrize("gram_tau", [0.0, 1e-4])
     def test_bitwise_equal_to_reference_loop(self, clip_floor, gram_tau):
-        rng = np.random.default_rng(37)
-        for trial in range(12):
-            m = int(rng.integers(1, 6))
-            B = rng.normal(size=(m, int(rng.integers(1, m + 3))))
-            ctx = PamooContext(gaps=rng.uniform(-0.5, 2.0, size=m), gram=B @ B.T)
-            cfg = PamooConfig(
-                step=float(rng.choice([3e-3, 1.0])),
-                iterations=int(rng.choice([200, 4000])),
-                clip_floor=clip_floor,
-                gram_tau=gram_tau,
-            )
-            warm = rng.uniform(-0.5, 2.0, size=m) if trial % 2 else None
-            got = pamoo_weights(ctx, cfg, warm=warm).as_array()
-            want = pamoo_weights_reference(ctx, cfg, warm=warm)
-            assert np.array_equal(got, want)
+        for m in (1, 2, 3, 5):
+            rng = np.random.default_rng([37, m])
+            on_floor = 0
+            for trial in range(12):
+                B = rng.normal(size=(m, int(rng.integers(1, m + 3))))
+                gaps = rng.uniform(-0.5, 2.0, size=m)
+                warm = rng.uniform(-0.5, 2.0, size=m) if trial % 2 else None
+                if trial == 11:  # signed zeros tie at the clip
+                    gaps, warm = np.zeros(m), np.full(m, -0.0)
+                # Every third trial runs the theory preset's 4000-iteration ascent.
+                theory = trial % 3 == 0
+                cfg = PamooConfig(
+                    step=3e-3 if theory else float(rng.choice([3e-3, 1.0])),
+                    iterations=4000 if theory else int(rng.choice([1, 30, 200])),
+                    clip_floor=clip_floor,
+                    gram_tau=gram_tau,
+                )
+                ctx = PamooContext(gaps=gaps, gram=B @ B.T)
+                got = pamoo_weights(ctx, cfg, warm=warm).as_array()
+                want = pamoo_weights_reference(ctx, cfg, warm=warm)
+                assert got.tobytes() == want.tobytes(), (m, trial)
+                on_floor += bool((want == clip_floor).any())
+            assert on_floor > 0  # some iterates end on the floor
 
     @pytest.mark.parametrize("field", ["clip_floor", "gram_tau", "step"])
     @pytest.mark.parametrize("value", [-1e-6, float("nan")])
     def test_config_rejects_negative_or_nan(self, field, value):
         with pytest.raises(ValueError, match=field):
             PamooConfig(**{field: value})
+
+    def test_nan_warm_start_rejected(self):
+        ctx = PamooContext(gaps=np.array([1.0, 0.5]), gram=np.eye(2))
+        with pytest.raises(ValueError, match="finite"):
+            pamoo_weights(ctx, PamooConfig(), warm=np.array([np.nan, 1.0]))
 
     def test_non_psd_gram_rejected(self):
         with pytest.raises(ValueError):
