@@ -26,24 +26,13 @@ from .driver import (
     RunTrace,
     WeightingChoice,
     run,
-    step_adam,
-    step_gd,
 )
-from .hessians import (
-    DiagHessianEstimate,
-    HutchinsonConfig,
-    diag_hessian_matrix,
-    hutchinson_diag,
-    hvp_fd,
-)
+from .hessians import HutchinsonConfig, hutchinson_diag, hvp_fd
 from .linalg import min_eigenpair, spectral_norm, weighted_hessian
-from .problems import Problem, ProblemMeta, ProblemSpec, build, build_mlp_matching, misalign
+from .problems import Problem, ProblemMeta, ProblemSpec, build, misalign
 from .weighting import (
-    BilinearSolution,
     CamooConfig,
     PamooConfig,
-    PamooContext,
-    equal_weights,
     pamoo_context,
     pamoo_weights,
     solve_bilinear_pu,
@@ -62,10 +51,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamConfig",
-    "BilinearSolution",
     "CamooConfig",
     "ConfigurationError",
-    "DiagHessianEstimate",
     "GDConfig",
     "HutchinsonConfig",
     "IterateRecord",
@@ -74,7 +61,6 @@ __all__ = [
     "ObjectiveSet",
     "OptimalInfo",
     "PamooConfig",
-    "PamooContext",
     "Problem",
     "ProblemMeta",
     "ProblemSpec",
@@ -86,9 +72,6 @@ __all__ = [
     "WeightVector",
     "WeightingChoice",
     "build",
-    "build_mlp_matching",
-    "diag_hessian_matrix",
-    "equal_weights",
     "fit_rate",
     "hutchinson_diag",
     "hvp_fd",
@@ -102,8 +85,6 @@ __all__ = [
     "self_concordance_check",
     "solve_bilinear_pu",
     "spectral_norm",
-    "step_adam",
-    "step_gd",
     "theorem_bound_check",
     "weighted_gradient",
     "weighted_hessian",

@@ -121,9 +121,9 @@ def _apply_preset(name: str, problem: problems.ProblemSpec):
         wc, inner = driver.theory_pamoo()
         return wc, inner, False
     if name == "practical-sgd":
-        return driver.WeightingChoice(kind="ew"), driver.practical_sgd(), True
+        return driver.WeightingChoice(kind="ew"), driver.GDConfig(step=5e-4), True
     if name == "practical-adam":
-        return driver.WeightingChoice(kind="ew"), driver.practical_adam(), True
+        return driver.WeightingChoice(kind="ew"), driver.AdamConfig(step=5e-3), True
     raise ConfigurationError(f"unknown preset {name!r}; choose from {_PRESETS}")
 
 
@@ -287,17 +287,21 @@ def cmd_analyze(
             print_fn(f"error: {exc}")
             return 2
     if theorem is not None:
+        residuals = trace.residuals()
+        if not residuals:
+            print_fn(f"error: trace {trace_path} has no residuals to check")
+            return 2
         try:
             tp = analysis.TheoremParams(
                 beta=theorem["beta"],
                 mu=theorem["mu"],
                 m_self=theorem["m_self"],
                 m=trace.m,
-                r0=trace.residuals()[0][1],
+                r0=residuals[0][1],
                 which=theorem["which"],
             )
             report["theorem_bound"] = analysis.theorem_bound_check(trace, tp)
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             print_fn(f"error: {exc}")
             return 2
     print_fn(json.dumps(report, indent=2))

@@ -2,9 +2,9 @@
 
 Each iteration asks a weight optimizer for objective weights at the current
 iterate, forms the weighted gradient, and applies one inner update (plain
-gradient descent or Adam).  ``run`` is the one place that dispatches on the
-weighting kind.  Per-step records accumulate into a RunTrace.
-Runs are strictly sequential and deterministic given the config.
+gradient descent or Adam).  ``_weigher`` is the one place that dispatches on
+the weighting kind, once per run.  Per-step records accumulate into a
+RunTrace.  Runs are strictly sequential and deterministic given the config.
 """
 
 import time
@@ -24,7 +24,6 @@ from .core import (
 )
 from .hessians import DiagHessianTracker, HutchinsonConfig
 from .weighting import (
-    MODE_DIAGONAL,
     MODE_EXACT,
     CamooConfig,
     PamooConfig,
@@ -194,6 +193,94 @@ def build_problem(spec: problems.ProblemSpec) -> problems.Problem:
         raise ConfigurationError(f"bad value in problem: {exc}") from exc
 
 
+def _weigher(cfg: RunConfig, problem: problems.Problem):
+    """The run's weight rule as ``weigh(fvals, J, x) -> (weights,
+    lambda_min_est, pu_gap)``.
+
+    The settings are checked against the problem here, before the first step,
+    and each rule keeps its own warm start from one call to the next.
+    """
+    objs = problem.objectives
+    m = objs.m
+    wc = cfg.weighting
+    warm = None
+
+    if wc.kind == WEIGHTING_PAMOO:
+        f_star = cfg.f_star_override
+        if f_star is None:
+            f_star = problem.optimum.f_star
+        if f_star is None:
+            raise ConfigurationError(
+                "PAMOO needs optimal objective values (problem has none; "
+                "set f_star_override)"
+            )
+        f_star = np.array(f_star, dtype=np.float64)
+        if f_star.shape != (m,):
+            raise ConfigurationError(f"f_star must have {m} entries")
+        if not np.isfinite(f_star).all():
+            raise ConfigurationError(f"f_star must be finite, got {f_star}")
+
+        def weigh_pamoo(fvals, J, x):
+            nonlocal warm
+            w = pamoo_weights(pamoo_context(fvals, J, f_star), wc.pamoo, warm=warm)
+            warm = w.as_array()
+            return w, None, None
+
+        return weigh_pamoo
+
+    if wc.kind == WEIGHTING_CAMOO:
+        camoo = wc.camoo
+        if m * camoo.w_min > 1.0 + 1e-12:
+            raise ConfigurationError(
+                f"bad value in weighting.camoo: floored simplex infeasible: "
+                f"{m} objectives * w_min {camoo.w_min} > 1"
+            )
+        if camoo.mode == MODE_EXACT:
+
+            def weigh_exact(fvals, J, x):
+                nonlocal warm
+                result = solve_camoo_exact(objs.hessians(x), camoo, warm=warm)
+                warm = result.weights.as_array()
+                return result.weights, result.value, None
+
+            return weigh_exact
+
+        tracker = DiagHessianTracker(
+            replace(
+                wc.hutchinson,
+                rng_seed=_mixed_seed(cfg.seed, wc.hutchinson.rng_seed),
+            )
+        )
+        constraint = FLOORED_SIMPLEX if camoo.w_min > 0 else SIMPLEX
+
+        def weigh_diagonal(fvals, J, x):
+            nonlocal warm
+            diag = tracker.update(objs, x, force_estimate=wc.force_hutchinson)
+            sol = solve_bilinear_pu(diag, camoo, warm=warm)
+            w_arr = sol.w
+            if camoo.w_min > 0:
+                w_arr = project_floored_simplex(w_arr, camoo.w_min)
+            w = WeightVector(w_arr, constraint, camoo.w_min)
+            warm = (w.as_array(), sol.q)
+            return w, float((w_arr @ diag).min()), sol.gap
+
+        return weigh_diagonal
+
+    if wc.kind == WEIGHTING_EW:
+        const_w = equal_weights(m)
+    else:
+        if len(wc.fixed_weights) != m:
+            raise ConfigurationError(
+                f"weighting has {len(wc.fixed_weights)} fixed weights "
+                f"for {m} objectives"
+            )
+        try:
+            const_w = WeightVector(np.asarray(wc.fixed_weights, dtype=np.float64))
+        except ValueError as exc:
+            raise ConfigurationError(f"bad fixed weights in weighting: {exc}") from exc
+    return lambda fvals, J, x: (const_w, None, None)
+
+
 def run(cfg: RunConfig) -> RunTrace:
     """Execute the weighted descent loop and return its trace.
 
@@ -206,13 +293,12 @@ def run(cfg: RunConfig) -> RunTrace:
     iterate and shared by the weight optimizer and the inner step.  A NaN or
     Inf anywhere aborts the run with a NumericError whose payload is the
     trace up to the failure.  The trace carries the built problem.  A problem
-    spec that its builder rejects, or fixed weights that do not fit the
+    spec that its builder rejects, or weighting settings that do not fit the
     problem, raise ConfigurationError before the first step.
     """
     t_start = time.perf_counter()
     problem = build_problem(cfg.problem)
     objs = problem.objectives
-    m = objs.m
     wc = cfg.weighting
 
     x = np.array(cfg.x0, dtype=np.float64) if cfg.x0 is not None else np.array(
@@ -222,50 +308,12 @@ def run(cfg: RunConfig) -> RunTrace:
         raise ConfigurationError(
             f"x0 has shape {x.shape}, problem dimension is {objs.dim}"
         )
-
-    f_star = None
-    if wc.kind == WEIGHTING_PAMOO:
-        if cfg.f_star_override is not None:
-            f_star = np.asarray(cfg.f_star_override, dtype=np.float64)
-        elif problem.optimum.f_star is not None:
-            f_star = np.array(problem.optimum.f_star)
-        else:
-            raise ConfigurationError(
-                "PAMOO needs optimal objective values (problem has none; "
-                "set f_star_override)"
-            )
-        if f_star.shape != (m,):
-            raise ConfigurationError(f"f_star must have {m} entries")
-
-    tracker = None
-    if wc.kind == WEIGHTING_CAMOO and wc.camoo.mode == MODE_DIAGONAL:
-        tracker = DiagHessianTracker(
-            replace(
-                wc.hutchinson,
-                rng_seed=_mixed_seed(cfg.seed, wc.hutchinson.rng_seed),
-            )
-        )
-
-    const_w = None
-    if wc.kind == WEIGHTING_EW:
-        const_w = equal_weights(m)
-    elif wc.kind == WEIGHTING_FIXED:
-        if len(wc.fixed_weights) != m:
-            raise ConfigurationError(
-                f"weighting has {len(wc.fixed_weights)} fixed weights "
-                f"for {m} objectives"
-            )
-        try:
-            const_w = WeightVector(np.asarray(wc.fixed_weights, dtype=np.float64))
-        except ValueError as exc:
-            raise ConfigurationError(f"bad fixed weights in weighting: {exc}") from exc
-    scale = float(m) if wc.kind == WEIGHTING_CAMOO and cfg.camoo_lr_scale_by_m else 1.0
+    weigh = _weigher(cfg, problem)
+    scale = float(objs.m) if wc.kind == WEIGHTING_CAMOO and cfg.camoo_lr_scale_by_m else 1.0
     inner_step = cfg.inner.step * scale
 
     trace = RunTrace(records=[], config=cfg, problem=problem)
     adam_state = adam_init(x) if isinstance(cfg.inner, AdamConfig) else None
-    warm_w: Array | None = None
-    warm_q: Array | None = None
 
     def fail(message: str, step: int) -> NumericError:
         trace.error = f"step {step}: {message}"
@@ -279,41 +327,7 @@ def run(cfg: RunConfig) -> RunTrace:
         if not np.isfinite(fvals).all():
             raise fail("non-finite objective value", k)
         J = objs.gradients(x)
-
-        lambda_est = None
-        gap = None
-        if const_w is not None:
-            w = const_w
-        elif wc.kind == WEIGHTING_CAMOO and wc.camoo.mode == MODE_EXACT:
-            hs = objs.hessians(x)
-            result = solve_camoo_exact(
-                hs, wc.camoo, warm=warm_w if wc.camoo.warm_start else None
-            )
-            w = result.weights
-            lambda_est = result.value
-        elif wc.kind == WEIGHTING_CAMOO:
-            diag = tracker.update(objs, x, force_estimate=wc.force_hutchinson)
-            warm = None
-            if wc.camoo.warm_start and warm_w is not None and warm_q is not None:
-                warm = (warm_w, warm_q)
-            sol = solve_bilinear_pu(diag, wc.camoo, warm=warm)
-            w_arr = sol.w
-            if wc.camoo.w_min > 0:
-                w_arr = project_floored_simplex(w_arr, wc.camoo.w_min)
-            w = WeightVector(
-                w_arr,
-                FLOORED_SIMPLEX if wc.camoo.w_min > 0 else SIMPLEX,
-                wc.camoo.w_min,
-            )
-            warm_q = sol.q
-            gap = sol.gap
-            lambda_est = float((w_arr @ diag).min())
-        else:  # pamoo
-            ctx = pamoo_context(fvals, J, f_star)
-            w = pamoo_weights(
-                ctx, wc.pamoo, warm=warm_w if wc.pamoo.warm_start else None
-            )
-        warm_w = w.as_array()
+        w, lambda_est, gap = weigh(fvals, J, x)
 
         g = weighted_gradient(J, w)
         if not np.isfinite(g).all():
@@ -327,7 +341,7 @@ def run(cfg: RunConfig) -> RunTrace:
             record = IterateRecord(
                 step=k,
                 f=fvals,
-                w=warm_w,
+                w=w.as_array(),
                 grad_norm=grad_norm,
                 residual=res,
                 msq=problem.msq(x) if problem.msq is not None else None,
@@ -380,11 +394,3 @@ def theory_pamoo() -> tuple[WeightingChoice, GDConfig]:
         ),
     )
     return weighting, GDConfig(step=1.0)
-
-
-def practical_sgd() -> GDConfig:
-    return GDConfig(step=5e-4)
-
-
-def practical_adam() -> AdamConfig:
-    return AdamConfig(step=5e-3)

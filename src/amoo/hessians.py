@@ -16,24 +16,17 @@ from .core import Array, ObjectiveOracle, ObjectiveSet, as_vector
 
 @dataclass(frozen=True)
 class HutchinsonConfig:
-    """Probe count, finite-difference step, and seed for diagonal estimation.
-
-    ``ema_decay`` enables exponential smoothing of successive estimates when
-    a tracker is used (off by default; 0.99 is the conventional choice).
-    """
+    """Probe count, finite-difference step, and seed for diagonal estimation."""
 
     num_samples: int = 10
     fd_step: float = 1e-4
     rng_seed: int = 0
-    ema_decay: float | None = None
 
     def __post_init__(self):
         if self.num_samples < 1:
             raise ValueError("num_samples must be at least 1")
         if self.fd_step <= 0:
             raise ValueError("fd_step must be positive")
-        if self.ema_decay is not None and not (0.0 < self.ema_decay < 1.0):
-            raise ValueError("ema_decay must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -123,26 +116,14 @@ def diag_hessian_matrix(
 
 
 class DiagHessianTracker:
-    """Optional exponential smoothing of successive diagonal estimates.
-
-    With ``cfg.ema_decay`` unset the tracker is a pass-through (each call
-    returns the fresh estimate).  Seeds advance deterministically per call.
-    """
+    """Diagonal estimates along a run: call k seeds its probes with
+    ``cfg.rng_seed + k``, so the estimates are deterministic per call."""
 
     def __init__(self, cfg: HutchinsonConfig):
         self.cfg = cfg
-        self._smoothed: Array | None = None
         self._calls = 0
 
     def update(self, objectives: ObjectiveSet, x, force_estimate: bool = False) -> Array:
         call_cfg = replace(self.cfg, rng_seed=self.cfg.rng_seed + self._calls)
         self._calls += 1
-        fresh = diag_hessian_matrix(objectives, x, call_cfg, force_estimate)
-        if self.cfg.ema_decay is None:
-            return fresh
-        if self._smoothed is None:
-            self._smoothed = fresh
-        else:
-            d = self.cfg.ema_decay
-            self._smoothed = d * self._smoothed + (1.0 - d) * fresh
-        return np.array(self._smoothed)
+        return diag_hessian_matrix(objectives, x, call_cfg, force_estimate)

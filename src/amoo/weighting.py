@@ -48,7 +48,6 @@ class CamooConfig:
     pu_tau: float = 0.01
     supergrad_iterations: int = 500
     supergrad_step: float = 0.1
-    warm_start: bool = True
 
     def __post_init__(self):
         if self.mode not in (MODE_EXACT, MODE_DIAGONAL):
@@ -71,7 +70,6 @@ class PamooConfig:
     iterations: int = 200
     clip_floor: float = 1e-6
     gram_tau: float = 1e-4
-    warm_start: bool = True
 
     def __post_init__(self):
         if not self.step > 0:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from amoo import cli, driver, problems, traceio
+from amoo.core import ObjectiveSet
 from amoo.driver import (
     AdamConfig,
     ConfigurationError,
@@ -96,7 +97,7 @@ class TestRunCommand:
         "section,value",
         [
             ("output", {"plot": "false"}),
-            ("weighting", {"kind": "ew", "camoo": {"warm_start": "no"}}),
+            ("weighting", {"kind": "ew", "force_hutchinson": "no"}),
             ("run", {"steps": 2.9}),
             ("run", {"steps": True}),
             ("run", {"steps": 5, "x0": "ab"}),
@@ -135,6 +136,34 @@ class TestRunCommand:
         assert code == 2
         assert "config error" in text and section in text
 
+    @pytest.mark.parametrize("mode", ["exact-eigen", "diagonal-bilinear"])
+    def test_infeasible_camoo_floor_exits_2(self, tmp_path, capsys, monkeypatch, mode):
+        monkeypatch.setattr(ObjectiveSet, "values", lambda *a: pytest.fail("stepped"))
+        doc = {
+            **VALID_CONFIG,
+            "problem": {"kind": "selection", "m": 3},
+            "weighting": {"kind": "camoo", "camoo": {"mode": mode, "w_min": 0.5}},
+            "run": {"steps": 5},
+        }
+        out = tmp_path / "o"
+        assert cli.cmd_run(write_config(tmp_path, doc), str(out)) == 2
+        text = capsys.readouterr().out
+        assert "config error" in text and "weighting.camoo" in text
+        assert not out.exists()
+
+    def test_non_finite_f_star_override_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ObjectiveSet, "values", lambda *a: pytest.fail("stepped"))
+        doc = {
+            **VALID_CONFIG,
+            "weighting": {"kind": "pamoo"},
+            "run": {"steps": 5, "f_star_override": [float("nan"), 0.0]},
+        }
+        out = tmp_path / "o"
+        assert cli.cmd_run(write_config(tmp_path, doc), str(out)) == 2
+        text = capsys.readouterr().out
+        assert "config error" in text and "f_star" in text
+        assert not out.exists()
+
     def test_run_config_error_leaves_no_out_dir(self, tmp_path, capsys):
         doc = {
             "problem": {"kind": "selection", "m": 1},
@@ -163,21 +192,18 @@ class TestRunCommand:
                     "pu_tau": 0,
                     "supergrad_iterations": 8,
                     "supergrad_step": 0.5,
-                    "warm_start": False,
                 },
                 "pamoo": {
                     "step": 1,
                     "iterations": 9,
                     "clip_floor": 0,
                     "gram_tau": 0.5,
-                    "warm_start": False,
                 },
                 "weights": [1, 0.5],
                 "hutchinson": {
                     "num_samples": 3,
                     "fd_step": 0.001,
                     "rng_seed": 4,
-                    "ema_decay": 0.9,
                 },
                 "force_hutchinson": True,
             },
@@ -199,10 +225,10 @@ class TestRunCommand:
             ),
             weighting=WeightingChoice(
                 kind="fixed",
-                camoo=CamooConfig("diagonal-bilinear", 0.1, 7, 0.0, 8, 0.5, False),
-                pamoo=PamooConfig(1.0, 9, 0.0, 0.5, False),
+                camoo=CamooConfig("diagonal-bilinear", 0.1, 7, 0.0, 8, 0.5),
+                pamoo=PamooConfig(1.0, 9, 0.0, 0.5),
                 fixed_weights=(1.0, 0.5),
-                hutchinson=HutchinsonConfig(3, 0.001, 4, 0.9),
+                hutchinson=HutchinsonConfig(3, 0.001, 4),
                 force_hutchinson=True,
             ),
             inner=AdamConfig(step=0.1, b1=0.8, b2=0.99, eps=1e-6),
@@ -457,6 +483,13 @@ class TestAnalyzeCommand:
 
     def test_unreadable_trace(self, tmp_path, capsys):
         assert cli.cmd_analyze(str(tmp_path / "nope.csv"), fit=True) == 2
+
+    def test_theorem_check_on_header_only_trace_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        path.write_text(",".join(traceio.trace_header(2)) + "\n")
+        theorem = {"beta": 1.8, "mu": 1.0, "m_self": 0.0, "which": "CAMOO"}
+        assert cli.cmd_analyze(str(path), theorem=theorem) == 2
+        assert "has no residuals" in capsys.readouterr().out
 
 
 class TestPlotCommand:

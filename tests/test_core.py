@@ -9,12 +9,12 @@ from amoo import (
     OptimalInfo,
     UnsupportedQueryError,
     WeightVector,
-    equal_weights,
     residual,
     weighted_gradient,
 )
 from amoo.core import FLOORED_SIMPLEX, ORTHANT, SIMPLEX, weighted_value
 from amoo.problems import ProblemSpec, build
+from amoo.weighting import equal_weights
 
 
 def fd_gradient(value, x, rel_step=1e-6):

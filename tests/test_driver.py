@@ -1,9 +1,19 @@
 """The weighted descent loop: updates, recording, determinism, failure paths."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from amoo.core import NumericError, ObjectiveSet
+from amoo.core import (
+    FLOORED_SIMPLEX,
+    SIMPLEX,
+    NumericError,
+    ObjectiveSet,
+    WeightVector,
+    residual,
+    weighted_gradient,
+)
 from amoo.driver import (
     AdamConfig,
     ConfigurationError,
@@ -17,9 +27,18 @@ from amoo.driver import (
     theory_camoo,
     theory_pamoo,
 )
-from amoo.hessians import HutchinsonConfig
+from amoo.hessians import HutchinsonConfig, diag_hessian_matrix
 from amoo.problems import ProblemSpec, build
-from amoo.weighting import CamooConfig, PamooConfig
+from amoo.weighting import (
+    CamooConfig,
+    PamooConfig,
+    equal_weights,
+    pamoo_context,
+    pamoo_weights,
+    project_floored_simplex,
+    solve_bilinear_pu,
+    solve_camoo_exact,
+)
 
 SPEC01 = ProblemSpec(kind="specification", delta=0.1)
 
@@ -373,3 +392,148 @@ class TestNumericFailure:
         assert trace.error is not None
         assert len(trace.records) > 0
         assert all(np.all(np.isfinite(r.f)) for r in trace.records)
+
+
+def run_reference(cfg):
+    """The descent loop as first written, picking the weight rule inside the
+    loop on every step; returns (f, w, grad_norm, residual, lambda_min_est,
+    pu_gap) per record.  The diagonal estimate of call k is seeded with the
+    run's mixed Hutchinson seed plus k."""
+    problem = build(cfg.problem)
+    objs = problem.objectives
+    m = objs.m
+    wc = cfg.weighting
+    x = np.array(cfg.x0 if cfg.x0 is not None else problem.x0, dtype=np.float64)
+    f_star = None
+    if wc.kind == "pamoo":
+        given = cfg.f_star_override
+        f_star = np.asarray(
+            given if given is not None else problem.optimum.f_star, dtype=np.float64
+        )
+    hseed = int(
+        np.random.SeedSequence([cfg.seed, wc.hutchinson.rng_seed]).generate_state(1)[0]
+    )
+    const_w = None
+    if wc.kind == "ew":
+        const_w = equal_weights(m)
+    elif wc.kind == "fixed":
+        const_w = WeightVector(np.asarray(wc.fixed_weights, dtype=np.float64))
+    scale = float(m) if wc.kind == "camoo" and cfg.camoo_lr_scale_by_m else 1.0
+    inner_step = cfg.inner.step * scale
+    adam_state = adam_init(x) if isinstance(cfg.inner, AdamConfig) else None
+    warm_w = warm_q = None
+    records = []
+    for k in range(cfg.steps + 1):
+        fvals = objs.values(x)
+        J = objs.gradients(x)
+        lambda_est = gap = None
+        if const_w is not None:
+            w = const_w
+        elif wc.kind == "camoo" and wc.camoo.mode == "exact-eigen":
+            result = solve_camoo_exact(objs.hessians(x), wc.camoo, warm=warm_w)
+            w = result.weights
+            lambda_est = result.value
+        elif wc.kind == "camoo":
+            hcfg = replace(wc.hutchinson, rng_seed=hseed + k)
+            diag = diag_hessian_matrix(objs, x, hcfg, wc.force_hutchinson)
+            warm = None
+            if warm_w is not None and warm_q is not None:
+                warm = (warm_w, warm_q)
+            sol = solve_bilinear_pu(diag, wc.camoo, warm=warm)
+            w_arr = sol.w
+            if wc.camoo.w_min > 0:
+                w_arr = project_floored_simplex(w_arr, wc.camoo.w_min)
+            w = WeightVector(
+                w_arr,
+                FLOORED_SIMPLEX if wc.camoo.w_min > 0 else SIMPLEX,
+                wc.camoo.w_min,
+            )
+            warm_q = sol.q
+            gap = sol.gap
+            lambda_est = float((w_arr @ diag).min())
+        else:
+            w = pamoo_weights(pamoo_context(fvals, J, f_star), wc.pamoo, warm=warm_w)
+        warm_w = w.as_array()
+        g = weighted_gradient(J, w)
+        if k % cfg.record_every == 0 or k == cfg.steps:
+            res = None
+            if problem.optimum.x_star is not None:
+                res = residual(x, problem.optimum)
+            records.append(
+                (fvals, warm_w, float(np.linalg.norm(g)), res, lambda_est, gap)
+            )
+        if k == cfg.steps:
+            break
+        if adam_state is None:
+            x = step_gd(x, g, inner_step)
+        else:
+            adam_state, x = step_adam(adam_state, g, cfg.inner, step=inner_step)
+    return records
+
+
+TWO_DENSE = ProblemSpec(
+    kind="quad_family",
+    h_list=(((2.0, 0.5), (0.5, 1.0)), ((1.0, -0.3), (-0.3, 3.0))),
+)
+SELECTION3 = ProblemSpec(kind="selection", delta=0.1, m=3, n=2)
+SMALL_MLP = ProblemSpec(
+    kind="mlp_matching", variant="selection", input_dim=4, hidden=5,
+    output_dim=3, dataset_size=6, seed=2,
+)
+REFERENCE_CASES = {
+    "ew": (SPEC01, WeightingChoice(kind="ew"), {}),
+    "fixed": (
+        SELECTION3, WeightingChoice(kind="fixed", fixed_weights=(0.5, 0.3, 0.2)), {}
+    ),
+    "camoo-exact": (TWO_DENSE, WeightingChoice(kind="camoo"), {}),
+    "camoo-exact-floor": (
+        TWO_DENSE, WeightingChoice(kind="camoo", camoo=CamooConfig(w_min=0.2)), {}
+    ),
+    "camoo-diag-floor": (
+        SELECTION3,
+        WeightingChoice(
+            kind="camoo",
+            camoo=CamooConfig(mode="diagonal-bilinear", w_min=0.2, pu_iterations=50),
+        ),
+        {},
+    ),
+    "camoo-diag-hutchinson": (
+        SMALL_MLP,
+        WeightingChoice(
+            kind="camoo",
+            camoo=CamooConfig(mode="diagonal-bilinear", pu_iterations=20),
+            hutchinson=HutchinsonConfig(num_samples=3, rng_seed=1),
+            force_hutchinson=True,
+        ),
+        {"seed": 5},
+    ),
+    "pamoo-f-star": (
+        SPEC01,
+        WeightingChoice(kind="pamoo", pamoo=PamooConfig(iterations=30)),
+        {"f_star_override": (-0.01, -0.02)},
+    ),
+}
+
+
+def same_bits(got, want):
+    if got is None or want is None:
+        return got is want
+    return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize(
+    "inner", [GDConfig(step=0.05), AdamConfig(step=0.01)], ids=["gd", "adam"]
+)
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_run_matches_reference_loop(case, inner):
+    problem, weighting, extra = REFERENCE_CASES[case]
+    cfg = RunConfig(
+        problem=problem, weighting=weighting, inner=inner, steps=25, **extra
+    )
+    trace = run(cfg)
+    want = run_reference(cfg)
+    assert len(trace.records) == len(want) == 26
+    names = ("f", "w", "grad_norm", "residual", "lambda_min_est", "pu_gap")
+    for rec, ref in zip(trace.records, want):
+        for name, expected in zip(names, ref):
+            assert same_bits(getattr(rec, name), expected), (name, rec.step)
