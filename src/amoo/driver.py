@@ -204,9 +204,13 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
     m = objs.m
     wc = cfg.weighting
     warm = None
+    f_star = cfg.f_star_override
+    if f_star is not None:
+        f_star = np.array(f_star, dtype=np.float64)
+        if f_star.shape != (m,) or not np.isfinite(f_star).all():
+            raise ConfigurationError(f"run.f_star_override must be {m} finite numbers")
 
     if wc.kind == WEIGHTING_PAMOO:
-        f_star = cfg.f_star_override
         if f_star is None:
             f_star = problem.optimum.f_star
         if f_star is None:
@@ -214,11 +218,6 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
                 "PAMOO needs optimal objective values (problem has none; "
                 "set f_star_override)"
             )
-        f_star = np.array(f_star, dtype=np.float64)
-        if f_star.shape != (m,):
-            raise ConfigurationError(f"f_star must have {m} entries")
-        if not np.isfinite(f_star).all():
-            raise ConfigurationError(f"f_star must be finite, got {f_star}")
 
         def weigh_pamoo(fvals, J, x):
             nonlocal warm
@@ -278,6 +277,8 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
             const_w = WeightVector(np.asarray(wc.fixed_weights, dtype=np.float64))
         except ValueError as exc:
             raise ConfigurationError(f"bad fixed weights in weighting: {exc}") from exc
+        if not const_w.as_array().sum() > 0:
+            raise ConfigurationError("bad fixed weights in weighting: they sum to 0")
     return lambda fvals, J, x: (const_w, None, None)
 
 

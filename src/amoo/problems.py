@@ -270,6 +270,12 @@ class _TwoLayerMatching:
     the stacked H_i; each oracle is its objective's one-row slice.  The powers
     q^alpha (numpy's scalar-exponent fast paths) and p1 @ A^2 stay per
     objective because their batched forms round differently.
+
+    ``diag_hessians`` skips exactly-zero terms: the C2 = 4 alpha (alpha-1)
+    q^(alpha-2) terms when alpha = 1, and for relu the act'' = 0 term, with
+    act' (0 or 1) for act'^2.  A skipped +0.0 only ever turned -0.0 into +0.0,
+    which the + 0.0 on g2 keeps, so the bits equal the full form's wherever it
+    is finite (it gave NaN for alpha = 1 at a subnormal q).
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -405,22 +411,31 @@ class _TwoLayerMatching:
         w2, Z, A, R = self._forward(theta)
         q, V = self._per_sample(R, rows)
         p1 = self._slopes(q, rows)
-        c2 = np.stack([self._curvature(qk, a) for a, qk in zip(self.alphas[rows], q)])
-        P1, C2 = p1[:, :, None], c2[:, :, None]
-        H = self.h_stack[rows]
-        N = R.shape[0]
+        H, N = self.h_stack[rows], R.shape[0]
+        relu = self.spec.activation == "relu"
 
-        hdiag = np.diagonal(H, axis1=1, axis2=2)
-        g2 = np.einsum("oj,kop,pj->kj", w2, H, w2)
-        S = np.matmul(V, w2)
-        A2, V2 = A**2, V**2
-        pA2 = np.stack([pk @ A2 for pk in p1])
-        cVA = np.einsum("kn,kno,nj->koj", c2, V2, A2)
-
-        dw2 = hdiag[:, :, None] * pA2[:, None, :] / N + cVA / N
-        db2 = hdiag * np.mean(p1, axis=1)[:, None] + (C2 * V2).sum(axis=1) / N
-        coeff = (P1 * g2[:, None, :] + C2 * S**2) * self._act_prime(Z) ** 2
-        coeff = coeff + (P1 * S) * self._act_second(Z)
+        hdiag, A2 = np.diagonal(H, axis1=1, axis2=2), A**2
+        dw2 = hdiag[:, :, None] * np.stack([pk @ A2 for pk in p1])[:, None, :] / N
+        db2 = hdiag * np.mean(p1, axis=1)[:, None]
+        # + 0.0 turns a -0.0 into +0.0, as the skipped + C2 S^2 did.
+        g2 = np.einsum("oj,kop,pj->kj", w2, H, w2) + 0.0
+        coeff = p1[:, :, None] * g2[:, None, :]
+        S = None if relu else np.matmul(V, w2)
+        alphas = self.alphas[rows]
+        bent = [k for k, a in enumerate(alphas) if a != 1.0]  # C2 = 0 elsewhere
+        if bent:
+            c2 = np.stack([self._curvature(q[k], alphas[k]) for k in bent])[:, :, None]
+            if bent[-1] - bent[0] == len(bent) - 1:
+                bent = slice(bent[0], bent[-1] + 1)
+            CV2 = c2 * V[bent] ** 2
+            dw2[bent] += np.einsum("kno,nj->koj", CV2, A2) / N
+            db2[bent] += CV2.sum(axis=1) / N
+            coeff[bent] += c2 * (np.matmul(V[bent], w2) if relu else S[bent]) ** 2
+        d1 = self._act_prime(Z)
+        if relu:
+            coeff *= d1
+        else:
+            coeff = coeff * d1**2 + (p1[:, :, None] * S) * self._act_second(Z)
         dw1 = np.matmul(coeff.transpose(0, 2, 1), self.X2) / N
         db1 = coeff.sum(axis=1) / N
         return self.pack(dw1, db1, dw2, db2)

@@ -138,14 +138,6 @@ class BilinearSolution:
     iterations: int
 
 
-def _entropic_step(base: Array, payoff: Array, axis, keep: bool) -> Array:
-    """base * exp(payoff), normalized per game, in the payoff's buffer."""
-    v = np.exp(payoff, out=payoff)
-    v *= base
-    v /= v.sum(axis, keepdims=keep)
-    return v
-
-
 def solve_bilinear_pu(
     A,
     cfg: CamooConfig | None = None,
@@ -237,12 +229,19 @@ def solve_bilinear_pu_stack(
 
     for t in range(cfg.pu_iterations):
         base_w, base_q = (w, q) if expo is None else (w**expo, q**expo)
-        # Predictive half step from the current payoffs.
-        wb = _entropic_step(base_w, Aeta @ q, axis, keep)
-        qb = _entropic_step(base_q, neg_AetaT @ w, axis, keep)
-        # Full step from the midpoint payoffs.
-        w = _entropic_step(base_w, Aeta @ qb, axis, keep)
-        q = _entropic_step(base_q, neg_AetaT @ wb, axis, keep)
+        # Half step from the current payoffs, full step from the midpoint's.
+        wb = np.exp(Aeta @ q)
+        wb *= base_w
+        wb /= wb.sum(axis, keepdims=keep)
+        qb = np.exp(neg_AetaT @ w)
+        qb *= base_q
+        qb /= qb.sum(axis, keepdims=keep)
+        w = np.exp(Aeta @ qb)
+        w *= base_w
+        w /= w.sum(axis, keepdims=keep)
+        q = np.exp(neg_AetaT @ wb)
+        q *= base_q
+        q /= q.sum(axis, keepdims=keep)
         w_acc += wb
         q_acc += qb
         # The tail window opens at the first restart; before it, the tail

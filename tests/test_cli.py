@@ -164,6 +164,46 @@ class TestRunCommand:
         assert "config error" in text and "f_star" in text
         assert not out.exists()
 
+    def test_all_zero_fixed_weights_exit_2(self, tmp_path, capsys, monkeypatch):
+        # Zero weights give a zero gradient: the iterate would never move.
+        monkeypatch.setattr(ObjectiveSet, "values", lambda *a: pytest.fail("stepped"))
+        doc = {
+            **VALID_CONFIG,
+            "weighting": {"kind": "fixed", "weights": [0, 0]},
+            "run": {"steps": 20},
+        }
+        out = tmp_path / "o"
+        assert cli.cmd_run(write_config(tmp_path, doc), str(out)) == 2
+        text = capsys.readouterr().out
+        assert "config error" in text and "weighting" in text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("override", [[0.0, 0.0, 0.0], [0.0, float("inf")]])
+    @pytest.mark.parametrize(
+        "weighting",
+        [
+            {"kind": "ew"},
+            {"kind": "fixed", "weights": [0.5, 0.5]},
+            {"kind": "camoo"},
+            {"kind": "camoo", "camoo": {"mode": "diagonal-bilinear"}},
+            {"kind": "pamoo"},
+        ],
+    )
+    def test_bad_f_star_override_exits_2_for_every_weighting(
+        self, tmp_path, capsys, monkeypatch, weighting, override
+    ):
+        monkeypatch.setattr(ObjectiveSet, "values", lambda *a: pytest.fail("stepped"))
+        doc = {
+            **VALID_CONFIG,
+            "weighting": weighting,
+            "run": {"steps": 5, "f_star_override": override},
+        }
+        out = tmp_path / "o"
+        assert cli.cmd_run(write_config(tmp_path, doc), str(out)) == 2
+        text = capsys.readouterr().out
+        assert "config error" in text and "run.f_star_override" in text
+        assert not out.exists()
+
     def test_run_config_error_leaves_no_out_dir(self, tmp_path, capsys):
         doc = {
             "problem": {"kind": "selection", "m": 1},

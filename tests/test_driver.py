@@ -28,7 +28,7 @@ from amoo.driver import (
     theory_pamoo,
 )
 from amoo.hessians import HutchinsonConfig, diag_hessian_matrix
-from amoo.problems import ProblemSpec, build
+from amoo.problems import ProblemSpec, _TwoLayerMatching, build
 from amoo.weighting import (
     CamooConfig,
     PamooConfig,
@@ -39,6 +39,7 @@ from amoo.weighting import (
     solve_bilinear_pu,
     solve_camoo_exact,
 )
+from test_problems import mlp_objective_reference
 
 SPEC01 = ProblemSpec(kind="specification", delta=0.1)
 
@@ -198,6 +199,11 @@ class TestRunBasics:
                 SPEC01,
                 WeightingChoice(kind="fixed", fixed_weights=(1.0, -1.0)),
                 "bad fixed weights",
+            ),
+            (
+                SPEC01,
+                WeightingChoice(kind="fixed", fixed_weights=(0.0, 0.0)),
+                "sum to 0",
             ),
         ],
     )
@@ -537,3 +543,31 @@ def test_run_matches_reference_loop(case, inner):
     for rec, ref in zip(trace.records, want):
         for name, expected in zip(names, ref):
             assert same_bits(getattr(rec, name), expected), (name, rec.step)
+
+
+@pytest.mark.parametrize("variant", ["selection", "local_curvature"])
+def test_diagonal_camoo_run_matches_reference_kernel(monkeypatch, variant):
+    # The Hessian diagonal skips exactly-zero terms; a whole run must not
+    # move a bit against the full per-objective form.
+    cfg = RunConfig(
+        problem=ProblemSpec(kind="mlp_matching", variant=variant),
+        weighting=WeightingChoice(
+            kind="camoo",
+            camoo=CamooConfig(mode="diagonal-bilinear", pu_iterations=10, pu_tau=0.01),
+        ),
+        inner=AdamConfig(step=5e-3),
+        steps=200,
+        record_every=1,
+    )
+    trace = run(cfg)
+
+    def reference_diag(model, theta, rows=slice(None)):
+        ks = range(model.m)[rows]
+        return np.stack([mlp_objective_reference(model, theta, k)[2] for k in ks])
+
+    monkeypatch.setattr(_TwoLayerMatching, "diag_hessians", reference_diag)
+    want = run(cfg)
+    assert len(trace.records) == len(want.records) == 201
+    for rec, ref in zip(trace.records, want.records):
+        for name in ("f", "w", "lambda_min_est", "pu_gap"):
+            assert same_bits(getattr(rec, name), getattr(ref, name)), (name, rec.step)
