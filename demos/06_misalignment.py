@@ -38,7 +38,7 @@ def plateau(kind: str, shift: float):
         )
     )
     tail = [r.residual for r in trace.records[-40:]]
-    return problem.meta.alignment_eps, float(np.median(tail))
+    return problem.optimum.alignment_eps, float(np.median(tail))
 
 
 print(f"{'shift':>8} {'epsilon':>10} {'curvature plateau':>18} {'gap-ratio plateau':>18}")

@@ -197,7 +197,7 @@ def _run_verdicts(trace: driver.RunTrace) -> dict:
         and meta.beta is not None
         and meta.mu_g is not None
         and meta.m_self is not None
-        and meta.alignment_eps == 0.0  # the envelope assumes exact alignment
+        and problem.optimum.alignment_eps == 0.0  # the envelope assumes exact alignment
         and trace.records
         and trace.records[0].residual is not None
     ):

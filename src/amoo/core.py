@@ -59,9 +59,7 @@ class ObjectiveOracle:
 
     ``value`` and ``gradient`` are required; ``hessian`` and ``diag_hessian``
     are optional callables returning the full symmetric Hessian and its
-    diagonal.  ``optimal_value`` is the objective's own minimum value when
-    known (consumed by gap-based weight optimizers).  All callables must be
-    pure functions of x.
+    diagonal.  All callables must be pure functions of x.
     """
 
     dim: int
@@ -69,7 +67,6 @@ class ObjectiveOracle:
     gradient: Callable[[Array], Array]
     hessian: Callable[[Array], Array] | None = None
     diag_hessian: Callable[[Array], Array] | None = None
-    optimal_value: float | None = None
     name: str = ""
 
     def __post_init__(self):
@@ -155,12 +152,6 @@ class ObjectiveSet:
         x = as_vector(x, self.dim)
         return [o.hessian_at(x) for o in self.objectives]
 
-    def optimal_values(self) -> Array:
-        vals = [o.optimal_value for o in self.objectives]
-        if any(v is None for v in vals):
-            raise UnsupportedQueryError("not every objective carries an optimal value")
-        return np.array(vals, dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class WeightVector:
@@ -234,17 +225,6 @@ class OptimalInfo:
             raise ValueError("alignment_eps must be nonnegative")
 
 
-def _check_count(w: WeightVector, m: int) -> Array:
-    if len(w) != m:
-        raise ValueError(f"weight vector has {len(w)} entries for {m} objectives")
-    return w.as_array()
-
-
-def weighted_value(objectives: ObjectiveSet, w: WeightVector, x) -> float:
-    """Scalarized objective sum_i w_i f_i(x); linear in w."""
-    return float(_check_count(w, objectives.m) @ objectives.values(x))
-
-
 def weighted_gradient(J, w: WeightVector) -> Array:
     """Gradient of the scalarized objective, sum_i w_i grad f_i(x).
 
@@ -252,7 +232,9 @@ def weighted_gradient(J, w: WeightVector) -> Array:
     returned by ``ObjectiveSet.gradients``.
     """
     J = np.asarray(J, dtype=np.float64)
-    return _check_count(w, len(J)) @ J
+    if len(w) != len(J):
+        raise ValueError(f"weight vector has {len(w)} entries for {len(J)} objectives")
+    return w.as_array() @ J
 
 
 def residual(x, opt: OptimalInfo) -> float:

@@ -94,10 +94,10 @@ def diag_hessian_matrix(
 ) -> Array:
     """Stack per-objective Hessian diagonals into an (m, n) matrix.
 
-    Row i is the analytic diagonal when objective i provides one (unless
-    ``force_estimate``; one pass for a set with a stacked evaluator), and the
-    Hutchinson estimate otherwise, from the i-th substream of
-    ``cfg.rng_seed``, spawned only when some row is estimated.
+    Row i is the analytic diagonal when objective i provides a diagonal or
+    a full Hessian (unless ``force_estimate``; one pass for a set with a
+    stacked evaluator), and the Hutchinson estimate otherwise, from the i-th
+    substream of ``cfg.rng_seed``, spawned only when some row is estimated.
     """
     x = as_vector(x, objectives.dim)
     if objectives.stacked is not None and not force_estimate:
@@ -105,7 +105,7 @@ def diag_hessian_matrix(
     rows = np.empty((objectives.m, objectives.dim))
     seeds = None
     for i, oracle in enumerate(objectives.objectives):
-        if oracle.has_diag_hessian and not force_estimate:
+        if (oracle.has_diag_hessian or oracle.has_hessian) and not force_estimate:
             rows[i] = oracle.diag_hessian_at(x)
         else:
             if seeds is None:

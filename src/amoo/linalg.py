@@ -1,10 +1,12 @@
-"""Dense symmetric eigen-routines for desk-scale matrices.
+"""Dense symmetric matrices for desk-scale problems: validation and eigen-routines.
 
-Every routine validates its input with ``check_symmetric`` and hands the
-decomposition to LAPACK (``numpy.linalg``); 1x1 and 2x2 smallest eigenpairs
-use the closed form.  The contracts are on the results: ``eigh`` returns
-ascending eigenvalues with orthonormal eigenvectors, ``min_eigenpair`` a
-certified eigenpair, ``spectral_norm`` the largest absolute eigenvalue.
+This is the package's one home for symmetric-matrix work.  Every routine
+validates its input with ``check_symmetric`` (``hessian_stack`` does so for
+a list of equal-sized matrices) and hands each decomposition to LAPACK
+(``numpy.linalg``), at every size.  The contracts are on the results:
+``eigh`` returns ascending eigenvalues with orthonormal eigenvectors,
+``min_eigenpair`` a certified eigenpair, ``spectral_norm`` the largest
+absolute eigenvalue.
 """
 
 import numpy as np
@@ -27,6 +29,17 @@ def check_symmetric(A, tol: float = SYMMETRY_TOL) -> Array:
     return 0.5 * (A + A.T)
 
 
+def hessian_stack(hessians) -> Array:
+    """Validate one or more symmetric matrices of one size; return their
+    symmetrized (m, n, n) stack."""
+    mats = [check_symmetric(H) for H in hessians]
+    if not mats:
+        raise ValueError("need at least one Hessian")
+    if any(H.shape != mats[0].shape for H in mats):
+        raise ValueError("Hessians disagree on size")
+    return np.stack(mats)
+
+
 def weighted_hessian(hessians, w) -> Array:
     """Entrywise sum_i w_i H_i of symmetric matrices sharing one size."""
     from .core import WeightVector
@@ -34,12 +47,7 @@ def weighted_hessian(hessians, w) -> Array:
     wa = w.as_array() if isinstance(w, WeightVector) else np.asarray(w, np.float64)
     if len(hessians) != len(wa):
         raise ValueError(f"{len(hessians)} matrices for {len(wa)} weights")
-    mats = [check_symmetric(H) for H in hessians]
-    n = mats[0].shape[0]
-    for H in mats:
-        if H.shape[0] != n:
-            raise ValueError("matrices disagree on size")
-    return np.einsum("i,ijk->jk", wa, np.stack(mats))
+    return np.einsum("i,ijk->jk", wa, hessian_stack(hessians))
 
 
 def eigh(A):
@@ -52,28 +60,8 @@ jacobi_eigh = eigh
 
 
 def min_eigenpair_unchecked(M: Array):
-    """Smallest eigenpair of an already validated symmetric matrix.
-
-    Closed form for n <= 2, LAPACK above; the eigenvector has unit norm.
-    """
-    n = M.shape[0]
-    if n == 1:
-        return float(M[0, 0]), np.ones(1)
-    if n == 2:
-        a, b, c = M[0, 0], M[0, 1], M[1, 1]
-        half_gap = 0.5 * (a - c)
-        root = np.hypot(half_gap, b)
-        lam = 0.5 * (a + c) - root
-        if root == 0.0:
-            return float(lam), np.array([1.0, 0.0])
-        # Eigenvector from the better-conditioned row of (M - lam I).
-        v = np.array([-b, a - lam]) if abs(a - lam) > abs(c - lam) else np.array(
-            [c - lam, -b]
-        )
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            return float(lam), np.array([1.0, 0.0])
-        return float(lam), v / norm
+    """Smallest eigenpair of an already validated symmetric matrix, from
+    LAPACK; the eigenvector has unit norm."""
     evals, evecs = np.linalg.eigh(M)
     return float(evals[0]), evecs[:, 0]
 

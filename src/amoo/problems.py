@@ -72,7 +72,6 @@ class ProblemMeta:
     mu_g: float | None
     mu_l: float | None
     m_self: float | None
-    alignment_eps: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,6 @@ def _quadratic_oracle(H: Array, name: str) -> ObjectiveOracle:
         gradient=lambda x: 2.0 * (H @ x),
         hessian=lambda x: 2.0 * H,
         diag_hessian=lambda x: 2.0 * np.diagonal(H).copy(),
-        optimal_value=0.0,
         name=name,
     )
 
@@ -181,7 +179,6 @@ def _build_local_curvature(spec: ProblemSpec) -> Problem:
             gradient=lambda x: sign * (np.exp(sign * x) - 1.0),
             hessian=lambda x: np.diag(np.exp(sign * x)),
             diag_hessian=lambda x: np.exp(sign * x),
-            optimal_value=float(n),
             name=name,
         )
 
@@ -222,7 +219,6 @@ def _power_quad_oracle(H: Array, alpha: float, name: str) -> ObjectiveOracle:
         value=value,
         gradient=gradient,
         hessian=hessian,
-        optimal_value=0.0,
         name=name,
     )
 
@@ -455,7 +451,6 @@ class _TwoLayerMatching:
                 value=lambda th: float(self.values(th, slice(i, i + 1))[0]),
                 gradient=lambda th: self.gradients(th, slice(i, i + 1))[0],
                 diag_hessian=lambda th: self.diag_hessians(th, slice(i, i + 1))[0],
-                optimal_value=0.0,
                 name=f"match_f{i + 1}",
             )
 
@@ -498,7 +493,6 @@ def _shifted_oracle(oracle: ObjectiveOracle, shift: Array) -> ObjectiveOracle:
             if oracle.diag_hessian is None
             else (lambda x: oracle.diag_hessian(x - s))
         ),
-        optimal_value=oracle.optimal_value,
         name=f"{oracle.name}_shifted",
     )
 
@@ -546,17 +540,10 @@ def misalign(base: Problem, shifts) -> Problem:
         eps = max(worst_gap(x_ref), 0.0)
 
     optimum = OptimalInfo(x_star=x_ref, f_star=f_min, alignment_eps=eps)
-    meta = ProblemMeta(
-        beta=base.meta.beta,
-        mu_g=base.meta.mu_g,
-        mu_l=base.meta.mu_l,
-        m_self=base.meta.m_self,
-        alignment_eps=eps,
-    )
     spec = ProblemSpec(
         kind="misaligned", base=base.spec, shifts=tuple(map(tuple, shifts))
     )
-    return Problem(objectives, optimum, meta, x0=np.array(base.x0), spec=spec)
+    return Problem(objectives, optimum, base.meta, x0=np.array(base.x0), spec=spec)
 
 
 def _build_misaligned(spec: ProblemSpec) -> Problem:

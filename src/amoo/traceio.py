@@ -76,9 +76,6 @@ class LoadedTrace:
             (s, r) for s, r in zip(self.steps, self.residual) if r is not None
         ]
 
-    def msq_series(self):
-        return [(s, v) for s, v in zip(self.steps, self.msq) if v is not None]
-
 
 _CHUNK_ROWS = 512  # rows held as strings at once, converted column by column
 
@@ -146,19 +143,7 @@ def summary_dict(trace: RunTrace, fitted_rate=None, verdicts=None) -> dict:
         "wall_time": trace.wall_time,
         "error": trace.error,
         "num_records": len(trace.records),
-        "final": None
-        if final is None
-        else {
-            "step": final.step,
-            "f": _jsonable(final.f),
-            "w": _jsonable(final.w),
-            "grad_norm": final.grad_norm,
-            "residual": final.residual,
-            "msq": final.msq,
-            "mnorm": final.mnorm,
-            "lambda_min_est": final.lambda_min_est,
-            "pu_gap": final.pu_gap,
-        },
+        "final": _jsonable(final),
         "fitted_rate": fitted_rate,
         "verdicts": verdicts or {},
     }

@@ -26,7 +26,12 @@ from .core import (
     WeightVector,
     as_vector,
 )
-from .linalg import check_symmetric, min_eigenpair_unchecked, spectral_norm
+from .linalg import (
+    check_symmetric,
+    hessian_stack,
+    min_eigenpair_unchecked,
+    spectral_norm,
+)
 
 MODE_EXACT = "exact-eigen"
 MODE_DIAGONAL = "diagonal-bilinear"
@@ -320,20 +325,14 @@ def solve_camoo_exact(
     phase was still improving.
     """
     cfg = cfg or CamooConfig()
-    mats = [check_symmetric(H) for H in hessians]
-    m = len(mats)
-    if m < 1:
-        raise ValueError("need at least one Hessian")
-    n = mats[0].shape[0]
-    for H in mats:
-        if H.shape[0] != n:
-            raise ValueError("Hessians disagree on size")
+    stack = hessian_stack(hessians)
+    m = len(stack)
     if m * cfg.w_min > 1.0 + 1e-12:
         raise ValueError(f"floor infeasible: m*w_min = {m * cfg.w_min}")
 
     constraint = FLOORED_SIMPLEX if cfg.w_min > 0 else SIMPLEX
 
-    scale = max(spectral_norm(H) for H in mats)
+    scale = max(spectral_norm(H) for H in stack)
     if scale == 0.0:
         w = project_floored_simplex(np.full(m, 1.0 / m), cfg.w_min)
         return CamooExactResult(
@@ -348,7 +347,6 @@ def solve_camoo_exact(
     iters = cfg.supergrad_iterations
     phase_len = max(20, iters // 12)
     base = cfg.supergrad_step / scale
-    stack = np.stack(mats)
 
     best_w = w.copy()
     best_val, _ = min_eigenpair_unchecked(np.einsum("i,ijk->jk", w, stack))

@@ -332,7 +332,7 @@ def _plateau(kind: str, eps: float) -> float:
         shifts=((0.0, 0.0), (d, 0.0)),
     )
     problem = build(spec)
-    assert problem.meta.alignment_eps == pytest.approx(eps, rel=1e-3)
+    assert problem.optimum.alignment_eps == pytest.approx(eps, rel=1e-3)
     if kind == "camoo":
         wc = WeightingChoice(kind="camoo")
         inner = GDConfig(step=0.25)

@@ -12,7 +12,7 @@ from amoo import (
     residual,
     weighted_gradient,
 )
-from amoo.core import FLOORED_SIMPLEX, ORTHANT, SIMPLEX, weighted_value
+from amoo.core import FLOORED_SIMPLEX, ORTHANT, SIMPLEX
 from amoo.problems import ProblemSpec, build
 from amoo.weighting import equal_weights
 
@@ -28,6 +28,13 @@ def fd_gradient(value, x, rel_step=1e-6):
         xm[j] -= h
         g[j] = (value(xp) - value(xm)) / (2.0 * h)
     return g
+
+
+def weighted_value(objectives: ObjectiveSet, w: WeightVector, x) -> float:
+    """Scalarized objective sum_i w_i f_i(x); linear in w."""
+    if len(w) != objectives.m:
+        raise ValueError(f"{len(w)} weights for {objectives.m} objectives")
+    return float(w.as_array() @ objectives.values(x))
 
 
 @pytest.fixture(scope="module")

@@ -1,0 +1,95 @@
+"""Identical configs give bitwise-identical traces: one small `amoo run`
+config per weight rule, each pinned to the sha256 of its ``trace.csv``.
+
+A digest moves only when a change alters some recorded number.  Such a
+change updates the digest here and says in CHANGES.md which numbers moved
+and why.  The digests were taken with numpy's bundled OpenBLAS 0.3.31 on
+x86-64; another BLAS or LAPACK may round differently.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from amoo.cli import cmd_run
+
+
+def spd_hessians(seed: int, m: int = 3, n: int = 12) -> list:
+    """m dense SPD matrices with random eigenbases, eigenvalues in [0.1, 1]."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(m):
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        h = (q * rng.uniform(0.1, 1.0, size=n)) @ q.T
+        mats.append(0.5 * (h + h.T))
+    return mats
+
+
+SELECTION = {"kind": "selection", "delta": 0.1, "m": 3, "n": 4}
+MLP = {
+    "kind": "mlp_matching", "variant": "selection", "input_dim": 4,
+    "hidden": 5, "output_dim": 3, "dataset_size": 6, "seed": 2,
+}
+QUAD = {"kind": "quad_family", "h_list": [h.tolist() for h in spd_hessians(0)]}
+
+CONFIGS = {
+    "ew": {
+        "problem": SELECTION,
+        "weighting": {"kind": "ew"},
+        "inner": {"kind": "gd", "step": 0.25},
+        "run": {"steps": 60},
+    },
+    "fixed": {
+        "problem": SELECTION,
+        "weighting": {"kind": "fixed", "weights": [0.2, 0.3, 0.5]},
+        "inner": {"kind": "gd", "step": 0.25},
+        "run": {"steps": 60},
+    },
+    "camoo_exact": {
+        "problem": QUAD,
+        "weighting": {"kind": "camoo", "camoo": {"mode": "exact-eigen"}},
+        "inner": {"kind": "gd", "step": 0.5},
+        "run": {"steps": 30, "camoo_lr_scale_by_m": False},
+    },
+    "camoo_diagonal": {
+        "problem": MLP,
+        "weighting": {
+            "kind": "camoo",
+            "camoo": {"mode": "diagonal-bilinear", "pu_iterations": 10},
+        },
+        "inner": {"kind": "adam", "step": 5e-3},
+        "run": {"steps": 200, "record_every": 10},
+    },
+    "pamoo": {
+        "problem": MLP,
+        "weighting": {"kind": "pamoo"},
+        "inner": {"kind": "adam", "step": 5e-3},
+        "run": {"steps": 200, "record_every": 10},
+    },
+    "pamoo_theory": {
+        "problem": SELECTION,
+        "preset": "pamoo-theory",
+        "run": {"steps": 10},
+    },
+}
+
+GOLDEN_SHA256 = {
+    "ew": "64c8c09a7a8bf1b292996a739845bd11f09df822dca5e527d455ea47e98afe92",
+    "fixed": "be7d0b833d8e8f1f7702ce5308a5e2a8fcd8d179a02e644e911d9cc6d14fa594",
+    "camoo_exact": "02e46a5f10b3bdc696503ede5ea76069512e4a7d3a8dbefc59fe3dda83586c9d",
+    "camoo_diagonal": "36111dd1db324b6e09ac1487409d98f3046a6d76bb82d65de91e2d40731d43a9",
+    "pamoo": "5f019cd3196542365ec3644e246c494e4e327718cc45037b63ae0714d9a14f97",
+    "pamoo_theory": "aa459db1d0e65d661a99ed949f5f314d6e811e1813659aec02b04777e30075cf",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_trace_digest_is_pinned(name, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIGS[name]))
+    out = tmp_path / "out"
+    assert cmd_run(str(config), str(out), print_fn=lambda *_: None) == 0
+    digest = hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_SHA256[name]

@@ -123,13 +123,15 @@ class TestHutchinsonDiag:
 
 
 def diag_hessian_matrix_reference(objectives, x, cfg, force_estimate=False):
-    """``diag_hessian_matrix`` as first written, spawning the per-objective
-    seeds on every call; the lazy spawn must match it bit for bit."""
+    """``diag_hessian_matrix`` spawning the per-objective seeds on every
+    call; the lazy spawn must match it bit for bit.  Without
+    ``force_estimate``, a row is analytic when its oracle has a diagonal or
+    a full Hessian."""
     x = np.asarray(x, dtype=np.float64)
     rows = np.empty((objectives.m, objectives.dim))
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(objectives.m)
     for i, oracle in enumerate(objectives.objectives):
-        if oracle.has_diag_hessian and not force_estimate:
+        if (oracle.has_diag_hessian or oracle.has_hessian) and not force_estimate:
             rows[i] = oracle.diag_hessian_at(x)
         else:
             sub = HutchinsonConfig(
@@ -214,6 +216,29 @@ class TestDiagHessianMatrix:
         monkeypatch.setattr(np.random, "SeedSequence", refuse)
         rows = diag_hessian_matrix(problem.objectives, problem.x0, HutchinsonConfig())
         assert rows.shape == (3, 4)
+
+    def test_full_hessian_rows_are_exact(self):
+        # A power objective (x'Hx)^1.5 carries a Hessian but no separate
+        # diagonal; its row is that Hessian's diagonal, not an estimate.
+        rng = np.random.default_rng(3)
+        B = rng.normal(size=(5, 5))
+        H = B @ B.T + np.eye(5)
+        problem = build(
+            ProblemSpec(
+                kind="quad_family",
+                h_list=(tuple(map(tuple, np.eye(5))), tuple(map(tuple, H))),
+                alpha_list=(1.0, 1.5),
+            )
+        )
+        oracle = problem.objectives.objectives[1]
+        assert oracle.has_hessian and not oracle.has_diag_hessian
+        for seed in range(3):
+            x = rng.normal(size=5)
+            rows = diag_hessian_matrix(
+                problem.objectives, x, HutchinsonConfig(rng_seed=seed)
+            )
+            np.testing.assert_array_equal(rows[0], np.full(5, 2.0))
+            np.testing.assert_array_equal(rows[1], oracle.diag_hessian_at(x))
 
     @pytest.mark.parametrize("force_estimate", [False, True])
     def test_bitwise_equal_to_reference(self, force_estimate):

@@ -7,6 +7,7 @@ from amoo.core import WeightVector
 from amoo.linalg import (
     check_symmetric,
     eigh,
+    hessian_stack,
     min_eigenpair,
     spectral_norm,
     weighted_hessian,
@@ -63,7 +64,8 @@ class TestMinEigenpair:
             min_eigenpair([[1.0, 2.0], [0.0, 1.0]])
 
     def test_closed_form_matches_lapack(self):
-        # n <= 2 takes the closed form; LAPACK is the reference.
+        # 1x1 and 2x2 edge cases (repeated, zero and tiny off-diagonal
+        # entries) against a separate LAPACK call on the same matrix.
         rng = np.random.default_rng(16)
         cases = [random_symmetric(rng, n) for n in (1, 2) for _ in range(100)]
         cases += [
@@ -112,6 +114,23 @@ class TestWeyl:
             ev_a, _ = eigh(A)
             ev_ad, _ = eigh(A + D)
             assert np.max(np.abs(ev_a - ev_ad)) <= spectral_norm(D) + 1e-10
+
+
+class TestHessianStack:
+    def test_symmetrized_stack(self):
+        A = np.array([[1.0, 2.0], [2.0 + 1e-14, 3.0]])
+        stack = hessian_stack([A, np.eye(2), [[0.0, 1.0], [1.0, 0.0]]])
+        assert stack.shape == (3, 2, 2)
+        np.testing.assert_array_equal(stack[0], check_symmetric(A))
+        np.testing.assert_array_equal(stack[0], stack[0].T)
+
+    def test_rejects_empty_mismatched_and_nonsymmetric(self):
+        with pytest.raises(ValueError, match="at least one"):
+            hessian_stack([])
+        with pytest.raises(ValueError, match="disagree on size"):
+            hessian_stack([np.eye(2), np.eye(3)])
+        with pytest.raises(ValueError, match="not symmetric"):
+            hessian_stack([np.eye(2), [[1.0, 2.0], [0.0, 1.0]]])
 
 
 class TestWeightedHessian:

@@ -375,19 +375,19 @@ class TestMisalign:
     def test_zero_shifts(self):
         base = build(ProblemSpec(kind="specification", delta=0.1))
         shifted = misalign(base, np.zeros((2, 2)))
-        assert shifted.meta.alignment_eps == 0.0
+        assert shifted.optimum.alignment_eps == 0.0
         np.testing.assert_allclose(shifted.optimum.x_star, [0.0, 0.0])
 
     def test_symmetric_quadratic_midpoint(self):
         base = self.quad_1d_pair()
         shifted = misalign(base, np.array([[0.0], [0.2]]))
         assert shifted.optimum.x_star[0] == pytest.approx(0.1, abs=1e-6)
-        assert shifted.meta.alignment_eps == pytest.approx(0.01, abs=1e-8)
+        assert shifted.optimum.alignment_eps == pytest.approx(0.01, abs=1e-8)
 
     def test_specification_shift_matches_grid_minimax(self):
         base = build(ProblemSpec(kind="specification", delta=0.1))
         shifted = misalign(base, np.array([[0.0, 0.0], [0.1, 0.0]]))
-        eps = shifted.meta.alignment_eps
+        eps = shifted.optimum.alignment_eps
         assert eps > 0
         # Grid minimax oracle over a box around both optima.
         xs = np.linspace(-0.05, 0.15, 401)
@@ -415,7 +415,7 @@ class TestMisalign:
         base = build(ProblemSpec(kind="specification", delta=0.1))
         shifted = misalign(base, np.array([[0.0, 0.0], [0.4, 0.1]]))
         x_ref = shifted.optimum.x_star
-        eps = shifted.meta.alignment_eps
+        eps = shifted.optimum.alignment_eps
         for i, oracle in enumerate(shifted.objectives.objectives):
             gap = oracle.value_at(x_ref) - shifted.optimum.f_star[i]
             assert gap <= eps + 1e-10
@@ -432,4 +432,4 @@ class TestMisalign:
             shifts=((0.0, 0.0), (0.2, 0.0)),
         )
         problem = build(spec)
-        assert problem.meta.alignment_eps > 0
+        assert problem.optimum.alignment_eps > 0
