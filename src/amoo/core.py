@@ -113,7 +113,8 @@ class ObjectiveSet:
 
     ``stacked``, when given, replaces the per-oracle loop: its ``values(x)``,
     ``gradients(x)`` and ``diag_hessians(x)`` return (m,), (m, n) and (m, n)
-    arrays bitwise equal to stacking the oracles' own results.
+    arrays bitwise equal to stacking the oracles' own results; its
+    ``evaluate(x)`` returns ``(values(x), gradients(x))`` in one call.
     """
 
     objectives: tuple[ObjectiveOracle, ...]
@@ -147,6 +148,14 @@ class ObjectiveSet:
         if self.stacked is not None:
             return self.stacked.gradients(x)
         return np.stack([o._checked_gradient(x) for o in self.objectives])
+
+    def evaluate(self, x: Array) -> tuple[Array, Array]:
+        """Values (m,) and stacked gradients (m, n) at x, which must already be
+        a float64 vector of length ``dim``: unlike ``values``, it is not checked."""
+        if self.stacked is not None:
+            return self.stacked.evaluate(x)
+        fvals = np.array([o.value(x) for o in self.objectives], dtype=np.float64)
+        return fvals, np.stack([o._checked_gradient(x) for o in self.objectives])
 
     def hessians(self, x) -> list[Array]:
         x = as_vector(x, self.dim)
@@ -229,7 +238,7 @@ def weighted_gradient(J, w: WeightVector) -> Array:
     """Gradient of the scalarized objective, sum_i w_i grad f_i(x).
 
     ``J`` holds the stacked objective gradients at x, shape (m, n), as
-    returned by ``ObjectiveSet.gradients``.
+    returned by ``ObjectiveSet.gradients`` or ``ObjectiveSet.evaluate``.
     """
     J = np.asarray(J, dtype=np.float64)
     if len(w) != len(J):

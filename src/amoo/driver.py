@@ -19,7 +19,6 @@ from .core import (
     Array,
     NumericError,
     WeightVector,
-    residual as residual_of,
     weighted_gradient,
 )
 from .hessians import DiagHessianTracker, HutchinsonConfig
@@ -290,10 +289,13 @@ def run(cfg: RunConfig) -> RunTrace:
     weights computed there.  When the weighting is curvature-adaptive and
     ``camoo_lr_scale_by_m`` is set, the inner step is multiplied by the
     number of objectives (simplex weights sum to 1 where equal weighting
-    effectively sums to m).  Values and gradients are evaluated once per
-    iterate and shared by the weight optimizer and the inner step.  A NaN or
-    Inf anywhere aborts the run with a NumericError whose payload is the
-    trace up to the failure.  The trace carries the built problem.  A problem
+    effectively sums to m).  Values and gradients come from one
+    ``ObjectiveSet.evaluate`` call per iterate, shared by the weight
+    optimizer and the inner step; x0's shape is checked once, before the
+    first step, and the gradient norm and residual are computed only for
+    recorded steps.  A NaN or Inf in the iterate, a value or the weighted
+    gradient aborts the run with a NumericError whose payload is the trace
+    up to the failure.  The trace carries the built problem.  A problem
     spec that its builder rejects, or weighting settings that do not fit the
     problem, raise ConfigurationError before the first step.
     """
@@ -314,6 +316,7 @@ def run(cfg: RunConfig) -> RunTrace:
     inner_step = cfg.inner.step * scale
 
     trace = RunTrace(records=[], config=cfg, problem=problem)
+    x_star = problem.optimum.x_star
     adam_state = adam_init(x) if isinstance(cfg.inner, AdamConfig) else None
 
     def fail(message: str, step: int) -> NumericError:
@@ -324,27 +327,22 @@ def run(cfg: RunConfig) -> RunTrace:
     for k in range(cfg.steps + 1):
         if not np.isfinite(x).all():
             raise fail("non-finite iterate", k)
-        fvals = objs.values(x)
+        fvals, J = objs.evaluate(x)
         if not np.isfinite(fvals).all():
             raise fail("non-finite objective value", k)
-        J = objs.gradients(x)
         w, lambda_est, gap = weigh(fvals, J, x)
 
         g = weighted_gradient(J, w)
         if not np.isfinite(g).all():
             raise fail("non-finite gradient", k)
-        grad_norm = float(np.linalg.norm(g))
 
         if k % cfg.record_every == 0 or k == cfg.steps:
-            res = None
-            if problem.optimum.x_star is not None:
-                res = residual_of(x, problem.optimum)
             record = IterateRecord(
                 step=k,
                 f=fvals,
                 w=w.as_array(),
-                grad_norm=grad_norm,
-                residual=res,
+                grad_norm=float(np.linalg.norm(g)),
+                residual=None if x_star is None else float(np.linalg.norm(x - x_star)),
                 msq=problem.msq(x) if problem.msq is not None else None,
                 mnorm=problem.mnorm(x) if problem.mnorm is not None else None,
                 lambda_min_est=lambda_est,

@@ -119,6 +119,9 @@ class _QuadraticStack:
     def gradients(self, x: Array) -> Array:
         return 2.0 * (self.H @ x)
 
+    def evaluate(self, x: Array) -> tuple[Array, Array]:
+        return self.values(x), self.gradients(x)
+
     def diag_hessians(self, x: Array) -> Array:
         return 2.0 * np.diagonal(self.H, axis1=1, axis2=2)
 
@@ -261,11 +264,14 @@ class _TwoLayerMatching:
     targets stay exactly representable).  Objective i averages
     (r' H_i r)^alpha_i over the dataset, r = h(x) - t(x).
 
-    ``values``, ``gradients`` and ``diag_hessians`` evaluate the objectives in
-    ``rows`` (all by default) with one forward pass and products batched over
-    the stacked H_i; each oracle is its objective's one-row slice.  The powers
-    q^alpha (numpy's scalar-exponent fast paths) and p1 @ A^2 stay per
-    objective because their batched forms round differently.
+    ``evaluate`` returns the values and gradients of the objectives in
+    ``rows`` (all by default) from one forward pass, with products batched
+    over the stacked H_i; ``values`` and ``gradients`` are its two halves,
+    and ``diag_hessians`` makes its own pass.  Each oracle is its objective's
+    one-row slice.  The powers q^alpha (numpy's scalar-exponent fast paths)
+    and p1 @ A^2 stay per objective because their batched forms round
+    differently.  Every H_i is diagonal, and ``diag_hessians`` uses only the
+    diagonals.
 
     ``diag_hessians`` skips exactly-zero terms: the C2 = 4 alpha (alpha-1)
     q^(alpha-2) terms when alpha = 1, and for relu the act'' = 0 term, with
@@ -320,6 +326,9 @@ class _TwoLayerMatching:
         else:
             raise ValueError(f"unknown mlp variant {spec.variant!r}")
         self.h_stack = np.stack(h_mats)
+        self.hdiag = np.diagonal(self.h_stack, axis1=1, axis2=2).copy()
+        if not np.array_equal(self.h_stack, self.hdiag[:, :, None] * np.eye(d_o)):
+            raise ValueError("every output weighting H_i must be diagonal")
         self.m = len(h_mats)
 
     def pack(self, w1, b1, w2, b2) -> Array:
@@ -379,14 +388,11 @@ class _TwoLayerMatching:
             c2 = 4.0 * alpha * (alpha - 1.0) * q ** (alpha - 2.0)
         return np.where(q > 0.0, c2, 0.0) if alpha < 2.0 else c2
 
-    def values(self, theta: Array, rows: slice = slice(None)) -> Array:
-        *_, R = self._forward(theta)
-        q, _ = self._per_sample(R, rows)
-        return np.stack([qk**a for a, qk in zip(self.alphas[rows], q)]).mean(axis=1)
-
-    def gradients(self, theta: Array, rows: slice = slice(None)) -> Array:
+    def evaluate(self, theta: Array, rows: slice = slice(None)) -> tuple[Array, Array]:
+        """(values, gradients) of the objectives in ``rows``, one forward pass."""
         w2, Z, A, R = self._forward(theta)
         q, V = self._per_sample(R, rows)
+        fvals = np.stack([qk**a for a, qk in zip(self.alphas[rows], q)]).mean(axis=1)
         N = R.shape[0]
         U = self._slopes(q, rows)[:, :, None] * V
         gw2 = np.matmul(U.transpose(0, 2, 1), A) / N
@@ -394,7 +400,13 @@ class _TwoLayerMatching:
         S = np.matmul(U, w2) * self._act_prime(Z)
         gw1 = np.matmul(S.transpose(0, 2, 1), self.X) / N
         gb1 = S.sum(axis=1) / N
-        return self.pack(gw1, gb1, gw2, gb2)
+        return fvals, self.pack(gw1, gb1, gw2, gb2)
+
+    def values(self, theta: Array, rows: slice = slice(None)) -> Array:
+        return self.evaluate(theta, rows)[0]
+
+    def gradients(self, theta: Array, rows: slice = slice(None)) -> Array:
+        return self.evaluate(theta, rows)[1]
 
     def diag_hessians(self, theta: Array, rows: slice = slice(None)) -> Array:
         """Exact parameterwise second derivatives (almost everywhere for relu).
@@ -407,14 +419,14 @@ class _TwoLayerMatching:
         w2, Z, A, R = self._forward(theta)
         q, V = self._per_sample(R, rows)
         p1 = self._slopes(q, rows)
-        H, N = self.h_stack[rows], R.shape[0]
+        hdiag, N = self.hdiag[rows], R.shape[0]
         relu = self.spec.activation == "relu"
 
-        hdiag, A2 = np.diagonal(H, axis1=1, axis2=2), A**2
+        A2 = A**2
         dw2 = hdiag[:, :, None] * np.stack([pk @ A2 for pk in p1])[:, None, :] / N
         db2 = hdiag * np.mean(p1, axis=1)[:, None]
         # + 0.0 turns a -0.0 into +0.0, as the skipped + C2 S^2 did.
-        g2 = np.einsum("oj,kop,pj->kj", w2, H, w2) + 0.0
+        g2 = np.einsum("oj,ko,oj->kj", w2, hdiag, w2) + 0.0
         coeff = p1[:, :, None] * g2[:, None, :]
         S = None if relu else np.matmul(V, w2)
         alphas = self.alphas[rows]

@@ -5,11 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import amoo.driver
 from amoo.core import (
     FLOORED_SIMPLEX,
     SIMPLEX,
     NumericError,
+    ObjectiveOracle,
     ObjectiveSet,
+    OptimalInfo,
     WeightVector,
     residual,
     weighted_gradient,
@@ -28,7 +31,7 @@ from amoo.driver import (
     theory_pamoo,
 )
 from amoo.hessians import HutchinsonConfig, diag_hessian_matrix
-from amoo.problems import ProblemSpec, _TwoLayerMatching, build
+from amoo.problems import Problem, ProblemMeta, ProblemSpec, _TwoLayerMatching, build
 from amoo.weighting import (
     CamooConfig,
     PamooConfig,
@@ -289,20 +292,19 @@ class TestCamooRuns:
             np.testing.assert_allclose(rec.w, [0.2, 0.2, 0.6], atol=1e-9)
 
 
+ONE_EVAL_WEIGHTINGS = {
+    "ew": WeightingChoice(kind="ew"),
+    "camoo-diag": WeightingChoice(
+        kind="camoo", camoo=CamooConfig(mode="diagonal-bilinear")
+    ),
+    "pamoo": WeightingChoice(kind="pamoo"),
+}
+
+
 class TestOneEvaluationPerIterate:
-    @pytest.mark.parametrize(
-        "weighting",
-        [
-            WeightingChoice(kind="ew"),
-            WeightingChoice(
-                kind="camoo", camoo=CamooConfig(mode="diagonal-bilinear")
-            ),
-            WeightingChoice(kind="pamoo"),
-        ],
-        ids=["ew", "camoo-diag", "pamoo"],
-    )
-    def test_values_and_gradients_once(self, monkeypatch, weighting):
-        calls = {"values": 0, "gradients": 0}
+    @pytest.mark.parametrize("kind", list(ONE_EVAL_WEIGHTINGS))
+    def test_one_evaluate_call_per_iterate(self, monkeypatch, kind):
+        calls = {"evaluate": 0, "values": 0, "gradients": 0}
         for name in calls:
             original = getattr(ObjectiveSet, name)
 
@@ -311,9 +313,34 @@ class TestOneEvaluationPerIterate:
                 return _original(self, x)
 
             monkeypatch.setattr(ObjectiveSet, name, counted)
-        trace = spec_run(weighting, steps=10, step=0.1)
+        trace = spec_run(ONE_EVAL_WEIGHTINGS[kind], steps=10, step=0.1)
         assert len(trace.records) == 11
-        assert calls == {"values": 11, "gradients": 11}
+        assert calls == {"evaluate": 11, "values": 0, "gradients": 0}
+
+    @pytest.mark.parametrize("kind", list(ONE_EVAL_WEIGHTINGS))
+    def test_one_forward_pass_per_iterate_on_the_mlp(self, monkeypatch, kind):
+        # Each record adds msq and mnorm; diagonal CAMOO adds its Hessian pass.
+        passes = []
+        original = _TwoLayerMatching._forward
+
+        def counted(self, theta):
+            passes.append(theta)
+            return original(self, theta)
+
+        monkeypatch.setattr(_TwoLayerMatching, "_forward", counted)
+        steps = 20
+        trace = run(
+            RunConfig(
+                problem=SMALL_MLP,
+                weighting=ONE_EVAL_WEIGHTINGS[kind],
+                inner=AdamConfig(step=1e-3),
+                steps=steps,
+                record_every=5,
+            )
+        )
+        assert len(trace.records) == 5
+        per_iterate = 2 if kind == "camoo-diag" else 1
+        assert len(passes) == per_iterate * (steps + 1) + 2 * len(trace.records)
 
 
 class TestPamooRuns:
@@ -397,6 +424,57 @@ class TestNumericFailure:
         assert trace is not None
         assert trace.error is not None
         assert len(trace.records) > 0
+        assert all(np.all(np.isfinite(r.f)) for r in trace.records)
+
+    # One-objective per-oracle sets (no stacked evaluator) on R^1, each first
+    # non-finite at step 2: f = x^2 under GD step 0.25 halves x, and the
+    # linear ramp's iterate moves 1e308 per step, so it overflows at step 2.
+    # A poisoned value comes with a poisoned gradient, and the value is named.
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize(
+        "poison, step, message",
+        [
+            ("ramp", 1e308, "non-finite iterate"),
+            ("value", 0.25, "non-finite objective value"),
+            ("gradient", 0.25, "non-finite gradient"),
+        ],
+    )
+    def test_first_non_finite_quantity_is_named(
+        self, monkeypatch, poison, step, message
+    ):
+        def square(x):
+            return float(x @ x) if poison != "value" or x[0] > 0.3 else np.nan
+
+        def square_gradient(x):
+            return 2.0 * x if x[0] > 0.3 else np.full(1, np.nan)
+
+        if poison == "ramp":
+            oracle = ObjectiveOracle(
+                dim=1, value=lambda x: float(-x[0]), gradient=lambda x: -np.ones(1)
+            )
+        else:
+            oracle = ObjectiveOracle(dim=1, value=square, gradient=square_gradient)
+        x0 = np.zeros(1) if poison == "ramp" else np.ones(1)
+        problem = Problem(
+            ObjectiveSet((oracle,)),
+            OptimalInfo(x_star=np.zeros(1), f_star=np.zeros(1)),
+            ProblemMeta(beta=None, mu_g=None, mu_l=None, m_self=None),
+            x0=x0,
+            spec=SPEC01,
+        )
+        monkeypatch.setattr(amoo.driver, "build_problem", lambda spec: problem)
+        cfg = RunConfig(
+            problem=SPEC01,
+            weighting=WeightingChoice(kind="ew"),
+            inner=GDConfig(step=step),
+            steps=10,
+        )
+        with pytest.raises(NumericError) as err:
+            run(cfg)
+        trace = err.value.payload
+        assert trace.error == f"step 2: {message}"
+        assert str(err.value) == trace.error
+        assert len(trace.records) == 2
         assert all(np.all(np.isfinite(r.f)) for r in trace.records)
 
 

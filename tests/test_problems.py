@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from amoo.core import WeightVector
 from amoo.hessians import HutchinsonConfig, diag_hessian_matrix
 from amoo.linalg import min_eigenpair, weighted_hessian
-from amoo.problems import ProblemSpec, build, build_mlp_matching, misalign
+from amoo.problems import KINDS, ProblemSpec, build, build_mlp_matching, misalign
 
 
 def fd_gradient(value, x, rel_step=1e-6):
@@ -223,6 +223,51 @@ class TestQuadraticStack:
     )
     def test_pure_quadratic_kinds_are_stacked(self, spec, stacked):
         assert (build(spec).objectives.stacked is not None) == stacked
+
+
+EVALUATE_CASES = {
+    "specification": ProblemSpec(kind="specification", delta=0.2),
+    "selection": ProblemSpec(kind="selection", delta=0.1, m=3, n=4),
+    "local_curvature": ProblemSpec(kind="local_curvature", n=3),
+    "quad_family": ProblemSpec(
+        kind="quad_family", h_list=(((2.0, 0.5), (0.5, 1.0)), ((1.0, 0.0), (0.0, 3.0)))
+    ),
+    "quad_family-alpha": ProblemSpec(
+        kind="quad_family",
+        h_list=(((2.0, 0.5), (0.5, 1.0)), ((1.0, -0.3), (-0.3, 3.0))),
+        alpha_list=(1.0, 1.5),
+    ),
+    "mlp_matching-selection": ProblemSpec(kind="mlp_matching", variant="selection"),
+    "mlp_matching-local_curvature": ProblemSpec(
+        kind="mlp_matching", variant="local_curvature", activation="softplus"
+    ),
+    "misaligned": ProblemSpec(
+        kind="misaligned",
+        base=ProblemSpec(kind="specification"),
+        shifts=((0.1, 0.2), (-0.1, 0.05)),
+    ),
+}
+
+
+def test_evaluate_cases_cover_every_kind():
+    assert {spec.kind for spec in EVALUATE_CASES.values()} == set(KINDS)
+
+
+@pytest.mark.parametrize("point", ["x0", "x_star", "random"])
+@pytest.mark.parametrize("case", list(EVALUATE_CASES))
+def test_evaluate_is_values_and_gradients(case, point):
+    problem = build(EVALUATE_CASES[case])
+    objs = problem.objectives
+    rng = np.random.default_rng(3)
+    x = {
+        "x0": problem.x0,
+        "x_star": problem.optimum.x_star,
+        "random": problem.x0 + 0.3 * rng.normal(size=objs.dim),
+    }[point]
+    x = np.array(x, dtype=np.float64)
+    fvals, J = objs.evaluate(x)
+    assert fvals.tobytes() == objs.values(x).tobytes()
+    assert J.tobytes() == objs.gradients(x).tobytes()
 
 
 class TestMlpMatching:
