@@ -20,7 +20,7 @@ oracle = ObjectiveOracle(
 )
 est = hutchinson_diag(oracle, [0.3, -1.0, 2.0], HutchinsonConfig(num_samples=1))
 print("diagonal H:", np.diagonal(H))
-print("one probe :", np.round(est.values, 10))
+print("one probe :", np.round(est, 10))
 print()
 
 # --- off-diagonal mass averages out ------------------------------------------
@@ -36,7 +36,7 @@ for n in (1, 10, 100, 1000, 10000):
     est = hutchinson_diag(
         dense, np.zeros(12), HutchinsonConfig(num_samples=n, rng_seed=42)
     )
-    err = np.abs(est.values - np.diagonal(M))
+    err = np.abs(est - np.diagonal(M))
     print(f"{n:>8} {err.max():>12.4f} {(err / np.abs(np.diagonal(M))).max():>12.4f}")
 print()
 

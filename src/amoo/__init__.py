@@ -14,7 +14,6 @@ from .core import (
     OptimalInfo,
     UnsupportedQueryError,
     WeightVector,
-    residual,
     weighted_gradient,
 )
 from .driver import (
@@ -80,7 +79,6 @@ __all__ = [
     "pamoo_context",
     "pamoo_weights",
     "recurrence_simulate_and_bound",
-    "residual",
     "run",
     "self_concordance_check",
     "solve_bilinear_pu",

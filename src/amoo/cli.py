@@ -429,6 +429,12 @@ def cmd_verify(seed: int = 0, print_fn=print) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _nonnegative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="amoo",
@@ -457,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list-problems", help="list buildable problem kinds")
 
     p_ver = sub.add_parser("verify", help="run the numeric verification suites")
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--seed", type=_nonnegative_int, default=0)
 
     return parser
 

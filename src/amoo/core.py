@@ -111,10 +111,9 @@ class ObjectiveOracle:
 class ObjectiveSet:
     """m objectives sharing one parameter space.
 
-    ``stacked``, when given, replaces the per-oracle loop: its ``values(x)``,
-    ``gradients(x)`` and ``diag_hessians(x)`` return (m,), (m, n) and (m, n)
-    arrays bitwise equal to stacking the oracles' own results; its
-    ``evaluate(x)`` returns ``(values(x), gradients(x))`` in one call.
+    ``stacked``, when given, replaces the per-oracle loops: its one method,
+    ``evaluate(x)``, returns what ``ObjectiveSet.evaluate`` does, bitwise
+    equal to stacking the oracles' own results.
     """
 
     objectives: tuple[ObjectiveOracle, ...]
@@ -139,23 +138,26 @@ class ObjectiveSet:
     def values(self, x) -> Array:
         x = as_vector(x, self.dim)
         if self.stacked is not None:
-            return self.stacked.values(x)
+            return self.stacked.evaluate(x)[0]
         return np.array([o.value(x) for o in self.objectives], dtype=np.float64)
 
     def gradients(self, x) -> Array:
         """Stacked gradients, shape (m, n)."""
         x = as_vector(x, self.dim)
         if self.stacked is not None:
-            return self.stacked.gradients(x)
+            return self.stacked.evaluate(x)[1]
         return np.stack([o._checked_gradient(x) for o in self.objectives])
 
-    def evaluate(self, x: Array) -> tuple[Array, Array]:
-        """Values (m,) and stacked gradients (m, n) at x, which must already be
-        a float64 vector of length ``dim``: unlike ``values``, it is not checked."""
+    def evaluate(self, x: Array) -> tuple[Array, Array, Callable[[], Array]]:
+        """Values (m,), stacked gradients (m, n) and a zero-argument callable
+        giving the (m, n) Hessian diagonals, all at x, which must already be a
+        float64 vector of length ``dim``: unlike ``values``, it is not checked.
+        A stacked evaluator's callable reuses the pass that gave the values."""
         if self.stacked is not None:
             return self.stacked.evaluate(x)
         fvals = np.array([o.value(x) for o in self.objectives], dtype=np.float64)
-        return fvals, np.stack([o._checked_gradient(x) for o in self.objectives])
+        J = np.stack([o._checked_gradient(x) for o in self.objectives])
+        return fvals, J, lambda: np.stack([o.diag_hessian_at(x) for o in self.objectives])
 
     def hessians(self, x) -> list[Array]:
         x = as_vector(x, self.dim)
@@ -245,10 +247,3 @@ def weighted_gradient(J, w: WeightVector) -> Array:
         raise ValueError(f"weight vector has {len(w)} entries for {len(J)} objectives")
     return w.as_array() @ J
 
-
-def residual(x, opt: OptimalInfo) -> float:
-    """Euclidean distance from x to the recorded optimum."""
-    if opt.x_star is None:
-        raise UnsupportedQueryError("optimum location is not recorded")
-    x = as_vector(x, len(opt.x_star))
-    return float(np.linalg.norm(x - opt.x_star))

@@ -143,6 +143,8 @@ class RunConfig:
             raise ConfigurationError("steps must be nonnegative")
         if self.record_every < 1:
             raise ConfigurationError("record_every must be positive")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -193,8 +195,8 @@ def build_problem(spec: problems.ProblemSpec) -> problems.Problem:
 
 
 def _weigher(cfg: RunConfig, problem: problems.Problem):
-    """The run's weight rule as ``weigh(fvals, J, x) -> (weights,
-    lambda_min_est, pu_gap)``.
+    """The run's weight rule as ``weigh(fvals, J, diag, x) -> (weights,
+    lambda_min_est, pu_gap)``, from one ``ObjectiveSet.evaluate(x)``.
 
     The settings are checked against the problem here, before the first step,
     and each rule keeps its own warm start from one call to the next.
@@ -218,7 +220,7 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
                 "set f_star_override)"
             )
 
-        def weigh_pamoo(fvals, J, x):
+        def weigh_pamoo(fvals, J, diag, x):
             nonlocal warm
             w = pamoo_weights(pamoo_context(fvals, J, f_star), wc.pamoo, warm=warm)
             warm = w.as_array()
@@ -235,7 +237,7 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
             )
         if camoo.mode == MODE_EXACT:
 
-            def weigh_exact(fvals, J, x):
+            def weigh_exact(fvals, J, diag, x):
                 nonlocal warm
                 result = solve_camoo_exact(objs.hessians(x), camoo, warm=warm)
                 warm = result.weights.as_array()
@@ -251,16 +253,16 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
         )
         constraint = FLOORED_SIMPLEX if camoo.w_min > 0 else SIMPLEX
 
-        def weigh_diagonal(fvals, J, x):
+        def weigh_diagonal(fvals, J, diag, x):
             nonlocal warm
-            diag = tracker.update(objs, x, force_estimate=wc.force_hutchinson)
-            sol = solve_bilinear_pu(diag, camoo, warm=warm)
+            hdiag = tracker.update(objs, x) if wc.force_hutchinson else diag()
+            sol = solve_bilinear_pu(hdiag, camoo, warm=warm)
             w_arr = sol.w
             if camoo.w_min > 0:
                 w_arr = project_floored_simplex(w_arr, camoo.w_min)
             w = WeightVector(w_arr, constraint, camoo.w_min)
             warm = (w.as_array(), sol.q)
-            return w, float((w_arr @ diag).min()), sol.gap
+            return w, float((w_arr @ hdiag).min()), sol.gap
 
         return weigh_diagonal
 
@@ -278,7 +280,7 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
             raise ConfigurationError(f"bad fixed weights in weighting: {exc}") from exc
         if not const_w.as_array().sum() > 0:
             raise ConfigurationError("bad fixed weights in weighting: they sum to 0")
-    return lambda fvals, J, x: (const_w, None, None)
+    return lambda fvals, J, diag, x: (const_w, None, None)
 
 
 def run(cfg: RunConfig) -> RunTrace:
@@ -289,9 +291,10 @@ def run(cfg: RunConfig) -> RunTrace:
     weights computed there.  When the weighting is curvature-adaptive and
     ``camoo_lr_scale_by_m`` is set, the inner step is multiplied by the
     number of objectives (simplex weights sum to 1 where equal weighting
-    effectively sums to m).  Values and gradients come from one
-    ``ObjectiveSet.evaluate`` call per iterate, shared by the weight
-    optimizer and the inner step; x0's shape is checked once, before the
+    effectively sums to m).  Values, gradients and the Hessian diagonals
+    come from one ``ObjectiveSet.evaluate`` call per iterate, shared by the
+    weight rule and the inner step; only the diagonal CAMOO rule forms the
+    diagonals, from that same pass.  x0's shape is checked once, before the
     first step, and the gradient norm and residual are computed only for
     recorded steps.  A NaN or Inf in the iterate, a value or the weighted
     gradient aborts the run with a NumericError whose payload is the trace
@@ -327,10 +330,10 @@ def run(cfg: RunConfig) -> RunTrace:
     for k in range(cfg.steps + 1):
         if not np.isfinite(x).all():
             raise fail("non-finite iterate", k)
-        fvals, J = objs.evaluate(x)
+        fvals, J, diag = objs.evaluate(x)
         if not np.isfinite(fvals).all():
             raise fail("non-finite objective value", k)
-        w, lambda_est, gap = weigh(fvals, J, x)
+        w, lambda_est, gap = weigh(fvals, J, diag, x)
 
         g = weighted_gradient(J, w)
         if not np.isfinite(g).all():

@@ -27,16 +27,8 @@ class HutchinsonConfig:
             raise ValueError("num_samples must be at least 1")
         if self.fd_step <= 0:
             raise ValueError("fd_step must be positive")
-
-
-@dataclass(frozen=True)
-class DiagHessianEstimate:
-    values: Array
-    samples_used: int
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("diagonal estimate has non-finite entries")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be nonnegative")
 
 
 def hvp_fd(oracle: ObjectiveOracle, x, v, step: float = 1e-4) -> Array:
@@ -65,14 +57,13 @@ def _rademacher(seq: np.random.SeedSequence, n: int) -> Array:
     return rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0
 
 
-def hutchinson_diag(
-    oracle: ObjectiveOracle, x, cfg: HutchinsonConfig
-) -> DiagHessianEstimate:
+def hutchinson_diag(oracle: ObjectiveOracle, x, cfg: HutchinsonConfig) -> Array:
     """Estimate diag(H) at x as the average of z * (Hz) over Rademacher z.
 
     Uses the analytic Hessian when the oracle carries one, a
     finite-difference Hessian-vector product otherwise.  Deterministic given
-    ``cfg.rng_seed``; the expectation over z equals the true diagonal.
+    ``cfg.rng_seed``; the expectation over z equals the true diagonal.  A
+    non-finite estimate raises ValueError.
     """
     x = as_vector(x, oracle.dim)
     n = oracle.dim
@@ -83,36 +74,24 @@ def hutchinson_diag(
         z = _rademacher(seq, n)
         hz = H @ z if H is not None else hvp_fd(oracle, x, z, cfg.fd_step)
         acc += z * hz
-    return DiagHessianEstimate(values=acc / cfg.num_samples, samples_used=cfg.num_samples)
+    est = acc / cfg.num_samples
+    if not np.isfinite(est).all():
+        raise ValueError("diagonal estimate has non-finite entries")
+    return est
 
 
-def diag_hessian_matrix(
-    objectives: ObjectiveSet,
-    x,
-    cfg: HutchinsonConfig,
-    force_estimate: bool = False,
-) -> Array:
-    """Stack per-objective Hessian diagonals into an (m, n) matrix.
-
-    Row i is the analytic diagonal when objective i provides a diagonal or
-    a full Hessian (unless ``force_estimate``; one pass for a set with a
-    stacked evaluator), and the Hutchinson estimate otherwise, from the i-th
-    substream of ``cfg.rng_seed``, spawned only when some row is estimated.
-    """
+def diag_hessian_matrix(objectives: ObjectiveSet, x, cfg: HutchinsonConfig) -> Array:
+    """Hutchinson estimates of the m Hessian diagonals as an (m, n) matrix,
+    row i from the i-th substream of ``cfg.rng_seed``.  Analytic diagonals
+    come from ``ObjectiveSet.evaluate(x)[2]()`` instead."""
     x = as_vector(x, objectives.dim)
-    if objectives.stacked is not None and not force_estimate:
-        return objectives.stacked.diag_hessians(x)
-    rows = np.empty((objectives.m, objectives.dim))
-    seeds = None
-    for i, oracle in enumerate(objectives.objectives):
-        if (oracle.has_diag_hessian or oracle.has_hessian) and not force_estimate:
-            rows[i] = oracle.diag_hessian_at(x)
-        else:
-            if seeds is None:
-                seeds = np.random.SeedSequence(cfg.rng_seed).spawn(objectives.m)
-            sub = replace(cfg, rng_seed=seeds[i].generate_state(1)[0])
-            rows[i] = hutchinson_diag(oracle, x, sub).values
-    return rows
+    seeds = np.random.SeedSequence(cfg.rng_seed).spawn(objectives.m)
+    return np.stack(
+        [
+            hutchinson_diag(o, x, replace(cfg, rng_seed=s.generate_state(1)[0]))
+            for o, s in zip(objectives.objectives, seeds)
+        ]
+    )
 
 
 class DiagHessianTracker:
@@ -123,7 +102,7 @@ class DiagHessianTracker:
         self.cfg = cfg
         self._calls = 0
 
-    def update(self, objectives: ObjectiveSet, x, force_estimate: bool = False) -> Array:
+    def update(self, objectives: ObjectiveSet, x) -> Array:
         call_cfg = replace(self.cfg, rng_seed=self.cfg.rng_seed + self._calls)
         self._calls += 1
-        return diag_hessian_matrix(objectives, x, call_cfg, force_estimate)
+        return diag_hessian_matrix(objectives, x, call_cfg)

@@ -16,7 +16,9 @@ several output-weighted losses, and ``misalign`` shifts each objective of a
 base problem to produce approximately aligned instances.
 """
 
+from copy import copy
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -113,16 +115,11 @@ class _QuadraticStack:
     def __init__(self, mats):
         self.H = np.stack(mats)
 
-    def values(self, x: Array) -> Array:
-        return np.array([r.dot(x) for r in x @ self.H])
+    def evaluate(self, x: Array):
+        values = np.array([r.dot(x) for r in x @ self.H])
+        return values, 2.0 * (self.H @ x), self._diagonals
 
-    def gradients(self, x: Array) -> Array:
-        return 2.0 * (self.H @ x)
-
-    def evaluate(self, x: Array) -> tuple[Array, Array]:
-        return self.values(x), self.gradients(x)
-
-    def diag_hessians(self, x: Array) -> Array:
+    def _diagonals(self) -> Array:
         return 2.0 * np.diagonal(self.H, axis1=1, axis2=2)
 
 
@@ -264,20 +261,21 @@ class _TwoLayerMatching:
     targets stay exactly representable).  Objective i averages
     (r' H_i r)^alpha_i over the dataset, r = h(x) - t(x).
 
-    ``evaluate`` returns the values and gradients of the objectives in
-    ``rows`` (all by default) from one forward pass, with products batched
-    over the stacked H_i; ``values`` and ``gradients`` are its two halves,
-    and ``diag_hessians`` makes its own pass.  Each oracle is its objective's
-    one-row slice.  The powers q^alpha (numpy's scalar-exponent fast paths)
-    and p1 @ A^2 stay per objective because their batched forms round
-    differently.  Every H_i is diagonal, and ``diag_hessians`` uses only the
-    diagonals.
+    ``evaluate`` is the stacked evaluator of ``ObjectiveSet``: one forward
+    pass gives the values, the gradients and, on demand, the Hessian
+    diagonals of all objectives, with products batched over the stacked H_i.
+    Each oracle runs the same pass for its objective alone, so a query of one
+    objective does one objective's backward work, not m.  The powers q^alpha
+    (numpy's scalar-exponent fast paths) and p1 @ A^2 stay per objective
+    because their batched forms round differently.  Every H_i is diagonal,
+    and the Hessian diagonal uses only the diagonals.
 
-    ``diag_hessians`` skips exactly-zero terms: the C2 = 4 alpha (alpha-1)
-    q^(alpha-2) terms when alpha = 1, and for relu the act'' = 0 term, with
-    act' (0 or 1) for act'^2.  A skipped +0.0 only ever turned -0.0 into +0.0,
-    which the + 0.0 on g2 keeps, so the bits equal the full form's wherever it
-    is finite (it gave NaN for alpha = 1 at a subnormal q).
+    The Hessian diagonal skips exactly-zero terms: the C2 = 4 alpha (alpha-1)
+    q^(alpha-2) terms of the objectives with alpha = 1 (all but ``bent``),
+    and for relu the act'' = 0 term, with act' (0 or 1) for act'^2.  A skipped
+    +0.0 only ever turned -0.0 into +0.0, which the + 0.0 on g2 keeps, so the
+    bits equal the full form's wherever it is finite (it gave NaN for
+    alpha = 1 at a subnormal q).
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -319,17 +317,35 @@ class _TwoLayerMatching:
 
         if spec.variant == "selection":
             h_mats = [np.diag(np.r_[1.0, np.full(d_o - 1, 0.01**i)]) for i in range(3)]
-            self.alphas = (1.0, 1.0, 1.0)
+            alphas = (1.0, 1.0, 1.0)
         elif spec.variant == "local_curvature":
             h_mats = [np.eye(d_o) for _ in range(3)]
-            self.alphas = (1.0, 1.5, 2.0)
+            alphas = (1.0, 1.5, 2.0)
         else:
             raise ValueError(f"unknown mlp variant {spec.variant!r}")
+        self._set_objectives(h_mats, alphas)
+
+    def _set_objectives(self, h_mats, alphas) -> None:
+        """Objective i weights the residual by h_mats[i] with power alphas[i];
+        ``bent`` is the slice of the objectives with alpha != 1."""
         self.h_stack = np.stack(h_mats)
         self.hdiag = np.diagonal(self.h_stack, axis1=1, axis2=2).copy()
+        d_o = self.h_stack.shape[-1]
         if not np.array_equal(self.h_stack, self.hdiag[:, :, None] * np.eye(d_o)):
             raise ValueError("every output weighting H_i must be diagonal")
-        self.m = len(h_mats)
+        self.alphas = tuple(alphas)
+        self.m = len(self.alphas)
+        bent = [k for k, a in enumerate(self.alphas) if a != 1.0]
+        self.bent = slice(bent[0], bent[-1] + 1) if bent else slice(0)
+        if len(self.alphas[self.bent]) != len(bent):
+            raise ValueError("the objectives with alpha != 1 must be adjacent")
+
+    def _objective(self, i: int) -> "_TwoLayerMatching":
+        """This network with objective i alone, for that objective's oracle:
+        a shallow copy that shares the data and has its own objective rows."""
+        one = copy(self)
+        one._set_objectives(self.h_stack[i : i + 1], self.alphas[i : i + 1])
+        return one
 
     def pack(self, w1, b1, w2, b2) -> Array:
         lead = b1.shape[:-1]  # (k,) when packing k stacked parameter sets
@@ -370,14 +386,10 @@ class _TwoLayerMatching:
         R = A @ w2.T + b2 - self.targets
         return w2, Z, A, R
 
-    def _per_sample(self, R: Array, rows: slice):
+    def _per_sample(self, R: Array):
         """Per-sample losses q = r'H r and the products H r, one row per objective."""
-        V = np.matmul(R, self.h_stack[rows])
+        V = np.matmul(R, self.h_stack)
         return np.einsum("nd,knd->kn", R, V), V
-
-    def _slopes(self, q: Array, rows: slice) -> Array:
-        """Per-sample weights 2 alpha q^(alpha-1), one row per objective."""
-        return np.stack([2 * a * qk ** (a - 1) for a, qk in zip(self.alphas[rows], q)])
 
     @staticmethod
     def _curvature(q: Array, alpha: float) -> Array:
@@ -388,27 +400,25 @@ class _TwoLayerMatching:
             c2 = 4.0 * alpha * (alpha - 1.0) * q ** (alpha - 2.0)
         return np.where(q > 0.0, c2, 0.0) if alpha < 2.0 else c2
 
-    def evaluate(self, theta: Array, rows: slice = slice(None)) -> tuple[Array, Array]:
-        """(values, gradients) of the objectives in ``rows``, one forward pass."""
+    def evaluate(self, theta: Array):
+        """(values, gradients, diagonals) of every objective from one forward
+        pass; ``diagonals()`` forms the Hessian diagonals from that pass."""
         w2, Z, A, R = self._forward(theta)
-        q, V = self._per_sample(R, rows)
-        fvals = np.stack([qk**a for a, qk in zip(self.alphas[rows], q)]).mean(axis=1)
+        q, V = self._per_sample(R)
+        fvals = np.stack([qk**a for a, qk in zip(self.alphas, q)]).mean(axis=1)
         N = R.shape[0]
-        U = self._slopes(q, rows)[:, :, None] * V
+        # Per-sample weights 2 alpha q^(alpha-1), one row per objective.
+        p1 = np.stack([2 * a * qk ** (a - 1) for a, qk in zip(self.alphas, q)])
+        U = p1[:, :, None] * V
         gw2 = np.matmul(U.transpose(0, 2, 1), A) / N
         gb2 = U.sum(axis=1) / N
         S = np.matmul(U, w2) * self._act_prime(Z)
         gw1 = np.matmul(S.transpose(0, 2, 1), self.X) / N
         gb1 = S.sum(axis=1) / N
-        return fvals, self.pack(gw1, gb1, gw2, gb2)
+        grads = self.pack(gw1, gb1, gw2, gb2)
+        return fvals, grads, partial(self._diag_hessians, w2, Z, A, q, V, p1)
 
-    def values(self, theta: Array, rows: slice = slice(None)) -> Array:
-        return self.evaluate(theta, rows)[0]
-
-    def gradients(self, theta: Array, rows: slice = slice(None)) -> Array:
-        return self.evaluate(theta, rows)[1]
-
-    def diag_hessians(self, theta: Array, rows: slice = slice(None)) -> Array:
+    def _diag_hessians(self, w2, Z, A, q, V, p1) -> Array:
         """Exact parameterwise second derivatives (almost everywhere for relu).
 
         Each single parameter enters the network output linearly except
@@ -416,10 +426,7 @@ class _TwoLayerMatching:
         activation's second derivative; the rest is the output-space loss
         curvature pushed through squared per-parameter sensitivities.
         """
-        w2, Z, A, R = self._forward(theta)
-        q, V = self._per_sample(R, rows)
-        p1 = self._slopes(q, rows)
-        hdiag, N = self.hdiag[rows], R.shape[0]
+        hdiag, N, bent = self.hdiag, Z.shape[0], self.bent
         relu = self.spec.activation == "relu"
 
         A2 = A**2
@@ -429,12 +436,10 @@ class _TwoLayerMatching:
         g2 = np.einsum("oj,ko,oj->kj", w2, hdiag, w2) + 0.0
         coeff = p1[:, :, None] * g2[:, None, :]
         S = None if relu else np.matmul(V, w2)
-        alphas = self.alphas[rows]
-        bent = [k for k, a in enumerate(alphas) if a != 1.0]  # C2 = 0 elsewhere
-        if bent:
-            c2 = np.stack([self._curvature(q[k], alphas[k]) for k in bent])[:, :, None]
-            if bent[-1] - bent[0] == len(bent) - 1:
-                bent = slice(bent[0], bent[-1] + 1)
+        if self.alphas[bent]:  # C2 = 0 for every other objective
+            c2 = np.stack(
+                [self._curvature(qk, a) for qk, a in zip(q[bent], self.alphas[bent])]
+            )[:, :, None]
             CV2 = c2 * V[bent] ** 2
             dw2[bent] += np.einsum("kno,nj->koj", CV2, A2) / N
             db2[bent] += CV2.sum(axis=1) / N
@@ -458,11 +463,12 @@ class _TwoLayerMatching:
 
     def oracles(self) -> tuple[ObjectiveOracle, ...]:
         def make(i: int) -> ObjectiveOracle:
+            one = self._objective(i)
             return ObjectiveOracle(
                 dim=self.n_params,
-                value=lambda th: float(self.values(th, slice(i, i + 1))[0]),
-                gradient=lambda th: self.gradients(th, slice(i, i + 1))[0],
-                diag_hessian=lambda th: self.diag_hessians(th, slice(i, i + 1))[0],
+                value=lambda th: float(one.evaluate(th)[0][0]),
+                gradient=lambda th: one.evaluate(th)[1][0],
+                diag_hessian=lambda th: one.evaluate(th)[2]()[0],
                 name=f"match_f{i + 1}",
             )
 

@@ -93,6 +93,23 @@ class TestRunCommand:
         assert code == 2
         assert f"weighting.{section}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("where", ["run", "weighting.hutchinson"])
+    def test_negative_seed_exits_2_naming_its_section(self, tmp_path, capsys, where):
+        seeds = {"run": 0, "weighting.hutchinson": 0, where: -1}
+        doc = {
+            **VALID_CONFIG,
+            "weighting": {
+                "kind": "camoo",
+                "camoo": {"mode": "diagonal-bilinear"},
+                "hutchinson": {"rng_seed": seeds["weighting.hutchinson"]},
+            },
+            "run": {"steps": 5, "seed": seeds["run"]},
+        }
+        code = cli.cmd_run(write_config(tmp_path, doc), str(tmp_path / "o"))
+        text = capsys.readouterr().out
+        assert code == 2
+        assert f"bad value in {where}" in text and "nonnegative" in text
+
     @pytest.mark.parametrize(
         "section,value",
         [
@@ -606,6 +623,13 @@ class TestListAndVerify:
         assert cli.cmd_verify(seed=0) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 4 and "FAIL" not in out
+
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_verify_rejects_a_seed_that_is_not_a_nonnegative_int(self, capsys, seed):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--seed", seed])
+        assert exc.value.code == 2
+        assert "nonnegative" in capsys.readouterr().err
 
     def test_main_dispatch(self, tmp_path, capsys):
         assert cli.main(["list-problems"]) == 0

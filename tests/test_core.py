@@ -9,7 +9,6 @@ from amoo import (
     OptimalInfo,
     UnsupportedQueryError,
     WeightVector,
-    residual,
     weighted_gradient,
 )
 from amoo.core import FLOORED_SIMPLEX, ORTHANT, SIMPLEX
@@ -143,24 +142,6 @@ class TestSuboptimalityNonnegative:
                     wv.as_array() @ f_star
                 )
                 assert gap >= -1e-12
-
-
-class TestResidual:
-    def test_identity(self):
-        opt = OptimalInfo(x_star=[1.0, 2.0])
-        assert residual([1.0, 2.0], opt) == 0.0
-
-    def test_pythagorean(self):
-        opt = OptimalInfo(x_star=[0.0, 0.0])
-        assert residual([3.0, 4.0], opt) == pytest.approx(5.0, abs=1e-15)
-
-    def test_unit_diagonal(self):
-        opt = OptimalInfo(x_star=[0.0, 0.0])
-        assert residual([1.0, 1.0], opt) == pytest.approx(np.sqrt(2.0), abs=1e-15)
-
-    def test_missing_optimum(self):
-        with pytest.raises(UnsupportedQueryError):
-            residual([1.0], OptimalInfo())
 
 
 class TestWeightVector:

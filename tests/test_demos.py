@@ -1,4 +1,4 @@
-"""Two of the bundled demos run to completion from a fresh interpreter."""
+"""Three of the bundled demos run to completion from a fresh interpreter."""
 
 import os
 import subprocess
@@ -10,7 +10,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["01_weighted_descent.py", "07_network_matching.py"])
+@pytest.mark.parametrize(
+    "demo",
+    ["01_weighted_descent.py", "05_hutchinson_diagonal.py", "07_network_matching.py"],
+)
 def test_demo_exits_cleanly(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(

@@ -84,15 +84,14 @@ class TestHutchinsonDiag:
         est = hutchinson_diag(
             o, [0.7, -0.3], HutchinsonConfig(num_samples=1, rng_seed=9)
         )
-        np.testing.assert_allclose(est.values, [2.0, 0.4], atol=1e-6)
-        assert est.samples_used == 1
+        np.testing.assert_allclose(est, [2.0, 0.4], atol=1e-6)
 
     def test_off_diagonal_concentrates(self):
         o = quadratic_oracle(np.array([[2.0, 1.0], [1.0, 2.0]]), with_hessian=True)
         est = hutchinson_diag(
             o, [0.0, 0.0], HutchinsonConfig(num_samples=10_000, rng_seed=3)
         )
-        np.testing.assert_allclose(est.values, [2.0, 2.0], rtol=0.05)
+        np.testing.assert_allclose(est, [2.0, 2.0], rtol=0.05)
 
     def test_linear_objective_estimates_zero(self):
         o = ObjectiveOracle(
@@ -101,7 +100,7 @@ class TestHutchinsonDiag:
             gradient=lambda x: np.ones(4),
         )
         est = hutchinson_diag(o, np.zeros(4), HutchinsonConfig(num_samples=5))
-        np.testing.assert_allclose(est.values, 0.0, atol=1e-6)
+        np.testing.assert_allclose(est, 0.0, atol=1e-6)
 
     def test_unbiased_on_random_symmetric(self):
         rng = np.random.default_rng(123)
@@ -111,53 +110,62 @@ class TestHutchinsonDiag:
         est = hutchinson_diag(
             o, np.zeros(20), HutchinsonConfig(num_samples=10_000, rng_seed=77)
         )
-        rel = np.abs(est.values - np.diagonal(H)) / np.abs(np.diagonal(H))
+        rel = np.abs(est - np.diagonal(H)) / np.abs(np.diagonal(H))
         assert rel.max() <= 0.05
+
+    def test_non_finite_estimate_raises(self):
+        o = ObjectiveOracle(
+            dim=2, value=lambda x: 0.0, gradient=lambda x: np.full(2, np.nan)
+        )
+        with pytest.raises(ValueError, match="non-finite"):
+            hutchinson_diag(o, np.zeros(2), HutchinsonConfig(num_samples=1))
 
     def test_deterministic_given_seed(self):
         o = quadratic_oracle(np.diag([1.0, 3.0, 0.2]))
         cfg = HutchinsonConfig(num_samples=7, rng_seed=42)
-        a = hutchinson_diag(o, [1.0, 0.0, -1.0], cfg).values
-        b = hutchinson_diag(o, [1.0, 0.0, -1.0], cfg).values
+        a = hutchinson_diag(o, [1.0, 0.0, -1.0], cfg)
+        b = hutchinson_diag(o, [1.0, 0.0, -1.0], cfg)
         np.testing.assert_array_equal(a, b)
 
 
-def diag_hessian_matrix_reference(objectives, x, cfg, force_estimate=False):
-    """``diag_hessian_matrix`` spawning the per-objective seeds on every
-    call; the lazy spawn must match it bit for bit.  Without
-    ``force_estimate``, a row is analytic when its oracle has a diagonal or
-    a full Hessian."""
+def diag_hessian_matrix_reference(objectives, x, cfg):
+    """``diag_hessian_matrix`` as a loop over the objectives."""
     x = np.asarray(x, dtype=np.float64)
     rows = np.empty((objectives.m, objectives.dim))
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(objectives.m)
     for i, oracle in enumerate(objectives.objectives):
-        if (oracle.has_diag_hessian or oracle.has_hessian) and not force_estimate:
-            rows[i] = oracle.diag_hessian_at(x)
-        else:
-            sub = HutchinsonConfig(
-                num_samples=cfg.num_samples,
-                fd_step=cfg.fd_step,
-                rng_seed=seeds[i].generate_state(1)[0],
-            )
-            rows[i] = hutchinson_diag(oracle, x, sub).values
+        sub = HutchinsonConfig(
+            num_samples=cfg.num_samples,
+            fd_step=cfg.fd_step,
+            rng_seed=seeds[i].generate_state(1)[0],
+        )
+        rows[i] = hutchinson_diag(oracle, x, sub)
     return rows
+
+
+def analytic_diagonals(objectives, x):
+    """The (m, n) Hessian diagonals that ``ObjectiveSet.evaluate`` gives."""
+    return objectives.evaluate(np.asarray(x, dtype=np.float64))[2]()
 
 
 class TestDiagHessianMatrix:
     def test_selection_example(self):
         problem = build(ProblemSpec(kind="selection", delta=0.1, m=3, n=2))
-        rows = diag_hessian_matrix(
-            problem.objectives, [0.4, -1.0], HutchinsonConfig()
-        )
+        rows = analytic_diagonals(problem.objectives, [0.4, -1.0])
         np.testing.assert_allclose(
             rows, [[1.8, 0.2], [1.8, 0.2], [2.0, 2.0]], atol=1e-12
         )
+        # One probe recovers a diagonal Hessian exactly.
+        est = diag_hessian_matrix(
+            problem.objectives, [0.4, -1.0], HutchinsonConfig(num_samples=1)
+        )
+        np.testing.assert_allclose(est, rows, atol=1e-12)
 
     def test_single_quadratic(self):
         problem = build(
             ProblemSpec(kind="quad_family", h_list=(((1.0, 0.0), (0.0, 1.0)),))
         )
-        rows = diag_hessian_matrix(problem.objectives, [1.0, 1.0], HutchinsonConfig())
+        rows = analytic_diagonals(problem.objectives, [1.0, 1.0])
         np.testing.assert_allclose(rows, [[2.0, 2.0]], atol=1e-12)
 
     def test_mlp_deterministic_across_calls(self):
@@ -174,8 +182,8 @@ class TestDiagHessianMatrix:
         rng = np.random.default_rng(0)
         theta = problem.x0 + 0.1 * rng.normal(size=problem.x0.shape)
         cfg = HutchinsonConfig(num_samples=3, rng_seed=5)
-        a = diag_hessian_matrix(problem.objectives, theta, cfg, force_estimate=True)
-        b = diag_hessian_matrix(problem.objectives, theta, cfg, force_estimate=True)
+        a = diag_hessian_matrix(problem.objectives, theta, cfg)
+        b = diag_hessian_matrix(problem.objectives, theta, cfg)
         np.testing.assert_array_equal(a, b)
 
     def test_estimate_tracks_analytic_on_mlp(self):
@@ -194,18 +202,12 @@ class TestDiagHessianMatrix:
         problem = build(spec)
         rng = np.random.default_rng(1)
         theta = problem.x0 + 0.1 * rng.normal(size=problem.x0.shape)
-        analytic = diag_hessian_matrix(
-            problem.objectives, theta, HutchinsonConfig()
-        )
+        analytic = analytic_diagonals(problem.objectives, theta)
         est = diag_hessian_matrix(
-            problem.objectives,
-            theta,
-            HutchinsonConfig(num_samples=3000, rng_seed=11),
-            force_estimate=True,
+            problem.objectives, theta, HutchinsonConfig(num_samples=3000, rng_seed=11)
         )
         scale = np.abs(analytic).max(axis=1, keepdims=True)
         assert (np.abs(est - analytic) / scale).max() <= 0.20
-
 
     def test_no_seeds_spawned_when_every_row_is_analytic(self, monkeypatch):
         problem = build(ProblemSpec(kind="selection", delta=0.1, m=3, n=4))
@@ -214,7 +216,7 @@ class TestDiagHessianMatrix:
             raise AssertionError("Hutchinson seeds spawned for analytic rows")
 
         monkeypatch.setattr(np.random, "SeedSequence", refuse)
-        rows = diag_hessian_matrix(problem.objectives, problem.x0, HutchinsonConfig())
+        rows = analytic_diagonals(problem.objectives, problem.x0)
         assert rows.shape == (3, 4)
 
     def test_full_hessian_rows_are_exact(self):
@@ -232,28 +234,23 @@ class TestDiagHessianMatrix:
         )
         oracle = problem.objectives.objectives[1]
         assert oracle.has_hessian and not oracle.has_diag_hessian
-        for seed in range(3):
+        for _ in range(3):
             x = rng.normal(size=5)
-            rows = diag_hessian_matrix(
-                problem.objectives, x, HutchinsonConfig(rng_seed=seed)
-            )
+            rows = analytic_diagonals(problem.objectives, x)
             np.testing.assert_array_equal(rows[0], np.full(5, 2.0))
             np.testing.assert_array_equal(rows[1], oracle.diag_hessian_at(x))
 
-    @pytest.mark.parametrize("force_estimate", [False, True])
-    def test_bitwise_equal_to_reference(self, force_estimate):
+    @pytest.mark.parametrize("with_hessian", [False, True])
+    def test_bitwise_equal_to_reference(self, with_hessian):
+        # With a Hessian the probes use H z, without one finite differences;
+        # the network oracles never carry one.
         rng = np.random.default_rng(12)
         H = np.diag([3.0, 1.0, 0.5]) + 0.2
-        mixed = ObjectiveSet(
+        quadratics = ObjectiveSet(
             (
-                ObjectiveOracle(
-                    dim=3,
-                    value=lambda x: float(0.5 * x @ H @ x),
-                    gradient=lambda x: H @ x,
-                    diag_hessian=lambda x: np.diagonal(H).copy(),
-                ),
-                quadratic_oracle(2.0 * H),
-                quadratic_oracle(H + np.eye(3), with_hessian=True),
+                quadratic_oracle(H, with_hessian),
+                quadratic_oracle(2.0 * H, with_hessian),
+                quadratic_oracle(H + np.eye(3), with_hessian),
             )
         )
         small_mlp = build(
@@ -262,12 +259,12 @@ class TestDiagHessianMatrix:
                 dataset_size=6, seed=2, activation="softplus",
             )
         )
-        for objectives in (mixed, small_mlp.objectives):
+        for objectives in (quadratics, small_mlp.objectives):
             for rng_seed in (0, 5, 2**40 + 3):
                 x = rng.normal(size=objectives.dim)
                 cfg = HutchinsonConfig(num_samples=4, rng_seed=rng_seed)
-                got = diag_hessian_matrix(objectives, x, cfg, force_estimate)
-                want = diag_hessian_matrix_reference(objectives, x, cfg, force_estimate)
+                got = diag_hessian_matrix(objectives, x, cfg)
+                want = diag_hessian_matrix_reference(objectives, x, cfg)
                 assert np.array_equal(got, want)
 
 
@@ -289,14 +286,14 @@ class TestTracker:
         tracker = DiagHessianTracker(HutchinsonConfig(num_samples=2, rng_seed=7))
         x = problem.x0
         for k in range(3):
-            got = tracker.update(problem.objectives, x, force_estimate=True)
+            got = tracker.update(problem.objectives, x)
             want = diag_hessian_matrix(
-                problem.objectives, x, HutchinsonConfig(2, rng_seed=7 + k), True
+                problem.objectives, x, HutchinsonConfig(2, rng_seed=7 + k)
             )
             assert np.array_equal(got, want)
         # The seeds matter: a different seed gives a different estimate.
         other = diag_hessian_matrix(
-            problem.objectives, x, HutchinsonConfig(2, rng_seed=7), True
+            problem.objectives, x, HutchinsonConfig(2, rng_seed=7)
         )
         assert not np.array_equal(got, other)
 

@@ -9,9 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amoo.core import WeightVector
-from amoo.hessians import HutchinsonConfig, diag_hessian_matrix
 from amoo.linalg import min_eigenpair, weighted_hessian
-from amoo.problems import KINDS, ProblemSpec, build, build_mlp_matching, misalign
+from amoo.problems import (
+    KINDS,
+    ProblemSpec,
+    _TwoLayerMatching,
+    build,
+    build_mlp_matching,
+    misalign,
+)
 
 
 def fd_gradient(value, x, rel_step=1e-6):
@@ -197,14 +203,15 @@ class TestQuadraticStack:
         assert stack is not None
         x = 10.0**log_scale * rng.normal(size=n)
         oracles = objs.objectives
+        values, grads, diags = stack.evaluate(x)
         want_values = np.array([o.value(x) for o in oracles], dtype=np.float64)
-        assert stack.values(x).tobytes() == want_values.tobytes()
+        assert values.tobytes() == want_values.tobytes()
         assert objs.values(x).tobytes() == want_values.tobytes()
         want_grads = np.stack([o.gradient_at(x) for o in oracles])
-        assert stack.gradients(x).tobytes() == want_grads.tobytes()
+        assert grads.tobytes() == want_grads.tobytes()
         assert objs.gradients(x).tobytes() == want_grads.tobytes()
         want_diags = np.stack([o.diag_hessian_at(x) for o in oracles])
-        assert stack.diag_hessians(x).tobytes() == want_diags.tobytes()
+        assert diags().tobytes() == want_diags.tobytes()
 
     @pytest.mark.parametrize(
         "spec, stacked",
@@ -253,21 +260,38 @@ def test_evaluate_cases_cover_every_kind():
     assert {spec.kind for spec in EVALUATE_CASES.values()} == set(KINDS)
 
 
+def evaluate_point(problem, point):
+    rng = np.random.default_rng(3)
+    x = {
+        "x0": problem.x0,
+        "x_star": problem.optimum.x_star,
+        "random": problem.x0 + 0.3 * rng.normal(size=problem.objectives.dim),
+    }[point]
+    return np.array(x, dtype=np.float64)
+
+
 @pytest.mark.parametrize("point", ["x0", "x_star", "random"])
 @pytest.mark.parametrize("case", list(EVALUATE_CASES))
 def test_evaluate_is_values_and_gradients(case, point):
     problem = build(EVALUATE_CASES[case])
     objs = problem.objectives
-    rng = np.random.default_rng(3)
-    x = {
-        "x0": problem.x0,
-        "x_star": problem.optimum.x_star,
-        "random": problem.x0 + 0.3 * rng.normal(size=objs.dim),
-    }[point]
-    x = np.array(x, dtype=np.float64)
-    fvals, J = objs.evaluate(x)
+    x = evaluate_point(problem, point)
+    fvals, J, _ = objs.evaluate(x)
     assert fvals.tobytes() == objs.values(x).tobytes()
     assert J.tobytes() == objs.gradients(x).tobytes()
+
+
+@pytest.mark.parametrize("point", ["x0", "x_star", "random"])
+@pytest.mark.parametrize("case", list(EVALUATE_CASES))
+def test_evaluate_diagonals_match_reference(case, point):
+    problem = build(EVALUATE_CASES[case])
+    objs = problem.objectives
+    x = evaluate_point(problem, point)
+    if isinstance(objs.stacked, _TwoLayerMatching):
+        want = [mlp_objective_reference(objs.stacked, x, i)[2] for i in range(objs.m)]
+    else:
+        want = [o.diag_hessian_at(x) for o in objs.objectives]
+    assert objs.evaluate(x)[2]().tobytes() == np.stack(want).tobytes()
 
 
 class TestMlpMatching:
@@ -279,6 +303,16 @@ class TestMlpMatching:
         dataset_size=8,
         seed=7,
     )
+
+    @pytest.mark.parametrize("variant", ["selection", "local_curvature"])
+    def test_bent_is_derived_from_the_powers(self, variant):
+        model = build(ProblemSpec(variant=variant, **self.SMALL)).objectives.stacked
+        bent = [k for k, a in enumerate(model.alphas) if a != 1.0]
+        assert list(range(model.m))[model.bent] == bent
+        model._set_objectives(model.h_stack, (1.0, 2.0, 1.5))
+        assert model.bent == slice(1, 3)
+        with pytest.raises(ValueError, match="adjacent"):
+            model._set_objectives(model.h_stack, (1.5, 1.0, 2.0))
 
     def test_teacher_parameters_attain_zero(self):
         problem = build(ProblemSpec(variant="selection", **self.SMALL))
@@ -371,7 +405,7 @@ class TestMlpMatching:
             theta += 10.0**log_scale * rng.normal(size=theta.shape)
         values = objs.values(theta)
         J = objs.gradients(theta)
-        D = diag_hessian_matrix(objs, theta, HutchinsonConfig())
+        D = objs.evaluate(theta)[2]()
         # tobytes() tells -0.0 from +0.0, which np.array_equal does not.
         oracles = objs.objectives
         assert values.tobytes() == np.array([o.value_at(theta) for o in oracles]).tobytes()
@@ -389,7 +423,7 @@ class TestMlpMatching:
         theta = problem.x0
         problem.objectives.values(theta)
         problem.objectives.gradients(theta)
-        diag_hessian_matrix(problem.objectives, theta, HutchinsonConfig())
+        problem.objectives.evaluate(theta)[2]()
         for oracle in problem.objectives.objectives:
             oracle.value_at(theta)
             oracle.gradient_at(theta)
