@@ -28,7 +28,7 @@ result = solve_camoo_exact(mats, CamooConfig())
 print("selection example, m = 3, delta = 0.1")
 print(f"  uniform weights  -> smallest weighted curvature {lam_uniform:.3f}")
 print(
-    f"  adaptive weights {np.round(result.weights.as_array(), 3)} "
+    f"  adaptive weights {np.round(result.weights, 3)} "
     f"-> curvature {result.value:.3f}"
 )
 print()

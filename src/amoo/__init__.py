@@ -13,7 +13,6 @@ from .core import (
     ObjectiveSet,
     OptimalInfo,
     UnsupportedQueryError,
-    WeightVector,
     weighted_gradient,
 )
 from .driver import (
@@ -68,7 +67,6 @@ __all__ = [
     "RunTrace",
     "TheoremParams",
     "UnsupportedQueryError",
-    "WeightVector",
     "WeightingChoice",
     "build",
     "fit_rate",

@@ -36,7 +36,8 @@ def _object(value, where: str) -> dict:
 def _convert(tp, value, where: str):
     """Check a JSON value against the annotation ``tp`` and convert it:
     arrays become tuples, objects become dataclasses, numbers become float
-    where a float is expected."""
+    where a float is expected, and must then be finite (Python's ``json``
+    reads ``NaN`` and ``Infinity``)."""
     if isinstance(tp, types.UnionType):  # X | None
         if value is None:
             return None
@@ -54,9 +55,12 @@ def _convert(tp, value, where: str):
     if isinstance(value, bool) != (tp is bool) or not isinstance(value, json_types):
         raise ConfigurationError(f"{where} must be {tp.__name__}, got {value!r}")
     try:
-        return tp(value)
+        value = tp(value)
     except OverflowError:  # an integer beyond the float range
         raise ConfigurationError(f"{where} is out of the float range") from None
+    if tp is float and not np.isfinite(value):
+        raise ConfigurationError(f"{where} must be a finite number")
+    return value
 
 
 def _build(cls, section, where: str, keys=None, **given):

@@ -1,9 +1,10 @@
-"""Objective oracles, objective sets, weight vectors, and weighted evaluation.
+"""Objective oracles, objective sets, and weighted evaluation.
 
 An objective set bundles m scalar objectives over a shared parameter space
-R^n; a weight vector scalarizes them into a single function
-f_w(x) = sum_i w_i f_i(x).  Everything here is immutable after construction
-and deterministic, so these objects are safe to share across threads.
+R^n; a weight vector, a plain float64 array of length m, scalarizes them
+into a single function f_w(x) = sum_i w_i f_i(x).  Everything here is
+immutable after construction and deterministic, so these objects are safe
+to share across threads.
 """
 
 from dataclasses import dataclass
@@ -12,13 +13,6 @@ from typing import Callable
 import numpy as np
 
 Array = np.ndarray
-
-# Weight constraint domains.
-ORTHANT = "nonnegative-orthant"
-SIMPLEX = "simplex"
-FLOORED_SIMPLEX = "floored-simplex"
-
-_SUM_TOL = 1e-9
 
 
 class UnsupportedQueryError(RuntimeError):
@@ -165,56 +159,6 @@ class ObjectiveSet:
 
 
 @dataclass(frozen=True)
-class WeightVector:
-    """Nonnegative objective weights, optionally confined to a (floored) simplex.
-
-    Simplex-constrained entries are renormalized once when the sum drifts
-    beyond 1e-9 of 1; a second violation is an error.
-    """
-
-    entries: Array
-    constraint: str = ORTHANT
-    w_min: float = 0.0
-
-    def __post_init__(self):
-        w = as_vector(self.entries, name="weights")
-        if self.constraint not in (ORTHANT, SIMPLEX, FLOORED_SIMPLEX):
-            raise ValueError(f"unknown weight constraint {self.constraint!r}")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if self.constraint == ORTHANT:
-            if np.any(w < 0):
-                raise ValueError(f"orthant weights must be nonnegative, got {w}")
-        else:
-            floor = self.w_min if self.constraint == FLOORED_SIMPLEX else 0.0
-            if floor < 0:
-                raise ValueError("w_min must be nonnegative")
-            if len(w) * floor > 1.0 + _SUM_TOL:
-                raise ValueError(
-                    f"floored simplex infeasible: m*w_min = {len(w) * floor} > 1"
-                )
-            if abs(w.sum() - 1.0) > _SUM_TOL:
-                w = w / w.sum()
-            if abs(w.sum() - 1.0) > _SUM_TOL:
-                raise ValueError(f"weights do not sum to 1: sum = {w.sum()!r}")
-            if np.any(w < floor - _SUM_TOL):
-                raise ValueError(
-                    f"weights violate the floor {floor}: min entry {w.min()!r}"
-                )
-        object.__setattr__(self, "entries", _frozen(w))
-
-    @property
-    def m(self) -> int:
-        return len(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def as_array(self) -> Array:
-        return np.array(self.entries)
-
-
-@dataclass(frozen=True)
 class OptimalInfo:
     """What is known about the shared optimum of an objective set.
 
@@ -236,14 +180,14 @@ class OptimalInfo:
             raise ValueError("alignment_eps must be nonnegative")
 
 
-def weighted_gradient(J, w: WeightVector) -> Array:
+def weighted_gradient(J: Array, w: Array) -> Array:
     """Gradient of the scalarized objective, sum_i w_i grad f_i(x).
 
     ``J`` holds the stacked objective gradients at x, shape (m, n), as
-    returned by ``ObjectiveSet.gradients`` or ``ObjectiveSet.evaluate``.
+    returned by ``ObjectiveSet.gradients`` or ``ObjectiveSet.evaluate``, and
+    ``w`` the m weights.
     """
-    J = np.asarray(J, dtype=np.float64)
     if len(w) != len(J):
         raise ValueError(f"weight vector has {len(w)} entries for {len(J)} objectives")
-    return w.as_array() @ J
+    return w @ J
 

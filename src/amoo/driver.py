@@ -13,14 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import problems
-from .core import (
-    FLOORED_SIMPLEX,
-    SIMPLEX,
-    Array,
-    NumericError,
-    WeightVector,
-    weighted_gradient,
-)
+from .core import Array, NumericError, weighted_gradient
 from .hessians import DiagHessianTracker, HutchinsonConfig
 from .weighting import (
     MODE_EXACT,
@@ -44,7 +37,7 @@ class GDConfig:
     step: float
 
     def __post_init__(self):
-        if self.step <= 0:
+        if not self.step > 0:
             raise ConfigurationError("GD step must be positive")
 
 
@@ -56,8 +49,12 @@ class AdamConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.step <= 0:
+        if not self.step > 0:
             raise ConfigurationError("Adam step must be positive")
+        if not (0.0 <= self.b1 < 1.0 and 0.0 <= self.b2 < 1.0):
+            raise ConfigurationError("Adam b1 and b2 must lie in [0, 1)")
+        if not self.eps > 0:
+            raise ConfigurationError("Adam eps must be positive")
 
 
 @dataclass(frozen=True)
@@ -222,9 +219,8 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
 
         def weigh_pamoo(fvals, J, diag, x):
             nonlocal warm
-            w = pamoo_weights(pamoo_context(fvals, J, f_star), wc.pamoo, warm=warm)
-            warm = w.as_array()
-            return w, None, None
+            warm = pamoo_weights(*pamoo_context(fvals, J, f_star), wc.pamoo, warm=warm)
+            return warm, None, None
 
         return weigh_pamoo
 
@@ -240,8 +236,8 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
             def weigh_exact(fvals, J, diag, x):
                 nonlocal warm
                 result = solve_camoo_exact(objs.hessians(x), camoo, warm=warm)
-                warm = result.weights.as_array()
-                return result.weights, result.value, None
+                warm = result.weights
+                return warm, result.value, None
 
             return weigh_exact
 
@@ -251,18 +247,16 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
                 rng_seed=_mixed_seed(cfg.seed, wc.hutchinson.rng_seed),
             )
         )
-        constraint = FLOORED_SIMPLEX if camoo.w_min > 0 else SIMPLEX
 
         def weigh_diagonal(fvals, J, diag, x):
             nonlocal warm
             hdiag = tracker.update(objs, x) if wc.force_hutchinson else diag()
             sol = solve_bilinear_pu(hdiag, camoo, warm=warm)
-            w_arr = sol.w
+            w = sol.w
             if camoo.w_min > 0:
-                w_arr = project_floored_simplex(w_arr, camoo.w_min)
-            w = WeightVector(w_arr, constraint, camoo.w_min)
-            warm = (w.as_array(), sol.q)
-            return w, float((w_arr @ hdiag).min()), sol.gap
+                w = project_floored_simplex(w, camoo.w_min)
+            warm = (w, sol.q)
+            return w, float((w @ hdiag).min()), sol.gap
 
         return weigh_diagonal
 
@@ -274,11 +268,13 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
                 f"weighting has {len(wc.fixed_weights)} fixed weights "
                 f"for {m} objectives"
             )
-        try:
-            const_w = WeightVector(np.asarray(wc.fixed_weights, dtype=np.float64))
-        except ValueError as exc:
-            raise ConfigurationError(f"bad fixed weights in weighting: {exc}") from exc
-        if not const_w.as_array().sum() > 0:
+        const_w = np.array(wc.fixed_weights, dtype=np.float64)
+        if not (np.isfinite(const_w).all() and (const_w >= 0).all()):
+            raise ConfigurationError(
+                f"bad fixed weights in weighting: they must be finite and "
+                f"nonnegative, got {const_w}"
+            )
+        if not const_w.sum() > 0:
             raise ConfigurationError("bad fixed weights in weighting: they sum to 0")
     return lambda fvals, J, diag, x: (const_w, None, None)
 
@@ -340,14 +336,17 @@ def run(cfg: RunConfig) -> RunTrace:
             raise fail("non-finite gradient", k)
 
         if k % cfg.record_every == 0 or k == cfg.steps:
+            msq = mnorm = None
+            if problem.mismatch is not None:
+                msq, mnorm = problem.mismatch(x)
             record = IterateRecord(
                 step=k,
                 f=fvals,
-                w=w.as_array(),
+                w=np.array(w),
                 grad_norm=float(np.linalg.norm(g)),
                 residual=None if x_star is None else float(np.linalg.norm(x - x_star)),
-                msq=problem.msq(x) if problem.msq is not None else None,
-                mnorm=problem.mnorm(x) if problem.mnorm is not None else None,
+                msq=msq,
+                mnorm=mnorm,
                 lambda_min_est=lambda_est,
                 pu_gap=gap,
             )

@@ -25,7 +25,7 @@ class HutchinsonConfig:
     def __post_init__(self):
         if self.num_samples < 1:
             raise ValueError("num_samples must be at least 1")
-        if self.fd_step <= 0:
+        if not self.fd_step > 0:
             raise ValueError("fd_step must be positive")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be nonnegative")

@@ -42,9 +42,7 @@ def hessian_stack(hessians) -> Array:
 
 def weighted_hessian(hessians, w) -> Array:
     """Entrywise sum_i w_i H_i of symmetric matrices sharing one size."""
-    from .core import WeightVector
-
-    wa = w.as_array() if isinstance(w, WeightVector) else np.asarray(w, np.float64)
+    wa = np.asarray(w, np.float64)
     if len(hessians) != len(wa):
         raise ValueError(f"{len(hessians)} matrices for {len(wa)} weights")
     return np.einsum("i,ijk->jk", wa, hessian_stack(hessians))

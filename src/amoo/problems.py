@@ -78,15 +78,15 @@ class ProblemMeta:
 
 @dataclass(frozen=True)
 class Problem:
-    """A built benchmark: objectives, optimum knowledge, constants."""
+    """A built benchmark: objectives, optimum knowledge, constants, and for
+    the network-matching problem ``mismatch(theta) -> (msq, mnorm)``."""
 
     objectives: ObjectiveSet
     optimum: OptimalInfo
     meta: ProblemMeta
     x0: Array
     spec: ProblemSpec
-    msq: object = None
-    mnorm: object = None
+    mismatch: object = None
 
 
 # ---------------------------------------------------------------------------
@@ -453,13 +453,12 @@ class _TwoLayerMatching:
         db1 = coeff.sum(axis=1) / N
         return self.pack(dw1, db1, dw2, db2)
 
-    def msq(self, theta: Array) -> float:
+    def mismatch(self, theta: Array) -> tuple[float, float]:
+        """(msq, mnorm): the mean squared and the mean Euclidean norm of the
+        output mismatch with the teacher, from one forward pass."""
         *_, R = self._forward(theta)
-        return float(np.mean(np.einsum("nd,nd->n", R, R)))
-
-    def mnorm(self, theta: Array) -> float:
-        *_, R = self._forward(theta)
-        return float(np.mean(np.linalg.norm(R, axis=1)))
+        msq = float(np.mean(np.einsum("nd,nd->n", R, R)))
+        return msq, float(np.mean(np.linalg.norm(R, axis=1)))
 
     def oracles(self) -> tuple[ObjectiveOracle, ...]:
         def make(i: int) -> ObjectiveOracle:
@@ -487,8 +486,7 @@ def build_mlp_matching(spec: ProblemSpec) -> Problem:
         meta,
         x0=model.theta0,
         spec=spec,
-        msq=model.msq,
-        mnorm=model.mnorm,
+        mismatch=model.mismatch,
     )
 
 

@@ -11,21 +11,16 @@ Three families:
   nonnegative orthant by projected gradient ascent.
 
 Solvers are deterministic single-threaded state machines; warm starts are
-passed in explicitly by the caller.
+passed in explicitly by the caller.  Every rule returns its weights as a
+float64 array on its own set: the simplex, the floored simplex, or the
+clipped orthant.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    FLOORED_SIMPLEX,
-    ORTHANT,
-    SIMPLEX,
-    Array,
-    WeightVector,
-    as_vector,
-)
+from .core import Array, as_vector
 from .linalg import (
     check_symmetric,
     hessian_stack,
@@ -87,11 +82,11 @@ class PamooConfig:
             raise ValueError("gram_tau must be nonnegative")
 
 
-def equal_weights(m: int) -> WeightVector:
+def equal_weights(m: int) -> Array:
     """Uniform simplex weights (1/m, ..., 1/m)."""
     if m < 1:
         raise ValueError("need at least one objective")
-    return WeightVector(np.full(m, 1.0 / m), SIMPLEX)
+    return np.full(m, 1.0 / m)
 
 
 def project_simplex(y) -> Array:
@@ -304,7 +299,7 @@ def solve_bilinear_pu_stack(
 
 @dataclass(frozen=True)
 class CamooExactResult:
-    weights: WeightVector
+    weights: Array
     value: float
     iterations: int
     converged: bool
@@ -330,14 +325,10 @@ def solve_camoo_exact(
     if m * cfg.w_min > 1.0 + 1e-12:
         raise ValueError(f"floor infeasible: m*w_min = {m * cfg.w_min}")
 
-    constraint = FLOORED_SIMPLEX if cfg.w_min > 0 else SIMPLEX
-
     scale = max(spectral_norm(H) for H in stack)
     if scale == 0.0:
         w = project_floored_simplex(np.full(m, 1.0 / m), cfg.w_min)
-        return CamooExactResult(
-            WeightVector(w, constraint, cfg.w_min), 0.0, 0, True
-        )
+        return CamooExactResult(w, 0.0, 0, True)
 
     if warm is not None:
         w = project_floored_simplex(as_vector(warm, m, "warm"), cfg.w_min)
@@ -378,7 +369,7 @@ def solve_camoo_exact(
 
     stalled = done == iters and gain > gain_tol
     return CamooExactResult(
-        weights=WeightVector(best_w, constraint, cfg.w_min),
+        weights=best_w,
         value=float(best_val),
         iterations=done,
         converged=not stalled,
@@ -390,30 +381,9 @@ def solve_camoo_exact(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PamooContext:
-    """Per-iterate inputs of the Polyak-style optimizer.
-
-    ``gaps``  holds f_i(x) - f_i(x*), ``gram`` the Gram matrix J'J of the
-    stacked objective gradients J = [grad f_1(x) ... grad f_m(x)].
-    """
-
-    gaps: Array
-    gram: Array
-
-    def __post_init__(self):
-        gaps = as_vector(self.gaps, name="gaps")
-        gram = np.asarray(self.gram, dtype=np.float64)
-        if gram.shape != (len(gaps), len(gaps)):
-            raise ValueError(
-                f"gram shape {gram.shape} does not match {len(gaps)} gaps"
-            )
-        object.__setattr__(self, "gaps", gaps)
-        object.__setattr__(self, "gram", gram)
-
-
-def pamoo_context(fvals, J, f_star) -> PamooContext:
-    """Gaps and the gradient Gram matrix from one iterate's evaluations.
+def pamoo_context(fvals, J, f_star) -> tuple[Array, Array]:
+    """``(gaps, gram)`` from one iterate's evaluations: gaps_i = f_i(x) -
+    f_i(x*) and the Gram matrix J J' of the stacked gradients.
 
     ``fvals`` are the objective values and ``J`` the stacked gradients,
     shape (m, n), at the same point.
@@ -421,13 +391,15 @@ def pamoo_context(fvals, J, f_star) -> PamooContext:
     fvals = as_vector(fvals, name="fvals")
     f_star = as_vector(f_star, len(fvals), "f_star")
     J = np.asarray(J, dtype=np.float64)
-    return PamooContext(gaps=fvals - f_star, gram=J @ J.T)
+    return fvals - f_star, J @ J.T
 
 
 def pamoo_weights(
-    ctx: PamooContext, cfg: PamooConfig | None = None, warm: Array | None = None
-) -> WeightVector:
-    """Maximize 2 w'gaps - w'(G + tau I)w over w >= clip_floor.
+    gaps, gram, cfg: PamooConfig | None = None, warm: Array | None = None
+) -> Array:
+    """Maximize 2 w'gaps - w'(G + tau I)w over w >= clip_floor, where
+    ``gaps`` and the m x m symmetric PSD ``gram`` are what ``pamoo_context``
+    returns.
 
     Projected gradient ascent with clipping to the floor after every step.
     Starts from the warm weights when given, otherwise from the decoupled
@@ -436,11 +408,13 @@ def pamoo_weights(
     step applies whenever it is below that cap.
     """
     cfg = cfg or PamooConfig()
-    gaps = ctx.gaps
+    gaps = as_vector(gaps, name="gaps")
     if not np.all(np.isfinite(gaps)):
         raise ValueError("gaps must be finite")
-    gram = check_symmetric(ctx.gram, tol=1e-8)
     m = len(gaps)
+    if np.shape(gram) != (m, m):
+        raise ValueError(f"gram shape {np.shape(gram)} does not match {m} gaps")
+    gram = check_symmetric(gram, tol=1e-8)
     evals = np.linalg.eigvalsh(gram)
     scale = 1.0 + float(np.abs(evals).max(initial=0.0))
     if evals[0] < -1e-10 * scale:
@@ -452,6 +426,8 @@ def pamoo_weights(
 
     if warm is not None:
         w = as_vector(warm, m, "warm").copy()
+        if not np.isfinite(w).all():
+            raise ValueError("warm weights must be finite")
     else:
         diag = np.diagonal(Gp)
         w = np.where(diag > 0, gaps / np.where(diag > 0, diag, 1.0), 0.0)
@@ -474,4 +450,4 @@ def pamoo_weights(
         # w >= floor >= 0, so its largest entry is its largest magnitude.
         if moved <= 1e-16 * (1.0 + max(w_next)):
             break
-    return WeightVector(w, ORTHANT)
+    return w

@@ -139,6 +139,8 @@ class TestRunCommand:
             ("problem", {"kind": "mlp_matching", "activation": "tanh"}, None),
             ("weighting", {"kind": "fixed", "weights": [1.0]}, None),
             ("problem", {"kind": "selection", "m": 1}, "camoo-theory"),
+            ("weighting", {"kind": "fixed", "weights": [1.0, -1.0]}, None),
+            ("weighting", {"kind": "fixed", "weights": [float("nan"), 1.0]}, None),
         ],
     )
     def test_invalid_problem_or_weights_exit_2(
@@ -155,7 +157,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("mode", ["exact-eigen", "diagonal-bilinear"])
     def test_infeasible_camoo_floor_exits_2(self, tmp_path, capsys, monkeypatch, mode):
-        monkeypatch.setattr(ObjectiveSet, "values", lambda *a: pytest.fail("stepped"))
+        monkeypatch.setattr(ObjectiveSet, "evaluate", lambda *a: pytest.fail("stepped"))
         doc = {
             **VALID_CONFIG,
             "problem": {"kind": "selection", "m": 3},
@@ -169,7 +171,7 @@ class TestRunCommand:
         assert not out.exists()
 
     def test_non_finite_f_star_override_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(ObjectiveSet, "values", lambda *a: pytest.fail("stepped"))
+        monkeypatch.setattr(ObjectiveSet, "evaluate", lambda *a: pytest.fail("stepped"))
         doc = {
             **VALID_CONFIG,
             "weighting": {"kind": "pamoo"},
@@ -183,7 +185,7 @@ class TestRunCommand:
 
     def test_all_zero_fixed_weights_exit_2(self, tmp_path, capsys, monkeypatch):
         # Zero weights give a zero gradient: the iterate would never move.
-        monkeypatch.setattr(ObjectiveSet, "values", lambda *a: pytest.fail("stepped"))
+        monkeypatch.setattr(ObjectiveSet, "evaluate", lambda *a: pytest.fail("stepped"))
         doc = {
             **VALID_CONFIG,
             "weighting": {"kind": "fixed", "weights": [0, 0]},
@@ -209,7 +211,7 @@ class TestRunCommand:
     def test_bad_f_star_override_exits_2_for_every_weighting(
         self, tmp_path, capsys, monkeypatch, weighting, override
     ):
-        monkeypatch.setattr(ObjectiveSet, "values", lambda *a: pytest.fail("stepped"))
+        monkeypatch.setattr(ObjectiveSet, "evaluate", lambda *a: pytest.fail("stepped"))
         doc = {
             **VALID_CONFIG,
             "weighting": weighting,
@@ -232,6 +234,60 @@ class TestRunCommand:
         assert code == 2
         assert "config error" in capsys.readouterr().out
         assert not out.exists() and not out.parent.exists()
+
+    # Python's json reads NaN and Infinity; these used to get past the checks
+    # and fail later as a numeric error (exit 3) or a traceback (exit 1).
+    @pytest.mark.parametrize(
+        "key,changes",
+        [
+            ("inner.step", {"inner": {"kind": "gd", "step": float("nan")}}),
+            ("b1", {"inner": {"kind": "adam", "step": 0.01, "b1": 1.0}}),
+            ("run.x0", {"run": {"steps": 5, "x0": [float("nan"), 1.0]}}),
+            (
+                "weighting.camoo.pu_tau",
+                {
+                    "weighting": {
+                        "kind": "camoo",
+                        "camoo": {"mode": "diagonal-bilinear", "pu_tau": float("inf")},
+                    }
+                },
+            ),
+            (
+                "weighting.pamoo.gram_tau",
+                {"weighting": {"kind": "pamoo", "pamoo": {"gram_tau": float("inf")}}},
+            ),
+            (
+                "weighting.camoo.supergrad_step",
+                {
+                    "weighting": {
+                        "kind": "camoo",
+                        "camoo": {"supergrad_step": float("inf")},
+                    }
+                },
+            ),
+            (
+                "weighting.hutchinson.fd_step",
+                {
+                    "problem": {"kind": "mlp_matching"},
+                    "weighting": {
+                        "kind": "camoo",
+                        "camoo": {"mode": "diagonal-bilinear"},
+                        "hutchinson": {"fd_step": float("nan")},
+                        "force_hutchinson": True,
+                    },
+                    "run": {"steps": 2},
+                },
+            ),
+        ],
+    )
+    def test_non_finite_or_bad_adam_value_exits_2(self, tmp_path, capsys, key, changes):
+        doc = {**VALID_CONFIG, **changes}
+        out = tmp_path / "o"
+        code = cli.cmd_run(write_config(tmp_path, doc), str(out))
+        text = capsys.readouterr().out
+        assert code == 2
+        assert "config error" in text and key in text
+        assert not out.exists()
 
     def test_every_key_parses_to_its_field(self):
         doc = {

@@ -1,4 +1,4 @@
-"""Objective sets, weight vectors, and weighted evaluation."""
+"""Objective sets and weighted evaluation."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,10 @@ from amoo import (
     ObjectiveSet,
     OptimalInfo,
     UnsupportedQueryError,
-    WeightVector,
     weighted_gradient,
 )
-from amoo.core import FLOORED_SIMPLEX, ORTHANT, SIMPLEX
 from amoo.problems import ProblemSpec, build
-from amoo.weighting import equal_weights
+from amoo.weighting import CamooConfig, project_floored_simplex, solve_camoo_exact
 
 
 def fd_gradient(value, x, rel_step=1e-6):
@@ -29,11 +27,12 @@ def fd_gradient(value, x, rel_step=1e-6):
     return g
 
 
-def weighted_value(objectives: ObjectiveSet, w: WeightVector, x) -> float:
+def weighted_value(objectives: ObjectiveSet, w, x) -> float:
     """Scalarized objective sum_i w_i f_i(x); linear in w."""
+    w = np.asarray(w, dtype=np.float64)
     if len(w) != objectives.m:
         raise ValueError(f"{len(w)} weights for {objectives.m} objectives")
-    return float(w.as_array() @ objectives.values(x))
+    return float(w @ objectives.values(x))
 
 
 @pytest.fixture(scope="module")
@@ -48,27 +47,27 @@ def selection_problem():
 
 class TestWeightedValue:
     def test_specification_example(self, spec_problem):
-        w = WeightVector([0.5, 0.5], SIMPLEX)
+        w = np.array([0.5, 0.5])
         assert weighted_value(spec_problem.objectives, w, [1.0, 1.0]) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_zero_weights(self, spec_problem):
-        w = WeightVector([0.0, 0.0], ORTHANT)
+        w = np.array([0.0, 0.0])
         assert weighted_value(spec_problem.objectives, w, [0.3, -2.0]) == 0.0
 
     def test_selection_one_hot(self, selection_problem):
-        w = WeightVector([0.0, 0.0, 1.0], SIMPLEX)
+        w = np.array([0.0, 0.0, 1.0])
         assert weighted_value(
             selection_problem.objectives, w, [1.0, 1.0]
         ) == pytest.approx(2.0, abs=1e-12)
 
     def test_dimension_mismatch(self, spec_problem):
-        w = WeightVector([0.5, 0.5], SIMPLEX)
+        w = np.array([0.5, 0.5])
         with pytest.raises(ValueError):
             weighted_value(spec_problem.objectives, w, [1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
-            weighted_value(spec_problem.objectives, WeightVector([1.0]), [1.0, 1.0])
+            weighted_value(spec_problem.objectives, np.array([1.0]), [1.0, 1.0])
 
     def test_linearity_in_weights(self, spec_problem):
         rng = np.random.default_rng(0)
@@ -78,17 +77,17 @@ class TestWeightedValue:
             a, b = rng.uniform(0, 3, size=2)
             x = rng.normal(size=2)
             lhs = weighted_value(
-                spec_problem.objectives, WeightVector(a * w1 + b * w2), x
+                spec_problem.objectives, a * w1 + b * w2, x
             )
             rhs = a * weighted_value(
-                spec_problem.objectives, WeightVector(w1), x
-            ) + b * weighted_value(spec_problem.objectives, WeightVector(w2), x)
+                spec_problem.objectives, w1, x
+            ) + b * weighted_value(spec_problem.objectives, w2, x)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 class TestWeightedGradient:
     def test_specification_example(self, spec_problem):
-        w = WeightVector([0.5, 0.5], SIMPLEX)
+        w = np.array([0.5, 0.5])
         J = spec_problem.objectives.gradients([1.0, 1.0])
         g = weighted_gradient(J, w)
         np.testing.assert_allclose(g, [1.0, 1.0], atol=1e-12)
@@ -99,21 +98,21 @@ class TestWeightedGradient:
             x_star = problem.optimum.x_star
             for _ in range(5):
                 w = rng.uniform(0, 1, size=problem.objectives.m)
-                w = WeightVector(w / w.sum(), SIMPLEX)
+                w = w / w.sum()
                 g = weighted_gradient(problem.objectives.gradients(x_star), w)
                 assert np.linalg.norm(g) <= 1e-8
 
     def test_local_curvature_at_origin(self):
         problem = build(ProblemSpec(kind="local_curvature", n=1))
         g = weighted_gradient(
-            problem.objectives.gradients([0.0]), WeightVector([1.0, 0.0], SIMPLEX)
+            problem.objectives.gradients([0.0]), np.array([1.0, 0.0])
         )
         np.testing.assert_allclose(g, [0.0], atol=1e-12)
 
     def test_weight_count_checked(self, spec_problem):
         J = spec_problem.objectives.gradients([1.0, 1.0])
         with pytest.raises(ValueError, match="1 entries for 2 objectives"):
-            weighted_gradient(J, WeightVector([1.0]))
+            weighted_gradient(J, np.array([1.0]))
 
     def test_matches_finite_differences(self, spec_problem, selection_problem):
         rng = np.random.default_rng(2)
@@ -122,7 +121,7 @@ class TestWeightedGradient:
             for _ in range(50):
                 x = rng.normal(size=objs.dim)
                 w = rng.uniform(0, 1, size=objs.m)
-                wv = WeightVector(w, ORTHANT)
+                wv = w
                 g = weighted_gradient(objs.gradients(x), wv)
                 ref = fd_gradient(lambda y: weighted_value(objs, wv, y), x)
                 np.testing.assert_allclose(g, ref, rtol=1e-4, atol=1e-8)
@@ -137,41 +136,23 @@ class TestSuboptimalityNonnegative:
             for _ in range(50):
                 x = rng.normal(scale=2.0, size=objs.dim)
                 w = rng.uniform(0, 1, size=objs.m)
-                wv = WeightVector(w / w.sum(), SIMPLEX)
+                wv = w / w.sum()
                 gap = weighted_value(objs, wv, x) - float(
-                    wv.as_array() @ f_star
+                    wv @ f_star
                 )
                 assert gap >= -1e-12
 
 
 class TestWeightVector:
-    def test_orthant_rejects_negative(self):
-        with pytest.raises(ValueError):
-            WeightVector([0.5, -0.1], ORTHANT)
-
-    def test_simplex_renormalizes_small_drift(self):
-        w = WeightVector([0.5 + 5e-7, 0.5], SIMPLEX)
-        assert w.as_array().sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_simplex_rejects_gross_violation(self):
-        # Renormalization fixes the sum; entries must still be nonnegative.
-        with pytest.raises(ValueError):
-            WeightVector([1.5, -0.5], SIMPLEX)
-
-    def test_floored_simplex(self):
-        w = WeightVector([0.2, 0.8], FLOORED_SIMPLEX, w_min=0.1)
-        assert np.all(w.as_array() >= 0.1 - 1e-12)
-        with pytest.raises(ValueError):
-            WeightVector([0.05, 0.95], FLOORED_SIMPLEX, w_min=0.1)
+    """Weights are plain arrays; the floored simplex they live on is built
+    by the projection and by the exact CAMOO solve."""
 
     def test_infeasible_floor(self):
+        # Two weights cannot each be at least 0.6 and sum to 1.
         with pytest.raises(ValueError):
-            WeightVector([0.5, 0.5], FLOORED_SIMPLEX, w_min=0.6)
-
-    def test_entries_immutable(self):
-        w = equal_weights(3)
+            project_floored_simplex([0.5, 0.5], 0.6)
         with pytest.raises(ValueError):
-            w.entries[0] = 2.0
+            solve_camoo_exact([np.eye(2)] * 2, CamooConfig(w_min=0.6))
 
 
 class TestObjectiveOracle:

@@ -1,4 +1,4 @@
-"""Three of the bundled demos run to completion from a fresh interpreter."""
+"""Five of the bundled demos run to completion from a fresh interpreter."""
 
 import os
 import subprocess
@@ -12,7 +12,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize(
     "demo",
-    ["01_weighted_descent.py", "05_hutchinson_diagonal.py", "07_network_matching.py"],
+    [
+        "01_weighted_descent.py",
+        "02_curvature_adaptive_weights.py",
+        "03_polyak_weights.py",
+        "05_hutchinson_diagonal.py",
+        "07_network_matching.py",
+    ],
 )
 def test_demo_exits_cleanly(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -1,19 +1,19 @@
 """The weighted descent loop: updates, recording, determinism, failure paths."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import amoo.driver
 from amoo.core import (
-    FLOORED_SIMPLEX,
-    SIMPLEX,
     NumericError,
     ObjectiveOracle,
     ObjectiveSet,
     OptimalInfo,
-    WeightVector,
     weighted_gradient,
 )
 from amoo.driver import (
@@ -80,6 +80,26 @@ class TestSteppers:
         # Bias correction makes the first step eta * g / (|g| + eps).
         assert x[0] == pytest.approx(-0.1, rel=1e-6)
         assert state.t == 1
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"step": math.nan},
+            {"b1": 1.0},
+            {"b1": -0.1},
+            {"b2": 1.0},
+            {"b2": math.nan},
+            {"eps": 0.0},
+            {"eps": math.nan},
+        ],
+    )
+    def test_adam_constants_checked(self, kwargs):
+        with pytest.raises(ConfigurationError, match="Adam"):
+            AdamConfig(**{"step": 0.1, **kwargs})
+
+    def test_gd_nan_step_rejected(self):
+        with pytest.raises(ConfigurationError, match="positive"):
+            GDConfig(step=math.nan)
 
     def test_adam_deterministic(self):
         cfg = AdamConfig(step=0.05)
@@ -207,10 +227,15 @@ class TestRunBasics:
                 WeightingChoice(kind="fixed", fixed_weights=(0.0, 0.0)),
                 "sum to 0",
             ),
+            (
+                SPEC01,
+                WeightingChoice(kind="fixed", fixed_weights=(math.nan, 1.0)),
+                "bad fixed weights",
+            ),
         ],
     )
     def test_rejected_before_first_step(self, monkeypatch, problem, weighting, message):
-        monkeypatch.setattr(ObjectiveSet, "values", lambda *a: pytest.fail("stepped"))
+        monkeypatch.setattr(ObjectiveSet, "evaluate", lambda *a: pytest.fail("stepped"))
         cfg = RunConfig(
             problem=problem,
             weighting=weighting or WeightingChoice(kind="ew"),
@@ -290,6 +315,37 @@ class TestCamooRuns:
             assert rec.w.sum() == pytest.approx(1.0, abs=1e-12)
             np.testing.assert_allclose(rec.w, [0.2, 0.2, 0.6], atol=1e-9)
 
+    @settings(max_examples=15, deadline=None)
+    @given(
+        m=st.integers(2, 4),
+        floor_frac=st.sampled_from([1.0]) | st.floats(1e-3, 1.0),
+        pu_iterations=st.integers(1, 50),
+        force_hutchinson=st.booleans(),
+    )
+    def test_diag_mode_weights_stay_on_the_floored_simplex(
+        self, m, floor_frac, pu_iterations, force_hutchinson
+    ):
+        w_min = floor_frac / m
+        wc = WeightingChoice(
+            kind="camoo",
+            camoo=CamooConfig(
+                mode="diagonal-bilinear", w_min=w_min, pu_iterations=pu_iterations
+            ),
+            force_hutchinson=force_hutchinson,
+        )
+        trace = run(
+            RunConfig(
+                problem=ProblemSpec(kind="selection", delta=0.1, m=m, n=3),
+                weighting=wc,
+                inner=GDConfig(step=0.05),
+                steps=8,
+            )
+        )
+        assert len(trace.records) == 9
+        for rec in trace.records:
+            assert abs(rec.w.sum() - 1.0) <= 1e-9
+            assert rec.w.min() >= w_min - 1e-9
+
 
 ONE_EVAL_WEIGHTINGS = {
     "ew": WeightingChoice(kind="ew"),
@@ -318,7 +374,8 @@ class TestOneEvaluationPerIterate:
 
     @pytest.mark.parametrize("kind", list(ONE_EVAL_WEIGHTINGS))
     def test_one_forward_pass_per_iterate_on_the_mlp(self, monkeypatch, kind):
-        # Each record adds msq and mnorm; the Hessian diagonal reuses the pass.
+        # Each record adds one pass for msq and mnorm; the Hessian diagonal
+        # reuses the pass of ``evaluate``.
         passes = []
         original = _TwoLayerMatching._forward
 
@@ -338,7 +395,7 @@ class TestOneEvaluationPerIterate:
             )
         )
         assert len(trace.records) == 5
-        assert len(passes) == (steps + 1) + 2 * len(trace.records)
+        assert len(passes) == (steps + 1) + len(trace.records)
 
 
 class TestPamooRuns:
@@ -475,6 +532,17 @@ class TestNumericFailure:
         assert len(trace.records) == 2
         assert all(np.all(np.isfinite(r.f)) for r in trace.records)
 
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_non_finite_weights_end_the_run_at_the_gradient_check(self):
+        # An infinite Gram regularizer makes the PAMOO ascent return NaN
+        # weights; the weighted gradient is then the first non-finite quantity.
+        wc = WeightingChoice(kind="pamoo", pamoo=PamooConfig(gram_tau=math.inf))
+        with pytest.raises(NumericError) as err:
+            spec_run(wc, steps=5)
+        trace = err.value.payload
+        assert str(err.value) == trace.error == "step 0: non-finite gradient"
+        assert trace.records == []
+
 
 def run_reference(cfg):
     """The descent loop as first written, picking the weight rule inside the
@@ -499,7 +567,7 @@ def run_reference(cfg):
     if wc.kind == "ew":
         const_w = equal_weights(m)
     elif wc.kind == "fixed":
-        const_w = WeightVector(np.asarray(wc.fixed_weights, dtype=np.float64))
+        const_w = np.array(wc.fixed_weights, dtype=np.float64)
     scale = float(m) if wc.kind == "camoo" and cfg.camoo_lr_scale_by_m else 1.0
     inner_step = cfg.inner.step * scale
     adam_state = adam_init(x) if isinstance(cfg.inner, AdamConfig) else None
@@ -525,20 +593,15 @@ def run_reference(cfg):
             if warm_w is not None and warm_q is not None:
                 warm = (warm_w, warm_q)
             sol = solve_bilinear_pu(diag, wc.camoo, warm=warm)
-            w_arr = sol.w
+            w = sol.w
             if wc.camoo.w_min > 0:
-                w_arr = project_floored_simplex(w_arr, wc.camoo.w_min)
-            w = WeightVector(
-                w_arr,
-                FLOORED_SIMPLEX if wc.camoo.w_min > 0 else SIMPLEX,
-                wc.camoo.w_min,
-            )
+                w = project_floored_simplex(w, wc.camoo.w_min)
             warm_q = sol.q
             gap = sol.gap
-            lambda_est = float((w_arr @ diag).min())
+            lambda_est = float((w @ diag).min())
         else:
-            w = pamoo_weights(pamoo_context(fvals, J, f_star), wc.pamoo, warm=warm_w)
-        warm_w = w.as_array()
+            w = pamoo_weights(*pamoo_context(fvals, J, f_star), wc.pamoo, warm=warm_w)
+        warm_w = np.array(w)
         g = weighted_gradient(J, w)
         if k % cfg.record_every == 0 or k == cfg.steps:
             res = None

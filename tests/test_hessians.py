@@ -302,3 +302,5 @@ class TestTracker:
             HutchinsonConfig(num_samples=0)
         with pytest.raises(ValueError):
             HutchinsonConfig(fd_step=0.0)
+        with pytest.raises(ValueError):
+            HutchinsonConfig(fd_step=float("nan"))

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from amoo.core import WeightVector
 from amoo.linalg import (
     check_symmetric,
     eigh,
@@ -136,26 +135,26 @@ class TestHessianStack:
 class TestWeightedHessian:
     def test_specification_example(self):
         H = weighted_hessian(
-            [np.diag([1.8, 0.2]), np.diag([0.2, 1.8])], WeightVector([0.5, 0.5])
+            [np.diag([1.8, 0.2]), np.diag([0.2, 1.8])], np.array([0.5, 0.5])
         )
         np.testing.assert_allclose(H, np.eye(2), atol=1e-15)
 
     def test_one_hot_selects(self):
         rng = np.random.default_rng(13)
         mats = [random_symmetric(rng, 3) for _ in range(3)]
-        H = weighted_hessian(mats, WeightVector([0.0, 1.0, 0.0]))
+        H = weighted_hessian(mats, np.array([0.0, 1.0, 0.0]))
         np.testing.assert_allclose(H, mats[1], atol=1e-15)
 
     def test_zero_weights(self):
         mats = [np.eye(2), np.diag([3.0, 4.0])]
-        H = weighted_hessian(mats, WeightVector([0.0, 0.0]))
+        H = weighted_hessian(mats, np.array([0.0, 0.0]))
         np.testing.assert_allclose(H, 0.0, atol=1e-15)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            weighted_hessian([np.eye(2)], WeightVector([0.5, 0.5]))
+            weighted_hessian([np.eye(2)], np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
-            weighted_hessian([np.eye(2), np.eye(3)], WeightVector([0.5, 0.5]))
+            weighted_hessian([np.eye(2), np.eye(3)], np.array([0.5, 0.5]))
 
     def test_min_eig_concave_in_weights(self):
         rng = np.random.default_rng(14)
@@ -166,9 +165,9 @@ class TestWeightedHessian:
             w2 = rng.uniform(0, 1, size=3)
             w2 /= w2.sum()
             t = rng.uniform()
-            lam1, _ = min_eigenpair(weighted_hessian(mats, WeightVector(w1)))
-            lam2, _ = min_eigenpair(weighted_hessian(mats, WeightVector(w2)))
-            mix = WeightVector(t * w1 + (1 - t) * w2)
+            lam1, _ = min_eigenpair(weighted_hessian(mats, w1))
+            lam2, _ = min_eigenpair(weighted_hessian(mats, w2))
+            mix = t * w1 + (1 - t) * w2
             lam_mix, _ = min_eigenpair(weighted_hessian(mats, mix))
             assert lam_mix >= t * lam1 + (1 - t) * lam2 - 1e-9
 

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from amoo.core import WeightVector
 from amoo.linalg import min_eigenpair, weighted_hessian
 from amoo.problems import (
     KINDS,
@@ -62,12 +61,12 @@ class TestAnalyticKinds:
         # is the latter (0.8 here), far below the one-hot optimum of 2.
         problem = build(ProblemSpec(kind="selection", delta=0.1, m=3, n=4))
         mats = problem.objectives.hessians(np.zeros(4))
-        lam, _ = min_eigenpair(weighted_hessian(mats, WeightVector([1 / 3] * 3)))
+        lam, _ = min_eigenpair(weighted_hessian(mats, np.array([1 / 3] * 3)))
         expected = 2.0 * ((3 - 1) * 0.1 + 1.0) / 3
         assert lam == pytest.approx(expected, abs=1e-12)
         assert lam == pytest.approx(0.8, abs=1e-12)
         lam_hot, _ = min_eigenpair(
-            weighted_hessian(mats, WeightVector([0.0, 0.0, 1.0]))
+            weighted_hessian(mats, np.array([0.0, 0.0, 1.0]))
         )
         assert lam_hot == pytest.approx(2.0, abs=1e-12)
         assert lam < lam_hot
@@ -78,7 +77,7 @@ class TestAnalyticKinds:
             problem = build(ProblemSpec(kind="selection", delta=0.0, m=m, n=3))
             mats = problem.objectives.hessians(np.zeros(3))
             lam, _ = min_eigenpair(
-                weighted_hessian(mats, WeightVector([1.0 / m] * m))
+                weighted_hessian(mats, np.array([1.0 / m] * m))
             )
             values.append(lam)
             assert lam == pytest.approx(2.0 / m, abs=1e-12)
@@ -321,7 +320,7 @@ class TestMlpMatching:
         np.testing.assert_array_equal(values, np.zeros(3))
         for oracle in problem.objectives.objectives:
             assert np.linalg.norm(oracle.gradient_at(theta_star)) == 0.0
-        assert problem.msq(theta_star) == 0.0
+        assert problem.mismatch(theta_star) == (0.0, 0.0)
 
     def test_msq_positive_away_from_teacher(self):
         problem = build(ProblemSpec(variant="selection", **self.SMALL))
@@ -330,8 +329,8 @@ class TestMlpMatching:
             theta = problem.optimum.x_star + 0.1 * rng.normal(
                 size=problem.x0.shape
             )
-            assert problem.msq(theta) > 0.0
-            assert problem.mnorm(theta) > 0.0
+            msq, mnorm = problem.mismatch(theta)
+            assert msq > 0.0 and mnorm > 0.0
 
     def test_deterministic_given_seed(self):
         a = build(ProblemSpec(variant="local_curvature", **self.SMALL))
@@ -428,8 +427,8 @@ class TestMlpMatching:
             oracle.value_at(theta)
             oracle.gradient_at(theta)
             oracle.diag_hessian_at(theta)
-        problem.msq(theta)
-        model = weakref.ref(problem.msq.__self__)
+        problem.mismatch(theta)
+        model = weakref.ref(problem.mismatch.__self__)
         del problem, oracle
         gc.collect()
         assert model() is None

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amoo.core import ORTHANT
 from amoo.linalg import (
     check_symmetric,
     min_eigenpair,
@@ -18,7 +17,6 @@ from amoo.weighting import (
     MODE_DIAGONAL,
     CamooConfig,
     PamooConfig,
-    PamooContext,
     equal_weights,
     pamoo_context,
     pamoo_weights,
@@ -137,7 +135,7 @@ class TestEqualWeights:
         [(1, [1.0]), (2, [0.5, 0.5]), (4, [0.25, 0.25, 0.25, 0.25])],
     )
     def test_values(self, m, expected):
-        np.testing.assert_allclose(equal_weights(m).as_array(), expected)
+        np.testing.assert_allclose(equal_weights(m), expected)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -456,13 +454,13 @@ class TestCamooExact:
         res = solve_camoo_exact(mats, CamooConfig())
         assert res.value == pytest.approx(grid_val, abs=1e-3)
         assert res.value == pytest.approx(1.0, abs=1e-3)
-        np.testing.assert_allclose(res.weights.as_array(), [0.5, 0.5], atol=1e-2)
+        np.testing.assert_allclose(res.weights, [0.5, 0.5], atol=1e-2)
 
     def test_scalar_curvatures_with_floor(self):
         h1, h2 = np.exp(1.0), np.exp(-1.0)
         cfg = CamooConfig(w_min=0.1)
         res = solve_camoo_exact([[[h1]], [[h2]]], cfg)
-        np.testing.assert_allclose(res.weights.as_array(), [0.9, 0.1], atol=1e-6)
+        np.testing.assert_allclose(res.weights, [0.9, 0.1], atol=1e-6)
         assert res.value == pytest.approx(0.9 * h1 + 0.1 * h2, abs=1e-9)
 
     def test_identical_hessians(self):
@@ -491,7 +489,7 @@ class TestCamooExact:
         res1 = solve_camoo_exact(mats, CamooConfig())
         res2 = solve_camoo_exact([37.0 * H for H in mats], CamooConfig())
         np.testing.assert_allclose(
-            res1.weights.as_array(), res2.weights.as_array(), atol=1e-2
+            res1.weights, res2.weights, atol=1e-2
         )
         assert res2.value == pytest.approx(37.0 * res1.value, rel=1e-9)
 
@@ -557,12 +555,11 @@ class TestCamooDiag:
 # ---------------------------------------------------------------------------
 
 
-def pamoo_weights_reference(ctx, cfg, warm=None):
+def pamoo_weights_reference(gaps, gram, cfg, warm=None):
     """The projected-ascent loop as first written, with its per-iteration
     constants and ``np.max`` reductions; ``pamoo_weights`` must match it bit
     for bit."""
-    gaps = ctx.gaps
-    gram = check_symmetric(ctx.gram, tol=1e-8)
+    gram = check_symmetric(gram, tol=1e-8)
     m = len(gaps)
     evals = np.linalg.eigvalsh(gram)
     Gp = gram + cfg.gram_tau * np.eye(m)
@@ -585,21 +582,22 @@ def pamoo_weights_reference(ctx, cfg, warm=None):
 
 class TestPamoo:
     def test_scalar_polyak_ratio(self):
-        ctx = PamooContext(gaps=np.array([2.0]), gram=np.array([[4.0]]))
-        w = pamoo_weights(ctx, PamooConfig(gram_tau=0.0, iterations=1000))
-        assert w.as_array()[0] == pytest.approx(0.5, abs=1e-9)
-        assert w.constraint == ORTHANT
+        cfg = PamooConfig(gram_tau=0.0, iterations=1000)
+        w = pamoo_weights(np.array([2.0]), np.array([[4.0]]), cfg)
+        assert w[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_diagonal_gram(self):
-        ctx = PamooContext(gaps=np.array([1.0, 2.0]), gram=np.diag([2.0, 8.0]))
-        w = pamoo_weights(ctx, PamooConfig(gram_tau=0.0, iterations=5000))
-        np.testing.assert_allclose(w.as_array(), [0.5, 0.25], atol=1e-8)
+        w = pamoo_weights(
+            np.array([1.0, 2.0]), np.diag([2.0, 8.0]),
+            PamooConfig(gram_tau=0.0, iterations=5000),
+        )
+        np.testing.assert_allclose(w, [0.5, 0.25], atol=1e-8)
 
     def test_active_floor_matches_enumeration(self):
         gaps = np.array([1.0, 0.0])
         gram = np.array([[1.0, 0.9], [0.9, 1.0]])
         cfg = PamooConfig(gram_tau=0.0, iterations=20000, clip_floor=1e-6)
-        w = pamoo_weights(ctx := PamooContext(gaps=gaps, gram=gram), cfg).as_array()
+        w = pamoo_weights(gaps, gram, cfg)
         unconstrained = np.linalg.solve(gram, gaps)
         assert unconstrained.min() < 0  # the clip must engage
         best_val, best_w = active_set_quadratic_max(gaps, gram, 0.0, 1e-6)
@@ -620,7 +618,7 @@ class TestPamoo:
             if closed.min() <= 1e-6:
                 continue
             cfg = PamooConfig(gram_tau=tau, iterations=50000, step=1e-2)
-            w = pamoo_weights(PamooContext(gaps=gaps, gram=gram), cfg).as_array()
+            w = pamoo_weights(gaps, gram, cfg)
             gp = gram + tau * np.eye(m)
 
             def phi(v):
@@ -636,7 +634,7 @@ class TestPamoo:
             gram = B @ B.T + 0.2 * np.eye(m)
             gaps = rng.uniform(-0.5, 2.0, size=m)
             cfg = PamooConfig(gram_tau=1e-4, iterations=60000, step=5e-2)
-            w = pamoo_weights(PamooContext(gaps=gaps, gram=gram), cfg).as_array()
+            w = pamoo_weights(gaps, gram, cfg)
             grad = 2.0 * (gaps - (gram + 1e-4 * np.eye(m)) @ w)
             active = w <= cfg.clip_floor + 1e-15
             projected = np.where(active & (grad <= 0), 0.0, grad)
@@ -662,9 +660,8 @@ class TestPamoo:
                     clip_floor=clip_floor,
                     gram_tau=gram_tau,
                 )
-                ctx = PamooContext(gaps=gaps, gram=B @ B.T)
-                got = pamoo_weights(ctx, cfg, warm=warm).as_array()
-                want = pamoo_weights_reference(ctx, cfg, warm=warm)
+                got = pamoo_weights(gaps, B @ B.T, cfg, warm=warm)
+                want = pamoo_weights_reference(gaps, B @ B.T, cfg, warm=warm)
                 assert got.tobytes() == want.tobytes(), (m, trial)
                 on_floor += bool((want == clip_floor).any())
             assert on_floor > 0  # some iterates end on the floor
@@ -676,25 +673,103 @@ class TestPamoo:
             PamooConfig(**{field: value})
 
     def test_nan_warm_start_rejected(self):
-        ctx = PamooContext(gaps=np.array([1.0, 0.5]), gram=np.eye(2))
         with pytest.raises(ValueError, match="finite"):
-            pamoo_weights(ctx, PamooConfig(), warm=np.array([np.nan, 1.0]))
+            pamoo_weights(
+                np.array([1.0, 0.5]), np.eye(2), warm=np.array([np.nan, 1.0])
+            )
 
     def test_non_psd_gram_rejected(self):
         with pytest.raises(ValueError):
-            pamoo_weights(
-                PamooContext(gaps=np.array([1.0]), gram=np.array([[-1.0]])),
-                PamooConfig(),
-            )
+            pamoo_weights(np.array([1.0]), np.array([[-1.0]]), PamooConfig())
+
+    def test_gram_shape_checked(self):
+        with pytest.raises(ValueError, match="does not match 2 gaps"):
+            pamoo_weights(np.array([1.0, 0.5]), np.eye(3), PamooConfig())
 
     def test_context_from_objectives(self):
         problem = build(ProblemSpec(kind="specification", delta=0.1))
         x = np.array([1.0, -0.5])
         J = problem.objectives.gradients(x)
-        ctx = pamoo_context(
+        gaps, gram = pamoo_context(
             problem.objectives.values(x), J, problem.optimum.f_star
         )
-        np.testing.assert_allclose(ctx.gram, J @ J.T, atol=1e-14)
-        np.testing.assert_allclose(ctx.gaps, problem.objectives.values(x), atol=1e-14)
-        assert np.all(ctx.gaps >= -1e-9)
-        assert np.linalg.eigvalsh(ctx.gram)[0] >= -1e-10
+        np.testing.assert_allclose(gram, J @ J.T, atol=1e-14)
+        np.testing.assert_allclose(gaps, problem.objectives.values(x), atol=1e-14)
+        assert np.all(gaps >= -1e-9)
+        assert np.linalg.eigvalsh(gram)[0] >= -1e-10
+
+
+# ---------------------------------------------------------------------------
+# Each rule's weights lie on its set
+# ---------------------------------------------------------------------------
+
+# Weights are plain arrays: these properties are what a rule guarantees of
+# them, to within a sum 1e-9 off 1 and entries 1e-9 under their floor.
+SUM_TOL = 1e-9
+
+
+def assert_on_simplex(w, m, floor=0.0):
+    assert w.dtype == np.float64 and w.shape == (m,)
+    assert abs(w.sum() - 1.0) <= SUM_TOL
+    assert w.min() >= floor - SUM_TOL
+
+
+def random_psd_stack(seed, m, n):
+    rng = np.random.default_rng(seed)
+    B = rng.normal(size=(m, n, n))
+    return B @ B.transpose(0, 2, 1) / n + 0.05 * np.eye(n)
+
+
+class TestWeightsOnTheirSet:
+    @given(m=st.integers(1, 64))
+    def test_equal_weights(self, m):
+        assert_on_simplex(equal_weights(m), m)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        m=st.integers(1, 4),
+        n=st.integers(1, 4),
+        floor_frac=st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_camoo_exact(self, m, n, floor_frac, seed):
+        w_min = floor_frac / m
+        res = solve_camoo_exact(
+            list(random_psd_stack(seed, m, n)),
+            CamooConfig(w_min=w_min, supergrad_iterations=100),
+        )
+        assert_on_simplex(res.weights, m, w_min)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        m=st.integers(1, 5),
+        n=st.integers(1, 40),
+        iterations=st.integers(1, 200),
+        pu_tau=st.sampled_from([0.0, 0.01]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bilinear_pu(self, m, n, iterations, pu_tau, seed):
+        A = np.random.default_rng(seed).uniform(0.0, 3.0, size=(m, n))
+        cfg = CamooConfig(pu_iterations=iterations, pu_tau=pu_tau)
+        sol = solve_bilinear_pu(A, cfg)
+        assert_on_simplex(sol.w, m)
+        assert_on_simplex(sol.q, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(1, 5),
+        clip_floor=st.sampled_from([0.0, 1e-6, 0.1]),
+        gram_tau=st.sampled_from([0.0, 1e-4]),
+        iterations=st.integers(1, 300),
+        warm=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pamoo_weights(self, m, clip_floor, gram_tau, iterations, warm, seed):
+        rng = np.random.default_rng(seed)
+        B = rng.normal(size=(m, int(rng.integers(1, m + 3))))
+        gaps = rng.uniform(-0.5, 2.0, size=m)
+        cfg = PamooConfig(clip_floor=clip_floor, gram_tau=gram_tau, iterations=iterations)
+        w0 = rng.uniform(-0.5, 2.0, size=m) if warm else None
+        w = pamoo_weights(gaps, B @ B.T, cfg, warm=w0)
+        assert w.dtype == np.float64 and w.shape == (m,)
+        assert np.isfinite(w).all() and w.min() >= clip_floor
