@@ -1,5 +1,7 @@
 """Identical configs give bitwise-identical traces: one small `amoo run`
-config per weight rule, each pinned to the sha256 of its ``trace.csv``.
+config per weight rule, plus the network's ``local_curvature`` variant
+(powers alpha != 1, softplus curvature) under diagonal CAMOO and PAMOO,
+each pinned to the sha256 of its ``trace.csv``.
 
 A digest moves only when a change alters some recorded number.  Such a
 change updates the digest here and says in CHANGES.md which numbers moved
@@ -32,6 +34,7 @@ MLP = {
     "kind": "mlp_matching", "variant": "selection", "input_dim": 4,
     "hidden": 5, "output_dim": 3, "dataset_size": 6, "seed": 2,
 }
+MLP_CURVED = {**MLP, "variant": "local_curvature"}
 QUAD = {"kind": "quad_family", "h_list": [h.tolist() for h in spd_hessians(0)]}
 
 CONFIGS = {
@@ -62,8 +65,23 @@ CONFIGS = {
         "inner": {"kind": "adam", "step": 5e-3},
         "run": {"steps": 200, "record_every": 10},
     },
+    "camoo_diagonal_softplus": {
+        "problem": {**MLP_CURVED, "activation": "softplus"},
+        "weighting": {
+            "kind": "camoo",
+            "camoo": {"mode": "diagonal-bilinear", "pu_iterations": 10},
+        },
+        "inner": {"kind": "adam", "step": 5e-3},
+        "run": {"steps": 200, "record_every": 10},
+    },
     "pamoo": {
         "problem": MLP,
+        "weighting": {"kind": "pamoo"},
+        "inner": {"kind": "adam", "step": 5e-3},
+        "run": {"steps": 200, "record_every": 10},
+    },
+    "pamoo_curved": {
+        "problem": MLP_CURVED,
         "weighting": {"kind": "pamoo"},
         "inner": {"kind": "adam", "step": 5e-3},
         "run": {"steps": 200, "record_every": 10},
@@ -80,7 +98,9 @@ GOLDEN_SHA256 = {
     "fixed": "be7d0b833d8e8f1f7702ce5308a5e2a8fcd8d179a02e644e911d9cc6d14fa594",
     "camoo_exact": "02e46a5f10b3bdc696503ede5ea76069512e4a7d3a8dbefc59fe3dda83586c9d",
     "camoo_diagonal": "36111dd1db324b6e09ac1487409d98f3046a6d76bb82d65de91e2d40731d43a9",
+    "camoo_diagonal_softplus": "b7350db7808feaa5e7aa54ac224c42d54d7c4dcd352a572368e55a2bdfb6255d",
     "pamoo": "5f019cd3196542365ec3644e246c494e4e327718cc45037b63ae0714d9a14f97",
+    "pamoo_curved": "68fe753ae96d89dd8398dd015850038a59f7d5c9b2cf4654834b4ae51630c6d7",
     "pamoo_theory": "aa459db1d0e65d661a99ed949f5f314d6e811e1813659aec02b04777e30075cf",
 }
 
