@@ -143,10 +143,11 @@ class ObjectiveSet:
         return np.stack([o._checked_gradient(x) for o in self.objectives])
 
     def evaluate(self, x: Array) -> tuple[Array, Array, Callable[[], Array]]:
-        """Values (m,), stacked gradients (m, n) and a zero-argument callable
+        """Values (m,), stacked gradients J (m, n) and a zero-argument callable
         giving the (m, n) Hessian diagonals, all at x, which must already be a
         float64 vector of length ``dim``: unlike ``values``, it is not checked.
-        A stacked evaluator's callable reuses the pass that gave the values."""
+        J and the diagonals are fresh arrays that the caller owns.  A stacked
+        evaluator's callable reuses the pass that gave the values."""
         if self.stacked is not None:
             return self.stacked.evaluate(x)
         fvals = np.array([o.value(x) for o in self.objectives], dtype=np.float64)

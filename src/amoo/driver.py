@@ -37,8 +37,8 @@ class GDConfig:
     step: float
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise ConfigurationError("GD step must be positive")
+        if not 0 < self.step < np.inf:
+            raise ConfigurationError("GD step must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -49,12 +49,12 @@ class AdamConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise ConfigurationError("Adam step must be positive")
+        if not 0 < self.step < np.inf:
+            raise ConfigurationError("Adam step must be finite and positive")
         if not (0.0 <= self.b1 < 1.0 and 0.0 <= self.b2 < 1.0):
             raise ConfigurationError("Adam b1 and b2 must lie in [0, 1)")
-        if not self.eps > 0:
-            raise ConfigurationError("Adam eps must be positive")
+        if not 0 < self.eps < np.inf:
+            raise ConfigurationError("Adam eps must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -85,13 +85,25 @@ def step_adam(state: AdamState, g: Array, cfg: AdamConfig, step: float | None = 
         raise NumericError("non-finite gradient in Adam step")
     lr = cfg.step if step is None else step
     t = state.t + 1
-    m1 = cfg.b1 * state.m1 + (1.0 - cfg.b1) * g
-    m2 = cfg.b2 * state.m2 + (1.0 - cfg.b2) * g * g
-    m1_hat = m1 / (1.0 - cfg.b1**t)
-    m2_hat = m2 / (1.0 - cfg.b2**t)
-    x = state.x - lr * m1_hat / (np.sqrt(m2_hat) + cfg.eps)
-    new_state = AdamState(x=x, m1=m1, m2=m2, t=t)
-    return new_state, x
+    # In place on fresh arrays, in the order of
+    #   m1 = b1 m1 + (1 - b1) g,   m2 = b2 m2 + (1 - b2) g g,
+    #   x - lr m1_hat / (sqrt(m2_hat) + eps);
+    # the previous state's arrays are only read.
+    m1 = cfg.b1 * state.m1
+    tmp = (1.0 - cfg.b1) * g
+    m1 += tmp
+    m2 = cfg.b2 * state.m2
+    np.multiply(1.0 - cfg.b2, g, out=tmp)
+    tmp *= g
+    m2 += tmp
+    step_x = np.divide(m1, 1.0 - cfg.b1**t)
+    step_x *= lr
+    np.divide(m2, 1.0 - cfg.b2**t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += cfg.eps
+    step_x /= tmp
+    x = np.subtract(state.x, step_x, out=step_x)
+    return AdamState(x=x, m1=m1, m2=m2, t=t), x
 
 
 WEIGHTING_EW = "ew"

@@ -263,12 +263,16 @@ class _TwoLayerMatching:
 
     ``evaluate`` is the stacked evaluator of ``ObjectiveSet``: one forward
     pass gives the values, the gradients and, on demand, the Hessian
-    diagonals of all objectives, with products batched over the stacked H_i.
-    Each oracle runs the same pass for its objective alone, so a query of one
-    objective does one objective's backward work, not m.  The powers q^alpha
-    (numpy's scalar-exponent fast paths) and p1 @ A^2 stay per objective
-    because their batched forms round differently.  Every H_i is diagonal,
-    and the Hessian diagonal uses only the diagonals.
+    diagonals of all objectives, with products batched over the stacked H_i
+    and written in place into one (m, n) array each.  Each oracle runs the
+    same pass for its objective alone, so a query of one objective does one
+    objective's backward work, not m.  An objective with alpha = 1 takes q
+    for q^alpha and 2 for 2 alpha q^(alpha-1), both exact, so only the
+    ``bent`` rows compute powers (numpy's scalar-exponent fast paths, per
+    objective because their batched forms round differently).  The rows
+    p1 @ A^2 stay per objective for the same reason; the alpha = 1 rows of
+    p1 are all 2.0 and share one.  Every H_i is diagonal, and the Hessian
+    diagonal uses only the diagonals.
 
     The Hessian diagonal skips exactly-zero terms: the C2 = 4 alpha (alpha-1)
     q^(alpha-2) terms of the objectives with alpha = 1 (all but ``bent``),
@@ -348,20 +352,19 @@ class _TwoLayerMatching:
         return one
 
     def pack(self, w1, b1, w2, b2) -> Array:
-        lead = b1.shape[:-1]  # (k,) when packing k stacked parameter sets
-        return np.concatenate(
-            [w1.reshape(*lead, -1), b1, w2.reshape(*lead, -1), b2], axis=-1
-        )
+        return np.concatenate([w1.ravel(), b1, w2.ravel(), b2])
 
     def unpack(self, theta: Array):
+        """Views of the blocks (w1, b1, w2, b2) of theta.  Leading axes carry
+        over, so the rows of an (m, n) array unpack to (m, ...) blocks."""
         d_i, h, d_o = self.sizes
+        lead = theta.shape[:-1]
         i0 = h * d_i
-        w1 = theta[:i0].reshape(h, d_i)
-        b1 = theta[i0 : i0 + h]
         i1 = i0 + h
-        w2 = theta[i1 : i1 + d_o * h].reshape(d_o, h)
-        b2 = theta[i1 + d_o * h :]
-        return w1, b1, w2, b2
+        i2 = i1 + d_o * h
+        w1 = theta[..., :i0].reshape(*lead, h, d_i)
+        w2 = theta[..., i1:i2].reshape(*lead, d_o, h)
+        return w1, theta[..., i0:i1], w2, theta[..., i2:]
 
     def _act(self, z):
         if self.spec.activation == "relu":
@@ -372,12 +375,6 @@ class _TwoLayerMatching:
         if self.spec.activation == "relu":
             return (z > 0.0).astype(np.float64)
         return 1.0 / (1.0 + np.exp(-z))
-
-    def _act_second(self, z):
-        if self.spec.activation == "relu":
-            return np.zeros_like(z)
-        s = 1.0 / (1.0 + np.exp(-z))
-        return s * (1.0 - s)
 
     def _forward(self, theta: Array):
         w1, b1, w2, b2 = self.unpack(np.ascontiguousarray(theta, np.float64))
@@ -405,33 +402,49 @@ class _TwoLayerMatching:
         pass; ``diagonals()`` forms the Hessian diagonals from that pass."""
         w2, Z, A, R = self._forward(theta)
         q, V = self._per_sample(R)
-        fvals = np.stack([qk**a for a, qk in zip(self.alphas, q)]).mean(axis=1)
         N = R.shape[0]
-        # Per-sample weights 2 alpha q^(alpha-1), one row per objective.
-        p1 = np.stack([2 * a * qk ** (a - 1) for a, qk in zip(self.alphas, q)])
+        # q^alpha, and the per-sample weights 2 alpha q^(alpha-1), one row per
+        # objective; the alpha = 1 rows are q and 2.0 exactly.
+        powers = range(self.m)[self.bent]
+        qa, p1 = (q.copy() if powers else q), np.full(q.shape, 2.0)
+        for k in powers:
+            a = self.alphas[k]
+            qa[k] = q[k] ** a
+            p1[k] = 2 * a * q[k] ** (a - 1)
+        fvals = np.add.reduce(qa, axis=1) / N
         U = p1[:, :, None] * V
-        gw2 = np.matmul(U.transpose(0, 2, 1), A) / N
-        gb2 = U.sum(axis=1) / N
-        S = np.matmul(U, w2) * self._act_prime(Z)
-        gw1 = np.matmul(S.transpose(0, 2, 1), self.X) / N
-        gb1 = S.sum(axis=1) / N
-        grads = self.pack(gw1, gb1, gw2, gb2)
-        return fvals, grads, partial(self._diag_hessians, w2, Z, A, q, V, p1)
+        J = np.empty((self.m, self.n_params))
+        gw1, gb1, gw2, gb2 = self.unpack(J)
+        np.matmul(U.transpose(0, 2, 1), A, out=gw2)
+        np.add.reduce(U, axis=1, out=gb2)
+        d1 = self._act_prime(Z)
+        S = np.matmul(U, w2)
+        S *= d1
+        np.matmul(S.transpose(0, 2, 1), self.X, out=gw1)
+        np.add.reduce(S, axis=1, out=gb1)
+        J /= N
+        return fvals, J, partial(self._diag_hessians, w2, d1, A, q, V, p1)
 
-    def _diag_hessians(self, w2, Z, A, q, V, p1) -> Array:
-        """Exact parameterwise second derivatives (almost everywhere for relu).
+    def _diag_hessians(self, w2, d1, A, q, V, p1) -> Array:
+        """Exact parameterwise second derivatives (almost everywhere for relu),
+        with ``d1`` the act' of the pass.
 
         Each single parameter enters the network output linearly except
         through the activation, so the only network-curvature term is the
         activation's second derivative; the rest is the output-space loss
         curvature pushed through squared per-parameter sensitivities.
         """
-        hdiag, N, bent = self.hdiag, Z.shape[0], self.bent
+        hdiag, N, bent = self.hdiag, A.shape[0], self.bent
         relu = self.spec.activation == "relu"
+        D = np.empty((self.m, self.n_params))
+        dw1, db1, dw2, db2 = self.unpack(D)
 
         A2 = A**2
-        dw2 = hdiag[:, :, None] * np.stack([pk @ A2 for pk in p1])[:, None, :] / N
-        db2 = hdiag * np.mean(p1, axis=1)[:, None]
+        # Every alpha = 1 row of p1 is 2.0, so those rows share one dot.
+        flat = next((pk @ A2 for a, pk in zip(self.alphas, p1) if a == 1.0), None)
+        P = np.stack([flat if a == 1.0 else pk @ A2 for a, pk in zip(self.alphas, p1)])
+        np.divide(hdiag[:, :, None] * P[:, None, :], N, out=dw2)
+        np.multiply(hdiag, (np.add.reduce(p1, axis=1) / N)[:, None], out=db2)
         # + 0.0 turns a -0.0 into +0.0, as the skipped + C2 S^2 did.
         g2 = np.einsum("oj,ko,oj->kj", w2, hdiag, w2) + 0.0
         coeff = p1[:, :, None] * g2[:, None, :]
@@ -442,16 +455,15 @@ class _TwoLayerMatching:
             )[:, :, None]
             CV2 = c2 * V[bent] ** 2
             dw2[bent] += np.einsum("kno,nj->koj", CV2, A2) / N
-            db2[bent] += CV2.sum(axis=1) / N
+            db2[bent] += np.add.reduce(CV2, axis=1) / N
             coeff[bent] += c2 * (np.matmul(V[bent], w2) if relu else S[bent]) ** 2
-        d1 = self._act_prime(Z)
         if relu:
             coeff *= d1
-        else:
-            coeff = coeff * d1**2 + (p1[:, :, None] * S) * self._act_second(Z)
-        dw1 = np.matmul(coeff.transpose(0, 2, 1), self.X2) / N
-        db1 = coeff.sum(axis=1) / N
-        return self.pack(dw1, db1, dw2, db2)
+        else:  # softplus: act'' = s (1 - s) with s = act'
+            coeff = coeff * d1**2 + (p1[:, :, None] * S) * (d1 * (1.0 - d1))
+        np.divide(np.matmul(coeff.transpose(0, 2, 1), self.X2), N, out=dw1)
+        np.divide(np.add.reduce(coeff, axis=1), N, out=db1)
+        return D
 
     def mismatch(self, theta: Array) -> tuple[float, float]:
         """(msq, mnorm): the mean squared and the mean Euclidean norm of the

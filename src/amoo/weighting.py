@@ -52,14 +52,14 @@ class CamooConfig:
     def __post_init__(self):
         if self.mode not in (MODE_EXACT, MODE_DIAGONAL):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not self.w_min >= 0:
-            raise ValueError("w_min must be nonnegative")
-        if not self.pu_tau >= 0:
-            raise ValueError("pu_tau must be nonnegative")
+        if not 0 <= self.w_min < np.inf:
+            raise ValueError("w_min must be finite and nonnegative")
+        if not 0 <= self.pu_tau < np.inf:
+            raise ValueError("pu_tau must be finite and nonnegative")
         if self.pu_iterations < 1 or self.supergrad_iterations < 1:
             raise ValueError("iteration counts must be positive")
-        if not self.supergrad_step > 0:
-            raise ValueError("supergrad_step must be positive")
+        if not 0 < self.supergrad_step < np.inf:
+            raise ValueError("supergrad_step must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -72,14 +72,14 @@ class PamooConfig:
     gram_tau: float = 1e-4
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError("step must be positive")
+        if not 0 < self.step < np.inf:
+            raise ValueError("step must be finite and positive")
         if self.iterations < 1:
             raise ValueError("iterations must be positive")
-        if not self.clip_floor >= 0:
-            raise ValueError("clip_floor must be nonnegative")
-        if not self.gram_tau >= 0:
-            raise ValueError("gram_tau must be nonnegative")
+        if not 0 <= self.clip_floor < np.inf:
+            raise ValueError("clip_floor must be finite and nonnegative")
+        if not 0 <= self.gram_tau < np.inf:
+            raise ValueError("gram_tau must be finite and nonnegative")
 
 
 def equal_weights(m: int) -> Array:
@@ -206,42 +206,57 @@ def solve_bilinear_pu_stack(
         return out
     eta = 1.0 / (2.0 * amax + cfg.pu_tau)
     kappa = eta * cfg.pu_tau
-    # A shared exponent and a lone game's sums stay scalars: numpy's
-    # broadcasting costs more than the arithmetic on games this small.
+    # A shared exponent stays a scalar, and a lone game (one at entry, or the
+    # last one live) drops the batch axis: its players are 1-D and their sums
+    # scalars.  numpy's broadcasting costs more than the arithmetic on games
+    # this small.
     if len(kappa) == 1 or (kappa == kappa[0]).all():
         expo = None if kappa[0] == 0.0 else float(1.0 - kappa[0])
     else:
         expo = (1.0 - kappa)[:, None, None]
-    axis, keep = (None, False) if len(games) == 1 else (1, True)
-    if warm is not None:
-        w, q = w / w.sum(axis, keepdims=keep), q / q.sum(axis, keepdims=keep)
     Aeta = eta[:, None, None] * A
     neg_AetaT = np.ascontiguousarray(-Aeta.transpose(0, 2, 1))
+    axis, keep = 1, True
+    if len(games) == 1:
+        axis, keep = None, False
+        A, Aeta, neg_AetaT = A[0], Aeta[0], neg_AetaT[0]
+        w, q = w[0, :, 0], q[0, :, 0]
+    if warm is not None:
+        w = w / np.add.reduce(w, axis, keepdims=keep)
+        q = q / np.add.reduce(q, axis, keepdims=keep)
     w_acc, tail_w, q_acc, tail_q = (np.zeros(v.shape) for v in (w, w, q, q))
     tail_start = 0
     best_gap = best_w = best_q = None
 
     def finish(rows, done: int) -> None:
         for r in rows:
-            wo, qo = best_w[r].ravel(), best_q[r].ravel()
-            gap, value = float(best_gap[r, 0, 0]), float(wo @ A[r] @ qo)
-            out[games[r]] = BilinearSolution(wo, qo, gap, value, done)
+            a, wo, qo, gap = (
+                x[r] if axis else x for x in (A, best_w, best_q, best_gap)
+            )
+            wo, qo = wo.ravel(), qo.ravel()
+            value = float(wo @ a @ qo)
+            out[games[r]] = BilinearSolution(wo, qo, gap.item(), value, done)
 
     for t in range(cfg.pu_iterations):
         base_w, base_q = (w, q) if expo is None else (w**expo, q**expo)
-        # Half step from the current payoffs, full step from the midpoint's.
-        wb = np.exp(Aeta @ q)
+        # Half step from the current payoffs, full step from the midpoint's;
+        # each is base * exp(payoffs), normalised per game.
+        wb = Aeta @ q
+        np.exp(wb, out=wb)
         wb *= base_w
-        wb /= wb.sum(axis, keepdims=keep)
-        qb = np.exp(neg_AetaT @ w)
+        wb /= np.add.reduce(wb, axis, keepdims=keep)
+        qb = neg_AetaT @ w
+        np.exp(qb, out=qb)
         qb *= base_q
-        qb /= qb.sum(axis, keepdims=keep)
-        w = np.exp(Aeta @ qb)
+        qb /= np.add.reduce(qb, axis, keepdims=keep)
+        w = Aeta @ qb
+        np.exp(w, out=w)
         w *= base_w
-        w /= w.sum(axis, keepdims=keep)
-        q = np.exp(neg_AetaT @ wb)
+        w /= np.add.reduce(w, axis, keepdims=keep)
+        q = neg_AetaT @ wb
+        np.exp(q, out=q)
         q *= base_q
-        q /= q.sum(axis, keepdims=keep)
+        q /= np.add.reduce(q, axis, keepdims=keep)
         w_acc += wb
         q_acc += qb
         # The tail window opens at the first restart; before it, the tail
@@ -257,8 +272,8 @@ def solve_bilinear_pu_stack(
                 cands.append((tail_w / span, tail_q / span))
             gaps = []
             for wc, qc in cands:
-                g = (A @ qc).max(axis=1, keepdims=True)
-                g -= (A.transpose(0, 2, 1) @ wc).min(axis=1, keepdims=True)
+                g = (A @ qc).max(axis, keepdims=keep)
+                g -= (np.swapaxes(A, -1, -2) @ wc).min(axis, keepdims=keep)
                 gaps.append(g)
                 # Nothing writes to a candidate once it is made, so the best is
                 # kept, and returned, as a view.
@@ -275,13 +290,18 @@ def solve_bilinear_pu_stack(
                 if hit.all():
                     return out
                 live = ~hit
-                state = (games, A, Aeta, neg_AetaT, w, q, w_acc, q_acc, tail_w, tail_q)
-                games, A, Aeta, neg_AetaT, w, q, w_acc, q_acc, tail_w, tail_q = (
-                    x[live] for x in state
+                games = games[live]
+                mats = players = live
+                if len(games) == 1:
+                    k = np.flatnonzero(live)[0]
+                    axis, keep, mats, players = None, False, k, (k, slice(None), 0)
+                A, Aeta, neg_AetaT = A[mats], Aeta[mats], neg_AetaT[mats]
+                state = (w, q, w_acc, q_acc, tail_w, tail_q, best_w, best_q, best_gap)
+                w, q, w_acc, q_acc, tail_w, tail_q, best_w, best_q, best_gap = (
+                    x[players] for x in state
                 )
-                best_gap, best_w, best_q = best_gap[live], best_w[live], best_q[live]
                 if isinstance(expo, np.ndarray):
-                    expo = expo[live]
+                    expo = expo[players]
             # Restart the tail window once it spans half the history, so the
             # tail average forgets the transient.
             if done - tail_start >= max(tail_start, 256):

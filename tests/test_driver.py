@@ -85,12 +85,14 @@ class TestSteppers:
         "kwargs",
         [
             {"step": math.nan},
+            {"step": math.inf},
             {"b1": 1.0},
             {"b1": -0.1},
             {"b2": 1.0},
             {"b2": math.nan},
             {"eps": 0.0},
             {"eps": math.nan},
+            {"eps": math.inf},
         ],
     )
     def test_adam_constants_checked(self, kwargs):
@@ -100,6 +102,55 @@ class TestSteppers:
     def test_gd_nan_step_rejected(self):
         with pytest.raises(ConfigurationError, match="positive"):
             GDConfig(step=math.nan)
+
+    def test_gd_infinite_step_rejected(self):
+        with pytest.raises(ConfigurationError, match="step must be finite"):
+            GDConfig(step=math.inf)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        steps=st.integers(1, 5),
+        log_scale=st.floats(-8.0, 8.0),
+        b1=st.sampled_from([0.0, 0.5, 0.9]),
+        b2=st.sampled_from([0.0, 0.9, 0.999]),
+        eps=st.sampled_from([1e-8, 0.1]),
+        lr=st.sampled_from([None, 5e-3, 1.5]),
+    )
+    def test_adam_bitwise_equal_to_reference_and_state_kept(
+        self, seed, n, steps, log_scale, b1, b2, eps, lr
+    ):
+        """``step_adam`` updates in place, on arrays of its own: it gives the
+        bits of the expression as first written and leaves the state it was
+        given, and the gradient, as they were."""
+        rng = np.random.default_rng(seed)
+        cfg = AdamConfig(step=0.01, b1=b1, b2=b2, eps=eps)
+        state = adam_init(rng.normal(size=n))
+        want_x, want_m1, want_m2 = state.x, state.m1, state.m2
+        for t in range(1, steps + 1):
+            g = 10.0**log_scale * rng.normal(size=n)
+            g[rng.random(n) < 0.2] = -0.0
+            kept = [a.copy() for a in (state.x, state.m1, state.m2, g)]
+            state_next, x = step_adam(state, g, cfg, step=lr)
+            for before, after in zip(kept, (state.x, state.m1, state.m2, g)):
+                assert before.tobytes() == after.tobytes()
+            for new in (state_next.x, state_next.m1, state_next.m2):
+                for old in (state.x, state.m1, state.m2, g):
+                    assert not np.shares_memory(new, old)
+            # The update as first written.
+            step = cfg.step if lr is None else lr
+            want_m1 = cfg.b1 * want_m1 + (1.0 - cfg.b1) * g
+            want_m2 = cfg.b2 * want_m2 + (1.0 - cfg.b2) * g * g
+            m1_hat = want_m1 / (1.0 - cfg.b1**t)
+            m2_hat = want_m2 / (1.0 - cfg.b2**t)
+            want_x = want_x - step * m1_hat / (np.sqrt(m2_hat) + cfg.eps)
+            assert x is state_next.x and state_next.t == t
+            for got, want in zip(
+                (state_next.x, state_next.m1, state_next.m2), (want_x, want_m1, want_m2)
+            ):
+                assert got.tobytes() == want.tobytes()
+            state = state_next
 
     def test_adam_deterministic(self):
         cfg = AdamConfig(step=0.05)
@@ -532,11 +583,13 @@ class TestNumericFailure:
         assert len(trace.records) == 2
         assert all(np.all(np.isfinite(r.f)) for r in trace.records)
 
-    @pytest.mark.filterwarnings("ignore:invalid value")
-    def test_non_finite_weights_end_the_run_at_the_gradient_check(self):
-        # An infinite Gram regularizer makes the PAMOO ascent return NaN
-        # weights; the weighted gradient is then the first non-finite quantity.
-        wc = WeightingChoice(kind="pamoo", pamoo=PamooConfig(gram_tau=math.inf))
+    def test_non_finite_weights_end_the_run_at_the_gradient_check(self, monkeypatch):
+        # NaN weights make the weighted gradient the first non-finite quantity.
+        # The weight rule is patched to return them: the settings that once
+        # made the PAMOO ascent do so (an infinite gram_tau) are now rejected.
+        nan_weights = lambda gaps, *_, **__: np.full(len(gaps), np.nan)  # noqa: E731
+        monkeypatch.setattr(amoo.driver, "pamoo_weights", nan_weights)
+        wc = WeightingChoice(kind="pamoo")
         with pytest.raises(NumericError) as err:
             spec_run(wc, steps=5)
         trace = err.value.payload

@@ -173,8 +173,10 @@ def mlp_objective_reference(model, theta, i):
     X2, A2 = model.X**2, A**2
     dw2 = np.outer(hdiag, p1 @ A2) / N + np.einsum("n,no,nj->oj", c2, V**2, A2) / N
     db2 = hdiag * np.mean(p1) + (c2[:, None] * V**2).sum(axis=0) / N
-    coeff = (p1[:, None] * g2 + c2[:, None] * S**2) * model._act_prime(Z) ** 2
-    coeff = coeff + (p1[:, None] * S) * model._act_second(Z)
+    d1 = model._act_prime(Z)
+    d2 = d1 * (1.0 - d1) if model.spec.activation == "softplus" else np.zeros_like(Z)
+    coeff = (p1[:, None] * g2 + c2[:, None] * S**2) * d1**2
+    coeff = coeff + (p1[:, None] * S) * d2
     diag = model.pack(coeff.T @ X2 / N, coeff.sum(axis=0) / N, dw2, db2)
     return value, grad, diag
 

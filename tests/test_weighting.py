@@ -277,10 +277,25 @@ class TestBilinearPU:
             solve_bilinear_pu(np.array([[np.nan, 1.0]]), CamooConfig())
 
     @pytest.mark.parametrize("field", ["pu_tau", "w_min", "supergrad_step"])
-    @pytest.mark.parametrize("value", [-0.01, float("nan")])
+    @pytest.mark.parametrize("value", [-0.01, float("nan"), float("inf")])
     def test_config_rejects_negative_or_nan(self, field, value):
         with pytest.raises(ValueError, match=field):
             CamooConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, solve",
+        [
+            # Each solve once failed deep inside: an IndexError in
+            # project_simplex, then NaN weights and gaps twice.
+            ("supergrad_step", lambda cfg: solve_camoo_exact([np.eye(2)], cfg)),
+            ("pu_tau", lambda cfg: solve_bilinear_pu(np.eye(2), cfg)),
+            ("gram_tau", lambda cfg: pamoo_weights(np.ones(2), np.eye(2), cfg)),
+        ],
+    )
+    def test_infinite_setting_rejected_before_the_solve(self, field, solve):
+        config = PamooConfig if field == "gram_tau" else CamooConfig
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            solve(config(**{field: float("inf")}))
 
     def test_gap_certificate_nonnegative_and_weak_duality(self):
         rng = np.random.default_rng(32)
@@ -402,6 +417,45 @@ class TestBilinearStack:
             alone = solve_bilinear_pu(A[k], cfg, warm=warm_k, gap_target=gap_target)
             assert_same_solution(sol, (alone.w, alone.q, alone.gap, alone.value))
             assert sol.iterations == alone.iterations
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        easy=st.integers(0, 4),
+        m=st.sampled_from([1, 2, 3]),
+        n=st.sampled_from([1, 2, 7, 903]),
+        log_scales=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+        pu_tau=st.sampled_from([0.0, 0.01]),
+        iterations=st.integers(65, 300),
+        warm=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lone_game_equals_its_single_solve(
+        self, easy, m, n, log_scales, pu_tau, iterations, warm, seed
+    ):
+        """A stack of one game, or one that the easy games leave after the
+        first check, solves its lone game without the batch axis; every game
+        still gets its ``solve_bilinear_pu`` answer bit for bit."""
+        rng = np.random.default_rng(seed)
+        scales = 10.0 ** np.array(log_scales[: easy + 1])
+        # A constant game certifies a gap of 0 up to rounding at once; the
+        # last game is generic, so it misses the tiny target at that check.
+        A = np.ones((easy + 1, m, n)) * scales[:, None, None]
+        A[-1] *= rng.uniform(0.0, 3.0, size=(m, n))
+        W = rng.dirichlet(np.ones(m), size=easy + 1) if warm else None
+        Q = rng.dirichlet(np.ones(n), size=easy + 1) if warm else None
+        cfg = CamooConfig(pu_iterations=iterations, pu_tau=pu_tau)
+        target = 1e-12
+        sols = solve_bilinear_pu_stack(
+            A, cfg, warm=(W, Q) if warm else None, gap_target=target
+        )
+        for k, sol in enumerate(sols):
+            warm_k = (W[k], Q[k]) if warm else None
+            alone = solve_bilinear_pu(A[k], cfg, warm=warm_k, gap_target=target)
+            assert_same_solution(sol, (alone.w, alone.q, alone.gap, alone.value))
+            assert sol.iterations == alone.iterations
+        assert all(sol.iterations == 64 for sol in sols[:-1])
+        if m > 1 and n > 1:
+            assert sols[-1].iterations > 64  # the last game ran alone
 
     def test_games_leave_at_different_checks(self):
         rng = np.random.default_rng(42)
@@ -667,7 +721,7 @@ class TestPamoo:
             assert on_floor > 0  # some iterates end on the floor
 
     @pytest.mark.parametrize("field", ["clip_floor", "gram_tau", "step"])
-    @pytest.mark.parametrize("value", [-1e-6, float("nan")])
+    @pytest.mark.parametrize("value", [-1e-6, float("nan"), float("inf")])
     def test_config_rejects_negative_or_nan(self, field, value):
         with pytest.raises(ValueError, match=field):
             PamooConfig(**{field: value})
