@@ -85,9 +85,8 @@ def step_adam(state: AdamState, g: Array, cfg: AdamConfig, step: float | None = 
         raise NumericError("non-finite gradient in Adam step")
     lr = cfg.step if step is None else step
     t = state.t + 1
-    # In place on fresh arrays, in the order of
-    #   m1 = b1 m1 + (1 - b1) g,   m2 = b2 m2 + (1 - b2) g g,
-    #   x - lr m1_hat / (sqrt(m2_hat) + eps);
+    # m1 = b1 m1 + (1 - b1) g, m2 = b2 m2 + (1 - b2) g g and x - lr m1_hat /
+    # (sqrt(m2_hat) + eps) in that operation order, in place on fresh arrays:
     # the previous state's arrays are only read.
     m1 = cfg.b1 * state.m1
     tmp = (1.0 - cfg.b1) * g
