@@ -14,10 +14,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as sciopt
 
 from .core import Array, ObjectiveOracle, as_vector
 from .linalg import min_eigenpair, spectral_norm, weighted_hessian
+from .weighting import max_min_weights
 
 CAMOO = "CAMOO"
 PAMOO = "PAMOO"
@@ -309,27 +309,6 @@ def grid_best_weighted_curvature(hessians, step: float = 1e-2):
     return float(lam[best]), grid[best].copy()
 
 
-def best_diag_weights_lp(diag_matrix) -> Array:
-    """Exact maximizer of min_j (w'A)_j over the simplex, by linear program."""
-    A = np.asarray(diag_matrix, dtype=np.float64)
-    m, n = A.shape
-    # Variables (w, t): maximize t subject to A'w >= t, w on the simplex.
-    c = np.zeros(m + 1)
-    c[-1] = -1.0
-    a_ub = np.hstack([-A.T, np.ones((n, 1))])
-    b_ub = np.zeros(n)
-    a_eq = np.hstack([np.ones((1, m)), np.zeros((1, 1))])
-    b_eq = np.array([1.0])
-    bounds = [(0.0, None)] * m + [(None, None)]
-    res = sciopt.linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"diagonal-weights LP failed: {res.message}")
-    return res.x[:m]
-
-
 def weyl_degradation_suite(seed: int = 0, trials: int = 100) -> dict:
     """Stress-test curvature degradation under diagonal Hessian approximation.
 
@@ -354,7 +333,7 @@ def weyl_degradation_suite(seed: int = 0, trials: int = 100) -> dict:
         mu_grid, _ = grid_best_weighted_curvature(mats, step=1e-2)
         deviation = max(spectral_norm(H - np.diag(np.diagonal(H))) for H in mats)
         diag_rows = np.stack([np.diagonal(H) for H in mats])
-        w_hat = best_diag_weights_lp(diag_rows)
+        w_hat, _, _ = max_min_weights(diag_rows)
         achieved, _ = min_eigenpair(weighted_hessian(mats, w_hat))
         ok = achieved >= mu_grid - 2.0 * deviation - 1e-9
         if not ok:

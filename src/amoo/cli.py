@@ -179,6 +179,10 @@ class OutputOptions:
     plot: bool = False
     fit_rate_tail: float = 0.5
 
+    def __post_init__(self):
+        if not 0 < self.fit_rate_tail <= 1:
+            raise ValueError("fit_rate_tail must lie in (0, 1]")
+
 
 def parse_output_options(doc: dict) -> OutputOptions:
     return _build(OutputOptions, doc.get("output", {}), "output")

@@ -71,10 +71,6 @@ class ObjectiveOracle:
     def has_hessian(self) -> bool:
         return self.hessian is not None
 
-    @property
-    def has_diag_hessian(self) -> bool:
-        return self.diag_hessian is not None
-
     def value_at(self, x) -> float:
         return float(self.value(as_vector(x, self.dim)))
 

@@ -207,7 +207,8 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
     lambda_min_est, pu_gap)``, from one ``ObjectiveSet.evaluate(x)``.
 
     The settings are checked against the problem here, before the first step,
-    and each rule keeps its own warm start from one call to the next.
+    and each rule keeps its own warm start from one call to the next (exact
+    CAMOO keeps its solve's cuts).
     """
     objs = problem.objectives
     m = objs.m
@@ -247,8 +248,8 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
             def weigh_exact(fvals, J, diag, x):
                 nonlocal warm
                 result = solve_camoo_exact(objs.hessians(x), camoo, warm=warm)
-                warm = result.weights
-                return warm, result.value, None
+                warm = result.cuts
+                return result.weights, result.value, None
 
             return weigh_exact
 

@@ -25,8 +25,8 @@ class HutchinsonConfig:
     def __post_init__(self):
         if self.num_samples < 1:
             raise ValueError("num_samples must be at least 1")
-        if not self.fd_step > 0:
-            raise ValueError("fd_step must be positive")
+        if not 0 < self.fd_step < np.inf:
+            raise ValueError("fd_step must be finite and positive")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be nonnegative")
 

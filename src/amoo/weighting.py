@@ -5,8 +5,9 @@ Three families:
 * equal weights (the uniform baseline),
 * curvature-adaptive weights that maximize the smallest eigenvalue of the
   weighted Hessian over a (floored) simplex, either on full Hessians by
-  projected supergradient ascent or on Hessian diagonals by reduction to a
-  max-min bilinear game solved with predictive entropic primal-dual updates,
+  Kelley's cutting planes (one max-min linear program per round) to a
+  certified gap, or on Hessian diagonals by reduction to a max-min bilinear
+  game solved with predictive entropic primal-dual updates,
 * Polyak-style weights that maximize 2 w'gaps - w'(G + tau I)w over the
   nonnegative orthant by projected gradient ascent.
 
@@ -19,6 +20,7 @@ clipped orthant.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
 
 from .core import Array, as_vector
 from .linalg import (
@@ -38,16 +40,14 @@ class CamooConfig:
 
     ``w_min`` is the simplex floor (0 keeps the full simplex, the
     theory-driven value is mu_G / (8 m beta)).  ``pu_*`` fields control the
-    bilinear-game solver used in diagonal mode, ``supergrad_*`` the
-    projected supergradient ascent used in exact mode.
+    bilinear-game solver used in diagonal mode; exact mode has no knobs, as
+    it solves to a certified gap.
     """
 
     mode: str = MODE_EXACT
     w_min: float = 0.0
     pu_iterations: int = 100
     pu_tau: float = 0.01
-    supergrad_iterations: int = 500
-    supergrad_step: float = 0.1
 
     def __post_init__(self):
         if self.mode not in (MODE_EXACT, MODE_DIAGONAL):
@@ -56,10 +56,8 @@ class CamooConfig:
             raise ValueError("w_min must be finite and nonnegative")
         if not 0 <= self.pu_tau < np.inf:
             raise ValueError("pu_tau must be finite and nonnegative")
-        if self.pu_iterations < 1 or self.supergrad_iterations < 1:
-            raise ValueError("iteration counts must be positive")
-        if not 0 < self.supergrad_step < np.inf:
-            raise ValueError("supergrad_step must be finite and positive")
+        if self.pu_iterations < 1:
+            raise ValueError("pu_iterations must be positive")
 
 
 @dataclass(frozen=True)
@@ -317,83 +315,99 @@ def solve_bilinear_pu_stack(
 # ---------------------------------------------------------------------------
 
 
+# The most LPs one exact solve runs before it stops unconverged; a cold solve
+# takes 11-29 at m <= 3 and about 100 at m = 8.
+MAX_CUTS = 200
+
+
+def max_min_weights(C, w_min: float = 0.0) -> tuple[Array, float, Array]:
+    """Maximize min_k (C'w)_k over {w >= w_min, sum w = 1}, ``C`` of shape
+    (m, K), by one HiGHS linear program; return its weights, its value t and
+    the K multipliers of (C'w)_k >= t, which are nonnegative and sum to 1."""
+    C = np.asarray(C, dtype=np.float64)
+    m, n = C.shape
+    # Variables (w, t): maximize t subject to C'w >= t, w on the floored simplex.
+    c = np.zeros(m + 1)
+    c[-1] = -1.0
+    a_ub = np.hstack([-C.T, np.ones((n, 1))])
+    a_eq = np.hstack([np.ones((1, m)), np.zeros((1, 1))])
+    bounds = [(w_min, None)] * m + [(None, None)]
+    res = optimize.linprog(c, a_ub, np.zeros(n), a_eq, [1.0], bounds, method="highs")
+    if not res.success:
+        raise RuntimeError(f"max-min weights LP failed: {res.message}")
+    return res.x[:m], float(res.x[m]), -res.ineqlin.marginals
+
+
 @dataclass(frozen=True)
 class CamooExactResult:
+    """Exact-mode weights with their certificate.
+
+    ``value`` is lambda_min at ``weights`` and ``gap`` >= 0 bounds how far it
+    lies below the maximum.  ``iterations`` counts the LPs solved.  ``cuts``
+    are the unit directions whose cuts carry a positive multiplier at the
+    last LP (never empty): the warm start of a later solve.
+    """
+
     weights: Array
     value: float
     iterations: int
     converged: bool
+    gap: float
+    cuts: Array
 
 
 def solve_camoo_exact(
     hessians, cfg: CamooConfig | None = None, warm: Array | None = None
 ) -> CamooExactResult:
-    """Maximize lambda_min(sum_i w_i H_i) over the floored simplex.
+    """Maximize lambda_min(sum_i w_i H_i) over the floored simplex by
+    Kelley's cutting planes.
 
-    Projected supergradient ascent: at the current weights the smallest
-    eigenpair (lam, v) of the weighted matrix gives the supergradient
-    component v'H_i v.  The step starts at supergrad_step / max_i ||H_i||_2
-    (so the trajectory is invariant to scaling all matrices) and halves
-    periodically, which homes in on the optimum of this piecewise-smooth
-    concave objective.  The best iterate seen, measured by its exact
-    smallest eigenvalue, is returned; ``converged`` is False when the final
-    phase was still improving.
+    Each unit v cuts lambda_min(sum_i w_i H_i) <= sum_i w_i v'H_i v.  Each
+    round solves the max-min LP over the cuts so far: its multipliers bound
+    the maximum from above, and the smallest eigenpair at its weights gives
+    a lower bound and the next cut.  The solve stops once the gap is at most
+    1e-7 max_i ||H_i||_2 (HiGHS's feasibility tolerance), or unconverged
+    after MAX_CUTS LPs.  ``warm`` is an earlier result's ``cuts``; the cold
+    first cut is the smallest eigenvector at the floored simplex's centre.
     """
     cfg = cfg or CamooConfig()
     stack = hessian_stack(hessians)
-    m = len(stack)
+    m, n = stack.shape[:2]
     if m * cfg.w_min > 1.0 + 1e-12:
         raise ValueError(f"floor infeasible: m*w_min = {m * cfg.w_min}")
+    tol = 1e-7 * max(spectral_norm(H) for H in stack)
 
-    scale = max(spectral_norm(H) for H in stack)
-    if scale == 0.0:
-        w = project_floored_simplex(np.full(m, 1.0 / m), cfg.w_min)
-        return CamooExactResult(w, 0.0, 0, True)
+    if warm is None:
+        centre = project_floored_simplex(np.full(m, 1.0 / m), cfg.w_min)
+        warm = min_eigenpair_unchecked(np.einsum("i,ijk->jk", centre, stack))[1][None]
+    cuts = np.asarray(warm, dtype=np.float64)
+    if cuts.ndim != 2 or cuts.shape[1] != n or not len(cuts):
+        raise ValueError(f"warm cuts must be a (k, {n}) array, got {cuts.shape}")
+    norms = np.linalg.norm(cuts, axis=1, keepdims=True)
+    if not (np.isfinite(norms).all() and norms.all()):
+        raise ValueError("warm cuts must be finite and nonzero")
+    cuts = cuts / norms
 
-    if warm is not None:
-        w = project_floored_simplex(as_vector(warm, m, "warm"), cfg.w_min)
-    else:
-        w = project_floored_simplex(np.full(m, 1.0 / m), cfg.w_min)
-
-    iters = cfg.supergrad_iterations
-    phase_len = max(20, iters // 12)
-    base = cfg.supergrad_step / scale
-
-    best_w = w.copy()
-    best_val, _ = min_eigenpair_unchecked(np.einsum("i,ijk->jk", w, stack))
-    gain_tol = 1e-12 * (1.0 + abs(best_val) + scale)
-    prev_gain, gain = np.inf, 0.0
-    done = 0
-    for k in range(iters):
-        if k % phase_len == 0 and k > 0:
-            # Two consecutive phases without progress: the iterate is pinned
-            # or oscillating below tolerance; smaller steps cannot help more.
-            if prev_gain <= gain_tol and gain <= gain_tol:
-                break
-            prev_gain, gain = gain, 0.0
+    C = np.einsum("ijk,pj,pk->ip", stack, cuts, cuts)
+    slack, best_val = 1.0 - m * cfg.w_min, -np.inf
+    for lps in range(1, MAX_CUTS + 1):
+        w, _, y = max_min_weights(C, cfg.w_min)
+        # The LP's weights can sit ~1e-17 off the floored simplex.
+        w = project_floored_simplex(w, cfg.w_min)
+        # For multipliers y >= 0 summing to 1, min_k (C'w)_k <= w'Cy for every
+        # w, and w'Cy is largest at a vertex of the floored simplex.
+        y = np.maximum(y, 0.0)
+        g = C @ (y / y.sum())
+        upper = cfg.w_min * g.sum() + slack * g.max()
         lam, v = min_eigenpair_unchecked(np.einsum("i,ijk->jk", w, stack))
         if lam > best_val:
-            gain += lam - best_val
-            best_val, best_w = lam, w.copy()
-        g = np.einsum("ijk,j,k->i", stack, v, v)
-        step = base * 0.5 ** (k // phase_len)
-        w_next = project_floored_simplex(w + step * g, cfg.w_min)
-        moved = float(np.max(np.abs(w_next - w)))
-        w = w_next
-        done = k + 1
-        if moved <= 1e-15:
+            best_val, best_w = lam, w
+        gap = max(float(upper - best_val), 0.0)
+        if gap <= tol or lps == MAX_CUTS:
             break
-    lam, _ = min_eigenpair_unchecked(np.einsum("i,ijk->jk", w, stack))
-    if lam > best_val:
-        best_val, best_w = lam, w.copy()
-
-    stalled = done == iters and gain > gain_tol
-    return CamooExactResult(
-        weights=best_w,
-        value=float(best_val),
-        iterations=done,
-        converged=not stalled,
-    )
+        cuts = np.vstack([cuts, v])
+        C = np.hstack([C, np.einsum("ijk,j,k->i", stack, v, v)[:, None]])
+    return CamooExactResult(best_w, float(best_val), lps, gap <= tol, gap, cuts[y > 0])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 from amoo.analysis import (
     RecurrenceParams,
     TheoremParams,
-    best_diag_weights_lp,
     fit_rate,
     grid_best_weighted_curvature,
     max_admissible_noise,
@@ -18,6 +17,7 @@ from amoo.analysis import (
 from amoo.core import ObjectiveOracle
 from amoo.driver import GDConfig, RunConfig, WeightingChoice, run, theory_camoo, theory_pamoo
 from amoo.linalg import min_eigenpair, weighted_hessian
+from amoo.weighting import max_min_weights
 from amoo.problems import ProblemSpec, build
 
 
@@ -238,7 +238,7 @@ class TestWeylDegradation:
     def test_exactly_diagonal_matrices(self):
         mats = [np.diag([2.0, 0.5]), np.diag([0.3, 1.5])]
         mu_grid, _ = grid_best_weighted_curvature(mats, step=1e-3)
-        w_hat = best_diag_weights_lp(np.stack([np.diagonal(H) for H in mats]))
+        w_hat, _, _ = max_min_weights(np.stack([np.diagonal(H) for H in mats]))
         achieved, _ = min_eigenpair(weighted_hessian(mats, w_hat))
         assert achieved >= mu_grid - 1e-6
 
@@ -246,7 +246,7 @@ class TestWeylDegradation:
         rng = np.random.default_rng(52)
         B = rng.normal(size=(4, 4))
         H = B @ B.T + np.eye(4)
-        w_hat = best_diag_weights_lp(np.diagonal(H).reshape(1, -1))
+        w_hat, _, _ = max_min_weights(np.diagonal(H).reshape(1, -1))
         np.testing.assert_allclose(w_hat, [1.0], atol=1e-9)
         from amoo.linalg import spectral_norm
 

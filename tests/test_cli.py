@@ -72,6 +72,15 @@ class TestRunCommand:
         assert code == 2
         assert "lr_sched" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("key", ["supergrad_iterations", "supergrad_step"])
+    def test_removed_exact_mode_knobs_are_unknown_keys(self, tmp_path, capsys, key):
+        # Exact mode solves to a certified gap; its old loop's knobs are gone.
+        doc = {**VALID_CONFIG, "weighting": {"kind": "camoo", "camoo": {key: 1}}}
+        out = tmp_path / "o"
+        assert cli.cmd_run(write_config(tmp_path, doc), str(out)) == 2
+        assert f"unknown key {key!r} in weighting.camoo" in capsys.readouterr().out
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "section,values",
         [
@@ -256,15 +265,8 @@ class TestRunCommand:
                 "weighting.pamoo.gram_tau",
                 {"weighting": {"kind": "pamoo", "pamoo": {"gram_tau": float("inf")}}},
             ),
-            (
-                "weighting.camoo.supergrad_step",
-                {
-                    "weighting": {
-                        "kind": "camoo",
-                        "camoo": {"supergrad_step": float("inf")},
-                    }
-                },
-            ),
+            # Accepted once, and swallowed as a null fitted rate after the run.
+            ("fit_rate_tail", {"output": {"fit_rate_tail": 1.5}}),
             (
                 "weighting.hutchinson.fd_step",
                 {
@@ -303,8 +305,6 @@ class TestRunCommand:
                     "w_min": 0.1,
                     "pu_iterations": 7,
                     "pu_tau": 0,
-                    "supergrad_iterations": 8,
-                    "supergrad_step": 0.5,
                 },
                 "pamoo": {
                     "step": 1,
@@ -338,7 +338,7 @@ class TestRunCommand:
             ),
             weighting=WeightingChoice(
                 kind="fixed",
-                camoo=CamooConfig("diagonal-bilinear", 0.1, 7, 0.0, 8, 0.5),
+                camoo=CamooConfig("diagonal-bilinear", 0.1, 7, 0.0),
                 pamoo=PamooConfig(1.0, 9, 0.0, 0.5),
                 fixed_weights=(1.0, 0.5),
                 hutchinson=HutchinsonConfig(3, 0.001, 4),
@@ -427,7 +427,11 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["verdicts"]["theorem_bound"] is True
 
-    @pytest.mark.parametrize("preset", [None, "pamoo-theory"])
+    # camoo-theory is left out: it builds the problem for its constants, and
+    # the run builds it again.
+    @pytest.mark.parametrize(
+        "preset", [None, "pamoo-theory", "practical-sgd", "practical-adam"]
+    )
     def test_misaligned_run_builds_problem_once(self, tmp_path, monkeypatch, preset):
         built = []
         original = problems.build

@@ -624,7 +624,7 @@ def run_reference(cfg):
     scale = float(m) if wc.kind == "camoo" and cfg.camoo_lr_scale_by_m else 1.0
     inner_step = cfg.inner.step * scale
     adam_state = adam_init(x) if isinstance(cfg.inner, AdamConfig) else None
-    warm_w = warm_q = None
+    warm_w = warm_q = cuts = None
     records = []
     for k in range(cfg.steps + 1):
         fvals = objs.values(x)
@@ -633,8 +633,8 @@ def run_reference(cfg):
         if const_w is not None:
             w = const_w
         elif wc.kind == "camoo" and wc.camoo.mode == "exact-eigen":
-            result = solve_camoo_exact(objs.hessians(x), wc.camoo, warm=warm_w)
-            w = result.weights
+            result = solve_camoo_exact(objs.hessians(x), wc.camoo, warm=cuts)
+            w, cuts = result.weights, result.cuts
             lambda_est = result.value
         elif wc.kind == "camoo":
             hcfg = replace(wc.hutchinson, rng_seed=hseed + k)

@@ -96,7 +96,7 @@ CONFIGS = {
 GOLDEN_SHA256 = {
     "ew": "64c8c09a7a8bf1b292996a739845bd11f09df822dca5e527d455ea47e98afe92",
     "fixed": "be7d0b833d8e8f1f7702ce5308a5e2a8fcd8d179a02e644e911d9cc6d14fa594",
-    "camoo_exact": "02e46a5f10b3bdc696503ede5ea76069512e4a7d3a8dbefc59fe3dda83586c9d",
+    "camoo_exact": "b73f6ba9ce92b1ca5584251818bba325d561715ccf02df95e12f1098a070bc2d",
     "camoo_diagonal": "36111dd1db324b6e09ac1487409d98f3046a6d76bb82d65de91e2d40731d43a9",
     "camoo_diagonal_softplus": "b7350db7808feaa5e7aa54ac224c42d54d7c4dcd352a572368e55a2bdfb6255d",
     "pamoo": "5f019cd3196542365ec3644e246c494e4e327718cc45037b63ae0714d9a14f97",

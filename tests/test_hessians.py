@@ -233,7 +233,7 @@ class TestDiagHessianMatrix:
             )
         )
         oracle = problem.objectives.objectives[1]
-        assert oracle.has_hessian and not oracle.has_diag_hessian
+        assert oracle.has_hessian and oracle.diag_hessian is None
         for _ in range(3):
             x = rng.normal(size=5)
             rows = analytic_diagonals(problem.objectives, x)
@@ -304,3 +304,5 @@ class TestTracker:
             HutchinsonConfig(fd_step=0.0)
         with pytest.raises(ValueError):
             HutchinsonConfig(fd_step=float("nan"))
+        with pytest.raises(ValueError, match="fd_step must be finite"):
+            HutchinsonConfig(fd_step=float("inf"))

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import amoo.weighting
+from amoo.analysis import grid_best_weighted_curvature
 from amoo.linalg import (
     check_symmetric,
     min_eigenpair,
@@ -18,6 +20,7 @@ from amoo.weighting import (
     CamooConfig,
     PamooConfig,
     equal_weights,
+    max_min_weights,
     pamoo_context,
     pamoo_weights,
     project_floored_simplex,
@@ -276,7 +279,7 @@ class TestBilinearPU:
         with pytest.raises(ValueError):
             solve_bilinear_pu(np.array([[np.nan, 1.0]]), CamooConfig())
 
-    @pytest.mark.parametrize("field", ["pu_tau", "w_min", "supergrad_step"])
+    @pytest.mark.parametrize("field", ["pu_tau", "w_min"])
     @pytest.mark.parametrize("value", [-0.01, float("nan"), float("inf")])
     def test_config_rejects_negative_or_nan(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -285,9 +288,7 @@ class TestBilinearPU:
     @pytest.mark.parametrize(
         "field, solve",
         [
-            # Each solve once failed deep inside: an IndexError in
-            # project_simplex, then NaN weights and gaps twice.
-            ("supergrad_step", lambda cfg: solve_camoo_exact([np.eye(2)], cfg)),
+            # Each solve once failed deep inside, with NaN weights and gaps.
             ("pu_tau", lambda cfg: solve_bilinear_pu(np.eye(2), cfg)),
             ("gram_tau", lambda cfg: pamoo_weights(np.ones(2), np.eye(2), cfg)),
         ],
@@ -533,9 +534,8 @@ class TestCamooExact:
                 B = rng.normal(size=(n, n))
                 mats.append(B @ B.T / n + 0.05 * np.eye(n))
             grid_val, _ = grid_max_min_eig(mats, step=2e-3)
-            res = solve_camoo_exact(
-                mats, CamooConfig(supergrad_iterations=1500, supergrad_step=0.2)
-            )
+            res = solve_camoo_exact(mats, CamooConfig())
+            assert res.converged
             assert res.value >= grid_val - 1e-3
 
     def test_scaling_invariance(self):
@@ -570,6 +570,68 @@ class TestCamooExact:
     def test_infeasible_floor(self):
         with pytest.raises(ValueError):
             solve_camoo_exact([np.eye(2)] * 3, CamooConfig(w_min=0.5))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 3),
+        n=st.integers(1, 6),
+        floor=st.sampled_from([0.0, 0.1, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gap_certifies_the_optimum(self, m, n, floor, seed):
+        mats = random_psd_stack(seed, m, n)
+        w_min = floor / m
+        res = solve_camoo_exact(list(mats), CamooConfig(w_min=w_min))
+        scale = max(spectral_norm(H) for H in mats)
+        assert_on_simplex(res.weights, m, w_min)
+        lam = np.linalg.eigvalsh(np.einsum("i,ijk->jk", res.weights, mats))[0]
+        assert res.value == pytest.approx(lam, abs=1e-12 * scale)
+        assert res.converged and 0.0 <= res.gap <= 1e-7 * scale
+        assert res.cuts.shape[1:] == (n,) and len(res.cuts) >= 1
+        if w_min == 0.0:
+            grid_val, _ = grid_best_weighted_curvature(list(mats))
+            assert grid_val <= res.value + res.gap + 1e-12 * scale
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        m=st.integers(1, 5),
+        n=st.integers(1, 50),
+        floor=st.sampled_from([0.0, 0.1, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_diagonal_hessians_agree_with_the_lp(self, m, n, floor, seed):
+        # With diagonal Hessians lambda_min(sum w_i H_i) = min_j (w'D)_j, so
+        # the LP on the diagonals solves the same problem.
+        D = np.random.default_rng(seed).uniform(0.05, 3.0, size=(m, n))
+        w_min = floor / m
+        res = solve_camoo_exact([np.diag(d) for d in D], CamooConfig(w_min=w_min))
+        _, lp_value, _ = max_min_weights(D, w_min)
+        tol = 1e-12 * D.max()
+        assert res.value - tol <= lp_value <= res.value + res.gap + tol
+
+    def test_lp_cap_stops_unconverged_with_a_valid_gap(self, monkeypatch):
+        monkeypatch.setattr(amoo.weighting, "MAX_CUTS", 2)
+        mats = list(random_psd_stack(0, 3, 6))
+        res = solve_camoo_exact(mats, CamooConfig())
+        grid_val, _ = grid_best_weighted_curvature(mats)
+        assert res.iterations == 2 and not res.converged
+        assert grid_val <= res.value + res.gap + 1e-12
+
+    def test_warm_cuts_resolve_constant_hessians_in_one_or_two_lps(self):
+        for seed in range(5):
+            mats = list(random_psd_stack(seed, 3, 12))
+            cold = solve_camoo_exact(mats, CamooConfig())
+            assert len(cold.cuts) >= 1 and cold.iterations > 2
+            warm = solve_camoo_exact(mats, CamooConfig(), warm=cold.cuts)
+            assert warm.converged and warm.iterations <= 2
+            assert abs(warm.value - cold.value) <= max(cold.gap, warm.gap)
+
+    @pytest.mark.parametrize(
+        "warm", [np.ones(2), np.ones((1, 3)), np.ones((0, 2)), [[0.0, 0.0]], [[np.nan, 1]]]
+    )
+    def test_bad_warm_cuts_rejected(self, warm):
+        with pytest.raises(ValueError, match="warm cuts"):
+            solve_camoo_exact([np.eye(2)] * 2, CamooConfig(), warm=warm)
 
 
 class TestCamooDiag:
@@ -789,8 +851,7 @@ class TestWeightsOnTheirSet:
     def test_camoo_exact(self, m, n, floor_frac, seed):
         w_min = floor_frac / m
         res = solve_camoo_exact(
-            list(random_psd_stack(seed, m, n)),
-            CamooConfig(w_min=w_min, supergrad_iterations=100),
+            list(random_psd_stack(seed, m, n)), CamooConfig(w_min=w_min)
         )
         assert_on_simplex(res.weights, m, w_min)
 
