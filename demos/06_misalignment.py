@@ -2,9 +2,9 @@
 
 Shifting one objective of the specification pair breaks exact alignment.
 The instance then carries an epsilon: the smallest worst-case objective gap
-any single point can achieve.  Both adaptive weightings keep converging,
-but only down to a plateau that shrinks continuously (about like sqrt(eps))
-as the objectives realign.
+any single point can achieve, from a KKT-certified minimax solve.  Both
+adaptive weightings keep converging, but only down to a plateau that
+shrinks continuously (about like sqrt(eps)) as the objectives realign.
 """
 
 import numpy as np

@@ -149,24 +149,6 @@ class TheoremParams:
             raise ValueError(f"which must be CAMOO or PAMOO, got {self.which!r}")
 
 
-def theorem_envelope(tp: TheoremParams, steps: Array, r_anchor: float, k0: int):
-    """Evaluate the two-phase bound at the given step indices."""
-    c_lin = 16.0 if tp.which == CAMOO else 64.0
-    c_geo = 8.0 if tp.which == CAMOO else 32.0
-    factor = math.sqrt(max(1.0 - 3.0 * tp.mu / (c_geo * tp.beta), 0.0))
-    if tp.m_self > 0:
-        slope = tp.mu**1.5 / (c_lin * tp.beta**2 * math.sqrt(tp.m) * tp.m_self)
-    else:
-        slope = math.inf
-    out = np.empty(len(steps), dtype=np.float64)
-    for i, k in enumerate(steps):
-        if k < k0:
-            out[i] = tp.r0 - slope * k
-        else:
-            out[i] = r_anchor * factor ** (k - k0)
-    return out
-
-
 def theorem_k0(tp: TheoremParams) -> int:
     if tp.m_self == 0.0:
         return 0
@@ -201,12 +183,14 @@ def theorem_bound_check(trace, tp: TheoremParams, slack: float = 1e-12) -> bool:
     anchor_step = int(steps[anchor_idx])
     r_anchor = float(res[anchor_idx])
 
-    c_geo = 8.0 if tp.which == CAMOO else 32.0
+    c_lin, c_geo = (16.0, 8.0) if tp.which == CAMOO else (64.0, 32.0)
     factor = math.sqrt(max(1.0 - 3.0 * tp.mu / (c_geo * tp.beta), 0.0))
+    if tp.m_self > 0:  # else k0 = 0 and there is no pre-phase
+        slope = tp.mu**1.5 / (c_lin * tp.beta**2 * math.sqrt(tp.m) * tp.m_self)
     tol = slack * (1.0 + tp.r0)
     for k, r in zip(steps, res):
         if k < k0:
-            bound = theorem_envelope(tp, np.array([k]), r_anchor, k0)[0]
+            bound = tp.r0 - slope * k
         else:
             bound = r_anchor * factor ** (k - anchor_step)
         if r > bound + tol:

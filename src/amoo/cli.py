@@ -239,6 +239,9 @@ def cmd_run(config_path: str, out_dir: str | None, print_fn=print) -> int:
     except ConfigurationError as exc:
         print_fn(f"config error: {exc}")
         return 2
+    except NumericError as exc:  # camoo-theory builds the problem to parse
+        print_fn(f"numeric failure: {exc}")
+        return 3
 
     code = 0
     try:

@@ -67,10 +67,6 @@ class ObjectiveOracle:
         if self.dim < 1:
             raise ValueError(f"oracle dim must be positive, got {self.dim}")
 
-    @property
-    def has_hessian(self) -> bool:
-        return self.hessian is not None
-
     def value_at(self, x) -> float:
         return float(self.value(as_vector(x, self.dim)))
 
@@ -126,17 +122,11 @@ class ObjectiveSet:
         return self.objectives[0].dim
 
     def values(self, x) -> Array:
-        x = as_vector(x, self.dim)
-        if self.stacked is not None:
-            return self.stacked.evaluate(x)[0]
-        return np.array([o.value(x) for o in self.objectives], dtype=np.float64)
+        return self.evaluate(as_vector(x, self.dim))[0]
 
     def gradients(self, x) -> Array:
-        """Stacked gradients, shape (m, n)."""
-        x = as_vector(x, self.dim)
-        if self.stacked is not None:
-            return self.stacked.evaluate(x)[1]
-        return np.stack([o._checked_gradient(x) for o in self.objectives])
+        """Stacked gradients, shape (m, n); with ``values``, a view of ``evaluate``."""
+        return self.evaluate(as_vector(x, self.dim))[1]
 
     def evaluate(self, x: Array) -> tuple[Array, Array, Callable[[], Array]]:
         """Values (m,), stacked gradients J (m, n) and a zero-argument callable
@@ -160,8 +150,8 @@ class OptimalInfo:
     """What is known about the shared optimum of an objective set.
 
     ``alignment_eps`` is 0 for exactly aligned instances and otherwise the
-    smallest e such that some point is within e objective gap of every
-    objective's own minimum.
+    smallest e such that some point (``misalign`` certifies ``x_star`` as
+    one) is within e objective gap of every objective's own minimum.
     """
 
     x_star: Array | None = None

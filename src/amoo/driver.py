@@ -296,19 +296,20 @@ def run(cfg: RunConfig) -> RunTrace:
 
     Records are written at step 0, every ``record_every`` steps, and at the
     final iterate; each record holds the metrics at x_k together with the
-    weights computed there.  When the weighting is curvature-adaptive and
-    ``camoo_lr_scale_by_m`` is set, the inner step is multiplied by the
-    number of objectives (simplex weights sum to 1 where equal weighting
-    effectively sums to m).  Values, gradients and the Hessian diagonals
-    come from one ``ObjectiveSet.evaluate`` call per iterate, shared by the
-    weight rule and the inner step; only the diagonal CAMOO rule forms the
-    diagonals, from that same pass.  x0's shape is checked once, before the
-    first step, and the gradient norm and residual are computed only for
-    recorded steps.  A NaN or Inf in the iterate, a value or the weighted
-    gradient aborts the run with a NumericError whose payload is the trace
-    up to the failure.  The trace carries the built problem.  A problem
-    spec that its builder rejects, or weighting settings that do not fit the
-    problem, raise ConfigurationError before the first step.
+    weights computed there.  With CAMOO and ``camoo_lr_scale_by_m`` set, the
+    inner step is multiplied by m; every rule's weights sum to 1 (equal
+    weights are 1/m), so CAMOO then steps m times farther than EW or PAMOO.
+    Values, gradients and the Hessian diagonals come from one
+    ``ObjectiveSet.evaluate`` call per iterate, shared by the weight rule
+    and the inner step; only the diagonal CAMOO rule forms the diagonals,
+    from that same pass.  x0's shape is checked once, before the first
+    step, and the gradient norm and residual are computed only for recorded
+    steps.  A NaN or Inf in the iterate, a value or the weighted gradient
+    aborts the run with a NumericError whose payload is the trace up to the
+    failure.  The trace carries the built problem.  A problem spec that its
+    builder rejects, or weighting settings that do not fit the problem,
+    raise ConfigurationError before the first step; an uncertified
+    misaligned reference point raises NumericError without a payload.
     """
     t_start = time.perf_counter()
     problem = build_problem(cfg.problem)

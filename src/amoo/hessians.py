@@ -67,7 +67,7 @@ def hutchinson_diag(oracle: ObjectiveOracle, x, cfg: HutchinsonConfig) -> Array:
     """
     x = as_vector(x, oracle.dim)
     n = oracle.dim
-    H = oracle.hessian_at(x) if oracle.has_hessian else None
+    H = oracle.hessian_at(x) if oracle.hessian is not None else None
     streams = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.num_samples)
     acc = np.zeros(n)
     for seq in streams:

@@ -24,12 +24,7 @@ from typing import Callable
 import numpy as np
 from scipy import optimize
 
-from .core import (
-    Array,
-    ObjectiveOracle,
-    ObjectiveSet,
-    OptimalInfo,
-)
+from .core import Array, NumericError, ObjectiveOracle, ObjectiveSet, OptimalInfo
 
 
 @dataclass(frozen=True)
@@ -525,12 +520,55 @@ def _shifted_oracle(oracle: ObjectiveOracle, shift: Array) -> ObjectiveOracle:
     )
 
 
+# SLSQP's stopping tolerance and iteration cap, and the certificate's tolerance.
+_MINIMAX_FTOL, _MINIMAX_MAXITER, _KKT_TOL = 1e-12, 200, 1e-6
+
+
+def _minimax_point(objectives: ObjectiveSet, f_min: Array, x0: Array):
+    """(x, eps): a minimizer of the worst gap max_i (f_i(x) - f_i*) and that
+    gap clipped at 0, by SLSQP on the epigraph form min t s.t. f_i(x) - f_i*
+    <= t.  It is judged by its KKT certificate, not by SLSQP's status: NNLS
+    seeks simplex weights on the objectives within tol (1 + |gap|) of the
+    worst gap that cancel their gradients (scaled by 1 + max_i |grad f_i|),
+    and a residual above tol = ``_KKT_TOL`` raises NumericError.  For convex
+    objectives, as in every analytic kind, such a point is the global
+    minimax up to that band and residual.
+    """
+    n, e_n = objectives.dim, np.eye(objectives.dim + 1)[-1]
+    res = optimize.minimize(
+        lambda z: z[n],
+        np.append(x0, np.max(objectives.evaluate(x0)[0] - f_min)),
+        jac=lambda z: e_n,
+        method="SLSQP",
+        constraints={
+            "type": "ineq",
+            "fun": lambda z: z[n] - (objectives.evaluate(z[:n])[0] - f_min),
+            "jac": lambda z: np.c_[-objectives.evaluate(z[:n])[1], np.ones(len(f_min))],
+        },
+        options={"ftol": _MINIMAX_FTOL, "maxiter": _MINIMAX_MAXITER},
+    )
+    x = np.array(res.x[:n])
+    fvals, J, _ = objectives.evaluate(x)
+    worst = float(np.max(fvals - f_min))
+    active = J[fvals - f_min >= worst - _KKT_TOL * (1.0 + abs(worst))]
+    scale = 1.0 + np.linalg.norm(J, axis=1).max()
+    kkt = np.r_[active.T / scale, [np.ones(len(active))]]
+    finite = np.isfinite(worst) and np.isfinite(J).all()  # else kkt is empty or fake
+    residual = optimize.nnls(kkt, e_n)[1] if finite else np.inf
+    if not residual <= _KKT_TOL:
+        raise NumericError(
+            f"misalign: minimax point not certified, KKT residual {residual:.3g} "
+            f"after {res.nit} SLSQP iterations ({res.message})"
+        )
+    return x, max(worst, 0.0)
+
+
 def misalign(base: Problem, shifts) -> Problem:
     """Shift objective i by s_i, producing an approximately aligned instance.
 
-    The reported optimum is the point minimizing the worst objective gap
-    (found numerically), and ``alignment_eps`` is that minimax gap, so the
-    set of alignment_eps-approximate solutions is nonempty by construction.
+    The reported optimum is the minimax point of the objective gaps, which
+    ``_minimax_point`` certifies or raises NumericError, and alignment_eps
+    is that minimax gap, so alignment_eps-approximate solutions exist.
     Curvature constants are inherited from the base problem.
     """
     if base.optimum.x_star is None or base.optimum.f_star is None:
@@ -542,30 +580,13 @@ def misalign(base: Problem, shifts) -> Problem:
     if not np.all(np.isfinite(shifts)):
         raise ValueError("shifts must be finite")
 
-    oracles = tuple(
-        _shifted_oracle(o, shifts[i])
-        for i, o in enumerate(base.objectives.objectives)
-    )
-    objectives = ObjectiveSet(oracles)
+    pairs = zip(base.objectives.objectives, shifts)
+    objectives = ObjectiveSet(tuple(_shifted_oracle(o, s) for o, s in pairs))
     f_min = np.array(base.optimum.f_star)
 
-    def worst_gap(x: Array) -> float:
-        return float(np.max(objectives.values(x) - f_min))
-
-    if np.allclose(shifts, 0.0):
-        x_ref = np.array(base.optimum.x_star)
-        eps = 0.0
-    else:
-        x_init = base.optimum.x_star + shifts.mean(axis=0)
-        res = optimize.minimize(
-            worst_gap,
-            x_init,
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20000,
-                     "maxfev": 20000},
-        )
-        x_ref = res.x
-        eps = max(worst_gap(x_ref), 0.0)
+    x_ref, eps = np.array(base.optimum.x_star), 0.0
+    if not np.allclose(shifts, 0.0):
+        x_ref, eps = _minimax_point(objectives, f_min, x_ref + shifts.mean(axis=0))
 
     optimum = OptimalInfo(x_star=x_ref, f_star=f_min, alignment_eps=eps)
     spec = ProblemSpec(

@@ -94,6 +94,7 @@ def project_simplex(y) -> Array:
     css = np.cumsum(s) - 1.0
     idx = np.arange(1, len(y) + 1)
     cond = s - css / idx > 0
+    cond[0] = True  # true in exact arithmetic; rounding drops it near |y| = 1e16
     rho = idx[cond][-1]
     theta = css[rho - 1] / rho
     return np.maximum(y - theta, 0.0)

@@ -144,14 +144,20 @@ class TestTheoremBound:
         tp = TheoremParams(
             beta=2.0, mu=1.0, m_self=0.5, m=2, r0=10.0, which="CAMOO"
         )
-        from amoo.analysis import theorem_envelope, theorem_k0
+        from amoo.analysis import theorem_k0
 
         k0 = theorem_k0(tp)
         assert k0 > 0
         steps = np.arange(0, k0 + 50)
-        anchor = theorem_envelope(tp, np.array([k0 - 1]), 0.0, k0 + 1)[0]
+        # The CAMOO envelope: r0 - slope k before k0, then a geometric decay
+        # with squared factor 1 - 3 mu / (8 beta), anchored on the line at k0 - 1.
+        slope = tp.mu**1.5 / (16.0 * tp.beta**2 * np.sqrt(tp.m) * tp.m_self)
+        anchor = tp.r0 - slope * (k0 - 1)
         assert anchor > 0
-        env = theorem_envelope(tp, steps, r_anchor=anchor, k0=k0)
+        factor = np.sqrt(1.0 - 3.0 * tp.mu / (8.0 * tp.beta))
+        env = np.where(
+            steps < k0, tp.r0 - slope * steps, anchor * factor ** (steps - k0)
+        )
         trace_ok = list(zip(steps.tolist(), (env * 0.999).tolist()))
         assert theorem_bound_check(trace_ok, tp)
         trace_bad = list(zip(steps.tolist(), (env * 1.5).tolist()))

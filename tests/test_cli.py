@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from amoo import cli, driver, problems, traceio
 from amoo.core import ObjectiveSet
@@ -457,6 +458,35 @@ class TestRunCommand:
         assert cli.cmd_run(write_config(tmp_path, doc), str(tmp_path / "o")) == 0
         # Building a misaligned problem also builds its base problem once.
         assert [spec.kind for spec in built] == ["misaligned", "specification"]
+
+    @pytest.mark.parametrize("preset", [None, "camoo-theory"])
+    def test_uncertified_reference_point_exits_3(
+        self, tmp_path, capsys, monkeypatch, preset
+    ):
+        # camoo-theory builds the problem while parsing, the other paths in
+        # driver.run; both end in exit 3 with no output directory.
+        monkeypatch.setattr(
+            problems.optimize,
+            "minimize",
+            lambda fun, z0, **kw: optimize.OptimizeResult(x=z0, nit=0, message="stub"),
+        )
+        doc = {
+            "problem": {
+                "kind": "misaligned",
+                "base": {"kind": "specification", "delta": 0.1},
+                "shifts": [[0.0, 0.0], [0.2, 0.1]],
+            },
+            "run": {"steps": 5, "x0": [1.0, 1.0]},
+        }
+        if preset is None:
+            doc["weighting"] = {"kind": "pamoo"}
+            doc["inner"] = {"kind": "gd", "step": 0.25}
+        else:
+            doc["preset"] = preset
+        out = tmp_path / "o"
+        assert cli.cmd_run(write_config(tmp_path, doc), str(out)) == 3
+        assert "numeric failure: misalign" in capsys.readouterr().out
+        assert not out.exists()
 
     def test_preset_conflicts_with_sections(self, tmp_path, capsys):
         doc = dict(VALID_CONFIG)

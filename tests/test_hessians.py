@@ -233,7 +233,7 @@ class TestDiagHessianMatrix:
             )
         )
         oracle = problem.objectives.objectives[1]
-        assert oracle.has_hessian and oracle.diag_hessian is None
+        assert oracle.hessian is not None and oracle.diag_hessian is None
         for _ in range(3):
             x = rng.normal(size=5)
             rows = analytic_diagonals(problem.objectives, x)

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
+from amoo import problems
+from amoo.core import NumericError
 from amoo.linalg import min_eigenpair, weighted_hessian
 from amoo.problems import (
     KINDS,
@@ -513,3 +516,76 @@ class TestMisalign:
         )
         problem = build(spec)
         assert problem.optimum.alignment_eps > 0
+
+
+def _power_family(n: int) -> ProblemSpec:
+    rng = np.random.default_rng([n, 5])
+    mats = []
+    for _ in range(3):
+        B = rng.normal(size=(n, n))
+        mats.append(tuple(map(tuple, B @ B.T + 0.1 * np.eye(n))))
+    return ProblemSpec(
+        kind="quad_family", h_list=tuple(mats), alpha_list=(1.0, 1.5, 2.0)
+    )
+
+
+# Convex bases: for each, a KKT point of the worst gap is its global minimax.
+CONVEX_BASES = {"specification": ProblemSpec(kind="specification", delta=0.01)}
+for _n in (2, 6, 12):
+    CONVEX_BASES[f"selection_{_n}"] = ProblemSpec(kind="selection", m=3, n=_n)
+    CONVEX_BASES[f"local_curvature_{_n}"] = ProblemSpec(kind="local_curvature", n=_n)
+    CONVEX_BASES[f"power_{_n}"] = _power_family(_n)
+
+
+def run_c_problem():
+    """The misaligned problem of the analytic CLI benchmark's run (c)."""
+    shifts = np.random.default_rng([0, 2]).normal(scale=0.5, size=(3, 12))
+    return ProblemSpec(
+        kind="misaligned",
+        base=ProblemSpec(kind="selection", delta=0.1, m=3, n=12),
+        shifts=tuple(map(tuple, shifts)),
+    )
+
+
+class TestMinimaxPoint:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        key=st.sampled_from(sorted(CONVEX_BASES)),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([0.05, 0.5, 2.0]),
+    )
+    def test_certified_minimax(self, key, seed, scale):
+        base = build(CONVEX_BASES[key])
+        m, n = base.objectives.m, base.objectives.dim
+        rng = np.random.default_rng(seed)
+        shifted = misalign(base, rng.normal(scale=scale, size=(m, n)))
+        opt = shifted.optimum
+        f, J, _ = shifted.objectives.evaluate(opt.x_star)
+        gaps = f - opt.f_star
+        assert opt.alignment_eps == max(np.max(gaps), 0.0)
+        # Simplex weights on the worst objectives cancel their gradients.
+        tol = 1e-6 * (1.0 + opt.alignment_eps)
+        active = gaps >= np.max(gaps) - tol
+        scale_J = 1.0 + np.linalg.norm(J, axis=1).max()
+        A = np.vstack([J[active].T / scale_J, np.ones(active.sum())])
+        assert optimize.nnls(A, np.r_[np.zeros(n), 1.0])[1] <= 1e-6
+        # No probe point, far or near, has a smaller worst gap.
+        probes = opt.x_star + rng.normal(scale=scale, size=(50, n))
+        for x in np.vstack([probes, opt.x_star + 1e-3 * rng.normal(size=(50, n))]):
+            worst = np.max(shifted.objectives.values(x) - opt.f_star)
+            assert opt.alignment_eps <= worst + tol
+
+    def test_run_c_eps_pinned(self):
+        # The minimax gap of run (c), well inside the certificate's accuracy.
+        problem = build(run_c_problem())
+        assert problem.optimum.alignment_eps == pytest.approx(0.49347454, abs=1e-7)
+
+    def test_uncertified_solve_raises(self, monkeypatch):
+        # A solve that stops where it started leaves a nonzero KKT residual.
+        monkeypatch.setattr(
+            problems.optimize,
+            "minimize",
+            lambda fun, z0, **kw: optimize.OptimizeResult(x=z0, nit=0, message="stub"),
+        )
+        with pytest.raises(NumericError, match="not certified"):
+            build(run_c_problem())

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import amoo.weighting
@@ -130,6 +130,27 @@ class TestProjections:
     def test_infeasible_floor_rejected(self):
         with pytest.raises(ValueError):
             project_floored_simplex(np.array([0.5, 0.5]), 0.6)
+
+    @settings(max_examples=300, deadline=None)
+    @example(y=[3.0], share=0.9999999999999999, floored=True)  # slack of 1 ulp
+    @given(
+        y=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6),
+        share=st.floats(0.0, 1.0),
+        floored=st.booleans(),
+    )
+    def test_projection_optimality(self, y, share, floored):
+        # p is feasible and <y - p, v - p> <= 0 at every vertex v of the
+        # floored simplex, which makes p the nearest feasible point.
+        y = np.array(y)
+        m = len(y)
+        w_min = share / m if floored else 0.0
+        p = project_floored_simplex(y, w_min) if floored else project_simplex(y)
+        # Rounding in the threshold grows with |y|, so both checks scale with it.
+        scale = (1.0 + np.linalg.norm(y)) ** 2
+        assert abs(p.sum() - 1.0) <= 1e-14 * m * (1.0 + np.abs(y).max())
+        assert np.all(p >= w_min - 1e-15)
+        vertices = w_min + (1.0 - m * w_min) * np.eye(m)
+        assert np.all((vertices - p) @ (y - p) <= 1e-12 * scale)
 
 
 class TestEqualWeights:
