@@ -21,6 +21,9 @@ from .weighting import max_min_weights
 
 CAMOO = "CAMOO"
 PAMOO = "PAMOO"
+# Each rule's envelope constants (c_lin, c_geo): pre-phase slope mu^1.5 /
+# (c_lin beta^2 sqrt(m) M), squared geometric factor 1 - 3 mu / (c_geo beta).
+ENVELOPE_CONSTANTS = {CAMOO: (16.0, 8.0), PAMOO: (64.0, 32.0)}
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +155,8 @@ class TheoremParams:
 def theorem_k0(tp: TheoremParams) -> int:
     if tp.m_self == 0.0:
         return 0
-    c = 16.0 if tp.which == CAMOO else 64.0
     k0 = math.ceil(
-        c
+        ENVELOPE_CONSTANTS[tp.which][0]
         * tp.beta
         * (tp.r0 * 3.0 * math.sqrt(tp.m) * tp.beta * tp.m_self - math.sqrt(tp.mu))
         / (3.0 * tp.mu**1.5)
@@ -183,7 +185,7 @@ def theorem_bound_check(trace, tp: TheoremParams, slack: float = 1e-12) -> bool:
     anchor_step = int(steps[anchor_idx])
     r_anchor = float(res[anchor_idx])
 
-    c_lin, c_geo = (16.0, 8.0) if tp.which == CAMOO else (64.0, 32.0)
+    c_lin, c_geo = ENVELOPE_CONSTANTS[tp.which]
     factor = math.sqrt(max(1.0 - 3.0 * tp.mu / (c_geo * tp.beta), 0.0))
     if tp.m_self > 0:  # else k0 = 0 and there is no pre-phase
         slope = tp.mu**1.5 / (c_lin * tp.beta**2 * math.sqrt(tp.m) * tp.m_self)

@@ -116,9 +116,18 @@ def _parse_inner(section: dict):
     return _build(_INNER[kind], section, "inner")
 
 
+def _parse_weighting(section: dict) -> driver.WeightingChoice:
+    kind = _object(section, "weighting").get("kind", driver.WEIGHTING_EW)
+    if not isinstance(kind, str) or kind not in driver.WEIGHTING_KEYS:
+        raise ConfigurationError(f"unknown weighting kind {kind!r}")
+    keys = ("kind", *driver.WEIGHTING_KEYS[kind])
+    return _build(driver.WeightingChoice, section, "weighting", keys)
+
+
 def _apply_preset(name: str, problem: problems.ProblemSpec):
     if name == "camoo-theory":
-        built = driver.build_problem(problem)
+        # misalign keeps its base's constants and m: build only the base here.
+        built = driver.build_problem(problem.base or problem)
         wc, inner = driver.theory_camoo(built.meta, built.objectives.m)
         return wc, inner, False
     if name == "pamoo-theory":
@@ -152,9 +161,7 @@ def parse_run_config(doc: dict) -> driver.RunConfig:
     else:
         if "inner" not in doc:
             raise ConfigurationError("config section 'inner' is required")
-        weighting_choice = _build(
-            driver.WeightingChoice, doc.get("weighting", {}), "weighting"
-        )
+        weighting_choice = _parse_weighting(doc.get("weighting", {}))
         inner = _parse_inner(doc["inner"])
 
     run_section = doc.get("run", {})
@@ -173,15 +180,9 @@ def parse_run_config(doc: dict) -> driver.RunConfig:
 
 @dataclasses.dataclass(frozen=True)
 class OutputOptions:
-    """The ``output`` section: whether to write plot.svg, and the tail
-    fraction of the trace that the summary's contraction rate is fitted on."""
+    """The ``output`` section: whether to write plot.svg."""
 
     plot: bool = False
-    fit_rate_tail: float = 0.5
-
-    def __post_init__(self):
-        if not 0 < self.fit_rate_tail <= 1:
-            raise ValueError("fit_rate_tail must lie in (0, 1]")
 
 
 def parse_output_options(doc: dict) -> OutputOptions:
@@ -239,7 +240,7 @@ def cmd_run(config_path: str, out_dir: str | None, print_fn=print) -> int:
     except ConfigurationError as exc:
         print_fn(f"config error: {exc}")
         return 2
-    except NumericError as exc:  # camoo-theory builds the problem to parse
+    except NumericError as exc:  # camoo-theory builds a base, maybe misaligned
         print_fn(f"numeric failure: {exc}")
         return 3
 
@@ -263,7 +264,7 @@ def cmd_run(config_path: str, out_dir: str | None, print_fn=print) -> int:
     fitted = None
     if code == 0 and len(trace.residuals()) >= 20:
         try:
-            fitted = analysis.fit_rate(trace, out_opts.fit_rate_tail)
+            fitted = analysis.fit_rate(trace)
         except ValueError:
             fitted = None
     verdicts = _run_verdicts(trace) if code == 0 else {"finite": False}
@@ -281,7 +282,6 @@ def cmd_run(config_path: str, out_dir: str | None, print_fn=print) -> int:
 def cmd_analyze(
     trace_path: str,
     fit: bool = False,
-    tail_fraction: float = 0.5,
     theorem: dict | None = None,
     print_fn=print,
 ) -> int:
@@ -293,7 +293,7 @@ def cmd_analyze(
     report = {}
     if fit:
         try:
-            report["fitted_rate"] = analysis.fit_rate(trace, tail_fraction)
+            report["fitted_rate"] = analysis.fit_rate(trace)
         except ValueError as exc:
             print_fn(f"error: {exc}")
             return 2
@@ -460,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="rate fitting and bound checks")
     p_an.add_argument("trace")
     p_an.add_argument("--fit-rate", action="store_true")
-    p_an.add_argument("--tail-fraction", type=float, default=0.5)
     p_an.add_argument("--theorem-check", action="store_true")
     p_an.add_argument("--beta", type=float)
     p_an.add_argument("--mu", type=float)
@@ -495,12 +494,7 @@ def main(argv=None) -> int:
                 "m_self": args.m_self,
                 "which": args.which,
             }
-        return cmd_analyze(
-            args.trace,
-            fit=args.fit_rate,
-            tail_fraction=args.tail_fraction,
-            theorem=theorem,
-        )
+        return cmd_analyze(args.trace, fit=args.fit_rate, theorem=theorem)
     if args.command == "plot":
         return cmd_plot(args.trace, args.output)
     if args.command == "list-problems":

@@ -41,20 +41,19 @@ class GDConfig:
             raise ConfigurationError("GD step must be finite and positive")
 
 
+# Adam's moment decay rates and denominator offset (Kingma & Ba's defaults).
+ADAM_B1 = 0.9
+ADAM_B2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class AdamConfig:
     step: float
-    b1: float = 0.9
-    b2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if not 0 < self.step < np.inf:
             raise ConfigurationError("Adam step must be finite and positive")
-        if not (0.0 <= self.b1 < 1.0 and 0.0 <= self.b2 < 1.0):
-            raise ConfigurationError("Adam b1 and b2 must lie in [0, 1)")
-        if not 0 < self.eps < np.inf:
-            raise ConfigurationError("Adam eps must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -88,18 +87,18 @@ def step_adam(state: AdamState, g: Array, cfg: AdamConfig, step: float | None = 
     # m1 = b1 m1 + (1 - b1) g, m2 = b2 m2 + (1 - b2) g g and x - lr m1_hat /
     # (sqrt(m2_hat) + eps) in that operation order, in place on fresh arrays:
     # the previous state's arrays are only read.
-    m1 = cfg.b1 * state.m1
-    tmp = (1.0 - cfg.b1) * g
+    m1 = ADAM_B1 * state.m1
+    tmp = (1.0 - ADAM_B1) * g
     m1 += tmp
-    m2 = cfg.b2 * state.m2
-    np.multiply(1.0 - cfg.b2, g, out=tmp)
+    m2 = ADAM_B2 * state.m2
+    np.multiply(1.0 - ADAM_B2, g, out=tmp)
     tmp *= g
     m2 += tmp
-    step_x = np.divide(m1, 1.0 - cfg.b1**t)
+    step_x = np.divide(m1, 1.0 - ADAM_B1**t)
     step_x *= lr
-    np.divide(m2, 1.0 - cfg.b2**t, out=tmp)
+    np.divide(m2, 1.0 - ADAM_B2**t, out=tmp)
     np.sqrt(tmp, out=tmp)
-    tmp += cfg.eps
+    tmp += ADAM_EPS
     step_x /= tmp
     x = np.subtract(state.x, step_x, out=step_x)
     return AdamState(x=x, m1=m1, m2=m2, t=t), x
@@ -111,24 +110,29 @@ WEIGHTING_PAMOO = "pamoo"
 WEIGHTING_FIXED = "fixed"
 
 
+# The keys of the ``weighting`` section that each kind reads besides ``kind``.
+WEIGHTING_KEYS = {
+    WEIGHTING_EW: (),
+    WEIGHTING_FIXED: ("weights",),
+    WEIGHTING_CAMOO: ("camoo", "hutchinson"),
+    WEIGHTING_PAMOO: ("pamoo",),
+}
+
+
 @dataclass(frozen=True)
 class WeightingChoice:
-    """Which weight optimizer to run and with what settings."""
+    """Which weight optimizer to run and with what settings; each kind reads
+    the fields that ``WEIGHTING_KEYS`` names.  Diagonal CAMOO estimates its
+    Hessian diagonals by Hutchinson probes if ``hutchinson`` is given."""
 
     kind: str = WEIGHTING_EW
     camoo: CamooConfig = field(default_factory=CamooConfig)
     pamoo: PamooConfig = field(default_factory=PamooConfig)
     fixed_weights: tuple[float, ...] = field(default=(), metadata={"key": "weights"})
-    hutchinson: HutchinsonConfig = field(default_factory=HutchinsonConfig)
-    force_hutchinson: bool = False
+    hutchinson: HutchinsonConfig | None = None
 
     def __post_init__(self):
-        if self.kind not in (
-            WEIGHTING_EW,
-            WEIGHTING_CAMOO,
-            WEIGHTING_PAMOO,
-            WEIGHTING_FIXED,
-        ):
+        if self.kind not in WEIGHTING_KEYS:
             raise ConfigurationError(f"unknown weighting kind {self.kind!r}")
         if self.kind == WEIGHTING_FIXED and len(self.fixed_weights) == 0:
             raise ConfigurationError("fixed weighting needs fixed_weights")
@@ -207,8 +211,9 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
     lambda_min_est, pu_gap)``, from one ``ObjectiveSet.evaluate(x)``.
 
     The settings are checked against the problem here, before the first step,
-    and each rule keeps its own warm start from one call to the next (exact
-    CAMOO keeps its solve's cuts).
+    and a setting that the rule would not read (``f_star_override`` off
+    PAMOO, ``hutchinson`` in exact mode) is rejected.  Each rule keeps its own
+    warm start from one call to the next (exact CAMOO keeps its solve's cuts).
     """
     objs = problem.objectives
     m = objs.m
@@ -216,6 +221,8 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
     warm = None
     f_star = cfg.f_star_override
     if f_star is not None:
+        if wc.kind != WEIGHTING_PAMOO:
+            raise ConfigurationError("run.f_star_override is read only by pamoo")
         f_star = np.array(f_star, dtype=np.float64)
         if f_star.shape != (m,) or not np.isfinite(f_star).all():
             raise ConfigurationError(f"run.f_star_override must be {m} finite numbers")
@@ -244,6 +251,10 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
                 f"{m} objectives * w_min {camoo.w_min} > 1"
             )
         if camoo.mode == MODE_EXACT:
+            if wc.hutchinson is not None:
+                raise ConfigurationError(
+                    "weighting.hutchinson is read only in diagonal-bilinear mode"
+                )
 
             def weigh_exact(fvals, J, diag, x):
                 nonlocal warm
@@ -253,16 +264,15 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
 
             return weigh_exact
 
-        tracker = DiagHessianTracker(
-            replace(
-                wc.hutchinson,
-                rng_seed=_mixed_seed(cfg.seed, wc.hutchinson.rng_seed),
+        probes = wc.hutchinson
+        if probes is not None:
+            tracker = DiagHessianTracker(
+                replace(probes, rng_seed=_mixed_seed(cfg.seed, probes.rng_seed))
             )
-        )
 
         def weigh_diagonal(fvals, J, diag, x):
             nonlocal warm
-            hdiag = tracker.update(objs, x) if wc.force_hutchinson else diag()
+            hdiag = diag() if probes is None else tracker.update(objs, x)
             sol = solve_bilinear_pu(hdiag, camoo, warm=warm)
             w = sol.w
             if camoo.w_min > 0:
@@ -302,13 +312,13 @@ def run(cfg: RunConfig) -> RunTrace:
     Values, gradients and the Hessian diagonals come from one
     ``ObjectiveSet.evaluate`` call per iterate, shared by the weight rule
     and the inner step; only the diagonal CAMOO rule forms the diagonals,
-    from that same pass.  x0's shape is checked once, before the first
+    from that same pass, unless Hutchinson estimates replace them.  x0's shape is checked once, before the first
     step, and the gradient norm and residual are computed only for recorded
     steps.  A NaN or Inf in the iterate, a value or the weighted gradient
     aborts the run with a NumericError whose payload is the trace up to the
     failure.  The trace carries the built problem.  A problem spec that its
-    builder rejects, or weighting settings that do not fit the problem,
-    raise ConfigurationError before the first step; an uncertified
+    builder rejects, or settings that do not fit the problem or would not be
+    read, raise ConfigurationError before the first step; an uncertified
     misaligned reference point raises NumericError without a payload.
     """
     t_start = time.perf_counter()

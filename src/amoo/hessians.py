@@ -16,17 +16,14 @@ from .core import Array, ObjectiveOracle, ObjectiveSet, as_vector
 
 @dataclass(frozen=True)
 class HutchinsonConfig:
-    """Probe count, finite-difference step, and seed for diagonal estimation."""
+    """Probe count and seed for diagonal estimation."""
 
     num_samples: int = 10
-    fd_step: float = 1e-4
     rng_seed: int = 0
 
     def __post_init__(self):
         if self.num_samples < 1:
             raise ValueError("num_samples must be at least 1")
-        if not 0 < self.fd_step < np.inf:
-            raise ValueError("fd_step must be finite and positive")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be nonnegative")
 
@@ -61,9 +58,9 @@ def hutchinson_diag(oracle: ObjectiveOracle, x, cfg: HutchinsonConfig) -> Array:
     """Estimate diag(H) at x as the average of z * (Hz) over Rademacher z.
 
     Uses the analytic Hessian when the oracle carries one, a
-    finite-difference Hessian-vector product otherwise.  Deterministic given
-    ``cfg.rng_seed``; the expectation over z equals the true diagonal.  A
-    non-finite estimate raises ValueError.
+    finite-difference Hessian-vector product at ``hvp_fd``'s default step
+    otherwise.  Deterministic given ``cfg.rng_seed``; the expectation over z
+    equals the true diagonal.  A non-finite estimate raises ValueError.
     """
     x = as_vector(x, oracle.dim)
     n = oracle.dim
@@ -72,7 +69,7 @@ def hutchinson_diag(oracle: ObjectiveOracle, x, cfg: HutchinsonConfig) -> Array:
     acc = np.zeros(n)
     for seq in streams:
         z = _rademacher(seq, n)
-        hz = H @ z if H is not None else hvp_fd(oracle, x, z, cfg.fd_step)
+        hz = H @ z if H is not None else hvp_fd(oracle, x, z)
         acc += z * hz
     est = acc / cfg.num_samples
     if not np.isfinite(est).all():

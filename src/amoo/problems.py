@@ -45,7 +45,6 @@ class ProblemSpec:
     dataset_size: int = 50
     seed: int = 0
     activation: str = "relu"
-    target_offset: float = 10.0
     base: "ProblemSpec | None" = None
     shifts: tuple[tuple[float, ...], ...] = ()
 
@@ -246,6 +245,8 @@ def _build_quad_family(spec: ProblemSpec) -> Problem:
 # Two-layer network matching
 # ---------------------------------------------------------------------------
 
+TARGET_OFFSET = 10.0  # on every target: the student (output bias 0) starts far off
+
 
 class _TwoLayerMatching:
     """Shared forward machinery for the network-matching objectives.
@@ -302,7 +303,7 @@ class _TwoLayerMatching:
         # The constant target offset is folded into the effective teacher's
         # output bias, so theta_star reproduces the targets bitwise and every
         # objective attains exactly zero there.
-        eff_b2 = tb2 + spec.target_offset
+        eff_b2 = tb2 + TARGET_OFFSET
         self.targets = self._act(self.X @ tw1.T + tb1) @ tw2.T + eff_b2
         self.theta_star = self.pack(tw1, tb1, tw2, eff_b2)
 
@@ -636,7 +637,6 @@ KINDS = {
             "dataset_size",
             "seed",
             "activation",
-            "target_offset",
         ),
         "two-layer network matches a fixed teacher",
     ),

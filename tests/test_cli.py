@@ -97,8 +97,9 @@ class TestRunCommand:
     def test_rejected_weighting_value_names_section(
         self, tmp_path, capsys, section, values
     ):
+        kind = {"camoo": "camoo", "hutchinson": "camoo", "pamoo": "pamoo"}[section]
         doc = dict(VALID_CONFIG)
-        doc["weighting"] = {"kind": "ew", section: values}
+        doc["weighting"] = {"kind": kind, section: values}
         code = cli.cmd_run(write_config(tmp_path, doc), str(tmp_path / "o"))
         assert code == 2
         assert f"weighting.{section}" in capsys.readouterr().out
@@ -124,7 +125,7 @@ class TestRunCommand:
         "section,value",
         [
             ("output", {"plot": "false"}),
-            ("weighting", {"kind": "ew", "force_hutchinson": "no"}),
+            ("weighting", {"kind": "camoo", "hutchinson": "no"}),
             ("run", {"steps": 2.9}),
             ("run", {"steps": True}),
             ("run", {"steps": 5, "x0": "ab"}),
@@ -251,6 +252,7 @@ class TestRunCommand:
         "key,changes",
         [
             ("inner.step", {"inner": {"kind": "gd", "step": float("nan")}}),
+            # b1 is an Adam constant now, and so an unknown key.
             ("b1", {"inner": {"kind": "adam", "step": 0.01, "b1": 1.0}}),
             ("run.x0", {"run": {"steps": 5, "x0": [float("nan"), 1.0]}}),
             (
@@ -266,21 +268,9 @@ class TestRunCommand:
                 "weighting.pamoo.gram_tau",
                 {"weighting": {"kind": "pamoo", "pamoo": {"gram_tau": float("inf")}}},
             ),
-            # Accepted once, and swallowed as a null fitted rate after the run.
+            # Once accepted and swallowed as a null fitted rate after the run;
+            # the setting is gone now, and so is an unknown key.
             ("fit_rate_tail", {"output": {"fit_rate_tail": 1.5}}),
-            (
-                "weighting.hutchinson.fd_step",
-                {
-                    "problem": {"kind": "mlp_matching"},
-                    "weighting": {
-                        "kind": "camoo",
-                        "camoo": {"mode": "diagonal-bilinear"},
-                        "hutchinson": {"fd_step": float("nan")},
-                        "force_hutchinson": True,
-                    },
-                    "run": {"steps": 2},
-                },
-            ),
         ],
     )
     def test_non_finite_or_bad_adam_value_exits_2(self, tmp_path, capsys, key, changes):
@@ -300,28 +290,16 @@ class TestRunCommand:
                 "shifts": [[0, 0], [0.5, 0]],
             },
             "weighting": {
-                "kind": "fixed",
+                "kind": "camoo",
                 "camoo": {
                     "mode": "diagonal-bilinear",
                     "w_min": 0.1,
                     "pu_iterations": 7,
                     "pu_tau": 0,
                 },
-                "pamoo": {
-                    "step": 1,
-                    "iterations": 9,
-                    "clip_floor": 0,
-                    "gram_tau": 0.5,
-                },
-                "weights": [1, 0.5],
-                "hutchinson": {
-                    "num_samples": 3,
-                    "fd_step": 0.001,
-                    "rng_seed": 4,
-                },
-                "force_hutchinson": True,
+                "hutchinson": {"num_samples": 3, "rng_seed": 4},
             },
-            "inner": {"kind": "adam", "step": 0.1, "b1": 0.8, "b2": 0.99, "eps": 1e-6},
+            "inner": {"kind": "adam", "step": 0.1},
             "run": {
                 "steps": 3,
                 "seed": 5,
@@ -330,7 +308,7 @@ class TestRunCommand:
                 "x0": [1, 2],
                 "f_star_override": [0, 0.5],
             },
-            "output": {"plot": True, "fit_rate_tail": 0.25},
+            "output": {"plot": True},
         }
         base = ProblemSpec(kind="quad_family", h_list=(((2.0, 0.0), (0.0, 1.0)),) * 2)
         assert cli.parse_run_config(doc) == RunConfig(
@@ -338,14 +316,11 @@ class TestRunCommand:
                 kind="misaligned", base=base, shifts=((0.0, 0.0), (0.5, 0.0))
             ),
             weighting=WeightingChoice(
-                kind="fixed",
+                kind="camoo",
                 camoo=CamooConfig("diagonal-bilinear", 0.1, 7, 0.0),
-                pamoo=PamooConfig(1.0, 9, 0.0, 0.5),
-                fixed_weights=(1.0, 0.5),
-                hutchinson=HutchinsonConfig(3, 0.001, 4),
-                force_hutchinson=True,
+                hutchinson=HutchinsonConfig(3, 4),
             ),
-            inner=AdamConfig(step=0.1, b1=0.8, b2=0.99, eps=1e-6),
+            inner=AdamConfig(step=0.1),
             steps=3,
             seed=5,
             record_every=2,
@@ -353,7 +328,95 @@ class TestRunCommand:
             x0=(1.0, 2.0),
             f_star_override=(0.0, 0.5),
         )
-        assert cli.parse_output_options(doc) == cli.OutputOptions(True, 0.25)
+        assert cli.parse_output_options(doc) == cli.OutputOptions(True)
+        # The keys of the other weighting kinds.
+        doc["weighting"] = {
+            "kind": "pamoo",
+            "pamoo": {"step": 1, "iterations": 9, "clip_floor": 0, "gram_tau": 0.5},
+        }
+        assert cli.parse_run_config(doc).weighting == WeightingChoice(
+            kind="pamoo", pamoo=PamooConfig(1.0, 9, 0.0, 0.5)
+        )
+        doc["weighting"] = {"kind": "fixed", "weights": [1, 0.5]}
+        assert cli.parse_run_config(doc).weighting == WeightingChoice(
+            kind="fixed", fixed_weights=(1.0, 0.5)
+        )
+
+    def test_weighting_keys_are_those_of_its_kind(self, tmp_path, capsys):
+        values = {"camoo": {}, "hutchinson": {}, "pamoo": {}, "weights": [1, 1]}
+        assert set(values) == set().union(*driver.WEIGHTING_KEYS.values())
+        for kind, keys in driver.WEIGHTING_KEYS.items():
+            for key, value in values.items():
+                section = {"kind": kind, key: value}
+                if kind == "fixed":
+                    section.setdefault("weights", [1, 1])
+                doc = {**VALID_CONFIG, "weighting": section}
+                if key in keys:
+                    assert cli.parse_run_config(doc).weighting.kind == kind
+                    continue
+                out = tmp_path / f"{kind}-{key}"
+                assert cli.cmd_run(write_config(tmp_path, doc), str(out)) == 2
+                text = capsys.readouterr().out
+                assert f"unknown key {key!r} in weighting" in text, (kind, key)
+                assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key,where,doc",
+        [
+            (
+                "force_hutchinson",
+                "weighting",
+                {"weighting": {"kind": "camoo", "force_hutchinson": True}},
+            ),
+            (
+                "fd_step",
+                "weighting.hutchinson",
+                {"weighting": {"kind": "camoo", "hutchinson": {"fd_step": 1e-3}}},
+            ),
+            ("b1", "inner", {"inner": {"kind": "adam", "step": 0.01, "b1": 0.8}}),
+            ("b2", "inner", {"inner": {"kind": "adam", "step": 0.01, "b2": 0.99}}),
+            ("eps", "inner", {"inner": {"kind": "adam", "step": 0.01, "eps": 1e-6}}),
+            ("fit_rate_tail", "output", {"output": {"fit_rate_tail": 0.25}}),
+            (
+                "target_offset",
+                "problem",
+                {"problem": {"kind": "mlp_matching", "target_offset": 10.0}},
+            ),
+        ],
+    )
+    def test_deleted_settings_are_unknown_keys(self, tmp_path, capsys, key, where, doc):
+        out = tmp_path / "o"
+        code = cli.cmd_run(write_config(tmp_path, {**VALID_CONFIG, **doc}), str(out))
+        assert code == 2
+        assert f"unknown key {key!r} in {where}" in capsys.readouterr().out
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key,weighting,extra",
+        [
+            *[
+                ("run.f_star_override", weighting, {"f_star_override": [0, 0]})
+                for weighting in (
+                    {"kind": "ew"},
+                    {"kind": "fixed", "weights": [1, 1]},
+                    {"kind": "camoo"},
+                    {"kind": "camoo", "camoo": {"mode": "diagonal-bilinear"}},
+                )
+            ],
+            ("weighting.hutchinson", {"kind": "camoo", "hutchinson": {}}, {}),
+        ],
+    )
+    def test_setting_the_run_would_not_read_exits_2(
+        self, tmp_path, capsys, monkeypatch, key, weighting, extra
+    ):
+        # Once checked and then ignored; now rejected before the first step.
+        monkeypatch.setattr(ObjectiveSet, "evaluate", lambda *a: pytest.fail("stepped"))
+        doc = {**VALID_CONFIG, "weighting": weighting, "run": {"steps": 5, **extra}}
+        out = tmp_path / "o"
+        assert cli.cmd_run(write_config(tmp_path, doc), str(out)) == 2
+        text = capsys.readouterr().out
+        assert "config error" in text and f"{key} is read only" in text
+        assert not out.exists()
 
     def test_absent_keys_take_the_defaults(self):
         doc = {
@@ -428,10 +491,11 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["verdicts"]["theorem_bound"] is True
 
-    # camoo-theory is left out: it builds the problem for its constants, and
-    # the run builds it again.
+    # camoo-theory builds the base problem for its constants (misalign keeps
+    # them), so the reference point is searched for once, by the run.
     @pytest.mark.parametrize(
-        "preset", [None, "pamoo-theory", "practical-sgd", "practical-adam"]
+        "preset",
+        [None, "camoo-theory", "pamoo-theory", "practical-sgd", "practical-adam"],
     )
     def test_misaligned_run_builds_problem_once(self, tmp_path, monkeypatch, preset):
         built = []
@@ -457,14 +521,17 @@ class TestRunCommand:
             doc["preset"] = preset
         assert cli.cmd_run(write_config(tmp_path, doc), str(tmp_path / "o")) == 0
         # Building a misaligned problem also builds its base problem once.
-        assert [spec.kind for spec in built] == ["misaligned", "specification"]
+        kinds = [spec.kind for spec in built]
+        preset_builds = ["specification"] if preset == "camoo-theory" else []
+        assert kinds == [*preset_builds, "misaligned", "specification"]
 
     @pytest.mark.parametrize("preset", [None, "camoo-theory"])
     def test_uncertified_reference_point_exits_3(
         self, tmp_path, capsys, monkeypatch, preset
     ):
-        # camoo-theory builds the problem while parsing, the other paths in
-        # driver.run; both end in exit 3 with no output directory.
+        # camoo-theory builds only the base while parsing, so every path builds
+        # the misaligned problem in driver.run and ends in exit 3 with no
+        # output directory.
         monkeypatch.setattr(
             problems.optimize,
             "minimize",
@@ -630,6 +697,15 @@ class TestAnalyzeCommand:
 
     def test_unreadable_trace(self, tmp_path, capsys):
         assert cli.cmd_analyze(str(tmp_path / "nope.csv"), fit=True) == 2
+
+    def test_tail_fraction_option_is_gone(self, tmp_path, capsys):
+        # The fit uses analysis.fit_rate's default tail of one half.
+        path = tmp_path / "t.csv"
+        traceio.write_trace_csv(make_trace(steps=60), path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analyze", str(path), "--fit-rate", "--tail-fraction", "0.3"])
+        assert exc.value.code == 2
+        assert "--tail-fraction" in capsys.readouterr().err
 
     def test_theorem_check_on_header_only_trace_exits_2(self, tmp_path, capsys):
         path = tmp_path / "t.csv"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from amoo import (
+from amoo.core import (
     ObjectiveOracle,
     ObjectiveSet,
     OptimalInfo,
