@@ -30,10 +30,7 @@ def final_msq(variant: str, kind: str, seed: int = 0) -> float:
     if kind == "ew":
         wc = WeightingChoice(kind="ew")
     elif kind == "camoo":
-        wc = WeightingChoice(
-            kind="camoo",
-            camoo=CamooConfig(mode="diagonal-bilinear", pu_iterations=10),
-        )
+        wc = WeightingChoice(kind="camoo", camoo=CamooConfig(mode="diagonal-bilinear"))
     else:
         wc = WeightingChoice(kind="pamoo", pamoo=PamooConfig(iterations=30))
     trace = run(
@@ -59,6 +56,7 @@ for variant in ("selection", "local_curvature"):
         print(f"  {label:20s} final msq = {final_msq(variant, kind):.3e}")
     print()
 
-print("Curvature weighting runs on estimated Hessian diagonals (a bilinear")
-print("game per step, warm-started); gap-ratio weighting needs only the")
-print("gradients and the known zero optima.  Both outpace equal weighting.")
+print("Curvature weighting runs on the network's Hessian diagonals (one")
+print("max-min LP per step, solved exactly by column generation from the last")
+print("step's columns); gap-ratio weighting needs only the gradients and the")
+print("known zero optima.  Both outpace equal weighting.")

@@ -126,8 +126,11 @@ def _parse_weighting(section: dict) -> driver.WeightingChoice:
 
 def _apply_preset(name: str, problem: problems.ProblemSpec):
     if name == "camoo-theory":
-        # misalign keeps its base's constants and m: build only the base here.
-        built = driver.build_problem(problem.base or problem)
+        # misalign keeps its base's constants and m: build only the innermost
+        # base here, so driver.run builds each misaligned layer once.
+        while problem.kind == "misaligned":
+            problem = problem.base
+        built = driver.build_problem(problem)
         wc, inner = driver.theory_camoo(built.meta, built.objectives.m)
         return wc, inner, False
     if name == "pamoo-theory":

@@ -20,10 +20,12 @@ from .weighting import (
     CamooConfig,
     PamooConfig,
     equal_weights,
+    max_min_weights,
     pamoo_context,
     pamoo_weights,
-    project_floored_simplex,
-    solve_bilinear_pu,
+    # No rule calls the game solver, but the benchmark wraps this name
+    # (perfbench/layers.py and workloads.py) on every mlp_matching pass.
+    solve_bilinear_pu,  # noqa: F401
     solve_camoo_exact,
 )
 
@@ -271,14 +273,23 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
             )
 
         def weigh_diagonal(fvals, J, diag, x):
+            # Column generation: solve the max-min LP over a few columns of
+            # the diagonals, price every column, add the most violated one.
             nonlocal warm
             hdiag = diag() if probes is None else tracker.update(objs, x)
-            sol = solve_bilinear_pu(hdiag, camoo, warm=warm)
-            w = sol.w
-            if camoo.w_min > 0:
-                w = project_floored_simplex(w, camoo.w_min)
-            warm = (w, sol.q)
-            return w, float((w @ hdiag).min()), sol.gap
+            if not np.isfinite(hdiag).all():
+                raise ValueError("Hessian diagonals have non-finite entries")
+            cols = [int(np.argmin(equal_weights(m) @ hdiag))] if warm is None else warm
+            while True:
+                w, t, y = max_min_weights(hdiag[:, cols], camoo.w_min)
+                curv = w @ hdiag
+                j = int(np.argmin(curv))
+                gap = t - curv[j]
+                if gap <= 1e-12 * (1.0 + abs(t)) or j in cols:
+                    break
+                cols = [*cols, j]
+            warm = [k for k, yk in zip(cols, y) if yk > 0]
+            return w, float(curv[j]), max(float(gap), 0.0)
 
         return weigh_diagonal
 
@@ -312,14 +323,19 @@ def run(cfg: RunConfig) -> RunTrace:
     Values, gradients and the Hessian diagonals come from one
     ``ObjectiveSet.evaluate`` call per iterate, shared by the weight rule
     and the inner step; only the diagonal CAMOO rule forms the diagonals,
-    from that same pass, unless Hutchinson estimates replace them.  x0's shape is checked once, before the first
-    step, and the gradient norm and residual are computed only for recorded
-    steps.  A NaN or Inf in the iterate, a value or the weighted gradient
-    aborts the run with a NumericError whose payload is the trace up to the
-    failure.  The trace carries the built problem.  A problem spec that its
-    builder rejects, or settings that do not fit the problem or would not be
-    read, raise ConfigurationError before the first step; an uncertified
-    misaligned reference point raises NumericError without a payload.
+    from that same pass, unless Hutchinson estimates replace them.  Diagonal
+    CAMOO solves max_w min_k (w'D)_k over the floored simplex exactly, by
+    column generation over the columns of the diagonals D: ``pu_gap`` is the
+    restricted LP's value minus ``lambda_min_est`` = min_k (w'D)_k, its exact
+    gap to rounding, and the ``pu_*`` settings are not read.  x0's shape is
+    checked once, before the first step, and the gradient norm and residual
+    are computed only for recorded steps.  A NaN or Inf in the iterate, a
+    value or the weighted gradient aborts the run with a NumericError whose
+    payload is the trace up to the failure.  The trace carries the built
+    problem.  A problem spec that its builder rejects, or settings that do
+    not fit the problem or would not be read, raise ConfigurationError
+    before the first step; an uncertified misaligned reference point raises
+    NumericError without a payload.
     """
     t_start = time.perf_counter()
     problem = build_problem(cfg.problem)

@@ -28,22 +28,24 @@ class HutchinsonConfig:
             raise ValueError("rng_seed must be nonnegative")
 
 
-def hvp_fd(oracle: ObjectiveOracle, x, v, step: float = 1e-4) -> Array:
+# Relative step of the central differences in ``hvp_fd``.
+FD_STEP = 1e-4
+
+
+def hvp_fd(oracle: ObjectiveOracle, x, v) -> Array:
     """Hessian-vector product by central differences of the gradient.
 
-    Uses h = step * (1 + ||x||) along the unit direction of v, then rescales
-    by ||v||.  Exact up to O(h^2) truncation; for quadratics the truncation
-    vanishes and the result is exact to rounding.
+    Uses h = FD_STEP * (1 + ||x||) along the unit direction of v, then
+    rescales by ||v||.  Exact up to O(h^2) truncation; for quadratics the
+    truncation vanishes and the result is exact to rounding.
     """
     x = as_vector(x, oracle.dim)
     v = as_vector(v, oracle.dim, name="v")
-    if step <= 0:
-        raise ValueError("step must be positive")
     norm_v = np.linalg.norm(v)
     if norm_v == 0.0:
         raise ValueError("direction v must be nonzero")
     unit = v / norm_v
-    h = step * (1.0 + np.linalg.norm(x))
+    h = FD_STEP * (1.0 + np.linalg.norm(x))
     gp = oracle.gradient_at(x + h * unit)
     gm = oracle.gradient_at(x - h * unit)
     return (gp - gm) / (2.0 * h) * norm_v
@@ -58,9 +60,10 @@ def hutchinson_diag(oracle: ObjectiveOracle, x, cfg: HutchinsonConfig) -> Array:
     """Estimate diag(H) at x as the average of z * (Hz) over Rademacher z.
 
     Uses the analytic Hessian when the oracle carries one, a
-    finite-difference Hessian-vector product at ``hvp_fd``'s default step
-    otherwise.  Deterministic given ``cfg.rng_seed``; the expectation over z
-    equals the true diagonal.  A non-finite estimate raises ValueError.
+    finite-difference Hessian-vector product (``hvp_fd``, relative step
+    FD_STEP) otherwise.  Deterministic given ``cfg.rng_seed``; the
+    expectation over z equals the true diagonal.  A non-finite estimate
+    raises ValueError.
     """
     x = as_vector(x, oracle.dim)
     n = oracle.dim

@@ -491,8 +491,9 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["verdicts"]["theorem_bound"] is True
 
-    # camoo-theory builds the base problem for its constants (misalign keeps
-    # them), so the reference point is searched for once, by the run.
+    # camoo-theory builds the innermost base problem for its constants
+    # (misalign keeps them), so each reference point is searched for once, by
+    # the run, also when the base is itself misaligned.
     @pytest.mark.parametrize(
         "preset",
         [None, "camoo-theory", "pamoo-theory", "practical-sgd", "practical-adam"],
@@ -506,24 +507,26 @@ class TestRunCommand:
             return original(spec)
 
         monkeypatch.setattr(problems, "build", counted)
-        doc = {
-            "problem": {
-                "kind": "misaligned",
-                "base": {"kind": "specification", "delta": 0.1},
-                "shifts": [[0.0, 0.0], [0.2, 0.0]],
-            },
-            "run": {"steps": 5, "x0": [1.0, 1.0]},
+        problem = {
+            "kind": "misaligned",
+            "base": {"kind": "specification", "delta": 0.1},
+            "shifts": [[0.0, 0.0], [0.2, 0.0]],
         }
-        if preset is None:
-            doc["weighting"] = {"kind": "pamoo"}
-            doc["inner"] = {"kind": "gd", "step": 0.25}
-        else:
-            doc["preset"] = preset
-        assert cli.cmd_run(write_config(tmp_path, doc), str(tmp_path / "o")) == 0
-        # Building a misaligned problem also builds its base problem once.
-        kinds = [spec.kind for spec in built]
+        twice = {"kind": "misaligned", "base": problem, "shifts": [[0.1, 0.0], [0.0, 0.0]]}
         preset_builds = ["specification"] if preset == "camoo-theory" else []
-        assert kinds == [*preset_builds, "misaligned", "specification"]
+        for layers, nested in ((1, problem), (2, twice)):
+            doc = {"problem": nested, "run": {"steps": 5, "x0": [1.0, 1.0]}}
+            if preset is None:
+                doc["weighting"] = {"kind": "pamoo"}
+                doc["inner"] = {"kind": "gd", "step": 0.25}
+            else:
+                doc["preset"] = preset
+            built.clear()
+            out = str(tmp_path / f"o{layers}")
+            assert cli.cmd_run(write_config(tmp_path, doc), out) == 0
+            # Building a misaligned problem also builds its base problem once.
+            kinds = [spec.kind for spec in built]
+            assert kinds == [*preset_builds, *["misaligned"] * layers, "specification"]
 
     @pytest.mark.parametrize("preset", [None, "camoo-theory"])
     def test_uncertified_reference_point_exits_3(

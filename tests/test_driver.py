@@ -35,13 +35,13 @@ from amoo.weighting import (
     CamooConfig,
     PamooConfig,
     equal_weights,
+    max_min_weights,
     pamoo_context,
     pamoo_weights,
-    project_floored_simplex,
-    solve_bilinear_pu,
     solve_camoo_exact,
 )
 from test_problems import mlp_objective_reference
+from test_weighting import highs_max_min_value
 
 SPEC01 = ProblemSpec(kind="specification", delta=0.1)
 
@@ -389,6 +389,45 @@ class TestCamooRuns:
             assert abs(rec.w.sum() - 1.0) <= 1e-9
             assert rec.w.min() >= w_min - 1e-9
 
+    @pytest.mark.parametrize("variant", ["selection", "local_curvature"])
+    def test_diag_mode_gap_bounds_the_suboptimality(self, monkeypatch, variant):
+        # Column generation solves max_w min_k (w'D)_k exactly: its recorded
+        # gap is >= 0, small, and bounds how far lambda_min_est lies below the
+        # optimum of one direct HiGHS solve over every column of D.
+        diags = []
+        evaluate = _TwoLayerMatching.evaluate
+
+        def keep_diag(model, theta):
+            fvals, J, diag = evaluate(model, theta)
+
+            def kept():
+                diags.append(diag())
+                return diags[-1]
+
+            return fvals, J, kept
+
+        monkeypatch.setattr(_TwoLayerMatching, "evaluate", keep_diag)
+        trace = run(
+            RunConfig(
+                problem=ProblemSpec(kind="mlp_matching", variant=variant),
+                weighting=WeightingChoice(
+                    kind="camoo", camoo=CamooConfig(mode="diagonal-bilinear")
+                ),
+                inner=AdamConfig(step=5e-3),
+                steps=200,
+            )
+        )
+        assert len(trace.records) == len(diags) == 201
+        assert all(rec.pu_gap >= 0.0 for rec in trace.records)
+        # Every step, so that steps that take a second round are checked too.
+        for rec, D in zip(trace.records, diags):
+            assert rec.lambda_min_est == (rec.w @ D).min()
+            best = highs_max_min_value(D, 0.0)
+            assert rec.pu_gap >= best - rec.lambda_min_est - 1e-12
+            assert best - rec.lambda_min_est <= 1e-9 * (1.0 + abs(best))
+            # The solve stops only once its own gap certifies the optimum.
+            assert rec.pu_gap <= 1e-9 * (1.0 + abs(best))
+
 
 ONE_EVAL_WEIGHTINGS = {
     "ew": WeightingChoice(kind="ew"),
@@ -617,7 +656,7 @@ def run_reference(cfg):
     scale = float(m) if wc.kind == "camoo" and cfg.camoo_lr_scale_by_m else 1.0
     inner_step = cfg.inner.step * scale
     adam_state = adam_init(x) if isinstance(cfg.inner, AdamConfig) else None
-    warm_w = warm_q = cuts = None
+    warm_w = cuts = cols = None
     records = []
     for k in range(cfg.steps + 1):
         fvals = objs.values(x)
@@ -635,16 +674,20 @@ def run_reference(cfg):
                 diag = diag_hessian_matrix(objs, x, hcfg)
             else:
                 diag = np.stack([o.diag_hessian_at(x) for o in objs.objectives])
-            warm = None
-            if warm_w is not None and warm_q is not None:
-                warm = (warm_w, warm_q)
-            sol = solve_bilinear_pu(diag, wc.camoo, warm=warm)
-            w = sol.w
-            if wc.camoo.w_min > 0:
-                w = project_floored_simplex(w, wc.camoo.w_min)
-            warm_q = sol.q
-            gap = sol.gap
-            lambda_est = float((w @ diag).min())
+            # Column generation from the previous step's columns.
+            if cols is None:
+                cols = [int(np.argmin(equal_weights(m) @ diag))]
+            while True:
+                w, t, y = max_min_weights(diag[:, cols], wc.camoo.w_min)
+                curv = w @ diag
+                j = int(np.argmin(curv))
+                gap = t - curv[j]
+                if gap <= 1e-12 * (1.0 + abs(t)) or j in cols:
+                    break
+                cols = cols + [j]
+            cols = [c for c, yc in zip(cols, y) if yc > 0]
+            gap = max(float(gap), 0.0)
+            lambda_est = float(curv[j])
         else:
             w = pamoo_weights(*pamoo_context(fvals, J, f_star), wc.pamoo, warm=warm_w)
         warm_w = np.array(w)

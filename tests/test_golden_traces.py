@@ -96,9 +96,9 @@ CONFIGS = {
 GOLDEN_SHA256 = {
     "ew": "64c8c09a7a8bf1b292996a739845bd11f09df822dca5e527d455ea47e98afe92",
     "fixed": "be7d0b833d8e8f1f7702ce5308a5e2a8fcd8d179a02e644e911d9cc6d14fa594",
-    "camoo_exact": "b73f6ba9ce92b1ca5584251818bba325d561715ccf02df95e12f1098a070bc2d",
-    "camoo_diagonal": "36111dd1db324b6e09ac1487409d98f3046a6d76bb82d65de91e2d40731d43a9",
-    "camoo_diagonal_softplus": "b7350db7808feaa5e7aa54ac224c42d54d7c4dcd352a572368e55a2bdfb6255d",
+    "camoo_exact": "839ab947adf60faddf6b75c482e812ab0e5a671f78d4488517e2fae934bc81cc",
+    "camoo_diagonal": "321be2a817cb2f61b9bcef8752330826c5826f6cabafaf574bc0005702e5d394",
+    "camoo_diagonal_softplus": "16021a331a4375cb6926ca6479883584ab725584b0b94e5fa39a3d702aaa6f02",
     "pamoo": "5f019cd3196542365ec3644e246c494e4e327718cc45037b63ae0714d9a14f97",
     "pamoo_curved": "68fe753ae96d89dd8398dd015850038a59f7d5c9b2cf4654834b4ae51630c6d7",
     "pamoo_theory": "aa459db1d0e65d661a99ed949f5f314d6e811e1813659aec02b04777e30075cf",

@@ -1,11 +1,14 @@
 """Weight optimizers against brute-force grid and enumeration oracles."""
 
 import itertools
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 import amoo.weighting
 from amoo.analysis import grid_best_weighted_curvature
@@ -71,6 +74,25 @@ def grid_max_min_eig(mats, step=1e-3):
     lam = np.linalg.eigvalsh(np.einsum("gi,ijk->gjk", grid, stack))[:, 0]
     best = int(np.argmax(lam))
     return float(lam[best]), grid[best]
+
+
+def highs_max_min_value(C, w_min):
+    """max_w min_k (C'w)_k over {w >= w_min, sum w = 1} by one direct HiGHS
+    linear program in (w, t).  HiGHS's tolerances are absolute (1e-7), so it
+    solves the LP on C / max |C| and the value is scaled back."""
+    m, n = C.shape
+    scale = np.abs(C).max() or 1.0
+    res = optimize.linprog(
+        np.r_[np.zeros(m), -1.0],
+        np.hstack([-C.T / scale, np.ones((n, 1))]),
+        np.zeros(n),
+        np.r_[np.ones(m), 0.0][None],
+        [1.0],
+        [(w_min, None)] * m + [(None, None)],
+        method="highs",
+    )
+    assert res.success, res.message
+    return float(res.x[m]) * scale
 
 
 def active_set_quadratic_max(gaps, gram, tau, floor):
@@ -523,6 +545,72 @@ class TestBilinearStack:
 # ---------------------------------------------------------------------------
 
 
+def closed_form_cuts(m):
+    """The most cuts K whose max-min LP ``max_min_weights`` still solves by
+    enumerating its C(K + m, m) candidate bases."""
+    k = 1
+    while math.comb(k + 1 + m, m) <= amoo.weighting.CLOSED_FORM_BASES:
+        k += 1
+    return k
+
+
+def assert_max_min_solution(C, w_min, w, value, y):
+    """``max_min_weights``'s output against one direct HiGHS solve: the same
+    value to 1e-12 of max |C|, weights on the floored simplex that attain it,
+    and multipliers whose upper bound meets it."""
+    m, n = C.shape
+    tol = 1e-12 * (np.abs(C).max() or 1.0)
+    assert abs(value - highs_max_min_value(C, w_min)) <= tol
+    assert w.shape == (m,) and abs(w.sum() - 1.0) <= 1e-12
+    assert w.min() >= w_min - 1e-12
+    assert abs((w @ C).min() - value) <= tol
+    assert y.shape == (n,) and y.min() >= 0.0 and abs(y.sum() - 1.0) <= 1e-12
+    g = C @ y
+    assert abs(w_min * g.sum() + (1.0 - m * w_min) * g.max() - value) <= tol
+
+
+class TestMaxMinWeights:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(1, 4),
+        share=st.floats(0.0, 1.0),
+        floor=st.sampled_from([0.0, 0.1, 0.3, 1.0]),
+        integers=st.booleans(),
+        edit=st.sampled_from([None, "tied rows", "zero column", "duplicate column"]),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=2, share=0.0, floor=0.0, integers=False, edit=None, scale=1.0, seed=0)
+    def test_closed_form_matches_highs(
+        self, m, share, floor, integers, edit, scale, seed
+    ):
+        n = 1 + int(share * (closed_form_cuts(m) - 1))
+        rng = np.random.default_rng(seed)
+        # Small integers tie and shift columns, which makes bases singular.
+        C = rng.integers(-2, 4, size=(m, n)) if integers else rng.uniform(-1, 3, (m, n))
+        C = scale * C
+        if edit == "tied rows":
+            C[-1] = C[0]
+        elif edit == "zero column":
+            C[:, rng.integers(n)] = 0.0
+        elif edit == "duplicate column":
+            C[:, -1] = C[:, 0]
+        w_min = floor / m
+        with mock.patch.object(optimize, "linprog", side_effect=AssertionError):
+            w, value, y = max_min_weights(C, w_min)
+        assert_max_min_solution(C, w_min, w, value, y)
+
+    def test_above_the_threshold_takes_highs(self):
+        m = 3
+        n = closed_form_cuts(m) + 1
+        assert math.comb(n + m, m) > amoo.weighting.CLOSED_FORM_BASES
+        C = np.random.default_rng(7).uniform(0.0, 3.0, size=(m, n))
+        with mock.patch.object(optimize, "linprog", wraps=optimize.linprog) as lp:
+            w, value, y = max_min_weights(C, 0.1 / m)
+        assert lp.call_count == 1
+        assert_max_min_solution(C, 0.1 / m, w, value, y)
+
+
 class TestCamooExact:
     def test_specification_hessians(self):
         mats = [np.diag([1.8, 0.2]), np.diag([0.2, 1.8])]
@@ -656,8 +744,8 @@ class TestCamooExact:
 
 
 class TestCamooDiag:
-    """The bilinear PU game as the diagonal-mode CAMOO weight solve: with
-    diagonal Hessians, lambda_min of the weighted sum is min_j (w'A)_j."""
+    """The bilinear PU game on Hessian diagonals: with diagonal Hessians,
+    lambda_min of the weighted sum is min_j (w'A)_j."""
 
     def test_specification_diagonals(self):
         A = np.array([[1.8, 0.2], [0.2, 1.8]])
@@ -677,8 +765,8 @@ class TestCamooDiag:
         assert bilinear_value_of_w(A, sol.w) == pytest.approx(0.5, abs=1e-6)
 
     def test_floor_applies(self):
-        # The game concentrates on the strong row; the floored projection
-        # the driver applies afterwards lifts the weak row to the floor.
+        # The game concentrates on the strong row; projecting onto the
+        # floored simplex lifts the weak row to the floor.
         A = np.array([[2.0, 2.0], [0.1, 0.1]])
         sol = solve_bilinear_pu(A, CamooConfig(pu_iterations=4000, pu_tau=0.0))
         assert sol.w[0] > 0.99
