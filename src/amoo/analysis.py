@@ -8,16 +8,15 @@ best weighted curvature under diagonal Hessian approximation is stress
 tested on random positive-definite instances.
 """
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, ObjectiveOracle, as_vector
+from .core import ObjectiveOracle, as_vector
 from .linalg import min_eigenpair, spectral_norm, weighted_hessian
-from .weighting import max_min_weights
+from .weighting import max_min_weights, solve_camoo_exact
 
 CAMOO = "CAMOO"
 PAMOO = "PAMOO"
@@ -263,46 +262,16 @@ def self_concordance_check(
     return lhs >= rhs - slack * (1.0 + abs(lhs))
 
 
-@functools.lru_cache
-def _simplex_grid(m: int, step: float) -> Array:
-    """All weight vectors on the simplex grid with the given resolution;
-    built once per (m, step) and returned read-only."""
-    k = int(round(1.0 / step))
-    if m == 1:
-        grid = np.array([[1.0]])
-    elif m == 2:
-        a = np.linspace(0.0, 1.0, k + 1)
-        grid = np.stack([a, 1.0 - a], axis=1)
-    elif m == 3:
-        i, j = np.nonzero(np.add.outer(np.arange(k + 1), np.arange(k + 1)) <= k)
-        grid = np.stack([i, j, k - i - j], axis=1) / k
-    else:
-        raise ValueError("simplex grid supported for m <= 3")
-    grid.setflags(write=False)
-    return grid
-
-
-def grid_best_weighted_curvature(hessians, step: float = 1e-2):
-    """Brute-force max over the simplex grid of lambda_min(sum w_i H_i).
-
-    Returns (best value, best weights).  Intended as an oracle for m <= 3.
-    """
-    mats = np.stack([np.asarray(H, dtype=np.float64) for H in hessians])
-    grid = _simplex_grid(len(mats), step)
-    weighted = np.einsum("gi,ijk->gjk", grid, mats)
-    lam = np.linalg.eigvalsh(weighted)[:, 0]
-    best = int(np.argmax(lam))
-    return float(lam[best]), grid[best].copy()
-
-
 def weyl_degradation_suite(seed: int = 0, trials: int = 100) -> dict:
     """Stress-test curvature degradation under diagonal Hessian approximation.
 
-    Each trial draws random positive-definite matrices, computes the grid
-    optimum of the weighted curvature over full matrices, then re-optimizes
-    using only the diagonals and asserts that the full-matrix curvature of
-    those weights drops by at most twice the largest off-diagonal spectral
-    norm.  Returns a JSON-serializable report.
+    Each trial draws random positive-definite matrices and takes the
+    certified optimum of the weighted curvature over full matrices: the value
+    plus gap of ``solve_camoo_exact``, an upper bound on the true maximum.
+    It then re-optimizes using only the diagonals and asserts that the
+    full-matrix curvature of those weights falls below that optimum by at
+    most twice the largest off-diagonal spectral norm.  Returns a
+    JSON-serializable report.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -316,18 +285,19 @@ def weyl_degradation_suite(seed: int = 0, trials: int = 100) -> dict:
             B = rng.normal(size=(n, n))
             H = B @ B.T / n + np.diag(rng.uniform(0.1, 1.0, size=n))
             mats.append(H)
-        mu_grid, _ = grid_best_weighted_curvature(mats, step=1e-2)
+        exact = solve_camoo_exact(mats)
+        optimum = exact.value + exact.gap
         deviation = max(spectral_norm(H - np.diag(np.diagonal(H))) for H in mats)
         diag_rows = np.stack([np.diagonal(H) for H in mats])
         w_hat, _, _ = max_min_weights(diag_rows)
         achieved, _ = min_eigenpair(weighted_hessian(mats, w_hat))
-        ok = achieved >= mu_grid - 2.0 * deviation - 1e-9
+        ok = achieved >= optimum - 2.0 * deviation - 1e-9
         if not ok:
             failures.append(
                 {
                     "trial": trial,
                     "achieved": achieved,
-                    "grid_optimum": mu_grid,
+                    "optimum": optimum,
                     "deviation": deviation,
                 }
             )

@@ -322,8 +322,8 @@ def solve_bilinear_pu_stack(
 # ---------------------------------------------------------------------------
 
 
-# The most LPs one exact solve runs before it stops unconverged; a cold solve
-# takes 11-29 at m <= 3 and about 100 at m = 8.
+# The most LPs one exact solve runs before it stops unconverged; a cold solve on
+# 12 x 12 Hessians takes 11-36 at m = 3 and 67-116 at m = 8.
 MAX_CUTS = 200
 
 
@@ -427,8 +427,8 @@ class CamooExactResult:
 
     ``value`` is lambda_min at ``weights`` and ``gap`` >= 0 bounds how far it
     lies below the maximum.  ``iterations`` counts the LPs solved.  ``cuts``
-    are the unit directions whose cuts carry a positive multiplier at the
-    last LP (never empty): the warm start of a later solve.
+    are the cuts the solve kept, the unit directions with a positive
+    multiplier at the last LP (never empty): the warm start of a later solve.
     """
 
     weights: Array
@@ -446,9 +446,11 @@ def solve_camoo_exact(
     Kelley's cutting planes.
 
     Each unit v cuts lambda_min(sum_i w_i H_i) <= sum_i w_i v'H_i v.  Each
-    round solves the max-min LP over the cuts so far: its multipliers bound
+    round solves the max-min LP over the kept cuts: its multipliers bound
     the maximum from above, and the smallest eigenpair at its weights gives
-    a lower bound and the next cut.  The solve stops once the gap is at most
+    a lower bound and the next cut.  The next round keeps only the cuts with
+    a positive multiplier, so for m <= 5 every LP takes ``max_min_weights``'
+    closed form.  The solve stops once the gap is at most
     1e-7 max_i ||H_i||_2 (HiGHS's feasibility tolerance), or unconverged
     after MAX_CUTS LPs.  ``warm`` is an earlier result's ``cuts``; the cold
     first cut is the smallest eigenvector at the floored simplex's centre.
@@ -488,8 +490,12 @@ def solve_camoo_exact(
         gap = max(float(upper - best_val), 0.0)
         if gap <= tol or lps == MAX_CUTS:
             break
-        cuts = np.vstack([cuts, v])
-        C = np.hstack([C, np.einsum("ijk,j,k->i", stack, v, v)[:, None]])
+        # Keep the cuts with a positive multiplier, plus the new one: the LP's
+        # (w, t, y) stays optimal without the rest, so the upper bound never
+        # rises.  best_val keeps the best lower bound; a stall ends at MAX_CUTS.
+        # A vertex has at most m positive multipliers, so K <= m + 1.
+        cuts = np.vstack([cuts[y > 0], v])
+        C = np.hstack([C[:, y > 0], np.einsum("ijk,j,k->i", stack, v, v)[:, None]])
     return CamooExactResult(best_w, float(best_val), lps, gap <= tol, gap, cuts[y > 0])
 
 

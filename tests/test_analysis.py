@@ -7,7 +7,6 @@ from amoo.analysis import (
     RecurrenceParams,
     TheoremParams,
     fit_rate,
-    grid_best_weighted_curvature,
     max_admissible_noise,
     recurrence_simulate_and_bound,
     self_concordance_check,
@@ -19,6 +18,7 @@ from amoo.driver import GDConfig, RunConfig, WeightingChoice, run, theory_camoo,
 from amoo.linalg import min_eigenpair, weighted_hessian
 from amoo.weighting import max_min_weights
 from amoo.problems import ProblemSpec, build
+from grid_oracle import grid_max_min_eig
 
 
 class TestRecurrence:
@@ -243,7 +243,7 @@ class TestSelfConcordance:
 class TestWeylDegradation:
     def test_exactly_diagonal_matrices(self):
         mats = [np.diag([2.0, 0.5]), np.diag([0.3, 1.5])]
-        mu_grid, _ = grid_best_weighted_curvature(mats, step=1e-3)
+        mu_grid, _ = grid_max_min_eig(mats, step=1e-3)
         w_hat, _, _ = max_min_weights(np.stack([np.diagonal(H) for H in mats]))
         achieved, _ = min_eigenpair(weighted_hessian(mats, w_hat))
         assert achieved >= mu_grid - 1e-6

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 import amoo.weighting
-from amoo.analysis import grid_best_weighted_curvature
 from amoo.linalg import (
     check_symmetric,
     min_eigenpair,
@@ -33,6 +32,8 @@ from amoo.weighting import (
     solve_camoo_exact,
 )
 from amoo.problems import ProblemSpec, build
+from grid_oracle import grid_max_min_eig, simplex_grid
+from test_golden_traces import spd_hessians
 
 
 # ---------------------------------------------------------------------------
@@ -51,29 +52,6 @@ def bilinear_grid_value_m2(A, resolution=1e-4):
     vals = np.min(np.outer(w1, A[0]) + np.outer(1.0 - w1, A[1]), axis=1)
     best = int(np.argmax(vals))
     return float(vals[best]), np.array([w1[best], 1.0 - w1[best]])
-
-
-def simplex_grid(m, step):
-    if m == 1:
-        return np.array([[1.0]])
-    k = int(round(1.0 / step))
-    if m == 2:
-        a = np.linspace(0.0, 1.0, k + 1)
-        return np.stack([a, 1.0 - a], axis=1)
-    pts = []
-    for i in range(k + 1):
-        for j in range(k + 1 - i):
-            pts.append((i / k, j / k, (k - i - j) / k))
-    return np.array(pts)
-
-
-def grid_max_min_eig(mats, step=1e-3):
-    """Grid oracle for max over simplex weights of lambda_min(sum w_i H_i)."""
-    stack = np.stack([np.asarray(H, float) for H in mats])
-    grid = simplex_grid(len(mats), step)
-    lam = np.linalg.eigvalsh(np.einsum("gi,ijk->gjk", grid, stack))[:, 0]
-    best = int(np.argmax(lam))
-    return float(lam[best]), grid[best]
 
 
 def highs_max_min_value(C, w_min):
@@ -683,22 +661,23 @@ class TestCamooExact:
     @settings(max_examples=60, deadline=None)
     @given(
         m=st.integers(1, 3),
-        n=st.integers(1, 6),
+        n=st.integers(1, 12),
         floor=st.sampled_from([0.0, 0.1, 0.3]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_gap_certifies_the_optimum(self, m, n, floor, seed):
         mats = random_psd_stack(seed, m, n)
         w_min = floor / m
-        res = solve_camoo_exact(list(mats), CamooConfig(w_min=w_min))
+        res, warm = solve_exact_without_highs(mats, w_min)
         scale = max(spectral_norm(H) for H in mats)
         assert_on_simplex(res.weights, m, w_min)
         lam = np.linalg.eigvalsh(np.einsum("i,ijk->jk", res.weights, mats))[0]
         assert res.value == pytest.approx(lam, abs=1e-12 * scale)
-        assert res.converged and 0.0 <= res.gap <= 1e-7 * scale
-        assert res.cuts.shape[1:] == (n,) and len(res.cuts) >= 1
+        for r in (res, warm):
+            assert r.converged and 0.0 <= r.gap <= 1e-7 * scale
+            assert r.cuts.shape[1:] == (n,) and 1 <= len(r.cuts) <= m
         if w_min == 0.0:
-            grid_val, _ = grid_best_weighted_curvature(list(mats))
+            grid_val, _ = grid_max_min_eig(list(mats), step=1e-2)
             assert grid_val <= res.value + res.gap + 1e-12 * scale
 
     @settings(max_examples=30, deadline=None)
@@ -722,7 +701,7 @@ class TestCamooExact:
         monkeypatch.setattr(amoo.weighting, "MAX_CUTS", 2)
         mats = list(random_psd_stack(0, 3, 6))
         res = solve_camoo_exact(mats, CamooConfig())
-        grid_val, _ = grid_best_weighted_curvature(mats)
+        grid_val, _ = grid_max_min_eig(mats, step=1e-2)
         assert res.iterations == 2 and not res.converged
         assert grid_val <= res.value + res.gap + 1e-12
 
@@ -734,6 +713,13 @@ class TestCamooExact:
             warm = solve_camoo_exact(mats, CamooConfig(), warm=cold.cuts)
             assert warm.converged and warm.iterations <= 2
             assert abs(warm.value - cold.value) <= max(cold.gap, warm.gap)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_golden_solves_stay_in_closed_form(self, seed):
+        mats = spd_hessians(seed)
+        tol = 1e-7 * max(spectral_norm(H) for H in mats)
+        for res in solve_exact_without_highs(mats, 0.0):
+            assert res.converged and 0.0 <= res.gap <= tol
 
     @pytest.mark.parametrize(
         "warm", [np.ones(2), np.ones((1, 3)), np.ones((0, 2)), [[0.0, 0.0]], [[np.nan, 1]]]
@@ -937,6 +923,16 @@ def assert_on_simplex(w, m, floor=0.0):
     assert w.dtype == np.float64 and w.shape == (m,)
     assert abs(w.sum() - 1.0) <= SUM_TOL
     assert w.min() >= floor - SUM_TOL
+
+
+def solve_exact_without_highs(mats, w_min):
+    """A cold exact solve and one warm from its cuts, with ``linprog``
+    forbidden: kept to the cuts with a positive multiplier plus the new one,
+    every LP at m <= 3 takes ``max_min_weights``' closed form."""
+    cfg = CamooConfig(w_min=w_min)
+    with mock.patch.object(optimize, "linprog", side_effect=AssertionError("HiGHS")):
+        cold = solve_camoo_exact(list(mats), cfg)
+        return cold, solve_camoo_exact(list(mats), cfg, warm=cold.cuts)
 
 
 def random_psd_stack(seed, m, n):
