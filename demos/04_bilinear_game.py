@@ -2,9 +2,11 @@
 
 With diagonal Hessians, maximizing the smallest eigenvalue of the weighted
 sum reduces to max over row mixtures w of min over columns of w'A, a
-bilinear game on two simplices.  Predictive entropic primal-dual updates
-(exponentiated gradient steps from a half-step lookahead) solve it with a
-certified duality gap: max_i (Aq)_i - min_j (A'w)_j.
+bilinear game on two simplices.  Runs solve that game exactly, by column
+generation (``weighting.solve_camoo_diagonal``).  The library's game
+solver, shown here, runs predictive entropic primal-dual updates
+(exponentiated gradient steps from a half-step lookahead) to a certified
+duality gap: max_i (Aq)_i - min_j (A'w)_j.
 """
 
 import numpy as np

@@ -20,12 +20,12 @@ from .weighting import (
     CamooConfig,
     PamooConfig,
     equal_weights,
-    max_min_weights,
     pamoo_context,
     pamoo_weights,
     # No rule calls the game solver, but the benchmark wraps this name
     # (perfbench/layers.py and workloads.py) on every mlp_matching pass.
     solve_bilinear_pu,  # noqa: F401
+    solve_camoo_diagonal,
     solve_camoo_exact,
 )
 
@@ -215,7 +215,7 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
     The settings are checked against the problem here, before the first step,
     and a setting that the rule would not read (``f_star_override`` off
     PAMOO, ``hutchinson`` in exact mode) is rejected.  Each rule keeps its own
-    warm start from one call to the next (exact CAMOO keeps its solve's cuts).
+    warm start from one call to the next (CAMOO keeps its solve's cuts).
     """
     objs = problem.objectives
     m = objs.m
@@ -252,46 +252,29 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
                 f"bad value in weighting.camoo: floored simplex infeasible: "
                 f"{m} objectives * w_min {camoo.w_min} > 1"
             )
+        probes = wc.hutchinson
         if camoo.mode == MODE_EXACT:
-            if wc.hutchinson is not None:
+            if probes is not None:
                 raise ConfigurationError(
                     "weighting.hutchinson is read only in diagonal-bilinear mode"
                 )
-
-            def weigh_exact(fvals, J, diag, x):
-                nonlocal warm
-                result = solve_camoo_exact(objs.hessians(x), camoo, warm=warm)
-                warm = result.cuts
-                return result.weights, result.value, None
-
-            return weigh_exact
-
-        probes = wc.hutchinson
-        if probes is not None:
+            solve, curvature = solve_camoo_exact, lambda diag, x: objs.hessians(x)
+        elif probes is None:
+            solve, curvature = solve_camoo_diagonal, lambda diag, x: diag()
+        else:
             tracker = DiagHessianTracker(
                 replace(probes, rng_seed=_mixed_seed(cfg.seed, probes.rng_seed))
             )
+            solve = solve_camoo_diagonal
+            curvature = lambda diag, x: tracker.update(objs, x)  # noqa: E731
 
-        def weigh_diagonal(fvals, J, diag, x):
-            # Column generation: solve the max-min LP over a few columns of
-            # the diagonals, price every column, add the most violated one.
+        def weigh_camoo(fvals, J, diag, x):
             nonlocal warm
-            hdiag = diag() if probes is None else tracker.update(objs, x)
-            if not np.isfinite(hdiag).all():
-                raise ValueError("Hessian diagonals have non-finite entries")
-            cols = [int(np.argmin(equal_weights(m) @ hdiag))] if warm is None else warm
-            while True:
-                w, t, y = max_min_weights(hdiag[:, cols], camoo.w_min)
-                curv = w @ hdiag
-                j = int(np.argmin(curv))
-                gap = t - curv[j]
-                if gap <= 1e-12 * (1.0 + abs(t)) or j in cols:
-                    break
-                cols = [*cols, j]
-            warm = [k for k, yk in zip(cols, y) if yk > 0]
-            return w, float(curv[j]), max(float(gap), 0.0)
+            result = solve(curvature(diag, x), camoo, warm=warm)
+            warm = result.cuts
+            return result.weights, result.value, result.gap
 
-        return weigh_diagonal
+        return weigh_camoo
 
     if wc.kind == WEIGHTING_EW:
         const_w = equal_weights(m)
@@ -323,19 +306,19 @@ def run(cfg: RunConfig) -> RunTrace:
     Values, gradients and the Hessian diagonals come from one
     ``ObjectiveSet.evaluate`` call per iterate, shared by the weight rule
     and the inner step; only the diagonal CAMOO rule forms the diagonals,
-    from that same pass, unless Hutchinson estimates replace them.  Diagonal
-    CAMOO solves max_w min_k (w'D)_k over the floored simplex exactly, by
-    column generation over the columns of the diagonals D: ``pu_gap`` is the
-    restricted LP's value minus ``lambda_min_est`` = min_k (w'D)_k, its exact
-    gap to rounding, and the ``pu_*`` settings are not read.  x0's shape is
-    checked once, before the first step, and the gradient norm and residual
-    are computed only for recorded steps.  A NaN or Inf in the iterate, a
-    value or the weighted gradient aborts the run with a NumericError whose
-    payload is the trace up to the failure.  The trace carries the built
-    problem.  A problem spec that its builder rejects, or settings that do
-    not fit the problem or would not be read, raise ConfigurationError
-    before the first step; an uncertified misaligned reference point raises
-    NumericError without a payload.
+    from that same pass, unless Hutchinson estimates replace them.  CAMOO
+    records its solve's value as ``lambda_min_est`` and its certified gap as
+    ``pu_gap``: Kelley's gap in exact mode (``weighting.solve_camoo_exact``),
+    the exact column-generation gap in diagonal mode
+    (``weighting.solve_camoo_diagonal``); the ``pu_*`` settings are not
+    read.  x0's shape is checked once, before the first step, and the
+    gradient norm and residual are computed only for recorded steps.  A NaN
+    or Inf in the iterate, a value or the weighted gradient aborts the run
+    with a NumericError whose payload is the trace up to the failure.  The
+    trace carries the built problem.  A problem spec that its builder
+    rejects, or settings that do not fit the problem or would not be read,
+    raise ConfigurationError before the first step; an uncertified
+    misaligned reference point raises NumericError without a payload.
     """
     t_start = time.perf_counter()
     problem = build_problem(cfg.problem)

@@ -586,7 +586,7 @@ def misalign(base: Problem, shifts) -> Problem:
     f_min = np.array(base.optimum.f_star)
 
     x_ref, eps = np.array(base.optimum.x_star), 0.0
-    if not np.allclose(shifts, 0.0):
+    if shifts.any():
         x_ref, eps = _minimax_point(objectives, f_min, x_ref + shifts.mean(axis=0))
 
     optimum = OptimalInfo(x_star=x_ref, f_star=f_min, alignment_eps=eps)

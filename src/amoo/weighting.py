@@ -5,10 +5,11 @@ Three families:
 * equal weights (the uniform baseline),
 * curvature-adaptive weights that maximize the smallest eigenvalue of the
   weighted Hessian over a (floored) simplex.  Both modes solve max-min
-  linear programs over a growing set of cuts with ``max_min_weights``: on
-  full Hessians the cuts are v'H_i v at eigenvectors (Kelley's cutting
-  planes, to a certified gap), on Hessian diagonals the columns of the
-  diagonals (column generation in ``driver``, exact to rounding).  The
+  linear programs over a growing set of cuts with ``max_min_weights`` and
+  return a ``CamooResult``: on full Hessians the cuts are v'H_i v at
+  eigenvectors (``solve_camoo_exact``, Kelley's cutting planes to a
+  certified gap), on Hessian diagonals the columns of the diagonals
+  (``solve_camoo_diagonal``, column generation exact to rounding).  The
   bilinear game max_w min_q w'Aq has its own solver, predictive entropic
   primal-dual updates (``solve_bilinear_pu``),
 * Polyak-style weights that maximize 2 w'gaps - w'(G + tau I)w over the
@@ -91,35 +92,6 @@ def equal_weights(m: int) -> Array:
     if m < 1:
         raise ValueError("need at least one objective")
     return np.full(m, 1.0 / m)
-
-
-def project_simplex(y) -> Array:
-    """Euclidean projection onto the probability simplex."""
-    y = as_vector(y, name="y")
-    s = np.sort(y)[::-1]
-    css = np.cumsum(s) - 1.0
-    idx = np.arange(1, len(y) + 1)
-    cond = s - css / idx > 0
-    cond[0] = True  # true in exact arithmetic; rounding drops it near |y| = 1e16
-    rho = idx[cond][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(y - theta, 0.0)
-
-
-def project_floored_simplex(y, w_min: float) -> Array:
-    """Euclidean projection onto {w : w_i >= w_min, sum w = 1}."""
-    y = as_vector(y, name="y")
-    m = len(y)
-    if w_min < 0:
-        raise ValueError("w_min must be nonnegative")
-    if m * w_min > 1.0 + 1e-12:
-        raise ValueError(f"floored simplex infeasible: m*w_min = {m * w_min}")
-    if w_min == 0.0:
-        return project_simplex(y)
-    slack = 1.0 - m * w_min
-    if slack <= 0.0:
-        return np.full(m, w_min)
-    return w_min + slack * project_simplex((y - w_min) / slack)
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +394,14 @@ def max_min_weights(C, w_min: float = 0.0) -> tuple[Array, float, Array]:
 
 
 @dataclass(frozen=True)
-class CamooExactResult:
-    """Exact-mode weights with their certificate.
+class CamooResult:
+    """CAMOO weights with their certificate, from either mode.
 
-    ``value`` is lambda_min at ``weights`` and ``gap`` >= 0 bounds how far it
-    lies below the maximum.  ``iterations`` counts the LPs solved.  ``cuts``
-    are the cuts the solve kept, the unit directions with a positive
-    multiplier at the last LP (never empty): the warm start of a later solve.
+    ``value`` is the curvature at ``weights`` and ``gap`` >= 0 bounds how far
+    it lies below the maximum.  ``iterations`` counts the LPs solved.
+    ``cuts`` are the cuts with a positive multiplier at the last LP (never
+    empty), the warm start of a later solve: unit directions in exact mode,
+    column indices of D in diagonal mode.
     """
 
     weights: Array
@@ -441,7 +414,7 @@ class CamooExactResult:
 
 def solve_camoo_exact(
     hessians, cfg: CamooConfig | None = None, warm: Array | None = None
-) -> CamooExactResult:
+) -> CamooResult:
     """Maximize lambda_min(sum_i w_i H_i) over the floored simplex by
     Kelley's cutting planes.
 
@@ -453,7 +426,7 @@ def solve_camoo_exact(
     closed form.  The solve stops once the gap is at most
     1e-7 max_i ||H_i||_2 (HiGHS's feasibility tolerance), or unconverged
     after MAX_CUTS LPs.  ``warm`` is an earlier result's ``cuts``; the cold
-    first cut is the smallest eigenvector at the floored simplex's centre.
+    first cut is the smallest eigenvector at equal weights.
     """
     cfg = cfg or CamooConfig()
     stack = hessian_stack(hessians)
@@ -463,8 +436,8 @@ def solve_camoo_exact(
     tol = 1e-7 * max(spectral_norm(H) for H in stack)
 
     if warm is None:
-        centre = project_floored_simplex(np.full(m, 1.0 / m), cfg.w_min)
-        warm = min_eigenpair_unchecked(np.einsum("i,ijk->jk", centre, stack))[1][None]
+        centre = np.einsum("i,ijk->jk", equal_weights(m), stack)
+        warm = min_eigenpair_unchecked(centre)[1][None]
     cuts = np.asarray(warm, dtype=np.float64)
     if cuts.ndim != 2 or cuts.shape[1] != n or not len(cuts):
         raise ValueError(f"warm cuts must be a (k, {n}) array, got {cuts.shape}")
@@ -477,8 +450,6 @@ def solve_camoo_exact(
     slack, best_val = 1.0 - m * cfg.w_min, -np.inf
     for lps in range(1, MAX_CUTS + 1):
         w, _, y = max_min_weights(C, cfg.w_min)
-        # The LP's weights can sit ~1e-17 off the floored simplex.
-        w = project_floored_simplex(w, cfg.w_min)
         # For multipliers y >= 0 summing to 1, min_k (C'w)_k <= w'Cy for every
         # w, and w'Cy is largest at a vertex of the floored simplex.
         y = np.maximum(y, 0.0)
@@ -496,7 +467,46 @@ def solve_camoo_exact(
         # A vertex has at most m positive multipliers, so K <= m + 1.
         cuts = np.vstack([cuts[y > 0], v])
         C = np.hstack([C[:, y > 0], np.einsum("ijk,j,k->i", stack, v, v)[:, None]])
-    return CamooExactResult(best_w, float(best_val), lps, gap <= tol, gap, cuts[y > 0])
+    return CamooResult(best_w, float(best_val), lps, gap <= tol, gap, cuts[y > 0])
+
+
+def solve_camoo_diagonal(
+    D, cfg: CamooConfig | None = None, warm: Array | None = None
+) -> CamooResult:
+    """Maximize min_k (w'D)_k over the floored simplex, ``D`` the (m, n)
+    Hessian diagonals, by column generation (Gilmore & Gomory 1961).
+
+    Each round solves the max-min LP over a few columns of D and adds the
+    most violated column.  ``gap``, the LP's value t minus min_k (w'D)_k, is
+    exact to rounding; the solve stops once it is at most 1e-12 (1 + |t|),
+    or unconverged when the most violated column is already in the LP.
+    ``warm`` is an earlier result's ``cuts``; the cold first column is the
+    least curved at equal weights.
+    """
+    cfg = cfg or CamooConfig()
+    D = np.asarray(D, dtype=np.float64)
+    m, n = D.shape
+    if not np.isfinite(D).all():
+        raise ValueError("Hessian diagonals have non-finite entries")
+    if m * cfg.w_min > 1.0 + 1e-12:
+        raise ValueError(f"floor infeasible: m*w_min = {m * cfg.w_min}")
+    if warm is None:
+        cols = [int(np.argmin(equal_weights(m) @ D))]
+    else:
+        cols = np.ravel(warm).tolist()
+        if not cols or min(cols) < 0 or max(cols) >= n:
+            raise ValueError(f"warm columns must be indices below {n}, got {warm}")
+    for lps in itertools.count(1):
+        w, t, y = max_min_weights(D[:, cols], cfg.w_min)
+        curv = w @ D
+        j = int(np.argmin(curv))
+        gap = t - curv[j]
+        converged = bool(gap <= 1e-12 * (1.0 + abs(t)))
+        if converged or j in cols:
+            break
+        cols = [*cols, j]
+    cuts = np.array([k for k, yk in zip(cols, y) if yk > 0], dtype=np.intp)
+    return CamooResult(w, float(curv[j]), lps, converged, max(float(gap), 0.0), cuts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """The benchmark's layer bindings resolve against this source tree.
 
-``perfbench/layers.py`` wraps named functions on named modules and classes.
-A source change that drops or renames one of them would break every traced
-benchmark pass; this catches it in the main suite.
+``perfbench/layers.py`` wraps named functions on named modules and classes,
+and its hooks read named fields off their results.  A source change that
+drops or renames one of them would break every traced benchmark pass; this
+catches it in the main suite.
 """
 
 from pathlib import Path
+
+import numpy as np
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -41,3 +44,18 @@ def test_pass_contexts_patch_the_driver_and_restore_it(monkeypatch, tmp_path):
             patched |= {n for n in names if getattr(amoo.driver, n) is not original[n]}
         assert {n: getattr(amoo.driver, n) for n in names} == original, name
     assert patched == set(names)
+
+
+def test_camoo_info_reads_both_solvers(monkeypatch):
+    # The benchmark's CAMOO hook reads ``iterations`` and ``converged`` off a
+    # solve's result; both modes return one ``CamooResult``.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    from amoo.weighting import CamooResult, solve_camoo_diagonal, solve_camoo_exact
+
+    D = np.array([[1.8, 0.2], [0.2, 1.8]])
+    for result in (solve_camoo_exact([np.diag(d) for d in D]), solve_camoo_diagonal(D)):
+        assert type(result) is CamooResult
+        info = layers._camoo_info((), {}, result)
+        assert info == {"iterations": result.iterations, "converged": True}
+        assert result.iterations >= 1

@@ -11,7 +11,7 @@ from amoo.core import (
     weighted_gradient,
 )
 from amoo.problems import ProblemSpec, build
-from amoo.weighting import CamooConfig, project_floored_simplex, solve_camoo_exact
+from amoo.weighting import CamooConfig, solve_camoo_diagonal, solve_camoo_exact
 
 
 def fd_gradient(value, x, rel_step=1e-6):
@@ -145,12 +145,12 @@ class TestSuboptimalityNonnegative:
 
 class TestWeightVector:
     """Weights are plain arrays; the floored simplex they live on is built
-    by the projection and by the exact CAMOO solve."""
+    by both CAMOO solves."""
 
     def test_infeasible_floor(self):
         # Two weights cannot each be at least 0.6 and sum to 1.
         with pytest.raises(ValueError):
-            project_floored_simplex([0.5, 0.5], 0.6)
+            solve_camoo_diagonal(np.eye(2), CamooConfig(w_min=0.6))
         with pytest.raises(ValueError):
             solve_camoo_exact([np.eye(2)] * 2, CamooConfig(w_min=0.6))
 

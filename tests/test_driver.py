@@ -40,10 +40,21 @@ from amoo.weighting import (
     pamoo_weights,
     solve_camoo_exact,
 )
+from test_golden_traces import spd_hessians
 from test_problems import mlp_objective_reference
 from test_weighting import highs_max_min_value
 
 SPEC01 = ProblemSpec(kind="specification", delta=0.1)
+TWO_DENSE = ProblemSpec(
+    kind="quad_family",
+    h_list=(((2.0, 0.5), (0.5, 1.0)), ((1.0, -0.3), (-0.3, 3.0))),
+)
+# Powers 1, 1.5 and 2 of x'H_i x: Hessians that move along the run.
+POWER6 = ProblemSpec(
+    kind="quad_family",
+    h_list=tuple(tuple(map(tuple, H)) for H in spd_hessians(1, n=6)),
+    alpha_list=(1.0, 1.5, 2.0),
+)
 
 
 def spec_run(weighting, steps=100, step=0.25, x0=(1.0, 1.0), **kwargs):
@@ -313,6 +324,33 @@ class TestCamooRuns:
         trace = spec_run(WeightingChoice(kind="camoo"), steps=5)
         for rec in trace.records:
             assert rec.lambda_min_est == pytest.approx(1.0, abs=1e-2)
+
+    @pytest.mark.parametrize(
+        "problem,x0", [(TWO_DENSE, None), (POWER6, (0.5,) * 6)], ids=["quad", "power"]
+    )
+    def test_exact_mode_records_its_certified_gap(self, monkeypatch, problem, x0):
+        # Kelley's gap of every step's solve, within the solver's tolerance
+        # 1e-7 max_i ||H_i|| at that step's Hessians (which move on POWER6).
+        scales = []
+        solve = amoo.driver.solve_camoo_exact
+
+        def kept(hessians, *args, **kwargs):
+            scales.append(max(np.linalg.norm(H, 2) for H in hessians))
+            return solve(hessians, *args, **kwargs)
+
+        monkeypatch.setattr(amoo.driver, "solve_camoo_exact", kept)
+        trace = run(
+            RunConfig(
+                problem=problem,
+                weighting=WeightingChoice(kind="camoo"),
+                inner=GDConfig(step=0.05),
+                steps=20,
+                x0=x0,
+            )
+        )
+        assert len(trace.records) == len(scales) == 21
+        for rec, scale in zip(trace.records, scales):
+            assert 0.0 <= rec.pu_gap <= 1e-7 * scale
 
     def test_lr_scaling_by_m(self):
         slow = spec_run(
@@ -667,7 +705,7 @@ def run_reference(cfg):
         elif wc.kind == "camoo" and wc.camoo.mode == "exact-eigen":
             result = solve_camoo_exact(objs.hessians(x), wc.camoo, warm=cuts)
             w, cuts = result.weights, result.cuts
-            lambda_est = result.value
+            lambda_est, gap = result.value, result.gap
         elif wc.kind == "camoo":
             if wc.hutchinson is not None:
                 hcfg = replace(wc.hutchinson, rng_seed=hseed + k)
@@ -708,10 +746,6 @@ def run_reference(cfg):
     return records
 
 
-TWO_DENSE = ProblemSpec(
-    kind="quad_family",
-    h_list=(((2.0, 0.5), (0.5, 1.0)), ((1.0, -0.3), (-0.3, 3.0))),
-)
 SELECTION3 = ProblemSpec(kind="selection", delta=0.1, m=3, n=2)
 SMALL_MLP = ProblemSpec(
     kind="mlp_matching", variant="selection", input_dim=4, hidden=5,

@@ -96,7 +96,7 @@ CONFIGS = {
 GOLDEN_SHA256 = {
     "ew": "64c8c09a7a8bf1b292996a739845bd11f09df822dca5e527d455ea47e98afe92",
     "fixed": "be7d0b833d8e8f1f7702ce5308a5e2a8fcd8d179a02e644e911d9cc6d14fa594",
-    "camoo_exact": "38384b38dc99d4b556133a410ff1c7a73606bece1bb57f426af869bdb9b3b21c",
+    "camoo_exact": "95bdf590a92c0a14ff97f37478714f33a36cc80458b91849dc66320822e295c1",
     "camoo_diagonal": "321be2a817cb2f61b9bcef8752330826c5826f6cabafaf574bc0005702e5d394",
     "camoo_diagonal_softplus": "16021a331a4375cb6926ca6479883584ab725584b0b94e5fa39a3d702aaa6f02",
     "pamoo": "5f019cd3196542365ec3644e246c494e4e327718cc45037b63ae0714d9a14f97",

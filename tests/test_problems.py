@@ -459,7 +459,19 @@ class TestMisalign:
         base = build(ProblemSpec(kind="specification", delta=0.1))
         shifted = misalign(base, np.zeros((2, 2)))
         assert shifted.optimum.alignment_eps == 0.0
-        np.testing.assert_allclose(shifted.optimum.x_star, [0.0, 0.0])
+        np.testing.assert_array_equal(shifted.optimum.x_star, base.optimum.x_star)
+
+    def test_tiny_shift_is_solved(self):
+        # One 1e-8 shift moves the minimax point by ~3e-9: its worst gap is
+        # positive, and reached at the reported x_star.
+        base = build(ProblemSpec(kind="selection", delta=0.1, m=3, n=4))
+        shifts = np.zeros((3, 4))
+        shifts[0, 0] = 1e-8
+        shifted = misalign(base, shifts)
+        opt = shifted.optimum
+        gaps = shifted.objectives.values(opt.x_star) - opt.f_star
+        assert opt.alignment_eps > 0.0
+        assert opt.alignment_eps == gaps.max()
 
     def test_symmetric_quadratic_midpoint(self):
         base = self.quad_1d_pair()

@@ -25,14 +25,13 @@ from amoo.weighting import (
     max_min_weights,
     pamoo_context,
     pamoo_weights,
-    project_floored_simplex,
-    project_simplex,
     solve_bilinear_pu,
     solve_bilinear_pu_stack,
+    solve_camoo_diagonal,
     solve_camoo_exact,
 )
 from amoo.problems import ProblemSpec, build
-from grid_oracle import grid_max_min_eig, simplex_grid
+from grid_oracle import grid_max_min_eig
 from test_golden_traces import spd_hessians
 
 
@@ -97,60 +96,6 @@ def active_set_quadratic_max(gaps, gram, tau, floor):
         if val > best_val:
             best_val, best_w = val, w
     return best_val, best_w
-
-
-# ---------------------------------------------------------------------------
-# Simplex projections
-# ---------------------------------------------------------------------------
-
-
-class TestProjections:
-    def test_already_feasible_is_fixed(self):
-        w = np.array([0.2, 0.3, 0.5])
-        np.testing.assert_allclose(project_simplex(w), w, atol=1e-15)
-
-    def test_projection_is_nearest_point_m2(self):
-        rng = np.random.default_rng(30)
-        grid = simplex_grid(2, 1e-4)
-        for _ in range(20):
-            y = rng.normal(scale=2.0, size=2)
-            p = project_simplex(y)
-            dists = np.linalg.norm(grid - y, axis=1)
-            assert np.linalg.norm(p - y) <= dists.min() + 1e-6
-
-    def test_floored_projection_feasible(self):
-        rng = np.random.default_rng(31)
-        for _ in range(50):
-            m = int(rng.integers(1, 6))
-            w_min = rng.uniform(0.0, 1.0 / m)
-            p = project_floored_simplex(rng.normal(size=m), w_min)
-            assert p.sum() == pytest.approx(1.0, abs=1e-12)
-            assert np.all(p >= w_min - 1e-12)
-
-    def test_infeasible_floor_rejected(self):
-        with pytest.raises(ValueError):
-            project_floored_simplex(np.array([0.5, 0.5]), 0.6)
-
-    @settings(max_examples=300, deadline=None)
-    @example(y=[3.0], share=0.9999999999999999, floored=True)  # slack of 1 ulp
-    @given(
-        y=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6),
-        share=st.floats(0.0, 1.0),
-        floored=st.booleans(),
-    )
-    def test_projection_optimality(self, y, share, floored):
-        # p is feasible and <y - p, v - p> <= 0 at every vertex v of the
-        # floored simplex, which makes p the nearest feasible point.
-        y = np.array(y)
-        m = len(y)
-        w_min = share / m if floored else 0.0
-        p = project_floored_simplex(y, w_min) if floored else project_simplex(y)
-        # Rounding in the threshold grows with |y|, so both checks scale with it.
-        scale = (1.0 + np.linalg.norm(y)) ** 2
-        assert abs(p.sum() - 1.0) <= 1e-14 * m * (1.0 + np.abs(y).max())
-        assert np.all(p >= w_min - 1e-15)
-        vertices = w_min + (1.0 - m * w_min) * np.eye(m)
-        assert np.all((vertices - p) @ (y - p) <= 1e-12 * scale)
 
 
 class TestEqualWeights:
@@ -729,6 +674,67 @@ class TestCamooExact:
             solve_camoo_exact([np.eye(2)] * 2, CamooConfig(), warm=warm)
 
 
+class TestCamooDiagonal:
+    """Column generation on Hessian diagonals against one HiGHS solve over
+    every column."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(1, 4),
+        n=st.integers(1, 40),
+        floor=st.sampled_from([0.0, 0.1, 0.3]),
+        integers=st.booleans(),
+        edit=st.sampled_from([None, "tied rows", "zero column", "duplicate column"]),
+        start=st.sampled_from(["cold", "own cuts", "perturbed"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_certifies_the_optimum(self, m, n, floor, integers, edit, start, seed):
+        rng = np.random.default_rng(seed)
+        # Small integers tie and shift columns, which makes bases singular.
+        D = rng.integers(-2, 4, size=(m, n)) if integers else rng.uniform(-1, 3, (m, n))
+        D = D.astype(np.float64)
+        if edit == "tied rows":
+            D[-1] = D[0]
+        elif edit == "zero column":
+            D[:, rng.integers(n)] = 0.0
+        elif edit == "duplicate column":
+            D[:, -1] = D[:, 0]
+        w_min = floor / m
+        cfg = CamooConfig(mode=MODE_DIAGONAL, w_min=w_min)
+        with mock.patch.object(optimize, "linprog", wraps=optimize.linprog) as lp:
+            warm = None if start == "cold" else solve_camoo_diagonal(D, cfg).cuts
+            if start == "perturbed":
+                D = D + 0.1 * rng.normal(size=D.shape)
+            res = solve_camoo_diagonal(D, cfg, warm=warm)
+        # HiGHS only for an LP too large to enumerate: a_ub has one row a column.
+        for call in lp.call_args_list:
+            k = len(call.args[1])
+            assert math.comb(k + m, m) > amoo.weighting.CLOSED_FORM_BASES
+        tol = 1e-12 * np.abs(D).max()
+        optimum = highs_max_min_value(D, w_min)
+        assert_on_simplex(res.weights, m, w_min)
+        assert res.value == (res.weights @ D).min()
+        assert res.gap >= 0.0
+        assert res.value - tol <= optimum <= res.value + res.gap + tol
+        if res.converged:
+            assert res.gap <= 1e-12 * (1.0 + abs(res.value + res.gap))
+        assert res.cuts.dtype.kind == "i" and len(res.cuts) >= 1
+        assert 0 <= res.cuts.min() and res.cuts.max() < n
+
+    @pytest.mark.parametrize("warm", [[], [3], [-1], [0, 5]])
+    def test_bad_warm_columns_rejected(self, warm):
+        with pytest.raises(ValueError, match="warm columns"):
+            solve_camoo_diagonal(np.ones((2, 3)), warm=warm)
+
+    def test_infeasible_floor(self):
+        with pytest.raises(ValueError, match="floor infeasible"):
+            solve_camoo_diagonal(np.ones((3, 2)), CamooConfig(w_min=0.5))
+
+    def test_non_finite_diagonals_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_camoo_diagonal([[1.0, np.nan], [1.0, 2.0]])
+
+
 class TestCamooDiag:
     """The bilinear PU game on Hessian diagonals: with diagonal Hessians,
     lambda_min of the weighted sum is min_j (w'A)_j."""
@@ -751,12 +757,12 @@ class TestCamooDiag:
         assert bilinear_value_of_w(A, sol.w) == pytest.approx(0.5, abs=1e-6)
 
     def test_floor_applies(self):
-        # The game concentrates on the strong row; projecting onto the
-        # floored simplex lifts the weak row to the floor.
+        # The game concentrates on the strong row; the floored solve lifts the
+        # weak row to the floor.
         A = np.array([[2.0, 2.0], [0.1, 0.1]])
         sol = solve_bilinear_pu(A, CamooConfig(pu_iterations=4000, pu_tau=0.0))
         assert sol.w[0] > 0.99
-        w = project_floored_simplex(sol.w, 0.2)
+        w = solve_camoo_diagonal(A, CamooConfig(w_min=0.2)).weights
         np.testing.assert_allclose(w, [0.8, 0.2], atol=1e-12)
         assert bilinear_value_of_w(A, w) == pytest.approx(1.62, abs=1e-9)
 
