@@ -164,14 +164,15 @@ def theorem_k0(tp: TheoremParams) -> int:
 
 
 def theorem_bound_check(trace, tp: TheoremParams, slack: float = 1e-12) -> bool:
-    """Check a run's residuals against the convergence-rate envelope.
+    """Check a trace's residuals (a ``RunTrace`` or a trace read back from
+    CSV) against the convergence-rate envelope.
 
     The geometric phase (per-step squared factor 1 - 3 mu / (8 beta) or
     1 - 3 mu / (32 beta)) anchors at the first recorded step at or past k0;
     with ``m_self`` zero the pre-phase is vacuous and k0 = 0.  The bound's
     exponent counts half steps, i.e. factor^((k - k0)/2) on the residual.
     """
-    pairs = trace.residuals() if hasattr(trace, "residuals") else list(trace)
+    pairs = trace.residuals()
     if not pairs:
         raise ValueError("trace carries no residuals")
     steps = np.array([s for s, _ in pairs], dtype=np.int64)
@@ -205,7 +206,8 @@ def theorem_bound_check(trace, tp: TheoremParams, slack: float = 1e-12) -> bool:
 
 
 def fit_rate(trace, tail_fraction: float = 0.5) -> float:
-    """Per-step contraction factor fitted on the trace tail.
+    """Per-step contraction factor fitted on the tail of a trace (a
+    ``RunTrace`` or a trace read back from CSV).
 
     Least-squares slope of log residual against step index over the last
     ``tail_fraction`` of recorded residuals, exponentiated.  Residuals at or
@@ -214,7 +216,7 @@ def fit_rate(trace, tail_fraction: float = 0.5) -> float:
     """
     if not 0 < tail_fraction <= 1:
         raise ValueError("tail_fraction must lie in (0, 1]")
-    pairs = trace.residuals() if hasattr(trace, "residuals") else list(trace)
+    pairs = trace.residuals()
     count = math.ceil(len(pairs) * tail_fraction)
     tail = pairs[-count:]
     if len(tail) < 10:

@@ -211,7 +211,6 @@ def _run_verdicts(trace: driver.RunTrace) -> dict:
         and meta.m_self is not None
         and problem.optimum.alignment_eps == 0.0  # the envelope assumes exact alignment
         and trace.records
-        and trace.records[0].residual is not None
     ):
         tp = analysis.TheoremParams(
             beta=meta.beta,

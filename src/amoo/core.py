@@ -16,7 +16,7 @@ Array = np.ndarray
 
 
 class UnsupportedQueryError(RuntimeError):
-    """Asked an oracle or optimum record for information it does not carry."""
+    """Asked an oracle for information it does not carry (a Hessian)."""
 
 
 class NumericError(RuntimeError):
@@ -51,16 +51,16 @@ def _frozen(arr: Array) -> Array:
 class ObjectiveOracle:
     """A single scalar objective with first-order (and optional second-order) access.
 
-    ``value`` and ``gradient`` are required; ``hessian`` and ``diag_hessian``
-    are optional callables returning the full symmetric Hessian and its
-    diagonal.  All callables must be pure functions of x.
+    ``value`` and ``gradient`` are required; ``hessian`` is an optional
+    callable returning the full symmetric Hessian.  All callables must be
+    pure functions of x.  Hessian diagonals come from
+    ``ObjectiveSet.evaluate``, not from an oracle.
     """
 
     dim: int
     value: Callable[[Array], float]
     gradient: Callable[[Array], Array]
     hessian: Callable[[Array], Array] | None = None
-    diag_hessian: Callable[[Array], Array] | None = None
     name: str = ""
 
     def __post_init__(self):
@@ -82,16 +82,6 @@ class ObjectiveOracle:
         H = np.asarray(self.hessian(as_vector(x, self.dim)), dtype=np.float64)
         return H.reshape(self.dim, self.dim)
 
-    def diag_hessian_at(self, x) -> Array:
-        if self.diag_hessian is not None:
-            d = self.diag_hessian(as_vector(x, self.dim))
-            return np.asarray(d, dtype=np.float64).reshape(self.dim)
-        if self.hessian is not None:
-            return np.diag(self.hessian_at(x)).copy()
-        raise UnsupportedQueryError(
-            f"oracle {self.name!r} has neither diag_hessian nor hessian"
-        )
-
 
 @dataclass(frozen=True)
 class ObjectiveSet:
@@ -99,7 +89,7 @@ class ObjectiveSet:
 
     ``stacked``, when given, replaces the per-oracle loops: its one method,
     ``evaluate(x)``, returns what ``ObjectiveSet.evaluate`` does, bitwise
-    equal to stacking the oracles' own results.
+    equal to stacking the oracles' own values and gradients.
     """
 
     objectives: tuple[ObjectiveOracle, ...]
@@ -133,12 +123,14 @@ class ObjectiveSet:
         giving the (m, n) Hessian diagonals, all at x, which must already be a
         float64 vector of length ``dim``: unlike ``values``, it is not checked.
         J and the diagonals are fresh arrays that the caller owns.  A stacked
-        evaluator's callable reuses the pass that gave the values."""
+        evaluator's callable reuses the pass that gave the values; without
+        one, the diagonals are those of ``hessians(x)``, which raises
+        UnsupportedQueryError if an oracle has no Hessian."""
         if self.stacked is not None:
             return self.stacked.evaluate(x)
         fvals = np.array([o.value(x) for o in self.objectives], dtype=np.float64)
         J = np.stack([o._checked_gradient(x) for o in self.objectives])
-        return fvals, J, lambda: np.stack([o.diag_hessian_at(x) for o in self.objectives])
+        return fvals, J, lambda: np.stack([np.diagonal(H) for H in self.hessians(x)])
 
     def hessians(self, x) -> list[Array]:
         x = as_vector(x, self.dim)
@@ -147,22 +139,22 @@ class ObjectiveSet:
 
 @dataclass(frozen=True)
 class OptimalInfo:
-    """What is known about the shared optimum of an objective set.
+    """The shared optimum of an objective set: every problem records one.
 
-    ``alignment_eps`` is 0 for exactly aligned instances and otherwise the
-    smallest e such that some point (``misalign`` certifies ``x_star`` as
-    one) is within e objective gap of every objective's own minimum.
+    ``f_star`` holds each objective's own minimum, f_i* = min f_i.
+    ``alignment_eps`` is 0 for exactly aligned instances, where every f_i
+    attains f_i* at ``x_star``; otherwise it is the smallest e such that
+    some point (``misalign`` certifies ``x_star`` as one) is within e
+    objective gap of every f_i*.
     """
 
-    x_star: Array | None = None
-    f_star: Array | None = None
+    x_star: Array
+    f_star: Array
     alignment_eps: float = 0.0
 
     def __post_init__(self):
-        if self.x_star is not None:
-            object.__setattr__(self, "x_star", _frozen(as_vector(self.x_star)))
-        if self.f_star is not None:
-            object.__setattr__(self, "f_star", _frozen(as_vector(self.f_star)))
+        object.__setattr__(self, "x_star", _frozen(as_vector(self.x_star)))
+        object.__setattr__(self, "f_star", _frozen(as_vector(self.f_star)))
         if self.alignment_eps < 0:
             raise ValueError("alignment_eps must be nonnegative")
 

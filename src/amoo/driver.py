@@ -150,7 +150,6 @@ class RunConfig:
     record_every: int = 1
     camoo_lr_scale_by_m: bool = True
     x0: tuple[float, ...] | None = None
-    f_star_override: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.steps < 0:
@@ -212,31 +211,20 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
     """The run's weight rule as ``weigh(fvals, J, diag, x) -> (weights,
     lambda_min_est, pu_gap)``, from one ``ObjectiveSet.evaluate(x)``.
 
-    The settings are checked against the problem here, before the first step,
-    and a setting that the rule would not read (``f_star_override`` off
-    PAMOO, ``hutchinson`` in exact mode) is rejected.  Each rule keeps its own
-    warm start from one call to the next (CAMOO keeps its solve's cuts).
+    The settings are checked against the problem here, before the first step:
+    PAMOO reads the problem's recorded f*; CAMOO needs every objective's
+    Hessian in exact mode, and in diagonal mode without ``hutchinson`` a
+    stacked evaluator or those Hessians; ``hutchinson`` in exact mode, which
+    the rule would not read, is rejected.  Each rule keeps its own warm start
+    from one call to the next (CAMOO keeps its solve's cuts).
     """
     objs = problem.objectives
     m = objs.m
     wc = cfg.weighting
     warm = None
-    f_star = cfg.f_star_override
-    if f_star is not None:
-        if wc.kind != WEIGHTING_PAMOO:
-            raise ConfigurationError("run.f_star_override is read only by pamoo")
-        f_star = np.array(f_star, dtype=np.float64)
-        if f_star.shape != (m,) or not np.isfinite(f_star).all():
-            raise ConfigurationError(f"run.f_star_override must be {m} finite numbers")
 
     if wc.kind == WEIGHTING_PAMOO:
-        if f_star is None:
-            f_star = problem.optimum.f_star
-        if f_star is None:
-            raise ConfigurationError(
-                "PAMOO needs optimal objective values (problem has none; "
-                "set f_star_override)"
-            )
+        f_star = problem.optimum.f_star
 
         def weigh_pamoo(fvals, J, diag, x):
             nonlocal warm
@@ -253,7 +241,18 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
                 f"{m} objectives * w_min {camoo.w_min} > 1"
             )
         probes = wc.hutchinson
-        if camoo.mode == MODE_EXACT:
+        # Exact mode reads full Hessians, and so do analytic diagonals from a
+        # set without a stacked evaluator; Hutchinson probes need gradients.
+        exact = camoo.mode == MODE_EXACT
+        if (exact or probes is None and objs.stacked is None) and any(
+            o.hessian is None for o in objs.objectives
+        ):
+            raise ConfigurationError(
+                f"weighting.camoo.mode {camoo.mode!r} needs every objective's "
+                "Hessian, which this problem does not give"
+                + ("" if exact else "; give a weighting.hutchinson section")
+            )
+        if exact:
             if probes is not None:
                 raise ConfigurationError(
                     "weighting.hutchinson is read only in diagonal-bilinear mode"
@@ -366,7 +365,7 @@ def run(cfg: RunConfig) -> RunTrace:
                 f=fvals,
                 w=np.array(w),
                 grad_norm=float(np.linalg.norm(g)),
-                residual=None if x_star is None else float(np.linalg.norm(x - x_star)),
+                residual=float(np.linalg.norm(x - x_star)),
                 msq=msq,
                 mnorm=mnorm,
                 lambda_min_est=lambda_est,

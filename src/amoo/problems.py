@@ -25,6 +25,7 @@ import numpy as np
 from scipy import optimize
 
 from .core import Array, NumericError, ObjectiveOracle, ObjectiveSet, OptimalInfo
+from .linalg import SYMMETRY_TOL, check_symmetric
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,6 @@ def _quadratic_oracle(H: Array, name: str) -> ObjectiveOracle:
         value=lambda x: float(x @ H @ x),
         gradient=lambda x: 2.0 * (H @ x),
         hessian=lambda x: 2.0 * H,
-        diag_hessian=lambda x: 2.0 * np.diagonal(H).copy(),
         name=name,
     )
 
@@ -172,7 +172,6 @@ def _build_local_curvature(spec: ProblemSpec) -> Problem:
             value=lambda x: float(np.sum(np.exp(sign * x) - sign * x)),
             gradient=lambda x: sign * (np.exp(sign * x) - 1.0),
             hessian=lambda x: np.diag(np.exp(sign * x)),
-            diag_hessian=lambda x: np.exp(sign * x),
             name=name,
         )
 
@@ -224,6 +223,20 @@ def _build_quad_family(spec: ProblemSpec) -> Problem:
     alphas = tuple(spec.alpha_list) or (1.0,) * len(mats)
     if len(alphas) != len(mats):
         raise ValueError("h_list and alpha_list lengths differ")
+    # 2Hx is the gradient of x'Hx only for a symmetric H, and the origin
+    # (f* = 0) its minimizer only for a positive semidefinite one.
+    tops = []
+    for i, H in enumerate(mats):
+        try:
+            symmetric = check_symmetric(H)
+        except ValueError as exc:
+            raise ValueError(f"h_list[{i}]: {exc}") from None
+        evals = np.linalg.eigvalsh(symmetric)
+        if evals[0] < -SYMMETRY_TOL * (1.0 + np.abs(H).max()):
+            raise ValueError(
+                f"h_list[{i}] is not positive semidefinite (eigenvalue {evals[0]:.3g})"
+            )
+        tops.append(evals[-1])
     n = mats[0].shape[0]
     oracles = tuple(
         _power_quad_oracle(H, a, f"quad_f{i + 1}")
@@ -234,7 +247,7 @@ def _build_quad_family(spec: ProblemSpec) -> Problem:
     pure_quad = all(a == 1.0 for a in alphas)
     if pure_quad:  # stacked once the set has checked the shared dimension
         objectives = replace(objectives, stacked=_QuadraticStack(mats))
-    beta = 2.0 * max(np.linalg.eigvalsh(H)[-1] for H in mats) if pure_quad else None
+    beta = 2.0 * max(tops) if pure_quad else None
     meta = ProblemMeta(
         beta=beta, mu_g=None, mu_l=None, m_self=0.0 if pure_quad else None
     )
@@ -475,7 +488,6 @@ class _TwoLayerMatching:
                 dim=self.n_params,
                 value=lambda th: float(one.evaluate(th)[0][0]),
                 gradient=lambda th: one.evaluate(th)[1][0],
-                diag_hessian=lambda th: one.evaluate(th)[2]()[0],
                 name=f"match_f{i + 1}",
             )
 
@@ -511,11 +523,6 @@ def _shifted_oracle(oracle: ObjectiveOracle, shift: Array) -> ObjectiveOracle:
         gradient=lambda x: oracle.gradient(x - s),
         hessian=(
             None if oracle.hessian is None else (lambda x: oracle.hessian(x - s))
-        ),
-        diag_hessian=(
-            None
-            if oracle.diag_hessian is None
-            else (lambda x: oracle.diag_hessian(x - s))
         ),
         name=f"{oracle.name}_shifted",
     )
@@ -572,8 +579,6 @@ def misalign(base: Problem, shifts) -> Problem:
     is that minimax gap, so alignment_eps-approximate solutions exist.
     Curvature constants are inherited from the base problem.
     """
-    if base.optimum.x_star is None or base.optimum.f_star is None:
-        raise ValueError("misalign needs a base problem with a known optimum")
     shifts = np.asarray(shifts, dtype=np.float64)
     m, n = base.objectives.m, base.objectives.dim
     if shifts.shape != (m, n):

@@ -116,42 +116,32 @@ class BilinearSolution:
 
 
 def solve_bilinear_pu(
-    A,
-    cfg: CamooConfig | None = None,
-    warm: tuple[Array, Array] | None = None,
-    gap_target: float | None = None,
+    A, cfg: CamooConfig | None = None, gap_target: float | None = None
 ) -> BilinearSolution:
     """Approximately solve max_{w in simplex} min_{q in simplex} w'Aq.
 
-    Runs predictive (extragradient) entropic primal-dual updates with step
-    1 / (2 max_ij |A_ij| + tau) and optional entropic regularization of
-    strength tau.  Both the running average of the midpoint iterates and the
-    last iterates are candidate solutions; the pair with the smaller
-    certified duality gap is returned.  ``gap_target`` enables early exit
-    once a candidate certifies at or below the target.
+    Runs predictive (extragradient) entropic primal-dual updates from
+    uniform play, with step 1 / (2 max_ij |A_ij| + tau) and optional
+    entropic regularization of strength tau.  Both the running average of
+    the midpoint iterates and the last iterates are candidate solutions; the
+    pair with the smaller certified duality gap is returned.  ``gap_target``
+    enables early exit once a candidate certifies at or below the target.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise ValueError(f"payoff matrix must be 2-D, got shape {A.shape}")
-    m, n = A.shape
-    if warm is not None:
-        w0, q0 = as_vector(warm[0], m, "warm w"), as_vector(warm[1], n, "warm q")
-        warm = (w0[None], q0[None])
-    return solve_bilinear_pu_stack(A[None], cfg, warm, gap_target)[0]
+    return solve_bilinear_pu_stack(A[None], cfg, gap_target)[0]
 
 
 def solve_bilinear_pu_stack(
-    A,
-    cfg: CamooConfig | None = None,
-    warm: tuple[Array, Array] | None = None,
-    gap_target: float | None = None,
+    A, cfg: CamooConfig | None = None, gap_target: float | None = None
 ) -> list[BilinearSolution]:
     """Solve G independent games, ``A`` of shape (G, m, n), as one stack.
 
     Each game keeps its own step, exponent and best candidate, so it gets
     the ``solve_bilinear_pu`` answer bit for bit; the tail restarts depend
-    only on the iteration count.  ``warm`` is (W, Q), shapes (G, m) and
-    (G, n).  A game that meets ``gap_target`` leaves the stack at that check.
+    only on the iteration count.  A game that meets ``gap_target`` leaves
+    the stack at that check.
     """
     cfg = cfg or CamooConfig()
     A = np.ascontiguousarray(A, dtype=np.float64)
@@ -163,13 +153,7 @@ def solve_bilinear_pu_stack(
         raise ValueError("payoff matrix has non-finite entries")
     G, m, n = A.shape
     # Players are per-game column vectors: (g, m, n) @ (g, n, 1) -> (g, m, 1).
-    if warm is None:
-        w, q = np.full((G, m, 1), 1.0 / m), np.full((G, n, 1), 1.0 / n)
-    else:
-        w, q = (np.asarray(v, dtype=np.float64) for v in warm)
-        if w.shape != (G, m) or q.shape != (G, n):
-            raise ValueError(f"warm shapes {w.shape}, {q.shape} do not fit {A.shape}")
-        w, q = np.maximum(w, 1e-300)[:, :, None], np.maximum(q, 1e-300)[:, :, None]
+    w, q = np.full((G, m, 1), 1.0 / m), np.full((G, n, 1), 1.0 / n)
     out: list = [None] * G
     games = np.arange(G)
     if not amax.all():
@@ -198,9 +182,6 @@ def solve_bilinear_pu_stack(
         axis, keep = None, False
         A, Aeta, neg_AetaT = A[0], Aeta[0], neg_AetaT[0]
         w, q = w[0, :, 0], q[0, :, 0]
-    if warm is not None:
-        w = w / np.add.reduce(w, axis, keepdims=keep)
-        q = q / np.add.reduce(q, axis, keepdims=keep)
     w_acc, tail_w, q_acc, tail_q = (np.zeros(v.shape) for v in (w, w, q, q))
     tail_start = 0
     best_gap = best_w = best_q = None

@@ -14,11 +14,26 @@ from amoo.analysis import (
     weyl_degradation_suite,
 )
 from amoo.core import ObjectiveOracle
-from amoo.driver import GDConfig, RunConfig, WeightingChoice, run, theory_camoo, theory_pamoo
+from amoo.driver import (
+    GDConfig,
+    IterateRecord,
+    RunConfig,
+    RunTrace,
+    WeightingChoice,
+    run,
+    theory_camoo,
+)
 from amoo.linalg import min_eigenpair, weighted_hessian
 from amoo.weighting import max_min_weights
 from amoo.problems import ProblemSpec, build
 from grid_oracle import grid_max_min_eig
+
+
+def residual_trace(pairs) -> RunTrace:
+    """A run trace whose records carry the given (step, residual) pairs."""
+    one = np.ones(1)
+    records = [IterateRecord(k, one, one, 0.0, residual=r) for k, r in pairs]
+    return RunTrace(records=records, config=None)
 
 
 class TestRecurrence:
@@ -122,12 +137,12 @@ class TestTheoremBound:
 
     def test_single_record_trivially_holds(self):
         tp = TheoremParams(beta=2.0, mu=1.0, m_self=0.0, m=2, r0=1.0, which="CAMOO")
-        assert theorem_bound_check([(0, 1.0)], tp)
+        assert theorem_bound_check(residual_trace([(0, 1.0)]), tp)
 
     def test_violated_by_stalled_residuals(self):
         tp = TheoremParams(beta=2.0, mu=1.0, m_self=0.0, m=2, r0=1.0, which="CAMOO")
         stalled = [(k, 1.0) for k in range(20)]
-        assert not theorem_bound_check(stalled, tp)
+        assert not theorem_bound_check(residual_trace(stalled), tp)
 
     def test_hypothesis_validation(self):
         with pytest.raises(ValueError, match="mu"):
@@ -136,7 +151,7 @@ class TestTheoremBound:
             TheoremParams(beta=-1.0, mu=0.5, m_self=0.0, m=2, r0=1.0)
         tp = TheoremParams(beta=2.0, mu=1.0, m_self=0.0, m=2, r0=1.0)
         with pytest.raises(ValueError, match="residual"):
-            theorem_bound_check([], tp)
+            theorem_bound_check(residual_trace([]), tp)
 
     def test_pre_phase_with_positive_self_concordance(self):
         # Linear decrease until k0, then geometric; a synthetic trajectory
@@ -159,19 +174,19 @@ class TestTheoremBound:
             steps < k0, tp.r0 - slope * steps, anchor * factor ** (steps - k0)
         )
         trace_ok = list(zip(steps.tolist(), (env * 0.999).tolist()))
-        assert theorem_bound_check(trace_ok, tp)
+        assert theorem_bound_check(residual_trace(trace_ok), tp)
         trace_bad = list(zip(steps.tolist(), (env * 1.5).tolist()))
-        assert not theorem_bound_check(trace_bad, tp)
+        assert not theorem_bound_check(residual_trace(trace_bad), tp)
 
 
 class TestFitRate:
     def test_geometric_sequence(self):
         pairs = [(k, 0.9**k) for k in range(40)]
-        assert fit_rate(pairs, 0.5) == pytest.approx(0.9, abs=1e-6)
+        assert fit_rate(residual_trace(pairs), 0.5) == pytest.approx(0.9, abs=1e-6)
 
     def test_constant_sequence(self):
         pairs = [(k, 0.3) for k in range(30)]
-        assert fit_rate(pairs, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert fit_rate(residual_trace(pairs), 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_specification_ew_rate(self):
         spec = ProblemSpec(kind="specification", delta=0.1)
@@ -188,12 +203,12 @@ class TestFitRate:
 
     def test_needs_ten_tail_records(self):
         with pytest.raises(ValueError, match="10"):
-            fit_rate([(k, 0.5) for k in range(5)], 1.0)
+            fit_rate(residual_trace((k, 0.5) for k in range(5)), 1.0)
 
     def test_zero_residuals_clip_and_warn(self):
         pairs = [(k, 0.0) for k in range(20)]
         with pytest.warns(UserWarning, match="clipping"):
-            rho = fit_rate(pairs, 1.0)
+            rho = fit_rate(residual_trace(pairs), 1.0)
         assert 0.0 < rho <= 1.0
 
 

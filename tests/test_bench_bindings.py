@@ -1,8 +1,9 @@
-"""The benchmark's layer bindings resolve against this source tree.
+"""The benchmark's layer bindings and configs resolve against this source tree.
 
 ``perfbench/layers.py`` wraps named functions on named modules and classes,
-and its hooks read named fields off their results.  A source change that
-drops or renames one of them would break every traced benchmark pass; this
+and its hooks read named fields off their results; ``perfbench/workloads.py``
+builds run configs and problems from named keys and fields.  A source change
+that drops or renames one of them would break every benchmark pass; this
 catches it in the main suite.
 """
 
@@ -59,3 +60,22 @@ def test_camoo_info_reads_both_solvers(monkeypatch):
         info = layers._camoo_info((), {}, result)
         assert info == {"iterations": result.iterations, "converged": True}
         assert result.iterations >= 1
+
+
+def test_benchmark_configs_parse_and_their_problems_build(monkeypatch, tmp_path):
+    # Every analytic_cli config parses as `amoo run` reads it, and every
+    # workload's problems build: a source change that drops a config key or
+    # a problem setting that the benchmark uses fails here, not in a pass.
+    from amoo import cli
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    docs = workloads.cli_docs(0)
+    assert docs
+    for doc in docs.values():
+        cli.parse_run_config(doc)
+    for name, workload in workloads.WORKLOADS.items():
+        bench = workload(0, tmp_path / name)
+        bench.setup()
+        assert bench.f_star.keys() == bench.problem_specs().keys()

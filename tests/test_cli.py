@@ -182,6 +182,7 @@ class TestRunCommand:
         assert not out.exists()
 
     def test_non_finite_f_star_override_exits_2(self, tmp_path, capsys, monkeypatch):
+        # PAMOO reads the problem's recorded f*; no config key sets it.
         monkeypatch.setattr(ObjectiveSet, "evaluate", lambda *a: pytest.fail("stepped"))
         doc = {
             **VALID_CONFIG,
@@ -191,7 +192,7 @@ class TestRunCommand:
         out = tmp_path / "o"
         assert cli.cmd_run(write_config(tmp_path, doc), str(out)) == 2
         text = capsys.readouterr().out
-        assert "config error" in text and "f_star" in text
+        assert "config error: unknown key 'f_star_override' in run" in text
         assert not out.exists()
 
     def test_all_zero_fixed_weights_exit_2(self, tmp_path, capsys, monkeypatch):
@@ -231,7 +232,7 @@ class TestRunCommand:
         out = tmp_path / "o"
         assert cli.cmd_run(write_config(tmp_path, doc), str(out)) == 2
         text = capsys.readouterr().out
-        assert "config error" in text and "run.f_star_override" in text
+        assert "config error: unknown key 'f_star_override' in run" in text
         assert not out.exists()
 
     def test_run_config_error_leaves_no_out_dir(self, tmp_path, capsys):
@@ -306,7 +307,6 @@ class TestRunCommand:
                 "record_every": 2,
                 "camoo_lr_scale_by_m": False,
                 "x0": [1, 2],
-                "f_star_override": [0, 0.5],
             },
             "output": {"plot": True},
         }
@@ -326,7 +326,6 @@ class TestRunCommand:
             record_every=2,
             camoo_lr_scale_by_m=False,
             x0=(1.0, 2.0),
-            f_star_override=(0.0, 0.5),
         )
         assert cli.parse_output_options(doc) == cli.OutputOptions(True)
         # The keys of the other weighting kinds.
@@ -393,18 +392,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize(
         "key,weighting,extra",
-        [
-            *[
-                ("run.f_star_override", weighting, {"f_star_override": [0, 0]})
-                for weighting in (
-                    {"kind": "ew"},
-                    {"kind": "fixed", "weights": [1, 1]},
-                    {"kind": "camoo"},
-                    {"kind": "camoo", "camoo": {"mode": "diagonal-bilinear"}},
-                )
-            ],
-            ("weighting.hutchinson", {"kind": "camoo", "hutchinson": {}}, {}),
-        ],
+        [("weighting.hutchinson", {"kind": "camoo", "hutchinson": {}}, {})],
     )
     def test_setting_the_run_would_not_read_exits_2(
         self, tmp_path, capsys, monkeypatch, key, weighting, extra
@@ -416,6 +404,67 @@ class TestRunCommand:
         assert cli.cmd_run(write_config(tmp_path, doc), str(out)) == 2
         text = capsys.readouterr().out
         assert "config error" in text and f"{key} is read only" in text
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "problem,camoo",
+        [
+            # Exact mode reads full Hessians; the network oracles have none.
+            ({"kind": "mlp_matching"}, {"mode": "exact-eigen"}),
+            # Analytic diagonals of a set without a stacked evaluator come
+            # from its Hessians, and shifted network oracles have none.
+            (
+                {
+                    "kind": "misaligned",
+                    "base": {
+                        "kind": "mlp_matching", "input_dim": 2, "hidden": 2,
+                        "output_dim": 2, "dataset_size": 3,
+                    },
+                    "shifts": [[0.0] * 12] * 3,
+                },
+                {"mode": "diagonal-bilinear"},
+            ),
+        ],
+        ids=["exact-mlp", "diagonal-misaligned-mlp"],
+    )
+    def test_camoo_without_hessians_exits_2_before_step_0(
+        self, tmp_path, capsys, monkeypatch, problem, camoo
+    ):
+        monkeypatch.setattr(ObjectiveSet, "evaluate", lambda *a: pytest.fail("stepped"))
+        doc = {
+            **VALID_CONFIG,
+            "problem": problem,
+            "weighting": {"kind": "camoo", "camoo": camoo},
+            "run": {"steps": 5},
+        }
+        out = tmp_path / "o"
+        assert cli.cmd_run(write_config(tmp_path, doc), str(out)) == 2
+        text = capsys.readouterr().out
+        assert "config error: weighting.camoo.mode" in text and "Hessian" in text
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "h,message",
+        [
+            # 2Hx is not the gradient of x'Hx: (6, 2) where it is (4, 4) at (1, 1).
+            ([[1, 2], [0, 1]], "not symmetric"),
+            # f(2, 0) = -4 lies below the recorded f* = 0.
+            ([[-1, 0], [0, 1]], "not positive semidefinite"),
+        ],
+        ids=["non-symmetric", "indefinite"],
+    )
+    def test_bad_quad_family_h_exits_2(self, tmp_path, capsys, h, message):
+        doc = {
+            **VALID_CONFIG,
+            "problem": {"kind": "quad_family", "h_list": [[[1, 0], [0, 1]], h]},
+            "weighting": {"kind": "camoo"},
+            "run": {"steps": 5},
+        }
+        out = tmp_path / "o"
+        assert cli.cmd_run(write_config(tmp_path, doc), str(out)) == 2
+        text = capsys.readouterr().out
+        assert "config error: bad value in problem: h_list[1]" in text
+        assert message in text
         assert not out.exists()
 
     def test_absent_keys_take_the_defaults(self):

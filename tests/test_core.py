@@ -212,4 +212,4 @@ class TestOptimalInfo:
 
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
-            OptimalInfo(x_star=[0.0], alignment_eps=-1.0)
+            OptimalInfo(x_star=[0.0], f_star=[0.0], alignment_eps=-1.0)

@@ -540,19 +540,6 @@ class TestPamooRuns:
             # Polyak reference update for f = x^2: x <- x - (x^2/(2x)^2)*2x.
             x = x - (x * x) / (2 * x) ** 2 * (2 * x)
 
-    def test_missing_f_star_override_length(self):
-        wc = WeightingChoice(kind="pamoo")
-        with pytest.raises(ConfigurationError):
-            run(
-                RunConfig(
-                    problem=SPEC01,
-                    weighting=wc,
-                    inner=GDConfig(step=1.0),
-                    steps=1,
-                    f_star_override=(0.0,),
-                )
-            )
-
     def test_run_carries_its_problem(self):
         trace = spec_run(WeightingChoice(kind="pamoo"), steps=2, step=1.0)
         assert trace.problem.spec == SPEC01
@@ -676,12 +663,7 @@ def run_reference(cfg):
     m = objs.m
     wc = cfg.weighting
     x = np.array(cfg.x0 if cfg.x0 is not None else problem.x0, dtype=np.float64)
-    f_star = None
-    if wc.kind == "pamoo":
-        given = cfg.f_star_override
-        f_star = np.asarray(
-            given if given is not None else problem.optimum.f_star, dtype=np.float64
-        )
+    f_star = problem.optimum.f_star
     if wc.hutchinson is not None:
         hseed = int(
             np.random.SeedSequence([cfg.seed, wc.hutchinson.rng_seed]).generate_state(1)[0]
@@ -711,7 +693,7 @@ def run_reference(cfg):
                 hcfg = replace(wc.hutchinson, rng_seed=hseed + k)
                 diag = diag_hessian_matrix(objs, x, hcfg)
             else:
-                diag = np.stack([o.diag_hessian_at(x) for o in objs.objectives])
+                diag = np.stack([np.diagonal(H) for H in objs.hessians(x)])
             # Column generation from the previous step's columns.
             if cols is None:
                 cols = [int(np.argmin(equal_weights(m) @ diag))]
@@ -731,9 +713,7 @@ def run_reference(cfg):
         warm_w = np.array(w)
         g = weighted_gradient(J, w)
         if k % cfg.record_every == 0 or k == cfg.steps:
-            res = None
-            if problem.optimum.x_star is not None:
-                res = float(np.linalg.norm(x - problem.optimum.x_star))
+            res = float(np.linalg.norm(x - problem.optimum.x_star))
             records.append(
                 (fvals, warm_w, float(np.linalg.norm(g)), res, lambda_est, gap)
             )
@@ -777,10 +757,11 @@ REFERENCE_CASES = {
         ),
         {"seed": 5},
     ),
+    # PAMOO reads the recorded f*, here n = 2 for each objective.
     "pamoo-f-star": (
-        SPEC01,
+        ProblemSpec(kind="local_curvature", n=2),
         WeightingChoice(kind="pamoo", pamoo=PamooConfig(iterations=30)),
-        {"f_star_override": (-0.01, -0.02)},
+        {},
     ),
 }
 

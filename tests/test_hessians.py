@@ -218,8 +218,8 @@ class TestDiagHessianMatrix:
         assert rows.shape == (3, 4)
 
     def test_full_hessian_rows_are_exact(self):
-        # A power objective (x'Hx)^1.5 carries a Hessian but no separate
-        # diagonal; its row is that Hessian's diagonal, not an estimate.
+        # A power objective (x'Hx)^1.5 leaves the set without a stacked
+        # evaluator; its row is its Hessian's diagonal, not an estimate.
         rng = np.random.default_rng(3)
         B = rng.normal(size=(5, 5))
         H = B @ B.T + np.eye(5)
@@ -231,12 +231,12 @@ class TestDiagHessianMatrix:
             )
         )
         oracle = problem.objectives.objectives[1]
-        assert oracle.hessian is not None and oracle.diag_hessian is None
+        assert problem.objectives.stacked is None
         for _ in range(3):
             x = rng.normal(size=5)
             rows = analytic_diagonals(problem.objectives, x)
             np.testing.assert_array_equal(rows[0], np.full(5, 2.0))
-            np.testing.assert_array_equal(rows[1], oracle.diag_hessian_at(x))
+            np.testing.assert_array_equal(rows[1], np.diagonal(oracle.hessian_at(x)))
 
     @pytest.mark.parametrize("with_hessian", [False, True])
     def test_bitwise_equal_to_reference(self, with_hessian):

@@ -197,8 +197,8 @@ class TestQuadraticStack:
         rng = np.random.default_rng(seed)
         if diagonal:
             mats = [np.diag(rng.uniform(0.0, 2.0, size=n)) for _ in range(m)]
-        else:
-            mats = [rng.normal(size=(n, n)) for _ in range(m)]
+        else:  # symmetric positive semidefinite, as quad_family requires
+            mats = [B @ B.T for B in rng.normal(size=(m, n, n))]
         problem = build(
             ProblemSpec(kind="quad_family", h_list=tuple(H.tolist() for H in mats))
         )
@@ -214,7 +214,7 @@ class TestQuadraticStack:
         want_grads = np.stack([o.gradient_at(x) for o in oracles])
         assert grads.tobytes() == want_grads.tobytes()
         assert objs.gradients(x).tobytes() == want_grads.tobytes()
-        want_diags = np.stack([o.diag_hessian_at(x) for o in oracles])
+        want_diags = np.stack([np.diagonal(o.hessian_at(x)) for o in oracles])
         assert diags().tobytes() == want_diags.tobytes()
 
     @pytest.mark.parametrize(
@@ -264,6 +264,24 @@ def test_evaluate_cases_cover_every_kind():
     assert {spec.kind for spec in EVALUATE_CASES.values()} == set(KINDS)
 
 
+@pytest.mark.parametrize("case", list(EVALUATE_CASES))
+def test_recorded_optimum_is_what_its_name_says(case):
+    # The driver measures residuals from x_star and PAMOO gaps from f_star
+    # with no check of its own.
+    problem = build(EVALUATE_CASES[case])
+    objs, opt = problem.objectives, problem.optimum
+    assert opt.x_star.shape == (objs.dim,) and opt.f_star.shape == (objs.m,)
+    assert np.isfinite(opt.x_star).all() and np.isfinite(opt.f_star).all()
+    tol = 1e-12 * (1.0 + np.abs(opt.f_star).max())
+    # x_star is within alignment_eps of every objective's minimum: at that
+    # gap exactly for a misaligned problem's minimax point, else at 0.
+    worst = np.max(objs.values(opt.x_star) - opt.f_star)
+    assert worst == pytest.approx(opt.alignment_eps, abs=tol)
+    # f_star is a lower bound on each objective, at x0 and at a random point.
+    for point in ("x0", "random"):
+        assert (objs.values(evaluate_point(problem, point)) >= opt.f_star - tol).all()
+
+
 def evaluate_point(problem, point):
     rng = np.random.default_rng(3)
     x = {
@@ -294,7 +312,7 @@ def test_evaluate_diagonals_match_reference(case, point):
     if isinstance(objs.stacked, _TwoLayerMatching):
         want = [mlp_objective_reference(objs.stacked, x, i)[2] for i in range(objs.m)]
     else:
-        want = [o.diag_hessian_at(x) for o in objs.objectives]
+        want = [np.diagonal(o.hessian_at(x)) for o in objs.objectives]
     assert objs.evaluate(x)[2]().tobytes() == np.stack(want).tobytes()
 
 
@@ -376,7 +394,7 @@ class TestMlpMatching:
         rng = np.random.default_rng(4)
         theta = problem.x0 + 0.3 * rng.normal(size=problem.x0.shape)
         oracle = problem.objectives.objectives[0]
-        d = oracle.diag_hessian_at(theta)
+        d = problem.objectives.evaluate(theta)[2]()[0]
         idx = rng.choice(len(theta), size=24, replace=False)
         scale = np.abs(d).max()
         for j in idx:
@@ -414,7 +432,6 @@ class TestMlpMatching:
         oracles = objs.objectives
         assert values.tobytes() == np.array([o.value_at(theta) for o in oracles]).tobytes()
         assert J.tobytes() == np.stack([o.gradient_at(theta) for o in oracles]).tobytes()
-        assert D.tobytes() == np.stack([o.diag_hessian_at(theta) for o in oracles]).tobytes()
         ref = [mlp_objective_reference(objs.stacked, theta, i) for i in range(objs.m)]
         assert values.tobytes() == np.array([r[0] for r in ref]).tobytes()
         assert J.tobytes() == np.stack([r[1] for r in ref]).tobytes()
@@ -431,7 +448,6 @@ class TestMlpMatching:
         for oracle in problem.objectives.objectives:
             oracle.value_at(theta)
             oracle.gradient_at(theta)
-            oracle.diag_hessian_at(theta)
         problem.mismatch(theta)
         model = weakref.ref(problem.mismatch.__self__)
         del problem, oracle

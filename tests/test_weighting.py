@@ -116,7 +116,7 @@ class TestEqualWeights:
 # ---------------------------------------------------------------------------
 
 
-def solve_bilinear_pu_reference(A, cfg, warm=None, gap_target=None):
+def solve_bilinear_pu_reference(A, cfg, gap_target=None):
     """The predictive primal-dual loop as first written, with its negated
     payoff products and a tail-average check before the first restart;
     ``solve_bilinear_pu`` must match it bit for bit."""
@@ -124,14 +124,8 @@ def solve_bilinear_pu_reference(A, cfg, warm=None, gap_target=None):
     tau = cfg.pu_tau
     eta = 1.0 / (2.0 * float(np.abs(A).max()) + tau)
     kappa = eta * tau
-    if warm is not None:
-        w = np.clip(warm[0], 1e-300, None)
-        w = w / w.sum()
-        q = np.clip(warm[1], 1e-300, None)
-        q = q / q.sum()
-    else:
-        w = np.full(m, 1.0 / m)
-        q = np.full(n, 1.0 / n)
+    w = np.full(m, 1.0 / m)
+    q = np.full(n, 1.0 / n)
     Aeta = eta * A
     AetaT = np.ascontiguousarray(Aeta.T)
     w_acc, q_acc = np.zeros(m), np.zeros(n)
@@ -300,23 +294,10 @@ class TestBilinearPU:
         for trial, iterations in enumerate((10, 64, 300, 1100)):
             A = rng.uniform(0.0, 3.0, size=shape) * 10.0 ** rng.uniform(-3, 1)
             cfg = CamooConfig(pu_iterations=iterations, pu_tau=pu_tau)
-            for warm in (
-                None,
-                (rng.dirichlet(np.ones(shape[0])), rng.dirichlet(np.ones(shape[1]))),
-            ):
-                sol = solve_bilinear_pu(A, cfg, warm=warm, gap_target=gap_target)
-                want = solve_bilinear_pu_reference(A, cfg, warm, gap_target)
-                for got, ref in zip((sol.w, sol.q, sol.gap, sol.value), want):
-                    assert np.array_equal(got, ref)
-
-    def test_warm_start_accepted(self):
-        A = np.array([[1.8, 0.2], [0.2, 1.8]])
-        warm = (np.array([0.9, 0.1]), np.full(2, 0.5))
-        sol = solve_bilinear_pu(
-            A, CamooConfig(pu_iterations=20000, pu_tau=0.0), warm=warm,
-            gap_target=1e-4,
-        )
-        assert sol.gap <= 1e-3
+            sol = solve_bilinear_pu(A, cfg, gap_target=gap_target)
+            want = solve_bilinear_pu_reference(A, cfg, gap_target)
+            for got, ref in zip((sol.w, sol.q, sol.gap, sol.value), want):
+                assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("gap_target", [None, 2e-3])
     def test_iterations_reported(self, gap_target):
@@ -352,36 +333,29 @@ class TestBilinearStack:
         log_scales=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
         pu_tau=st.sampled_from([0.0, 0.01]),
         iterations=st.integers(1, 400),
-        warm=st.booleans(),
         gap_target=st.sampled_from([None, 1e-3, 1e-2, 1e-1]),
         zero_game=st.one_of(st.none(), st.integers(0, 5)),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_bitwise_equal_to_reference_loop_per_game(
-        self, games, m, n, log_scales, pu_tau, iterations, warm, gap_target,
-        zero_game, seed,
+        self, games, m, n, log_scales, pu_tau, iterations, gap_target, zero_game, seed
     ):
         rng = np.random.default_rng(seed)
         scales = 10.0 ** np.array(log_scales[:games])
         A = rng.uniform(0.0, 3.0, size=(games, m, n)) * scales[:, None, None]
         if zero_game is not None and zero_game < games:
             A[zero_game] = 0.0
-        W = rng.dirichlet(np.ones(m), size=games) if warm else None
-        Q = rng.dirichlet(np.ones(n), size=games) if warm else None
         cfg = CamooConfig(pu_iterations=iterations, pu_tau=pu_tau)
-        sols = solve_bilinear_pu_stack(
-            A, cfg, warm=(W, Q) if warm else None, gap_target=gap_target
-        )
+        sols = solve_bilinear_pu_stack(A, cfg, gap_target=gap_target)
         assert len(sols) == games
         for k, sol in enumerate(sols):
-            warm_k = (W[k], Q[k]) if warm else None
             if not A[k].any():
                 want = (np.full(m, 1.0 / m), np.full(n, 1.0 / n), 0.0, 0.0)
                 assert sol.iterations == 0
             else:
-                want = solve_bilinear_pu_reference(A[k], cfg, warm_k, gap_target)
+                want = solve_bilinear_pu_reference(A[k], cfg, gap_target)
             assert_same_solution(sol, want)
-            alone = solve_bilinear_pu(A[k], cfg, warm=warm_k, gap_target=gap_target)
+            alone = solve_bilinear_pu(A[k], cfg, gap_target=gap_target)
             assert_same_solution(sol, (alone.w, alone.q, alone.gap, alone.value))
             assert sol.iterations == alone.iterations
 
@@ -393,11 +367,10 @@ class TestBilinearStack:
         log_scales=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
         pu_tau=st.sampled_from([0.0, 0.01]),
         iterations=st.integers(65, 300),
-        warm=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_lone_game_equals_its_single_solve(
-        self, easy, m, n, log_scales, pu_tau, iterations, warm, seed
+        self, easy, m, n, log_scales, pu_tau, iterations, seed
     ):
         """A stack of one game, or one that the easy games leave after the
         first check, solves its lone game without the batch axis; every game
@@ -408,16 +381,11 @@ class TestBilinearStack:
         # last game is generic, so it misses the tiny target at that check.
         A = np.ones((easy + 1, m, n)) * scales[:, None, None]
         A[-1] *= rng.uniform(0.0, 3.0, size=(m, n))
-        W = rng.dirichlet(np.ones(m), size=easy + 1) if warm else None
-        Q = rng.dirichlet(np.ones(n), size=easy + 1) if warm else None
         cfg = CamooConfig(pu_iterations=iterations, pu_tau=pu_tau)
         target = 1e-12
-        sols = solve_bilinear_pu_stack(
-            A, cfg, warm=(W, Q) if warm else None, gap_target=target
-        )
+        sols = solve_bilinear_pu_stack(A, cfg, gap_target=target)
         for k, sol in enumerate(sols):
-            warm_k = (W[k], Q[k]) if warm else None
-            alone = solve_bilinear_pu(A[k], cfg, warm=warm_k, gap_target=target)
+            alone = solve_bilinear_pu(A[k], cfg, gap_target=target)
             assert_same_solution(sol, (alone.w, alone.q, alone.gap, alone.value))
             assert sol.iterations == alone.iterations
         assert all(sol.iterations == 64 for sol in sols[:-1])
@@ -433,7 +401,7 @@ class TestBilinearStack:
         assert len({sol.iterations for sol in sols}) >= 4
         assert sols[3].iterations == 0 and sols[3].gap == 0.0
         for k in (0, 1, 2, 4, 5):
-            want = solve_bilinear_pu_reference(A[k], cfg, None, 1e-3)
+            want = solve_bilinear_pu_reference(A[k], cfg, 1e-3)
             assert_same_solution(sols[k], want)
             met = sols[k].gap <= 1e-3
             assert sols[k].iterations % 64 == 0 if met else sols[k].iterations == 3000
@@ -456,11 +424,6 @@ class TestBilinearStack:
     def test_not_three_dimensional_rejected(self, shape):
         with pytest.raises(ValueError, match="3-D"):
             solve_bilinear_pu_stack(np.ones(shape), CamooConfig())
-
-    def test_warm_shape_checked(self):
-        warm = (np.ones((2, 2)), np.ones((1, 3)))
-        with pytest.raises(ValueError, match="warm"):
-            solve_bilinear_pu_stack(np.ones((2, 2, 3)), CamooConfig(), warm=warm)
 
 
 # ---------------------------------------------------------------------------
