@@ -2,16 +2,19 @@
 
 With diagonal Hessians, maximizing the smallest eigenvalue of the weighted
 sum reduces to max over row mixtures w of min over columns of w'A, a
-bilinear game on two simplices.  Runs solve that game exactly, by column
-generation (``weighting.solve_camoo_diagonal``).  The library's game
-solver, shown here, runs predictive entropic primal-dual updates
-(exponentiated gradient steps from a half-step lookahead) to a certified
-duality gap: max_i (Aq)_i - min_j (A'w)_j.
+bilinear game on two simplices.  The game is a linear program (Dantzig
+1951): runs solve it exactly by column generation
+(``weighting.solve_camoo_diagonal``), and the library certifies games with
+that LP, ``weighting.max_min_weights``, whose multipliers are the column
+player's strategy.  Shown here beside the LP's value, ``solve_bilinear_pu``
+runs the game's predictive entropic primal-dual dynamics (exponentiated
+gradient steps from a half-step lookahead) to a certified duality gap:
+max_i (Aq)_i - min_j (A'w)_j.
 """
 
 import numpy as np
 
-from amoo.weighting import CamooConfig, solve_bilinear_pu
+from amoo.weighting import CamooConfig, max_min_weights, solve_bilinear_pu
 
 A = np.array([[1.8, 0.2], [0.2, 1.8]])
 print("payoffs A (rows: objectives, columns: coordinates):")
@@ -23,6 +26,8 @@ for iters in (16, 64, 256, 1024, 4096):
     print(
         f"{iters:>10} {sol.gap:>12.2e} {sol.value:>8.4f}   {np.round(sol.w, 4)}"
     )
+w, value, _ = max_min_weights(A)
+print(f"{'LP':>10} {'exact':>12} {value:>8.4f}   {np.round(w, 4)}")
 print()
 print("The symmetric game settles on the 50/50 mixture with value 1.0: the")
 print("same answer the full eigen route gives for these diagonal Hessians.")
@@ -36,5 +41,6 @@ sol = solve_bilinear_pu(
 print("random 5x8 game, solved to a certified gap:")
 print(f"  gap   = {sol.gap:.2e}")
 print(f"  value = {sol.value:.4f}")
+print(f"  LP    = {max_min_weights(B)[1]:.4f} (the exact value)")
 print(f"  w     = {np.round(sol.w, 4)}")
 print(f"  q     = {np.round(sol.q, 4)}")

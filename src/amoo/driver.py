@@ -309,15 +309,15 @@ def run(cfg: RunConfig) -> RunTrace:
     records its solve's value as ``lambda_min_est`` and its certified gap as
     ``pu_gap``: Kelley's gap in exact mode (``weighting.solve_camoo_exact``),
     the exact column-generation gap in diagonal mode
-    (``weighting.solve_camoo_diagonal``); the ``pu_*`` settings are not
-    read.  x0's shape is checked once, before the first step, and the
-    gradient norm and residual are computed only for recorded steps.  A NaN
-    or Inf in the iterate, a value or the weighted gradient aborts the run
-    with a NumericError whose payload is the trace up to the failure.  The
-    trace carries the built problem.  A problem spec that its builder
-    rejects, or settings that do not fit the problem or would not be read,
-    raise ConfigurationError before the first step; an uncertified
-    misaligned reference point raises NumericError without a payload.
+    (``weighting.solve_camoo_diagonal``).  x0's shape is checked once,
+    before the first step, and the gradient norm and residual are computed
+    only for recorded steps.  A NaN or Inf in the iterate, a value or the
+    weighted gradient aborts the run with a NumericError whose payload is
+    the trace up to the failure.  The trace carries the built problem.  A
+    problem spec that its builder rejects, or settings that do not fit the
+    problem or would not be read, raise ConfigurationError before the first
+    step; an uncertified misaligned reference point raises NumericError
+    without a payload.
     """
     t_start = time.perf_counter()
     problem = build_problem(cfg.problem)

@@ -10,8 +10,10 @@ Three families:
   eigenvectors (``solve_camoo_exact``, Kelley's cutting planes to a
   certified gap), on Hessian diagonals the columns of the diagonals
   (``solve_camoo_diagonal``, column generation exact to rounding).  The
-  bilinear game max_w min_q w'Aq has its own solver, predictive entropic
-  primal-dual updates (``solve_bilinear_pu``),
+  matrix game max_w min_q w'Aq is the LP ``max_min_weights(A)``, whose
+  multipliers are the column player's q; ``solve_bilinear_pu`` runs the
+  game's predictive entropic primal-dual dynamics instead, to a certified
+  duality gap,
 * Polyak-style weights that maximize 2 w'gaps - w'(G + tau I)w over the
   nonnegative orthant by projected gradient ascent.
 
@@ -48,7 +50,8 @@ class CamooConfig:
     ``w_min`` is the simplex floor (0 keeps the full simplex, the
     theory-driven value is mu_G / (8 m beta)).  Neither mode has knobs: exact
     mode solves to a certified gap and diagonal mode exactly.  The ``pu_*``
-    fields configure only ``solve_bilinear_pu``, the bilinear-game solver.
+    fields configure only ``solve_bilinear_pu``, which no run calls, so a run
+    config cannot set them.
     """
 
     mode: str = MODE_EXACT
@@ -122,152 +125,73 @@ def solve_bilinear_pu(
 
     Runs predictive (extragradient) entropic primal-dual updates from
     uniform play, with step 1 / (2 max_ij |A_ij| + tau) and optional
-    entropic regularization of strength tau.  Both the running average of
-    the midpoint iterates and the last iterates are candidate solutions; the
-    pair with the smaller certified duality gap is returned.  ``gap_target``
-    enables early exit once a candidate certifies at or below the target.
+    entropic regularization of strength tau.  Every 64 iterations, and at
+    the last, the running average of the midpoint iterates, the last
+    iterates and the tail average are candidate solutions; the pair with the
+    smallest certified duality gap so far is returned.  ``gap_target``
+    enables early exit once that gap is at or below the target.
     """
+    cfg = cfg or CamooConfig()
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise ValueError(f"payoff matrix must be 2-D, got shape {A.shape}")
-    return solve_bilinear_pu_stack(A[None], cfg, gap_target)[0]
-
-
-def solve_bilinear_pu_stack(
-    A, cfg: CamooConfig | None = None, gap_target: float | None = None
-) -> list[BilinearSolution]:
-    """Solve G independent games, ``A`` of shape (G, m, n), as one stack.
-
-    Each game keeps its own step, exponent and best candidate, so it gets
-    the ``solve_bilinear_pu`` answer bit for bit; the tail restarts depend
-    only on the iteration count.  A game that meets ``gap_target`` leaves
-    the stack at that check.
-    """
-    cfg = cfg or CamooConfig()
-    A = np.ascontiguousarray(A, dtype=np.float64)
-    if A.ndim != 3:
-        raise ValueError(f"payoff stack must be 3-D, got shape {A.shape}")
-    # max |A_ij| is NaN or inf exactly when a game has a non-finite entry.
-    amax = np.abs(A).max(axis=(1, 2), initial=0.0)
-    if not np.isfinite(amax).all():
+    # max |A_ij| is NaN or inf exactly when A has a non-finite entry.
+    amax = np.abs(A).max(initial=0.0)
+    if not np.isfinite(amax):
         raise ValueError("payoff matrix has non-finite entries")
-    G, m, n = A.shape
-    # Players are per-game column vectors: (g, m, n) @ (g, n, 1) -> (g, m, 1).
-    w, q = np.full((G, m, 1), 1.0 / m), np.full((G, n, 1), 1.0 / n)
-    out: list = [None] * G
-    games = np.arange(G)
-    if not amax.all():
-        # Uniform play solves a zero game; it never enters the loop.
-        for k in games[amax == 0.0]:
-            w0, q0 = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
-            out[k] = BilinearSolution(w0, q0, 0.0, 0.0, 0)
-        games = games[amax > 0.0]
-        A, amax, w, q = A[games], amax[games], w[games], q[games]
-    if not len(games):
-        return out
+    m, n = A.shape
+    w, q = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+    if amax == 0.0:  # uniform play solves a zero game
+        return BilinearSolution(w, q, 0.0, 0.0, 0)
     eta = 1.0 / (2.0 * amax + cfg.pu_tau)
-    kappa = eta * cfg.pu_tau
-    # A shared exponent stays a scalar, and a lone game (one at entry, or the
-    # last one live) drops the batch axis: its players are 1-D and their sums
-    # scalars.  numpy's broadcasting costs more than the arithmetic on games
-    # this small.
-    if len(kappa) == 1 or (kappa == kappa[0]).all():
-        expo = None if kappa[0] == 0.0 else float(1.0 - kappa[0])
-    else:
-        expo = (1.0 - kappa)[:, None, None]
-    Aeta = eta[:, None, None] * A
-    neg_AetaT = np.ascontiguousarray(-Aeta.transpose(0, 2, 1))
-    axis, keep = 1, True
-    if len(games) == 1:
-        axis, keep = None, False
-        A, Aeta, neg_AetaT = A[0], Aeta[0], neg_AetaT[0]
-        w, q = w[0, :, 0], q[0, :, 0]
-    w_acc, tail_w, q_acc, tail_q = (np.zeros(v.shape) for v in (w, w, q, q))
+    expo = 1.0 - eta * cfg.pu_tau
+    Aeta = eta * A
+    neg_AetaT = np.ascontiguousarray(-Aeta.T)
+    w_acc, q_acc = np.zeros(m), np.zeros(n)
     tail_start = 0
-    best_gap = best_w = best_q = None
-
-    def finish(rows, done: int) -> None:
-        for r in rows:
-            a, wo, qo, gap = (
-                x[r] if axis else x for x in (A, best_w, best_q, best_gap)
-            )
-            wo, qo = wo.ravel(), qo.ravel()
-            value = float(wo @ a @ qo)
-            out[games[r]] = BilinearSolution(wo, qo, gap.item(), value, done)
-
+    best = None
     for t in range(cfg.pu_iterations):
-        base_w, base_q = (w, q) if expo is None else (w**expo, q**expo)
+        base_w, base_q = (w, q) if expo == 1.0 else (w**expo, q**expo)
         # Half step from the current payoffs, full step from the midpoint's;
-        # each is base * exp(payoffs), normalised per game.
-        wb = Aeta @ q
-        np.exp(wb, out=wb)
+        # each is base * exp(payoffs), normalised.
+        wb = np.exp(Aeta @ q)
         wb *= base_w
-        wb /= np.add.reduce(wb, axis, keepdims=keep)
-        qb = neg_AetaT @ w
-        np.exp(qb, out=qb)
+        wb /= wb.sum()
+        qb = np.exp(neg_AetaT @ w)
         qb *= base_q
-        qb /= np.add.reduce(qb, axis, keepdims=keep)
-        w = Aeta @ qb
-        np.exp(w, out=w)
+        qb /= qb.sum()
+        w = np.exp(Aeta @ qb)
         w *= base_w
-        w /= np.add.reduce(w, axis, keepdims=keep)
-        q = neg_AetaT @ wb
-        np.exp(q, out=q)
+        w /= w.sum()
+        q = np.exp(neg_AetaT @ wb)
         q *= base_q
-        q /= np.add.reduce(q, axis, keepdims=keep)
+        q /= q.sum()
         w_acc += wb
         q_acc += qb
-        # The tail window opens at the first restart; before it, the tail
-        # average would be the running average bit for bit.
-        if tail_start > 0:
+        # Before the first restart the tail average is the running average.
+        if tail_start:
             tail_w += wb
             tail_q += qb
         done = t + 1
-        if done % 64 == 0 or done == cfg.pu_iterations:
-            cands = [(w_acc / done, q_acc / done), (w, q)]
-            if tail_start > 0:
-                span = done - tail_start
-                cands.append((tail_w / span, tail_q / span))
-            gaps = []
-            for wc, qc in cands:
-                g = (A @ qc).max(axis, keepdims=keep)
-                g -= (np.swapaxes(A, -1, -2) @ wc).min(axis, keepdims=keep)
-                gaps.append(g)
-                # Nothing writes to a candidate once it is made, so the best is
-                # kept, and returned, as a view.
-                better = None if best_gap is None else g < best_gap
-                if better is None or better.all():
-                    best_gap, best_w, best_q = g, wc, qc
-                elif better.any():
-                    best_gap = np.where(better, g, best_gap)
-                    best_w = np.where(better, wc, best_w)
-                    best_q = np.where(better, qc, best_q)
-            hit = None if gap_target is None else np.min(gaps, 0).ravel() <= gap_target
-            if hit is not None and hit.any():
-                finish(np.flatnonzero(hit), done)
-                if hit.all():
-                    return out
-                live = ~hit
-                games = games[live]
-                mats = players = live
-                if len(games) == 1:
-                    k = np.flatnonzero(live)[0]
-                    axis, keep, mats, players = None, False, k, (k, slice(None), 0)
-                A, Aeta, neg_AetaT = A[mats], Aeta[mats], neg_AetaT[mats]
-                state = (w, q, w_acc, q_acc, tail_w, tail_q, best_w, best_q, best_gap)
-                w, q, w_acc, q_acc, tail_w, tail_q, best_w, best_q, best_gap = (
-                    x[players] for x in state
-                )
-                if isinstance(expo, np.ndarray):
-                    expo = expo[players]
-            # Restart the tail window once it spans half the history, so the
-            # tail average forgets the transient.
-            if done - tail_start >= max(tail_start, 256):
-                tail_w, tail_q = np.zeros(w.shape), np.zeros(q.shape)
-                tail_start = done
-
-    finish(range(len(games)), cfg.pu_iterations)
-    return out
+        if done % 64 and done < cfg.pu_iterations:
+            continue
+        cands = [(w_acc / done, q_acc / done), (w, q)]
+        if tail_start:
+            span = done - tail_start
+            cands.append((tail_w / span, tail_q / span))
+        for wc, qc in cands:
+            gap = float(np.max(A @ qc) - np.min(A.T @ wc))
+            if best is None or gap < best[0]:
+                best = (gap, wc, qc)
+        if gap_target is not None and best[0] <= gap_target:
+            break
+        # Restart the tail window once it spans half the history, so the tail
+        # average forgets the transient.
+        if done - tail_start >= max(tail_start, 256):
+            tail_w, tail_q = np.zeros(m), np.zeros(n)
+            tail_start = done
+    gap, w, q = best
+    return BilinearSolution(w, q, gap, float(w @ A @ q), done)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from amoo.driver import (
 from amoo.hessians import HutchinsonConfig, hutchinson_diag
 from amoo.linalg import min_eigenpair, weighted_hessian
 from amoo.problems import ProblemSpec, build
-from amoo.weighting import CamooConfig, PamooConfig, solve_bilinear_pu_stack
+from amoo.weighting import CamooConfig, PamooConfig, max_min_weights
 
 
 class Criterion:
@@ -219,16 +219,16 @@ def test_criterion_6_diagonal_degradation():
 def test_criterion_7_bilinear_solver():
     c = Criterion(7, "matrix-game solver certifies small duality gaps", 10.0)
     rng = np.random.default_rng(2024)
-    cfg = CamooConfig(pu_iterations=60000, pu_tau=0.0)
-    stack = rng.uniform(0.0, 3.0, size=(50, 5, 8))
-    sols = solve_bilinear_pu_stack(stack, cfg, gap_target=9e-4)
-    worst_gap = max(sol.gap for sol in sols)
+    worst_gap = 0.0
+    for A in rng.uniform(0.0, 3.0, size=(50, 5, 8)):
+        w, _, q = max_min_weights(A)
+        worst_gap = max(worst_gap, float(np.max(A @ q) - np.min(A.T @ w)))
     worst_value_err = 0.0
-    stack = rng.uniform(0.0, 3.0, size=(20, 2, 8))
-    for A, sol in zip(stack, solve_bilinear_pu_stack(stack, cfg, gap_target=2e-4)):
+    for A in rng.uniform(0.0, 3.0, size=(20, 2, 8)):
+        w, _, _ = max_min_weights(A)
         w1 = np.arange(0.0, 1.0 + 5e-5, 1e-4)
         grid_vals = np.min(np.outer(w1, A[0]) + np.outer(1 - w1, A[1]), axis=1)
-        value = float(np.min(sol.w @ A))
+        value = float(np.min(w @ A))
         worst_value_err = max(worst_value_err, abs(value - grid_vals.max()))
     c.conclude(
         worst_gap <= 1e-3 and worst_value_err <= 1e-3,

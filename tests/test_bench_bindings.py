@@ -79,3 +79,13 @@ def test_benchmark_configs_parse_and_their_problems_build(monkeypatch, tmp_path)
         bench = workload(0, tmp_path / name)
         bench.setup()
         assert bench.f_star.keys() == bench.problem_specs().keys()
+
+
+def test_driver_pu_solve_still_takes_the_benchmark_call():
+    # perfbench/tests calls amoo.driver.solve_bilinear_pu with a default
+    # CamooConfig; that suite is outside the main one.
+    from amoo.driver import solve_bilinear_pu
+    from amoo.weighting import CamooConfig
+
+    sol = solve_bilinear_pu(np.array([[1.0, 0.2], [0.3, 2.0]]), CamooConfig())
+    assert sol.gap >= 0.0

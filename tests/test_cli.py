@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from amoo import cli, driver, problems, traceio
+from amoo import cli, driver, problems, traceio, weighting
 from amoo.core import ObjectiveSet
 from amoo.driver import (
     AdamConfig,
@@ -88,8 +88,8 @@ class TestRunCommand:
             ("camoo", {"mode": "bogus"}),
             ("pamoo", {"iterations": 0}),
             ("hutchinson", {"num_samples": 0}),
-            ("camoo", {"pu_tau": -0.01}),
-            ("camoo", {"pu_tau": float("nan")}),
+            ("camoo", {"w_min": -0.01}),
+            ("camoo", {"w_min": float("nan")}),
             ("pamoo", {"clip_floor": -1e-6}),
             ("pamoo", {"clip_floor": float("nan")}),
         ],
@@ -257,11 +257,11 @@ class TestRunCommand:
             ("b1", {"inner": {"kind": "adam", "step": 0.01, "b1": 1.0}}),
             ("run.x0", {"run": {"steps": 5, "x0": [float("nan"), 1.0]}}),
             (
-                "weighting.camoo.pu_tau",
+                "weighting.camoo.w_min",
                 {
                     "weighting": {
                         "kind": "camoo",
-                        "camoo": {"mode": "diagonal-bilinear", "pu_tau": float("inf")},
+                        "camoo": {"mode": "diagonal-bilinear", "w_min": float("inf")},
                     }
                 },
             ),
@@ -292,12 +292,7 @@ class TestRunCommand:
             },
             "weighting": {
                 "kind": "camoo",
-                "camoo": {
-                    "mode": "diagonal-bilinear",
-                    "w_min": 0.1,
-                    "pu_iterations": 7,
-                    "pu_tau": 0,
-                },
+                "camoo": {"mode": "diagonal-bilinear", "w_min": 0.1},
                 "hutchinson": {"num_samples": 3, "rng_seed": 4},
             },
             "inner": {"kind": "adam", "step": 0.1},
@@ -317,7 +312,7 @@ class TestRunCommand:
             ),
             weighting=WeightingChoice(
                 kind="camoo",
-                camoo=CamooConfig("diagonal-bilinear", 0.1, 7, 0.0),
+                camoo=CamooConfig("diagonal-bilinear", 0.1),
                 hutchinson=HutchinsonConfig(3, 4),
             ),
             inner=AdamConfig(step=0.1),
@@ -380,6 +375,17 @@ class TestRunCommand:
                 "target_offset",
                 "problem",
                 {"problem": {"kind": "mlp_matching", "target_offset": 10.0}},
+            ),
+            # They configure only solve_bilinear_pu, which no run calls.
+            *(
+                (key, "weighting.camoo", {"weighting": {"kind": "camoo", "camoo": {key: v}}})
+                for key, v in [
+                    ("pu_iterations", 10),
+                    ("pu_tau", 0.01),
+                    ("pu_tau", -0.01),
+                    ("pu_tau", float("nan")),
+                    ("pu_tau", float("inf")),
+                ]
             ),
         ],
     )
@@ -841,6 +847,31 @@ class TestListAndVerify:
         assert cli.cmd_verify(seed=0) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 4 and "FAIL" not in out
+
+    @pytest.mark.parametrize(
+        "perturb",
+        [
+            lambda w, y: (np.roll(w, 1), y),  # off-optimal w
+            lambda w, y: (w, np.roll(y, 1)),  # off-optimal q
+            lambda w, y: (2.0 * w, y),  # off the simplex, with a smaller spread
+        ],
+        ids=["w", "q", "off-simplex"],
+    )
+    def test_verify_fails_on_an_uncertified_game_solution(
+        self, monkeypatch, capsys, perturb
+    ):
+        # Each bad answer keeps the LP's value, so only the certificate can
+        # tell it from the real one.
+        real = weighting.max_min_weights
+
+        def off_optimal(C, w_min=0.0):
+            w, t, y = real(C, w_min)
+            w, y = perturb(w, y)
+            return w, t, y
+
+        monkeypatch.setattr(weighting, "max_min_weights", off_optimal)
+        assert cli.cmd_verify(seed=0) == 1
+        assert "FAIL  bilinear-oracle: 0/30 games" in capsys.readouterr().out
 
     @pytest.mark.parametrize("seed", ["-1", "x"])
     def test_verify_rejects_a_seed_that_is_not_a_nonnegative_int(self, capsys, seed):

@@ -58,19 +58,13 @@ CONFIGS = {
     },
     "camoo_diagonal": {
         "problem": MLP,
-        "weighting": {
-            "kind": "camoo",
-            "camoo": {"mode": "diagonal-bilinear", "pu_iterations": 10},
-        },
+        "weighting": {"kind": "camoo", "camoo": {"mode": "diagonal-bilinear"}},
         "inner": {"kind": "adam", "step": 5e-3},
         "run": {"steps": 200, "record_every": 10},
     },
     "camoo_diagonal_softplus": {
         "problem": {**MLP_CURVED, "activation": "softplus"},
-        "weighting": {
-            "kind": "camoo",
-            "camoo": {"mode": "diagonal-bilinear", "pu_iterations": 10},
-        },
+        "weighting": {"kind": "camoo", "camoo": {"mode": "diagonal-bilinear"}},
         "inner": {"kind": "adam", "step": 5e-3},
         "run": {"steps": 200, "record_every": 10},
     },

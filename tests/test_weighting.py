@@ -1,5 +1,6 @@
 """Weight optimizers against brute-force grid and enumeration oracles."""
 
+import hashlib
 import itertools
 import math
 from unittest import mock
@@ -26,7 +27,6 @@ from amoo.weighting import (
     pamoo_context,
     pamoo_weights,
     solve_bilinear_pu,
-    solve_bilinear_pu_stack,
     solve_camoo_diagonal,
     solve_camoo_exact,
 )
@@ -116,61 +116,25 @@ class TestEqualWeights:
 # ---------------------------------------------------------------------------
 
 
-def solve_bilinear_pu_reference(A, cfg, gap_target=None):
-    """The predictive primal-dual loop as first written, with its negated
-    payoff products and a tail-average check before the first restart;
-    ``solve_bilinear_pu`` must match it bit for bit."""
-    m, n = A.shape
-    tau = cfg.pu_tau
-    eta = 1.0 / (2.0 * float(np.abs(A).max()) + tau)
-    kappa = eta * tau
-    w = np.full(m, 1.0 / m)
-    q = np.full(n, 1.0 / n)
-    Aeta = eta * A
-    AetaT = np.ascontiguousarray(Aeta.T)
-    w_acc, q_acc = np.zeros(m), np.zeros(n)
-    tail_w, tail_q = np.zeros(m), np.zeros(n)
-    tail_start = 0
-    best = None
-
-    def consider(wc, qc):
-        nonlocal best
-        g = float(np.max(A @ qc) - np.min(A.T @ wc))
-        if best is None or g < best[0]:
-            best = (g, wc.copy(), qc.copy())
-        return g
-
-    def normalized(v):
-        return v / v.sum()
-
-    for t in range(cfg.pu_iterations):
-        if kappa == 0.0:
-            base_w, base_q = w, q
-        else:
-            base_w, base_q = w ** (1.0 - kappa), q ** (1.0 - kappa)
-        wb = normalized(base_w * np.exp(Aeta @ q))
-        qb = normalized(base_q * np.exp(-(AetaT @ w)))
-        w = normalized(base_w * np.exp(Aeta @ qb))
-        q = normalized(base_q * np.exp(-(AetaT @ wb)))
-        w_acc += wb
-        q_acc += qb
-        tail_w += wb
-        tail_q += qb
-        done = t + 1
-        if done % 64 == 0 or done == cfg.pu_iterations:
-            g_best = consider(w_acc / done, q_acc / done)
-            g_best = min(g_best, consider(w, q))
-            if done > tail_start:
-                span = done - tail_start
-                g_best = min(g_best, consider(tail_w / span, tail_q / span))
-            if gap_target is not None and g_best <= gap_target:
-                break
-            if done - tail_start >= max(tail_start, 256):
-                tail_w[:] = 0.0
-                tail_q[:] = 0.0
-                tail_start = done
-    gap, w_out, q_out = best
-    return w_out, q_out, gap, float(w_out @ A @ q_out)
+# sha256 of each case's (w, q, gap, value, iterations) in
+# ``test_bitwise_equal_to_reference_loop``, taken while the solver still ran
+# beside the predictive loop as first written and matched it bit for bit.  A
+# 2e-3 target is met within 1100 iterations only on the 2 x 6 game at tau = 0,
+# so the other cases pin the same bits with and without it.
+PU_SHA256 = {
+    ((5, 8), 0.0, None): "d6e46920fc0f7c804ab40efce3445ab6f66e3ead9e7c151d8600d1a2ec46a732",
+    ((2, 6), 0.0, None): "9021b9b950420d0b86e718910a8d5c55c480676daab97ccd84e8d61b0a68f592",
+    ((3, 903), 0.0, None): "08be5c247bfe6d9536851f54d3d28483d201be3cf32f88257d886b1193898ca2",
+    ((5, 8), 0.01, None): "74b2aeae2b7b6a4dd6243711121bb46c5820a0c88acd663c2fbb55b8b130a065",
+    ((2, 6), 0.01, None): "b636515e92ff34401d57844803d6e3e41e52e1173d478e38a9f0b03f00e2dfb3",
+    ((3, 903), 0.01, None): "72537659ad58a45d53a97e79e2a3eed0fcc86a26d60892cb436989519c7509a1",
+    ((5, 8), 0.0, 2e-3): "d6e46920fc0f7c804ab40efce3445ab6f66e3ead9e7c151d8600d1a2ec46a732",
+    ((2, 6), 0.0, 2e-3): "2b145da516497ffd8935968d206ec6e450d7377851ef7207910847b2c0d316a9",
+    ((3, 903), 0.0, 2e-3): "08be5c247bfe6d9536851f54d3d28483d201be3cf32f88257d886b1193898ca2",
+    ((5, 8), 0.01, 2e-3): "74b2aeae2b7b6a4dd6243711121bb46c5820a0c88acd663c2fbb55b8b130a065",
+    ((2, 6), 0.01, 2e-3): "b636515e92ff34401d57844803d6e3e41e52e1173d478e38a9f0b03f00e2dfb3",
+    ((3, 903), 0.01, 2e-3): "72537659ad58a45d53a97e79e2a3eed0fcc86a26d60892cb436989519c7509a1",
+}
 
 
 class TestBilinearPU:
@@ -291,13 +255,14 @@ class TestBilinearPU:
     @pytest.mark.parametrize("gap_target", [None, 2e-3])
     def test_bitwise_equal_to_reference_loop(self, shape, pu_tau, gap_target):
         rng = np.random.default_rng(38)
-        for trial, iterations in enumerate((10, 64, 300, 1100)):
+        digest = hashlib.sha256()
+        for iterations in (10, 64, 300, 1100):
             A = rng.uniform(0.0, 3.0, size=shape) * 10.0 ** rng.uniform(-3, 1)
             cfg = CamooConfig(pu_iterations=iterations, pu_tau=pu_tau)
             sol = solve_bilinear_pu(A, cfg, gap_target=gap_target)
-            want = solve_bilinear_pu_reference(A, cfg, gap_target)
-            for got, ref in zip((sol.w, sol.q, sol.gap, sol.value), want):
-                assert np.array_equal(got, ref)
+            for x in (sol.w, sol.q, sol.gap, sol.value, sol.iterations):
+                digest.update(np.asarray(x).tobytes())
+        assert digest.hexdigest() == PU_SHA256[shape, pu_tau, gap_target]
 
     @pytest.mark.parametrize("gap_target", [None, 2e-3])
     def test_iterations_reported(self, gap_target):
@@ -315,115 +280,6 @@ class TestBilinearPU:
         cfg = CamooConfig(pu_iterations=60000, pu_tau=0.0)
         sol = solve_bilinear_pu(A, cfg, gap_target=2e-3)
         assert sol.gap <= 2e-3 and sol.iterations % 64 == 0 and sol.iterations < 60000
-
-
-def assert_same_solution(sol, want):
-    for got, ref in zip((sol.w, sol.q, sol.gap, sol.value), want):
-        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
-
-
-class TestBilinearStack:
-    """A stack of games solved at once equals each game solved alone."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        games=st.integers(1, 6),
-        m=st.sampled_from([1, 2, 3, 5]),
-        n=st.one_of(st.integers(1, 12), st.integers(13, 903)),
-        log_scales=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
-        pu_tau=st.sampled_from([0.0, 0.01]),
-        iterations=st.integers(1, 400),
-        gap_target=st.sampled_from([None, 1e-3, 1e-2, 1e-1]),
-        zero_game=st.one_of(st.none(), st.integers(0, 5)),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_bitwise_equal_to_reference_loop_per_game(
-        self, games, m, n, log_scales, pu_tau, iterations, gap_target, zero_game, seed
-    ):
-        rng = np.random.default_rng(seed)
-        scales = 10.0 ** np.array(log_scales[:games])
-        A = rng.uniform(0.0, 3.0, size=(games, m, n)) * scales[:, None, None]
-        if zero_game is not None and zero_game < games:
-            A[zero_game] = 0.0
-        cfg = CamooConfig(pu_iterations=iterations, pu_tau=pu_tau)
-        sols = solve_bilinear_pu_stack(A, cfg, gap_target=gap_target)
-        assert len(sols) == games
-        for k, sol in enumerate(sols):
-            if not A[k].any():
-                want = (np.full(m, 1.0 / m), np.full(n, 1.0 / n), 0.0, 0.0)
-                assert sol.iterations == 0
-            else:
-                want = solve_bilinear_pu_reference(A[k], cfg, gap_target)
-            assert_same_solution(sol, want)
-            alone = solve_bilinear_pu(A[k], cfg, gap_target=gap_target)
-            assert_same_solution(sol, (alone.w, alone.q, alone.gap, alone.value))
-            assert sol.iterations == alone.iterations
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        easy=st.integers(0, 4),
-        m=st.sampled_from([1, 2, 3]),
-        n=st.sampled_from([1, 2, 7, 903]),
-        log_scales=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
-        pu_tau=st.sampled_from([0.0, 0.01]),
-        iterations=st.integers(65, 300),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_lone_game_equals_its_single_solve(
-        self, easy, m, n, log_scales, pu_tau, iterations, seed
-    ):
-        """A stack of one game, or one that the easy games leave after the
-        first check, solves its lone game without the batch axis; every game
-        still gets its ``solve_bilinear_pu`` answer bit for bit."""
-        rng = np.random.default_rng(seed)
-        scales = 10.0 ** np.array(log_scales[: easy + 1])
-        # A constant game certifies a gap of 0 up to rounding at once; the
-        # last game is generic, so it misses the tiny target at that check.
-        A = np.ones((easy + 1, m, n)) * scales[:, None, None]
-        A[-1] *= rng.uniform(0.0, 3.0, size=(m, n))
-        cfg = CamooConfig(pu_iterations=iterations, pu_tau=pu_tau)
-        target = 1e-12
-        sols = solve_bilinear_pu_stack(A, cfg, gap_target=target)
-        for k, sol in enumerate(sols):
-            alone = solve_bilinear_pu(A[k], cfg, gap_target=target)
-            assert_same_solution(sol, (alone.w, alone.q, alone.gap, alone.value))
-            assert sol.iterations == alone.iterations
-        assert all(sol.iterations == 64 for sol in sols[:-1])
-        if m > 1 and n > 1:
-            assert sols[-1].iterations > 64  # the last game ran alone
-
-    def test_games_leave_at_different_checks(self):
-        rng = np.random.default_rng(42)
-        A = rng.uniform(0.0, 3.0, size=(6, 5, 8)) * np.logspace(-2, 2, 6)[:, None, None]
-        A[3] = 0.0
-        cfg = CamooConfig(pu_iterations=3000, pu_tau=0.0)
-        sols = solve_bilinear_pu_stack(A, cfg, gap_target=1e-3)
-        assert len({sol.iterations for sol in sols}) >= 4
-        assert sols[3].iterations == 0 and sols[3].gap == 0.0
-        for k in (0, 1, 2, 4, 5):
-            want = solve_bilinear_pu_reference(A[k], cfg, 1e-3)
-            assert_same_solution(sols[k], want)
-            met = sols[k].gap <= 1e-3
-            assert sols[k].iterations % 64 == 0 if met else sols[k].iterations == 3000
-
-    def test_iterations_without_target(self):
-        rng = np.random.default_rng(43)
-        sols = solve_bilinear_pu_stack(
-            rng.uniform(0.0, 3.0, size=(4, 3, 7)), CamooConfig(pu_iterations=130)
-        )
-        assert [sol.iterations for sol in sols] == [130] * 4
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_game_rejected(self, bad):
-        A = np.ones((4, 2, 3))
-        A[2, 1, 0] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            solve_bilinear_pu_stack(A, CamooConfig())
-
-    @pytest.mark.parametrize("shape", [(2, 3), (2,), (1, 2, 3, 4)])
-    def test_not_three_dimensional_rejected(self, shape):
-        with pytest.raises(ValueError, match="3-D"):
-            solve_bilinear_pu_stack(np.ones(shape), CamooConfig())
 
 
 # ---------------------------------------------------------------------------
