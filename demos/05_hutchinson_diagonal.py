@@ -3,13 +3,14 @@
 E[z * (Hz)] = diag(H) for Rademacher z, so averaging a handful of
 Hessian-vector products recovers the diagonal without ever forming H.  The
 products themselves come from central differences of the gradient, so only
-first-order access is required.  A single probe is already exact when H is
+first-order access is required; ``hvp_fd`` takes an objective set and gives
+one product per objective.  A single probe is already exact when H is
 diagonal; off-diagonal mass turns into zero-mean noise that averages out.
 """
 
 import numpy as np
 
-from amoo.core import ObjectiveOracle
+from amoo.core import ObjectiveOracle, ObjectiveSet
 from amoo.hessians import HutchinsonConfig, hutchinson_diag, hvp_fd
 
 # --- a single probe is exact on diagonal curvature ---------------------------
@@ -42,6 +43,6 @@ print()
 
 # --- the building block: finite-difference Hessian-vector products -----------
 
-hv = hvp_fd(dense, x=np.ones(12), v=np.eye(12)[0])
+(hv,) = hvp_fd(ObjectiveSet((dense,)), x=np.ones(12), v=np.eye(12)[0])
 print("HVP against column 0 of M, max abs error:",
       float(np.abs(hv - M[:, 0]).max()))

@@ -1,10 +1,12 @@
 """Second-order information without forming Hessians.
 
-Hessian-vector products come from central differences of the analytic
-gradient; the diagonal is estimated by averaging z * (Hz) over Rademacher
-probes z, which is exact in a single sample when H is diagonal.  Every
-probe draws from its own counter-split RNG stream, so results do not depend
-on evaluation order.
+Hessian-vector products come from central differences of an objective
+set's stacked gradients; the diagonals are estimated by averaging z * (Hz)
+over Rademacher probes z, which is exact in a single sample when H is
+diagonal.  One probe per sample serves every objective, so row i of the
+estimate is objective i's and w' times it is the estimate of
+diag(sum_i w_i H_i), for every w at once.  Every probe draws from its own
+counter-split RNG stream, so results do not depend on evaluation order.
 """
 
 from dataclasses import dataclass, replace
@@ -32,22 +34,23 @@ class HutchinsonConfig:
 FD_STEP = 1e-4
 
 
-def hvp_fd(oracle: ObjectiveOracle, x, v) -> Array:
-    """Hessian-vector product by central differences of the gradient.
+def hvp_fd(objectives: ObjectiveSet, x, v) -> Array:
+    """The m Hessian-vector products H_i v, shape (m, n), by central
+    differences of the stacked gradients.
 
     Uses h = FD_STEP * (1 + ||x||) along the unit direction of v, then
     rescales by ||v||.  Exact up to O(h^2) truncation; for quadratics the
     truncation vanishes and the result is exact to rounding.
     """
-    x = as_vector(x, oracle.dim)
-    v = as_vector(v, oracle.dim, name="v")
+    x = as_vector(x, objectives.dim)
+    v = as_vector(v, objectives.dim, name="v")
     norm_v = np.linalg.norm(v)
     if norm_v == 0.0:
         raise ValueError("direction v must be nonzero")
     unit = v / norm_v
     h = FD_STEP * (1.0 + np.linalg.norm(x))
-    gp = oracle.gradient_at(x + h * unit)
-    gm = oracle.gradient_at(x - h * unit)
+    gp = objectives.evaluate(x + h * unit)[1]
+    gm = objectives.evaluate(x - h * unit)[1]
     return (gp - gm) / (2.0 * h) * norm_v
 
 
@@ -57,41 +60,36 @@ def _rademacher(seq: np.random.SeedSequence, n: int) -> Array:
 
 
 def hutchinson_diag(oracle: ObjectiveOracle, x, cfg: HutchinsonConfig) -> Array:
-    """Estimate diag(H) at x as the average of z * (Hz) over Rademacher z.
+    """Estimate diag(H) of one objective at x: ``diag_hessian_matrix`` of the
+    set holding that objective alone."""
+    return diag_hessian_matrix(ObjectiveSet((oracle,)), x, cfg)[0]
 
-    Uses the analytic Hessian when the oracle carries one, a
-    finite-difference Hessian-vector product (``hvp_fd``, relative step
-    FD_STEP) otherwise.  Deterministic given ``cfg.rng_seed``; the
-    expectation over z equals the true diagonal.  A non-finite estimate
-    raises ValueError.
+
+def diag_hessian_matrix(objectives: ObjectiveSet, x, cfg: HutchinsonConfig) -> Array:
+    """Hutchinson estimates of the m Hessian diagonals as an (m, n) matrix:
+    the average of z * (H_i z) over Rademacher z, one z per sample of
+    ``cfg.rng_seed`` shared by every objective.
+
+    Uses the analytic Hessians when every objective carries one, the
+    finite-difference products of ``hvp_fd`` otherwise.  Deterministic given
+    ``cfg.rng_seed``; the expectation over z equals the true diagonals.  A
+    non-finite estimate raises ValueError.  Analytic diagonals come from
+    ``ObjectiveSet.evaluate(x)[2]()`` instead.
     """
-    x = as_vector(x, oracle.dim)
-    n = oracle.dim
-    H = oracle.hessian_at(x) if oracle.hessian is not None else None
-    streams = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.num_samples)
-    acc = np.zeros(n)
-    for seq in streams:
+    x = as_vector(x, objectives.dim)
+    n = objectives.dim
+    exact = all(o.hessian is not None for o in objectives.objectives)
+    hessians = objectives.hessians(x) if exact else None
+    acc = np.zeros((objectives.m, n))
+    for seq in np.random.SeedSequence(cfg.rng_seed).spawn(cfg.num_samples):
         z = _rademacher(seq, n)
-        hz = H @ z if H is not None else hvp_fd(oracle, x, z)
+        # One matrix at a time: a batched matmul rounds differently.
+        hz = np.stack([H @ z for H in hessians]) if exact else hvp_fd(objectives, x, z)
         acc += z * hz
     est = acc / cfg.num_samples
     if not np.isfinite(est).all():
         raise ValueError("diagonal estimate has non-finite entries")
     return est
-
-
-def diag_hessian_matrix(objectives: ObjectiveSet, x, cfg: HutchinsonConfig) -> Array:
-    """Hutchinson estimates of the m Hessian diagonals as an (m, n) matrix,
-    row i from the i-th substream of ``cfg.rng_seed``.  Analytic diagonals
-    come from ``ObjectiveSet.evaluate(x)[2]()`` instead."""
-    x = as_vector(x, objectives.dim)
-    seeds = np.random.SeedSequence(cfg.rng_seed).spawn(objectives.m)
-    return np.stack(
-        [
-            hutchinson_diag(o, x, replace(cfg, rng_seed=s.generate_state(1)[0]))
-            for o, s in zip(objectives.objectives, seeds)
-        ]
-    )
 
 
 class DiagHessianTracker:

@@ -16,7 +16,6 @@ several output-weighted losses, and ``misalign`` shifts each objective of a
 base problem to produce approximately aligned instances.
 """
 
-from copy import copy
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
@@ -273,15 +272,14 @@ class _TwoLayerMatching:
     ``evaluate`` is the stacked evaluator of ``ObjectiveSet``: one forward
     pass gives the values, the gradients and, on demand, the Hessian
     diagonals of all objectives, with products batched over the stacked H_i
-    and written in place into one (m, n) array each.  Each oracle runs the
-    same pass for its objective alone, so a query of one objective does one
-    objective's backward work, not m.  An objective with alpha = 1 takes q
-    for q^alpha and 2 for 2 alpha q^(alpha-1), both exact, so only the
-    ``bent`` rows compute powers (numpy's scalar-exponent fast paths, per
-    objective because their batched forms round differently).  The rows
-    p1 @ A^2 stay per objective for the same reason; the alpha = 1 rows of
-    p1 are all 2.0 and share one.  Every H_i is diagonal, and the Hessian
-    diagonal uses only the diagonals.
+    and written in place into one (m, n) array each.  Each oracle reads its
+    own row of that pass, so a query of one objective costs all m.  An
+    objective with alpha = 1 takes q for q^alpha and 2 for
+    2 alpha q^(alpha-1), both exact, so only the ``bent`` rows compute
+    powers (numpy's scalar-exponent fast paths, per objective because their
+    batched forms round differently).  The rows p1 @ A^2 stay per objective
+    for the same reason; the alpha = 1 rows of p1 are all 2.0 and share one.
+    Every H_i is diagonal, and the Hessian diagonal uses only the diagonals.
 
     The Hessian diagonal skips exactly-zero terms: the C2 = 4 alpha (alpha-1)
     q^(alpha-2) terms of the objectives with alpha = 1 (all but ``bent``),
@@ -352,13 +350,6 @@ class _TwoLayerMatching:
         self.bent = slice(bent[0], bent[-1] + 1) if bent else slice(0)
         if len(self.alphas[self.bent]) != len(bent):
             raise ValueError("the objectives with alpha != 1 must be adjacent")
-
-    def _objective(self, i: int) -> "_TwoLayerMatching":
-        """This network with objective i alone, for that objective's oracle:
-        a shallow copy that shares the data and has its own objective rows."""
-        one = copy(self)
-        one._set_objectives(self.h_stack[i : i + 1], self.alphas[i : i + 1])
-        return one
 
     def pack(self, w1, b1, w2, b2) -> Array:
         return np.concatenate([w1.ravel(), b1, w2.ravel(), b2])
@@ -483,11 +474,10 @@ class _TwoLayerMatching:
 
     def oracles(self) -> tuple[ObjectiveOracle, ...]:
         def make(i: int) -> ObjectiveOracle:
-            one = self._objective(i)
             return ObjectiveOracle(
                 dim=self.n_params,
-                value=lambda th: float(one.evaluate(th)[0][0]),
-                gradient=lambda th: one.evaluate(th)[1][0],
+                value=lambda th: float(self.evaluate(th)[0][i]),
+                gradient=lambda th: self.evaluate(th)[1][i],
                 name=f"match_f{i + 1}",
             )
 

@@ -89,3 +89,38 @@ def test_driver_pu_solve_still_takes_the_benchmark_call():
 
     sol = solve_bilinear_pu(np.array([[1.0, 0.2], [0.3, 2.0]]), CamooConfig())
     assert sol.gap >= 0.0
+
+
+def test_hutchinson_run_updates_the_tracker_once_per_iterate(monkeypatch):
+    # The benchmark times Hutchinson estimates at DiagHessianTracker.update;
+    # a driver that estimated the diagonals some other way would leave
+    # hessians.tracker_update at 0 without failing a pass.
+    from amoo.driver import AdamConfig, RunConfig, WeightingChoice, run
+    from amoo.hessians import HutchinsonConfig
+    from amoo.problems import ProblemSpec
+    from amoo.weighting import CamooConfig
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    from tracing import Tracer
+
+    cfg = RunConfig(
+        problem=ProblemSpec(
+            kind="mlp_matching", input_dim=4, hidden=5, output_dim=3,
+            dataset_size=6, seed=2,
+        ),
+        weighting=WeightingChoice(
+            kind="camoo",
+            camoo=CamooConfig(mode="diagonal-bilinear"),
+            hutchinson=HutchinsonConfig(num_samples=2),
+        ),
+        inner=AdamConfig(step=0.005),
+        steps=7,
+    )
+    tracer = Tracer()
+    with tracer.install(layers.bindings()):
+        trace = run(cfg)
+    metrics = layers.layer_metrics(tracer.spans)
+    iterates = trace.final().step + 1
+    assert iterates == cfg.steps + 1
+    assert metrics["hessians.tracker_update.calls"] == iterates

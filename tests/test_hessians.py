@@ -1,5 +1,8 @@
 """Hessian-vector products and the Rademacher diagonal estimator."""
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from amoo.hessians import (
     hutchinson_diag,
     hvp_fd,
 )
-from amoo.problems import ProblemSpec, build
+from amoo.problems import ProblemSpec, _TwoLayerMatching, build
 
 
 def quadratic_oracle(H, with_hessian=False):
@@ -24,13 +27,64 @@ def quadratic_oracle(H, with_hessian=False):
     )
 
 
+def hvp_one(oracle, x, v):
+    """``hvp_fd`` of the set holding ``oracle`` alone, as a vector."""
+    (hv,) = hvp_fd(ObjectiveSet((oracle,)), x, v)
+    return hv
+
+
+SMALL_SOFTPLUS = ProblemSpec(
+    kind="mlp_matching", input_dim=4, hidden=5, output_dim=3,
+    dataset_size=6, seed=2, activation="softplus",
+)
+
+
+def hutchinson_cases():
+    """(oracle, x) by name: a dense quadratic with and without its Hessian,
+    and each oracle of the default network and of a small softplus one with
+    powered objectives."""
+    rng = np.random.default_rng(0)
+    B = rng.normal(size=(6, 6))
+    M = B + B.T + 8.0 * np.eye(6)
+    cases = {
+        "dense_hessian": (quadratic_oracle(M, with_hessian=True), rng.normal(size=6)),
+        "dense_fd": (quadratic_oracle(M), rng.normal(size=6)),
+    }
+    networks = {
+        "default": ProblemSpec(kind="mlp_matching"),
+        "small_softplus_lc": replace(SMALL_SOFTPLUS, variant="local_curvature"),
+    }
+    for name, spec in networks.items():
+        problem = build(spec)
+        noise = np.random.default_rng(1).normal(size=problem.x0.shape)
+        theta = problem.x0 + 0.1 * noise
+        for oracle in problem.objectives.objectives:
+            cases[f"{name}:{oracle.name}"] = (oracle, theta)
+    return cases
+
+
+# sha256 of ``hutchinson_diag`` at seeds 0, 5 and 2**40 + 3 with 4 probes, for
+# each of ``hutchinson_cases``, taken while every objective still drew its
+# own probes and each network oracle ran a pass of its objective alone.
+HUTCHINSON_SHA256 = {
+    "dense_hessian": "a4a4ba9da98041f5eac85e37d998e516271bee13607c8b3405beb6a5fd2e6d78",
+    "dense_fd": "7c7d317c9bee19485674c14d4de9ba2322c48c72d6dc7eda80b64958bf1a1d3d",
+    "default:match_f1": "c6fcd8e1c9094085731ac1255ce6049981bcafe12af259fe2067fda1efe7db28",
+    "default:match_f2": "2094f9f7c2be04bf39960bf294bd7c5804ffe9dc23432bed1e25065d7578af21",
+    "default:match_f3": "65f7d73fdb8bcd03f3eb5ef728e04fd542ae568241dab59f0f4a9ee75ce09ccd",
+    "small_softplus_lc:match_f1": "59a900bdf78262d5a8a9a71849af674c1505dfb18e1da671196b6482de2d7b12",
+    "small_softplus_lc:match_f2": "618488f5a8c7b917720192ea5a99c6090051bf03cc85c23a03b5d3cf3ff90735",
+    "small_softplus_lc:match_f3": "6e7f573b7b4c4ba65cc540e1d3a95e0accf8a6bd86fd728bbf5a907424920f91",
+}
+
+
 class TestHvpFd:
     def test_sum_of_squares(self):
         # f(x) = x'x has Hessian 2I.
         o = ObjectiveOracle(
             dim=2, value=lambda x: float(x @ x), gradient=lambda x: 2.0 * x
         )
-        hv = hvp_fd(o, [1.0, 2.0], [1.0, 0.0])
+        hv = hvp_one(o, [1.0, 2.0], [1.0, 0.0])
         np.testing.assert_allclose(hv, [2.0, 0.0], atol=1e-6)
 
     def test_linear_objective(self):
@@ -39,20 +93,20 @@ class TestHvpFd:
             value=lambda x: float(x.sum()),
             gradient=lambda x: np.ones(3),
         )
-        hv = hvp_fd(o, [0.5, -1.0, 2.0], [1.0, 1.0, 1.0])
+        hv = hvp_one(o, [0.5, -1.0, 2.0], [1.0, 1.0, 1.0])
         np.testing.assert_allclose(hv, 0.0, atol=1e-6)
 
     def test_specification_first_objective(self):
         # grad f1 = (1.8 x1, 0.2 x2), so the Hessian column for e2 is (0, 0.2).
         problem = build(ProblemSpec(kind="specification", delta=0.1))
         o = problem.objectives.objectives[0]
-        hv = hvp_fd(o, [1.0, 1.0], [0.0, 1.0])
+        hv = hvp_one(o, [1.0, 1.0], [0.0, 1.0])
         np.testing.assert_allclose(hv, [0.0, 0.2], atol=1e-6)
 
     def test_zero_direction_rejected(self):
         o = quadratic_oracle(np.eye(2))
         with pytest.raises(ValueError):
-            hvp_fd(o, [1.0, 1.0], [0.0, 0.0])
+            hvp_one(o, [1.0, 1.0], [0.0, 0.0])
 
     def test_linear_in_direction(self):
         rng = np.random.default_rng(20)
@@ -65,15 +119,28 @@ class TestHvpFd:
             if np.linalg.norm(a * u + b * v) < 1e-6:
                 continue
             x = rng.normal(size=2)
-            lhs = hvp_fd(o, x, a * u + b * v)
-            rhs = a * hvp_fd(o, x, u) + b * hvp_fd(o, x, v)
+            lhs = hvp_one(o, x, a * u + b * v)
+            rhs = a * hvp_one(o, x, u) + b * hvp_one(o, x, v)
             np.testing.assert_allclose(lhs, rhs, rtol=1e-5, atol=1e-5)
 
     def test_scales_with_magnitude(self):
         H = np.diag([2.0, 0.5])
         o = quadratic_oracle(H)
-        hv = hvp_fd(o, [0.0, 0.0], [10.0, 0.0])
+        hv = hvp_one(o, [0.0, 0.0], [10.0, 0.0])
         np.testing.assert_allclose(hv, [20.0, 0.0], rtol=1e-6)
+
+    def test_rows_equal_one_objective_products(self):
+        rng = np.random.default_rng(21)
+        B = rng.normal(size=(4, 4))
+        mats = (B + B.T, B @ B.T, np.diag([1.0, 2.0, 3.0, 4.0]))
+        oracles = [quadratic_oracle(M) for M in mats]
+        objectives = ObjectiveSet(oracles)
+        for _ in range(5):
+            x, v = rng.normal(size=4), rng.normal(size=4)
+            rows = hvp_fd(objectives, x, v)
+            assert rows.shape == (3, 4)
+            for row, oracle in zip(rows, oracles):
+                assert row.tobytes() == hvp_one(oracle, x, v).tobytes()
 
 
 class TestHutchinsonDiag:
@@ -126,19 +193,6 @@ class TestHutchinsonDiag:
         a = hutchinson_diag(o, [1.0, 0.0, -1.0], cfg)
         b = hutchinson_diag(o, [1.0, 0.0, -1.0], cfg)
         np.testing.assert_array_equal(a, b)
-
-
-def diag_hessian_matrix_reference(objectives, x, cfg):
-    """``diag_hessian_matrix`` as a loop over the objectives."""
-    x = np.asarray(x, dtype=np.float64)
-    rows = np.empty((objectives.m, objectives.dim))
-    seeds = np.random.SeedSequence(cfg.rng_seed).spawn(objectives.m)
-    for i, oracle in enumerate(objectives.objectives):
-        sub = HutchinsonConfig(
-            num_samples=cfg.num_samples, rng_seed=seeds[i].generate_state(1)[0]
-        )
-        rows[i] = hutchinson_diag(oracle, x, sub)
-    return rows
 
 
 def analytic_diagonals(objectives, x):
@@ -239,9 +293,11 @@ class TestDiagHessianMatrix:
             np.testing.assert_array_equal(rows[1], np.diagonal(oracle.hessian_at(x)))
 
     @pytest.mark.parametrize("with_hessian", [False, True])
-    def test_bitwise_equal_to_reference(self, with_hessian):
-        # With a Hessian the probes use H z, without one finite differences;
-        # the network oracles never carry one.
+    def test_rows_equal_hutchinson_diag(self, with_hessian):
+        # Every objective reads the same probes, so each row is that
+        # objective's own estimate.  With a Hessian on every objective the
+        # products are H z, otherwise finite differences; the network
+        # oracles never carry one.
         rng = np.random.default_rng(12)
         H = np.diag([3.0, 1.0, 0.5]) + 0.2
         quadratics = ObjectiveSet(
@@ -251,19 +307,36 @@ class TestDiagHessianMatrix:
                 quadratic_oracle(H + np.eye(3), with_hessian),
             )
         )
-        small_mlp = build(
-            ProblemSpec(
-                kind="mlp_matching", input_dim=4, hidden=5, output_dim=3,
-                dataset_size=6, seed=2, activation="softplus",
-            )
-        )
-        for objectives in (quadratics, small_mlp.objectives):
+        for objectives in (quadratics, build(SMALL_SOFTPLUS).objectives):
             for rng_seed in (0, 5, 2**40 + 3):
                 x = rng.normal(size=objectives.dim)
                 cfg = HutchinsonConfig(num_samples=4, rng_seed=rng_seed)
                 got = diag_hessian_matrix(objectives, x, cfg)
-                want = diag_hessian_matrix_reference(objectives, x, cfg)
-                assert np.array_equal(got, want)
+                for row, oracle in zip(got, objectives.objectives):
+                    assert row.tobytes() == hutchinson_diag(oracle, x, cfg).tobytes()
+
+    def test_network_estimate_takes_two_stacked_passes_per_probe(self, monkeypatch):
+        passes = []
+        evaluate = _TwoLayerMatching.evaluate
+
+        def counted(self, theta):
+            passes.append(theta)
+            return evaluate(self, theta)
+
+        monkeypatch.setattr(_TwoLayerMatching, "evaluate", counted)
+        problem = build(SMALL_SOFTPLUS)
+        cfg = HutchinsonConfig(num_samples=5, rng_seed=3)
+        diag_hessian_matrix(problem.objectives, problem.x0, cfg)
+        assert len(passes) == 2 * cfg.num_samples
+
+    @pytest.mark.parametrize("case", sorted(HUTCHINSON_SHA256))
+    def test_hutchinson_diag_digest(self, case):
+        oracle, x = hutchinson_cases()[case]
+        digest = hashlib.sha256()
+        for rng_seed in (0, 5, 2**40 + 3):
+            cfg = HutchinsonConfig(num_samples=4, rng_seed=rng_seed)
+            digest.update(hutchinson_diag(oracle, x, cfg).tobytes())
+        assert digest.hexdigest() == HUTCHINSON_SHA256[case]
 
 
 class TestTracker:
@@ -275,12 +348,7 @@ class TestTracker:
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_call_k_seeds_with_rng_seed_plus_k(self):
-        problem = build(
-            ProblemSpec(
-                kind="mlp_matching", input_dim=4, hidden=5, output_dim=3,
-                dataset_size=6, seed=2, activation="softplus",
-            )
-        )
+        problem = build(SMALL_SOFTPLUS)
         tracker = DiagHessianTracker(HutchinsonConfig(num_samples=2, rng_seed=7))
         x = problem.x0
         for k in range(3):
