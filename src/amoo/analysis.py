@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ObjectiveOracle, as_vector
+from .core import ObjectiveSet, as_vector
 from .linalg import min_eigenpair, spectral_norm, weighted_hessian
 from .weighting import max_min_weights, solve_camoo_exact
 
@@ -240,9 +240,10 @@ def _omega_lower(t: float) -> float:
 
 
 def self_concordance_check(
-    oracle: ObjectiveOracle, x, y, m_self: float, slack: float = 1e-10
+    objectives: ObjectiveSet, x, y, m_self: float, slack: float = 1e-10
 ) -> bool:
-    """Check f(y) >= f(x) + <grad f(x), y - x> + curvature term.
+    """Check f_i(y) >= f_i(x) + <grad f_i(x), y - x> + curvature term for
+    every objective i of the set.
 
     The curvature term is (1/M^2) * omega(M t) with t the Hessian-metric
     distance ||y - x|| at x and omega(s) = s^2 / (2 (1 + s)); at M = 0 it
@@ -250,18 +251,21 @@ def self_concordance_check(
     """
     if m_self < 0:
         raise ValueError("m_self must be nonnegative")
-    x = as_vector(x, oracle.dim)
-    y = as_vector(y, oracle.dim)
+    x = as_vector(x, objectives.dim)
+    y = as_vector(y, objectives.dim)
     d = y - x
-    H = oracle.hessian_at(x)
-    t = math.sqrt(max(float(d @ H @ d), 0.0))
-    if m_self == 0.0:
-        curv = 0.5 * t * t
-    else:
-        curv = _omega_lower(m_self * t) / (m_self * m_self)
-    lhs = oracle.value_at(y)
-    rhs = oracle.value_at(x) + float(oracle.gradient_at(x) @ d) + curv
-    return lhs >= rhs - slack * (1.0 + abs(lhs))
+    fx, J, _ = objectives.evaluate(x)
+    fy = objectives.evaluate(y)[0]
+    for H, f0, g, f1 in zip(objectives.hessians(x), fx, J, fy):
+        t = math.sqrt(max(float(d @ H @ d), 0.0))
+        if m_self == 0.0:
+            curv = 0.5 * t * t
+        else:
+            curv = _omega_lower(m_self * t) / (m_self * m_self)
+        lhs = float(f1)
+        if not lhs >= float(f0) + float(g @ d) + curv - slack * (1.0 + abs(lhs)):
+            return False
+    return True
 
 
 def weyl_degradation_suite(seed: int = 0, trials: int = 100) -> dict:

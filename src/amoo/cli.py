@@ -20,11 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, driver, problems, traceio, weighting
-from .core import NumericError, ObjectiveOracle
+from .core import NumericError, ObjectiveSet
 from .driver import ConfigurationError
 from .plotting import write_trace_svg
 
 _PRESETS = ("camoo-theory", "pamoo-theory", "practical-sgd", "practical-adam")
+# The pu_* fields of CamooConfig configure only solve_bilinear_pu, which no
+# run calls.
+_CAMOO_KEYS = ("mode", "w_min")
 
 
 def _object(value, where: str) -> dict:
@@ -45,8 +48,7 @@ def _convert(tp, value, where: str):
     if tp is problems.ProblemSpec:
         return parse_problem_spec(value, where)
     if tp is weighting.CamooConfig:
-        # The pu_* fields configure only solve_bilinear_pu, which no run calls.
-        return _build(tp, value, where, ("mode", "w_min"))
+        return _build(tp, value, where, _CAMOO_KEYS)
     if dataclasses.is_dataclass(tp):
         return _build(tp, value, where)
     if typing.get_origin(tp) is tuple:
@@ -184,6 +186,41 @@ def parse_run_config(doc: dict) -> driver.RunConfig:
     return cfg
 
 
+def _keys(obj) -> tuple:
+    """The keys that the parser reads for the dataclass ``obj``."""
+    if isinstance(obj, problems.ProblemSpec):
+        return ("kind", *problems.KINDS[obj.kind].params)
+    if isinstance(obj, driver.WeightingChoice):
+        return ("kind", *driver.WEIGHTING_KEYS[obj.kind])
+    if isinstance(obj, weighting.CamooConfig):
+        return _CAMOO_KEYS
+    return tuple(f.metadata.get("key", f.name) for f in dataclasses.fields(obj))
+
+
+def _document(value, keys=None):
+    """The JSON value that the parser reads back as ``value``."""
+    if isinstance(value, tuple):
+        return [_document(v) for v in value]
+    if not dataclasses.is_dataclass(value):
+        return value
+    names = {f.metadata.get("key", f.name): f.name for f in dataclasses.fields(value)}
+    return {k: _document(getattr(value, names[k])) for k in keys or _keys(value)}
+
+
+def config_document(cfg: driver.RunConfig) -> dict:
+    """The config that ``parse_run_config`` reads back as ``cfg``, with only
+    the keys that the run reads: a preset's choices are written out as the
+    weighting, inner and run settings they stand for."""
+    (inner_kind,) = [k for k, tp in _INNER.items() if type(cfg.inner) is tp]
+    sections = ("problem", "weighting", "inner")
+    return {
+        "problem": _document(cfg.problem),
+        "weighting": _document(cfg.weighting),
+        "inner": {"kind": inner_kind, **_document(cfg.inner)},
+        "run": _document(cfg, [k for k in _keys(cfg) if k not in sections]),
+    }
+
+
 @dataclasses.dataclass(frozen=True)
 class OutputOptions:
     """The ``output`` section: whether to write plot.svg."""
@@ -274,7 +311,7 @@ def cmd_run(config_path: str, out_dir: str | None, print_fn=print) -> int:
             fitted = None
     verdicts = _run_verdicts(trace) if code == 0 else {"finite": False}
     traceio.write_summary_json(
-        traceio.summary_dict(trace, fitted_rate=fitted, verdicts=verdicts),
+        traceio.summary_dict(trace, config_document(cfg), fitted, verdicts),
         out / "summary.json",
     )
     if out_opts.plot and trace.records:
@@ -380,24 +417,25 @@ def _suite_weyl(seed: int) -> tuple[bool, str]:
 
 
 def _suite_self_concordance() -> tuple[bool, str]:
-    exp_oracle = ObjectiveOracle(
-        dim=1,
-        value=lambda x: float(np.exp(x[0]) - x[0]),
-        gradient=lambda x: np.exp(x) - 1.0,
-        hessian=lambda x: np.exp(x).reshape(1, 1),
+    # exp(x) - x on R^1 and x'x on R^2, one objective each.
+    exp_set = ObjectiveSet(
+        1,
+        1,
+        lambda x: (np.exp(x) - x, (np.exp(x) - 1.0)[None], lambda: np.exp(x)[None]),
+        lambda x: np.exp(x).reshape(1, 1, 1),
     )
-    quad = ObjectiveOracle(
-        dim=2,
-        value=lambda x: float(x @ x),
-        gradient=lambda x: 2.0 * x,
-        hessian=lambda x: 2.0 * np.eye(2),
+    quad = ObjectiveSet(
+        1,
+        2,
+        lambda x: (np.array([x @ x]), 2.0 * x[None], lambda: np.full((1, 2), 2.0)),
+        lambda x: 2.0 * np.eye(2)[None],
     )
     checks = 0
     fails = 0
     for x in (-1.0, 0.0, 0.5, 1.5):
         for y in (-1.5, -0.3, 0.0, 1.0, 2.0):
             checks += 1
-            if not analysis.self_concordance_check(exp_oracle, [x], [y], 1.0):
+            if not analysis.self_concordance_check(exp_set, [x], [y], 1.0):
                 fails += 1
     rng = np.random.default_rng(7)
     for _ in range(20):

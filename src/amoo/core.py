@@ -1,4 +1,4 @@
-"""Objective oracles, objective sets, and weighted evaluation.
+"""Objective sets and weighted evaluation.
 
 An objective set bundles m scalar objectives over a shared parameter space
 R^n; a weight vector, a plain float64 array of length m, scalarizes them
@@ -16,7 +16,7 @@ Array = np.ndarray
 
 
 class UnsupportedQueryError(RuntimeError):
-    """Asked an oracle for information it does not carry (a Hessian)."""
+    """Asked an objective set for information it does not carry (Hessians)."""
 
 
 class NumericError(RuntimeError):
@@ -48,68 +48,24 @@ def _frozen(arr: Array) -> Array:
 
 
 @dataclass(frozen=True)
-class ObjectiveOracle:
-    """A single scalar objective with first-order (and optional second-order) access.
-
-    ``value`` and ``gradient`` are required; ``hessian`` is an optional
-    callable returning the full symmetric Hessian.  All callables must be
-    pure functions of x.  Hessian diagonals come from
-    ``ObjectiveSet.evaluate``, not from an oracle.
-    """
-
-    dim: int
-    value: Callable[[Array], float]
-    gradient: Callable[[Array], Array]
-    hessian: Callable[[Array], Array] | None = None
-    name: str = ""
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"oracle dim must be positive, got {self.dim}")
-
-    def value_at(self, x) -> float:
-        return float(self.value(as_vector(x, self.dim)))
-
-    def gradient_at(self, x) -> Array:
-        return self._checked_gradient(as_vector(x, self.dim))
-
-    def _checked_gradient(self, x: Array) -> Array:
-        return np.asarray(self.gradient(x), dtype=np.float64).reshape(self.dim)
-
-    def hessian_at(self, x) -> Array:
-        if self.hessian is None:
-            raise UnsupportedQueryError(f"oracle {self.name!r} has no Hessian")
-        H = np.asarray(self.hessian(as_vector(x, self.dim)), dtype=np.float64)
-        return H.reshape(self.dim, self.dim)
-
-
-@dataclass(frozen=True)
 class ObjectiveSet:
-    """m objectives sharing one parameter space.
+    """m objectives over R^dim, evaluated together.
 
-    ``stacked``, when given, replaces the per-oracle loops: its one method,
-    ``evaluate(x)``, returns what ``ObjectiveSet.evaluate`` does, bitwise
-    equal to stacking the oracles' own values and gradients.
+    ``evaluator(x)`` returns what ``evaluate`` does; ``hessian_stack(x)``,
+    for kinds that have Hessians, returns the (m, dim, dim) stack of them.
+    Both must be pure functions of x.
     """
 
-    objectives: tuple[ObjectiveOracle, ...]
-    stacked: object = None
+    m: int
+    dim: int
+    evaluator: Callable[[Array], tuple[Array, Array, Callable[[], Array]]]
+    hessian_stack: Callable[[Array], Array] | None = None
 
     def __post_init__(self):
-        if len(self.objectives) < 1:
-            raise ValueError("an objective set needs at least one objective")
-        object.__setattr__(self, "objectives", tuple(self.objectives))
-        dims = {o.dim for o in self.objectives}
-        if len(dims) != 1:
-            raise ValueError(f"objectives disagree on dim: {sorted(dims)}")
-
-    @property
-    def m(self) -> int:
-        return len(self.objectives)
-
-    @property
-    def dim(self) -> int:
-        return self.objectives[0].dim
+        if self.m < 1 or self.dim < 1:
+            raise ValueError(
+                f"need m >= 1 objectives of dim >= 1, got m={self.m}, dim={self.dim}"
+            )
 
     def values(self, x) -> Array:
         return self.evaluate(as_vector(x, self.dim))[0]
@@ -122,19 +78,15 @@ class ObjectiveSet:
         """Values (m,), stacked gradients J (m, n) and a zero-argument callable
         giving the (m, n) Hessian diagonals, all at x, which must already be a
         float64 vector of length ``dim``: unlike ``values``, it is not checked.
-        J and the diagonals are fresh arrays that the caller owns.  A stacked
-        evaluator's callable reuses the pass that gave the values; without
-        one, the diagonals are those of ``hessians(x)``, which raises
-        UnsupportedQueryError if an oracle has no Hessian."""
-        if self.stacked is not None:
-            return self.stacked.evaluate(x)
-        fvals = np.array([o.value(x) for o in self.objectives], dtype=np.float64)
-        J = np.stack([o._checked_gradient(x) for o in self.objectives])
-        return fvals, J, lambda: np.stack([np.diagonal(H) for H in self.hessians(x)])
+        J and the diagonals are fresh arrays that the caller owns; the
+        diagonals are formed only when the callable is called."""
+        return self.evaluator(x)
 
-    def hessians(self, x) -> list[Array]:
-        x = as_vector(x, self.dim)
-        return [o.hessian_at(x) for o in self.objectives]
+    def hessians(self, x) -> Array:
+        """The (m, n, n) Hessian stack; UnsupportedQueryError if the set has none."""
+        if self.hessian_stack is None:
+            raise UnsupportedQueryError("this objective set has no Hessians")
+        return self.hessian_stack(as_vector(x, self.dim))
 
 
 @dataclass(frozen=True)

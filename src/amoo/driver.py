@@ -212,11 +212,10 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
     lambda_min_est, pu_gap)``, from one ``ObjectiveSet.evaluate(x)``.
 
     The settings are checked against the problem here, before the first step:
-    PAMOO reads the problem's recorded f*; CAMOO needs every objective's
-    Hessian in exact mode, and in diagonal mode without ``hutchinson`` a
-    stacked evaluator or those Hessians; ``hutchinson`` in exact mode, which
-    the rule would not read, is rejected.  Each rule keeps its own warm start
-    from one call to the next (CAMOO keeps its solve's cuts).
+    PAMOO reads the problem's recorded f*; exact CAMOO needs the set's
+    Hessians; ``hutchinson`` in exact mode, which the rule would not read,
+    is rejected.  Each rule keeps its own warm start from one call to the
+    next (CAMOO keeps its solve's cuts).
     """
     objs = problem.objectives
     m = objs.m
@@ -241,18 +240,12 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
                 f"{m} objectives * w_min {camoo.w_min} > 1"
             )
         probes = wc.hutchinson
-        # Exact mode reads full Hessians, and so do analytic diagonals from a
-        # set without a stacked evaluator; Hutchinson probes need gradients.
-        exact = camoo.mode == MODE_EXACT
-        if (exact or probes is None and objs.stacked is None) and any(
-            o.hessian is None for o in objs.objectives
-        ):
-            raise ConfigurationError(
-                f"weighting.camoo.mode {camoo.mode!r} needs every objective's "
-                "Hessian, which this problem does not give"
-                + ("" if exact else "; give a weighting.hutchinson section")
-            )
-        if exact:
+        if camoo.mode == MODE_EXACT:
+            if objs.hessian_stack is None:
+                raise ConfigurationError(
+                    f"weighting.camoo.mode {camoo.mode!r} needs every objective's "
+                    "Hessian, which this problem does not give"
+                )
             if probes is not None:
                 raise ConfigurationError(
                     "weighting.hutchinson is read only in diagonal-bilinear mode"

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Array, ObjectiveOracle, ObjectiveSet, as_vector
+from .core import Array, ObjectiveSet, as_vector
 
 
 @dataclass(frozen=True)
@@ -59,26 +59,20 @@ def _rademacher(seq: np.random.SeedSequence, n: int) -> Array:
     return rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0
 
 
-def hutchinson_diag(oracle: ObjectiveOracle, x, cfg: HutchinsonConfig) -> Array:
-    """Estimate diag(H) of one objective at x: ``diag_hessian_matrix`` of the
-    set holding that objective alone."""
-    return diag_hessian_matrix(ObjectiveSet((oracle,)), x, cfg)[0]
-
-
 def diag_hessian_matrix(objectives: ObjectiveSet, x, cfg: HutchinsonConfig) -> Array:
     """Hutchinson estimates of the m Hessian diagonals as an (m, n) matrix:
     the average of z * (H_i z) over Rademacher z, one z per sample of
     ``cfg.rng_seed`` shared by every objective.
 
-    Uses the analytic Hessians when every objective carries one, the
-    finite-difference products of ``hvp_fd`` otherwise.  Deterministic given
+    Uses the set's analytic Hessians when it has them, the finite-difference
+    products of ``hvp_fd`` otherwise.  Deterministic given
     ``cfg.rng_seed``; the expectation over z equals the true diagonals.  A
     non-finite estimate raises ValueError.  Analytic diagonals come from
     ``ObjectiveSet.evaluate(x)[2]()`` instead.
     """
     x = as_vector(x, objectives.dim)
     n = objectives.dim
-    exact = all(o.hessian is not None for o in objectives.objectives)
+    exact = objectives.hessian_stack is not None
     hessians = objectives.hessians(x) if exact else None
     acc = np.zeros((objectives.m, n))
     for seq in np.random.SeedSequence(cfg.rng_seed).spawn(cfg.num_samples):

@@ -16,14 +16,14 @@ several output-weighted losses, and ``misalign`` shifts each objective of a
 base problem to produce approximately aligned instances.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
 import numpy as np
 from scipy import optimize
 
-from .core import Array, NumericError, ObjectiveOracle, ObjectiveSet, OptimalInfo
+from .core import Array, NumericError, ObjectiveSet, OptimalInfo
 from .linalg import SYMMETRY_TOL, check_symmetric
 
 
@@ -88,32 +88,49 @@ class Problem:
 # ---------------------------------------------------------------------------
 
 
-def _quadratic_oracle(H: Array, name: str) -> ObjectiveOracle:
-    H = np.asarray(H, dtype=np.float64)
-    n = H.shape[0]
-    return ObjectiveOracle(
-        dim=n,
-        value=lambda x: float(x @ H @ x),
-        gradient=lambda x: 2.0 * (H @ x),
-        hessian=lambda x: 2.0 * H,
-        name=name,
-    )
-
-
 class _QuadraticStack:
-    """x'H_i x for H of shape (m, n, n), one matmul per call.  Each matrix
-    gets the same BLAS product and 1-D dot as its ``_quadratic_oracle``, so
-    rows are bitwise equal; a matvec ``(x @ H) @ x`` would round differently."""
+    """(x'H_i x)^alpha_i for H of shape (m, n, n), one matmul per call.
 
-    def __init__(self, mats):
+    Each q_i = x'H_i x and H_i x takes the same BLAS product and 1-D dot as a
+    one-objective ``x @ H_i @ x`` and ``H_i @ x``; a matvec ``(x @ H) @ x``
+    would round differently.  The rows with alpha != 1 (``bent``) apply the
+    power formulas to their own q_i and H_i x.
+    """
+
+    def __init__(self, mats, alphas):
         self.H = np.stack(mats)
+        self.bent = [(k, a) for k, a in enumerate(alphas) if a != 1.0]
+
+    def objectives(self) -> ObjectiveSet:
+        m, n = self.H.shape[:2]
+        return ObjectiveSet(m, n, self.evaluate, self.hessians)
+
+    def _products(self, x: Array):
+        return np.array([r.dot(x) for r in x @ self.H]), self.H @ x
 
     def evaluate(self, x: Array):
-        values = np.array([r.dot(x) for r in x @ self.H])
-        return values, 2.0 * (self.H @ x), self._diagonals
+        q, hx = self._products(x)
+        J = 2.0 * hx
+        for k, a in self.bent:
+            J[k] = a * float(q[k]) ** (a - 1.0) * 2.0 * hx[k]
+            q[k] = q[k] ** a
+        if self.bent:
+            return q, J, lambda: np.diagonal(self.hessians(x), axis1=1, axis2=2).copy()
+        return q, J, lambda: 2.0 * np.diagonal(self.H, axis1=1, axis2=2)
 
-    def _diagonals(self) -> Array:
-        return 2.0 * np.diagonal(self.H, axis1=1, axis2=2)
+    def hessians(self, x: Array) -> Array:
+        out = 2.0 * self.H
+        if self.bent:
+            q, hx = self._products(x)
+        for k, a in self.bent:
+            qk = float(q[k])
+            c1 = 2.0 * a * qk ** (a - 1.0)
+            if qk > 0.0:
+                c2 = 4.0 * a * (a - 1.0) * qk ** (a - 2.0)
+            else:
+                c2 = 8.0 if a == 2.0 else 0.0
+            out[k] = c1 * self.H[k] + c2 * np.outer(hx[k], hx[k])
+        return out
 
 
 def _specification_curvatures(delta: float):
@@ -135,10 +152,7 @@ def _build_specification(spec: ProblemSpec) -> Problem:
     if not 0.0 <= delta <= 0.5:
         raise ValueError(f"delta must lie in [0, 0.5], got {delta}")
     mats = _specification_curvatures(delta)
-    objectives = ObjectiveSet(
-        tuple(_quadratic_oracle(A, f"spec_f{i + 1}") for i, A in enumerate(mats)),
-        stacked=_QuadraticStack(mats),
-    )
+    objectives = _QuadraticStack(mats, (1.0, 1.0)).objectives()
     optimum = OptimalInfo(x_star=np.zeros(2), f_star=np.zeros(2))
     meta = ProblemMeta(beta=2.0 * (1.0 - delta), mu_g=1.0, mu_l=1.0, m_self=0.0)
     return Problem(objectives, optimum, meta, x0=np.ones(2), spec=spec)
@@ -151,10 +165,7 @@ def _build_selection(spec: ProblemSpec) -> Problem:
     if m < 2 or n < 1:
         raise ValueError("selection needs m >= 2 objectives and n >= 1 dims")
     mats = _selection_curvatures(delta, m, n)
-    objectives = ObjectiveSet(
-        tuple(_quadratic_oracle(A, f"sel_f{i + 1}") for i, A in enumerate(mats)),
-        stacked=_QuadraticStack(mats),
-    )
+    objectives = _QuadraticStack(mats, (1.0,) * m).objectives()
     optimum = OptimalInfo(x_star=np.zeros(n), f_star=np.zeros(m))
     meta = ProblemMeta(beta=2.0, mu_g=2.0, mu_l=2.0, m_self=0.0)
     return Problem(objectives, optimum, meta, x0=np.ones(n), spec=spec)
@@ -165,54 +176,21 @@ def _build_local_curvature(spec: ProblemSpec) -> Problem:
     if n < 1:
         raise ValueError("local_curvature needs n >= 1")
 
-    def make(sign: float, name: str) -> ObjectiveOracle:
-        return ObjectiveOracle(
-            dim=n,
-            value=lambda x: float(np.sum(np.exp(sign * x) - sign * x)),
-            gradient=lambda x: sign * (np.exp(sign * x) - 1.0),
-            hessian=lambda x: np.diag(np.exp(sign * x)),
-            name=name,
-        )
+    signs = (1.0, -1.0)
 
-    objectives = ObjectiveSet((make(1.0, "lc_f1"), make(-1.0, "lc_f2")))
+    def evaluate(x):
+        values = np.array([np.sum(np.exp(s * x) - s * x) for s in signs])
+        J = np.stack([s * (np.exp(s * x) - 1.0) for s in signs])
+        return values, J, lambda: np.stack([np.exp(s * x) for s in signs])
+
+    def hessians(x):
+        return np.stack([np.diag(np.exp(s * x)) for s in signs])
+
+    objectives = ObjectiveSet(2, n, evaluate, hessians)
     optimum = OptimalInfo(x_star=np.zeros(n), f_star=np.full(2, float(n)))
     # beta and m_self hold on the |x_j| <= 2 region that the bundled runs use.
     meta = ProblemMeta(beta=float(np.exp(2.0)), mu_g=1.0, mu_l=1.0, m_self=1.0)
     return Problem(objectives, optimum, meta, x0=np.ones(n), spec=spec)
-
-
-def _power_quad_oracle(H: Array, alpha: float, name: str) -> ObjectiveOracle:
-    H = np.asarray(H, dtype=np.float64)
-    n = H.shape[0]
-    if alpha < 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
-    if alpha == 1.0:
-        return _quadratic_oracle(H, name)
-
-    def value(x):
-        return float((x @ H @ x) ** alpha)
-
-    def gradient(x):
-        q = float(x @ H @ x)
-        return alpha * q ** (alpha - 1.0) * 2.0 * (H @ x)
-
-    def hessian(x):
-        q = float(x @ H @ x)
-        hx = H @ x
-        c1 = 2.0 * alpha * q ** (alpha - 1.0)
-        if q > 0.0:
-            c2 = 4.0 * alpha * (alpha - 1.0) * q ** (alpha - 2.0)
-        else:
-            c2 = 8.0 if alpha == 2.0 else 0.0
-        return c1 * H + c2 * np.outer(hx, hx)
-
-    return ObjectiveOracle(
-        dim=n,
-        value=value,
-        gradient=gradient,
-        hessian=hessian,
-        name=name,
-    )
 
 
 def _build_quad_family(spec: ProblemSpec) -> Problem:
@@ -237,15 +215,13 @@ def _build_quad_family(spec: ProblemSpec) -> Problem:
             )
         tops.append(evals[-1])
     n = mats[0].shape[0]
-    oracles = tuple(
-        _power_quad_oracle(H, a, f"quad_f{i + 1}")
-        for i, (H, a) in enumerate(zip(mats, alphas))
-    )
-    objectives = ObjectiveSet(oracles)
+    if any(H.shape != (n, n) for H in mats):
+        raise ValueError("h_list matrices disagree on size")
+    if min(alphas) < 1.0:
+        raise ValueError(f"alpha must be >= 1, got {min(alphas)}")
+    objectives = _QuadraticStack(mats, alphas).objectives()
     optimum = OptimalInfo(x_star=np.zeros(n), f_star=np.zeros(len(mats)))
     pure_quad = all(a == 1.0 for a in alphas)
-    if pure_quad:  # stacked once the set has checked the shared dimension
-        objectives = replace(objectives, stacked=_QuadraticStack(mats))
     beta = 2.0 * max(tops) if pure_quad else None
     meta = ProblemMeta(
         beta=beta, mu_g=None, mu_l=None, m_self=0.0 if pure_quad else None
@@ -269,17 +245,16 @@ class _TwoLayerMatching:
     targets stay exactly representable).  Objective i averages
     (r' H_i r)^alpha_i over the dataset, r = h(x) - t(x).
 
-    ``evaluate`` is the stacked evaluator of ``ObjectiveSet``: one forward
-    pass gives the values, the gradients and, on demand, the Hessian
-    diagonals of all objectives, with products batched over the stacked H_i
-    and written in place into one (m, n) array each.  Each oracle reads its
-    own row of that pass, so a query of one objective costs all m.  An
-    objective with alpha = 1 takes q for q^alpha and 2 for
-    2 alpha q^(alpha-1), both exact, so only the ``bent`` rows compute
-    powers (numpy's scalar-exponent fast paths, per objective because their
-    batched forms round differently).  The rows p1 @ A^2 stay per objective
-    for the same reason; the alpha = 1 rows of p1 are all 2.0 and share one.
-    Every H_i is diagonal, and the Hessian diagonal uses only the diagonals.
+    ``evaluate`` is the evaluator of its ``ObjectiveSet``: one forward pass
+    gives the values, the gradients and, on demand, the Hessian diagonals of
+    all objectives, with products batched over the stacked H_i and written
+    in place into one (m, n) array each.  An objective with alpha = 1 takes
+    q for q^alpha and 2 for 2 alpha q^(alpha-1), both exact, so only the
+    ``bent`` rows compute powers (numpy's scalar-exponent fast paths, per
+    objective because their batched forms round differently).  The rows
+    p1 @ A^2 stay per objective for the same reason; the alpha = 1 rows of
+    p1 are all 2.0 and share one.  Every H_i is diagonal, and the Hessian
+    diagonal uses only the diagonals.
 
     The Hessian diagonal skips exactly-zero terms: the C2 = 4 alpha (alpha-1)
     q^(alpha-2) terms of the objectives with alpha = 1 (all but ``bent``),
@@ -472,22 +447,11 @@ class _TwoLayerMatching:
         msq = float(np.mean(np.einsum("nd,nd->n", R, R)))
         return msq, float(np.mean(np.linalg.norm(R, axis=1)))
 
-    def oracles(self) -> tuple[ObjectiveOracle, ...]:
-        def make(i: int) -> ObjectiveOracle:
-            return ObjectiveOracle(
-                dim=self.n_params,
-                value=lambda th: float(self.evaluate(th)[0][i]),
-                gradient=lambda th: self.evaluate(th)[1][i],
-                name=f"match_f{i + 1}",
-            )
-
-        return tuple(make(i) for i in range(self.m))
-
 
 def build_mlp_matching(spec: ProblemSpec) -> Problem:
     """Construct the network-matching problem for the given spec."""
     model = _TwoLayerMatching(spec)
-    objectives = ObjectiveSet(model.oracles(), stacked=model)
+    objectives = ObjectiveSet(model.m, model.n_params, model.evaluate)
     optimum = OptimalInfo(x_star=model.theta_star, f_star=np.zeros(model.m))
     meta = ProblemMeta(beta=None, mu_g=None, mu_l=None, m_self=None)
     return Problem(
@@ -505,17 +469,23 @@ def build_mlp_matching(spec: ProblemSpec) -> Problem:
 # ---------------------------------------------------------------------------
 
 
-def _shifted_oracle(oracle: ObjectiveOracle, shift: Array) -> ObjectiveOracle:
-    s = np.array(shift, dtype=np.float64)
-    return ObjectiveOracle(
-        dim=oracle.dim,
-        value=lambda x: oracle.value(x - s),
-        gradient=lambda x: oracle.gradient(x - s),
-        hessian=(
-            None if oracle.hessian is None else (lambda x: oracle.hessian(x - s))
-        ),
-        name=f"{oracle.name}_shifted",
-    )
+def _shifted(base: ObjectiveSet, shifts: Array) -> ObjectiveSet:
+    """Objective i of the result is objective i of ``base`` at x - s_i: row i
+    of the base's pass there, for the values, gradients, diagonals and
+    Hessians alike, so one evaluation takes m base passes."""
+    shifts = np.array(shifts, dtype=np.float64)
+
+    def evaluate(x):
+        passes = [base.evaluate(x - s) for s in shifts]
+        values = np.array([p[0][i] for i, p in enumerate(passes)])
+        J = np.stack([p[1][i] for i, p in enumerate(passes)])
+        return values, J, lambda: np.stack([p[2]()[i] for i, p in enumerate(passes)])
+
+    def hessians(x):
+        return np.stack([base.hessians(x - s)[i] for i, s in enumerate(shifts)])
+
+    has_hessians = base.hessian_stack is not None
+    return ObjectiveSet(base.m, base.dim, evaluate, hessians if has_hessians else None)
 
 
 # SLSQP's stopping tolerance and iteration cap, and the certificate's tolerance.
@@ -576,8 +546,7 @@ def misalign(base: Problem, shifts) -> Problem:
     if not np.all(np.isfinite(shifts)):
         raise ValueError("shifts must be finite")
 
-    pairs = zip(base.objectives.objectives, shifts)
-    objectives = ObjectiveSet(tuple(_shifted_oracle(o, s) for o, s in pairs))
+    objectives = _shifted(base.objectives, shifts)
     f_min = np.array(base.optimum.f_star)
 
     x_ref, eps = np.array(base.optimum.x_star), 0.0

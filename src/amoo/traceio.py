@@ -135,11 +135,13 @@ def _jsonable(obj):
     return str(obj)
 
 
-def summary_dict(trace: RunTrace, fitted_rate=None, verdicts=None) -> dict:
+def summary_dict(trace: RunTrace, config: dict, fitted_rate=None, verdicts=None) -> dict:
+    """The run's summary; ``config`` is the echo of its settings, the config
+    document that ``amoo run`` reads (``cli.config_document``)."""
     final = trace.final() if trace.records else None
     return {
         "schema_version": 1,
-        "config": _jsonable(trace.config),
+        "config": config,
         "wall_time": trace.wall_time,
         "error": trace.error,
         "num_records": len(trace.records),

@@ -17,7 +17,6 @@ from amoo.analysis import (
     theorem_bound_check,
     weyl_degradation_suite,
 )
-from amoo.core import ObjectiveOracle
 from amoo.driver import (
     AdamConfig,
     GDConfig,
@@ -27,10 +26,11 @@ from amoo.driver import (
     theory_camoo,
     theory_pamoo,
 )
-from amoo.hessians import HutchinsonConfig, hutchinson_diag
+from amoo.hessians import HutchinsonConfig, diag_hessian_matrix
 from amoo.linalg import min_eigenpair, weighted_hessian
 from amoo.problems import ProblemSpec, build
 from amoo.weighting import CamooConfig, PamooConfig, max_min_weights
+from objective_sets import quadratic
 
 
 class Criterion:
@@ -240,11 +240,8 @@ def test_criterion_8_hutchinson_estimator():
     c = Criterion(8, "diagonal estimator: exactness and concentration", 10.0)
     # Single Rademacher sample is exact on diagonal curvature.
     H = np.diag([2.0, 0.4])
-    oracle = ObjectiveOracle(
-        dim=2, value=lambda x: float(0.5 * x @ H @ x), gradient=lambda x: H @ x
-    )
-    est = hutchinson_diag(
-        oracle, [0.7, -1.1], HutchinsonConfig(num_samples=1, rng_seed=11)
+    (est,) = diag_hessian_matrix(
+        quadratic(H), [0.7, -1.1], HutchinsonConfig(num_samples=1, rng_seed=11)
     )
     exact_err = float(np.abs(est - np.diagonal(H)).max())
     # 10000 samples land within 5% per entry on dense symmetric matrices.
@@ -253,14 +250,10 @@ def test_criterion_8_hutchinson_estimator():
     for trial in range(10):
         B = rng.uniform(-1.0, 1.0, size=(20, 20))
         M = B + B.T + 10.0 * np.eye(20)
-        o = ObjectiveOracle(
-            dim=20,
-            value=lambda x, M=M: float(0.5 * x @ M @ x),
-            gradient=lambda x, M=M: M @ x,
-            hessian=lambda x, M=M: M,
-        )
-        est = hutchinson_diag(
-            o, np.zeros(20), HutchinsonConfig(num_samples=10_000, rng_seed=trial)
+        (est,) = diag_hessian_matrix(
+            quadratic(M, with_hessian=True),
+            np.zeros(20),
+            HutchinsonConfig(num_samples=10_000, rng_seed=trial),
         )
         rel = np.abs(est - np.diagonal(M)) / np.abs(np.diagonal(M))
         worst_rel = max(worst_rel, float(rel.max()))

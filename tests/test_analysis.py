@@ -13,7 +13,6 @@ from amoo.analysis import (
     theorem_bound_check,
     weyl_degradation_suite,
 )
-from amoo.core import ObjectiveOracle
 from amoo.driver import (
     GDConfig,
     IterateRecord,
@@ -27,6 +26,7 @@ from amoo.linalg import min_eigenpair, weighted_hessian
 from amoo.weighting import max_min_weights
 from amoo.problems import ProblemSpec, build
 from grid_oracle import grid_max_min_eig
+from objective_sets import one_objective
 
 
 def residual_trace(pairs) -> RunTrace:
@@ -213,11 +213,11 @@ class TestFitRate:
 
 
 class TestSelfConcordance:
-    EXP = ObjectiveOracle(
-        dim=1,
-        value=lambda x: float(np.exp(x[0]) - x[0]),
-        gradient=lambda x: np.exp(x) - 1.0,
-        hessian=lambda x: np.exp(x).reshape(1, 1),
+    EXP = one_objective(
+        1,
+        lambda x: float(np.exp(x[0]) - x[0]),
+        lambda x: np.exp(x) - 1.0,
+        lambda x: np.exp(x).reshape(1, 1),
     )
 
     def test_exp_inequality_holds(self):
@@ -228,24 +228,27 @@ class TestSelfConcordance:
 
     def test_quadratic_is_taylor_exact(self):
         H = np.array([[2.0, 0.5], [0.5, 1.0]])
-        quad = ObjectiveOracle(
-            dim=2,
-            value=lambda x: float(x @ H @ x),
-            gradient=lambda x: 2.0 * H @ x,
-            hessian=lambda x: 2.0 * H,
-        )
+        quad = build(ProblemSpec(kind="quad_family", h_list=(H.tolist(),))).objectives
         rng = np.random.default_rng(51)
         for _ in range(20):
             x, y = rng.normal(size=2), rng.normal(size=2)
             assert self_concordance_check(quad, x, y, m_self=0.0)
             d = y - x
-            lhs = quad.value_at(y)
+            lhs = quad.values(y)[0]
             rhs = (
-                quad.value_at(x)
-                + float(quad.gradient_at(x) @ d)
-                + 0.5 * float(d @ quad.hessian_at(x) @ d)
+                quad.values(x)[0]
+                + float(quad.gradients(x)[0] @ d)
+                + 0.5 * float(d @ quad.hessians(x)[0] @ d)
             )
             assert lhs == pytest.approx(rhs, abs=1e-10)
+
+    def test_every_objective_is_checked(self):
+        # From 0 to 1, exp(x) - x grows faster than its quadratic bound
+        # (M = 0) and its mirror exp(-x) + x slower; both hold at M = 1.
+        problem = build(ProblemSpec(kind="local_curvature", n=1))
+        assert self_concordance_check(self.EXP, [0.0], [1.0], m_self=0.0)
+        assert not self_concordance_check(problem.objectives, [0.0], [1.0], m_self=0.0)
+        assert self_concordance_check(problem.objectives, [0.0], [1.0], m_self=1.0)
 
     def test_same_point_equality(self):
         assert self_concordance_check(self.EXP, [0.7], [0.7], m_self=1.0)

@@ -28,6 +28,20 @@ def test_every_binding_resolves(monkeypatch):
     assert not missing, missing
 
 
+def test_objective_set_methods_are_class_functions():
+    # layers.py wraps these on the class, so each must be a function there,
+    # not a per-instance dataclass field that the wrapper would miss.
+    import dataclasses
+    import inspect
+
+    from amoo.core import ObjectiveSet
+
+    fields = {f.name for f in dataclasses.fields(ObjectiveSet)}
+    for name in ("evaluate", "values", "gradients", "hessians"):
+        assert inspect.isfunction(vars(ObjectiveSet).get(name)), name
+        assert name not in fields, name
+
+
 def test_pass_contexts_patch_the_driver_and_restore_it(monkeypatch, tmp_path):
     # The mlp_matching pass wraps amoo.driver.solve_bilinear_pu and the
     # analytic_cli pass wraps amoo.driver.run; a name missing from the driver

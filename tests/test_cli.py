@@ -23,6 +23,7 @@ from amoo.hessians import HutchinsonConfig
 from amoo.plotting import trace_svg
 from amoo.problems import ProblemSpec
 from amoo.weighting import CamooConfig, PamooConfig
+from test_golden_traces import CONFIGS as GOLDEN_CONFIGS
 
 
 VALID_CONFIG = {
@@ -414,24 +415,9 @@ class TestRunCommand:
 
     @pytest.mark.parametrize(
         "problem,camoo",
-        [
-            # Exact mode reads full Hessians; the network oracles have none.
-            ({"kind": "mlp_matching"}, {"mode": "exact-eigen"}),
-            # Analytic diagonals of a set without a stacked evaluator come
-            # from its Hessians, and shifted network oracles have none.
-            (
-                {
-                    "kind": "misaligned",
-                    "base": {
-                        "kind": "mlp_matching", "input_dim": 2, "hidden": 2,
-                        "output_dim": 2, "dataset_size": 3,
-                    },
-                    "shifts": [[0.0] * 12] * 3,
-                },
-                {"mode": "diagonal-bilinear"},
-            ),
-        ],
-        ids=["exact-mlp", "diagonal-misaligned-mlp"],
+        # Exact mode reads full Hessians; the network has none.
+        [({"kind": "mlp_matching"}, {"mode": "exact-eigen"})],
+        ids=["exact-mlp"],
     )
     def test_camoo_without_hessians_exits_2_before_step_0(
         self, tmp_path, capsys, monkeypatch, problem, camoo
@@ -448,6 +434,27 @@ class TestRunCommand:
         text = capsys.readouterr().out
         assert "config error: weighting.camoo.mode" in text and "Hessian" in text
         assert not out.exists()
+
+    def test_diagonal_camoo_runs_on_a_misaligned_network(self, tmp_path):
+        # A misaligned set takes its diagonals from its base's pass, as it
+        # does its values and gradients.
+        doc = {
+            **VALID_CONFIG,
+            "problem": {
+                "kind": "misaligned",
+                "base": {
+                    "kind": "mlp_matching", "input_dim": 2, "hidden": 2,
+                    "output_dim": 2, "dataset_size": 3,
+                },
+                "shifts": [[0.0] * 12] * 3,
+            },
+            "weighting": {"kind": "camoo", "camoo": {"mode": "diagonal-bilinear"}},
+            "run": {"steps": 5},
+        }
+        out = tmp_path / "o"
+        assert cli.cmd_run(write_config(tmp_path, doc), str(out)) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["num_records"] == 6 and summary["final"]["pu_gap"] >= 0.0
 
     @pytest.mark.parametrize(
         "h,message",
@@ -617,6 +624,33 @@ class TestRunCommand:
         doc = dict(VALID_CONFIG)
         doc["preset"] = "pamoo-theory"
         assert cli.cmd_run(write_config(tmp_path, doc), str(tmp_path)) == 2
+
+
+PRESET_CONFIG = {
+    "problem": {"kind": "specification", "delta": 0.1},
+    "preset": "camoo-theory",
+    "run": {"steps": 20},
+}
+
+
+class TestSummaryConfigEcho:
+    @pytest.mark.parametrize("name", [*GOLDEN_CONFIGS, "camoo-theory"])
+    def test_echo_parses_back_to_the_run_config(self, tmp_path, name):
+        doc = PRESET_CONFIG if name == "camoo-theory" else GOLDEN_CONFIGS[name]
+        out = tmp_path / "o"
+        assert cli.cmd_run(write_config(tmp_path, doc), str(out)) == 0
+        echo = json.loads((out / "summary.json").read_text())["config"]
+        cfg = cli.parse_run_config(doc)
+        assert cli.parse_run_config(echo) == cfg
+        # Only the keys that the run reads: its problem kind's, its
+        # weighting kind's (CAMOO's mode and w_min), its inner rule's.
+        kind = cfg.weighting.kind
+        assert set(echo) == {"problem", "weighting", "inner", "run"}
+        assert list(echo["problem"]) == ["kind", *problems.KINDS[cfg.problem.kind].params]
+        assert list(echo["weighting"]) == ["kind", *driver.WEIGHTING_KEYS[kind]]
+        if kind == "camoo":
+            assert list(echo["weighting"]["camoo"]) == ["mode", "w_min"]
+        assert echo["inner"]["kind"] in ("gd", "adam")
 
 
 class TestTraceRoundTrip:

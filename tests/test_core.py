@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from amoo.core import (
-    ObjectiveOracle,
     ObjectiveSet,
     OptimalInfo,
     UnsupportedQueryError,
@@ -155,46 +154,19 @@ class TestWeightVector:
             solve_camoo_exact([np.eye(2)] * 2, CamooConfig(w_min=0.6))
 
 
-class TestObjectiveOracle:
-    def test_gradient_matches_fd_on_smooth_problems(self):
-        rng = np.random.default_rng(4)
-        for kind, kwargs in [
-            ("specification", {"delta": 0.3}),
-            ("selection", {"delta": 0.2, "m": 3, "n": 3}),
-            ("local_curvature", {"n": 2}),
-        ]:
-            problem = build(ProblemSpec(kind=kind, **kwargs))
-            for oracle in problem.objectives.objectives:
-                for _ in range(5):
-                    x = rng.normal(size=oracle.dim)
-                    g = oracle.gradient_at(x)
-                    ref = fd_gradient(oracle.value_at, x)
-                    np.testing.assert_allclose(g, ref, rtol=1e-4, atol=1e-8)
+class TestObjectiveSet:
+    def test_sizes_must_be_positive(self):
+        def evaluate(x):
+            raise AssertionError("not called")
 
-    def test_hessian_symmetry(self):
-        rng = np.random.default_rng(5)
-        problem = build(
-            ProblemSpec(
-                kind="quad_family",
-                h_list=(((2.0, 0.5), (0.5, 1.0)),),
-                alpha_list=(1.5,),
-            )
-        )
-        for _ in range(10):
-            x = rng.normal(size=2)
-            H = problem.objectives.objectives[0].hessian_at(x)
-            assert np.abs(H - H.T).max() <= 1e-12
-
-    def test_mismatched_dims_rejected(self):
-        o1 = ObjectiveOracle(dim=2, value=lambda x: 0.0, gradient=lambda x: x)
-        o2 = ObjectiveOracle(dim=3, value=lambda x: 0.0, gradient=lambda x: x)
-        with pytest.raises(ValueError):
-            ObjectiveSet((o1, o2))
+        for m, dim in [(0, 2), (2, 0)]:
+            with pytest.raises(ValueError, match="m >= 1 objectives of dim >= 1"):
+                ObjectiveSet(m, dim, evaluate)
 
     def test_missing_hessian_raises(self):
-        o = ObjectiveOracle(dim=1, value=lambda x: 0.0, gradient=lambda x: x)
+        problem = build(ProblemSpec(kind="mlp_matching", hidden=2, dataset_size=3))
         with pytest.raises(UnsupportedQueryError):
-            o.hessian_at([1.0])
+            problem.objectives.hessians(problem.x0)
 
 
 class TestOptimalInfo:
@@ -206,9 +178,8 @@ class TestOptimalInfo:
         ]:
             problem = build(ProblemSpec(kind=kind, **kwargs))
             assert problem.optimum.alignment_eps == 0.0
-            for oracle in problem.objectives.objectives:
-                g = oracle.gradient_at(problem.optimum.x_star)
-                assert np.linalg.norm(g) <= 1e-8
+            J = problem.objectives.gradients(problem.optimum.x_star)
+            assert np.linalg.norm(J, axis=1).max() <= 1e-8
 
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):

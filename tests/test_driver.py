@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import amoo.driver
 from amoo.core import (
     NumericError,
-    ObjectiveOracle,
     ObjectiveSet,
     OptimalInfo,
     weighted_gradient,
@@ -43,6 +42,7 @@ from amoo.weighting import (
 from test_golden_traces import spd_hessians
 from test_problems import mlp_objective_reference
 from test_weighting import highs_max_min_value
+from objective_sets import one_objective
 
 SPEC01 = ProblemSpec(kind="specification", delta=0.1)
 TWO_DENSE = ProblemSpec(
@@ -588,7 +588,7 @@ class TestNumericFailure:
         assert len(trace.records) > 0
         assert all(np.all(np.isfinite(r.f)) for r in trace.records)
 
-    # One-objective per-oracle sets (no stacked evaluator) on R^1, each first
+    # Hand-built one-objective sets on R^1, each first
     # non-finite at step 2: f = x^2 under GD step 0.25 halves x, and the
     # linear ramp's iterate moves 1e308 per step, so it overflows at step 2.
     # A poisoned value comes with a poisoned gradient, and the value is named.
@@ -611,14 +611,12 @@ class TestNumericFailure:
             return 2.0 * x if x[0] > 0.3 else np.full(1, np.nan)
 
         if poison == "ramp":
-            oracle = ObjectiveOracle(
-                dim=1, value=lambda x: float(-x[0]), gradient=lambda x: -np.ones(1)
-            )
+            objectives = one_objective(1, lambda x: float(-x[0]), lambda x: -np.ones(1))
         else:
-            oracle = ObjectiveOracle(dim=1, value=square, gradient=square_gradient)
+            objectives = one_objective(1, square, square_gradient)
         x0 = np.zeros(1) if poison == "ramp" else np.ones(1)
         problem = Problem(
-            ObjectiveSet((oracle,)),
+            objectives,
             OptimalInfo(x_star=np.zeros(1), f_star=np.zeros(1)),
             ProblemMeta(beta=None, mu_g=None, mu_l=None, m_self=None),
             x0=x0,

@@ -6,31 +6,26 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from amoo.core import ObjectiveOracle, ObjectiveSet
 from amoo.hessians import (
     DiagHessianTracker,
     HutchinsonConfig,
     diag_hessian_matrix,
-    hutchinson_diag,
     hvp_fd,
 )
 from amoo.problems import ProblemSpec, _TwoLayerMatching, build
+from objective_sets import one_objective, quadratic, row, stack
 
 
-def quadratic_oracle(H, with_hessian=False):
-    H = np.asarray(H, dtype=np.float64)
-    return ObjectiveOracle(
-        dim=H.shape[0],
-        value=lambda x: float(0.5 * x @ H @ x),
-        gradient=lambda x: H @ x,
-        hessian=(lambda x: H) if with_hessian else None,
-    )
-
-
-def hvp_one(oracle, x, v):
-    """``hvp_fd`` of the set holding ``oracle`` alone, as a vector."""
-    (hv,) = hvp_fd(ObjectiveSet((oracle,)), x, v)
+def hvp_one(objectives, x, v):
+    """``hvp_fd`` of a one-objective set, as a vector."""
+    (hv,) = hvp_fd(objectives, x, v)
     return hv
+
+
+def hutchinson_one(objectives, x, cfg):
+    """``diag_hessian_matrix`` of a one-objective set, as a vector."""
+    (est,) = diag_hessian_matrix(objectives, x, cfg)
+    return est
 
 
 SMALL_SOFTPLUS = ProblemSpec(
@@ -40,15 +35,15 @@ SMALL_SOFTPLUS = ProblemSpec(
 
 
 def hutchinson_cases():
-    """(oracle, x) by name: a dense quadratic with and without its Hessian,
-    and each oracle of the default network and of a small softplus one with
-    powered objectives."""
+    """(objectives, x, i) by name, for row i of the estimate: a dense
+    quadratic with and without its Hessian, and each objective of the default
+    network and of a small softplus one with powered objectives."""
     rng = np.random.default_rng(0)
     B = rng.normal(size=(6, 6))
     M = B + B.T + 8.0 * np.eye(6)
     cases = {
-        "dense_hessian": (quadratic_oracle(M, with_hessian=True), rng.normal(size=6)),
-        "dense_fd": (quadratic_oracle(M), rng.normal(size=6)),
+        "dense_hessian": (quadratic(M, with_hessian=True), rng.normal(size=6), 0),
+        "dense_fd": (quadratic(M), rng.normal(size=6), 0),
     }
     networks = {
         "default": ProblemSpec(kind="mlp_matching"),
@@ -58,14 +53,15 @@ def hutchinson_cases():
         problem = build(spec)
         noise = np.random.default_rng(1).normal(size=problem.x0.shape)
         theta = problem.x0 + 0.1 * noise
-        for oracle in problem.objectives.objectives:
-            cases[f"{name}:{oracle.name}"] = (oracle, theta)
+        for i in range(problem.objectives.m):
+            cases[f"{name}:match_f{i + 1}"] = (problem.objectives, theta, i)
     return cases
 
 
-# sha256 of ``hutchinson_diag`` at seeds 0, 5 and 2**40 + 3 with 4 probes, for
-# each of ``hutchinson_cases``, taken while every objective still drew its
-# own probes and each network oracle ran a pass of its objective alone.
+# sha256 of row i of ``diag_hessian_matrix`` at seeds 0, 5 and 2**40 + 3 with
+# 4 probes, for each of ``hutchinson_cases``, taken while every objective
+# still drew its own probes and was estimated alone, each network objective
+# by a pass of its objective alone.
 HUTCHINSON_SHA256 = {
     "dense_hessian": "a4a4ba9da98041f5eac85e37d998e516271bee13607c8b3405beb6a5fd2e6d78",
     "dense_fd": "7c7d317c9bee19485674c14d4de9ba2322c48c72d6dc7eda80b64958bf1a1d3d",
@@ -81,37 +77,30 @@ HUTCHINSON_SHA256 = {
 class TestHvpFd:
     def test_sum_of_squares(self):
         # f(x) = x'x has Hessian 2I.
-        o = ObjectiveOracle(
-            dim=2, value=lambda x: float(x @ x), gradient=lambda x: 2.0 * x
-        )
+        o = one_objective(2, lambda x: float(x @ x), lambda x: 2.0 * x)
         hv = hvp_one(o, [1.0, 2.0], [1.0, 0.0])
         np.testing.assert_allclose(hv, [2.0, 0.0], atol=1e-6)
 
     def test_linear_objective(self):
-        o = ObjectiveOracle(
-            dim=3,
-            value=lambda x: float(x.sum()),
-            gradient=lambda x: np.ones(3),
-        )
+        o = one_objective(3, lambda x: float(x.sum()), lambda x: np.ones(3))
         hv = hvp_one(o, [0.5, -1.0, 2.0], [1.0, 1.0, 1.0])
         np.testing.assert_allclose(hv, 0.0, atol=1e-6)
 
     def test_specification_first_objective(self):
         # grad f1 = (1.8 x1, 0.2 x2), so the Hessian column for e2 is (0, 0.2).
         problem = build(ProblemSpec(kind="specification", delta=0.1))
-        o = problem.objectives.objectives[0]
-        hv = hvp_one(o, [1.0, 1.0], [0.0, 1.0])
+        hv = hvp_fd(problem.objectives, [1.0, 1.0], [0.0, 1.0])[0]
         np.testing.assert_allclose(hv, [0.0, 0.2], atol=1e-6)
 
     def test_zero_direction_rejected(self):
-        o = quadratic_oracle(np.eye(2))
+        o = quadratic(np.eye(2))
         with pytest.raises(ValueError):
             hvp_one(o, [1.0, 1.0], [0.0, 0.0])
 
     def test_linear_in_direction(self):
         rng = np.random.default_rng(20)
         H = np.array([[3.0, 0.7], [0.7, 1.2]])
-        o = quadratic_oracle(H)
+        o = quadratic(H)
         for _ in range(20):
             u = rng.normal(size=2)
             v = rng.normal(size=2)
@@ -125,73 +114,66 @@ class TestHvpFd:
 
     def test_scales_with_magnitude(self):
         H = np.diag([2.0, 0.5])
-        o = quadratic_oracle(H)
+        o = quadratic(H)
         hv = hvp_one(o, [0.0, 0.0], [10.0, 0.0])
         np.testing.assert_allclose(hv, [20.0, 0.0], rtol=1e-6)
 
     def test_rows_equal_one_objective_products(self):
         rng = np.random.default_rng(21)
         B = rng.normal(size=(4, 4))
-        mats = (B + B.T, B @ B.T, np.diag([1.0, 2.0, 3.0, 4.0]))
-        oracles = [quadratic_oracle(M) for M in mats]
-        objectives = ObjectiveSet(oracles)
+        parts = [quadratic(M) for M in (B + B.T, B @ B.T, np.diag([1.0, 2.0, 3.0, 4.0]))]
+        objectives = stack(*parts)
         for _ in range(5):
             x, v = rng.normal(size=4), rng.normal(size=4)
             rows = hvp_fd(objectives, x, v)
             assert rows.shape == (3, 4)
-            for row, oracle in zip(rows, oracles):
-                assert row.tobytes() == hvp_one(oracle, x, v).tobytes()
+            for got, part in zip(rows, parts):
+                assert got.tobytes() == hvp_one(part, x, v).tobytes()
 
 
 class TestHutchinsonDiag:
     def test_single_sample_exact_on_diagonal(self):
         # Rademacher probes square to 1, so one sample recovers a diagonal
         # Hessian exactly (up to the HVP tolerance).
-        o = quadratic_oracle(np.diag([2.0, 0.4]))
-        est = hutchinson_diag(
+        o = quadratic(np.diag([2.0, 0.4]))
+        est = hutchinson_one(
             o, [0.7, -0.3], HutchinsonConfig(num_samples=1, rng_seed=9)
         )
         np.testing.assert_allclose(est, [2.0, 0.4], atol=1e-6)
 
     def test_off_diagonal_concentrates(self):
-        o = quadratic_oracle(np.array([[2.0, 1.0], [1.0, 2.0]]), with_hessian=True)
-        est = hutchinson_diag(
+        o = quadratic(np.array([[2.0, 1.0], [1.0, 2.0]]), with_hessian=True)
+        est = hutchinson_one(
             o, [0.0, 0.0], HutchinsonConfig(num_samples=10_000, rng_seed=3)
         )
         np.testing.assert_allclose(est, [2.0, 2.0], rtol=0.05)
 
     def test_linear_objective_estimates_zero(self):
-        o = ObjectiveOracle(
-            dim=4,
-            value=lambda x: float(x.sum()),
-            gradient=lambda x: np.ones(4),
-        )
-        est = hutchinson_diag(o, np.zeros(4), HutchinsonConfig(num_samples=5))
+        o = one_objective(4, lambda x: float(x.sum()), lambda x: np.ones(4))
+        est = hutchinson_one(o, np.zeros(4), HutchinsonConfig(num_samples=5))
         np.testing.assert_allclose(est, 0.0, atol=1e-6)
 
     def test_unbiased_on_random_symmetric(self):
         rng = np.random.default_rng(123)
         B = rng.uniform(-1.0, 1.0, size=(20, 20))
         H = B + B.T + 10.0 * np.eye(20)
-        o = quadratic_oracle(H, with_hessian=True)
-        est = hutchinson_diag(
+        o = quadratic(H, with_hessian=True)
+        est = hutchinson_one(
             o, np.zeros(20), HutchinsonConfig(num_samples=10_000, rng_seed=77)
         )
         rel = np.abs(est - np.diagonal(H)) / np.abs(np.diagonal(H))
         assert rel.max() <= 0.05
 
     def test_non_finite_estimate_raises(self):
-        o = ObjectiveOracle(
-            dim=2, value=lambda x: 0.0, gradient=lambda x: np.full(2, np.nan)
-        )
+        o = one_objective(2, lambda x: 0.0, lambda x: np.full(2, np.nan))
         with pytest.raises(ValueError, match="non-finite"):
-            hutchinson_diag(o, np.zeros(2), HutchinsonConfig(num_samples=1))
+            hutchinson_one(o, np.zeros(2), HutchinsonConfig(num_samples=1))
 
     def test_deterministic_given_seed(self):
-        o = quadratic_oracle(np.diag([1.0, 3.0, 0.2]))
+        o = quadratic(np.diag([1.0, 3.0, 0.2]))
         cfg = HutchinsonConfig(num_samples=7, rng_seed=42)
-        a = hutchinson_diag(o, [1.0, 0.0, -1.0], cfg)
-        b = hutchinson_diag(o, [1.0, 0.0, -1.0], cfg)
+        a = hutchinson_one(o, [1.0, 0.0, -1.0], cfg)
+        b = hutchinson_one(o, [1.0, 0.0, -1.0], cfg)
         np.testing.assert_array_equal(a, b)
 
 
@@ -272,8 +254,8 @@ class TestDiagHessianMatrix:
         assert rows.shape == (3, 4)
 
     def test_full_hessian_rows_are_exact(self):
-        # A power objective (x'Hx)^1.5 leaves the set without a stacked
-        # evaluator; its row is its Hessian's diagonal, not an estimate.
+        # The row of a power objective (x'Hx)^1.5 is its Hessian's diagonal,
+        # not an estimate.
         rng = np.random.default_rng(3)
         B = rng.normal(size=(5, 5))
         H = B @ B.T + np.eye(5)
@@ -284,36 +266,30 @@ class TestDiagHessianMatrix:
                 alpha_list=(1.0, 1.5),
             )
         )
-        oracle = problem.objectives.objectives[1]
-        assert problem.objectives.stacked is None
         for _ in range(3):
             x = rng.normal(size=5)
             rows = analytic_diagonals(problem.objectives, x)
             np.testing.assert_array_equal(rows[0], np.full(5, 2.0))
-            np.testing.assert_array_equal(rows[1], np.diagonal(oracle.hessian_at(x)))
+            hessian = problem.objectives.hessians(x)[1]
+            np.testing.assert_array_equal(rows[1], np.diagonal(hessian))
 
     @pytest.mark.parametrize("with_hessian", [False, True])
     def test_rows_equal_hutchinson_diag(self, with_hessian):
-        # Every objective reads the same probes, so each row is that
-        # objective's own estimate.  With a Hessian on every objective the
-        # products are H z, otherwise finite differences; the network
-        # oracles never carry one.
+        # Every objective reads the same probes, so each row is the estimate
+        # of that objective alone.  With Hessians the products are H z,
+        # otherwise finite differences; the network has no Hessians.
         rng = np.random.default_rng(12)
         H = np.diag([3.0, 1.0, 0.5]) + 0.2
-        quadratics = ObjectiveSet(
-            (
-                quadratic_oracle(H, with_hessian),
-                quadratic_oracle(2.0 * H, with_hessian),
-                quadratic_oracle(H + np.eye(3), with_hessian),
-            )
-        )
-        for objectives in (quadratics, build(SMALL_SOFTPLUS).objectives):
+        parts = [quadratic(M, with_hessian) for M in (H, 2.0 * H, H + np.eye(3))]
+        network = build(SMALL_SOFTPLUS).objectives
+        cases = [(stack(*parts), parts), (network, [row(network, i) for i in range(3)])]
+        for objectives, alone in cases:
             for rng_seed in (0, 5, 2**40 + 3):
                 x = rng.normal(size=objectives.dim)
                 cfg = HutchinsonConfig(num_samples=4, rng_seed=rng_seed)
                 got = diag_hessian_matrix(objectives, x, cfg)
-                for row, oracle in zip(got, objectives.objectives):
-                    assert row.tobytes() == hutchinson_diag(oracle, x, cfg).tobytes()
+                for est, part in zip(got, alone):
+                    assert est.tobytes() == hutchinson_one(part, x, cfg).tobytes()
 
     def test_network_estimate_takes_two_stacked_passes_per_probe(self, monkeypatch):
         passes = []
@@ -331,11 +307,11 @@ class TestDiagHessianMatrix:
 
     @pytest.mark.parametrize("case", sorted(HUTCHINSON_SHA256))
     def test_hutchinson_diag_digest(self, case):
-        oracle, x = hutchinson_cases()[case]
+        objectives, x, i = hutchinson_cases()[case]
         digest = hashlib.sha256()
         for rng_seed in (0, 5, 2**40 + 3):
             cfg = HutchinsonConfig(num_samples=4, rng_seed=rng_seed)
-            digest.update(hutchinson_diag(oracle, x, cfg).tobytes())
+            digest.update(diag_hessian_matrix(objectives, x, cfg)[i].tobytes())
         assert digest.hexdigest() == HUTCHINSON_SHA256[case]
 
 

@@ -15,6 +15,7 @@ from amoo.linalg import min_eigenpair, weighted_hessian
 from amoo.problems import (
     KINDS,
     ProblemSpec,
+    _QuadraticStack,
     _TwoLayerMatching,
     build,
     build_mlp_matching,
@@ -23,15 +24,22 @@ from amoo.problems import (
 
 
 def fd_gradient(value, x, rel_step=1e-6):
+    """Central differences of ``value`` at x, one column per coordinate; the
+    last axis of the result runs over the coordinates of x."""
     x = np.asarray(x, dtype=np.float64)
-    g = np.zeros_like(x)
+    cols = []
     for j in range(len(x)):
         h = rel_step * max(abs(x[j]), 1.0)
         xp, xm = x.copy(), x.copy()
         xp[j] += h
         xm[j] -= h
-        g[j] = (value(xp) - value(xm)) / (2.0 * h)
-    return g
+        cols.append((value(xp) - value(xm)) / (2.0 * h))
+    return np.stack(cols, axis=-1)
+
+
+def model_of(objectives):
+    """The network behind a network-matching set."""
+    return objectives.evaluator.__self__
 
 
 class TestAnalyticKinds:
@@ -40,7 +48,7 @@ class TestAnalyticKinds:
         rng = np.random.default_rng(40)
         for _ in range(3):
             x = rng.normal(size=2)
-            H1 = problem.objectives.objectives[0].hessian_at(x)
+            H1 = problem.objectives.hessians(x)[0]
             np.testing.assert_allclose(H1, np.diag([1.8, 0.2]), atol=1e-14)
         meta = problem.meta
         assert meta.beta == pytest.approx(1.8)
@@ -48,14 +56,13 @@ class TestAnalyticKinds:
 
     def test_local_curvature_unit_curvature_at_origin(self):
         problem = build(ProblemSpec(kind="local_curvature", n=1))
-        H1 = problem.objectives.objectives[0].hessian_at([0.0])
-        H2 = problem.objectives.objectives[1].hessian_at([0.0])
+        H1, H2 = problem.objectives.hessians([0.0])
         assert H1[0, 0] == pytest.approx(1.0, abs=1e-14)
         assert H2[0, 0] == pytest.approx(1.0, abs=1e-14)
         assert problem.meta.mu_g == 1.0
         # Away from the origin the better-curved objective flips with the sign.
-        assert problem.objectives.objectives[0].hessian_at([1.0])[0, 0] > 1.0
-        assert problem.objectives.objectives[1].hessian_at([1.0])[0, 0] < 1.0
+        H1, H2 = problem.objectives.hessians([1.0])
+        assert H1[0, 0] > 1.0 and H2[0, 0] < 1.0
 
     def test_selection_uniform_weight_curvature(self):
         # With m-1 identical weak objectives plus one strong one, uniform
@@ -109,16 +116,12 @@ class TestAnalyticKinds:
             ),
         ]
         for spec in specs:
-            problem = build(spec)
-            for oracle in problem.objectives.objectives:
-                for _ in range(100):
-                    x = rng.normal(size=oracle.dim)
-                    y = rng.normal(size=oracle.dim)
-                    mid = oracle.value_at(0.5 * (x + y))
-                    assert (
-                        mid
-                        <= 0.5 * (oracle.value_at(x) + oracle.value_at(y)) + 1e-10
-                    )
+            objs = build(spec).objectives
+            for _ in range(100):
+                x = rng.normal(size=objs.dim)
+                y = rng.normal(size=objs.dim)
+                mid = objs.values(0.5 * (x + y))
+                assert (mid <= 0.5 * (objs.values(x) + objs.values(y)) + 1e-10).all()
 
     def test_quad_family_power_gradient(self):
         problem = build(
@@ -128,19 +131,19 @@ class TestAnalyticKinds:
                 alpha_list=(2.0,),
             )
         )
-        oracle = problem.objectives.objectives[0]
+        objs = problem.objectives
         rng = np.random.default_rng(42)
         for _ in range(10):
             x = rng.normal(size=2)
             np.testing.assert_allclose(
-                oracle.gradient_at(x),
-                fd_gradient(oracle.value_at, x),
+                objs.gradients(x),
+                fd_gradient(objs.values, x),
                 rtol=1e-4,
                 atol=1e-8,
             )
         # Gradient and Hessian stay finite at the optimum.
-        assert np.all(np.isfinite(oracle.gradient_at(np.zeros(2))))
-        assert np.all(np.isfinite(oracle.hessian_at(np.zeros(2))))
+        assert np.all(np.isfinite(objs.gradients(np.zeros(2))))
+        assert np.all(np.isfinite(objs.hessians(np.zeros(2))))
 
 
 def mlp_objective_reference(model, theta, i):
@@ -184,6 +187,22 @@ def mlp_objective_reference(model, theta, i):
     return value, grad, diag
 
 
+def quad_objective_reference(H, alpha, x):
+    """Value, gradient and Hessian of (x'Hx)^alpha, one objective at a time
+    as first written; the stacked evaluation must match it bit for bit."""
+    if alpha == 1.0:
+        return float(x @ H @ x), 2.0 * (H @ x), 2.0 * H
+    q = float(x @ H @ x)
+    hx = H @ x
+    c1 = 2.0 * alpha * q ** (alpha - 1.0)
+    if q > 0.0:
+        c2 = 4.0 * alpha * (alpha - 1.0) * q ** (alpha - 2.0)
+    else:
+        c2 = 8.0 if alpha == 2.0 else 0.0
+    gradient = alpha * q ** (alpha - 1.0) * 2.0 * hx
+    return float((x @ H @ x) ** alpha), gradient, c1 * H + c2 * np.outer(hx, hx)
+
+
 class TestQuadraticStack:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -192,29 +211,37 @@ class TestQuadraticStack:
         n=st.integers(1, 40),
         diagonal=st.booleans(),
         log_scale=st.floats(-10.0, 10.0),
+        powers=st.booleans(),
     )
-    def test_bitwise_equal_to_each_oracle(self, seed, m, n, diagonal, log_scale):
+    def test_bitwise_equal_to_each_oracle(self, seed, m, n, diagonal, log_scale, powers):
         rng = np.random.default_rng(seed)
         if diagonal:
             mats = [np.diag(rng.uniform(0.0, 2.0, size=n)) for _ in range(m)]
         else:  # symmetric positive semidefinite, as quad_family requires
             mats = [B @ B.T for B in rng.normal(size=(m, n, n))]
+        alphas = tuple(float(a) for a in rng.choice([1.0, 1.5, 2.0, 3.0], size=m))
         problem = build(
-            ProblemSpec(kind="quad_family", h_list=tuple(H.tolist() for H in mats))
+            ProblemSpec(
+                kind="quad_family",
+                h_list=tuple(H.tolist() for H in mats),
+                alpha_list=alphas if powers else (),
+            )
         )
         objs = problem.objectives
-        stack = objs.stacked
-        assert stack is not None
         x = 10.0**log_scale * rng.normal(size=n)
-        oracles = objs.objectives
-        values, grads, diags = stack.evaluate(x)
-        want_values = np.array([o.value(x) for o in oracles], dtype=np.float64)
-        assert values.tobytes() == want_values.tobytes()
-        assert objs.values(x).tobytes() == want_values.tobytes()
-        want_grads = np.stack([o.gradient_at(x) for o in oracles])
-        assert grads.tobytes() == want_grads.tobytes()
-        assert objs.gradients(x).tobytes() == want_grads.tobytes()
-        want_diags = np.stack([np.diagonal(o.hessian_at(x)) for o in oracles])
+        ref = [
+            quad_objective_reference(H, a if powers else 1.0, x)
+            for H, a in zip(mats, alphas)
+        ]
+        values, grads, diags = objs.evaluate(x)
+        # tobytes() tells -0.0 from +0.0, which np.array_equal does not.
+        assert values.tobytes() == np.array([r[0] for r in ref]).tobytes()
+        assert objs.values(x).tobytes() == values.tobytes()
+        assert grads.tobytes() == np.stack([r[1] for r in ref]).tobytes()
+        assert objs.gradients(x).tobytes() == grads.tobytes()
+        hessians = np.stack([r[2] for r in ref])
+        assert objs.hessians(x).tobytes() == hessians.tobytes()
+        want_diags = np.stack([np.diagonal(H) for H in hessians])
         assert diags().tobytes() == want_diags.tobytes()
 
     @pytest.mark.parametrize(
@@ -223,17 +250,19 @@ class TestQuadraticStack:
             (ProblemSpec(kind="specification"), True),
             (ProblemSpec(kind="selection", m=3, n=4), True),
             (ProblemSpec(kind="quad_family", h_list=([[1.0]], [[2.0]])), True),
+            # Rows with alpha != 1 share the stack and take the power formulas.
             (
                 ProblemSpec(
                     kind="quad_family", h_list=([[1.0]], [[2.0]]), alpha_list=(1.0, 2.0)
                 ),
-                False,
+                True,
             ),
             (ProblemSpec(kind="local_curvature"), False),
         ],
     )
     def test_pure_quadratic_kinds_are_stacked(self, spec, stacked):
-        assert (build(spec).objectives.stacked is not None) == stacked
+        evaluator = build(spec).objectives.evaluator
+        assert isinstance(getattr(evaluator, "__self__", None), _QuadraticStack) == stacked
 
 
 EVALUATE_CASES = {
@@ -309,11 +338,33 @@ def test_evaluate_diagonals_match_reference(case, point):
     problem = build(EVALUATE_CASES[case])
     objs = problem.objectives
     x = evaluate_point(problem, point)
-    if isinstance(objs.stacked, _TwoLayerMatching):
-        want = [mlp_objective_reference(objs.stacked, x, i)[2] for i in range(objs.m)]
+    if objs.hessian_stack is None:
+        model = model_of(objs)
+        want = [mlp_objective_reference(model, x, i)[2] for i in range(objs.m)]
     else:
-        want = [np.diagonal(o.hessian_at(x)) for o in objs.objectives]
+        want = [np.diagonal(H) for H in objs.hessians(x)]
     assert objs.evaluate(x)[2]().tobytes() == np.stack(want).tobytes()
+
+
+@pytest.mark.parametrize("case", list(EVALUATE_CASES))
+def test_derivatives_match_finite_differences(case):
+    # Gradients against central differences of the values; where a kind has
+    # Hessians, they are symmetric, match central differences of the
+    # gradients, and hold the diagonals that ``evaluate`` gives.
+    problem = build(EVALUATE_CASES[case])
+    objs = problem.objectives
+    x = evaluate_point(problem, "random")
+    fvals, J, diag = objs.evaluate(x)
+    scale = 1.0 + np.abs(J).max()
+    np.testing.assert_allclose(J, fd_gradient(objs.values, x), rtol=1e-5, atol=1e-6 * scale)
+    if objs.hessian_stack is None:
+        return
+    H = objs.hessians(x)
+    assert H.shape == (objs.m, objs.dim, objs.dim)
+    assert np.abs(H - H.transpose(0, 2, 1)).max() <= 1e-12 * (1.0 + np.abs(H).max())
+    fd = fd_gradient(objs.gradients, x)
+    np.testing.assert_allclose(H, fd, rtol=1e-5, atol=1e-6 * (1.0 + np.abs(H).max()))
+    assert diag().tobytes() == np.diagonal(H, axis1=1, axis2=2).tobytes()
 
 
 class TestMlpMatching:
@@ -328,7 +379,7 @@ class TestMlpMatching:
 
     @pytest.mark.parametrize("variant", ["selection", "local_curvature"])
     def test_bent_is_derived_from_the_powers(self, variant):
-        model = build(ProblemSpec(variant=variant, **self.SMALL)).objectives.stacked
+        model = model_of(build(ProblemSpec(variant=variant, **self.SMALL)).objectives)
         bent = [k for k, a in enumerate(model.alphas) if a != 1.0]
         assert list(range(model.m))[model.bent] == bent
         model._set_objectives(model.h_stack, (1.0, 2.0, 1.5))
@@ -341,8 +392,7 @@ class TestMlpMatching:
         theta_star = problem.optimum.x_star
         values = problem.objectives.values(theta_star)
         np.testing.assert_array_equal(values, np.zeros(3))
-        for oracle in problem.objectives.objectives:
-            assert np.linalg.norm(oracle.gradient_at(theta_star)) == 0.0
+        assert not problem.objectives.gradients(theta_star).any()
         assert problem.mismatch(theta_star) == (0.0, 0.0)
 
     def test_msq_positive_away_from_teacher(self):
@@ -374,10 +424,9 @@ class TestMlpMatching:
         rng = np.random.default_rng(2)
         for _ in range(10):
             theta = problem.x0 + 0.2 * rng.normal(size=problem.x0.shape)
-            for oracle in problem.objectives.objectives:
-                g = oracle.gradient_at(theta)
-                ref = fd_gradient(oracle.value_at, theta)
-                np.testing.assert_allclose(g, ref, rtol=1e-3, atol=1e-6)
+            J = problem.objectives.gradients(theta)
+            ref = fd_gradient(problem.objectives.values, theta)
+            np.testing.assert_allclose(J, ref, rtol=1e-3, atol=1e-6)
 
     def test_selection_output_weights(self):
         problem = build_mlp_matching(ProblemSpec(variant="selection", **self.SMALL))
@@ -393,7 +442,7 @@ class TestMlpMatching:
         problem = build(ProblemSpec(variant="selection", **self.SMALL))
         rng = np.random.default_rng(4)
         theta = problem.x0 + 0.3 * rng.normal(size=problem.x0.shape)
-        oracle = problem.objectives.objectives[0]
+        gradient = lambda t: problem.objectives.gradients(t)[0]  # noqa: E731
         d = problem.objectives.evaluate(theta)[2]()[0]
         idx = rng.choice(len(theta), size=24, replace=False)
         scale = np.abs(d).max()
@@ -402,7 +451,7 @@ class TestMlpMatching:
             tp, tm = theta.copy(), theta.copy()
             tp[j] += h
             tm[j] -= h
-            fd = (oracle.gradient_at(tp)[j] - oracle.gradient_at(tm)[j]) / (2 * h)
+            fd = (gradient(tp)[j] - gradient(tm)[j]) / (2 * h)
             assert abs(fd - d[j]) <= 0.2 * scale + 1e-8
 
     @pytest.mark.parametrize("variant", ["selection", "local_curvature"])
@@ -428,11 +477,9 @@ class TestMlpMatching:
         values = objs.values(theta)
         J = objs.gradients(theta)
         D = objs.evaluate(theta)[2]()
-        # tobytes() tells -0.0 from +0.0, which np.array_equal does not.
-        oracles = objs.objectives
-        assert values.tobytes() == np.array([o.value_at(theta) for o in oracles]).tobytes()
-        assert J.tobytes() == np.stack([o.gradient_at(theta) for o in oracles]).tobytes()
-        ref = [mlp_objective_reference(objs.stacked, theta, i) for i in range(objs.m)]
+        # Each objective computed alone; tobytes() tells -0.0 from +0.0,
+        # which np.array_equal does not.
+        ref = [mlp_objective_reference(model_of(objs), theta, i) for i in range(objs.m)]
         assert values.tobytes() == np.array([r[0] for r in ref]).tobytes()
         assert J.tobytes() == np.stack([r[1] for r in ref]).tobytes()
         assert D.tobytes() == np.stack([r[2] for r in ref]).tobytes()
@@ -445,12 +492,9 @@ class TestMlpMatching:
         problem.objectives.values(theta)
         problem.objectives.gradients(theta)
         problem.objectives.evaluate(theta)[2]()
-        for oracle in problem.objectives.objectives:
-            oracle.value_at(theta)
-            oracle.gradient_at(theta)
         problem.mismatch(theta)
         model = weakref.ref(problem.mismatch.__self__)
-        del problem, oracle
+        del problem
         gc.collect()
         assert model() is None
 
@@ -505,21 +549,14 @@ class TestMisalign:
         ys = np.linspace(-0.05, 0.05, 101)
         best = np.inf
         for x1 in xs:
-            gaps = np.max(
-                [
-                    [o.value_at([x1, y]) for y in ys]
-                    for o in shifted.objectives.objectives
-                ],
-                axis=0,
-            )
+            gaps = np.max([shifted.objectives.values([x1, y]) for y in ys], axis=1)
             best = min(best, gaps.min())
         assert eps == pytest.approx(best, abs=1e-5)
 
     def test_shifted_objectives_keep_own_minima(self):
         base = self.quad_1d_pair()
         shifted = misalign(base, np.array([[0.0], [0.3]]))
-        o2 = shifted.objectives.objectives[1]
-        assert o2.value_at([0.3]) == pytest.approx(0.0, abs=1e-15)
+        assert shifted.objectives.values([0.3])[1] == pytest.approx(0.0, abs=1e-15)
         assert shifted.optimum.f_star[1] == 0.0
 
     def test_eps_solution_set_nonempty(self):
@@ -527,14 +564,55 @@ class TestMisalign:
         shifted = misalign(base, np.array([[0.0, 0.0], [0.4, 0.1]]))
         x_ref = shifted.optimum.x_star
         eps = shifted.optimum.alignment_eps
-        for i, oracle in enumerate(shifted.objectives.objectives):
-            gap = oracle.value_at(x_ref) - shifted.optimum.f_star[i]
-            assert gap <= eps + 1e-10
+        gaps = shifted.objectives.values(x_ref) - shifted.optimum.f_star
+        assert (gaps <= eps + 1e-10).all()
 
     def test_bad_shift_shape(self):
         base = self.quad_1d_pair()
         with pytest.raises(ValueError):
             misalign(base, np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("case", ["run_c", "local_curvature", "network"])
+    def test_rows_are_the_base_rows_at_the_shifted_points(self, case):
+        # Objective i of a misaligned problem is row i of its base's pass at
+        # x - s_i: values, gradients, Hessian diagonals and Hessians alike.
+        # The local_curvature base's Hessians, unlike run (c)'s, vary with x.
+        spec = {
+            "run_c": run_c_problem,
+            "local_curvature": misaligned_local_curvature,
+            "network": misaligned_network,
+        }[case]()
+        shifted, base = build(spec), build(spec.base)
+        shifts = np.array(spec.shifts)
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            x = shifted.x0 + rng.normal(size=shifts.shape[1])
+            fvals, J, diag = shifted.objectives.evaluate(x)
+            D = diag()
+            for i, s in enumerate(shifts):
+                bf, bJ, bdiag = base.objectives.evaluate(x - s)
+                assert fvals[i].tobytes() == bf[i].tobytes()
+                assert J[i].tobytes() == bJ[i].tobytes()
+                assert D[i].tobytes() == bdiag()[i].tobytes()
+                if case != "network":
+                    want = base.objectives.hessians(x - s)[i]
+                    assert shifted.objectives.hessians(x)[i].tobytes() == want.tobytes()
+        assert (shifted.objectives.hessian_stack is None) == (case == "network")
+
+    def test_network_evaluate_takes_m_base_passes(self, monkeypatch):
+        passes = []
+        evaluate = _TwoLayerMatching.evaluate
+
+        def counted(self, theta):
+            passes.append(theta)
+            return evaluate(self, theta)
+
+        monkeypatch.setattr(_TwoLayerMatching, "evaluate", counted)
+        problem = build(misaligned_network())
+        passes.clear()  # the minimax solve's
+        fvals, J, diag = problem.objectives.evaluate(problem.x0)
+        diag()
+        assert len(passes) == problem.objectives.m == 3
 
     def test_spec_roundtrip_through_build(self):
         spec = ProblemSpec(
@@ -563,6 +641,29 @@ for _n in (2, 6, 12):
     CONVEX_BASES[f"selection_{_n}"] = ProblemSpec(kind="selection", m=3, n=_n)
     CONVEX_BASES[f"local_curvature_{_n}"] = ProblemSpec(kind="local_curvature", n=_n)
     CONVEX_BASES[f"power_{_n}"] = _power_family(_n)
+
+
+def misaligned_network():
+    """The 43-parameter network with 1e-4 shifts, small enough for the
+    minimax point to be certified."""
+    shifts = np.random.default_rng(0).normal(scale=1e-4, size=(3, 43))
+    return ProblemSpec(
+        kind="misaligned",
+        base=ProblemSpec(
+            kind="mlp_matching", input_dim=4, hidden=5, output_dim=3,
+            dataset_size=6, seed=2,
+        ),
+        shifts=tuple(map(tuple, shifts)),
+    )
+
+
+def misaligned_local_curvature():
+    shifts = np.random.default_rng(1).normal(scale=0.3, size=(2, 3))
+    return ProblemSpec(
+        kind="misaligned",
+        base=ProblemSpec(kind="local_curvature", n=3),
+        shifts=tuple(map(tuple, shifts)),
+    )
 
 
 def run_c_problem():
