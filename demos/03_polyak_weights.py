@@ -21,7 +21,7 @@ trace = run(
         problem=quad,
         weighting=WeightingChoice(
             kind="pamoo",
-            pamoo=PamooConfig(gram_tau=0.0, clip_floor=0.0, iterations=200),
+            pamoo=PamooConfig(gram_tau=0.0, clip_floor=0.0),
         ),
         inner=GDConfig(step=1.0),
         steps=6,
@@ -47,8 +47,7 @@ for label, wc, step in [
         "gap-ratio     ",
         WeightingChoice(
             kind="pamoo",
-            pamoo=PamooConfig(step=0.5, gram_tau=0.0, clip_floor=0.0,
-                              iterations=500),
+            pamoo=PamooConfig(gram_tau=0.0, clip_floor=0.0),
         ),
         1.0,
     ),

@@ -27,8 +27,7 @@ def plateau(kind: str, shift: float):
     else:
         wc = WeightingChoice(
             kind="pamoo",
-            pamoo=PamooConfig(step=0.5, gram_tau=0.0, clip_floor=0.0,
-                              iterations=300),
+            pamoo=PamooConfig(gram_tau=0.0, clip_floor=0.0),
         )
         inner = GDConfig(step=1.0)
     trace = run(

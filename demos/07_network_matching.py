@@ -12,7 +12,7 @@ import numpy as np
 
 from amoo import AdamConfig, RunConfig, WeightingChoice, run
 from amoo.problems import ProblemSpec
-from amoo.weighting import CamooConfig, PamooConfig
+from amoo.weighting import CamooConfig
 
 STEPS = 800
 
@@ -32,7 +32,7 @@ def final_msq(variant: str, kind: str, seed: int = 0) -> float:
     elif kind == "camoo":
         wc = WeightingChoice(kind="camoo", camoo=CamooConfig(mode="diagonal-bilinear"))
     else:
-        wc = WeightingChoice(kind="pamoo", pamoo=PamooConfig(iterations=30))
+        wc = WeightingChoice(kind="pamoo")
     trace = run(
         RunConfig(
             problem=spec,

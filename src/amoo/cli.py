@@ -25,9 +25,12 @@ from .driver import ConfigurationError
 from .plotting import write_trace_svg
 
 _PRESETS = ("camoo-theory", "pamoo-theory", "practical-sgd", "practical-adam")
-# The pu_* fields of CamooConfig configure only solve_bilinear_pu, which no
-# run calls.
-_CAMOO_KEYS = ("mode", "w_min")
+# The solver settings a run config sets: CamooConfig's pu_* fields configure
+# only solve_bilinear_pu, and PamooConfig.iterations is read by nothing.
+_SOLVER_KEYS = {
+    weighting.CamooConfig: ("mode", "w_min"),
+    weighting.PamooConfig: ("clip_floor", "gram_tau"),
+}
 
 
 def _object(value, where: str) -> dict:
@@ -47,10 +50,8 @@ def _convert(tp, value, where: str):
         (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
     if tp is problems.ProblemSpec:
         return parse_problem_spec(value, where)
-    if tp is weighting.CamooConfig:
-        return _build(tp, value, where, _CAMOO_KEYS)
     if dataclasses.is_dataclass(tp):
-        return _build(tp, value, where)
+        return _build(tp, value, where, _SOLVER_KEYS.get(tp))
     if typing.get_origin(tp) is tuple:
         if not isinstance(value, list):
             raise ConfigurationError(f"{where} must be an array, got {value!r}")
@@ -192,8 +193,8 @@ def _keys(obj) -> tuple:
         return ("kind", *problems.KINDS[obj.kind].params)
     if isinstance(obj, driver.WeightingChoice):
         return ("kind", *driver.WEIGHTING_KEYS[obj.kind])
-    if isinstance(obj, weighting.CamooConfig):
-        return _CAMOO_KEYS
+    if type(obj) in _SOLVER_KEYS:
+        return _SOLVER_KEYS[type(obj)]
     return tuple(f.metadata.get("key", f.name) for f in dataclasses.fields(obj))
 
 

@@ -17,6 +17,7 @@ from .core import Array, NumericError, weighted_gradient
 from .hessians import DiagHessianTracker, HutchinsonConfig
 from .weighting import (
     MODE_EXACT,
+    PAMOO_MAX_M,
     CamooConfig,
     PamooConfig,
     equal_weights,
@@ -212,23 +213,22 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
     lambda_min_est, pu_gap)``, from one ``ObjectiveSet.evaluate(x)``.
 
     The settings are checked against the problem here, before the first step:
-    PAMOO reads the problem's recorded f*; exact CAMOO needs the set's
-    Hessians; ``hutchinson`` in exact mode, which the rule would not read,
-    is rejected.  Each rule keeps its own warm start from one call to the
-    next (CAMOO keeps its solve's cuts).
+    PAMOO reads the problem's recorded f* and takes at most PAMOO_MAX_M
+    objectives; exact CAMOO needs the set's Hessians; ``hutchinson`` in
+    exact mode, which the rule would not read, is rejected.  CAMOO warm
+    starts each solve from the previous solve's cuts.
     """
     objs = problem.objectives
     m = objs.m
     wc = cfg.weighting
-    warm = None
 
     if wc.kind == WEIGHTING_PAMOO:
+        if m > PAMOO_MAX_M:
+            raise ConfigurationError(f"pamoo takes at most {PAMOO_MAX_M} objectives")
         f_star = problem.optimum.f_star
 
         def weigh_pamoo(fvals, J, diag, x):
-            nonlocal warm
-            warm = pamoo_weights(*pamoo_context(fvals, J, f_star), wc.pamoo, warm=warm)
-            return warm, None, None
+            return pamoo_weights(*pamoo_context(fvals, J, f_star), wc.pamoo), None, None
 
         return weigh_pamoo
 
@@ -259,6 +259,8 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
             )
             solve = solve_camoo_diagonal
             curvature = lambda diag, x: tracker.update(objs, x)  # noqa: E731
+
+        warm = None
 
         def weigh_camoo(fvals, J, diag, x):
             nonlocal warm
@@ -305,12 +307,12 @@ def run(cfg: RunConfig) -> RunTrace:
     (``weighting.solve_camoo_diagonal``).  x0's shape is checked once,
     before the first step, and the gradient norm and residual are computed
     only for recorded steps.  A NaN or Inf in the iterate, a value or the
-    weighted gradient aborts the run with a NumericError whose payload is
-    the trace up to the failure.  The trace carries the built problem.  A
-    problem spec that its builder rejects, or settings that do not fit the
-    problem or would not be read, raise ConfigurationError before the first
-    step; an uncertified misaligned reference point raises NumericError
-    without a payload.
+    weighted gradient, or a NumericError from the weight rule, aborts the
+    run with a NumericError whose payload is the trace up to the failure.
+    The trace carries the built problem.  A problem spec that its builder
+    rejects, or settings that do not fit the problem or would not be read,
+    raise ConfigurationError before the first step; an uncertified
+    misaligned reference point raises NumericError without a payload.
     """
     t_start = time.perf_counter()
     problem = build_problem(cfg.problem)
@@ -343,7 +345,10 @@ def run(cfg: RunConfig) -> RunTrace:
         fvals, J, diag = objs.evaluate(x)
         if not np.isfinite(fvals).all():
             raise fail("non-finite objective value", k)
-        w, lambda_est, gap = weigh(fvals, J, diag, x)
+        try:
+            w, lambda_est, gap = weigh(fvals, J, diag, x)
+        except NumericError as exc:
+            raise fail(str(exc), k) from exc
 
         g = weighted_gradient(J, w)
         if not np.isfinite(g).all():
@@ -401,11 +406,8 @@ def theory_camoo(meta: problems.ProblemMeta, m: int) -> tuple[WeightingChoice, G
 
 def theory_pamoo() -> tuple[WeightingChoice, GDConfig]:
     """Polyak-style settings matching the convergence analysis: step 1,
-    unregularized inner problem solved tightly."""
+    unregularized inner problem on the nonnegative orthant, solved exactly."""
     weighting = WeightingChoice(
-        kind=WEIGHTING_PAMOO,
-        pamoo=PamooConfig(
-            step=3e-3, iterations=4000, clip_floor=0.0, gram_tau=0.0
-        ),
+        kind=WEIGHTING_PAMOO, pamoo=PamooConfig(clip_floor=0.0, gram_tau=0.0)
     )
     return weighting, GDConfig(step=1.0)

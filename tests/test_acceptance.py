@@ -283,7 +283,7 @@ def _mlp_final_msq(variant: str, kind: str, seed: int) -> float:
             ),
         )
     else:
-        wc = WeightingChoice(kind="pamoo", pamoo=PamooConfig(iterations=30))
+        wc = WeightingChoice(kind="pamoo")
     trace = run(
         RunConfig(
             problem=spec,
@@ -332,9 +332,7 @@ def _plateau(kind: str, eps: float) -> float:
     else:
         wc = WeightingChoice(
             kind="pamoo",
-            pamoo=PamooConfig(
-                step=0.5, gram_tau=0.0, clip_floor=0.0, iterations=300
-            ),
+            pamoo=PamooConfig(gram_tau=0.0, clip_floor=0.0),
         )
         inner = GDConfig(step=1.0)
     trace = run(
@@ -371,7 +369,7 @@ def test_criterion_11_polyak_reduction():
     spec = ProblemSpec(kind="quad_family", h_list=(((1.0,),),), alpha_list=(1.0,))
     wc = WeightingChoice(
         kind="pamoo",
-        pamoo=PamooConfig(gram_tau=0.0, iterations=200, clip_floor=0.0),
+        pamoo=PamooConfig(gram_tau=0.0, clip_floor=0.0),
     )
     trace = run(
         RunConfig(

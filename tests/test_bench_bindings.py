@@ -138,3 +138,30 @@ def test_hutchinson_run_updates_the_tracker_once_per_iterate(monkeypatch):
     iterates = trace.final().step + 1
     assert iterates == cfg.steps + 1
     assert metrics["hessians.tracker_update.calls"] == iterates
+
+
+def test_benchmark_pamoo_iterations_field_is_inert(monkeypatch, tmp_path):
+    # The benchmark builds its PAMOO runs with PamooConfig(iterations=30); the
+    # exact solve reads no such setting, so the traces are those of the
+    # default PamooConfig() bit for bit.
+    import dataclasses
+
+    from amoo import driver, traceio
+    from amoo.weighting import PamooConfig
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    bench = workloads.MlpMatching(0, tmp_path)
+    for variant in workloads.MLP_VARIANTS:
+        cfg = dataclasses.replace(
+            bench.configs[f"{variant}/pamoo"], steps=60, record_every=1
+        )
+        assert cfg.weighting.pamoo != PamooConfig()
+        default = dataclasses.replace(
+            cfg, weighting=driver.WeightingChoice(kind="pamoo", pamoo=PamooConfig())
+        )
+        paths = [tmp_path / f"{variant}-{i}.csv" for i in range(2)]
+        for c, path in zip((cfg, default), paths):
+            traceio.write_trace_csv(driver.run(c), path)
+        assert paths[0].read_bytes() == paths[1].read_bytes(), variant

@@ -87,7 +87,7 @@ class TestRunCommand:
         "section,values",
         [
             ("camoo", {"mode": "bogus"}),
-            ("pamoo", {"iterations": 0}),
+            ("pamoo", {"gram_tau": -1.0}),
             ("hutchinson", {"num_samples": 0}),
             ("camoo", {"w_min": -0.01}),
             ("camoo", {"w_min": float("nan")}),
@@ -327,10 +327,10 @@ class TestRunCommand:
         # The keys of the other weighting kinds.
         doc["weighting"] = {
             "kind": "pamoo",
-            "pamoo": {"step": 1, "iterations": 9, "clip_floor": 0, "gram_tau": 0.5},
+            "pamoo": {"clip_floor": 0, "gram_tau": 0.5},
         }
         assert cli.parse_run_config(doc).weighting == WeightingChoice(
-            kind="pamoo", pamoo=PamooConfig(1.0, 9, 0.0, 0.5)
+            kind="pamoo", pamoo=PamooConfig(clip_floor=0.0, gram_tau=0.5)
         )
         doc["weighting"] = {"kind": "fixed", "weights": [1, 0.5]}
         assert cli.parse_run_config(doc).weighting == WeightingChoice(
@@ -387,6 +387,11 @@ class TestRunCommand:
                     ("pu_tau", float("nan")),
                     ("pu_tau", float("inf")),
                 ]
+            ),
+            # The PAMOO solve is exact: its ascent's knobs are gone.
+            *(
+                (key, "weighting.pamoo", {"weighting": {"kind": "pamoo", "pamoo": {key: v}}})
+                for key, v in [("step", 3e-3), ("iterations", 30)]
             ),
         ],
     )
@@ -532,6 +537,66 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["num_records"] == 0 and summary["final"] is None
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            # Finite values and gradients whose Gram matrix J J' overflows.
+            (
+                {
+                    "problem": {
+                        "kind": "quad_family", "h_list": [[[1]], [[2]]],
+                        "alpha_list": [3, 3],
+                    },
+                    "weighting": {"kind": "pamoo"},
+                    "inner": {"kind": "gd", "step": 0.1},
+                    "run": {"steps": 5, "x0": [1e51]},
+                },
+                "Gram matrix has non-finite entries",
+            ),
+            # Between the two minimizers the gradients oppose each other and
+            # both gaps are positive: the unregularized inner problem grows
+            # without bound along the nonnegative weights that cancel them.
+            (
+                {
+                    "problem": {
+                        "kind": "misaligned",
+                        "base": {"kind": "specification", "delta": 0.1},
+                        "shifts": [[0.0, 0.0], [0.5, 0.0]],
+                    },
+                    "preset": "pamoo-theory",
+                    "run": {"steps": 5, "x0": [0.25, 0.0]},
+                },
+                "inner problem is unbounded",
+            ),
+        ],
+        ids=["gram-overflow", "unbounded"],
+    )
+    def test_pamoo_numeric_failure_exits_3_with_its_trace(
+        self, tmp_path, capsys, doc, message
+    ):
+        out = tmp_path / "out"
+        assert cli.cmd_run(write_config(tmp_path, doc), str(out)) == 3
+        text = capsys.readouterr().out
+        assert "numeric failure: step 0: PAMOO" in text and message in text
+        assert traceio.read_trace_csv(out / "trace.csv").steps == []
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["error"].startswith("step 0: ")
+
+    def test_pamoo_above_the_objective_cap_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ObjectiveSet, "evaluate", lambda *a: pytest.fail("stepped"))
+        m = weighting.PAMOO_MAX_M + 1
+        doc = {
+            **VALID_CONFIG,
+            "problem": {"kind": "selection", "delta": 0.1, "m": m, "n": 2},
+            "weighting": {"kind": "pamoo"},
+        }
+        out = tmp_path / "o"
+        assert cli.cmd_run(write_config(tmp_path, doc), str(out)) == 2
+        text = capsys.readouterr().out
+        assert f"pamoo takes at most {weighting.PAMOO_MAX_M} objectives" in text
+        assert not out.exists()
+
     def test_unreadable_config(self, tmp_path, capsys):
         assert cli.cmd_run(str(tmp_path / "missing.json"), str(tmp_path)) == 2
 
@@ -643,13 +708,16 @@ class TestSummaryConfigEcho:
         cfg = cli.parse_run_config(doc)
         assert cli.parse_run_config(echo) == cfg
         # Only the keys that the run reads: its problem kind's, its
-        # weighting kind's (CAMOO's mode and w_min), its inner rule's.
+        # weighting kind's (CAMOO's mode and w_min, PAMOO's clip_floor and
+        # gram_tau), its inner rule's.
         kind = cfg.weighting.kind
         assert set(echo) == {"problem", "weighting", "inner", "run"}
         assert list(echo["problem"]) == ["kind", *problems.KINDS[cfg.problem.kind].params]
         assert list(echo["weighting"]) == ["kind", *driver.WEIGHTING_KEYS[kind]]
         if kind == "camoo":
             assert list(echo["weighting"]["camoo"]) == ["mode", "w_min"]
+        if kind == "pamoo":
+            assert list(echo["weighting"]["pamoo"]) == ["clip_floor", "gram_tau"]
         assert echo["inner"]["kind"] in ("gd", "adam")
 
 

@@ -527,7 +527,7 @@ class TestPamooRuns:
         )
         wc = WeightingChoice(
             kind="pamoo",
-            pamoo=PamooConfig(gram_tau=0.0, iterations=200, clip_floor=0.0),
+            pamoo=PamooConfig(gram_tau=0.0, clip_floor=0.0),
         )
         cfg = RunConfig(
             problem=problem_spec, weighting=wc, inner=GDConfig(step=1.0),
@@ -674,7 +674,7 @@ def run_reference(cfg):
     scale = float(m) if wc.kind == "camoo" and cfg.camoo_lr_scale_by_m else 1.0
     inner_step = cfg.inner.step * scale
     adam_state = adam_init(x) if isinstance(cfg.inner, AdamConfig) else None
-    warm_w = cuts = cols = None
+    cuts = cols = None
     records = []
     for k in range(cfg.steps + 1):
         fvals = objs.values(x)
@@ -707,13 +707,12 @@ def run_reference(cfg):
             gap = max(float(gap), 0.0)
             lambda_est = float(curv[j])
         else:
-            w = pamoo_weights(*pamoo_context(fvals, J, f_star), wc.pamoo, warm=warm_w)
-        warm_w = np.array(w)
+            w = pamoo_weights(*pamoo_context(fvals, J, f_star), wc.pamoo)
         g = weighted_gradient(J, w)
         if k % cfg.record_every == 0 or k == cfg.steps:
             res = float(np.linalg.norm(x - problem.optimum.x_star))
             records.append(
-                (fvals, warm_w, float(np.linalg.norm(g)), res, lambda_est, gap)
+                (fvals, np.array(w), float(np.linalg.norm(g)), res, lambda_est, gap)
             )
         if k == cfg.steps:
             break
@@ -758,7 +757,7 @@ REFERENCE_CASES = {
     # PAMOO reads the recorded f*, here n = 2 for each objective.
     "pamoo-f-star": (
         ProblemSpec(kind="local_curvature", n=2),
-        WeightingChoice(kind="pamoo", pamoo=PamooConfig(iterations=30)),
+        WeightingChoice(kind="pamoo"),
         {},
     ),
 }

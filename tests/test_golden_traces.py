@@ -93,9 +93,9 @@ GOLDEN_SHA256 = {
     "camoo_exact": "95bdf590a92c0a14ff97f37478714f33a36cc80458b91849dc66320822e295c1",
     "camoo_diagonal": "321be2a817cb2f61b9bcef8752330826c5826f6cabafaf574bc0005702e5d394",
     "camoo_diagonal_softplus": "16021a331a4375cb6926ca6479883584ab725584b0b94e5fa39a3d702aaa6f02",
-    "pamoo": "5f019cd3196542365ec3644e246c494e4e327718cc45037b63ae0714d9a14f97",
-    "pamoo_curved": "68fe753ae96d89dd8398dd015850038a59f7d5c9b2cf4654834b4ae51630c6d7",
-    "pamoo_theory": "aa459db1d0e65d661a99ed949f5f314d6e811e1813659aec02b04777e30075cf",
+    "pamoo": "c89a5c2bd7a0a61b722db8eca50c6700ec305b5b1115176574391179e7101f89",
+    "pamoo_curved": "305e62a68818be0a0f516c28e4ade48118cf5bd9be438687ce028be7f7ee62ae",
+    "pamoo_theory": "66f92ba88452c1d3f636e90ee4fb5619d0b598b00fb1f7c9d378502e537f2107",
 }
 
 
