@@ -4,7 +4,7 @@ Two stories.  On the "selection" family, m-1 objectives are weakly curved
 and one is well conditioned; maximizing the smallest eigenvalue of the
 weighted Hessian over the simplex puts (almost) all mass on the strong
 objective, where uniform weights would dilute it by 1/m.  On the 1-D
-local-curvature pair exp(x)-x vs exp(-x)+x the better-curved objective
+local-curvature pair exp(x)-1-x vs exp(-x)-1+x the better-curved objective
 depends on the sign of the iterate, and the weights flip as the iterate
 crosses the optimum.
 """
@@ -47,7 +47,7 @@ trace = run(
 print("local-curvature pair from x0 = 2 (step scaled by m):")
 print(f"{'step':>5} {'|x|':>10} {'w1':>6} {'w2':>6}   favored objective")
 for rec in trace.records:
-    side = "exp(+x) - x" if rec.w[0] > rec.w[1] else "exp(-x) + x"
+    side = "exp(+x) - 1 - x" if rec.w[0] > rec.w[1] else "exp(-x) - 1 + x"
     print(
         f"{rec.step:>5} {rec.residual:>10.4f} {rec.w[0]:>6.2f} {rec.w[1]:>6.2f}"
         f"   {side}"

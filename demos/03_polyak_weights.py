@@ -1,8 +1,9 @@
 """Gap-ratio (Polyak-style) weights: parameter-free and very fast.
 
 The weight vector maximizes 2 w'gaps - w'(J'J)w over nonnegative weights,
-where gaps_i = f_i(x) - f_i(x*) and J stacks the objective gradients.  With
-one objective this is exactly the classic adaptive step
+where gaps_i = f_i(x) - f_i(x*), which is f_i(x) since every bundled
+objective is 0 at its own minimum, and J stacks the objective gradients.
+With one objective this is exactly the classic adaptive step
 (f(x) - f*) / ||grad f||^2; with several it exploits whichever combination
 of objectives certifies the largest one-step decrease.
 """

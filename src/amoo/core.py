@@ -93,11 +93,11 @@ class ObjectiveSet:
 class OptimalInfo:
     """The shared optimum of an objective set: every problem records one.
 
-    ``f_star`` holds each objective's own minimum, f_i* = min f_i.
-    ``alignment_eps`` is 0 for exactly aligned instances, where every f_i
-    attains f_i* at ``x_star``; otherwise it is the smallest e such that
-    some point (``misalign`` certifies ``x_star`` as one) is within e
-    objective gap of every f_i*.
+    Every objective is 0 at its own minimum, so ``f_star``, the vector of
+    those minima, is 0.  ``alignment_eps`` is 0 for exactly aligned
+    instances, where every f_i is 0 at ``x_star``; otherwise it is the
+    smallest e such that some point (``misalign`` certifies ``x_star`` as
+    one) has every f_i <= e.
     """
 
     x_star: Array

@@ -213,10 +213,9 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
     lambda_min_est, pu_gap)``, from one ``ObjectiveSet.evaluate(x)``.
 
     The settings are checked against the problem here, before the first step:
-    PAMOO reads the problem's recorded f* and takes at most PAMOO_MAX_M
-    objectives; exact CAMOO needs the set's Hessians; ``hutchinson`` in
-    exact mode, which the rule would not read, is rejected.  CAMOO warm
-    starts each solve from the previous solve's cuts.
+    PAMOO takes at most PAMOO_MAX_M objectives; exact CAMOO needs the set's
+    Hessians; ``hutchinson`` in exact mode, which the rule would not read, is
+    rejected.  CAMOO warm starts each solve from the previous solve's cuts.
     """
     objs = problem.objectives
     m = objs.m
@@ -225,10 +224,9 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
     if wc.kind == WEIGHTING_PAMOO:
         if m > PAMOO_MAX_M:
             raise ConfigurationError(f"pamoo takes at most {PAMOO_MAX_M} objectives")
-        f_star = problem.optimum.f_star
 
         def weigh_pamoo(fvals, J, diag, x):
-            return pamoo_weights(*pamoo_context(fvals, J, f_star), wc.pamoo), None, None
+            return pamoo_weights(*pamoo_context(fvals, J), wc.pamoo), None, None
 
         return weigh_pamoo
 

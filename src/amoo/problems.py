@@ -6,7 +6,7 @@ Analytic families with a shared minimizer at the origin:
   own axis; equal weighting restores unit curvature.
 * ``selection(delta, m, n)`` m-1 copies of a weakly curved quadratic plus
   one well-conditioned objective worth selecting.
-* ``local_curvature(n)``     coordinatewise exp(x)-x against its mirror
+* ``local_curvature(n)``     coordinatewise exp(x)-1-x against its mirror
   image, where the better-curved objective depends on the sign of x.
 * ``quad_family(h_list, alpha_list)`` generalized quadratics
   (x'Hx)^alpha.
@@ -179,15 +179,16 @@ def _build_local_curvature(spec: ProblemSpec) -> Problem:
     signs = (1.0, -1.0)
 
     def evaluate(x):
-        values = np.array([np.sum(np.exp(s * x) - s * x) for s in signs])
-        J = np.stack([s * (np.exp(s * x) - 1.0) for s in signs])
+        # expm1, not exp - 1: near the minimum 0 the values do not cancel against 1.
+        values = np.array([np.sum(np.expm1(s * x) - s * x) for s in signs])
+        J = np.stack([s * np.expm1(s * x) for s in signs])
         return values, J, lambda: np.stack([np.exp(s * x) for s in signs])
 
     def hessians(x):
         return np.stack([np.diag(np.exp(s * x)) for s in signs])
 
     objectives = ObjectiveSet(2, n, evaluate, hessians)
-    optimum = OptimalInfo(x_star=np.zeros(n), f_star=np.full(2, float(n)))
+    optimum = OptimalInfo(x_star=np.zeros(n), f_star=np.zeros(2))
     # beta and m_self hold on the |x_j| <= 2 region that the bundled runs use.
     meta = ProblemMeta(beta=float(np.exp(2.0)), mu_g=1.0, mu_l=1.0, m_self=1.0)
     return Problem(objectives, optimum, meta, x0=np.ones(n), spec=spec)
@@ -492,33 +493,34 @@ def _shifted(base: ObjectiveSet, shifts: Array) -> ObjectiveSet:
 _MINIMAX_FTOL, _MINIMAX_MAXITER, _KKT_TOL = 1e-12, 200, 1e-6
 
 
-def _minimax_point(objectives: ObjectiveSet, f_min: Array, x0: Array):
-    """(x, eps): a minimizer of the worst gap max_i (f_i(x) - f_i*) and that
-    gap clipped at 0, by SLSQP on the epigraph form min t s.t. f_i(x) - f_i*
-    <= t.  It is judged by its KKT certificate, not by SLSQP's status: NNLS
-    seeks simplex weights on the objectives within tol (1 + |gap|) of the
-    worst gap that cancel their gradients (scaled by 1 + max_i |grad f_i|),
-    and a residual above tol = ``_KKT_TOL`` raises NumericError.  For convex
-    objectives, as in every analytic kind, such a point is the global
-    minimax up to that band and residual.
+def _minimax_point(objectives: ObjectiveSet, x0: Array):
+    """(x, eps): a minimizer of max_i f_i(x), the worst gap of objectives that
+    are 0 at their own minima, and that value clipped at 0, by SLSQP on the
+    epigraph form min t s.t. f_i(x) <= t.  It is judged by its KKT
+    certificate, not by SLSQP's status: NNLS seeks simplex weights on the
+    objectives within tol (1 + |worst|) of the worst value that cancel their
+    gradients (scaled by 1 + max_i |grad f_i|), and a residual above tol =
+    ``_KKT_TOL`` raises NumericError.  For convex objectives, as in every
+    analytic kind, such a point is the global minimax up to that band and
+    residual.
     """
     n, e_n = objectives.dim, np.eye(objectives.dim + 1)[-1]
     res = optimize.minimize(
         lambda z: z[n],
-        np.append(x0, np.max(objectives.evaluate(x0)[0] - f_min)),
+        np.append(x0, np.max(objectives.evaluate(x0)[0])),
         jac=lambda z: e_n,
         method="SLSQP",
         constraints={
             "type": "ineq",
-            "fun": lambda z: z[n] - (objectives.evaluate(z[:n])[0] - f_min),
-            "jac": lambda z: np.c_[-objectives.evaluate(z[:n])[1], np.ones(len(f_min))],
+            "fun": lambda z: z[n] - objectives.evaluate(z[:n])[0],
+            "jac": lambda z: np.c_[-objectives.evaluate(z[:n])[1], np.ones(objectives.m)],
         },
         options={"ftol": _MINIMAX_FTOL, "maxiter": _MINIMAX_MAXITER},
     )
     x = np.array(res.x[:n])
     fvals, J, _ = objectives.evaluate(x)
-    worst = float(np.max(fvals - f_min))
-    active = J[fvals - f_min >= worst - _KKT_TOL * (1.0 + abs(worst))]
+    worst = float(np.max(fvals))
+    active = J[fvals >= worst - _KKT_TOL * (1.0 + abs(worst))]
     scale = 1.0 + np.linalg.norm(J, axis=1).max()
     kkt = np.r_[active.T / scale, [np.ones(len(active))]]
     finite = np.isfinite(worst) and np.isfinite(J).all()  # else kkt is empty or fake
@@ -534,9 +536,10 @@ def _minimax_point(objectives: ObjectiveSet, f_min: Array, x0: Array):
 def misalign(base: Problem, shifts) -> Problem:
     """Shift objective i by s_i, producing an approximately aligned instance.
 
-    The reported optimum is the minimax point of the objective gaps, which
-    ``_minimax_point`` certifies or raises NumericError, and alignment_eps
-    is that minimax gap, so alignment_eps-approximate solutions exist.
+    The reported optimum is the minimax point of the objectives, each still 0
+    at its own minimum, which ``_minimax_point`` certifies or raises
+    NumericError; alignment_eps is that minimax value, so
+    alignment_eps-approximate solutions exist.
     Curvature constants are inherited from the base problem.
     """
     shifts = np.asarray(shifts, dtype=np.float64)
@@ -547,13 +550,11 @@ def misalign(base: Problem, shifts) -> Problem:
         raise ValueError("shifts must be finite")
 
     objectives = _shifted(base.objectives, shifts)
-    f_min = np.array(base.optimum.f_star)
-
     x_ref, eps = np.array(base.optimum.x_star), 0.0
     if shifts.any():
-        x_ref, eps = _minimax_point(objectives, f_min, x_ref + shifts.mean(axis=0))
+        x_ref, eps = _minimax_point(objectives, x_ref + shifts.mean(axis=0))
 
-    optimum = OptimalInfo(x_star=x_ref, f_star=f_min, alignment_eps=eps)
+    optimum = OptimalInfo(x_star=x_ref, f_star=np.zeros(m), alignment_eps=eps)
     spec = ProblemSpec(
         kind="misaligned", base=base.spec, shifts=tuple(map(tuple, shifts))
     )
@@ -584,7 +585,7 @@ KINDS = {
         "m-1 weak quadratics plus one well-conditioned",
     ),
     "local_curvature": ProblemKind(
-        _build_local_curvature, ("n",), "exp(x)-x against its mirror image"
+        _build_local_curvature, ("n",), "exp(x)-1-x against its mirror image"
     ),
     "quad_family": ProblemKind(
         _build_quad_family,

@@ -420,20 +420,20 @@ def solve_camoo_diagonal(
 # 2-vCPU x86-64, OpenBLAS on one thread).
 PAMOO_MAX_M = 12
 
-# The KKT residual, relative to max |gaps| + max |Q| floor, that certifies a
-# PAMOO solve.  Rounding leaves about 1e-16 |Q| |w| (up to 7.8e-11 in criterion
-# 10); an unbounded problem leaves gaps'd / sum(d) for its direction d, and so
-# does the w of order 1/eps of a system singular to rounding.
+# The KKT residual, relative to max |gaps| + max |Q| floor, plus the smallest
+# normal float, that certifies a PAMOO solve.  Rounding leaves about 1e-16 |Q|
+# |w| (up to 7.8e-11 in criterion 10) and, once the gaps are subnormal, up to
+# 9.5e-310; an unbounded problem leaves gaps'd / sum(d) for its direction d,
+# and so does the w of order 1/eps of a system singular to rounding.
 PAMOO_KKT_TOL = 1e-6
 
 
-def pamoo_context(fvals, J, f_star) -> tuple[Array, Array]:
-    """``(gaps, gram)`` at one iterate: gaps_i = f_i(x) - f_i(x*) from the
-    values ``fvals``, and the Gram matrix J J' of the (m, n) gradients ``J``."""
-    fvals = as_vector(fvals, name="fvals")
-    f_star = as_vector(f_star, len(fvals), "f_star")
+def pamoo_context(fvals, J) -> tuple[Array, Array]:
+    """``(gaps, gram)`` at one iterate: gaps_i = f_i(x), since every objective
+    is 0 at its own minimum, and the Gram matrix J J' of the (m, n)
+    gradients ``J``."""
     J = np.asarray(J, dtype=np.float64)
-    return fvals - f_star, J @ J.T
+    return as_vector(fvals, name="fvals"), J @ J.T
 
 
 def pamoo_weights(gaps, gram, cfg: PamooConfig | None = None) -> Array:
@@ -482,6 +482,7 @@ def pamoo_weights(gaps, gram, cfg: PamooConfig | None = None) -> Array:
     w = w[int(np.argmax(phi))]
     r = gaps - Q @ w
     kkt = float(np.where(w > floor, np.abs(r), np.maximum(r, 0.0)).max())
-    if not kkt <= PAMOO_KKT_TOL * (np.abs(gaps).max() + np.abs(Q).max() * floor):
+    tol = PAMOO_KKT_TOL * (np.abs(gaps).max() + np.abs(Q).max() * floor)
+    if not kkt <= tol + np.finfo(float).tiny:
         raise NumericError(f"PAMOO inner problem is unbounded: KKT residual {kkt:.3g}")
     return w

@@ -583,6 +583,27 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["error"].startswith("step 0: ")
 
+    # Past step 500 of each run the gaps are subnormal, and rounding leaves a
+    # KKT residual (up to 9.5e-310) above any tolerance relative to them.
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            {"kind": "specification", "delta": 0.1},
+            {"kind": "selection", "delta": 0.1, "m": 3, "n": 2},
+        ],
+        ids=["specification", "selection"],
+    )
+    def test_pamoo_theory_runs_through_subnormal_gaps(self, tmp_path, capsys, problem):
+        doc = {
+            "problem": problem,
+            "preset": "pamoo-theory",
+            "run": {"steps": 2000, "record_every": 100},
+        }
+        out = tmp_path / "out"
+        assert cli.cmd_run(write_config(tmp_path, doc), str(out)) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["error"] is None and summary["final"]["step"] == 2000
+
     def test_pamoo_above_the_objective_cap_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(ObjectiveSet, "evaluate", lambda *a: pytest.fail("stepped"))
         m = weighting.PAMOO_MAX_M + 1

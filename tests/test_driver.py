@@ -555,6 +555,16 @@ class TestPamooRuns:
         trace = run(cfg)
         assert trace.final().residual <= 1e-8
 
+    def test_pamoo_resolves_local_curvature_near_its_minimum(self):
+        # Near the minimum the gaps are O(x^2): values measured from a nonzero
+        # minimum (n) cancel them to 0, and the run stalls (here at 1.6e-8).
+        wc, inner = theory_pamoo()
+        cfg = RunConfig(
+            problem=ProblemSpec(kind="local_curvature", n=2), weighting=wc,
+            inner=inner, steps=1000, x0=(0.1, 0.1), record_every=100,
+        )
+        assert run(cfg).final().residual <= 1e-15
+
 
 class TestTheoryPresets:
     def test_camoo_preset_fields(self):
@@ -661,7 +671,6 @@ def run_reference(cfg):
     m = objs.m
     wc = cfg.weighting
     x = np.array(cfg.x0 if cfg.x0 is not None else problem.x0, dtype=np.float64)
-    f_star = problem.optimum.f_star
     if wc.hutchinson is not None:
         hseed = int(
             np.random.SeedSequence([cfg.seed, wc.hutchinson.rng_seed]).generate_state(1)[0]
@@ -707,7 +716,7 @@ def run_reference(cfg):
             gap = max(float(gap), 0.0)
             lambda_est = float(curv[j])
         else:
-            w = pamoo_weights(*pamoo_context(fvals, J, f_star), wc.pamoo)
+            w = pamoo_weights(*pamoo_context(fvals, J), wc.pamoo)
         g = weighted_gradient(J, w)
         if k % cfg.record_every == 0 or k == cfg.steps:
             res = float(np.linalg.norm(x - problem.optimum.x_star))
@@ -754,8 +763,8 @@ REFERENCE_CASES = {
         ),
         {"seed": 5},
     ),
-    # PAMOO reads the recorded f*, here n = 2 for each objective.
-    "pamoo-f-star": (
+    # PAMOO takes the values as its gaps, on a problem that is not quadratic.
+    "pamoo": (
         ProblemSpec(kind="local_curvature", n=2),
         WeightingChoice(kind="pamoo"),
         {},
