@@ -1,11 +1,16 @@
 """Identical configs give bitwise-identical traces: one small `amoo run`
 config per weight rule, plus the network's ``local_curvature`` variant
 (powers alpha != 1, softplus curvature) under diagonal CAMOO and PAMOO,
-each pinned to the sha256 of its ``trace.csv``.
+each pinned to the sha256 of its ``trace.csv``.  A long EW run crosses two
+chunks of the trace reader and writer (``traceio._CHUNK_ROWS`` rows each).
 
-A digest moves only when a change alters some recorded number.  Such a
-change updates the digest here and says in CHANGES.md which numbers moved
-and why.  The digests were taken with numpy's bundled OpenBLAS 0.3.31 on
+Three of the runs also pin their plots: the ``plot.svg`` that ``amoo run``
+writes and the ``amoo plot`` re-render of the run's ``trace.csv`` must both
+have the pinned digest.
+
+A digest moves only when a change alters some recorded number or, for a
+plot, some drawn coordinate.  Such a change updates the digest here and
+says in CHANGES.md which numbers moved and why.  The digests were taken with numpy's bundled OpenBLAS 0.3.31 on
 x86-64; another BLAS or LAPACK may round differently.
 """
 
@@ -15,7 +20,7 @@ import json
 import numpy as np
 import pytest
 
-from amoo.cli import cmd_run
+from amoo.cli import cmd_plot, cmd_run
 
 
 def spd_hessians(seed: int, m: int = 3, n: int = 12) -> list:
@@ -85,6 +90,12 @@ CONFIGS = {
         "preset": "pamoo-theory",
         "run": {"steps": 10},
     },
+    "ew_chunks": {
+        "problem": SELECTION,
+        "weighting": {"kind": "ew"},
+        "inner": {"kind": "gd", "step": 0.25},
+        "run": {"steps": 1100, "record_every": 1},
+    },
 }
 
 GOLDEN_SHA256 = {
@@ -96,7 +107,18 @@ GOLDEN_SHA256 = {
     "pamoo": "c89a5c2bd7a0a61b722db8eca50c6700ec305b5b1115176574391179e7101f89",
     "pamoo_curved": "305e62a68818be0a0f516c28e4ade48118cf5bd9be438687ce028be7f7ee62ae",
     "pamoo_theory": "66f92ba88452c1d3f636e90ee4fb5619d0b598b00fb1f7c9d378502e537f2107",
+    "ew_chunks": "7ccfd24061bb0a47f0da444b503c3d281d37fe4a8362d95a9ca42b07b690f7c0",
 }
+
+PLOT_SHA256 = {
+    "camoo_diagonal": "915850dacbd295315a08af06d64a4015d4cb534ece0eb475656141e7927ff136",
+    "pamoo_curved": "160d3952a359a293c9262e903d288d92da374b53233e7c486ddc49bcd6267b6c",
+    "ew_chunks": "f9eb31dff811b22669e35f1aa96f584a805c838a2ceb8092f90f4278dec7ccb8",
+}
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -105,5 +127,15 @@ def test_trace_digest_is_pinned(name, tmp_path):
     config.write_text(json.dumps(CONFIGS[name]))
     out = tmp_path / "out"
     assert cmd_run(str(config), str(out), print_fn=lambda *_: None) == 0
-    digest = hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest()
-    assert digest == GOLDEN_SHA256[name]
+    assert sha256(out / "trace.csv") == GOLDEN_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(PLOT_SHA256))
+def test_plot_digests_are_pinned(name, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**CONFIGS[name], "output": {"plot": True}}))
+    out = tmp_path / "out"
+    assert cmd_run(str(config), str(out), print_fn=lambda *_: None) == 0
+    replot = out / "replot.svg"
+    assert cmd_plot(str(out / "trace.csv"), str(replot), print_fn=lambda *_: None) == 0
+    assert sha256(out / "plot.svg") == sha256(replot) == PLOT_SHA256[name]
