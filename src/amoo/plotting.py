@@ -6,46 +6,55 @@ the weight evolution.  Output is plain SVG text.
 
 import math
 
+import numpy as np
+
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 _PANEL_W = 420
 _PANEL_H = 300
 _MARGIN = 50
+_CHUNK_POINTS = 512  # points held as strings at once, formatted together
 
 
-def _polyline(points, color: str, label: str) -> str:
-    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+def _polyline(xs, ys, color: str, label: str) -> str:
+    point, c = "{:.2f},{:.2f}".format, _CHUNK_POINTS
+    pts = " ".join(
+        " ".join(map(point, xs[i : i + c].tolist(), ys[i : i + c].tolist()))
+        for i in range(0, len(xs), c)
+    )
     return (
         f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
         f'points="{pts}"><title>{label}</title></polyline>'
     )
 
 
-def _scale_x(steps, x0: float):
+def _xs(steps, x0: float):
     lo, hi = min(steps), max(steps)
     span = max(hi - lo, 1)
-    return lambda s: x0 + (s - lo) / span * (_PANEL_W - 2 * _MARGIN)
+    return x0 + (np.asarray(steps) - lo) / span * (_PANEL_W - 2 * _MARGIN)
 
 
-def _scale_log_y(values):
-    clipped = [max(v, 1e-300) for v in values]
-    lo = math.log10(min(clipped))
-    hi = math.log10(max(clipped))
+def _log_ys(series) -> list:
+    """Each series' y on one log scale shared by all of them."""
+    clipped = np.maximum(np.concatenate(series), 1e-300).tolist()
+    lo, hi = math.log10(min(clipped)), math.log10(max(clipped))
     if hi - lo < 1e-12:
         lo, hi = lo - 1.0, hi + 1.0
-    span = hi - lo
-    top = _MARGIN
-    return lambda v: top + (hi - math.log10(max(v, 1e-300))) / span * (
-        _PANEL_H - 2 * _MARGIN
-    )
+    # math.log10, not np.log10, whose last bit may differ.
+    logs = np.array(list(map(math.log10, clipped)))
+    ys = _MARGIN + (hi - logs) / (hi - lo) * (_PANEL_H - 2 * _MARGIN)
+    return np.split(ys, np.cumsum([len(vals) for vals in series[:-1]]))
 
 
-def _scale_linear_y(values):
-    lo = min(values + [0.0])
-    hi = max(values + [1.0])
+def _linear_ys(w):
+    """y of each weight column on a linear scale spanning [0, 1] and w; its
+    ends are Python's min and max over w, NaN only if w's first value is."""
+    if math.isnan(w[0, 0]):
+        lo = hi = w[0, 0]
+    else:
+        lo, hi = min(np.nanmin(w), 0.0), max(np.nanmax(w), 1.0)
     span = max(hi - lo, 1e-12)
-    top = _MARGIN
-    return lambda v: top + (hi - v) / span * (_PANEL_H - 2 * _MARGIN)
+    return _MARGIN + (hi - w.T) / span * (_PANEL_H - 2 * _MARGIN)
 
 
 def _panel_frame(x0: float, title: str) -> str:
@@ -59,6 +68,7 @@ def _panel_frame(x0: float, title: str) -> str:
     )
 
 
+@np.errstate(all="ignore")  # inf and NaN make NaN points, silently as floats do
 def trace_svg(trace) -> str:
     """Render a loaded or in-memory trace as an SVG document.
 
@@ -69,12 +79,12 @@ def trace_svg(trace) -> str:
         steps = [r.step for r in trace.records]
         residual = [r.residual for r in trace.records]
         msq = [r.msq for r in trace.records]
-        weights = [list(col) for col in zip(*(r.w.tolist() for r in trace.records))]
+        weights = np.array([r.w for r in trace.records])
     else:  # LoadedTrace
-        steps = list(trace.steps)
-        residual = list(trace.residual)
-        msq = list(trace.msq)
-        weights = trace.w.T.tolist()  # one list per objective
+        steps = trace.steps
+        residual = trace.residual
+        msq = trace.msq
+        weights = trace.w  # one row per record
     if not steps:
         raise ValueError("cannot plot an empty trace")
 
@@ -85,30 +95,26 @@ def trace_svg(trace) -> str:
         f'<rect width="{width}" height="{_PANEL_H}" fill="white"/>',
     ]
 
-    # Left panel: convergence metrics, log scale.
-    x_of = _scale_x(steps, _MARGIN)
+    # Left panel: convergence metrics, log scale, drawn where they are present.
+    xs = _xs(steps, _MARGIN)
     series = []
-    if any(v is not None for v in residual):
-        series.append(("residual", residual, _COLORS[0]))
-    if any(v is not None for v in msq):
-        series.append(("msq", msq, _COLORS[1]))
+    for label, vals, color in (("residual", residual, _COLORS[0]), ("msq", msq, _COLORS[1])):
+        present = np.array([v is not None for v in vals])
+        if present.any():
+            series.append((label, xs[present], [v for v in vals if v is not None], color))
     parts.append(_panel_frame(_MARGIN, "convergence (log scale)"))
     if series:
-        all_vals = [v for _, vals, _ in series for v in vals if v is not None]
-        y_of = _scale_log_y(all_vals)
-        for label, vals, color in series:  # each has a value, by construction
-            pts = ((x_of(s), y_of(v)) for s, v in zip(steps, vals) if v is not None)
-            parts.append(_polyline(pts, color, label))
+        ys = _log_ys([vals for _, _, vals, _ in series])
+        for (label, x, _, color), y in zip(series, ys):
+            parts.append(_polyline(x, y, color, label))
 
     # Right panel: weight evolution, linear scale.
     x_right = _PANEL_W + _MARGIN
-    x_of_r = _scale_x(steps, x_right)
+    xs = _xs(steps, x_right)
     parts.append(_panel_frame(x_right, "weights"))
-    if weights:
-        y_of_w = _scale_linear_y([w for col in weights for w in col])
-        for i, col in enumerate(weights):
-            pts = ((x_of_r(s), y_of_w(v)) for s, v in zip(steps, col))
-            parts.append(_polyline(pts, _COLORS[i % len(_COLORS)], f"w_{i + 1}"))
+    if weights.shape[1]:
+        for i, y in enumerate(_linear_ys(weights)):
+            parts.append(_polyline(xs, y, _COLORS[i % len(_COLORS)], f"w_{i + 1}"))
 
     parts.append("</svg>")
     return "\n".join(parts)

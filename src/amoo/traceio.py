@@ -5,7 +5,10 @@ The trace schema is one row per recorded step:
     step,f_1..f_m,w_1..w_m,grad_norm,residual,msq,lambda_min_est,pu_gap
 
 Missing quantities are written as empty fields.  Floats are written with
-``repr`` so a read-back is bit-identical.
+``repr`` so a read-back is bit-identical.  The writer and the reader convert
+whole columns per chunk of ``_CHUNK_ROWS`` rows, and the bytes are those of
+per-value ``repr`` cells (``plotting`` likewise formats each point with
+``.2f``); ``tests/test_golden_traces.py`` pins traces and plots.
 """
 
 import csv
@@ -19,10 +22,15 @@ import numpy as np
 from .driver import RunTrace
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return repr(float(value))
+_CHUNK_ROWS = 512  # rows held as strings at once, converted column by column
+_OPTIONAL = ("grad_norm", "residual", "msq", "lambda_min_est", "pu_gap")
+
+
+def _fmt_column(values: list) -> list:
+    """Cells of an optional column: each float's repr, empty for None."""
+    if values.count(None) == len(values):
+        return [""] * len(values)
+    return ["" if v is None else repr(float(v)) for v in values]
 
 
 def trace_header(m: int) -> list[str]:
@@ -30,28 +38,24 @@ def trace_header(m: int) -> list[str]:
         ["step"]
         + [f"f_{i + 1}" for i in range(m)]
         + [f"w_{i + 1}" for i in range(m)]
-        + ["grad_norm", "residual", "msq", "lambda_min_est", "pu_gap"]
+        + list(_OPTIONAL)
     )
 
 
 def write_trace_csv(trace: RunTrace, path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(trace_header(trace.m))
-        writer.writerows(
-            [
-                str(rec.step),
-                # tolist() yields Python floats, so repr matches _fmt.
-                *map(repr, rec.f.tolist()),
-                *map(repr, rec.w.tolist()),
-                _fmt(rec.grad_norm),
-                _fmt(rec.residual),
-                _fmt(rec.msq),
-                _fmt(rec.lambda_min_est),
-                _fmt(rec.pu_gap),
+        # No field ever needs quoting, so these are csv.writer's bytes.
+        fh.write(",".join(trace_header(trace.m)) + "\r\n")
+        for start in range(0, len(trace.records), _CHUNK_ROWS):
+            chunk = trace.records[start : start + _CHUNK_ROWS]
+            columns = [
+                map(str, [r.step for r in chunk]),
+                # tolist() yields Python floats, so repr matches _fmt_column.
+                *(map(repr, col) for col in np.stack([r.f for r in chunk]).T.tolist()),
+                *(map(repr, col) for col in np.stack([r.w for r in chunk]).T.tolist()),
+                *(_fmt_column([getattr(r, name) for r in chunk]) for name in _OPTIONAL),
             ]
-            for rec in trace.records
-        )
+            fh.writelines([",".join(row) + "\r\n" for row in zip(*columns)])
 
 
 @dataclass
@@ -77,13 +81,13 @@ class LoadedTrace:
         ]
 
 
-_CHUNK_ROWS = 512  # rows held as strings at once, converted column by column
-
-
 def _column(cells) -> list:
     """Floats from one column's cells; None where a cell is empty."""
-    if "" not in cells:
+    empty = cells.count("")
+    if not empty:
         return list(map(float, cells))
+    if empty == len(cells):
+        return [None] * empty
     return [None if c == "" else float(c) for c in cells]
 
 

@@ -1,6 +1,5 @@
 """Command-line verbs, config validation, trace persistence, plotting."""
 
-import csv
 import json
 import xml.etree.ElementTree as ET
 
@@ -24,6 +23,7 @@ from amoo.plotting import trace_svg
 from amoo.problems import ProblemSpec
 from amoo.weighting import CamooConfig, PamooConfig
 from test_golden_traces import CONFIGS as GOLDEN_CONFIGS
+from test_trace_bytes import reference_write_trace_csv
 
 
 VALID_CONFIG = {
@@ -742,6 +742,9 @@ class TestSummaryConfigEcho:
         assert echo["inner"]["kind"] in ("gd", "adam")
 
 
+C = traceio._CHUNK_ROWS  # the reader and the writer convert this many rows at once
+
+
 class TestTraceRoundTrip:
     def test_lossless(self, tmp_path):
         trace = make_trace(steps=20)
@@ -781,23 +784,9 @@ class TestTraceRoundTrip:
             )
             for k in range(3)
         ]
-        path = tmp_path / "t.csv"
+        path, ref = tmp_path / "t.csv", tmp_path / "ref.csv"
         traceio.write_trace_csv(RunTrace(records=records, config=None), path)
-
-        def old_fmt(v):
-            return "" if v is None else repr(float(v))
-
-        ref = tmp_path / "ref.csv"
-        with open(ref, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(traceio.trace_header(3))
-            for r in records:
-                writer.writerow(
-                    [str(r.step)]
-                    + [old_fmt(v) for v in [*r.f, *r.w]]
-                    + [old_fmt(v) for v in (r.grad_norm, r.residual, r.msq)]
-                    + [old_fmt(r.lambda_min_est), old_fmt(r.pu_gap)]
-                )
+        reference_write_trace_csv(RunTrace(records=records, config=None), ref)
         assert path.read_bytes() == ref.read_bytes()
 
         loaded = traceio.read_trace_csv(path)
@@ -821,7 +810,7 @@ class TestTraceRoundTrip:
         with pytest.raises(ValueError):
             traceio.read_trace_csv(path)
 
-    @pytest.mark.parametrize("rows", [0, 1, 2047, 2048, 2049, 4097])
+    @pytest.mark.parametrize("rows", [0, 1, C - 1, C, C + 1, 2 * C + 1])
     def test_lossless_across_chunk_boundaries(self, tmp_path, rows):
         rng = np.random.default_rng(rows)
         values = rng.normal(size=(rows, 6)) * 10.0 ** rng.integers(-300, 300, (rows, 6))

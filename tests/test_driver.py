@@ -177,6 +177,20 @@ class TestRunBasics:
             x = x - 0.25 * x
         assert final.residual == pytest.approx(float(np.linalg.norm(x)), rel=1e-9)
 
+    def test_recorded_norm_is_numpy_norm_bit_for_bit(self):
+        # The driver records grad_norm and residual as sqrt(v.v), the formula
+        # np.linalg.norm runs on 1-D float64; if numpy changes it, this fails
+        # before the golden digests do.
+        rng = np.random.default_rng(0)
+        with np.errstate(over="ignore"):
+            for n in range(1, 1001):
+                scaled = rng.normal(size=n) * 10.0 ** rng.integers(-150, 151)
+                for v in (scaled, np.full(n, 1e200), np.full(n, 1e-200), np.full(n, -0.0)):
+                    got, want = amoo.driver._norm(v), float(np.linalg.norm(v))
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert amoo.driver._norm(np.full(3, 1e200)) == math.inf  # overflows
+        assert amoo.driver._norm(np.full(3, 1e-200)) == 0.0  # underflows
+
     def test_zero_steps_single_record(self):
         trace = spec_run(WeightingChoice(kind="ew"), steps=0)
         assert len(trace.records) == 1

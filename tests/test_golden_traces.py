@@ -10,8 +10,9 @@ have the pinned digest.
 
 A digest moves only when a change alters some recorded number or, for a
 plot, some drawn coordinate.  Such a change updates the digest here and
-says in CHANGES.md which numbers moved and why.  The digests were taken with numpy's bundled OpenBLAS 0.3.31 on
-x86-64; another BLAS or LAPACK may round differently.
+says in CHANGES.md which numbers moved and why.  The digests were taken
+with numpy's bundled OpenBLAS 0.3.31 on x86-64; another BLAS or LAPACK may
+round differently.
 """
 
 import hashlib
