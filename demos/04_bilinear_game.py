@@ -4,43 +4,38 @@ With diagonal Hessians, maximizing the smallest eigenvalue of the weighted
 sum reduces to max over row mixtures w of min over columns of w'A, a
 bilinear game on two simplices.  The game is a linear program (Dantzig
 1951): runs solve it exactly by column generation
-(``weighting.solve_camoo_diagonal``), and the library certifies games with
-that LP, ``weighting.max_min_weights``, whose multipliers are the column
-player's strategy.  Shown here beside the LP's value, ``solve_bilinear_pu``
-runs the game's predictive entropic primal-dual dynamics (exponentiated
-gradient steps from a half-step lookahead) to a certified duality gap:
-max_i (Aq)_i - min_j (A'w)_j.
+(``weighting.solve_camoo_diagonal``), and ``weighting.max_min_weights(A)``
+solves it in one call.  The LP's multipliers are the column player's
+strategy q, so weak duality certifies both players at once: the gap
+max_i (Aq)_i - min_j (A'w)_j is nonnegative for any pair of strategies and
+zero exactly at a saddle point, and the LP's pair leaves only rounding.
 """
 
 import numpy as np
 
-from amoo.weighting import CamooConfig, max_min_weights, solve_bilinear_pu
+from amoo.weighting import max_min_weights
+
+
+def show(name, A):
+    w, value, q = max_min_weights(A)
+    lower, upper = float(np.min(w @ A)), float(np.max(A @ q))
+    print(f"{name}:")
+    print(f"  w     = {np.round(w, 4)}   (row player: objective weights)")
+    print(f"  q     = {np.round(q, 4)}   (multipliers: column player)")
+    print(f"  value = {value:.4f}")
+    print(f"  min_j (A'w)_j = {lower:.6f} <= max_i (Aq)_i = {upper:.6f}")
+    print(f"  gap   = {upper - lower:.1e}")
+    print()
+
 
 A = np.array([[1.8, 0.2], [0.2, 1.8]])
 print("payoffs A (rows: objectives, columns: coordinates):")
 print(A)
 print()
-print(f"{'iterations':>10} {'gap':>12} {'value':>8}   weights")
-for iters in (16, 64, 256, 1024, 4096):
-    sol = solve_bilinear_pu(A, CamooConfig(pu_iterations=iters, pu_tau=0.0))
-    print(
-        f"{iters:>10} {sol.gap:>12.2e} {sol.value:>8.4f}   {np.round(sol.w, 4)}"
-    )
-w, value, _ = max_min_weights(A)
-print(f"{'LP':>10} {'exact':>12} {value:>8.4f}   {np.round(w, 4)}")
-print()
+show("symmetric 2x2 game", A)
 print("The symmetric game settles on the 50/50 mixture with value 1.0: the")
 print("same answer the full eigen route gives for these diagonal Hessians.")
 print()
 
 rng = np.random.default_rng(7)
-B = rng.uniform(0, 3, size=(5, 8))
-sol = solve_bilinear_pu(
-    B, CamooConfig(pu_iterations=60000, pu_tau=0.0), gap_target=1e-4
-)
-print("random 5x8 game, solved to a certified gap:")
-print(f"  gap   = {sol.gap:.2e}")
-print(f"  value = {sol.value:.4f}")
-print(f"  LP    = {max_min_weights(B)[1]:.4f} (the exact value)")
-print(f"  w     = {np.round(sol.w, 4)}")
-print(f"  q     = {np.round(sol.q, 4)}")
+show("random 5x8 game", rng.uniform(0, 3, size=(5, 8)))

@@ -25,8 +25,8 @@ from .driver import ConfigurationError
 from .plotting import write_trace_svg
 
 _PRESETS = ("camoo-theory", "pamoo-theory", "practical-sgd", "practical-adam")
-# The solver settings a run config sets: CamooConfig's pu_* fields configure
-# only solve_bilinear_pu, and PamooConfig.iterations is read by nothing.
+# The solver settings a run config sets: CamooConfig's pu_* fields and
+# PamooConfig.iterations are read by nothing.
 _SOLVER_KEYS = {
     weighting.CamooConfig: ("mode", "w_min"),
     weighting.PamooConfig: ("clip_floor", "gram_tau"),

@@ -11,9 +11,7 @@ Three families:
   certified gap), on Hessian diagonals the columns of the diagonals
   (``solve_camoo_diagonal``, column generation exact to rounding).  The
   matrix game max_w min_q w'Aq is the LP ``max_min_weights(A)``, whose
-  multipliers are the column player's q; ``solve_bilinear_pu`` runs the
-  game's predictive entropic primal-dual dynamics instead, to a certified
-  duality gap,
+  multipliers are the column player's q,
 * Polyak-style weights that maximize 2 w'gaps - w'(G + tau I)w over the
   floored orthant, exactly, over which weights sit on the floor.
 
@@ -50,8 +48,9 @@ class CamooConfig:
     ``w_min`` is the simplex floor (0 keeps the full simplex, the
     theory-driven value is mu_G / (8 m beta)).  Neither mode has knobs: exact
     mode solves to a certified gap and diagonal mode exactly.  The ``pu_*``
-    fields configure only ``solve_bilinear_pu``, which no run calls, so a run
-    config cannot set them.
+    fields are read and checked by nothing, and a run config cannot set them;
+    they are kept only because the benchmark (``perfbench``) builds its CAMOO
+    config with them.
     """
 
     mode: str = MODE_EXACT
@@ -64,10 +63,6 @@ class CamooConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0 <= self.w_min < np.inf:
             raise ValueError("w_min must be finite and nonnegative")
-        if not 0 <= self.pu_tau < np.inf:
-            raise ValueError("pu_tau must be finite and nonnegative")
-        if self.pu_iterations < 1:
-            raise ValueError("pu_iterations must be positive")
 
 
 @dataclass(frozen=True)
@@ -100,94 +95,34 @@ def equal_weights(m: int) -> Array:
 
 @dataclass(frozen=True)
 class BilinearSolution:
-    """An approximate equilibrium of max_w min_q w'Aq with a certified gap.
+    """An equilibrium of max_w min_q w'Aq with its certified gap.
 
     ``gap`` is max_i (Aq)_i - min_j (A'w)_j, which is zero exactly at a
-    saddle point and upper-bounds the suboptimality of both players.
-    ``iterations`` is the number of primal-dual iterations the game ran.
+    saddle point and upper-bounds the suboptimality of both players; it is
+    clamped at 0, since rounding alone can make the difference negative.
     """
 
     w: Array
     q: Array
     gap: float
     value: float
-    iterations: int
 
 
-def solve_bilinear_pu(
-    A, cfg: CamooConfig | None = None, gap_target: float | None = None
-) -> BilinearSolution:
-    """Approximately solve max_{w in simplex} min_{q in simplex} w'Aq.
+def solve_bilinear_pu(A, cfg: CamooConfig | None = None) -> BilinearSolution:
+    """Solve max_{w in simplex} min_{q in simplex} w'Aq exactly: the game is
+    the LP ``max_min_weights(A)``, whose multipliers are q.
 
-    Runs predictive (extragradient) entropic primal-dual updates from
-    uniform play, with step 1 / (2 max_ij |A_ij| + tau) and optional
-    entropic regularization of strength tau.  Every 64 iterations, and at
-    the last, the running average of the midpoint iterates, the last
-    iterates and the tail average are candidate solutions; the pair with the
-    smallest certified duality gap so far is returned.  ``gap_target``
-    enables early exit once that gap is at or below the target.
+    The name and ``cfg``, which is not read, are kept only because the
+    benchmark (``perfbench``) wraps and calls this function.
     """
-    cfg = cfg or CamooConfig()
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise ValueError(f"payoff matrix must be 2-D, got shape {A.shape}")
-    # max |A_ij| is NaN or inf exactly when A has a non-finite entry.
-    amax = np.abs(A).max(initial=0.0)
-    if not np.isfinite(amax):
+    if not np.isfinite(A).all():
         raise ValueError("payoff matrix has non-finite entries")
-    m, n = A.shape
-    w, q = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
-    if amax == 0.0:  # uniform play solves a zero game
-        return BilinearSolution(w, q, 0.0, 0.0, 0)
-    eta = 1.0 / (2.0 * amax + cfg.pu_tau)
-    expo = 1.0 - eta * cfg.pu_tau
-    Aeta = eta * A
-    neg_AetaT = np.ascontiguousarray(-Aeta.T)
-    w_acc, q_acc = np.zeros(m), np.zeros(n)
-    tail_start = 0
-    best = None
-    for t in range(cfg.pu_iterations):
-        base_w, base_q = (w, q) if expo == 1.0 else (w**expo, q**expo)
-        # Half step from the current payoffs, full step from the midpoint's;
-        # each is base * exp(payoffs), normalised.
-        wb = np.exp(Aeta @ q)
-        wb *= base_w
-        wb /= wb.sum()
-        qb = np.exp(neg_AetaT @ w)
-        qb *= base_q
-        qb /= qb.sum()
-        w = np.exp(Aeta @ qb)
-        w *= base_w
-        w /= w.sum()
-        q = np.exp(neg_AetaT @ wb)
-        q *= base_q
-        q /= q.sum()
-        w_acc += wb
-        q_acc += qb
-        # Before the first restart the tail average is the running average.
-        if tail_start:
-            tail_w += wb
-            tail_q += qb
-        done = t + 1
-        if done % 64 and done < cfg.pu_iterations:
-            continue
-        cands = [(w_acc / done, q_acc / done), (w, q)]
-        if tail_start:
-            span = done - tail_start
-            cands.append((tail_w / span, tail_q / span))
-        for wc, qc in cands:
-            gap = float(np.max(A @ qc) - np.min(A.T @ wc))
-            if best is None or gap < best[0]:
-                best = (gap, wc, qc)
-        if gap_target is not None and best[0] <= gap_target:
-            break
-        # Restart the tail window once it spans half the history, so the tail
-        # average forgets the transient.
-        if done - tail_start >= max(tail_start, 256):
-            tail_w, tail_q = np.zeros(m), np.zeros(n)
-            tail_start = done
-    gap, w, q = best
-    return BilinearSolution(w, q, gap, float(w @ A @ q), done)
+    w, value, q = max_min_weights(A)
+    gap = max(float(np.max(A @ q) - np.min(A.T @ w)), 0.0)
+    return BilinearSolution(w, q, gap, value)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +155,20 @@ def _bases(n: int, m: int) -> Array:
     return out
 
 
+def _solve_batch(A: Array, b: Array) -> tuple[Array, Array]:
+    """``np.linalg.solve(A, b)`` over a (k, n, n) batch of square systems, and
+    the (k,) mask of those that are exactly singular, which are solved with
+    the identity in their place.  slogdet's sign is 0 exactly at a zero pivot
+    of the LU factorization, where ``solve`` fails and det may underflow.
+    """
+    try:
+        return np.linalg.solve(A, b), np.zeros(len(A), dtype=bool)
+    except np.linalg.LinAlgError:
+        singular = np.linalg.slogdet(A)[0] == 0.0
+        A = np.where(singular[:, None, None], np.eye(A.shape[-1]), A)
+        return np.linalg.solve(A, b), singular
+
+
 def _max_min_vertex(C: Array, w_min: float) -> tuple[Array, float, Array] | None:
     """``max_min_weights`` by enumerating the LP's vertex bases, or None if
     no basis is optimal to rounding.
@@ -243,15 +192,10 @@ def _max_min_vertex(C: Array, w_min: float) -> tuple[Array, float, Array] | None
     rhs[n:] = w_min
     rhs[-1] = 1.0
     tight = _bases(n, m)
+    # Tied or shifted cuts make some bases singular: they are set aside.  The
+    # identity goes in as a stack, since numpy 1.x reads a 2-D b as vectors.
     B = rows[tight]
-    try:
-        inv = np.linalg.inv(B)
-        singular = False
-    except np.linalg.LinAlgError:
-        # Tied or shifted cuts make some bases singular: set them aside.
-        singular = np.linalg.det(B) == 0.0
-        B[singular] = np.eye(m + 1)
-        inv = np.linalg.inv(B)
+    inv, singular = _solve_batch(B, np.broadcast_to(np.eye(m + 1), B.shape))
     x = (inv @ rhs[tight][:, :, None])[:, :, 0]
     u = -inv[:, m, :m]
     # The least slack of each basis's point and multipliers: >= 0 iff optimal.
@@ -471,10 +415,8 @@ def pamoo_weights(gaps, gram, cfg: PamooConfig | None = None) -> Array:
     # All held first: a tie goes to the weights set exactly to the floor.
     held = (np.arange(2**m)[::-1, None] >> np.arange(m) & 1).astype(bool)
     A = np.where(held[:, :, None], np.eye(m), Q)
-    # slogdet's sign is 0 exactly at a zero pivot, where det may underflow.
-    singular = np.linalg.slogdet(A)[0] == 0.0
-    A[singular] = np.eye(m)
-    w = np.linalg.solve(A, np.where(held, floor, gaps)[:, :, None])[:, :, 0]
+    w, singular = _solve_batch(A, np.where(held, floor, gaps)[:, :, None])
+    w = w[:, :, 0]
     w[held] = floor
     # phi with (Qw)_i = gaps_i on the free rows, not the rounding of w'Qw.
     phi = np.where(held, floor * (2.0 * gaps - w @ Q), w * gaps).sum(axis=1)

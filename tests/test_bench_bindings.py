@@ -99,9 +99,12 @@ def test_driver_pu_solve_still_takes_the_benchmark_call():
     # perfbench/tests calls amoo.driver.solve_bilinear_pu with a default
     # CamooConfig; that suite is outside the main one.
     from amoo.driver import solve_bilinear_pu
-    from amoo.weighting import CamooConfig
+    from amoo.weighting import CamooConfig, max_min_weights
 
-    sol = solve_bilinear_pu(np.array([[1.0, 0.2], [0.3, 2.0]]), CamooConfig())
+    A = np.array([[1.0, 0.2], [0.3, 2.0]])
+    sol = solve_bilinear_pu(A, CamooConfig())
+    w, _, q = max_min_weights(A)
+    assert sol.w.tobytes() == w.tobytes() and sol.q.tobytes() == q.tobytes()
     assert sol.gap >= 0.0
 
 
@@ -165,3 +168,49 @@ def test_benchmark_pamoo_iterations_field_is_inert(monkeypatch, tmp_path):
         for c, path in zip((cfg, default), paths):
             traceio.write_trace_csv(driver.run(c), path)
         assert paths[0].read_bytes() == paths[1].read_bytes(), variant
+
+
+def test_benchmark_camoo_pu_fields_are_inert(monkeypatch, tmp_path):
+    # The benchmark builds its CAMOO runs with pu_iterations=10, pu_tau=0.01,
+    # and calls solve_bilinear_pu with a CamooConfig; neither reads them, so
+    # traces and solves are those of the defaults bit for bit.
+    import dataclasses
+
+    from amoo import driver, traceio
+    from amoo.weighting import CamooConfig, solve_bilinear_pu
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    bench = workloads.MlpMatching(0, tmp_path)
+    for variant in workloads.MLP_VARIANTS:
+        cfg = dataclasses.replace(
+            bench.configs[f"{variant}/camoo"], steps=60, record_every=1
+        )
+        assert cfg.weighting.camoo == CamooConfig(
+            mode="diagonal-bilinear", pu_iterations=10, pu_tau=0.01
+        )
+        default = dataclasses.replace(
+            cfg,
+            weighting=dataclasses.replace(
+                cfg.weighting, camoo=CamooConfig(mode="diagonal-bilinear")
+            ),
+        )
+        paths = [tmp_path / f"{variant}-{i}.csv" for i in range(2)]
+        for c, path in zip((cfg, default), paths):
+            traceio.write_trace_csv(driver.run(c), path)
+        assert paths[0].read_bytes() == paths[1].read_bytes(), variant
+
+    A = np.random.default_rng(3).uniform(0.0, 3.0, size=(4, 7))
+    sols = [
+        solve_bilinear_pu(A, cfg)
+        for cfg in (
+            None,
+            CamooConfig(),
+            CamooConfig(mode="diagonal-bilinear", pu_iterations=10, pu_tau=0.01),
+            CamooConfig(w_min=0.2, pu_iterations=1, pu_tau=-1.0),
+        )
+    ]
+    for sol in sols[1:]:
+        for a, b in zip(dataclasses.astuple(sol), dataclasses.astuple(sols[0])):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()

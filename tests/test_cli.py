@@ -377,7 +377,7 @@ class TestRunCommand:
                 "problem",
                 {"problem": {"kind": "mlp_matching", "target_offset": 10.0}},
             ),
-            # They configure only solve_bilinear_pu, which no run calls.
+            # No solver reads them.
             *(
                 (key, "weighting.camoo", {"weighting": {"kind": "camoo", "camoo": {key: v}}})
                 for key, v in [

@@ -1,6 +1,5 @@
 """Weight optimizers against brute-force grid and enumeration oracles."""
 
-import hashlib
 import itertools
 import math
 from unittest import mock
@@ -121,94 +120,62 @@ class TestEqualWeights:
 # ---------------------------------------------------------------------------
 
 
-# sha256 of each case's (w, q, gap, value, iterations) in
-# ``test_bitwise_equal_to_reference_loop``, taken while the solver still ran
-# beside the predictive loop as first written and matched it bit for bit.  A
-# 2e-3 target is met within 1100 iterations only on the 2 x 6 game at tau = 0,
-# so the other cases pin the same bits with and without it.
-PU_SHA256 = {
-    ((5, 8), 0.0, None): "d6e46920fc0f7c804ab40efce3445ab6f66e3ead9e7c151d8600d1a2ec46a732",
-    ((2, 6), 0.0, None): "9021b9b950420d0b86e718910a8d5c55c480676daab97ccd84e8d61b0a68f592",
-    ((3, 903), 0.0, None): "08be5c247bfe6d9536851f54d3d28483d201be3cf32f88257d886b1193898ca2",
-    ((5, 8), 0.01, None): "74b2aeae2b7b6a4dd6243711121bb46c5820a0c88acd663c2fbb55b8b130a065",
-    ((2, 6), 0.01, None): "b636515e92ff34401d57844803d6e3e41e52e1173d478e38a9f0b03f00e2dfb3",
-    ((3, 903), 0.01, None): "72537659ad58a45d53a97e79e2a3eed0fcc86a26d60892cb436989519c7509a1",
-    ((5, 8), 0.0, 2e-3): "d6e46920fc0f7c804ab40efce3445ab6f66e3ead9e7c151d8600d1a2ec46a732",
-    ((2, 6), 0.0, 2e-3): "2b145da516497ffd8935968d206ec6e450d7377851ef7207910847b2c0d316a9",
-    ((3, 903), 0.0, 2e-3): "08be5c247bfe6d9536851f54d3d28483d201be3cf32f88257d886b1193898ca2",
-    ((5, 8), 0.01, 2e-3): "74b2aeae2b7b6a4dd6243711121bb46c5820a0c88acd663c2fbb55b8b130a065",
-    ((2, 6), 0.01, 2e-3): "b636515e92ff34401d57844803d6e3e41e52e1173d478e38a9f0b03f00e2dfb3",
-    ((3, 903), 0.01, 2e-3): "72537659ad58a45d53a97e79e2a3eed0fcc86a26d60892cb436989519c7509a1",
-}
-
-
 class TestBilinearPU:
+    """The matrix game max_w min_q w'Aq, solved by the LP ``max_min_weights``
+    and by ``solve_bilinear_pu``, the name the benchmark calls it by."""
+
     def test_identity_game(self):
-        sol = solve_bilinear_pu(
-            np.eye(2), CamooConfig(pu_iterations=4000, pu_tau=0.0), gap_target=1e-4
-        )
-        assert sol.gap <= 1e-3
-        np.testing.assert_allclose(sol.w, [0.5, 0.5], atol=1e-2)
-        np.testing.assert_allclose(sol.q, [0.5, 0.5], atol=1e-2)
-        assert sol.value == pytest.approx(0.5, abs=1e-3)
+        w, value, q = max_min_weights(np.eye(2))
+        np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(q, [0.5, 0.5], atol=1e-12)
+        assert value == pytest.approx(0.5, abs=1e-12)
 
     def test_specification_diagonals(self):
         A = np.array([[1.8, 0.2], [0.2, 1.8]])
         grid_val, grid_w = bilinear_grid_value_m2(A)
         assert grid_val == pytest.approx(1.0, abs=1e-3)
-        sol = solve_bilinear_pu(
-            A, CamooConfig(pu_iterations=20000, pu_tau=0.0), gap_target=1e-5
-        )
-        assert sol.value == pytest.approx(1.0, abs=1e-3)
-        np.testing.assert_allclose(sol.w, grid_w, atol=1e-2)
+        w, value, _ = max_min_weights(A)
+        assert value == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(w, grid_w, atol=1e-12)
 
     def test_selection_concentrates_on_strong_row(self):
         A = np.array([[1.8, 0.2], [1.8, 0.2], [2.0, 2.0]])
-        sol = solve_bilinear_pu(
-            A, CamooConfig(pu_iterations=20000, pu_tau=0.0), gap_target=1e-5
-        )
+        w, value, _ = max_min_weights(A)
         # min_j of row 3 beats any mixture's min: the grid over mixtures of
         # (row1+row2, row3) confirms the one-hot optimum.
         mix = bilinear_grid_value_m2(np.array([[1.8, 0.2], [2.0, 2.0]]))[0]
         assert mix == pytest.approx(2.0, abs=1e-3)
-        assert sol.w[2] >= 0.99
-        assert bilinear_value_of_w(A, sol.w) >= 2.0 - 1e-3
+        np.testing.assert_allclose(w, [0.0, 0.0, 1.0], atol=1e-12)
+        assert bilinear_value_of_w(A, w) == pytest.approx(2.0, abs=1e-12)
 
     def test_equal_rows_degenerate(self):
+        # Any w is optimal; the column player's best column is the third.
         A = np.array([[1.0, 2.0, 0.5], [1.0, 2.0, 0.5]])
-        sol = solve_bilinear_pu(
-            A, CamooConfig(pu_iterations=20000, pu_tau=0.0), gap_target=1e-6
-        )
-        assert sol.gap <= 1e-4
-        assert sol.value == pytest.approx(0.5, abs=1e-4)
+        w, value, q = max_min_weights(A)
+        assert value == pytest.approx(0.5, abs=1e-12)
+        np.testing.assert_allclose(q, [0.0, 0.0, 1.0], atol=1e-12)
+        assert_max_min_solution(A, 0.0, w, value, q)
 
     def test_equal_columns_degenerate(self):
         # Every q gives the column player the same payoff; any q is optimal
-        # and the row player's best response drives the gap to zero.
+        # and the row player's best response is the second row.
         A = np.array([[1.0, 1.0], [3.0, 3.0]])
-        sol = solve_bilinear_pu(
-            A, CamooConfig(pu_iterations=20000, pu_tau=0.0), gap_target=1e-6
-        )
-        assert sol.gap <= 1e-4
-        assert sol.value == pytest.approx(3.0, abs=1e-4)
-
-    def test_single_update_mode(self):
-        # One predictive update per call, the minimal per-step setting.
-        A = np.array([[1.8, 0.2], [0.2, 1.8]])
-        sol = solve_bilinear_pu(A, CamooConfig(pu_iterations=1))
-        assert sol.gap >= 0.0
-        assert sol.w.sum() == pytest.approx(1.0, abs=1e-12)
+        w, value, q = max_min_weights(A)
+        assert value == pytest.approx(3.0, abs=1e-12)
+        np.testing.assert_allclose(w, [0.0, 1.0], atol=1e-12)
+        assert_max_min_solution(A, 0.0, w, value, q)
 
     def test_zero_matrix(self):
         sol = solve_bilinear_pu(np.zeros((2, 3)), CamooConfig())
-        assert sol.gap == 0.0
-        np.testing.assert_allclose(sol.w, [0.5, 0.5])
+        assert sol.gap == 0.0 and sol.value == 0.0
+        assert_on_simplex(sol.w, 2)
+        assert_on_simplex(sol.q, 3)
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             solve_bilinear_pu(np.array([[np.nan, 1.0]]), CamooConfig())
 
-    @pytest.mark.parametrize("field", ["pu_tau", "w_min"])
+    @pytest.mark.parametrize("field", ["w_min"])
     @pytest.mark.parametrize("value", [-0.01, float("nan"), float("inf")])
     def test_config_rejects_negative_or_nan(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -217,74 +184,27 @@ class TestBilinearPU:
     @pytest.mark.parametrize(
         "field, solve",
         [
-            # Each solve once failed deep inside, with NaN weights and gaps.
-            ("pu_tau", lambda cfg: solve_bilinear_pu(np.eye(2), cfg)),
+            # The solve once failed deep inside, with NaN weights and gaps.
             ("gram_tau", lambda cfg: pamoo_weights(np.ones(2), np.eye(2), cfg)),
         ],
     )
     def test_infinite_setting_rejected_before_the_solve(self, field, solve):
-        config = PamooConfig if field == "gram_tau" else CamooConfig
         with pytest.raises(ValueError, match=f"{field} must be finite"):
-            solve(config(**{field: float("inf")}))
+            solve(PamooConfig(**{field: float("inf")}))
 
     def test_gap_certificate_nonnegative_and_weak_duality(self):
         rng = np.random.default_rng(32)
-        A = rng.uniform(0, 3, size=(5, 8))
-        for iters in (64, 256, 1024, 4096):
-            sol = solve_bilinear_pu(A, CamooConfig(pu_iterations=iters, pu_tau=0.0))
+        for shape in ((5, 8), (2, 6), (3, 903)):
+            A = rng.uniform(0, 3, size=shape)
+            sol = solve_bilinear_pu(A, CamooConfig())
+            w, value, q = max_min_weights(A)
+            assert sol.w.tobytes() == w.tobytes() and sol.q.tobytes() == q.tobytes()
+            assert sol.value == value
             lower = bilinear_value_of_w(A, sol.w)
             upper = float(np.max(A @ sol.q))
             assert lower <= upper + 1e-12
-            assert sol.gap == pytest.approx(upper - lower, abs=1e-12)
-            assert sol.gap >= -1e-10
-
-    def test_gap_trend_and_final_tolerance(self):
-        rng = np.random.default_rng(33)
-        for _ in range(10):
-            A = rng.uniform(0, 3, size=(5, 8))
-            early = solve_bilinear_pu(A, CamooConfig(pu_iterations=128, pu_tau=0.0))
-            late = solve_bilinear_pu(
-                A, CamooConfig(pu_iterations=60000, pu_tau=0.0), gap_target=9e-4
-            )
-            assert late.gap <= early.gap + 1e-12
-            assert late.gap <= 1e-3
-
-    def test_regularized_default_still_converges(self):
-        A = np.array([[1.8, 0.2], [0.2, 1.8]])
-        sol = solve_bilinear_pu(A, CamooConfig(pu_iterations=2000))
-        assert sol.gap <= 5e-2
-        np.testing.assert_allclose(sol.w, [0.5, 0.5], atol=5e-2)
-
-    @pytest.mark.parametrize("shape", [(5, 8), (2, 6), (3, 903)])
-    @pytest.mark.parametrize("pu_tau", [0.0, 0.01])
-    @pytest.mark.parametrize("gap_target", [None, 2e-3])
-    def test_bitwise_equal_to_reference_loop(self, shape, pu_tau, gap_target):
-        rng = np.random.default_rng(38)
-        digest = hashlib.sha256()
-        for iterations in (10, 64, 300, 1100):
-            A = rng.uniform(0.0, 3.0, size=shape) * 10.0 ** rng.uniform(-3, 1)
-            cfg = CamooConfig(pu_iterations=iterations, pu_tau=pu_tau)
-            sol = solve_bilinear_pu(A, cfg, gap_target=gap_target)
-            for x in (sol.w, sol.q, sol.gap, sol.value, sol.iterations):
-                digest.update(np.asarray(x).tobytes())
-        assert digest.hexdigest() == PU_SHA256[shape, pu_tau, gap_target]
-
-    @pytest.mark.parametrize("gap_target", [None, 2e-3])
-    def test_iterations_reported(self, gap_target):
-        rng = np.random.default_rng(41)
-        for shape, iterations in (((5, 8), 1000), ((2, 6), 300), ((3, 903), 10)):
-            A = rng.uniform(0.0, 3.0, size=shape)
-            cfg = CamooConfig(pu_iterations=iterations, pu_tau=0.0)
-            sol = solve_bilinear_pu(A, cfg, gap_target=gap_target)
-            if gap_target is None:
-                assert sol.iterations == iterations
-            elif sol.gap <= gap_target:
-                assert sol.iterations % 64 == 0 or sol.iterations == iterations
-        # 2e-3 is met on the 5x8 game at a check before the last iteration.
-        A = rng.uniform(0.0, 3.0, size=(5, 8))
-        cfg = CamooConfig(pu_iterations=60000, pu_tau=0.0)
-        sol = solve_bilinear_pu(A, cfg, gap_target=2e-3)
-        assert sol.gap <= 2e-3 and sol.iterations % 64 == 0 and sol.iterations < 60000
+            assert sol.gap == max(upper - lower, 0.0)
+            assert sol.gap <= 1e-12 * np.abs(A).max()
 
 
 # ---------------------------------------------------------------------------
@@ -560,32 +480,31 @@ class TestCamooDiagonal:
 
 
 class TestCamooDiag:
-    """The bilinear PU game on Hessian diagonals: with diagonal Hessians,
-    lambda_min of the weighted sum is min_j (w'A)_j."""
+    """Small games on Hessian diagonals: with diagonal Hessians, lambda_min of
+    the weighted sum is min_j (w'A)_j, the value of the LP over A's columns."""
 
     def test_specification_diagonals(self):
         A = np.array([[1.8, 0.2], [0.2, 1.8]])
-        sol = solve_bilinear_pu(
-            A, CamooConfig(mode=MODE_DIAGONAL, pu_iterations=20000, pu_tau=0.0)
-        )
-        np.testing.assert_allclose(sol.w, [0.5, 0.5], atol=1e-2)
-        assert bilinear_value_of_w(A, sol.w) >= 1.0 - 1e-2
+        res = solve_camoo_diagonal(A)
+        np.testing.assert_allclose(res.weights, [0.5, 0.5], atol=1e-12)
+        assert bilinear_value_of_w(A, res.weights) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_row(self):
-        sol = solve_bilinear_pu(np.array([[1.5, 0.4, 0.2]]), CamooConfig())
-        np.testing.assert_allclose(sol.w, [1.0])
+        w, value, q = max_min_weights(np.array([[1.5, 0.4, 0.2]]))
+        np.testing.assert_allclose(w, [1.0])
+        np.testing.assert_allclose(q, [0.0, 0.0, 1.0], atol=1e-12)
+        assert value == pytest.approx(0.2, abs=1e-12)
 
     def test_identical_rows_value_unchanged(self):
         A = np.array([[1.0, 0.5], [1.0, 0.5]])
-        sol = solve_bilinear_pu(A, CamooConfig(pu_iterations=4000, pu_tau=0.0))
-        assert bilinear_value_of_w(A, sol.w) == pytest.approx(0.5, abs=1e-6)
+        w = solve_camoo_diagonal(A).weights
+        assert bilinear_value_of_w(A, w) == pytest.approx(0.5, abs=1e-12)
 
     def test_floor_applies(self):
         # The game concentrates on the strong row; the floored solve lifts the
         # weak row to the floor.
         A = np.array([[2.0, 2.0], [0.1, 0.1]])
-        sol = solve_bilinear_pu(A, CamooConfig(pu_iterations=4000, pu_tau=0.0))
-        assert sol.w[0] > 0.99
+        np.testing.assert_allclose(max_min_weights(A)[0], [1.0, 0.0], atol=1e-12)
         w = solve_camoo_diagonal(A, CamooConfig(w_min=0.2)).weights
         np.testing.assert_allclose(w, [0.8, 0.2], atol=1e-12)
         assert bilinear_value_of_w(A, w) == pytest.approx(1.62, abs=1e-9)
@@ -774,6 +693,66 @@ class TestPamoo:
 
 
 # ---------------------------------------------------------------------------
+# The batched square solve behind both exact rules
+# ---------------------------------------------------------------------------
+
+
+def systems_solved_by(solve, *args):
+    """The (A, b) batch that ``solve(*args)`` hands to ``_solve_batch``."""
+    with mock.patch.object(
+        amoo.weighting, "_solve_batch", wraps=amoo.weighting._solve_batch
+    ) as spy:
+        solve(*args)
+    assert spy.call_count == 1
+    return spy.call_args.args
+
+
+class TestSolveBatch:
+    def test_bitwise_equal_to_numpy_on_nonsingular_batches(self):
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(40, 4, 4))
+        b = rng.normal(size=(40, 4, 1))
+        inv, singular = amoo.weighting._solve_batch(
+            A, np.broadcast_to(np.eye(4), A.shape)
+        )
+        assert inv.tobytes() == np.linalg.inv(A).tobytes() and not singular.any()
+        x, singular = amoo.weighting._solve_batch(A, b)
+        assert x.tobytes() == np.linalg.solve(A, b).tobytes() and not singular.any()
+
+    @pytest.mark.parametrize(
+        "solve, args",
+        [
+            # Tied cuts: every LP basis holding both equal columns of C.
+            (max_min_weights, (np.array([[1.0, 1.0, 3.0], [2.0, 2.0, 0.0]]),)),
+            # tau = 0 with m > n: PAMOO's systems on the Gram of one gradient
+            # column, of powers of 2 so that elimination is exact.
+            (
+                pamoo_weights,
+                (
+                    np.array([1.0, 0.5, 0.25]),
+                    np.outer([1.0, 2.0, 4.0], [1.0, 2.0, 4.0]),
+                    PamooConfig(gram_tau=0.0),
+                ),
+            ),
+        ],
+        ids=["tied-cuts", "rank-deficient-gram"],
+    )
+    def test_mask_marks_exactly_the_zero_pivot_systems(self, solve, args):
+        A, b = systems_solved_by(solve, *args)
+        x, singular = amoo.weighting._solve_batch(A, b)
+        zero_pivot = []
+        for Ai, bi, xi in zip(A, b, x):
+            try:
+                assert np.linalg.solve(Ai, bi).tobytes() == xi.tobytes()
+                zero_pivot.append(False)
+            except np.linalg.LinAlgError:
+                zero_pivot.append(True)
+        assert singular.tolist() == zero_pivot
+        assert 0 < singular.sum() < len(A)
+        assert x[singular].tobytes() == b[singular].tobytes()
+
+
+# ---------------------------------------------------------------------------
 # Each rule's weights lie on its set
 # ---------------------------------------------------------------------------
 
@@ -827,14 +806,11 @@ class TestWeightsOnTheirSet:
     @given(
         m=st.integers(1, 5),
         n=st.integers(1, 40),
-        iterations=st.integers(1, 200),
-        pu_tau=st.sampled_from([0.0, 0.01]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_bilinear_pu(self, m, n, iterations, pu_tau, seed):
+    def test_bilinear_pu(self, m, n, seed):
         A = np.random.default_rng(seed).uniform(0.0, 3.0, size=(m, n))
-        cfg = CamooConfig(pu_iterations=iterations, pu_tau=pu_tau)
-        sol = solve_bilinear_pu(A, cfg)
+        sol = solve_bilinear_pu(A)
         assert_on_simplex(sol.w, m)
         assert_on_simplex(sol.q, n)
 
