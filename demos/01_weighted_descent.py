@@ -28,7 +28,7 @@ ew = run(
 alone = run(
     RunConfig(
         problem=spec,
-        weighting=WeightingChoice(kind="fixed", fixed_weights=(1.0, 0.0)),
+        weighting=WeightingChoice(kind="fixed", weights=(1.0, 0.0)),
         inner=GDConfig(step=0.25),
         steps=100,
         x0=(1.0, 1.0),

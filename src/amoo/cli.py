@@ -25,12 +25,6 @@ from .driver import ConfigurationError
 from .plotting import write_trace_svg
 
 _PRESETS = ("camoo-theory", "pamoo-theory", "practical-sgd", "practical-adam")
-# The solver settings a run config sets: CamooConfig's pu_* fields and
-# PamooConfig.iterations are read by nothing.
-_SOLVER_KEYS = {
-    weighting.CamooConfig: ("mode", "w_min"),
-    weighting.PamooConfig: ("clip_floor", "gram_tau"),
-}
 
 
 def _object(value, where: str) -> dict:
@@ -51,7 +45,7 @@ def _convert(tp, value, where: str):
     if tp is problems.ProblemSpec:
         return parse_problem_spec(value, where)
     if dataclasses.is_dataclass(tp):
-        return _build(tp, value, where, _SOLVER_KEYS.get(tp))
+        return _build(tp, value, where)
     if typing.get_origin(tp) is tuple:
         if not isinstance(value, list):
             raise ConfigurationError(f"{where} must be an array, got {value!r}")
@@ -72,16 +66,15 @@ def _convert(tp, value, where: str):
 def _build(cls, section, where: str, keys=None, **given):
     """Build the dataclass ``cls`` from the JSON object ``section``.
 
-    The accepted keys are ``keys`` or else the fields not ``given``; a field
-    is read from the key in its ``metadata["key"]``, else from its name.  An
-    absent key takes the field's default, each value must have the JSON type
-    of the field's annotation, and a ValueError from ``cls`` is reported as a
-    configuration error that names ``where``.
+    The accepted keys are ``keys`` or else the field names not ``given``.
+    An absent key takes the field's default, each value must have the JSON
+    type of the field's annotation, and a ValueError from ``cls`` is
+    reported as a configuration error that names ``where``.
     """
     section = _object(section, where)
-    fields = {f.metadata.get("key", f.name): f for f in dataclasses.fields(cls)}
+    fields = {f.name: f for f in dataclasses.fields(cls)}
     if keys is None:
-        keys = [key for key, f in fields.items() if f.name not in given]
+        keys = [key for key in fields if key not in given]
     for key in section:
         if key not in keys:
             raise ConfigurationError(f"unknown key {key!r} in {where}")
@@ -90,7 +83,7 @@ def _build(cls, section, where: str, keys=None, **given):
     for key in keys:
         f = fields[key]
         if key in section:
-            values[f.name] = _convert(hints[f.name], section[key], f"{where}.{key}")
+            values[key] = _convert(hints[key], section[key], f"{where}.{key}")
         elif f.default is f.default_factory is dataclasses.MISSING:
             raise ConfigurationError(f"{where}.{key} is required")
     try:
@@ -137,15 +130,13 @@ def _apply_preset(name: str, problem: problems.ProblemSpec):
         while problem.kind == "misaligned":
             problem = problem.base
         built = driver.build_problem(problem)
-        wc, inner = driver.theory_camoo(built.meta, built.objectives.m)
-        return wc, inner, False
+        return driver.theory_camoo(built.meta, built.objectives.m)
     if name == "pamoo-theory":
-        wc, inner = driver.theory_pamoo()
-        return wc, inner, False
+        return driver.theory_pamoo()
     if name == "practical-sgd":
-        return driver.WeightingChoice(kind="ew"), driver.GDConfig(step=5e-4), True
+        return driver.WeightingChoice(kind="ew"), driver.GDConfig(step=5e-4)
     if name == "practical-adam":
-        return driver.WeightingChoice(kind="ew"), driver.AdamConfig(step=5e-3), True
+        return driver.WeightingChoice(kind="ew"), driver.AdamConfig(step=5e-3)
     raise ConfigurationError(f"unknown preset {name!r}; choose from {_PRESETS}")
 
 
@@ -160,13 +151,12 @@ def parse_run_config(doc: dict) -> driver.RunConfig:
         raise ConfigurationError("config section 'problem' is required")
     problem = parse_problem_spec(doc["problem"])
 
-    scale_default = True
     if "preset" in doc:
         if "weighting" in doc or "inner" in doc:
             raise ConfigurationError(
                 "preset replaces the weighting and inner sections; remove them"
             )
-        weighting_choice, inner, scale_default = _apply_preset(doc["preset"], problem)
+        weighting_choice, inner = _apply_preset(doc["preset"], problem)
     else:
         if "inner" not in doc:
             raise ConfigurationError("config section 'inner' is required")
@@ -182,7 +172,8 @@ def parse_run_config(doc: dict) -> driver.RunConfig:
         weighting=weighting_choice,
         inner=inner,
     )
-    if not scale_default and "camoo_lr_scale_by_m" not in run_section:
+    # No preset scales its step by m; of their runs only camoo-theory's reads the flag.
+    if "preset" in doc and "camoo_lr_scale_by_m" not in run_section:
         cfg = dataclasses.replace(cfg, camoo_lr_scale_by_m=False)
     return cfg
 
@@ -193,9 +184,7 @@ def _keys(obj) -> tuple:
         return ("kind", *problems.KINDS[obj.kind].params)
     if isinstance(obj, driver.WeightingChoice):
         return ("kind", *driver.WEIGHTING_KEYS[obj.kind])
-    if type(obj) in _SOLVER_KEYS:
-        return _SOLVER_KEYS[type(obj)]
-    return tuple(f.metadata.get("key", f.name) for f in dataclasses.fields(obj))
+    return tuple(f.name for f in dataclasses.fields(obj))
 
 
 def _document(value, keys=None):
@@ -204,8 +193,7 @@ def _document(value, keys=None):
         return [_document(v) for v in value]
     if not dataclasses.is_dataclass(value):
         return value
-    names = {f.metadata.get("key", f.name): f.name for f in dataclasses.fields(value)}
-    return {k: _document(getattr(value, names[k])) for k in keys or _keys(value)}
+    return {k: _document(getattr(value, k)) for k in keys or _keys(value)}
 
 
 def config_document(cfg: driver.RunConfig) -> dict:
@@ -283,9 +271,6 @@ def cmd_run(config_path: str, out_dir: str | None, print_fn=print) -> int:
     except ConfigurationError as exc:
         print_fn(f"config error: {exc}")
         return 2
-    except NumericError as exc:  # camoo-theory builds a base, maybe misaligned
-        print_fn(f"numeric failure: {exc}")
-        return 3
 
     code = 0
     try:

@@ -8,7 +8,7 @@ to share across threads.
 """
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -93,20 +93,19 @@ class ObjectiveSet:
 class OptimalInfo:
     """The shared optimum of an objective set: every problem records one.
 
-    Every objective is 0 at its own minimum, so ``f_star``, the vector of
-    those minima, is 0.  ``alignment_eps`` is 0 for exactly aligned
+    Every objective is 0 at its own minimum: ``f_star``, each minimum, is
+    the class constant 0.  ``alignment_eps`` is 0 for exactly aligned
     instances, where every f_i is 0 at ``x_star``; otherwise it is the
     smallest e such that some point (``misalign`` certifies ``x_star`` as
     one) has every f_i <= e.
     """
 
+    f_star: ClassVar[float] = 0.0
     x_star: Array
-    f_star: Array
     alignment_eps: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "x_star", _frozen(as_vector(self.x_star)))
-        object.__setattr__(self, "f_star", _frozen(as_vector(self.f_star)))
         if self.alignment_eps < 0:
             raise ValueError("alignment_eps must be nonnegative")
 

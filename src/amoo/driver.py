@@ -132,14 +132,14 @@ class WeightingChoice:
     kind: str = WEIGHTING_EW
     camoo: CamooConfig = field(default_factory=CamooConfig)
     pamoo: PamooConfig = field(default_factory=PamooConfig)
-    fixed_weights: tuple[float, ...] = field(default=(), metadata={"key": "weights"})
+    weights: tuple[float, ...] = ()
     hutchinson: HutchinsonConfig | None = None
 
     def __post_init__(self):
         if self.kind not in WEIGHTING_KEYS:
             raise ConfigurationError(f"unknown weighting kind {self.kind!r}")
-        if self.kind == WEIGHTING_FIXED and len(self.fixed_weights) == 0:
-            raise ConfigurationError("fixed weighting needs fixed_weights")
+        if self.kind == WEIGHTING_FIXED and len(self.weights) == 0:
+            raise ConfigurationError("fixed weighting needs weights")
 
 
 @dataclass(frozen=True)
@@ -277,12 +277,12 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
     if wc.kind == WEIGHTING_EW:
         const_w = equal_weights(m)
     else:
-        if len(wc.fixed_weights) != m:
+        if len(wc.weights) != m:
             raise ConfigurationError(
-                f"weighting has {len(wc.fixed_weights)} fixed weights "
+                f"weighting has {len(wc.weights)} fixed weights "
                 f"for {m} objectives"
             )
-        const_w = np.array(wc.fixed_weights, dtype=np.float64)
+        const_w = np.array(wc.weights, dtype=np.float64)
         if not (np.isfinite(const_w).all() and (const_w >= 0).all()):
             raise ConfigurationError(
                 f"bad fixed weights in weighting: they must be finite and "

@@ -153,7 +153,7 @@ def _build_specification(spec: ProblemSpec) -> Problem:
         raise ValueError(f"delta must lie in [0, 0.5], got {delta}")
     mats = _specification_curvatures(delta)
     objectives = _QuadraticStack(mats, (1.0, 1.0)).objectives()
-    optimum = OptimalInfo(x_star=np.zeros(2), f_star=np.zeros(2))
+    optimum = OptimalInfo(x_star=np.zeros(2))
     meta = ProblemMeta(beta=2.0 * (1.0 - delta), mu_g=1.0, mu_l=1.0, m_self=0.0)
     return Problem(objectives, optimum, meta, x0=np.ones(2), spec=spec)
 
@@ -166,7 +166,7 @@ def _build_selection(spec: ProblemSpec) -> Problem:
         raise ValueError("selection needs m >= 2 objectives and n >= 1 dims")
     mats = _selection_curvatures(delta, m, n)
     objectives = _QuadraticStack(mats, (1.0,) * m).objectives()
-    optimum = OptimalInfo(x_star=np.zeros(n), f_star=np.zeros(m))
+    optimum = OptimalInfo(x_star=np.zeros(n))
     meta = ProblemMeta(beta=2.0, mu_g=2.0, mu_l=2.0, m_self=0.0)
     return Problem(objectives, optimum, meta, x0=np.ones(n), spec=spec)
 
@@ -188,7 +188,7 @@ def _build_local_curvature(spec: ProblemSpec) -> Problem:
         return np.stack([np.diag(np.exp(s * x)) for s in signs])
 
     objectives = ObjectiveSet(2, n, evaluate, hessians)
-    optimum = OptimalInfo(x_star=np.zeros(n), f_star=np.zeros(2))
+    optimum = OptimalInfo(x_star=np.zeros(n))
     # beta and m_self hold on the |x_j| <= 2 region that the bundled runs use.
     meta = ProblemMeta(beta=float(np.exp(2.0)), mu_g=1.0, mu_l=1.0, m_self=1.0)
     return Problem(objectives, optimum, meta, x0=np.ones(n), spec=spec)
@@ -221,7 +221,7 @@ def _build_quad_family(spec: ProblemSpec) -> Problem:
     if min(alphas) < 1.0:
         raise ValueError(f"alpha must be >= 1, got {min(alphas)}")
     objectives = _QuadraticStack(mats, alphas).objectives()
-    optimum = OptimalInfo(x_star=np.zeros(n), f_star=np.zeros(len(mats)))
+    optimum = OptimalInfo(x_star=np.zeros(n))
     pure_quad = all(a == 1.0 for a in alphas)
     beta = 2.0 * max(tops) if pure_quad else None
     meta = ProblemMeta(
@@ -453,7 +453,7 @@ def build_mlp_matching(spec: ProblemSpec) -> Problem:
     """Construct the network-matching problem for the given spec."""
     model = _TwoLayerMatching(spec)
     objectives = ObjectiveSet(model.m, model.n_params, model.evaluate)
-    optimum = OptimalInfo(x_star=model.theta_star, f_star=np.zeros(model.m))
+    optimum = OptimalInfo(x_star=model.theta_star)
     meta = ProblemMeta(beta=None, mu_g=None, mu_l=None, m_self=None)
     return Problem(
         objectives,
@@ -554,7 +554,7 @@ def misalign(base: Problem, shifts) -> Problem:
     if shifts.any():
         x_ref, eps = _minimax_point(objectives, x_ref + shifts.mean(axis=0))
 
-    optimum = OptimalInfo(x_star=x_ref, f_star=np.zeros(m), alignment_eps=eps)
+    optimum = OptimalInfo(x_star=x_ref, alignment_eps=eps)
     spec = ProblemSpec(
         kind="misaligned", base=base.spec, shifts=tuple(map(tuple, shifts))
     )

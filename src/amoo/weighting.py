@@ -24,7 +24,7 @@ clipped orthant.
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 from scipy import optimize
@@ -47,18 +47,17 @@ class CamooConfig:
 
     ``w_min`` is the simplex floor (0 keeps the full simplex, the
     theory-driven value is mu_G / (8 m beta)).  Neither mode has knobs: exact
-    mode solves to a certified gap and diagonal mode exactly.  The ``pu_*``
-    fields are read and checked by nothing, and a run config cannot set them;
-    they are kept only because the benchmark (``perfbench``) builds its CAMOO
-    config with them.
+    mode solves to a certified gap and diagonal mode exactly.  The
+    constructor still takes ``pu_iterations`` and ``pu_tau``, with which the
+    benchmark (``perfbench``) builds its CAMOO config, and stores neither.
     """
 
     mode: str = MODE_EXACT
     w_min: float = 0.0
-    pu_iterations: int = 100
-    pu_tau: float = 0.01
+    pu_iterations: InitVar[int] = 100
+    pu_tau: InitVar[float] = 0.01
 
-    def __post_init__(self):
+    def __post_init__(self, pu_iterations, pu_tau):
         if self.mode not in (MODE_EXACT, MODE_DIAGONAL):
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0 <= self.w_min < np.inf:
@@ -68,13 +67,14 @@ class CamooConfig:
 @dataclass(frozen=True)
 class PamooConfig:
     """Settings for the Polyak-style weight optimizer, whose solve is exact.
-    ``iterations`` is read by nothing, and a run config cannot set it."""
+    The constructor still takes ``iterations``, with which the benchmark
+    builds its PAMOO config, and stores it nowhere."""
 
-    iterations: int = 200
+    iterations: InitVar[int] = 200
     clip_floor: float = 1e-6
     gram_tau: float = 1e-4
 
-    def __post_init__(self):
+    def __post_init__(self, iterations):
         if not 0 <= self.clip_floor < np.inf:
             raise ValueError("clip_floor must be finite and nonnegative")
         if not 0 <= self.gram_tau < np.inf:

@@ -80,7 +80,7 @@ def test_criterion_1_specification_speedup():
     alone = run(
         RunConfig(
             problem=spec,
-            weighting=WeightingChoice(kind="fixed", fixed_weights=(1.0, 0.0)),
+            weighting=WeightingChoice(kind="fixed", weights=(1.0, 0.0)),
             inner=GDConfig(step=0.25),
             steps=100,
             x0=(1.0, 1.0),
@@ -278,9 +278,7 @@ def _mlp_final_msq(variant: str, kind: str, seed: int) -> float:
     elif kind == "camoo":
         wc = WeightingChoice(
             kind="camoo",
-            camoo=CamooConfig(
-                mode="diagonal-bilinear", pu_iterations=10, pu_tau=0.01
-            ),
+            camoo=CamooConfig(mode="diagonal-bilinear"),
         )
     else:
         wc = WeightingChoice(kind="pamoo")

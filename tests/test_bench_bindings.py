@@ -145,8 +145,8 @@ def test_hutchinson_run_updates_the_tracker_once_per_iterate(monkeypatch):
 
 def test_benchmark_pamoo_iterations_field_is_inert(monkeypatch, tmp_path):
     # The benchmark builds its PAMOO runs with PamooConfig(iterations=30); the
-    # exact solve reads no such setting, so the traces are those of the
-    # default PamooConfig() bit for bit.
+    # config stores no such setting, so it is the default PamooConfig() and
+    # the traces are those of the default bit for bit.
     import dataclasses
 
     from amoo import driver, traceio
@@ -160,7 +160,7 @@ def test_benchmark_pamoo_iterations_field_is_inert(monkeypatch, tmp_path):
         cfg = dataclasses.replace(
             bench.configs[f"{variant}/pamoo"], steps=60, record_every=1
         )
-        assert cfg.weighting.pamoo != PamooConfig()
+        assert cfg.weighting.pamoo == PamooConfig(iterations=30) == PamooConfig()
         default = dataclasses.replace(
             cfg, weighting=driver.WeightingChoice(kind="pamoo", pamoo=PamooConfig())
         )

@@ -1,5 +1,6 @@
 """Command-line verbs, config validation, trace persistence, plotting."""
 
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 
@@ -8,7 +9,7 @@ import pytest
 from scipy import optimize
 
 from amoo import cli, driver, problems, traceio, weighting
-from amoo.core import ObjectiveSet
+from amoo.core import ObjectiveSet, OptimalInfo
 from amoo.driver import (
     AdamConfig,
     ConfigurationError,
@@ -334,7 +335,7 @@ class TestRunCommand:
         )
         doc["weighting"] = {"kind": "fixed", "weights": [1, 0.5]}
         assert cli.parse_run_config(doc).weighting == WeightingChoice(
-            kind="fixed", fixed_weights=(1.0, 0.5)
+            kind="fixed", weights=(1.0, 0.5)
         )
 
     def test_weighting_keys_are_those_of_its_kind(self, tmp_path, capsys):
@@ -720,9 +721,12 @@ PRESET_CONFIG = {
 
 
 class TestSummaryConfigEcho:
-    @pytest.mark.parametrize("name", [*GOLDEN_CONFIGS, "camoo-theory"])
+    @pytest.mark.parametrize("name", [*GOLDEN_CONFIGS, *cli._PRESETS])
     def test_echo_parses_back_to_the_run_config(self, tmp_path, name):
-        doc = PRESET_CONFIG if name == "camoo-theory" else GOLDEN_CONFIGS[name]
+        if name in cli._PRESETS:
+            doc = {**PRESET_CONFIG, "preset": name}
+        else:
+            doc = GOLDEN_CONFIGS[name]
         out = tmp_path / "o"
         assert cli.cmd_run(write_config(tmp_path, doc), str(out)) == 0
         echo = json.loads((out / "summary.json").read_text())["config"]
@@ -740,6 +744,37 @@ class TestSummaryConfigEcho:
         if kind == "pamoo":
             assert list(echo["weighting"]["pamoo"]) == ["clip_floor", "gram_tau"]
         assert echo["inner"]["kind"] in ("gd", "adam")
+        # A preset's step is not scaled by m unless its run section says so.
+        if name in cli._PRESETS:
+            assert echo["run"]["camoo_lr_scale_by_m"] is False
+
+    def test_config_fields_are_read_and_keys_are_field_names(self):
+        # A field is something a run reads; the benchmark's extra
+        # constructor arguments and the constant f_star are not fields.
+        def names(cls):
+            return tuple(f.name for f in dataclasses.fields(cls))
+
+        assert names(CamooConfig) == ("mode", "w_min")
+        assert names(PamooConfig) == ("clip_floor", "gram_tau")
+        assert names(OptimalInfo) == ("x_star", "alignment_eps")
+
+        def check(value, obj, where):
+            if isinstance(obj, tuple):
+                for i, (v, o) in enumerate(zip(value, obj)):
+                    check(v, o, f"{where}[{i}]")
+            elif dataclasses.is_dataclass(obj):
+                for key, v in value.items():
+                    if key == "kind" and where == "inner":
+                        continue  # names the inner rule's class, not a field
+                    assert key in names(type(obj)), f"{where}.{key}"
+                    check(v, getattr(obj, key), f"{where}.{key}")
+
+        for doc in GOLDEN_CONFIGS.values():
+            cfg = cli.parse_run_config(doc)
+            echo = cli.config_document(cfg)
+            for section in ("problem", "weighting", "inner"):
+                check(echo[section], getattr(cfg, section), section)
+            check(echo["run"], cfg, "run")
 
 
 C = traceio._CHUNK_ROWS  # the reader and the writer convert this many rows at once

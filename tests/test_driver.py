@@ -229,7 +229,7 @@ class TestRunBasics:
         )
         wc = WeightingChoice(
             kind="camoo",
-            camoo=CamooConfig(mode="diagonal-bilinear", pu_iterations=20),
+            camoo=CamooConfig(mode="diagonal-bilinear"),
             hutchinson=HutchinsonConfig(num_samples=3, rng_seed=1),
         )
         cfg = RunConfig(
@@ -247,7 +247,7 @@ class TestRunBasics:
 
     def test_fixed_weights(self):
         trace = spec_run(
-            WeightingChoice(kind="fixed", fixed_weights=(1.0, 0.0)), steps=100
+            WeightingChoice(kind="fixed", weights=(1.0, 0.0)), steps=100
         )
         # Objective 1 alone barely curves the second coordinate: x2 contracts
         # by 1 - 0.25 * 2 * delta = 0.95 per step.
@@ -259,7 +259,7 @@ class TestRunBasics:
         "kwargs,message",
         [
             ({"kind": "magic"}, "unknown weighting kind"),
-            ({"kind": "fixed"}, "needs fixed_weights"),
+            ({"kind": "fixed"}, "needs weights"),
         ],
     )
     def test_weighting_choice_validated(self, kwargs, message):
@@ -282,22 +282,22 @@ class TestRunBasics:
             ),
             (
                 SPEC01,
-                WeightingChoice(kind="fixed", fixed_weights=(1.0,)),
+                WeightingChoice(kind="fixed", weights=(1.0,)),
                 "1 fixed weights",
             ),
             (
                 SPEC01,
-                WeightingChoice(kind="fixed", fixed_weights=(1.0, -1.0)),
+                WeightingChoice(kind="fixed", weights=(1.0, -1.0)),
                 "bad fixed weights",
             ),
             (
                 SPEC01,
-                WeightingChoice(kind="fixed", fixed_weights=(0.0, 0.0)),
+                WeightingChoice(kind="fixed", weights=(0.0, 0.0)),
                 "sum to 0",
             ),
             (
                 SPEC01,
-                WeightingChoice(kind="fixed", fixed_weights=(math.nan, 1.0)),
+                WeightingChoice(kind="fixed", weights=(math.nan, 1.0)),
                 "bad fixed weights",
             ),
         ],
@@ -381,7 +381,7 @@ class TestCamooRuns:
     def test_diag_mode_records_gap(self):
         wc = WeightingChoice(
             kind="camoo",
-            camoo=CamooConfig(mode="diagonal-bilinear", pu_iterations=200),
+            camoo=CamooConfig(mode="diagonal-bilinear"),
         )
         trace = spec_run(wc, steps=5)
         for rec in trace.records:
@@ -393,9 +393,7 @@ class TestCamooRuns:
         # objective; the floor lifts the two weak ones to w_min.
         wc = WeightingChoice(
             kind="camoo",
-            camoo=CamooConfig(
-                mode="diagonal-bilinear", w_min=0.2, pu_iterations=200
-            ),
+            camoo=CamooConfig(mode="diagonal-bilinear", w_min=0.2),
         )
         trace = run(
             RunConfig(
@@ -414,18 +412,15 @@ class TestCamooRuns:
     @given(
         m=st.integers(2, 4),
         floor_frac=st.sampled_from([1.0]) | st.floats(1e-3, 1.0),
-        pu_iterations=st.integers(1, 50),
         hutchinson=st.sampled_from([None, HutchinsonConfig()]),
     )
     def test_diag_mode_weights_stay_on_the_floored_simplex(
-        self, m, floor_frac, pu_iterations, hutchinson
+        self, m, floor_frac, hutchinson
     ):
         w_min = floor_frac / m
         wc = WeightingChoice(
             kind="camoo",
-            camoo=CamooConfig(
-                mode="diagonal-bilinear", w_min=w_min, pu_iterations=pu_iterations
-            ),
+            camoo=CamooConfig(mode="diagonal-bilinear", w_min=w_min),
             hutchinson=hutchinson,
         )
         trace = run(
@@ -558,7 +553,7 @@ class TestPamooRuns:
         trace = spec_run(WeightingChoice(kind="pamoo"), steps=2, step=1.0)
         assert trace.problem.spec == SPEC01
         np.testing.assert_array_equal(
-            trace.problem.optimum.f_star, build(SPEC01).optimum.f_star
+            trace.problem.optimum.x_star, build(SPEC01).optimum.x_star
         )
 
     def test_pamoo_converges_on_specification(self):
@@ -641,7 +636,7 @@ class TestNumericFailure:
         x0 = np.zeros(1) if poison == "ramp" else np.ones(1)
         problem = Problem(
             objectives,
-            OptimalInfo(x_star=np.zeros(1), f_star=np.zeros(1)),
+            OptimalInfo(x_star=np.zeros(1)),
             ProblemMeta(beta=None, mu_g=None, mu_l=None, m_self=None),
             x0=x0,
             spec=SPEC01,
@@ -693,7 +688,7 @@ def run_reference(cfg):
     if wc.kind == "ew":
         const_w = equal_weights(m)
     elif wc.kind == "fixed":
-        const_w = np.array(wc.fixed_weights, dtype=np.float64)
+        const_w = np.array(wc.weights, dtype=np.float64)
     scale = float(m) if wc.kind == "camoo" and cfg.camoo_lr_scale_by_m else 1.0
     inner_step = cfg.inner.step * scale
     adam_state = adam_init(x) if isinstance(cfg.inner, AdamConfig) else None
@@ -754,7 +749,7 @@ SMALL_MLP = ProblemSpec(
 REFERENCE_CASES = {
     "ew": (SPEC01, WeightingChoice(kind="ew"), {}),
     "fixed": (
-        SELECTION3, WeightingChoice(kind="fixed", fixed_weights=(0.5, 0.3, 0.2)), {}
+        SELECTION3, WeightingChoice(kind="fixed", weights=(0.5, 0.3, 0.2)), {}
     ),
     "camoo-exact": (TWO_DENSE, WeightingChoice(kind="camoo"), {}),
     "camoo-exact-floor": (
@@ -764,7 +759,7 @@ REFERENCE_CASES = {
         SELECTION3,
         WeightingChoice(
             kind="camoo",
-            camoo=CamooConfig(mode="diagonal-bilinear", w_min=0.2, pu_iterations=50),
+            camoo=CamooConfig(mode="diagonal-bilinear", w_min=0.2),
         ),
         {},
     ),
@@ -772,7 +767,7 @@ REFERENCE_CASES = {
         SMALL_MLP,
         WeightingChoice(
             kind="camoo",
-            camoo=CamooConfig(mode="diagonal-bilinear", pu_iterations=20),
+            camoo=CamooConfig(mode="diagonal-bilinear"),
             hutchinson=HutchinsonConfig(num_samples=3, rng_seed=1),
         ),
         {"seed": 5},
@@ -818,7 +813,7 @@ def test_diagonal_camoo_run_matches_reference_kernel(monkeypatch, variant):
         problem=ProblemSpec(kind="mlp_matching", variant=variant),
         weighting=WeightingChoice(
             kind="camoo",
-            camoo=CamooConfig(mode="diagonal-bilinear", pu_iterations=10, pu_tau=0.01),
+            camoo=CamooConfig(mode="diagonal-bilinear"),
         ),
         inner=AdamConfig(step=5e-3),
         steps=200,
