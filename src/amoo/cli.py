@@ -241,15 +241,15 @@ def _run_verdicts(trace: driver.RunTrace) -> dict:
         and problem.optimum.alignment_eps == 0.0  # the envelope assumes exact alignment
         and trace.records
     ):
-        tp = analysis.TheoremParams(
-            beta=meta.beta,
-            mu=meta.mu_g if kind == "camoo" else (meta.mu_l or meta.mu_g),
-            m_self=meta.m_self,
-            m=problem.objectives.m,
-            r0=trace.records[0].residual,
-            which=analysis.CAMOO if kind == "camoo" else analysis.PAMOO,
-        )
         try:
+            tp = analysis.TheoremParams(
+                beta=meta.beta,
+                mu=meta.mu_g if kind == "camoo" else (meta.mu_l or meta.mu_g),
+                m_self=meta.m_self,
+                m=problem.objectives.m,
+                r0=trace.records[0].residual,
+                which=analysis.CAMOO if kind == "camoo" else analysis.PAMOO,
+            )
             verdicts["theorem_bound"] = analysis.theorem_bound_check(trace, tp)
         except ValueError:
             verdicts["theorem_bound"] = None

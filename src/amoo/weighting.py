@@ -143,16 +143,23 @@ CLOSED_FORM_BASES = 500
 
 
 @functools.lru_cache(maxsize=64)
-def _bases(n: int, m: int) -> Array:
-    """The candidate bases of a max-min LP with n cuts and m weights, as a
-    read-only (C(n + m, m) - 1, m + 1) array of row indices: each m-subset
-    of the n + m inequality rows, then the equality row n + m.  The last
-    subset, all floors, is left out: no row of it holds t, so it is singular.
+def _lp_layout(n: int, m: int) -> tuple[Array, Array, Array]:
+    """What a max-min LP with n cuts and m weights holds besides C, built once
+    per shape: its rows over (w, t) with the C block zero; its candidate
+    bases, each m-subset of the n + m inequality rows but the all-floor one
+    (no row of it holds t), then the equality row n + m; and the identity
+    stack whose solve inverts every basis (a stack, since numpy 1.x reads a
+    2-D b as vectors).  Read-only: ``lru_cache`` hands the same arrays to
+    every caller, so a write would reach every later LP of that shape.
     """
+    rows = np.zeros((n + m + 1, m + 1))
+    rows[:n, m] = -1.0
+    rows[n:-1, :m] = np.eye(m)
+    rows[-1, :m] = 1.0
     subsets = list(itertools.combinations(range(n + m), m))[:-1]
-    out = np.array([(*s, n + m) for s in subsets], dtype=np.intp).reshape(-1, m + 1)
-    out.flags.writeable = False
-    return out
+    tight = np.array([(*s, n + m) for s in subsets], dtype=np.intp).reshape(-1, m + 1)
+    rows.flags.writeable = tight.flags.writeable = False
+    return rows, tight, np.broadcast_to(np.eye(m + 1), (len(tight), m + 1, m + 1))
 
 
 def _solve_batch(A: Array, b: Array) -> tuple[Array, Array]:
@@ -183,19 +190,14 @@ def _max_min_vertex(C: Array, w_min: float) -> tuple[Array, float, Array] | None
     m, n = C.shape
     scale = np.abs(C).max(initial=0.0) or 1.0
     # Rows over (w, t): C_k'w - t >= 0, w_i >= w_min, then sum w = 1.
-    rows = np.zeros((n + m + 1, m + 1))
+    template, tight, eye = _lp_layout(n, m)
+    rows = template.copy()
     rows[:n, :m] = C.T / scale
-    rows[:n, m] = -1.0
-    rows[n:-1, :m] = np.eye(m)
-    rows[-1, :m] = 1.0
     rhs = np.zeros(n + m + 1)
-    rhs[n:] = w_min
+    rhs[n:-1] = w_min
     rhs[-1] = 1.0
-    tight = _bases(n, m)
-    # Tied or shifted cuts make some bases singular: they are set aside.  The
-    # identity goes in as a stack, since numpy 1.x reads a 2-D b as vectors.
-    B = rows[tight]
-    inv, singular = _solve_batch(B, np.broadcast_to(np.eye(m + 1), B.shape))
+    # Tied or shifted cuts make some bases singular: they are set aside.
+    inv, singular = _solve_batch(rows[tight], eye)
     x = (inv @ rhs[tight][:, :, None])[:, :, 0]
     u = -inv[:, m, :m]
     # The least slack of each basis's point and multipliers: >= 0 iff optimal.
@@ -298,6 +300,7 @@ def solve_camoo_exact(
         # For multipliers y >= 0 summing to 1, min_k (C'w)_k <= w'Cy for every
         # w, and w'Cy is largest at a vertex of the floored simplex.
         y = np.maximum(y, 0.0)
+        kept = y > 0
         g = C @ (y / y.sum())
         upper = cfg.w_min * g.sum() + slack * g.max()
         lam, v = min_eigenpair_unchecked(np.einsum("i,ijk->jk", w, stack))
@@ -310,9 +313,10 @@ def solve_camoo_exact(
         # (w, t, y) stays optimal without the rest, so the upper bound never
         # rises.  best_val keeps the best lower bound; a stall ends at MAX_CUTS.
         # A vertex has at most m positive multipliers, so K <= m + 1.
-        cuts = np.vstack([cuts[y > 0], v])
-        C = np.hstack([C[:, y > 0], np.einsum("ijk,j,k->i", stack, v, v)[:, None]])
-    return CamooResult(best_w, float(best_val), lps, gap <= tol, gap, cuts[y > 0])
+        cut = np.einsum("ijk,j,k->i", stack, v, v)[:, None]
+        cuts = np.concatenate([cuts[kept], v[None]])
+        C = np.concatenate([C[:, kept], cut], axis=1)
+    return CamooResult(best_w, float(best_val), lps, gap <= tol, gap, cuts[kept])
 
 
 def solve_camoo_diagonal(

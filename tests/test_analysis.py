@@ -1,5 +1,7 @@
 """Recurrence bounds, rate envelopes, rate fitting, curvature degradation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,66 @@ class TestRecurrence:
                     assert holds, (a1, a2, r0, "eps")
 
 
+# The recurrence grid of `amoo verify`: 27 points, each in both variants.
+VERIFY_GRID = [
+    (a1, a2, r0)
+    for a1 in (0.1, 0.5, 1.5)
+    for a2 in (0.0, 1.0, 10.0)
+    for r0 in (0.1, 1.0, 100.0)
+]
+
+
+def numpy_scalar_recurrence(p: RecurrenceParams, variant: str) -> np.ndarray:
+    """The recurrence at equality as a loop that reads and writes numpy
+    scalars: the reference whose bits the Python-float loop must match."""
+    a3, a4 = (p.alpha3, p.alpha4) if variant == "eps" else (0.0, 0.0)
+    r = np.empty(p.horizon + 1)
+    r[0] = p.r0
+    for k in range(p.horizon):
+        rk = r[k]
+        r2 = rk * rk * (1.0 - p.alpha1 / (1.0 + p.alpha2 * rk)) + a3 + a4 * rk
+        r[k + 1] = math.sqrt(max(r2, 0.0))
+    return r
+
+
+class TestRecurrenceLoop:
+    @pytest.mark.parametrize("variant", ["exact", "eps"])
+    def test_bitwise_equal_to_numpy_scalar_loop_on_verify_grid(self, variant):
+        for a1, a2, r0 in VERIFY_GRID:
+            a3, a4 = max_admissible_noise(a1, a2) if variant == "eps" else (0.0, 0.0)
+            p = RecurrenceParams(
+                alpha1=a1, alpha2=a2, alpha3=a3, alpha4=a4, r0=r0, horizon=1000
+            )
+            r, _, _ = recurrence_simulate_and_bound(p, variant)
+            assert r.tobytes() == numpy_scalar_recurrence(p, variant).tobytes()
+
+    @pytest.mark.parametrize("dtype", [float, np.float64, np.float32, int])
+    def test_bitwise_equal_on_random_coefficients(self, dtype):
+        # numpy scalars of any width promote to float64 against the loop's
+        # float64 residual; the Python-float loop must do the same.
+        rng = np.random.default_rng(52)
+        for _ in range(20):
+            a1 = dtype(rng.uniform(0.0, 1.99))
+            a2 = dtype(rng.uniform(0.0, 10.0))
+            noise = max_admissible_noise(float(a1), float(a2))
+            a3, a4 = (dtype(0.5 * v) for v in noise)
+            p = RecurrenceParams(
+                alpha1=a1, alpha2=a2, alpha3=a3, alpha4=a4,
+                r0=dtype(rng.uniform(0.0, 100.0)), horizon=300,
+            )
+            r, _, _ = recurrence_simulate_and_bound(p, "exact")
+            assert r.tobytes() == numpy_scalar_recurrence(p, "exact").tobytes()
+            if a1 > 0:
+                r, _, _ = recurrence_simulate_and_bound(p, "eps")
+                assert r.tobytes() == numpy_scalar_recurrence(p, "eps").tobytes()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("name", ["alpha2", "alpha3", "alpha4", "r0"])
+    def test_non_finite_or_negative_coefficient_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            RecurrenceParams(**{"alpha1": 0.5, "alpha2": 1.0, name: value})
+
+
 class TestTheoremBound:
     def test_holds_on_specification_theory_runs(self):
         spec = ProblemSpec(kind="specification", delta=0.1)
@@ -177,6 +239,26 @@ class TestTheoremBound:
         assert theorem_bound_check(residual_trace(trace_ok), tp)
         trace_bad = list(zip(steps.tolist(), (env * 1.5).tolist()))
         assert not theorem_bound_check(residual_trace(trace_bad), tp)
+
+
+class TestTheoremBoundNonFinite:
+    CONSTANTS = {"beta": 2.0, "mu": 1.0, "m_self": 0.0, "m": 2, "r0": 1.0}
+
+    @pytest.mark.parametrize("m_self", [0.0, 0.5])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_residuals_violate(self, bad, m_self):
+        tp = TheoremParams(**{**self.CONSTANTS, "m_self": m_self})
+        # At m_self 0.5, k0 is 35: the last record lies in the geometric phase.
+        every = [(k, bad) for k in range(40)]
+        assert not theorem_bound_check(residual_trace(every), tp)
+        late = [(k, 0.0) for k in range(39)] + [(39, bad)]
+        assert not theorem_bound_check(residual_trace(late), tp)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("name", ["beta", "m_self", "r0"])
+    def test_non_finite_or_negative_constant_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TheoremParams(**{**self.CONSTANTS, name: value})
 
 
 class TestFitRate:

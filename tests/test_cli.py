@@ -900,6 +900,14 @@ class TestAnalyzeCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["theorem_bound"] is True
 
+    @pytest.mark.parametrize("flag", ["--m-self", "--beta"])
+    def test_theorem_check_names_a_nan_constant(self, tmp_path, capsys, flag):
+        path = tmp_path / "t.csv"
+        traceio.write_trace_csv(make_trace(steps=60), path)
+        argv = ["analyze", str(path), "--theorem-check", "--beta", "1.8", "--mu", "1.0"]
+        assert cli.main([*argv, flag, "nan"]) == 2
+        assert f"error: {flag[2:].replace('-', '_')} must be" in capsys.readouterr().out
+
     def test_unreadable_trace(self, tmp_path, capsys):
         assert cli.cmd_analyze(str(tmp_path / "nope.csv"), fit=True) == 2
 

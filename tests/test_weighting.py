@@ -752,6 +752,72 @@ class TestSolveBatch:
         assert x[singular].tobytes() == b[singular].tobytes()
 
 
+def per_call_max_min_vertex(C, w_min):
+    """``_max_min_vertex`` as it was before its layout was cached: the rows,
+    right-hand side, bases and identity stack built afresh on every call.
+    The reference whose bits the cached layout must match."""
+    m, n = C.shape
+    scale = np.abs(C).max(initial=0.0) or 1.0
+    rows = np.zeros((n + m + 1, m + 1))
+    rows[:n, :m] = C.T / scale
+    rows[:n, m] = -1.0
+    rows[n:-1, :m] = np.eye(m)
+    rows[-1, :m] = 1.0
+    rhs = np.zeros(n + m + 1)
+    rhs[n:] = w_min
+    rhs[-1] = 1.0
+    subsets = list(itertools.combinations(range(n + m), m))[:-1]
+    tight = np.array([(*s, n + m) for s in subsets], dtype=np.intp).reshape(-1, m + 1)
+    B = rows[tight]
+    eye = np.broadcast_to(np.eye(m + 1), B.shape)
+    inv, singular = amoo.weighting._solve_batch(B, eye)
+    x = (inv @ rhs[tight][:, :, None])[:, :, 0]
+    u = -inv[:, m, :m]
+    worst = np.minimum((x @ rows[:-1].T - rhs[:-1]).min(axis=1), u.min(axis=1))
+    worst[singular | np.isnan(worst)] = -np.inf
+    best = int(np.argmax(worst))
+    if not worst[best] >= -1e-9:
+        return None
+    is_cut = tight[best, :m] < n
+    y = np.zeros(n)
+    y[tight[best, :m][is_cut]] = np.maximum(u[best][is_cut], 0.0)
+    return x[best, :m], float(x[best, m] * scale), y / y.sum()
+
+
+def solution_bytes(found):
+    """The bytes of a vertex solution's w, t and y, or None."""
+    if found is None:
+        return None
+    return [np.asarray(v, dtype=np.float64).tobytes() for v in found]
+
+
+class TestMaxMinLayout:
+    @pytest.mark.parametrize("floor", [0.0, 0.1, 0.3])
+    @pytest.mark.parametrize("draw", ["uniform", "tied columns", "small integers"])
+    def test_bitwise_equal_to_per_call_rows(self, draw, floor):
+        rng = np.random.default_rng(17)
+        singular = 0
+        for m, n in itertools.product(range(1, 4), range(1, 5)):
+            for _ in range(6):
+                if draw == "small integers":
+                    C = rng.integers(-2, 4, size=(m, n)).astype(np.float64)
+                else:
+                    C = rng.uniform(-1.0, 3.0, size=(m, n))
+                if draw == "tied columns":
+                    C[:, -1] = C[:, 0]
+                got = amoo.weighting._max_min_vertex(C, floor / m)
+                want = per_call_max_min_vertex(C, floor / m)
+                assert solution_bytes(got) == solution_bytes(want), (m, n, C)
+                A, _ = systems_solved_by(amoo.weighting._max_min_vertex, C, floor / m)
+                singular += bool((np.linalg.slogdet(A)[0] == 0.0).any())
+        # Tied columns and small integers take the singular-basis path.
+        assert (singular > 0) == (draw != "uniform")
+
+    def test_layout_is_read_only(self):
+        for array in amoo.weighting._lp_layout(3, 2):
+            assert not array.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # Each rule's weights lie on its set
 # ---------------------------------------------------------------------------
