@@ -7,6 +7,7 @@ immutable after construction and deterministic, so these objects are safe
 to share across threads.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar
 
@@ -39,6 +40,11 @@ def as_vector(x, dim: int | None = None, name: str = "x") -> Array:
     if dim is not None and arr.shape[0] != dim:
         raise ValueError(f"{name} has length {arr.shape[0]}, expected {dim}")
     return arr
+
+
+def _finite(v: Array) -> bool:
+    """``np.isfinite(v).all()``, tested on v·v first: its terms are >= 0."""
+    return math.isfinite(np.vdot(v, v)) or bool(np.isfinite(v).all())
 
 
 def _frozen(arr: Array) -> Array:

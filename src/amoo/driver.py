@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import problems
-from .core import Array, NumericError, weighted_gradient
+from .core import Array, NumericError, _finite, weighted_gradient
 from .hessians import DiagHessianTracker, HutchinsonConfig
 from .weighting import (
     MODE_EXACT,
@@ -71,7 +71,7 @@ class AdamState:
 def step_gd(x: Array, g: Array, step: float) -> Array:
     """One plain gradient step x - step * g."""
     g = np.asarray(g, dtype=np.float64)
-    if not np.isfinite(g).all():
+    if not _finite(g):
         raise NumericError("non-finite gradient in GD step")
     return np.asarray(x, dtype=np.float64) - step * g
 
@@ -84,7 +84,7 @@ def adam_init(x: Array) -> AdamState:
 def step_adam(state: AdamState, g: Array, cfg: AdamConfig, step: float | None = None):
     """One Adam update with bias correction; returns (new_state, new_x)."""
     g = np.asarray(g, dtype=np.float64)
-    if not np.isfinite(g).all():
+    if not _finite(g):
         raise NumericError("non-finite gradient in Adam step")
     lr = cfg.step if step is None else step
     t = state.t + 1
@@ -290,6 +290,7 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
             )
         if not const_w.sum() > 0:
             raise ConfigurationError("bad fixed weights in weighting: they sum to 0")
+    const_w.setflags(write=False)  # every record shares it
     return lambda fvals, J, diag, x: (const_w, None, None)
 
 
@@ -310,9 +311,10 @@ def run(cfg: RunConfig) -> RunTrace:
     the exact column-generation gap in diagonal mode
     (``weighting.solve_camoo_diagonal``).  x0's shape is checked once,
     before the first step, and the gradient norm and residual are computed
-    only for recorded steps.  A NaN or Inf in the iterate, a value or the
-    weighted gradient, or a NumericError from the weight rule, aborts the
-    run with a NumericError whose payload is the trace up to the failure.
+    only for recorded steps; EW's and fixed weights are read-only and shared
+    by the records.  A NaN or Inf in the iterate, a value or the weighted
+    gradient, or a NumericError from the weight rule, aborts the run with a
+    NumericError whose payload is the trace up to the failure.
     The trace carries the built problem.  A problem spec that its builder
     rejects, or settings that do not fit the problem or would not be read,
     raise ConfigurationError before the first step; an uncertified
@@ -344,10 +346,10 @@ def run(cfg: RunConfig) -> RunTrace:
         return NumericError(trace.error, payload=trace)
 
     for k in range(cfg.steps + 1):
-        if not np.isfinite(x).all():
+        if not _finite(x):
             raise fail("non-finite iterate", k)
         fvals, J, diag = objs.evaluate(x)
-        if not np.isfinite(fvals).all():
+        if not _finite(fvals):
             raise fail("non-finite objective value", k)
         try:
             w, lambda_est, gap = weigh(fvals, J, diag, x)
@@ -355,7 +357,8 @@ def run(cfg: RunConfig) -> RunTrace:
             raise fail(str(exc), k) from exc
 
         g = weighted_gradient(J, w)
-        if not np.isfinite(g).all():
+        gg = g.dot(g)  # _finite(g), keeping g·g for grad_norm
+        if not (math.isfinite(gg) or np.isfinite(g).all()):
             raise fail("non-finite gradient", k)
 
         if k % cfg.record_every == 0 or k == cfg.steps:
@@ -365,8 +368,8 @@ def run(cfg: RunConfig) -> RunTrace:
             record = IterateRecord(
                 step=k,
                 f=fvals,
-                w=np.array(w),
-                grad_norm=_norm(g),
+                w=np.array(w) if w.flags.writeable else w,
+                grad_norm=math.sqrt(gg),
                 residual=_norm(x - x_star),
                 msq=msq,
                 mnorm=mnorm,

@@ -11,7 +11,7 @@ absolute eigenvalue.
 
 import numpy as np
 
-from .core import Array
+from .core import Array, _finite
 
 SYMMETRY_TOL = 1e-12
 
@@ -21,7 +21,7 @@ def check_symmetric(A, tol: float = SYMMETRY_TOL) -> Array:
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not _finite(A):
         raise ValueError("matrix has non-finite entries")
     scale = 1.0 + np.abs(A).max(initial=0.0)
     if np.abs(A - A.T).max(initial=0.0) > tol * scale:

@@ -4,6 +4,7 @@ Two panels: residual and mean-squared matching error on a log scale, and
 the weight evolution.  Output is plain SVG text.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -16,16 +17,27 @@ _MARGIN = 50
 _CHUNK_POINTS = 512  # points held as strings at once, formatted together
 
 
-def _polyline(xs, ys, color: str, label: str) -> str:
-    point, c = "{:.2f},{:.2f}".format, _CHUNK_POINTS
-    pts = " ".join(
-        " ".join(map(point, xs[i : i + c].tolist(), ys[i : i + c].tolist()))
-        for i in range(0, len(xs), c)
-    )
-    return (
+def _polylines(xs, series) -> list:
+    """The polylines of one panel's series (at, ys, color, label), with points
+    (xs[at], ys) for a mask ``at``.  Each chunk of xs is formatted once for
+    all of them, and a chunk of ys whose values have the same bits once."""
+    fmt, c = "{:.2f}".format, _CHUNK_POINTS
+    pts, done = [[] for _ in series], [0] * len(series)
+    for i in range(0, len(xs), c):
+        x = list(map(fmt, xs[i : i + c].tolist()))
+        for k, (at, ys, _, _) in enumerate(series):
+            xk = list(itertools.compress(x, at[i : i + c].tolist()))
+            y = ys[done[k] : done[k] + len(xk)]
+            done[k] += len(xk)
+            if xk and (y.view(np.uint64) == y.view(np.uint64)[0]).all():
+                pts[k].append(f",{fmt(y[0])} ".join(xk) + f",{fmt(y[0])}")
+            elif xk:
+                pts[k].append(" ".join(map(",".join, zip(xk, map(fmt, y.tolist())))))
+    return [
         f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-        f'points="{pts}"><title>{label}</title></polyline>'
-    )
+        f'points="{" ".join(p)}"><title>{label}</title></polyline>'
+        for p, (_, _, color, label) in zip(pts, series)
+    ]
 
 
 def _xs(steps, x0: float):
@@ -101,20 +113,22 @@ def trace_svg(trace) -> str:
     for label, vals, color in (("residual", residual, _COLORS[0]), ("msq", msq, _COLORS[1])):
         present = np.array([v is not None for v in vals])
         if present.any():
-            series.append((label, xs[present], [v for v in vals if v is not None], color))
+            series.append((present, [v for v in vals if v is not None], color, label))
     parts.append(_panel_frame(_MARGIN, "convergence (log scale)"))
     if series:
-        ys = _log_ys([vals for _, _, vals, _ in series])
-        for (label, x, _, color), y in zip(series, ys):
-            parts.append(_polyline(x, y, color, label))
+        ys = _log_ys([vals for _, vals, _, _ in series])
+        parts += _polylines(xs, [(at, y, *rest) for (at, _, *rest), y in zip(series, ys)])
 
     # Right panel: weight evolution, linear scale.
     x_right = _PANEL_W + _MARGIN
     xs = _xs(steps, x_right)
     parts.append(_panel_frame(x_right, "weights"))
     if weights.shape[1]:
-        for i, y in enumerate(_linear_ys(weights)):
-            parts.append(_polyline(xs, y, _COLORS[i % len(_COLORS)], f"w_{i + 1}"))
+        at = np.ones(len(xs), dtype=bool)
+        parts += _polylines(xs, [
+            (at, y, _COLORS[i % len(_COLORS)], f"w_{i + 1}")
+            for i, y in enumerate(_linear_ys(weights))
+        ])
 
     parts.append("</svg>")
     return "\n".join(parts)

@@ -8,7 +8,8 @@ Missing quantities are written as empty fields.  Floats are written with
 ``repr`` so a read-back is bit-identical.  The writer and the reader convert
 whole columns per chunk of ``_CHUNK_ROWS`` rows, and the bytes are those of
 per-value ``repr`` cells (``plotting`` likewise formats each point with
-``.2f``); ``tests/test_golden_traces.py`` pins traces and plots.
+``.2f``), though a column of one value is formatted, or read, once per chunk;
+``tests/test_golden_traces.py`` pins traces and plots.
 """
 
 import csv
@@ -33,6 +34,14 @@ def _fmt_column(values: list) -> list:
     return ["" if v is None else repr(float(v)) for v in values]
 
 
+def _repr_columns(block) -> list:
+    """repr cells of each column of a (rows, k) float64 block, once for a
+    column whose values all have the same bits (-0.0 is not 0.0)."""
+    same = (block.view(np.uint64) == block.view(np.uint64)[0]).all(axis=0)
+    cols = zip(block.T.tolist(), same)
+    return [[repr(c[0])] * len(c) if s else map(repr, c) for c, s in cols]
+
+
 def trace_header(m: int) -> list[str]:
     return (
         ["step"]
@@ -50,12 +59,11 @@ def write_trace_csv(trace: RunTrace, path) -> None:
             chunk = trace.records[start : start + _CHUNK_ROWS]
             columns = [
                 map(str, [r.step for r in chunk]),
-                # tolist() yields Python floats, so repr matches _fmt_column.
-                *(map(repr, col) for col in np.stack([r.f for r in chunk]).T.tolist()),
-                *(map(repr, col) for col in np.stack([r.w for r in chunk]).T.tolist()),
+                *_repr_columns(np.stack([r.f for r in chunk])),
+                *_repr_columns(np.stack([r.w for r in chunk])),
                 *(_fmt_column([getattr(r, name) for r in chunk]) for name in _OPTIONAL),
             ]
-            fh.writelines([",".join(row) + "\r\n" for row in zip(*columns)])
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 @dataclass
@@ -83,11 +91,10 @@ class LoadedTrace:
 
 def _column(cells) -> list:
     """Floats from one column's cells; None where a cell is empty."""
-    empty = cells.count("")
-    if not empty:
+    if cells.count(cells[0]) == len(cells):  # one cell string, converted once
+        return [None if cells[0] == "" else float(cells[0])] * len(cells)
+    if "" not in cells:
         return list(map(float, cells))
-    if empty == len(cells):
-        return [None] * empty
     return [None if c == "" else float(c) for c in cells]
 
 

@@ -29,7 +29,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 from scipy import optimize
 
-from .core import Array, NumericError, as_vector
+from .core import Array, NumericError, _finite, as_vector
 from .linalg import (
     check_symmetric,
     hessian_stack,
@@ -335,7 +335,7 @@ def solve_camoo_diagonal(
     cfg = cfg or CamooConfig()
     D = np.asarray(D, dtype=np.float64)
     m, n = D.shape
-    if not np.isfinite(D).all():
+    if not _finite(D):
         raise ValueError("Hessian diagonals have non-finite entries")
     if m * cfg.w_min > 1.0 + 1e-12:
         raise ValueError(f"floor infeasible: m*w_min = {m * cfg.w_min}")
@@ -400,14 +400,14 @@ def pamoo_weights(gaps, gram, cfg: PamooConfig | None = None) -> Array:
     """
     cfg = cfg or PamooConfig()
     gaps = as_vector(gaps, name="gaps")
-    if not np.all(np.isfinite(gaps)):
+    if not _finite(gaps):
         raise ValueError("gaps must be finite")
     m = len(gaps)
     if np.shape(gram) != (m, m):
         raise ValueError(f"gram shape {np.shape(gram)} does not match {m} gaps")
     if m > PAMOO_MAX_M:
         raise ValueError(f"PAMOO solves at most {PAMOO_MAX_M} objectives, got {m}")
-    if not np.isfinite(gram).all():  # J J' of large finite gradients overflows
+    if not _finite(gram):  # J J' of large finite gradients overflows
         raise NumericError("PAMOO Gram matrix has non-finite entries")
     gram = check_symmetric(gram, tol=1e-8)
     evals = np.linalg.eigvalsh(gram)

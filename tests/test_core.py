@@ -1,12 +1,17 @@
 """Objective sets and weighted evaluation."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amoo.core import (
     ObjectiveSet,
     OptimalInfo,
     UnsupportedQueryError,
+    _finite,
     weighted_gradient,
 )
 from amoo.problems import ProblemSpec, build
@@ -180,3 +185,34 @@ class TestOptimalInfo:
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
             OptimalInfo(x_star=[0.0], alignment_eps=-1.0)
+
+
+# Entries that make v·v NaN, infinite, subnormal or overflowing (1e200 squared
+# is inf although 1e200 is finite), mixed with ordinary finite floats.
+EDGE_ENTRIES = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 5e-324, -2.2e-308, 1e200, -1.5e200, 1.7e308, 0.0, -0.0]
+)
+
+
+class TestFinite:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(EDGE_ENTRIES, st.floats(allow_nan=False, allow_infinity=False)),
+            max_size=40,
+        ),
+        st.sampled_from([(-1,), (-1, 2)]),
+    )
+    def test_is_numpy_isfinite_all(self, entries, shape):
+        if shape == (-1, 2):
+            entries = entries[: len(entries) // 2 * 2]
+        v = np.array(entries, dtype=np.float64).reshape(shape)
+        with np.errstate(over="ignore"):
+            assert _finite(v) is bool(np.isfinite(v).all())
+
+    def test_overflowing_square_is_still_finite(self):
+        v = np.full(3, 1e200)
+        with np.errstate(over="ignore"):
+            assert v.dot(v) == math.inf
+            assert _finite(v) and _finite(np.full((2, 2), 1e160))
+            assert not _finite(np.array([1e200, math.nan]))

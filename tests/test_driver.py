@@ -255,6 +255,19 @@ class TestRunBasics:
         ew = spec_run(WeightingChoice(kind="ew"), steps=100)
         assert trace.final().residual > 1e6 * ew.final().residual
 
+    def test_constant_weights_are_shared_read_only(self):
+        ew = spec_run(WeightingChoice(kind="ew"), steps=5)
+        fixed = spec_run(WeightingChoice(kind="fixed", weights=(1.0, 0.0)), steps=5)
+        for trace, want in ((ew, equal_weights(2)), (fixed, np.array([1.0, 0.0]))):
+            w = trace.records[0].w
+            assert not w.flags.writeable
+            assert w.tobytes() == want.tobytes()
+            assert all(r.w is w for r in trace.records)
+        # A solved rule's weights are copied into each record.
+        pamoo = spec_run(WeightingChoice(kind="pamoo"), steps=5)
+        assert all(r.w.flags.writeable and r.w.flags.owndata for r in pamoo.records)
+        assert len({id(r.w) for r in pamoo.records}) == len(pamoo.records)
+
     @pytest.mark.parametrize(
         "kwargs,message",
         [
@@ -527,6 +540,30 @@ class TestOneEvaluationPerIterate:
         assert len(passes) == (steps + 1) + len(trace.records)
 
 
+class TestFiniteChecksPerStep:
+    @pytest.mark.parametrize("kind", list(ONE_EVAL_WEIGHTINGS))
+    @pytest.mark.parametrize("inner", [GDConfig(step=0.1), AdamConfig(step=0.01)])
+    def test_a_finite_run_calls_no_isfinite_per_step(self, monkeypatch, kind, inner):
+        # Finite vectors pass on v·v alone (core._finite); np.isfinite runs
+        # only on a NaN, an inf or an overflow.
+        calls = []
+        original = np.isfinite
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counted)
+
+        def isfinite_calls(steps):
+            calls.clear()
+            cfg = RunConfig(SPEC01, ONE_EVAL_WEIGHTINGS[kind], inner, steps, x0=(1.0, 1.0))
+            assert len(run(cfg).records) == steps + 1
+            return len(calls)
+
+        assert isfinite_calls(30) == isfinite_calls(0)
+
+
 class TestPamooRuns:
     def test_polyak_reduction_m1(self):
         # One quadratic objective, unit inner step: the update must equal the
@@ -655,6 +692,36 @@ class TestNumericFailure:
         assert str(err.value) == trace.error
         assert len(trace.records) == 2
         assert all(np.all(np.isfinite(r.f)) for r in trace.records)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_x0_fails_at_step_0(self, bad):
+        with pytest.raises(NumericError) as err:
+            spec_run(WeightingChoice(kind="ew"), x0=(1.0, bad))
+        trace = err.value.payload
+        assert str(err.value) == trace.error == "step 0: non-finite iterate"
+        assert trace.records == []
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_iterate_whose_square_overflows_is_finite(self):
+        # x'x overflows at entries near 1e160, but every entry is finite, and
+        # with H = 1e-300 I so are the values and the gradient.
+        spec = ProblemSpec(kind="quad_family", h_list=(((1e-300, 0.0), (0.0, 1e-300)),))
+        trace = run(
+            RunConfig(spec, WeightingChoice(kind="ew"), GDConfig(step=1.0), 3, x0=(1e160, -2e160))
+        )
+        assert trace.error is None and len(trace.records) == 4
+        assert all(r.residual == math.inf for r in trace.records)
+        assert trace.final().f[0] == pytest.approx(5e20)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_gradient_whose_square_overflows_is_recorded(self):
+        # With H = 1e160 I at (1, 1), f = 2e160 and g = (2e160, 2e160): g·g
+        # overflows, the gradient is finite, and grad_norm is its overflowed norm.
+        spec = ProblemSpec(kind="quad_family", h_list=(((1e160, 0.0), (0.0, 1e160)),))
+        cfg = RunConfig(spec, WeightingChoice(kind="ew"), GDConfig(step=1.0), 0, x0=(1.0, 1.0))
+        record = run(cfg).final()
+        assert record.f[0] == 2e160
+        assert record.grad_norm == math.inf == float(np.linalg.norm([2e160, 2e160]))
 
     def test_non_finite_weights_end_the_run_at_the_gradient_check(self, monkeypatch):
         # NaN weights make the weighted gradient the first non-finite quantity.

@@ -1,6 +1,7 @@
 """The trace writer and the SVG renderer convert whole columns per chunk of
-rows; here they must give the bytes of the row-by-row ``csv.writer`` writer
-and the per-point renderer they replaced, kept below as references."""
+rows, and format a column whose values all have the same bits once; here
+they must give the bytes of the row-by-row ``csv.writer`` writer and the
+per-point renderer they replaced, kept below as references."""
 
 import csv
 import math
@@ -201,3 +202,102 @@ def test_read_back_trace_renders_as_its_original(tmp_path, rows):
     trace = random_trace(4, rows, 3, "partial", unit_weights)
     traceio.write_trace_csv(trace, tmp_path / "t.csv")
     assert trace_svg(traceio.read_trace_csv(tmp_path / "t.csv")) == trace_svg(trace)
+
+
+def constant_trace(rows, m, first_chunk_only=False):
+    """Records whose f and w columns each hold one value (with 0.0, -0.0 and
+    NaN among them) and whose optional fields are empty; with
+    ``first_chunk_only``, the columns vary after the first chunk."""
+    trace = random_trace(5, rows, m, "empty", unit_weights)
+    f = np.array([0.0, -0.0, math.nan, 0.1, 5e-324, -math.inf, 1e308][:m])
+    w = np.array([-0.0, 0.0, math.nan, 1 / 3, 0.25, 5e-324, 1.0][:m])
+    for r in trace.records[: C if first_chunk_only else rows]:
+        r.f[:], r.w[:] = f, w
+    return trace
+
+
+@pytest.mark.parametrize("first_chunk_only", [False, True])
+@pytest.mark.parametrize("rows", [1, C, 2 * C + 1])
+def test_constant_columns_keep_their_bytes(tmp_path, rows, first_chunk_only):
+    for m in range(1, 8):
+        trace = constant_trace(rows, m, first_chunk_only)
+        traceio.write_trace_csv(trace, tmp_path / "t.csv")
+        reference_write_trace_csv(trace, tmp_path / "ref.csv")
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        want = reference_trace_svg(trace)
+        assert trace_svg(trace) == want
+        assert trace_svg(loaded(trace)) == want
+
+
+def test_signed_zero_columns_keep_their_signs(tmp_path):
+    # 0.0 == -0.0, but their bits and their cells differ.
+    trace = random_trace(6, 2 * C + 1, 2, "full", unit_weights)
+    signs = np.random.default_rng(6).random((len(trace.records), 2)) < 0.5
+    for r, s in zip(trace.records, signs):
+        r.f[:], r.w[:] = np.where(s, -0.0, 0.0), np.where(s, 0.0, -0.0)
+    traceio.write_trace_csv(trace, tmp_path / "t.csv")
+    reference_write_trace_csv(trace, tmp_path / "ref.csv")
+    text = (tmp_path / "t.csv").read_text()
+    assert text == (tmp_path / "ref.csv").read_text() and ",-0.0," in text and ",0.0," in text
+    back = traceio.read_trace_csv(tmp_path / "t.csv")
+    assert back.f.tobytes() == np.array([r.f for r in trace.records]).tobytes()
+    assert back.w.tobytes() == np.array([r.w for r in trace.records]).tobytes()
+    # The SVG's y of a weight is never -0.0, so the points are checked directly.
+    xs = np.linspace(50.0, 370.0, 2 * C + 1)
+    at = np.ones(len(xs), dtype=bool)
+    for ys, signs_drawn in (
+        (np.where(signs[:, 0], -0.0, 0.0), (True, True)),
+        (np.full(2 * C + 1, -0.0), (True, False)),
+        (np.zeros(2 * C + 1), (False, True)),
+    ):
+        (line,) = plotting._polylines(xs, [(at, ys, "c", "l")])
+        want = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs.tolist(), ys.tolist()))
+        assert f'points="{want}"' in line
+        assert (",-0.00" in line, ",0.00" in line) == signs_drawn
+
+
+def test_all_nan_weight_column(tmp_path):
+    trace = random_trace(7, C + 1, 3, "partial", unit_weights)
+    for r in trace.records:
+        r.w[1] = math.nan
+    traceio.write_trace_csv(trace, tmp_path / "t.csv")
+    reference_write_trace_csv(trace, tmp_path / "ref.csv")
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    back = traceio.read_trace_csv(tmp_path / "t.csv")
+    assert np.isnan(back.w[:, 1]).all()
+    assert trace_svg(trace) == trace_svg(back) == reference_trace_svg(trace)
+
+
+@pytest.mark.parametrize("rows", [1, C + 1, 2 * C + 1])
+def test_reader_converts_constant_string_columns(tmp_path, rows):
+    trace = constant_trace(rows, 7)
+    for k, r in enumerate(trace.records):
+        r.__dict__.update(grad_norm=2.5, residual=-0.0, msq=None if k < C else 1e-300)
+    traceio.write_trace_csv(trace, tmp_path / "t.csv")
+    back = traceio.read_trace_csv(tmp_path / "t.csv")
+    recs = trace.records
+    assert back.f.tobytes() == np.array([r.f for r in recs]).tobytes()
+    assert back.w.tobytes() == np.array([r.w for r in recs]).tobytes()
+    for name in OPTIONAL:
+        got, want = getattr(back, name), [getattr(r, name) for r in recs]
+        assert [None if v is None else np.float64(v).tobytes() for v in got] == [
+            None if v is None else np.float64(v).tobytes() for v in want
+        ]
+
+
+def test_writer_reprs_each_constant_column_once_per_chunk(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return builtin_repr(value)
+
+    builtin_repr = repr
+    monkeypatch.setattr(traceio, "repr", counted, raising=False)
+    m, rows = 3, 2 * C + 1  # three chunks
+    traceio.write_trace_csv(constant_trace(rows, m), tmp_path / "t.csv")
+    assert len(calls) == 3 * 2 * m
+    calls.clear()
+    traceio.write_trace_csv(constant_trace(rows, m, first_chunk_only=True), tmp_path / "t.csv")
+    # The second chunk varies; the first and the one-row third are constant.
+    assert len(calls) == 2 * m * (1 + C + 1)
