@@ -9,7 +9,6 @@ tested on random positive-definite instances.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,16 @@ ENVELOPE_CONSTANTS = {CAMOO: (16.0, 8.0), PAMOO: (64.0, 32.0)}
 # ---------------------------------------------------------------------------
 # Residual recurrences
 # ---------------------------------------------------------------------------
+
+
+def _envelope(steps, values, k0, r0, slope, factor, plateau=0.0):
+    """The two-phase rate envelope at the ascending ``steps``: the line
+    r0 - slope k before k0, then geometric decay by ``factor`` per step from
+    the anchor, the value at the first step at or past k0, plus ``plateau``."""
+    past = steps >= k0
+    i = int(np.argmax(past))
+    decay = values[i] * factor ** np.maximum(steps - steps[i], 0) + plateau
+    return np.where(past, decay, r0 - slope * steps)
 
 
 @dataclass(frozen=True)
@@ -112,12 +121,7 @@ def recurrence_simulate_and_bound(p: RecurrenceParams, variant: str = "exact"):
             2.0 * a3 / a1 + (2.0 * a4 / (a1 * a2) if a2 > 0 else 0.0)
         )
     factor = math.sqrt(max(1.0 - a1 / 2.0, 0.0))
-    ks = np.arange(p.horizon + 1)
-    b = np.where(
-        ks < k0,
-        p.r0 - slope * ks,
-        r[min(k0, p.horizon)] * factor ** np.maximum(ks - k0, 0) + plateau,
-    )
+    b = _envelope(np.arange(p.horizon + 1), r, k0, p.r0, slope, factor, plateau)
     holds = bool(np.all(r <= b + 1e-12))
     return r, b, holds
 
@@ -168,12 +172,15 @@ def theorem_k0(tp: TheoremParams) -> int:
 
 def theorem_bound_check(trace, tp: TheoremParams, slack: float = 1e-12) -> bool:
     """Check a trace's residuals (a ``RunTrace`` or a trace read back from
-    CSV) against the convergence-rate envelope.
+    CSV) against the convergence-rate envelope, to within slack (1 + r0).
 
     The geometric phase (per-step squared factor 1 - 3 mu / (8 beta) or
-    1 - 3 mu / (32 beta)) anchors at the first recorded step at or past k0;
-    with ``m_self`` zero the pre-phase is vacuous and k0 = 0.  The bound's
+    1 - 3 mu / (32 beta)) anchors at the first recorded step at or past k0,
+    and that residual must itself lie on or below the line at the last
+    pre-phase step, r0 - slope max(k0 - 1, 0); with ``m_self`` zero the
+    pre-phase is vacuous, k0 = 0 and the anchor is at most r0.  The bound's
     exponent counts half steps, i.e. factor^((k - k0)/2) on the residual.
+    NaN and infinite residuals fail.
     """
     pairs = trace.residuals()
     if not pairs:
@@ -184,23 +191,18 @@ def theorem_bound_check(trace, tp: TheoremParams, slack: float = 1e-12) -> bool:
     anchored = steps >= k0
     if not np.any(anchored):
         raise ValueError(f"no recorded step reaches k0 = {k0}")
-    anchor_idx = int(np.argmax(anchored))
-    anchor_step = int(steps[anchor_idx])
-    r_anchor = float(res[anchor_idx])
-
     c_lin, c_geo = ENVELOPE_CONSTANTS[tp.which]
     factor = math.sqrt(max(1.0 - 3.0 * tp.mu / (c_geo * tp.beta), 0.0))
-    if tp.m_self > 0:  # else k0 = 0 and there is no pre-phase
+    slope = 0.0  # m_self zero: k0 = 0 and there is no pre-phase
+    if tp.m_self > 0:
         slope = tp.mu**1.5 / (c_lin * tp.beta**2 * math.sqrt(tp.m) * tp.m_self)
     tol = slack * (1.0 + tp.r0)
-    for k, r in zip(steps, res):
-        if k < k0:
-            bound = tp.r0 - slope * k
-        else:
-            bound = r_anchor * factor ** (k - anchor_step)
-        if not (r <= bound + tol and r < math.inf):  # NaN and inf fail too
-            return False
-    return True
+    bound = _envelope(steps, res, k0, tp.r0, slope, factor)
+    anchor = res[np.argmax(anchored)]
+    line_end = tp.r0 - slope * max(k0 - 1, 0)
+    # An inf residual fails under an inf bound too; NaN fails both tests.
+    within = (res <= bound + tol) & (res < math.inf)
+    return bool(np.all(within) and anchor <= line_end + tol)
 
 
 # ---------------------------------------------------------------------------
@@ -213,22 +215,20 @@ def fit_rate(trace, tail_fraction: float = 0.5) -> float:
     ``RunTrace`` or a trace read back from CSV).
 
     Least-squares slope of log residual against step index over the last
-    ``tail_fraction`` of recorded residuals, exponentiated.  Residuals at or
-    below zero are clipped to 1e-300 (with a warning) so underflowed tails
-    do not poison the fit.
+    ``tail_fraction`` of the residuals recorded before the first one at or
+    below zero, exponentiated.  A run that converges exactly has no rate
+    after that point, so a trace that reaches 0 early raises for want of
+    tail records.
     """
     if not 0 < tail_fraction <= 1:
         raise ValueError("tail_fraction must lie in (0, 1]")
     pairs = trace.residuals()
-    count = math.ceil(len(pairs) * tail_fraction)
-    tail = pairs[-count:]
+    stop = next((i for i, (_, r) in enumerate(pairs) if r <= 0.0), len(pairs))
+    tail = pairs[stop - math.ceil(stop * tail_fraction) : stop]
     if len(tail) < 10:
         raise ValueError(f"need at least 10 tail records, have {len(tail)}")
     steps = np.array([s for s, _ in tail], dtype=np.float64)
     res = np.array([r for _, r in tail], dtype=np.float64)
-    if np.any(res <= 0.0):
-        warnings.warn("nonpositive residuals in tail; clipping at 1e-300")
-        res = np.clip(res, 1e-300, None)
     slope = np.polyfit(steps, np.log(res), 1)[0]
     return float(np.exp(slope))
 

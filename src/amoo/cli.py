@@ -227,8 +227,15 @@ def _default_out_dir(explicit: str | None) -> Path:
     return Path(os.environ.get("AMOO_OUT_DIR", "."))
 
 
+def _theorem_params(trace, beta, mu, m_self, which) -> analysis.TheoremParams:
+    """The envelope constants of ``trace``: its objective count as m and its
+    first residual as r0."""
+    r0 = trace.residuals()[0][1]
+    return analysis.TheoremParams(beta, mu, m_self, trace.m, r0, which)
+
+
 def _run_verdicts(trace: driver.RunTrace) -> dict:
-    verdicts: dict = {"finite": trace.error is None}
+    verdicts: dict = {"finite": trace.error is None, "theorem_bound": None}
     problem = trace.problem
     meta = problem.meta
     kind = trace.config.weighting.kind
@@ -239,22 +246,14 @@ def _run_verdicts(trace: driver.RunTrace) -> dict:
         and meta.mu_g is not None
         and meta.m_self is not None
         and problem.optimum.alignment_eps == 0.0  # the envelope assumes exact alignment
-        and trace.records
     ):
+        mu = meta.mu_g if kind == "camoo" else (meta.mu_l or meta.mu_g)
+        which = analysis.CAMOO if kind == "camoo" else analysis.PAMOO
         try:
-            tp = analysis.TheoremParams(
-                beta=meta.beta,
-                mu=meta.mu_g if kind == "camoo" else (meta.mu_l or meta.mu_g),
-                m_self=meta.m_self,
-                m=problem.objectives.m,
-                r0=trace.records[0].residual,
-                which=analysis.CAMOO if kind == "camoo" else analysis.PAMOO,
-            )
+            tp = _theorem_params(trace, meta.beta, mu, meta.m_self, which)
             verdicts["theorem_bound"] = analysis.theorem_bound_check(trace, tp)
         except ValueError:
-            verdicts["theorem_bound"] = None
-    else:
-        verdicts["theorem_bound"] = None
+            pass
     return verdicts
 
 
@@ -326,19 +325,11 @@ def cmd_analyze(
             print_fn(f"error: {exc}")
             return 2
     if theorem is not None:
-        residuals = trace.residuals()
-        if not residuals:
+        if not trace.residuals():
             print_fn(f"error: trace {trace_path} has no residuals to check")
             return 2
         try:
-            tp = analysis.TheoremParams(
-                beta=theorem["beta"],
-                mu=theorem["mu"],
-                m_self=theorem["m_self"],
-                m=trace.m,
-                r0=residuals[0][1],
-                which=theorem["which"],
-            )
+            tp = _theorem_params(trace, **theorem)
             report["theorem_bound"] = analysis.theorem_bound_check(trace, tp)
         except ValueError as exc:
             print_fn(f"error: {exc}")

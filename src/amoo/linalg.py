@@ -1,8 +1,9 @@
 """Dense symmetric matrices for desk-scale problems: validation and eigen-routines.
 
 This is the package's one home for symmetric-matrix work.  Every routine
+but ``min_eigenpair_unchecked``, whose caller has validated the matrix,
 validates its input with ``check_symmetric`` (``hessian_stack`` does so for
-a list of equal-sized matrices) and hands each decomposition to LAPACK
+a list of equal-sized matrices), and each decomposition goes to LAPACK
 (``numpy.linalg``), at every size.  The contracts are on the results:
 ``eigh`` returns ascending eigenvalues with orthonormal eigenvectors,
 ``min_eigenpair`` a certified eigenpair, ``spectral_norm`` the largest

@@ -133,42 +133,27 @@ class _QuadraticStack:
         return out
 
 
-def _specification_curvatures(delta: float):
-    A1 = np.diag([1.0 - delta, delta])
-    A2 = np.diag([delta, 1.0 - delta])
-    return [A1, A2]
-
-
-def _selection_curvatures(delta: float, m: int, n: int):
-    weak = np.full(n, delta)
-    weak[0] = 1.0 - delta
-    mats = [np.diag(weak) for _ in range(m - 1)]
-    mats.append(np.eye(n))
-    return mats
+def _at_origin(spec: ProblemSpec, objectives: ObjectiveSet, meta: ProblemMeta) -> Problem:
+    """A problem minimized at the origin, started from the all-ones point."""
+    n = objectives.dim
+    return Problem(objectives, OptimalInfo(x_star=np.zeros(n)), meta, np.ones(n), spec)
 
 
 def _build_specification(spec: ProblemSpec) -> Problem:
     delta = spec.delta
-    if not 0.0 <= delta <= 0.5:
-        raise ValueError(f"delta must lie in [0, 0.5], got {delta}")
-    mats = _specification_curvatures(delta)
-    objectives = _QuadraticStack(mats, (1.0, 1.0)).objectives()
-    optimum = OptimalInfo(x_star=np.zeros(2))
+    mats = [np.diag([1.0 - delta, delta]), np.diag([delta, 1.0 - delta])]
     meta = ProblemMeta(beta=2.0 * (1.0 - delta), mu_g=1.0, mu_l=1.0, m_self=0.0)
-    return Problem(objectives, optimum, meta, x0=np.ones(2), spec=spec)
+    return _at_origin(spec, _QuadraticStack(mats, (1.0, 1.0)).objectives(), meta)
 
 
 def _build_selection(spec: ProblemSpec) -> Problem:
     delta, m, n = spec.delta, spec.m, spec.n
-    if not 0.0 <= delta <= 0.5:
-        raise ValueError(f"delta must lie in [0, 0.5], got {delta}")
     if m < 2 or n < 1:
         raise ValueError("selection needs m >= 2 objectives and n >= 1 dims")
-    mats = _selection_curvatures(delta, m, n)
-    objectives = _QuadraticStack(mats, (1.0,) * m).objectives()
-    optimum = OptimalInfo(x_star=np.zeros(n))
+    weak = np.diag(np.r_[1.0 - delta, np.full(n - 1, delta)])
+    mats = [weak] * (m - 1) + [np.eye(n)]
     meta = ProblemMeta(beta=2.0, mu_g=2.0, mu_l=2.0, m_self=0.0)
-    return Problem(objectives, optimum, meta, x0=np.ones(n), spec=spec)
+    return _at_origin(spec, _QuadraticStack(mats, (1.0,) * m).objectives(), meta)
 
 
 def _build_local_curvature(spec: ProblemSpec) -> Problem:
@@ -187,11 +172,9 @@ def _build_local_curvature(spec: ProblemSpec) -> Problem:
     def hessians(x):
         return np.stack([np.diag(np.exp(s * x)) for s in signs])
 
-    objectives = ObjectiveSet(2, n, evaluate, hessians)
-    optimum = OptimalInfo(x_star=np.zeros(n))
     # beta and m_self hold on the |x_j| <= 2 region that the bundled runs use.
     meta = ProblemMeta(beta=float(np.exp(2.0)), mu_g=1.0, mu_l=1.0, m_self=1.0)
-    return Problem(objectives, optimum, meta, x0=np.ones(n), spec=spec)
+    return _at_origin(spec, ObjectiveSet(2, n, evaluate, hessians), meta)
 
 
 def _build_quad_family(spec: ProblemSpec) -> Problem:
@@ -220,14 +203,12 @@ def _build_quad_family(spec: ProblemSpec) -> Problem:
         raise ValueError("h_list matrices disagree on size")
     if min(alphas) < 1.0:
         raise ValueError(f"alpha must be >= 1, got {min(alphas)}")
-    objectives = _QuadraticStack(mats, alphas).objectives()
-    optimum = OptimalInfo(x_star=np.zeros(n))
     pure_quad = all(a == 1.0 for a in alphas)
     beta = 2.0 * max(tops) if pure_quad else None
     meta = ProblemMeta(
         beta=beta, mu_g=None, mu_l=None, m_self=0.0 if pure_quad else None
     )
-    return Problem(objectives, optimum, meta, x0=np.ones(n), spec=spec)
+    return _at_origin(spec, _QuadraticStack(mats, alphas).objectives(), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -613,4 +594,6 @@ KINDS = {
 
 def build(spec: ProblemSpec) -> Problem:
     """Build the problem described by ``spec``."""
+    if "delta" in KINDS[spec.kind].params and not 0.0 <= spec.delta <= 0.5:
+        raise ValueError(f"delta must lie in [0, 0.5], got {spec.delta}")
     return KINDS[spec.kind].build(spec)

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from amoo.analysis import (
+    ENVELOPE_CONSTANTS,
     RecurrenceParams,
     TheoremParams,
+    _envelope,
     fit_rate,
     max_admissible_noise,
     recurrence_simulate_and_bound,
     self_concordance_check,
     theorem_bound_check,
+    theorem_k0,
     weyl_degradation_suite,
 )
 from amoo.driver import (
@@ -240,6 +243,24 @@ class TestTheoremBound:
         trace_bad = list(zip(steps.tolist(), (env * 1.5).tolist()))
         assert not theorem_bound_check(residual_trace(trace_bad), tp)
 
+    def test_anchor_above_r0_fails_without_pre_phase(self):
+        # k0 = 0: the geometric phase anchors at the first residual, which
+        # must not exceed r0 however fast the trace decays from it.
+        tp = TheoremParams(beta=2.0, mu=1.0, m_self=0.0, m=2, r0=1.0)
+        assert not theorem_bound_check(residual_trace([(0, 5.0), (1, 4.0)]), tp)
+        assert theorem_bound_check(residual_trace([(0, 1.0), (1, 0.9)]), tp)
+
+    def test_anchor_above_the_line_fails_after_a_gap(self):
+        # The records before k0 lie on the line, but the first one past it
+        # lies above the line at k0 - 1.
+        tp = TheoremParams(beta=2.0, mu=1.0, m_self=0.5, m=2, r0=10.0)
+        k0, slope, _ = envelope_constants(tp)
+        line_end = tp.r0 - slope * (k0 - 1)
+        pairs = [(0, tp.r0), (k0 + 5, line_end)]
+        assert theorem_bound_check(residual_trace(pairs), tp)
+        pairs[1] = (k0 + 5, line_end * (1 + 1e-9))
+        assert not theorem_bound_check(residual_trace(pairs), tp)
+
 
 class TestTheoremBoundNonFinite:
     CONSTANTS = {"beta": 2.0, "mu": 1.0, "m_self": 0.0, "m": 2, "r0": 1.0}
@@ -259,6 +280,124 @@ class TestTheoremBoundNonFinite:
     def test_non_finite_or_negative_constant_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             TheoremParams(**{**self.CONSTANTS, name: value})
+
+
+def envelope_constants(tp: TheoremParams):
+    """(k0, slope, factor) of the envelope of ``tp``; slope 0 without a pre-phase."""
+    c_lin, c_geo = ENVELOPE_CONSTANTS[tp.which]
+    factor = math.sqrt(max(1.0 - 3.0 * tp.mu / (c_geo * tp.beta), 0.0))
+    slope = 0.0
+    if tp.m_self > 0:
+        slope = tp.mu**1.5 / (c_lin * tp.beta**2 * math.sqrt(tp.m) * tp.m_self)
+    return theorem_k0(tp), slope, factor
+
+
+def loop_theorem_check(steps, res, tp: TheoremParams, slack: float = 1e-12):
+    """The envelope check as a loop over records, the form it had before the
+    envelope was shared: (bounds, verdict).  It has no anchor rule."""
+    k0, slope, factor = envelope_constants(tp)
+    anchor_idx = int(np.argmax(steps >= k0))
+    anchor_step = int(steps[anchor_idx])
+    r_anchor = float(res[anchor_idx])
+    tol = slack * (1.0 + tp.r0)
+    bounds, holds = [], True
+    for k, r in zip(steps, res):
+        if k < k0:
+            bound = tp.r0 - slope * k
+        else:
+            bound = r_anchor * factor ** (k - anchor_step)
+        bounds.append(bound)
+        if not (r <= bound + tol and r < math.inf):
+            holds = False
+    return np.array(bounds, dtype=np.float64), holds
+
+
+def where_recurrence_bound(p: RecurrenceParams, variant: str) -> np.ndarray:
+    """The recurrence's bound as the one np.where it was before the envelope
+    was shared."""
+    a1, a2, a3, a4 = p.alpha1, p.alpha2, p.alpha3, p.alpha4
+    c = 4.0 if variant == "exact" else 16.0
+    k0 = max(math.ceil(c * (p.r0 * a2 - 1.0) / a1) if a1 > 0 else 0, 0)
+    slope = a1 / (c * a2) if a2 > 0 else 0.0
+    plateau = 0.0
+    if variant == "eps":
+        plateau = math.sqrt(2.0 * a3 / a1 + (2.0 * a4 / (a1 * a2) if a2 > 0 else 0.0))
+    factor = math.sqrt(max(1.0 - a1 / 2.0, 0.0))
+    r = numpy_scalar_recurrence(p, variant)
+    ks = np.arange(p.horizon + 1)
+    return np.where(
+        ks < k0,
+        p.r0 - slope * ks,
+        r[min(k0, p.horizon)] * factor ** np.maximum(ks - k0, 0) + plateau,
+    )
+
+
+class TestSharedEnvelope:
+    def test_recurrence_bound_bitwise_equal_to_where_form(self):
+        rng = np.random.default_rng(33)
+        for _ in range(200):
+            a1 = rng.uniform(0.01, 1.99)
+            a2 = rng.choice([0.0, rng.uniform(0.0, 10.0)])
+            a3, a4 = (0.5 * v for v in max_admissible_noise(a1, a2))
+            # r0 up to 100 puts k0 past the horizon on some draws.
+            p = RecurrenceParams(
+                alpha1=a1, alpha2=a2, alpha3=a3, alpha4=a4,
+                r0=rng.uniform(0.0, 100.0), horizon=int(rng.integers(1, 300)),
+            )
+            for variant in ("exact", "eps"):
+                _, b, _ = recurrence_simulate_and_bound(p, variant)
+                assert b.tobytes() == where_recurrence_bound(p, variant).tobytes()
+
+    def test_theorem_bound_matches_the_loop_on_random_traces(self):
+        rng = np.random.default_rng(34)
+        seen = {"pre-phase": 0, "anchor above": 0, "non-finite": 0, "holds": 0}
+        for _ in range(400):
+            beta = rng.uniform(0.5, 5.0)
+            tp = TheoremParams(
+                beta=beta, mu=beta * rng.uniform(0.05, 1.0),
+                m_self=rng.choice([0.0, rng.uniform(0.001, 0.05)]),
+                m=int(rng.integers(1, 5)), r0=rng.uniform(0.1, 10.0),
+                which=str(rng.choice(["CAMOO", "PAMOO"])),
+            )
+            k0, slope, factor = envelope_constants(tp)
+            # Sorted steps with gaps of 1 to 5; all but step 0 move up so
+            # that the last one reaches k0.
+            steps = np.cumsum(np.r_[0, rng.integers(1, 6, size=rng.integers(1, 40))])
+            steps += max(k0 - int(steps[-1]), 0) * (steps > 0)
+            past = steps >= k0
+            a = int(np.argmax(past))
+            line_end = tp.r0 - slope * max(k0 - 1, 0)
+            # Residuals inside the envelope, anchored above the line on about
+            # half the draws; then one record may overshoot or be NaN or inf.
+            anchor = line_end * rng.uniform(0.9, 1.1)
+            decay = anchor * factor ** (steps - steps[a])
+            env = np.where(past, decay, tp.r0 - slope * steps)
+            res = env * rng.uniform(0.5, 1.0, size=len(steps))
+            res[a] = anchor
+            j = rng.integers(len(steps))
+            res[j] = rng.choice(
+                [res[j], 1.5 * res[j], math.nan, math.inf], p=[0.5, 0.3, 0.1, 0.1]
+            )
+            loop_bounds, loop_holds = loop_theorem_check(steps, res, tp)
+            bounds = _envelope(steps, res, k0, tp.r0, slope, factor)
+            # numpy's scalar power squares exactly at exponent 2, and its
+            # array power may differ there by one ulp: every other bound
+            # keeps its bytes.
+            two = steps - steps[a] == 2
+            assert bounds[~two].tobytes() == loop_bounds[~two].tobytes()
+            np.testing.assert_allclose(
+                bounds[two], loop_bounds[two], rtol=np.finfo(float).eps, atol=0
+            )
+            holds = theorem_bound_check(residual_trace(zip(steps, res)), tp)
+            if res[a] <= line_end:
+                assert holds == loop_holds
+            else:
+                assert not holds
+            seen["pre-phase"] += k0 > 0
+            seen["anchor above"] += bool(res[a] > line_end)
+            seen["non-finite"] += not np.isfinite(res).all()
+            seen["holds"] += holds
+        assert min(seen.values()) >= 40, seen
 
 
 class TestFitRate:
@@ -287,11 +426,28 @@ class TestFitRate:
         with pytest.raises(ValueError, match="10"):
             fit_rate(residual_trace((k, 0.5) for k in range(5)), 1.0)
 
-    def test_zero_residuals_clip_and_warn(self):
-        pairs = [(k, 0.0) for k in range(20)]
-        with pytest.warns(UserWarning, match="clipping"):
-            rho = fit_rate(residual_trace(pairs), 1.0)
-        assert 0.0 < rho <= 1.0
+    def test_fits_the_tail_before_the_first_zero(self):
+        # 30 decaying residuals, then the run sits at 0: the fit takes the
+        # last half of the 30, not of all 60.
+        pairs = [(k, 0.9**k) for k in range(30)] + [(k, 0.0) for k in range(30, 60)]
+        assert fit_rate(residual_trace(pairs), 0.5) == pytest.approx(0.9, abs=1e-6)
+        assert fit_rate(residual_trace(pairs[:30]), 0.5) == fit_rate(
+            residual_trace(pairs), 0.5
+        )
+
+    def test_trace_at_zero_from_step_one_has_no_rate(self):
+        # Diagonal CAMOO at GD 0.5 selects the well-conditioned objective of
+        # `selection` and lands on x* = 0 in one step.
+        spec = ProblemSpec(kind="selection", delta=0.1, m=3, n=4)
+        trace = run(
+            RunConfig(
+                problem=spec, weighting=WeightingChoice(kind="camoo"),
+                inner=GDConfig(step=0.5), steps=50, camoo_lr_scale_by_m=False,
+            )
+        )
+        assert [r for _, r in trace.residuals()[:2]] == [2.0, 0.0]
+        with pytest.raises(ValueError, match="need at least 10 tail records, have 1"):
+            fit_rate(trace)
 
 
 class TestSelfConcordance:

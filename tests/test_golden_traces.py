@@ -4,6 +4,10 @@ config per weight rule, plus the network's ``local_curvature`` variant
 each pinned to the sha256 of its ``trace.csv``.  A long EW run crosses two
 chunks of the trace reader and writer (``traceio._CHUNK_ROWS`` rows each).
 
+Each digest is also checked in fresh processes whose OpenBLAS runs one
+thread and two threads: the thread count is read once, at import, so only
+a new process can change it.
+
 Three of the runs also pin their plots: the ``plot.svg`` that ``amoo run``
 writes and the ``amoo plot`` re-render of the run's ``trace.csv`` must both
 have the pinned digest.
@@ -17,10 +21,15 @@ round differently.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import amoo
 from amoo.cli import cmd_plot, cmd_run
 
 
@@ -131,6 +140,30 @@ def test_trace_digest_is_pinned(name, tmp_path):
     assert sha256(out / "trace.csv") == GOLDEN_SHA256[name]
 
 
+def trace_digests(out_dir: Path) -> dict:
+    """Run every config of ``CONFIGS`` under ``out_dir``; its trace digests."""
+    digests = {}
+    for name, doc in CONFIGS.items():
+        config = out_dir / f"{name}.json"
+        config.write_text(json.dumps(doc))
+        assert cmd_run(str(config), str(out_dir / name), print_fn=lambda *_: None) == 0
+        digests[name] = sha256(out_dir / name / "trace.csv")
+    return digests
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_trace_digests_hold_under_each_blas_thread_count(threads, tmp_path):
+    src = str(Path(amoo.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, __file__, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == GOLDEN_SHA256
+
+
 @pytest.mark.parametrize("name", sorted(PLOT_SHA256))
 def test_plot_digests_are_pinned(name, tmp_path):
     config = tmp_path / "config.json"
@@ -140,3 +173,7 @@ def test_plot_digests_are_pinned(name, tmp_path):
     replot = out / "replot.svg"
     assert cmd_plot(str(out / "trace.csv"), str(replot), print_fn=lambda *_: None) == 0
     assert sha256(out / "plot.svg") == sha256(replot) == PLOT_SHA256[name]
+
+
+if __name__ == "__main__":  # python test_golden_traces.py OUT_DIR: print the digests
+    print(json.dumps(trace_digests(Path(sys.argv[1]))))
