@@ -8,6 +8,9 @@ Each digest is also checked in fresh processes whose OpenBLAS runs one
 thread and two threads: the thread count is read once, at import, so only
 a new process can change it.
 
+Each run also pins its ``summary.json``, with the ``wall_time`` value
+masked, the one number that differs between two runs of one config.
+
 Three of the runs also pin their plots: the ``plot.svg`` that ``amoo run``
 writes and the ``amoo plot`` re-render of the run's ``trace.csv`` must both
 have the pinned digest.
@@ -22,6 +25,7 @@ round differently.
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -120,6 +124,18 @@ GOLDEN_SHA256 = {
     "ew_chunks": "7ccfd24061bb0a47f0da444b503c3d281d37fe4a8362d95a9ca42b07b690f7c0",
 }
 
+SUMMARY_SHA256 = {
+    "ew": "1f1813afc9e28ccc36dd666b3a1f9b2e2936e9e862a36a67341a1956eaf2b495",
+    "fixed": "ee77ec20475f046ebf98265b822edd82d0e206ebfc96478bd7df819140db1273",
+    "camoo_exact": "8bb5911d12f37e20f081b8f3de983d2ceac66ec5a069c27ce86474117075c8c0",
+    "camoo_diagonal": "5a3bd1599ac97f37dd932e664c58feb9ebb31636be64ed6e6bf509d10a9b5e72",
+    "camoo_diagonal_softplus": "f702e1428083c72ed8ce1bdda6b4b14fed17a4289239d381a4b55da9dc4753c4",
+    "pamoo": "02104204d38b0008c13b65ce7126c8fc518779cd1c23f221303b2dec8244e8d4",
+    "pamoo_curved": "e7b421086f759fccc57318bd965327f2f6e05d5bc05d0a4146b0527de3dcf852",
+    "pamoo_theory": "3e20e11c1aab92a0289a073c2d98c11ee2ee9330978c84cb346f8993409e2eda",
+    "ew_chunks": "966165149b6456215b5d09702672e4a19298adc91313295049953a821b5dab63",
+}
+
 PLOT_SHA256 = {
     "camoo_diagonal": "915850dacbd295315a08af06d64a4015d4cb534ece0eb475656141e7927ff136",
     "pamoo_curved": "160d3952a359a293c9262e903d288d92da374b53233e7c486ddc49bcd6267b6c",
@@ -131,6 +147,12 @@ def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def summary_sha256(path) -> str:
+    """sha256 of a summary.json with its ``wall_time`` value written as 0."""
+    data = re.sub(rb'"wall_time": [^,\n]*', b'"wall_time": 0', path.read_bytes())
+    return hashlib.sha256(data).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_trace_digest_is_pinned(name, tmp_path):
     config = tmp_path / "config.json"
@@ -138,6 +160,7 @@ def test_trace_digest_is_pinned(name, tmp_path):
     out = tmp_path / "out"
     assert cmd_run(str(config), str(out), print_fn=lambda *_: None) == 0
     assert sha256(out / "trace.csv") == GOLDEN_SHA256[name]
+    assert summary_sha256(out / "summary.json") == SUMMARY_SHA256[name]
 
 
 def trace_digests(out_dir: Path) -> dict:
