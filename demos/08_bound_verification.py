@@ -49,7 +49,7 @@ tp = TheoremParams(
 geo = np.sqrt(1 - 3 * tp.mu / (8 * tp.beta))
 print("curvature-adaptive run under the analysis step size 1/(2 beta):")
 print(f"  envelope per-step factor : {geo:.4f}")
-print(f"  fitted per-step factor   : {fit_rate(trace, 0.5):.4f}")
+print(f"  fitted per-step factor   : {fit_rate(trace):.4f}")
 print(f"  envelope holds           : {theorem_bound_check(trace, tp)}")
 print()
 

@@ -159,20 +159,23 @@ class TheoremParams:
 
 
 def theorem_k0(tp: TheoremParams) -> int:
+    """The envelope's k0; a ValueError if the constants put it at +inf or NaN."""
     if tp.m_self == 0.0:
         return 0
-    k0 = math.ceil(
+    k0 = (
         ENVELOPE_CONSTANTS[tp.which][0]
         * tp.beta
         * (tp.r0 * 3.0 * math.sqrt(tp.m) * tp.beta * tp.m_self - math.sqrt(tp.mu))
         / (3.0 * tp.mu**1.5)
     )
-    return max(k0, 0)
+    if not k0 < math.inf:  # NaN fails too
+        raise ValueError(f"k0 = {k0} is not finite for these constants")
+    return math.ceil(max(k0, 0.0))
 
 
-def theorem_bound_check(trace, tp: TheoremParams, slack: float = 1e-12) -> bool:
+def theorem_bound_check(trace, tp: TheoremParams) -> bool:
     """Check a trace's residuals (a ``RunTrace`` or a trace read back from
-    CSV) against the convergence-rate envelope, to within slack (1 + r0).
+    CSV) against the convergence-rate envelope, to within 1e-12 (1 + r0).
 
     The geometric phase (per-step squared factor 1 - 3 mu / (8 beta) or
     1 - 3 mu / (32 beta)) anchors at the first recorded step at or past k0,
@@ -180,7 +183,7 @@ def theorem_bound_check(trace, tp: TheoremParams, slack: float = 1e-12) -> bool:
     pre-phase step, r0 - slope max(k0 - 1, 0); with ``m_self`` zero the
     pre-phase is vacuous, k0 = 0 and the anchor is at most r0.  The bound's
     exponent counts half steps, i.e. factor^((k - k0)/2) on the residual.
-    NaN and infinite residuals fail.
+    NaN and infinite residuals fail, and an infinite k0 is a ValueError.
     """
     pairs = trace.residuals()
     if not pairs:
@@ -196,7 +199,7 @@ def theorem_bound_check(trace, tp: TheoremParams, slack: float = 1e-12) -> bool:
     slope = 0.0  # m_self zero: k0 = 0 and there is no pre-phase
     if tp.m_self > 0:
         slope = tp.mu**1.5 / (c_lin * tp.beta**2 * math.sqrt(tp.m) * tp.m_self)
-    tol = slack * (1.0 + tp.r0)
+    tol = 1e-12 * (1.0 + tp.r0)
     bound = _envelope(steps, res, k0, tp.r0, slope, factor)
     anchor = res[np.argmax(anchored)]
     line_end = tp.r0 - slope * max(k0 - 1, 0)
@@ -210,25 +213,25 @@ def theorem_bound_check(trace, tp: TheoremParams, slack: float = 1e-12) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def fit_rate(trace, tail_fraction: float = 0.5) -> float:
+def fit_rate(trace) -> float:
     """Per-step contraction factor fitted on the tail of a trace (a
     ``RunTrace`` or a trace read back from CSV).
 
     Least-squares slope of log residual against step index over the last
-    ``tail_fraction`` of the residuals recorded before the first one at or
-    below zero, exponentiated.  A run that converges exactly has no rate
-    after that point, so a trace that reaches 0 early raises for want of
-    tail records.
+    half of the residuals recorded before the first one at or below zero,
+    exponentiated.  A run that converges exactly has no rate after that
+    point, so a trace that reaches 0 early raises for want of 10 tail
+    records; a NaN or infinite residual in the tail raises too.
     """
-    if not 0 < tail_fraction <= 1:
-        raise ValueError("tail_fraction must lie in (0, 1]")
     pairs = trace.residuals()
     stop = next((i for i, (_, r) in enumerate(pairs) if r <= 0.0), len(pairs))
-    tail = pairs[stop - math.ceil(stop * tail_fraction) : stop]
+    tail = pairs[stop // 2 : stop]
     if len(tail) < 10:
         raise ValueError(f"need at least 10 tail records, have {len(tail)}")
     steps = np.array([s for s, _ in tail], dtype=np.float64)
     res = np.array([r for _, r in tail], dtype=np.float64)
+    if not np.isfinite(res).all():
+        raise ValueError("the tail holds a NaN or infinite residual")
     slope = np.polyfit(steps, np.log(res), 1)[0]
     return float(np.exp(slope))
 
@@ -242,11 +245,9 @@ def _omega_lower(t: float) -> float:
     return t * t / (2.0 * (1.0 + t))
 
 
-def self_concordance_check(
-    objectives: ObjectiveSet, x, y, m_self: float, slack: float = 1e-10
-) -> bool:
+def self_concordance_check(objectives: ObjectiveSet, x, y, m_self: float) -> bool:
     """Check f_i(y) >= f_i(x) + <grad f_i(x), y - x> + curvature term for
-    every objective i of the set.
+    every objective i of the set, to within 1e-10 (1 + |f_i(y)|).
 
     The curvature term is (1/M^2) * omega(M t) with t the Hessian-metric
     distance ||y - x|| at x and omega(s) = s^2 / (2 (1 + s)); at M = 0 it
@@ -266,7 +267,7 @@ def self_concordance_check(
         else:
             curv = _omega_lower(m_self * t) / (m_self * m_self)
         lhs = float(f1)
-        if not lhs >= float(f0) + float(g @ d) + curv - slack * (1.0 + abs(lhs)):
+        if not lhs >= float(f0) + float(g @ d) + curv - 1e-10 * (1.0 + abs(lhs)):
             return False
     return True
 

@@ -187,26 +187,17 @@ def _keys(obj) -> tuple:
     return tuple(f.name for f in dataclasses.fields(obj))
 
 
-def _document(value, keys=None):
-    """The JSON value that the parser reads back as ``value``."""
-    if isinstance(value, tuple):
-        return [_document(v) for v in value]
-    if not dataclasses.is_dataclass(value):
-        return value
-    return {k: _document(getattr(value, k)) for k in keys or _keys(value)}
-
-
 def config_document(cfg: driver.RunConfig) -> dict:
     """The config that ``parse_run_config`` reads back as ``cfg``, with only
     the keys that the run reads: a preset's choices are written out as the
     weighting, inner and run settings they stand for."""
     (inner_kind,) = [k for k, tp in _INNER.items() if type(cfg.inner) is tp]
-    sections = ("problem", "weighting", "inner")
+    run = traceio.jsonable(cfg, _keys)
     return {
-        "problem": _document(cfg.problem),
-        "weighting": _document(cfg.weighting),
-        "inner": {"kind": inner_kind, **_document(cfg.inner)},
-        "run": _document(cfg, [k for k in _keys(cfg) if k not in sections]),
+        "problem": run.pop("problem"),
+        "weighting": run.pop("weighting"),
+        "inner": {"kind": inner_kind, **run.pop("inner")},
+        "run": run,
     }
 
 
@@ -289,7 +280,7 @@ def cmd_run(config_path: str, out_dir: str | None, print_fn=print) -> int:
     out.mkdir(parents=True, exist_ok=True)
     traceio.write_trace_csv(trace, out / "trace.csv")
     fitted = None
-    if code == 0 and len(trace.residuals()) >= 20:
+    if code == 0:
         try:
             fitted = analysis.fit_rate(trace)
         except ValueError:
@@ -334,7 +325,7 @@ def cmd_analyze(
         except ValueError as exc:
             print_fn(f"error: {exc}")
             return 2
-    print_fn(json.dumps(report, indent=2))
+    print_fn(traceio.to_json(report))
     return 0
 
 

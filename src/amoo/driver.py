@@ -81,12 +81,11 @@ def adam_init(x: Array) -> AdamState:
     return AdamState(x=x, m1=np.zeros_like(x), m2=np.zeros_like(x), t=0)
 
 
-def step_adam(state: AdamState, g: Array, cfg: AdamConfig, step: float | None = None):
+def step_adam(state: AdamState, g: Array, lr: float):
     """One Adam update with bias correction; returns (new_state, new_x)."""
     g = np.asarray(g, dtype=np.float64)
     if not _finite(g):
         raise NumericError("non-finite gradient in Adam step")
-    lr = cfg.step if step is None else step
     t = state.t + 1
     # m1 = b1 m1 + (1 - b1) g, m2 = b2 m2 + (1 - b2) g g and x - lr m1_hat /
     # (sqrt(m2_hat) + eps) in that operation order, in place on fresh arrays:
@@ -384,7 +383,7 @@ def run(cfg: RunConfig) -> RunTrace:
         if adam_state is None:
             x = step_gd(x, g, inner_step)
         else:
-            adam_state, x = step_adam(adam_state, g, cfg.inner, step=inner_step)
+            adam_state, x = step_adam(adam_state, g, inner_step)
 
     trace.wall_time = time.perf_counter() - t_start
     return trace

@@ -229,14 +229,13 @@ class _TwoLayerMatching:
 
     ``evaluate`` is the evaluator of its ``ObjectiveSet``: one forward pass
     gives the values, the gradients and, on demand, the Hessian diagonals of
-    all objectives, with products batched over the stacked H_i and written
-    in place into one (m, n) array each.  An objective with alpha = 1 takes
-    q for q^alpha and 2 for 2 alpha q^(alpha-1), both exact, so only the
-    ``bent`` rows compute powers (numpy's scalar-exponent fast paths, per
-    objective because their batched forms round differently).  The rows
-    p1 @ A^2 stay per objective for the same reason; the alpha = 1 rows of
-    p1 are all 2.0 and share one.  Every H_i is diagonal, and the Hessian
-    diagonal uses only the diagonals.
+    all objectives, with products batched over the diagonals ``hdiag`` of
+    the H_i (each H_i is diagonal) and written in place into one (m, n)
+    array each.  An objective with alpha = 1 takes q for q^alpha and 2 for
+    2 alpha q^(alpha-1), both exact, so only the ``bent`` rows compute
+    powers (numpy's scalar-exponent fast paths, per objective because their
+    batched forms round differently).  The rows p1 @ A^2 stay per objective
+    for the same reason; the alpha = 1 rows of p1 are all 2.0 and share one.
 
     The Hessian diagonal skips exactly-zero terms: the C2 = 4 alpha (alpha-1)
     q^(alpha-2) terms of the objectives with alpha = 1 (all but ``bent``),
@@ -284,23 +283,19 @@ class _TwoLayerMatching:
         )
 
         if spec.variant == "selection":
-            h_mats = [np.diag(np.r_[1.0, np.full(d_o - 1, 0.01**i)]) for i in range(3)]
+            hdiag = [np.r_[1.0, np.full(d_o - 1, 0.01**i)] for i in range(3)]
             alphas = (1.0, 1.0, 1.0)
         elif spec.variant == "local_curvature":
-            h_mats = [np.eye(d_o) for _ in range(3)]
+            hdiag = np.ones((3, d_o))
             alphas = (1.0, 1.5, 2.0)
         else:
             raise ValueError(f"unknown mlp variant {spec.variant!r}")
-        self._set_objectives(h_mats, alphas)
+        self._set_objectives(hdiag, alphas)
 
-    def _set_objectives(self, h_mats, alphas) -> None:
-        """Objective i weights the residual by h_mats[i] with power alphas[i];
-        ``bent`` is the slice of the objectives with alpha != 1."""
-        self.h_stack = np.stack(h_mats)
-        self.hdiag = np.diagonal(self.h_stack, axis1=1, axis2=2).copy()
-        d_o = self.h_stack.shape[-1]
-        if not np.array_equal(self.h_stack, self.hdiag[:, :, None] * np.eye(d_o)):
-            raise ValueError("every output weighting H_i must be diagonal")
+    def _set_objectives(self, hdiag, alphas) -> None:
+        """Objective i weights the residual by diag(hdiag[i]) with power
+        alphas[i]; ``bent`` is the slice of the objectives with alpha != 1."""
+        self.hdiag = np.array(hdiag, dtype=np.float64)
         self.alphas = tuple(alphas)
         self.m = len(self.alphas)
         bent = [k for k, a in enumerate(self.alphas) if a != 1.0]
@@ -342,7 +337,7 @@ class _TwoLayerMatching:
 
     def _per_sample(self, R: Array):
         """Per-sample losses q = r'H r and the products H r, one row per objective."""
-        V = np.matmul(R, self.h_stack)
+        V = R * self.hdiag[:, None, :]
         return np.einsum("nd,knd->kn", R, V), V
 
     @staticmethod

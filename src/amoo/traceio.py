@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,38 +126,40 @@ def read_trace_csv(path) -> LoadedTrace:
     return LoadedTrace(steps, f, w, *tails)  # fields in the CSV's column order
 
 
-def _jsonable(obj):
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        return obj if np.isfinite(obj) else repr(obj)
-    if isinstance(obj, (np.floating, np.integer)):
-        return _jsonable(obj.item())
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if dataclasses.is_dataclass(obj):
-        return {
-            f.name: _jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    return str(obj)
+def jsonable(value, keys=None):
+    """The JSON value of ``value``: a dataclass becomes an object of the keys
+    ``keys(value)`` names (its fields by default), a tuple, list or array a
+    list, a dict keeps its keys, and a NaN or infinite float its string
+    ("nan", "inf", "-inf"), so ``json.dumps(..., allow_nan=False)`` takes it."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else str(value)
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v, keys) for v in value]
+    if isinstance(value, dict):
+        return {k: jsonable(v, keys) for k, v in value.items()}
+    if dataclasses.is_dataclass(value):
+        names = keys(value) if keys else [f.name for f in dataclasses.fields(value)]
+        return {k: jsonable(getattr(value, k), keys) for k in names}
+    return value
+
+
+def to_json(value) -> str:
+    """``value`` as strict JSON (see ``jsonable``), indented by two spaces."""
+    return json.dumps(jsonable(value), indent=2, allow_nan=False)
 
 
 def summary_dict(trace: RunTrace, config: dict, fitted_rate=None, verdicts=None) -> dict:
     """The run's summary; ``config`` is the echo of its settings, the config
     document that ``amoo run`` reads (``cli.config_document``)."""
-    final = trace.final() if trace.records else None
     return {
         "schema_version": 1,
         "config": config,
         "wall_time": trace.wall_time,
         "error": trace.error,
         "num_records": len(trace.records),
-        "final": _jsonable(final),
+        "final": trace.final() if trace.records else None,
         "fitted_rate": fitted_rate,
         "verdicts": verdicts or {},
     }
@@ -164,5 +167,4 @@ def summary_dict(trace: RunTrace, config: dict, fitted_rate=None, verdicts=None)
 
 def write_summary_json(summary: dict, path) -> None:
     with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, default=_jsonable)
-        fh.write("\n")
+        fh.write(to_json(summary) + "\n")

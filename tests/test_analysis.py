@@ -275,6 +275,18 @@ class TestTheoremBoundNonFinite:
         late = [(k, 0.0) for k in range(39)] + [(39, bad)]
         assert not theorem_bound_check(residual_trace(late), tp)
 
+    @pytest.mark.parametrize("which", ["CAMOO", "PAMOO"])
+    def test_k0_beyond_the_float_range_rejected(self, which):
+        # beta 1e200 against mu 1e-100: k0 overflows to inf.
+        tp = TheoremParams(beta=1e200, mu=1e-100, m_self=1.0, m=2, r0=1.0, which=which)
+        with pytest.raises(ValueError, match="k0 = inf is not finite"):
+            theorem_k0(tp)
+        with pytest.raises(ValueError, match="k0"):
+            theorem_bound_check(residual_trace([(0, 1.0), (1, 0.5)]), tp)
+        # At -inf the geometric phase starts at step 0.
+        tp = TheoremParams(beta=1e300, mu=1e-100, m_self=1e-300, m=2, r0=1e-100)
+        assert theorem_k0(tp) == 0
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
     @pytest.mark.parametrize("name", ["beta", "m_self", "r0"])
     def test_non_finite_or_negative_constant_rejected(self, name, value):
@@ -403,11 +415,11 @@ class TestSharedEnvelope:
 class TestFitRate:
     def test_geometric_sequence(self):
         pairs = [(k, 0.9**k) for k in range(40)]
-        assert fit_rate(residual_trace(pairs), 0.5) == pytest.approx(0.9, abs=1e-6)
+        assert fit_rate(residual_trace(pairs)) == pytest.approx(0.9, abs=1e-6)
 
     def test_constant_sequence(self):
         pairs = [(k, 0.3) for k in range(30)]
-        assert fit_rate(residual_trace(pairs), 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert fit_rate(residual_trace(pairs)) == pytest.approx(1.0, abs=1e-12)
 
     def test_specification_ew_rate(self):
         spec = ProblemSpec(kind="specification", delta=0.1)
@@ -420,20 +432,28 @@ class TestFitRate:
                 x0=(1.0, 1.0),
             )
         )
-        assert fit_rate(trace, 0.5) == pytest.approx(0.75, abs=0.01)
+        assert fit_rate(trace) == pytest.approx(0.75, abs=0.01)
 
     def test_needs_ten_tail_records(self):
         with pytest.raises(ValueError, match="10"):
-            fit_rate(residual_trace((k, 0.5) for k in range(5)), 1.0)
+            fit_rate(residual_trace((k, 0.5) for k in range(5)))
 
     def test_fits_the_tail_before_the_first_zero(self):
         # 30 decaying residuals, then the run sits at 0: the fit takes the
         # last half of the 30, not of all 60.
         pairs = [(k, 0.9**k) for k in range(30)] + [(k, 0.0) for k in range(30, 60)]
-        assert fit_rate(residual_trace(pairs), 0.5) == pytest.approx(0.9, abs=1e-6)
-        assert fit_rate(residual_trace(pairs[:30]), 0.5) == fit_rate(
-            residual_trace(pairs), 0.5
-        )
+        assert fit_rate(residual_trace(pairs)) == pytest.approx(0.9, abs=1e-6)
+        assert fit_rate(residual_trace(pairs[:30])) == fit_rate(residual_trace(pairs))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_a_nonfinite_tail_residual(self, bad):
+        pairs = [(k, 0.9**k) for k in range(30)]
+        pairs[25] = (25, bad)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            fit_rate(residual_trace(pairs))
+        # Before the tail, the same value is never fitted.
+        pairs[25], pairs[5] = (25, 0.9**25), (5, bad)
+        assert fit_rate(residual_trace(pairs)) == pytest.approx(0.9, abs=1e-6)
 
     def test_trace_at_zero_from_step_one_has_no_rate(self):
         # Diagonal CAMOO at GD 0.5 selects the well-conditioned objective of

@@ -2,13 +2,16 @@
 
 import dataclasses
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
-from amoo import cli, driver, problems, traceio, weighting
+from amoo import analysis, cli, driver, problems, traceio, weighting
 from amoo.core import ObjectiveSet, OptimalInfo
 from amoo.driver import (
     AdamConfig,
@@ -718,6 +721,115 @@ PRESET_CONFIG = {
     "preset": "camoo-theory",
     "run": {"steps": 20},
 }
+
+
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, -1e308]),
+)
+
+
+def float_json(value):
+    """What the summary holds for a recorded float: the float itself, or the
+    string of a NaN or an infinity."""
+    if value is None or math.isfinite(value):
+        return value
+    return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+
+
+def strict_json(text: str):
+    """``text`` parsed as JSON proper: the tokens NaN and Infinity raise."""
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictSummary:
+    # f and g stay finite while |x - x*| overflows: every residual is inf.
+    INF_RESIDUALS = {
+        "problem": {"kind": "quad_family", "h_list": [[[1e-300, 0], [0, 1e-300]]]},
+        "weighting": {"kind": "ew"},
+        "inner": {"kind": "gd", "step": 1.0},
+        "run": {"steps": 30, "x0": [1e160, 1e160]},
+    }
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_a_run_without_a_finite_fit_records_null(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.cmd_run(write_config(tmp_path, self.INF_RESIDUALS), str(out)) == 0
+        summary = strict_json((out / "summary.json").read_text())
+        assert summary["fitted_rate"] is None
+        assert summary["final"]["residual"] == "inf"
+        capsys.readouterr()
+        assert cli.cmd_analyze(str(out / "trace.csv"), fit=True) == 2
+        assert "NaN or infinite residual" in capsys.readouterr().out
+
+    def test_run_and_analyze_share_one_fit_rule(self, tmp_path, capsys):
+        # 19 records: the fit's tail is the last 10.
+        doc = {**VALID_CONFIG, "run": {"steps": 18}, "output": {}}
+        out = tmp_path / "out"
+        assert cli.cmd_run(write_config(tmp_path, doc), str(out)) == 0
+        summary = strict_json((out / "summary.json").read_text())
+        assert summary["num_records"] == 19
+        capsys.readouterr()
+        assert cli.cmd_analyze(str(out / "trace.csv"), fit=True) == 0
+        report = strict_json(capsys.readouterr().out)
+        assert report["fitted_rate"] == summary["fitted_rate"] == pytest.approx(0.75)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(1, 3),
+        values=st.lists(FLOATS, min_size=9, max_size=9),
+        optional=st.lists(st.one_of(st.none(), FLOATS), min_size=5, max_size=5),
+    )
+    def test_summary_is_strict_json_that_keeps_every_bit(self, m, values, optional):
+        f, w, (grad_norm, wall_time, fitted) = values[:m], values[m : 2 * m], values[-3:]
+        record = IterateRecord(7, np.array(f), np.array(w), grad_norm, *optional)
+        trace = RunTrace([record], None, wall_time)
+        summary = traceio.summary_dict(trace, {"x": [1e308, -0.0]}, fitted, {"ok": None})
+        parsed = strict_json(traceio.to_json(summary))
+        want = [*f, *w, grad_norm, *optional, wall_time, fitted]
+        final = parsed["final"]
+        got = [
+            *final["f"], *final["w"],
+            *(final[k] for k in ("grad_norm", "residual", "msq", "mnorm")),
+            *(final[k] for k in ("lambda_min_est", "pu_gap")),
+            parsed["wall_time"], parsed["fitted_rate"],
+        ]
+        for g, v in zip(got, want, strict=True):  # a finite float keeps its bits
+            if isinstance(g, float):
+                assert np.float64(g).tobytes() == np.float64(v).tobytes()
+            else:
+                assert g == float_json(v)
+        assert parsed["config"] == {"x": [1e308, -0.0]} and parsed["verdicts"] == {"ok": None}
+        assert final["step"] == 7 and parsed["num_records"] == 1
+
+    def test_k0_beyond_the_float_range_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        traceio.write_trace_csv(make_trace(steps=60), path)
+        argv = ["analyze", str(path), "--theorem-check", "--beta", "1e200"]
+        assert cli.main([*argv, "--mu", "1e-100", "--m-self", "1"]) == 2
+        assert "error: k0 = inf is not finite" in capsys.readouterr().out
+
+    def test_run_records_null_for_a_k0_beyond_the_float_range(
+        self, tmp_path, monkeypatch
+    ):
+        doc = {
+            "problem": {"kind": "local_curvature", "n": 2},
+            "preset": "camoo-theory",
+            "run": {"steps": 20, "x0": [0.03, 0.03]},
+        }
+        out = tmp_path / "out"
+        assert cli.cmd_run(write_config(tmp_path, doc), str(out / "a")) == 0
+        summary = strict_json((out / "a" / "summary.json").read_text())
+        assert summary["verdicts"]["theorem_bound"] is True  # k0 is 14
+        # A linear-phase constant large enough that k0 overflows to inf.
+        monkeypatch.setitem(analysis.ENVELOPE_CONSTANTS, "CAMOO", (1e308, 8.0))
+        assert cli.cmd_run(write_config(tmp_path, doc), str(out / "b")) == 0
+        summary = strict_json((out / "b" / "summary.json").read_text())
+        assert summary["verdicts"] == {"finite": True, "theorem_bound": None}
 
 
 class TestSummaryConfigEcho:

@@ -86,8 +86,7 @@ class TestSteppers:
 
     def test_adam_first_step_unit_direction(self):
         state = adam_init(np.array([0.0]))
-        cfg = AdamConfig(step=0.1)
-        state, x = step_adam(state, np.array([1.0]), cfg)
+        state, x = step_adam(state, np.array([1.0]), 0.1)
         # Bias correction makes the first step eta * g / (|g| + eps).
         assert x[0] == pytest.approx(-0.1, rel=1e-6)
         assert state.t == 1
@@ -120,7 +119,7 @@ class TestSteppers:
         n=st.integers(1, 40),
         steps=st.integers(1, 5),
         log_scale=st.floats(-8.0, 8.0),
-        lr=st.sampled_from([None, 5e-3, 1.5]),
+        lr=st.sampled_from([0.01, 5e-3, 1.5]),
     )
     def test_adam_bitwise_equal_to_reference_and_state_kept(
         self, seed, n, steps, log_scale, lr
@@ -129,26 +128,24 @@ class TestSteppers:
         bits of the expression as first written and leaves the state it was
         given, and the gradient, as they were."""
         rng = np.random.default_rng(seed)
-        cfg = AdamConfig(step=0.01)
         state = adam_init(rng.normal(size=n))
         want_x, want_m1, want_m2 = state.x, state.m1, state.m2
         for t in range(1, steps + 1):
             g = 10.0**log_scale * rng.normal(size=n)
             g[rng.random(n) < 0.2] = -0.0
             kept = [a.copy() for a in (state.x, state.m1, state.m2, g)]
-            state_next, x = step_adam(state, g, cfg, step=lr)
+            state_next, x = step_adam(state, g, lr)
             for before, after in zip(kept, (state.x, state.m1, state.m2, g)):
                 assert before.tobytes() == after.tobytes()
             for new in (state_next.x, state_next.m1, state_next.m2):
                 for old in (state.x, state.m1, state.m2, g):
                     assert not np.shares_memory(new, old)
             # The update as first written, with b1, b2, eps = 0.9, 0.999, 1e-8.
-            step = cfg.step if lr is None else lr
             want_m1 = 0.9 * want_m1 + (1.0 - 0.9) * g
             want_m2 = 0.999 * want_m2 + (1.0 - 0.999) * g * g
             m1_hat = want_m1 / (1.0 - 0.9**t)
             m2_hat = want_m2 / (1.0 - 0.999**t)
-            want_x = want_x - step * m1_hat / (np.sqrt(m2_hat) + 1e-8)
+            want_x = want_x - lr * m1_hat / (np.sqrt(m2_hat) + 1e-8)
             assert x is state_next.x and state_next.t == t
             for got, want in zip(
                 (state_next.x, state_next.m1, state_next.m2), (want_x, want_m1, want_m2)
@@ -157,10 +154,9 @@ class TestSteppers:
             state = state_next
 
     def test_adam_deterministic(self):
-        cfg = AdamConfig(step=0.05)
         g = np.array([0.3, -0.7])
-        s1, x1 = step_adam(adam_init(np.zeros(2)), g, cfg)
-        s2, x2 = step_adam(adam_init(np.zeros(2)), g, cfg)
+        s1, x1 = step_adam(adam_init(np.zeros(2)), g, 0.05)
+        s2, x2 = step_adam(adam_init(np.zeros(2)), g, 0.05)
         np.testing.assert_array_equal(x1, x2)
 
 
@@ -804,7 +800,7 @@ def run_reference(cfg):
         if adam_state is None:
             x = step_gd(x, g, inner_step)
         else:
-            adam_state, x = step_adam(adam_state, g, cfg.inner, step=inner_step)
+            adam_state, x = step_adam(adam_state, g, inner_step)
     return records
 
 

@@ -154,7 +154,7 @@ def mlp_objective_reference(model, theta, i):
     Z = model.X @ w1.T + b1
     A = model._act(Z)
     R = A @ w2.T + b2 - model.targets
-    H, alpha = model.h_stack[i], model.alphas[i]
+    H, alpha = np.diag(model.hdiag[i]), model.alphas[i]
     N = R.shape[0]
     V = R @ H
     q = np.einsum("nd,nd->n", R, V)
@@ -383,10 +383,10 @@ class TestMlpMatching:
         model = model_of(build(ProblemSpec(variant=variant, **self.SMALL)).objectives)
         bent = [k for k, a in enumerate(model.alphas) if a != 1.0]
         assert list(range(model.m))[model.bent] == bent
-        model._set_objectives(model.h_stack, (1.0, 2.0, 1.5))
+        model._set_objectives(model.hdiag, (1.0, 2.0, 1.5))
         assert model.bent == slice(1, 3)
         with pytest.raises(ValueError, match="adjacent"):
-            model._set_objectives(model.h_stack, (1.5, 1.0, 2.0))
+            model._set_objectives(model.hdiag, (1.5, 1.0, 2.0))
 
     def test_teacher_parameters_attain_zero(self):
         problem = build(ProblemSpec(variant="selection", **self.SMALL))
