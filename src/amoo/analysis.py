@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import ObjectiveSet, as_vector
 from .linalg import min_eigenpair, spectral_norm, weighted_hessian
-from .weighting import max_min_weights, solve_camoo_exact
+from .weighting import solve_camoo_diagonal, solve_camoo_exact
 
 CAMOO = "CAMOO"
 PAMOO = "PAMOO"
@@ -158,19 +158,34 @@ class TheoremParams:
             raise ValueError(f"which must be CAMOO or PAMOO, got {self.which!r}")
 
 
-def theorem_k0(tp: TheoremParams) -> int:
-    """The envelope's k0; a ValueError if the constants put it at +inf or NaN."""
-    if tp.m_self == 0.0:
-        return 0
-    k0 = (
-        ENVELOPE_CONSTANTS[tp.which][0]
-        * tp.beta
-        * (tp.r0 * 3.0 * math.sqrt(tp.m) * tp.beta * tp.m_self - math.sqrt(tp.mu))
-        / (3.0 * tp.mu**1.5)
-    )
+def _theorem_envelope(tp: TheoremParams) -> tuple[int, float, float]:
+    """The envelope's (k0, slope, factor): its pre-phase length, the slope of
+    its line before k0 (0 without a pre-phase, where it is never read) and
+    its per-step geometric factor.  Constants that put k0 at +inf or NaN, or
+    any of the three out of the float range, are a ValueError naming them."""
+    c_lin, c_geo = ENVELOPE_CONSTANTS[tp.which]
+    factor = math.sqrt(max(1.0 - 3.0 * tp.mu / (c_geo * tp.beta), 0.0))
+    k0 = slope = 0.0
+    if tp.m_self > 0:
+        try:
+            rise = tp.mu**1.5
+            root = tp.r0 * 3.0 * math.sqrt(tp.m) * tp.beta * tp.m_self
+            k0 = c_lin * tp.beta * (root - math.sqrt(tp.mu)) / (3.0 * rise)
+            if k0 > 0:
+                slope = rise / (c_lin * tp.beta**2 * math.sqrt(tp.m) * tp.m_self)
+        except (OverflowError, ZeroDivisionError):  # float ** and / by 0 raise
+            slope = math.inf
+    named = f"beta={tp.beta}, mu={tp.mu}, m_self={tp.m_self}"
     if not k0 < math.inf:  # NaN fails too
-        raise ValueError(f"k0 = {k0} is not finite for these constants")
-    return math.ceil(max(k0, 0.0))
+        raise ValueError(f"k0 = {k0} is not finite for {named}")
+    if not (slope < math.inf and factor >= 0.0):
+        raise ValueError(f"the envelope leaves the float range at {named}")
+    return math.ceil(max(k0, 0.0)), slope, factor
+
+
+def theorem_k0(tp: TheoremParams) -> int:
+    """The envelope's k0; a ValueError where ``_theorem_envelope`` raises one."""
+    return _theorem_envelope(tp)[0]
 
 
 def theorem_bound_check(trace, tp: TheoremParams) -> bool:
@@ -183,22 +198,18 @@ def theorem_bound_check(trace, tp: TheoremParams) -> bool:
     pre-phase step, r0 - slope max(k0 - 1, 0); with ``m_self`` zero the
     pre-phase is vacuous, k0 = 0 and the anchor is at most r0.  The bound's
     exponent counts half steps, i.e. factor^((k - k0)/2) on the residual.
-    NaN and infinite residuals fail, and an infinite k0 is a ValueError.
+    NaN and infinite residuals fail; an infinite k0, or a slope or factor
+    out of the float range, is a ValueError that names the constants.
     """
     pairs = trace.residuals()
     if not pairs:
         raise ValueError("trace carries no residuals")
     steps = np.array([s for s, _ in pairs], dtype=np.int64)
     res = np.array([r for _, r in pairs], dtype=np.float64)
-    k0 = theorem_k0(tp)
+    k0, slope, factor = _theorem_envelope(tp)
     anchored = steps >= k0
     if not np.any(anchored):
         raise ValueError(f"no recorded step reaches k0 = {k0}")
-    c_lin, c_geo = ENVELOPE_CONSTANTS[tp.which]
-    factor = math.sqrt(max(1.0 - 3.0 * tp.mu / (c_geo * tp.beta), 0.0))
-    slope = 0.0  # m_self zero: k0 = 0 and there is no pre-phase
-    if tp.m_self > 0:
-        slope = tp.mu**1.5 / (c_lin * tp.beta**2 * math.sqrt(tp.m) * tp.m_self)
     tol = 1e-12 * (1.0 + tp.r0)
     bound = _envelope(steps, res, k0, tp.r0, slope, factor)
     anchor = res[np.argmax(anchored)]
@@ -278,7 +289,8 @@ def weyl_degradation_suite(seed: int = 0, trials: int = 100) -> dict:
     Each trial draws random positive-definite matrices and takes the
     certified optimum of the weighted curvature over full matrices: the value
     plus gap of ``solve_camoo_exact``, an upper bound on the true maximum.
-    It then re-optimizes using only the diagonals and asserts that the
+    It then takes the weights that diagonal-mode runs would use,
+    ``solve_camoo_diagonal`` on the diagonals alone, and asserts that the
     full-matrix curvature of those weights falls below that optimum by at
     most twice the largest off-diagonal spectral norm.  Returns a
     JSON-serializable report.
@@ -298,8 +310,7 @@ def weyl_degradation_suite(seed: int = 0, trials: int = 100) -> dict:
         exact = solve_camoo_exact(mats)
         optimum = exact.value + exact.gap
         deviation = max(spectral_norm(H - np.diag(np.diagonal(H))) for H in mats)
-        diag_rows = np.stack([np.diagonal(H) for H in mats])
-        w_hat, _, _ = max_min_weights(diag_rows)
+        w_hat = solve_camoo_diagonal(np.stack([np.diagonal(H) for H in mats])).weights
         achieved, _ = min_eigenpair(weighted_hessian(mats, w_hat))
         ok = achieved >= optimum - 2.0 * deviation - 1e-9
         if not ok:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, driver, problems, traceio, weighting
-from .core import NumericError, ObjectiveSet
+from .core import NumericError
 from .driver import ConfigurationError
 from .plotting import write_trace_svg
 
@@ -226,13 +226,13 @@ def _theorem_params(trace, beta, mu, m_self, which) -> analysis.TheoremParams:
 
 
 def _run_verdicts(trace: driver.RunTrace) -> dict:
-    verdicts: dict = {"finite": trace.error is None, "theorem_bound": None}
+    """The verdicts of a run that ended without a numeric failure."""
+    verdicts: dict = {"finite": True, "theorem_bound": None}
     problem = trace.problem
     meta = problem.meta
     kind = trace.config.weighting.kind
     if (
-        trace.error is None
-        and kind in ("camoo", "pamoo")
+        kind in ("camoo", "pamoo")
         and meta.beta is not None
         and meta.mu_g is not None
         and meta.m_self is not None
@@ -248,18 +248,18 @@ def _run_verdicts(trace: driver.RunTrace) -> dict:
     return verdicts
 
 
-def cmd_run(config_path: str, out_dir: str | None, print_fn=print) -> int:
+def cmd_run(config_path: str, out_dir: str | None) -> int:
     try:
         with open(config_path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        print_fn(f"error: cannot read config {config_path}: {exc}")
+        print(f"error: cannot read config {config_path}: {exc}")
         return 2
     try:
         cfg = parse_run_config(doc)
         out_opts = parse_output_options(doc)
     except ConfigurationError as exc:
-        print_fn(f"config error: {exc}")
+        print(f"config error: {exc}")
         return 2
 
     code = 0
@@ -268,11 +268,11 @@ def cmd_run(config_path: str, out_dir: str | None, print_fn=print) -> int:
     except NumericError as exc:
         trace = exc.payload
         code = 3
-        print_fn(f"numeric failure: {exc}")
+        print(f"numeric failure: {exc}")
         if trace is None:
             return code
     except ConfigurationError as exc:
-        print_fn(f"config error: {exc}")
+        print(f"config error: {exc}")
         return 2
 
     # Created only once there is a trace, so a config error leaves nothing.
@@ -293,59 +293,54 @@ def cmd_run(config_path: str, out_dir: str | None, print_fn=print) -> int:
     if out_opts.plot and trace.records:
         write_trace_svg(trace, out / "plot.svg")
     last = f", final step {trace.final().step}" if trace.records else ""
-    print_fn(f"wrote {out / 'trace.csv'} ({len(trace.records)} records{last})")
+    print(f"wrote {out / 'trace.csv'} ({len(trace.records)} records{last})")
     return code
 
 
-def cmd_analyze(
-    trace_path: str,
-    fit: bool = False,
-    theorem: dict | None = None,
-    print_fn=print,
-) -> int:
+def cmd_analyze(trace_path: str, fit: bool = False, theorem: dict | None = None) -> int:
     try:
         trace = traceio.read_trace_csv(trace_path)
     except (OSError, ValueError) as exc:
-        print_fn(f"error: cannot read trace {trace_path}: {exc}")
+        print(f"error: cannot read trace {trace_path}: {exc}")
         return 2
     report = {}
     if fit:
         try:
             report["fitted_rate"] = analysis.fit_rate(trace)
         except ValueError as exc:
-            print_fn(f"error: {exc}")
+            print(f"error: {exc}")
             return 2
     if theorem is not None:
         if not trace.residuals():
-            print_fn(f"error: trace {trace_path} has no residuals to check")
+            print(f"error: trace {trace_path} has no residuals to check")
             return 2
         try:
             tp = _theorem_params(trace, **theorem)
             report["theorem_bound"] = analysis.theorem_bound_check(trace, tp)
         except ValueError as exc:
-            print_fn(f"error: {exc}")
+            print(f"error: {exc}")
             return 2
-    print_fn(traceio.to_json(report))
+    print(traceio.to_json(report))
     return 0
 
 
-def cmd_plot(trace_path: str, out_path: str, print_fn=print) -> int:
+def cmd_plot(trace_path: str, out_path: str) -> int:
     try:
         trace = traceio.read_trace_csv(trace_path)
     except (OSError, ValueError) as exc:
-        print_fn(f"error: cannot read trace {trace_path}: {exc}")
+        print(f"error: cannot read trace {trace_path}: {exc}")
         return 2
     if not trace.steps:
-        print_fn(f"error: trace {trace_path} has no records to plot")
+        print(f"error: trace {trace_path} has no records to plot")
         return 2
     write_trace_svg(trace, out_path)
-    print_fn(f"wrote {out_path}")
+    print(f"wrote {out_path}")
     return 0
 
 
-def cmd_list_problems(print_fn=print) -> int:
+def cmd_list_problems() -> int:
     for kind, entry in problems.KINDS.items():
-        print_fn(f"{kind:18s} {entry.summary} ({', '.join(entry.params)})")
+        print(f"{kind:18s} {entry.summary} ({', '.join(entry.params)})")
     return 0
 
 
@@ -385,33 +380,21 @@ def _suite_weyl(seed: int) -> tuple[bool, str]:
 
 
 def _suite_self_concordance() -> tuple[bool, str]:
-    # exp(x) - x on R^1 and x'x on R^2, one objective each.
-    exp_set = ObjectiveSet(
-        1,
-        1,
-        lambda x: (np.exp(x) - x, (np.exp(x) - 1.0)[None], lambda: np.exp(x)[None]),
-        lambda x: np.exp(x).reshape(1, 1, 1),
-    )
-    quad = ObjectiveSet(
-        1,
-        2,
-        lambda x: (np.array([x @ x]), 2.0 * x[None], lambda: np.full((1, 2), 2.0)),
-        lambda x: 2.0 * np.eye(2)[None],
-    )
-    checks = 0
-    fails = 0
-    for x in (-1.0, 0.0, 0.5, 1.5):
-        for y in (-1.5, -0.3, 0.0, 1.0, 2.0):
-            checks += 1
-            if not analysis.self_concordance_check(exp_set, [x], [y], 1.0):
-                fails += 1
+    """Each shipped problem at its recorded ``m_self``: ``local_curvature``
+    (n = 1, both objectives) at 20 point pairs inside the |x| <= 2 region its
+    constants claim, and the identity ``quad_family`` at 20 random pairs."""
+    curved = problems.build(problems.ProblemSpec("local_curvature", n=1))
+    identity = ((1.0, 0.0), (0.0, 1.0))
+    quad = problems.build(problems.ProblemSpec("quad_family", h_list=(identity,)))
+    grid = [(x, y) for x in (-1.0, 0.0, 0.5, 1.5) for y in (-1.5, -0.3, 0.0, 1.0, 2.0)]
+    pairs = [(curved, [x], [y]) for x, y in grid]
     rng = np.random.default_rng(7)
-    for _ in range(20):
-        x, y = rng.normal(size=2), rng.normal(size=2)
-        checks += 1
-        if not analysis.self_concordance_check(quad, x, y, 0.0):
-            fails += 1
-    return fails == 0, f"{checks - fails}/{checks} inequalities hold"
+    pairs += [(quad, rng.normal(size=2), rng.normal(size=2)) for _ in range(20)]
+    holds = sum(
+        analysis.self_concordance_check(p.objectives, x, y, p.meta.m_self)
+        for p, x, y in pairs
+    )
+    return holds == len(pairs), f"{holds}/{len(pairs)} inequalities hold"
 
 
 def _suite_bilinear(seed: int) -> tuple[bool, str]:
@@ -431,7 +414,7 @@ def _suite_bilinear(seed: int) -> tuple[bool, str]:
     return fails == 0, f"{30 - fails}/30 games solved to tolerance"
 
 
-def cmd_verify(seed: int = 0, print_fn=print) -> int:
+def cmd_verify(seed: int = 0) -> int:
     suites = [
         ("recurrence-bounds", lambda: _suite_recurrence()),
         ("diagonal-degradation", lambda: _suite_weyl(seed)),
@@ -442,7 +425,7 @@ def cmd_verify(seed: int = 0, print_fn=print) -> int:
     for name, fn in suites:
         ok, detail = fn()
         all_ok &= ok
-        print_fn(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
     return 0 if all_ok else 1
 
 

@@ -150,7 +150,7 @@ def to_json(value) -> str:
     return json.dumps(jsonable(value), indent=2, allow_nan=False)
 
 
-def summary_dict(trace: RunTrace, config: dict, fitted_rate=None, verdicts=None) -> dict:
+def summary_dict(trace: RunTrace, config: dict, fitted_rate, verdicts: dict) -> dict:
     """The run's summary; ``config`` is the echo of its settings, the config
     document that ``amoo run`` reads (``cli.config_document``)."""
     return {
@@ -161,7 +161,7 @@ def summary_dict(trace: RunTrace, config: dict, fitted_rate=None, verdicts=None)
         "num_records": len(trace.records),
         "final": trace.final() if trace.records else None,
         "fitted_rate": fitted_rate,
-        "verdicts": verdicts or {},
+        "verdicts": verdicts,
     }
 
 

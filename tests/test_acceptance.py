@@ -9,14 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from amoo.analysis import (
-    RecurrenceParams,
-    TheoremParams,
-    max_admissible_noise,
-    recurrence_simulate_and_bound,
-    theorem_bound_check,
-    weyl_degradation_suite,
-)
+from amoo import cli
+from amoo.analysis import TheoremParams, theorem_bound_check, weyl_degradation_suite
 from amoo.driver import (
     AdamConfig,
     GDConfig,
@@ -191,21 +185,8 @@ def test_criterion_4_theorem_rate_bounds():
 
 def test_criterion_5_recurrence_lemma_grid():
     c = Criterion(5, "residual recurrences obey their closed-form bounds", 1.0)
-    failures = []
-    for a1 in (0.1, 0.5, 1.5):
-        for a2 in (0.0, 1.0, 10.0):
-            for r0 in (0.1, 1.0, 100.0):
-                p = RecurrenceParams(alpha1=a1, alpha2=a2, r0=r0, horizon=1000)
-                if not recurrence_simulate_and_bound(p, "exact")[2]:
-                    failures.append((a1, a2, r0, "exact"))
-                a3, a4 = max_admissible_noise(a1, a2)
-                p = RecurrenceParams(
-                    alpha1=a1, alpha2=a2, alpha3=a3, alpha4=a4, r0=r0,
-                    horizon=1000,
-                )
-                if not recurrence_simulate_and_bound(p, "eps")[2]:
-                    failures.append((a1, a2, r0, "eps"))
-    c.conclude(not failures, f"54 grid points, failures: {failures}")
+    ok, detail = cli._suite_recurrence()  # the 54-point grid `amoo verify` checks
+    c.conclude(ok, detail)
 
 
 def test_criterion_6_diagonal_degradation():

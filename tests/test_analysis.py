@@ -1,10 +1,12 @@
 """Recurrence bounds, rate envelopes, rate fitting, curvature degradation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from amoo import analysis, weighting
 from amoo.analysis import (
     ENVELOPE_CONSTANTS,
     RecurrenceParams,
@@ -287,11 +289,80 @@ class TestTheoremBoundNonFinite:
         tp = TheoremParams(beta=1e300, mu=1e-100, m_self=1e-300, m=2, r0=1e-100)
         assert theorem_k0(tp) == 0
 
+    @pytest.mark.parametrize(
+        "beta, mu, m_self",
+        [
+            (1e210, 1e206, 1.0),  # mu**1.5 overflows
+            (1.0, 1e-217, 1.0),  # mu**1.5 underflows to 0, the divisor of k0
+            (1e160, 1e160, 1e-70),  # k0 is 2.3e11, and beta**2 in the slope overflows
+            (1e308, 1e308, 0.0),  # 3 mu / (8 beta) is inf / inf
+        ],
+    )
+    def test_envelope_out_of_the_float_range_rejected(self, beta, mu, m_self):
+        tp = TheoremParams(beta=beta, mu=mu, m_self=m_self, m=2, r0=1.0)
+        named = f"at beta={beta}, mu={mu}, m_self={m_self}"
+        with pytest.raises(ValueError, match=re.escape(f"leaves the float range {named}")):
+            theorem_k0(tp)
+        with pytest.raises(ValueError, match="leaves the float range"):
+            theorem_bound_check(residual_trace([(0, 1.0), (1, 0.5)]), tp)
+
+    def test_no_pre_phase_forms_no_slope(self):
+        # k0 is 0 (its numerator is negative), so the envelope never reads
+        # the slope, whose beta**2 overflows.
+        tp = TheoremParams(beta=1e200, mu=1e-100, m_self=1e-300, m=2, r0=1.0)
+        assert theorem_k0(tp) == 0
+        assert theorem_bound_check(residual_trace([(0, 1.0), (1, 0.5)]), tp)
+        assert not theorem_bound_check(residual_trace([(0, 1.0), (1, 2.0)]), tp)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
     @pytest.mark.parametrize("name", ["beta", "m_self", "r0"])
     def test_non_finite_or_negative_constant_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             TheoremParams(**{**self.CONSTANTS, name: value})
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: RecurrenceParams(0.5, 1.0, horizon=0), "horizon must be positive"),
+            (
+                lambda: recurrence_simulate_and_bound(RecurrenceParams(0.5, 1.0), "loose"),
+                "variant must be 'exact' or 'eps', got 'loose'",
+            ),
+            (
+                lambda: recurrence_simulate_and_bound(RecurrenceParams(0.0, 1.0), "eps"),
+                "eps variant requires alpha1 > 0",
+            ),
+            (
+                lambda: recurrence_simulate_and_bound(
+                    RecurrenceParams(0.5, 0.0, alpha4=0.1), "eps"
+                ),
+                "alpha4 must be 0 when alpha2 = 0",
+            ),
+            (lambda: TheoremParams(2.0, 1.0, 0.0, m=0, r0=1.0), "m must be at least 1"),
+            (
+                lambda: TheoremParams(2.0, 1.0, 0.0, 2, 1.0, which="EW"),
+                "which must be CAMOO or PAMOO, got 'EW'",
+            ),
+            (
+                # k0 = 35: a trace that stops at step 20 never reaches it.
+                lambda: theorem_bound_check(
+                    residual_trace([(k, 1.0) for k in range(21)]),
+                    TheoremParams(2.0, 1.0, 0.5, 2, 1.0),
+                ),
+                "no recorded step reaches k0 = 35",
+            ),
+            (lambda: weyl_degradation_suite(trials=0), "trials must be positive"),
+        ],
+        ids=[
+            "horizon", "variant", "eps-alpha1", "eps-alpha4", "m", "which",
+            "k0-unreached", "trials",
+        ],
+    )
+    def test_message(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
 
 def envelope_constants(tp: TheoremParams):
@@ -540,6 +611,18 @@ class TestWeylDegradation:
         report = weyl_degradation_suite(seed=0, trials=100)
         assert report["passes"] == 100
         assert report["failures"] == []
+
+    def test_weights_come_from_the_diagonal_solver(self, monkeypatch):
+        solves = []
+
+        def counted(D, cfg=None, warm=None):
+            solves.append(weighting.solve_camoo_diagonal(D, cfg, warm))
+            return solves[-1]
+
+        monkeypatch.setattr(analysis, "solve_camoo_diagonal", counted)
+        report = weyl_degradation_suite(seed=0, trials=100)
+        assert report["passes"] == 100 and len(solves) == 100
+        assert all(r.converged for r in solves)
 
     def test_report_is_json_serializable(self):
         import json

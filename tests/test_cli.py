@@ -737,6 +737,43 @@ def float_json(value):
     return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
 
 
+class TestConfigErrors:
+    """Each config error of the parser exits 2 and names what is wrong."""
+
+    SPEC = VALID_CONFIG["problem"]
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([VALID_CONFIG], "config root must be a JSON object"),
+            ({**VALID_CONFIG, "extra": 1}, "unknown key 'extra' in config"),
+            ({"inner": {"kind": "gd"}}, "config section 'problem' is required"),
+            ({"problem": SPEC}, "config section 'inner' is required"),
+            ({"problem": SPEC, "preset": "fastest"}, "unknown preset 'fastest'; choose"),
+            ({"problem": SPEC, "inner": {"kind": "sgd"}}, "unknown inner.kind 'sgd'"),
+            (
+                {**VALID_CONFIG, "weighting": {"kind": "random"}},
+                "unknown weighting kind 'random'",
+            ),
+            ({**VALID_CONFIG, "problem": {"delta": 0.1}}, "problem.kind is required"),
+            (
+                {**VALID_CONFIG, "problem": {"kind": "rosenbrock"}},
+                "unknown problem kind 'rosenbrock'; see `amoo list-problems`",
+            ),
+        ],
+        ids=[
+            "root-not-object", "unknown-top-key", "no-problem", "no-inner",
+            "unknown-preset", "unknown-inner-kind", "unknown-weighting-kind",
+            "no-problem-kind", "unknown-problem-kind",
+        ],
+    )
+    def test_exits_2_with_its_message(self, tmp_path, capsys, doc, message):
+        out = tmp_path / "o"
+        assert cli.cmd_run(write_config(tmp_path, doc), str(out)) == 2
+        assert f"config error: {message}" in capsys.readouterr().out
+        assert not out.exists()
+
+
 def strict_json(text: str):
     """``text`` parsed as JSON proper: the tokens NaN and Infinity raise."""
 
@@ -813,6 +850,30 @@ class TestStrictSummary:
         assert cli.main([*argv, "--mu", "1e-100", "--m-self", "1"]) == 2
         assert "error: k0 = inf is not finite" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "beta, mu, m_self",
+        [("1e210", "1e206", "1"), ("1", "1e-217", "1"), ("1e308", "1e308", "0")],
+        ids=["mu-power-overflows", "mu-power-underflows", "nan-factor"],
+    )
+    def test_envelope_out_of_the_float_range_exits_2(
+        self, tmp_path, capsys, beta, mu, m_self
+    ):
+        path = tmp_path / "t.csv"
+        traceio.write_trace_csv(make_trace(steps=60), path)
+        argv = ["analyze", str(path), "--theorem-check", "--beta", beta, "--mu", mu]
+        assert cli.main([*argv, "--m-self", m_self]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: the envelope leaves the float range at beta=")
+        assert f"mu={float(mu)}, m_self={float(m_self)}" in out
+
+    def test_no_pre_phase_needs_no_slope(self, tmp_path, capsys):
+        # k0 is 0, so the slope, whose beta**2 overflows, is never formed.
+        path = tmp_path / "t.csv"
+        traceio.write_trace_csv(make_trace(steps=60), path)
+        argv = ["analyze", str(path), "--theorem-check", "--beta", "1e200"]
+        assert cli.main([*argv, "--mu", "1e-100", "--m-self", "1e-300"]) == 0
+        assert strict_json(capsys.readouterr().out) == {"theorem_bound": True}
+
     def test_run_records_null_for_a_k0_beyond_the_float_range(
         self, tmp_path, monkeypatch
     ):
@@ -829,6 +890,26 @@ class TestStrictSummary:
         monkeypatch.setitem(analysis.ENVELOPE_CONSTANTS, "CAMOO", (1e308, 8.0))
         assert cli.cmd_run(write_config(tmp_path, doc), str(out / "b")) == 0
         summary = strict_json((out / "b" / "summary.json").read_text())
+        assert summary["verdicts"] == {"finite": True, "theorem_bound": None}
+
+    @pytest.mark.parametrize(
+        "constants", [(5e-324, 8.0), (16.0, math.nan)], ids=["slope-inf", "factor-nan"]
+    )
+    def test_run_records_null_for_an_envelope_out_of_the_float_range(
+        self, tmp_path, monkeypatch, constants
+    ):
+        doc = {
+            "problem": {"kind": "local_curvature", "n": 2},
+            "preset": "camoo-theory",
+            "run": {"steps": 20, "x0": [0.03, 0.03]},
+        }
+        monkeypatch.setitem(analysis.ENVELOPE_CONSTANTS, "CAMOO", constants)
+        tp = analysis.TheoremParams(math.e**2, 1.0, 1.0, 2, math.hypot(0.03, 0.03))
+        with pytest.raises(ValueError, match="leaves the float range"):
+            analysis.theorem_k0(tp)
+        out = tmp_path / "out"
+        assert cli.cmd_run(write_config(tmp_path, doc), str(out)) == 0
+        summary = strict_json((out / "summary.json").read_text())
         assert summary["verdicts"] == {"finite": True, "theorem_bound": None}
 
 
@@ -949,6 +1030,12 @@ class TestTraceRoundTrip:
         with pytest.raises(ValueError):
             traceio.read_trace_csv(path)
 
+    def test_rejects_a_step_header_of_another_schema(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("step,f_1,w_1,residual\n0,1.0,1.0,2.0\n")
+        with pytest.raises(ValueError, match="unexpected trace header"):
+            traceio.read_trace_csv(path)
+
     @pytest.mark.parametrize("body", [None, "0,1.0,1.0,2.0,,,", "0,1.0,1.0,2.0,,,,,"])
     def test_rejects_empty_file_and_ragged_rows(self, tmp_path, body):
         path = tmp_path / "t.csv"
@@ -1023,6 +1110,13 @@ class TestAnalyzeCommand:
     def test_unreadable_trace(self, tmp_path, capsys):
         assert cli.cmd_analyze(str(tmp_path / "nope.csv"), fit=True) == 2
 
+    @pytest.mark.parametrize("given", [["--beta", "1.8"], ["--mu", "1.0"], []])
+    def test_theorem_check_needs_beta_and_mu(self, tmp_path, capsys, given):
+        path = tmp_path / "t.csv"
+        traceio.write_trace_csv(make_trace(steps=60), path)
+        assert cli.main(["analyze", str(path), "--theorem-check", *given]) == 2
+        assert capsys.readouterr().out == "error: --theorem-check needs --beta and --mu\n"
+
     def test_tail_fraction_option_is_gone(self, tmp_path, capsys):
         # The fit uses analysis.fit_rate's default tail of one half.
         path = tmp_path / "t.csv"
@@ -1056,6 +1150,16 @@ class TestPlotCommand:
         out = tmp_path / "p.svg"
         assert cli.cmd_plot(str(csv_path), str(out)) == 0
         ET.parse(out)
+
+    @pytest.mark.parametrize("body", [None, "not,a,trace\n"], ids=["missing", "garbled"])
+    def test_unreadable_trace_exits_2(self, tmp_path, capsys, body):
+        path = tmp_path / "t.csv"
+        if body is not None:
+            path.write_text(body)
+        out = tmp_path / "p.svg"
+        assert cli.cmd_plot(str(path), str(out)) == 2
+        assert capsys.readouterr().out.startswith(f"error: cannot read trace {path}: ")
+        assert not out.exists()
 
     def test_header_only_trace_exits_2(self, tmp_path, capsys):
         path = tmp_path / "t.csv"
@@ -1114,6 +1218,23 @@ class TestListAndVerify:
         assert cli.cmd_verify(seed=0) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 4 and "FAIL" not in out
+
+    def test_self_concordance_reads_each_problem_s_recorded_m_self(
+        self, monkeypatch, capsys
+    ):
+        # At M = 0 only the point pair (0, 0) of local_curvature holds.
+        entry = problems.KINDS["local_curvature"]
+
+        def unrecorded(spec):
+            built = entry.build(spec)
+            meta = dataclasses.replace(built.meta, m_self=0.0)
+            return dataclasses.replace(built, meta=meta)
+
+        kind = dataclasses.replace(entry, build=unrecorded)
+        monkeypatch.setitem(problems.KINDS, "local_curvature", kind)
+        assert cli._suite_self_concordance() == (False, "21/40 inequalities hold")
+        assert cli.cmd_verify(seed=0) == 1
+        assert "FAIL  self-concordance: 21/40 inequalities hold" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "perturb",

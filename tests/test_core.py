@@ -12,6 +12,7 @@ from amoo.core import (
     OptimalInfo,
     UnsupportedQueryError,
     _finite,
+    as_vector,
     weighted_gradient,
 )
 from amoo.problems import ProblemSpec, build
@@ -153,6 +154,12 @@ class TestWeightVector:
             solve_camoo_diagonal(np.eye(2), CamooConfig(w_min=0.6))
         with pytest.raises(ValueError):
             solve_camoo_exact([np.eye(2)] * 2, CamooConfig(w_min=0.6))
+
+
+class TestAsVector:
+    def test_rejects_a_matrix(self):
+        with pytest.raises(ValueError, match=r"gaps must be a vector, got shape \(2, 2\)"):
+            as_vector(np.eye(2), name="gaps")
 
 
 class TestObjectiveSet:

@@ -84,6 +84,12 @@ class TestSteppers:
         with pytest.raises(NumericError):
             step_gd(np.array([1.0]), np.array([np.nan]), 0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_adam_rejects_nonfinite(self, bad):
+        state = adam_init(np.zeros(2))
+        with pytest.raises(NumericError, match="non-finite gradient in Adam step"):
+            step_adam(state, np.array([1.0, bad]), 0.1)
+
     def test_adam_first_step_unit_direction(self):
         state = adam_init(np.array([0.0]))
         state, x = step_adam(state, np.array([1.0]), 0.1)
@@ -192,6 +198,17 @@ class TestRunBasics:
         assert len(trace.records) == 1
         assert trace.records[0].step == 0
         np.testing.assert_allclose(trace.records[0].f, [1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"steps": -1}, "steps must be nonnegative"),
+            ({"record_every": 0}, "record_every must be positive"),
+        ],
+    )
+    def test_run_config_rejects(self, kwargs, message):
+        with pytest.raises(ConfigurationError, match=message):
+            spec_run(WeightingChoice(kind="ew"), **kwargs)
 
     def test_record_thinning_keeps_final(self):
         trace = spec_run(WeightingChoice(kind="ew"), steps=10, record_every=4)

@@ -22,6 +22,7 @@ with numpy's bundled OpenBLAS 0.3.31 on x86-64; another BLAS or LAPACK may
 round differently.
 """
 
+import contextlib
 import hashlib
 import json
 import os
@@ -158,7 +159,7 @@ def test_trace_digest_is_pinned(name, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(CONFIGS[name]))
     out = tmp_path / "out"
-    assert cmd_run(str(config), str(out), print_fn=lambda *_: None) == 0
+    assert cmd_run(str(config), str(out)) == 0
     assert sha256(out / "trace.csv") == GOLDEN_SHA256[name]
     assert summary_sha256(out / "summary.json") == SUMMARY_SHA256[name]
 
@@ -169,7 +170,9 @@ def trace_digests(out_dir: Path) -> dict:
     for name, doc in CONFIGS.items():
         config = out_dir / f"{name}.json"
         config.write_text(json.dumps(doc))
-        assert cmd_run(str(config), str(out_dir / name), print_fn=lambda *_: None) == 0
+        # The __main__ block prints the digests as JSON: keep the run's line off stdout.
+        with contextlib.redirect_stdout(None):
+            assert cmd_run(str(config), str(out_dir / name)) == 0
         digests[name] = sha256(out_dir / name / "trace.csv")
     return digests
 
@@ -192,9 +195,9 @@ def test_plot_digests_are_pinned(name, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**CONFIGS[name], "output": {"plot": True}}))
     out = tmp_path / "out"
-    assert cmd_run(str(config), str(out), print_fn=lambda *_: None) == 0
+    assert cmd_run(str(config), str(out)) == 0
     replot = out / "replot.svg"
-    assert cmd_plot(str(out / "trace.csv"), str(replot), print_fn=lambda *_: None) == 0
+    assert cmd_plot(str(out / "trace.csv"), str(replot)) == 0
     assert sha256(out / "plot.svg") == sha256(replot) == PLOT_SHA256[name]
 
 

@@ -1,5 +1,7 @@
 """Symmetric eigen-routines against full-decomposition and perturbation oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -202,3 +204,9 @@ class TestCheckSymmetric:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             check_symmetric([[np.nan, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        message = f"expected a square matrix, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_symmetric(np.zeros(shape))

@@ -103,6 +103,29 @@ class TestAnalyticKinds:
         with pytest.raises(ValueError):
             build(ProblemSpec(kind="quad_family"))
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (ProblemSpec(kind="local_curvature", n=0), "local_curvature needs n >= 1"),
+            (
+                ProblemSpec(kind="quad_family", h_list=([[1.0]], [[2.0]]), alpha_list=(1.0,)),
+                "h_list and alpha_list lengths differ",
+            ),
+            (
+                ProblemSpec(kind="quad_family", h_list=([[1.0]], [[1.0, 0.0], [0.0, 1.0]])),
+                "h_list matrices disagree on size",
+            ),
+            (
+                ProblemSpec(kind="quad_family", h_list=([[1.0]],), alpha_list=(0.5,)),
+                "alpha must be >= 1, got 0.5",
+            ),
+        ],
+        ids=["local-curvature-n", "lengths", "sizes", "alpha"],
+    )
+    def test_rejected_parameters_are_named(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            build(spec)
+
     def test_midpoint_convexity(self):
         rng = np.random.default_rng(41)
         specs = [
@@ -572,6 +595,11 @@ class TestMisalign:
         base = self.quad_1d_pair()
         with pytest.raises(ValueError):
             misalign(base, np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_shifts(self, bad):
+        with pytest.raises(ValueError, match="shifts must be finite"):
+            misalign(self.quad_1d_pair(), np.array([[0.0], [bad]]))
 
     @pytest.mark.parametrize("case", ["run_c", "local_curvature", "network"])
     def test_rows_are_the_base_rows_at_the_shifted_points(self, case):

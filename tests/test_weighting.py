@@ -277,6 +277,22 @@ class TestMaxMinWeights:
         assert lp.call_count == 1
         assert_max_min_solution(C, 0.1 / m, w, value, y)
 
+    def test_highs_takes_over_when_no_basis_is_optimal(self):
+        # Below the threshold, but the vertex enumeration finds no optimal
+        # basis: one HiGHS LP answers, and agrees with the closed form.
+        C = np.random.default_rng(8).uniform(0.0, 3.0, size=(3, 4))
+        want = max_min_weights(C, 0.05)
+        with (
+            mock.patch.object(amoo.weighting, "_max_min_vertex", return_value=None),
+            mock.patch.object(optimize, "linprog", wraps=optimize.linprog) as lp,
+        ):
+            w, value, y = max_min_weights(C, 0.05)
+        assert lp.call_count == 1
+        assert_max_min_solution(C, 0.05, w, value, y)
+        assert value == pytest.approx(want[1], rel=1e-9)
+        np.testing.assert_allclose(w, want[0], atol=1e-7)
+        np.testing.assert_allclose(y, want[2], atol=1e-7)
+
 
 class TestCamooExact:
     def test_specification_hessians(self):
@@ -537,6 +553,11 @@ def nonnegative_null_gain(B, gaps, slack):
 
 
 class TestPamoo:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gaps_rejected(self, bad):
+        with pytest.raises(ValueError, match="gaps must be finite"):
+            pamoo_weights(np.array([1.0, bad]), np.eye(2))
+
     def test_scalar_polyak_ratio(self):
         w = pamoo_weights(np.array([2.0]), np.array([[4.0]]), PamooConfig(gram_tau=0.0))
         assert w[0] == pytest.approx(0.5, rel=1e-15)
