@@ -38,8 +38,8 @@ alone = run(
 print(f"specification pair with delta = {DELTA}")
 print(f"{'step':>6} {'equal weights':>16} {'objective 1 alone':>18}")
 for k in (0, 10, 25, 50, 100):
-    r_ew = next(r.residual for r in ew.records if r.step == k)
-    r_alone = next(r.residual for r in alone.records if r.step == k)
+    r_ew = ew.residual[ew.steps.index(k)]
+    r_alone = alone.residual[alone.steps.index(k)]
     print(f"{k:>6} {r_ew:>16.3e} {r_alone:>18.3e}")
 
 print()

@@ -46,12 +46,9 @@ trace = run(
 )
 print("local-curvature pair from x0 = 2 (step scaled by m):")
 print(f"{'step':>5} {'|x|':>10} {'w1':>6} {'w2':>6}   favored objective")
-for rec in trace.records:
-    side = "exp(+x) - 1 - x" if rec.w[0] > rec.w[1] else "exp(-x) - 1 + x"
-    print(
-        f"{rec.step:>5} {rec.residual:>10.4f} {rec.w[0]:>6.2f} {rec.w[1]:>6.2f}"
-        f"   {side}"
-    )
+for step, residual, (w1, w2) in zip(trace.steps, trace.residual, trace.w):
+    side = "exp(+x) - 1 - x" if w1 > w2 else "exp(-x) - 1 + x"
+    print(f"{step:>5} {residual:>10.4f} {w1:>6.2f} {w2:>6.2f}   {side}")
 print()
 print("The first update overshoots through the optimum; the weights flip to")
 print("the objective that is better curved on the other side.")

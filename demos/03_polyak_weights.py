@@ -31,9 +31,9 @@ trace = run(
 )
 print("single quadratic f(x) = x^2, unit inner step:")
 x = 1.0
-for rec in trace.records:
+for step, residual in zip(trace.steps, trace.residual):
     print(
-        f"  step {rec.step}: |x| = {rec.residual:.6f}"
+        f"  step {step}: |x| = {residual:.6f}"
         f"   classic adaptive step would give {abs(x):.6f}"
     )
     x = x - (x * x) / (2 * x) ** 2 * (2 * x)

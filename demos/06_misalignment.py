@@ -36,7 +36,7 @@ def plateau(kind: str, shift: float):
             camoo_lr_scale_by_m=False,
         )
     )
-    tail = [r.residual for r in trace.records[-40:]]
+    tail = trace.residual[-40:]
     return problem.optimum.alignment_eps, float(np.median(tail))
 
 

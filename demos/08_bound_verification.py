@@ -44,7 +44,7 @@ trace = run(
 )
 tp = TheoremParams(
     beta=built.meta.beta, mu=built.meta.mu_g, m_self=0.0, m=2,
-    r0=trace.records[0].residual, which="CAMOO",
+    r0=trace.residual[0], which="CAMOO",
 )
 geo = np.sqrt(1 - 3 * tp.mu / (8 * tp.beta))
 print("curvature-adaptive run under the analysis step size 1/(2 beta):")

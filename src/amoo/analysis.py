@@ -161,20 +161,21 @@ class TheoremParams:
 def _theorem_envelope(tp: TheoremParams) -> tuple[int, float, float]:
     """The envelope's (k0, slope, factor): its pre-phase length, the slope of
     its line before k0 (0 without a pre-phase, where it is never read) and
-    its per-step geometric factor.  Constants that put k0 at +inf or NaN, or
-    any of the three out of the float range, are a ValueError naming them."""
+    its per-step geometric factor.  mu^1.5 / beta^2 is formed as (mu / beta)
+    (sqrt(mu) / beta), and k0's beta / mu^1.5 as (beta / mu) / sqrt(mu), so
+    no power of beta or mu leaves the float range on the way.  Constants
+    that put k0 at +inf or NaN, or the slope or factor out of the float
+    range, are a ValueError naming them."""
     c_lin, c_geo = ENVELOPE_CONSTANTS[tp.which]
     factor = math.sqrt(max(1.0 - 3.0 * tp.mu / (c_geo * tp.beta), 0.0))
     k0 = slope = 0.0
     if tp.m_self > 0:
-        try:
-            rise = tp.mu**1.5
-            root = tp.r0 * 3.0 * math.sqrt(tp.m) * tp.beta * tp.m_self
-            k0 = c_lin * tp.beta * (root - math.sqrt(tp.mu)) / (3.0 * rise)
-            if k0 > 0:
-                slope = rise / (c_lin * tp.beta**2 * math.sqrt(tp.m) * tp.m_self)
-        except (OverflowError, ZeroDivisionError):  # float ** and / by 0 raise
-            slope = math.inf
+        root_mu = math.sqrt(tp.mu)
+        root = tp.r0 * 3.0 * math.sqrt(tp.m) * tp.beta * tp.m_self
+        k0 = c_lin * (tp.beta / tp.mu) * ((root - root_mu) / (3.0 * root_mu))
+        if k0 > 0:  # no divisor is 0: mu, beta > 0, c_lin sqrt(m) m_self >= 16 * 5e-324
+            lin = c_lin * math.sqrt(tp.m) * tp.m_self
+            slope = (tp.mu / tp.beta) * (root_mu / tp.beta) / lin
     named = f"beta={tp.beta}, mu={tp.mu}, m_self={tp.m_self}"
     if not k0 < math.inf:  # NaN fails too
         raise ValueError(f"k0 = {k0} is not finite for {named}")
@@ -183,14 +184,9 @@ def _theorem_envelope(tp: TheoremParams) -> tuple[int, float, float]:
     return math.ceil(max(k0, 0.0)), slope, factor
 
 
-def theorem_k0(tp: TheoremParams) -> int:
-    """The envelope's k0; a ValueError where ``_theorem_envelope`` raises one."""
-    return _theorem_envelope(tp)[0]
-
-
 def theorem_bound_check(trace, tp: TheoremParams) -> bool:
-    """Check a trace's residuals (a ``RunTrace`` or a trace read back from
-    CSV) against the convergence-rate envelope, to within 1e-12 (1 + r0).
+    """Check the residuals of a ``RunTrace`` against the convergence-rate
+    envelope, to within 1e-12 (1 + r0).
 
     The geometric phase (per-step squared factor 1 - 3 mu / (8 beta) or
     1 - 3 mu / (32 beta)) anchors at the first recorded step at or past k0,
@@ -225,8 +221,7 @@ def theorem_bound_check(trace, tp: TheoremParams) -> bool:
 
 
 def fit_rate(trace) -> float:
-    """Per-step contraction factor fitted on the tail of a trace (a
-    ``RunTrace`` or a trace read back from CSV).
+    """Per-step contraction factor fitted on the tail of a ``RunTrace``.
 
     Least-squares slope of log residual against step index over the last
     half of the residuals recorded before the first one at or below zero,

@@ -290,10 +290,10 @@ def cmd_run(config_path: str, out_dir: str | None) -> int:
         traceio.summary_dict(trace, config_document(cfg), fitted, verdicts),
         out / "summary.json",
     )
-    if out_opts.plot and trace.records:
+    if out_opts.plot and trace.steps:
         write_trace_svg(trace, out / "plot.svg")
-    last = f", final step {trace.final().step}" if trace.records else ""
-    print(f"wrote {out / 'trace.csv'} ({len(trace.records)} records{last})")
+    last = f", final step {trace.steps[-1]}" if trace.steps else ""
+    print(f"wrote {out / 'trace.csv'} ({len(trace.steps)} records{last})")
     return code
 
 

@@ -3,10 +3,12 @@
 Each iteration asks a weight optimizer for objective weights at the current
 iterate, forms the weighted gradient, and applies one inner update (plain
 gradient descent or Adam).  ``_weigher`` is the one place that dispatches on
-the weighting kind, once per run.  Per-step records accumulate into a
-RunTrace.  Runs are strictly sequential and deterministic given the config.
+the weighting kind, once per run.  Each recorded step appends to the columns
+of a RunTrace.  Runs are strictly sequential and deterministic given the
+config.
 """
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -176,23 +178,46 @@ class IterateRecord:
 
 @dataclass
 class RunTrace:
-    records: list
-    config: RunConfig
+    """A run's recorded steps by column, row i for the i-th recorded step:
+    ``f`` and ``w`` are (rows, m) float64 arrays, each other quantity a list
+    with None where a row lacks it."""
+
+    steps: list
+    f: np.ndarray
+    w: np.ndarray
+    grad_norm: list
+    residual: list
+    msq: list
+    lambda_min_est: list
+    pu_gap: list
+    mnorm: list
+    config: RunConfig | None
     wall_time: float = 0.0
     error: str | None = None
     problem: problems.Problem | None = None
 
     @property
     def m(self) -> int:
-        if self.records:
-            return len(self.records[0].f)
-        return self.problem.objectives.m if self.problem is not None else 0
+        return self.f.shape[1]
+
+    def _row(self, i: int) -> IterateRecord:
+        return IterateRecord(
+            self.steps[i], self.f[i], self.w[i], self.grad_norm[i], self.residual[i],
+            self.msq[i], self.mnorm[i], self.lambda_min_est[i], self.pu_gap[i],
+        )
 
     def final(self) -> IterateRecord:
-        return self.records[-1]
+        return self._row(-1)
+
+    # Only perfbench/ reads the rows; this view goes with the benchmark's
+    # rebind (ROADMAP item 1).  A cached list, so an edit to a row is what a
+    # later read of the view sees.
+    @functools.cached_property
+    def records(self) -> list:
+        return [self._row(i) for i in range(len(self.steps))]
 
     def residuals(self):
-        return [(r.step, r.residual) for r in self.records if r.residual is not None]
+        return [(s, r) for s, r in zip(self.steps, self.residual) if r is not None]
 
 
 def _norm(v: Array) -> float:
@@ -289,7 +314,6 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
             )
         if not const_w.sum() > 0:
             raise ConfigurationError("bad fixed weights in weighting: they sum to 0")
-    const_w.setflags(write=False)  # every record shares it
     return lambda fvals, J, diag, x: (const_w, None, None)
 
 
@@ -310,10 +334,9 @@ def run(cfg: RunConfig) -> RunTrace:
     the exact column-generation gap in diagonal mode
     (``weighting.solve_camoo_diagonal``).  x0's shape is checked once,
     before the first step, and the gradient norm and residual are computed
-    only for recorded steps; EW's and fixed weights are read-only and shared
-    by the records.  A NaN or Inf in the iterate, a value or the weighted
-    gradient, or a NumericError from the weight rule, aborts the run with a
-    NumericError whose payload is the trace up to the failure.
+    only for recorded steps.  A NaN or Inf in the iterate, a value or the
+    weighted gradient, or a NumericError from the weight rule, aborts the run
+    with a NumericError whose payload is the trace up to the failure.
     The trace carries the built problem.  A problem spec that its builder
     rejects, or settings that do not fit the problem or would not be read,
     raise ConfigurationError before the first step; an uncertified
@@ -335,14 +358,22 @@ def run(cfg: RunConfig) -> RunTrace:
     scale = float(objs.m) if wc.kind == WEIGHTING_CAMOO and cfg.camoo_lr_scale_by_m else 1.0
     inner_step = cfg.inner.step * scale
 
-    trace = RunTrace(records=[], config=cfg, problem=problem)
     x_star = problem.optimum.x_star
     adam_state = adam_init(x) if isinstance(cfg.inner, AdamConfig) else None
+    steps, f_rows, w_rows = [], [], []
+    grad_norm, residual, msq, mnorm, lambda_min_est, pu_gap = ([] for _ in range(6))
+
+    def trace(error: str | None = None) -> RunTrace:
+        # Copies each recorded row of f and w into a (rows, m) column block.
+        f, w = (np.array(c, np.float64).reshape(len(steps), objs.m) for c in (f_rows, w_rows))
+        return RunTrace(
+            steps, f, w, grad_norm, residual, msq, lambda_min_est, pu_gap, mnorm,
+            cfg, time.perf_counter() - t_start, error, problem,
+        )
 
     def fail(message: str, step: int) -> NumericError:
-        trace.error = f"step {step}: {message}"
-        trace.wall_time = time.perf_counter() - t_start
-        return NumericError(trace.error, payload=trace)
+        error = f"step {step}: {message}"
+        return NumericError(error, payload=trace(error))
 
     for k in range(cfg.steps + 1):
         if not _finite(x):
@@ -361,21 +392,18 @@ def run(cfg: RunConfig) -> RunTrace:
             raise fail("non-finite gradient", k)
 
         if k % cfg.record_every == 0 or k == cfg.steps:
-            msq = mnorm = None
+            msq_k = mnorm_k = None
             if problem.mismatch is not None:
-                msq, mnorm = problem.mismatch(x)
-            record = IterateRecord(
-                step=k,
-                f=fvals,
-                w=np.array(w) if w.flags.writeable else w,
-                grad_norm=math.sqrt(gg),
-                residual=_norm(x - x_star),
-                msq=msq,
-                mnorm=mnorm,
-                lambda_min_est=lambda_est,
-                pu_gap=gap,
-            )
-            trace.records.append(record)
+                msq_k, mnorm_k = problem.mismatch(x)
+            steps.append(k)
+            f_rows.append(fvals)
+            w_rows.append(w)
+            grad_norm.append(math.sqrt(gg))
+            residual.append(_norm(x - x_star))
+            msq.append(msq_k)
+            mnorm.append(mnorm_k)
+            lambda_min_est.append(lambda_est)
+            pu_gap.append(gap)
 
         if k == cfg.steps:
             break
@@ -385,8 +413,7 @@ def run(cfg: RunConfig) -> RunTrace:
         else:
             adam_state, x = step_adam(adam_state, g, inner_step)
 
-    trace.wall_time = time.perf_counter() - t_start
-    return trace
+    return trace()
 
 
 # ---------------------------------------------------------------------------

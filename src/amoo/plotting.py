@@ -82,21 +82,12 @@ def _panel_frame(x0: float, title: str) -> str:
 
 @np.errstate(all="ignore")  # inf and NaN make NaN points, silently as floats do
 def trace_svg(trace) -> str:
-    """Render a loaded or in-memory trace as an SVG document.
+    """Render a ``RunTrace`` as an SVG document.
 
     The left panel shows residual (and mean-squared matching error when
     present) on a log scale; the right panel shows every weight trajectory.
     """
-    if hasattr(trace, "records"):  # in-memory RunTrace
-        steps = [r.step for r in trace.records]
-        residual = [r.residual for r in trace.records]
-        msq = [r.msq for r in trace.records]
-        weights = np.array([r.w for r in trace.records])
-    else:  # LoadedTrace
-        steps = trace.steps
-        residual = trace.residual
-        msq = trace.msq
-        weights = trace.w  # one row per record
+    steps = trace.steps
     if not steps:
         raise ValueError("cannot plot an empty trace")
 
@@ -110,7 +101,9 @@ def trace_svg(trace) -> str:
     # Left panel: convergence metrics, log scale, drawn where they are present.
     xs = _xs(steps, _MARGIN)
     series = []
-    for label, vals, color in (("residual", residual, _COLORS[0]), ("msq", msq, _COLORS[1])):
+    for label, vals, color in (
+        ("residual", trace.residual, _COLORS[0]), ("msq", trace.msq, _COLORS[1])
+    ):
         present = np.array([v is not None for v in vals])
         if present.any():
             series.append((present, [v for v in vals if v is not None], color, label))
@@ -123,11 +116,11 @@ def trace_svg(trace) -> str:
     x_right = _PANEL_W + _MARGIN
     xs = _xs(steps, x_right)
     parts.append(_panel_frame(x_right, "weights"))
-    if weights.shape[1]:
+    if trace.m:
         at = np.ones(len(xs), dtype=bool)
         parts += _polylines(xs, [
             (at, y, _COLORS[i % len(_COLORS)], f"w_{i + 1}")
-            for i, y in enumerate(_linear_ys(weights))
+            for i, y in enumerate(_linear_ys(trace.w))
         ])
 
     parts.append("</svg>")

@@ -5,11 +5,13 @@ The trace schema is one row per recorded step:
     step,f_1..f_m,w_1..w_m,grad_norm,residual,msq,lambda_min_est,pu_gap
 
 Missing quantities are written as empty fields.  Floats are written with
-``repr`` so a read-back is bit-identical.  The writer and the reader convert
-whole columns per chunk of ``_CHUNK_ROWS`` rows, and the bytes are those of
+``repr``, so ``read_trace_csv`` returns the ``RunTrace`` columns that were
+written bit for bit, with ``config=None`` and ``mnorm``, which the schema
+does not hold, None on every row.  The writer and the reader convert whole
+columns per chunk of ``_CHUNK_ROWS`` rows, and the bytes are those of
 per-value ``repr`` cells (``plotting`` likewise formats each point with
-``.2f``), though a column of one value is formatted, or read, once per chunk;
-``tests/test_golden_traces.py`` pins traces and plots.
+``.2f``), though a column of one value is formatted, or read, once per
+chunk; ``tests/test_golden_traces.py`` pins traces and plots.
 """
 
 import csv
@@ -17,7 +19,6 @@ import dataclasses
 import itertools
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,38 +57,15 @@ def write_trace_csv(trace: RunTrace, path) -> None:
     with open(path, "w", newline="") as fh:
         # No field ever needs quoting, so these are csv.writer's bytes.
         fh.write(",".join(trace_header(trace.m)) + "\r\n")
-        for start in range(0, len(trace.records), _CHUNK_ROWS):
-            chunk = trace.records[start : start + _CHUNK_ROWS]
+        for start in range(0, len(trace.steps), _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
             columns = [
-                map(str, [r.step for r in chunk]),
-                *_repr_columns(np.stack([r.f for r in chunk])),
-                *_repr_columns(np.stack([r.w for r in chunk])),
-                *(_fmt_column([getattr(r, name) for r in chunk]) for name in _OPTIONAL),
+                map(str, trace.steps[rows]),
+                *_repr_columns(trace.f[rows]),
+                *_repr_columns(trace.w[rows]),
+                *(_fmt_column(getattr(trace, name)[rows]) for name in _OPTIONAL),
             ]
             fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
-
-
-@dataclass
-class LoadedTrace:
-    """A trace read back from CSV; mirrors the recorded columns."""
-
-    steps: list
-    f: np.ndarray
-    w: np.ndarray
-    grad_norm: list
-    residual: list
-    msq: list
-    lambda_min_est: list
-    pu_gap: list
-
-    @property
-    def m(self) -> int:
-        return self.f.shape[1]
-
-    def residuals(self):
-        return [
-            (s, r) for s, r in zip(self.steps, self.residual) if r is not None
-        ]
 
 
 def _column(cells) -> list:
@@ -99,7 +77,7 @@ def _column(cells) -> list:
     return [None if c == "" else float(c) for c in cells]
 
 
-def read_trace_csv(path) -> LoadedTrace:
+def read_trace_csv(path) -> RunTrace:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -123,7 +101,8 @@ def read_trace_csv(path) -> LoadedTrace:
                 col += _column(c)
     fw = np.concatenate(blocks, axis=1)
     f, w = np.ascontiguousarray(fw[:m].T), np.ascontiguousarray(fw[m:].T)
-    return LoadedTrace(steps, f, w, *tails)  # fields in the CSV's column order
+    # The optional columns in the CSV's order, which is RunTrace's.
+    return RunTrace(steps, f, w, *tails, mnorm=[None] * len(steps), config=None)
 
 
 def jsonable(value, keys=None):
@@ -158,8 +137,8 @@ def summary_dict(trace: RunTrace, config: dict, fitted_rate, verdicts: dict) -> 
         "config": config,
         "wall_time": trace.wall_time,
         "error": trace.error,
-        "num_records": len(trace.records),
-        "final": trace.final() if trace.records else None,
+        "num_records": len(trace.steps),
+        "final": trace.final() if trace.steps else None,
         "fitted_rate": fitted_rate,
         "verdicts": verdicts,
     }

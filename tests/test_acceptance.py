@@ -128,15 +128,11 @@ def test_criterion_3_local_curvature_weight_flip():
             x0=(2.0,),
         )
     )
-    ok = True
-    signs_seen = set()
-    for rec in trace.records:
-        if rec.residual <= 0.05:
-            continue
-        # f1 - f2 = 2 (sinh x - x) shares the sign of x.
-        sign_x = np.sign(rec.f[0] - rec.f[1])
-        signs_seen.add(sign_x)
-        ok &= np.sign(rec.w[0] - rec.w[1]) == sign_x
+    away = np.array(trace.residual) > 0.05
+    # f1 - f2 = 2 (sinh x - x) shares the sign of x.
+    sign_x = np.sign(trace.f[away, 0] - trace.f[away, 1])
+    ok = bool(np.all(np.sign(trace.w[away, 0] - trace.w[away, 1]) == sign_x))
+    signs_seen = set(sign_x.tolist())
     ok &= signs_seen == {1.0, -1.0}  # passed through the optimum
     c.conclude(ok, f"signs observed {sorted(signs_seen)}")
 
@@ -162,7 +158,7 @@ def test_criterion_4_theorem_rate_bounds():
         )
         tp = TheoremParams(
             beta=built.meta.beta, mu=built.meta.mu_g, m_self=0.0, m=m,
-            r0=trace.records[0].residual, which="CAMOO",
+            r0=trace.residual[0], which="CAMOO",
         )
         holds_c = theorem_bound_check(trace, tp)
 
@@ -175,7 +171,7 @@ def test_criterion_4_theorem_rate_bounds():
         )
         tp = TheoremParams(
             beta=built.meta.beta, mu=built.meta.mu_l, m_self=0.0, m=m,
-            r0=trace.records[0].residual, which="PAMOO",
+            r0=trace.residual[0], which="PAMOO",
         )
         holds_p = theorem_bound_check(trace, tp)
         details.append(f"{kind}: curvature {holds_c}, gap-ratio {holds_p}")
@@ -324,7 +320,7 @@ def _plateau(kind: str, eps: float) -> float:
             camoo_lr_scale_by_m=False,
         )
     )
-    tail = [r.residual for r in trace.records[-40:]]
+    tail = trace.residual[-40:]
     return float(np.median(tail))
 
 
@@ -358,7 +354,7 @@ def test_criterion_11_polyak_reduction():
     )
     x = 1.0
     worst = 0.0
-    for rec in trace.records:
-        worst = max(worst, abs(rec.residual - abs(x)))
+    for residual in trace.residual:
+        worst = max(worst, abs(residual - abs(x)))
         x = x - (x * x) / (2 * x) ** 2 * (2 * x)
     c.conclude(worst <= 1e-9, f"max trajectory deviation {worst:.1e}")

@@ -12,17 +12,16 @@ from amoo.analysis import (
     RecurrenceParams,
     TheoremParams,
     _envelope,
+    _theorem_envelope,
     fit_rate,
     max_admissible_noise,
     recurrence_simulate_and_bound,
     self_concordance_check,
     theorem_bound_check,
-    theorem_k0,
     weyl_degradation_suite,
 )
 from amoo.driver import (
     GDConfig,
-    IterateRecord,
     RunConfig,
     RunTrace,
     WeightingChoice,
@@ -34,13 +33,17 @@ from amoo.weighting import max_min_weights
 from amoo.problems import ProblemSpec, build
 from grid_oracle import grid_max_min_eig
 from objective_sets import one_objective
+from traces import column_trace
 
 
 def residual_trace(pairs) -> RunTrace:
-    """A run trace whose records carry the given (step, residual) pairs."""
-    one = np.ones(1)
-    records = [IterateRecord(k, one, one, 0.0, residual=r) for k, r in pairs]
-    return RunTrace(records=records, config=None)
+    """A run trace whose rows carry the given (step, residual) pairs."""
+    pairs = list(pairs)
+    ones = np.ones((len(pairs), 1))
+    return column_trace(
+        [k for k, _ in pairs], ones, ones,
+        grad_norm=[0.0] * len(pairs), residual=[r for _, r in pairs],
+    )
 
 
 class TestRecurrence:
@@ -198,7 +201,7 @@ class TestTheoremBound:
         )
         tp = TheoremParams(
             beta=1.8, mu=1.0, m_self=0.0, m=2,
-            r0=trace.records[0].residual, which="CAMOO",
+            r0=trace.residual[0], which="CAMOO",
         )
         assert theorem_bound_check(trace, tp)
 
@@ -226,9 +229,7 @@ class TestTheoremBound:
         tp = TheoremParams(
             beta=2.0, mu=1.0, m_self=0.5, m=2, r0=10.0, which="CAMOO"
         )
-        from amoo.analysis import theorem_k0
-
-        k0 = theorem_k0(tp)
+        k0 = _theorem_envelope(tp)[0]
         assert k0 > 0
         steps = np.arange(0, k0 + 50)
         # The CAMOO envelope: r0 - slope k before k0, then a geometric decay
@@ -279,22 +280,21 @@ class TestTheoremBoundNonFinite:
 
     @pytest.mark.parametrize("which", ["CAMOO", "PAMOO"])
     def test_k0_beyond_the_float_range_rejected(self, which):
-        # beta 1e200 against mu 1e-100: k0 overflows to inf.
-        tp = TheoremParams(beta=1e200, mu=1e-100, m_self=1.0, m=2, r0=1.0, which=which)
-        with pytest.raises(ValueError, match="k0 = inf is not finite"):
-            theorem_k0(tp)
-        with pytest.raises(ValueError, match="k0"):
-            theorem_bound_check(residual_trace([(0, 1.0), (1, 0.5)]), tp)
+        # beta 1e200 against mu 1e-100, or beta 1 against mu 1e-217: k0
+        # overflows to inf.
+        for beta, mu in ((1e200, 1e-100), (1.0, 1e-217)):
+            tp = TheoremParams(beta=beta, mu=mu, m_self=1.0, m=2, r0=1.0, which=which)
+            with pytest.raises(ValueError, match="k0 = inf is not finite"):
+                _theorem_envelope(tp)
+            with pytest.raises(ValueError, match="k0"):
+                theorem_bound_check(residual_trace([(0, 1.0), (1, 0.5)]), tp)
         # At -inf the geometric phase starts at step 0.
         tp = TheoremParams(beta=1e300, mu=1e-100, m_self=1e-300, m=2, r0=1e-100)
-        assert theorem_k0(tp) == 0
+        assert _theorem_envelope(tp)[0] == 0
 
     @pytest.mark.parametrize(
         "beta, mu, m_self",
         [
-            (1e210, 1e206, 1.0),  # mu**1.5 overflows
-            (1.0, 1e-217, 1.0),  # mu**1.5 underflows to 0, the divisor of k0
-            (1e160, 1e160, 1e-70),  # k0 is 2.3e11, and beta**2 in the slope overflows
             (1e308, 1e308, 0.0),  # 3 mu / (8 beta) is inf / inf
         ],
     )
@@ -302,15 +302,39 @@ class TestTheoremBoundNonFinite:
         tp = TheoremParams(beta=beta, mu=mu, m_self=m_self, m=2, r0=1.0)
         named = f"at beta={beta}, mu={mu}, m_self={m_self}"
         with pytest.raises(ValueError, match=re.escape(f"leaves the float range {named}")):
-            theorem_k0(tp)
+            _theorem_envelope(tp)
         with pytest.raises(ValueError, match="leaves the float range"):
             theorem_bound_check(residual_trace([(0, 1.0), (1, 0.5)]), tp)
 
+    @pytest.mark.parametrize(
+        "beta, mu, m_self, k0, slope",
+        [
+            (1e160, 1e160, 2.6e-81, 1, 0.16997759163138),
+            (1e160, 1e160, 1e-70, 226274169975, 4.419417382415921e-12),
+            (1e210, 1e206, 1.0, 2.2627416997969518e112, 4.419417382415922e-113),
+        ],
+        ids=["k0-1", "k0-2e11", "k0-2e112"],
+    )
+    def test_no_power_of_beta_or_mu_is_formed(self, beta, mu, m_self, k0, slope):
+        # Each set once raised "leaves the float range": beta**2 (the first
+        # two) or mu**1.5 (the third) overflowed on the way to a finite k0
+        # and slope.
+        tp = TheoremParams(beta=beta, mu=mu, m_self=m_self, m=2, r0=1.0)
+        got_k0, got_slope, _ = _theorem_envelope(tp)
+        assert got_k0 == pytest.approx(k0, rel=1e-15)
+        assert got_slope == pytest.approx(slope, rel=1e-12)
+        pairs = [(0, 1.0), (1, 0.8), (2, 0.6)]
+        if k0 == 1:  # on the line at step 0, then within the decay
+            assert theorem_bound_check(residual_trace(pairs), tp)
+        else:
+            with pytest.raises(ValueError, match="no recorded step reaches k0"):
+                theorem_bound_check(residual_trace(pairs), tp)
+
     def test_no_pre_phase_forms_no_slope(self):
         # k0 is 0 (its numerator is negative), so the envelope never reads
-        # the slope, whose beta**2 overflows.
+        # the slope.
         tp = TheoremParams(beta=1e200, mu=1e-100, m_self=1e-300, m=2, r0=1.0)
-        assert theorem_k0(tp) == 0
+        assert _theorem_envelope(tp)[0] == 0
         assert theorem_bound_check(residual_trace([(0, 1.0), (1, 0.5)]), tp)
         assert not theorem_bound_check(residual_trace([(0, 1.0), (1, 2.0)]), tp)
 
@@ -371,8 +395,9 @@ def envelope_constants(tp: TheoremParams):
     factor = math.sqrt(max(1.0 - 3.0 * tp.mu / (c_geo * tp.beta), 0.0))
     slope = 0.0
     if tp.m_self > 0:
-        slope = tp.mu**1.5 / (c_lin * tp.beta**2 * math.sqrt(tp.m) * tp.m_self)
-    return theorem_k0(tp), slope, factor
+        root_mu = math.sqrt(tp.mu)
+        slope = (tp.mu / tp.beta) * (root_mu / tp.beta) / (c_lin * math.sqrt(tp.m) * tp.m_self)
+    return _theorem_envelope(tp)[0], slope, factor
 
 
 def loop_theorem_check(steps, res, tp: TheoremParams, slack: float = 1e-12):

@@ -214,3 +214,36 @@ def test_benchmark_camoo_pu_fields_are_inert(monkeypatch, tmp_path):
     for sol in sols[1:]:
         for a, b in zip(dataclasses.astuple(sol), dataclasses.astuple(sols[0])):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_check_trace_passes_a_network_and_an_analytic_run(monkeypatch, tmp_path):
+    # The benchmark's output check reads final(), the records view and the
+    # trace read back from CSV.  The diagonal-CAMOO network run records every
+    # optional quantity; the PAMOO run on the quadratic records none of
+    # msq, mnorm, lambda_min_est and pu_gap.
+    import dataclasses
+
+    from amoo import cli, driver, traceio
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    network = workloads.MlpMatching(0, tmp_path)
+    runs = {
+        "network": dataclasses.replace(
+            network.configs["selection/camoo"], steps=60, record_every=10
+        ),
+        "analytic": cli.parse_run_config(workloads.cli_docs(0)["b_pamoo_theory"]),
+    }
+    assert runs["network"].weighting.camoo.mode == "diagonal-bilinear"
+    optional = ("msq", "mnorm", "lambda_min_est", "pu_gap")
+    for name, cfg in runs.items():
+        trace = driver.run(cfg)
+        path = tmp_path / f"{name}.csv"
+        traceio.write_trace_csv(trace, path)
+        op = workloads.Op(name)
+        quality = workloads.check_trace(op, trace, path, np.zeros(trace.m))
+        assert not op.failed, op.errors
+        assert quality["final_step"] == cfg.steps
+        present = {q: None not in getattr(trace, q) for q in optional}
+        assert present == dict.fromkeys(optional, name == "network"), name

@@ -17,9 +17,7 @@ from amoo.driver import (
     AdamConfig,
     ConfigurationError,
     GDConfig,
-    IterateRecord,
     RunConfig,
-    RunTrace,
     WeightingChoice,
 )
 from amoo.hessians import HutchinsonConfig
@@ -28,6 +26,7 @@ from amoo.problems import ProblemSpec
 from amoo.weighting import CamooConfig, PamooConfig
 from test_golden_traces import CONFIGS as GOLDEN_CONFIGS
 from test_trace_bytes import reference_write_trace_csv
+from traces import column_trace
 
 
 VALID_CONFIG = {
@@ -823,8 +822,12 @@ class TestStrictSummary:
     )
     def test_summary_is_strict_json_that_keeps_every_bit(self, m, values, optional):
         f, w, (grad_norm, wall_time, fitted) = values[:m], values[m : 2 * m], values[-3:]
-        record = IterateRecord(7, np.array(f), np.array(w), grad_norm, *optional)
-        trace = RunTrace([record], None, wall_time)
+        names = ("residual", "msq", "mnorm", "lambda_min_est", "pu_gap")
+        trace = column_trace(
+            [7], [f], [w], grad_norm=[grad_norm],
+            **{name: [v] for name, v in zip(names, optional)},
+        )
+        trace.wall_time = wall_time
         summary = traceio.summary_dict(trace, {"x": [1e308, -0.0]}, fitted, {"ok": None})
         parsed = strict_json(traceio.to_json(summary))
         want = [*f, *w, grad_norm, *optional, wall_time, fitted]
@@ -851,9 +854,7 @@ class TestStrictSummary:
         assert "error: k0 = inf is not finite" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "beta, mu, m_self",
-        [("1e210", "1e206", "1"), ("1", "1e-217", "1"), ("1e308", "1e308", "0")],
-        ids=["mu-power-overflows", "mu-power-underflows", "nan-factor"],
+        "beta, mu, m_self", [("1e308", "1e308", "0")], ids=["nan-factor"]
     )
     def test_envelope_out_of_the_float_range_exits_2(
         self, tmp_path, capsys, beta, mu, m_self
@@ -867,12 +868,35 @@ class TestStrictSummary:
         assert f"mu={float(mu)}, m_self={float(m_self)}" in out
 
     def test_no_pre_phase_needs_no_slope(self, tmp_path, capsys):
-        # k0 is 0, so the slope, whose beta**2 overflows, is never formed.
+        # k0 is 0, so the slope is never formed.
         path = tmp_path / "t.csv"
         traceio.write_trace_csv(make_trace(steps=60), path)
         argv = ["analyze", str(path), "--theorem-check", "--beta", "1e200"]
         assert cli.main([*argv, "--mu", "1e-100", "--m-self", "1e-300"]) == 0
         assert strict_json(capsys.readouterr().out) == {"theorem_bound": True}
+
+    @pytest.mark.parametrize(
+        "beta, mu, m_self, verdict",
+        [
+            ("1e160", "1e160", "2.6e-81", True),  # k0 3; beta**2 is beyond the range
+            ("1e210", "1e206", "1", None),  # k0 2e112; mu**1.5 is beyond the range
+            ("1", "1e-217", "1", None),  # k0 7e326
+        ],
+        ids=["k0-3", "k0-unreached", "k0-inf"],
+    )
+    def test_theorem_check_forms_no_power_of_beta_or_mu(
+        self, tmp_path, capsys, beta, mu, m_self, verdict
+    ):
+        # Each once exited 2 with "the envelope leaves the float range".
+        path = tmp_path / "t.csv"
+        traceio.write_trace_csv(make_trace(steps=60), path)
+        argv = ["analyze", str(path), "--theorem-check", "--beta", beta, "--mu", mu]
+        code = cli.main([*argv, "--m-self", m_self])
+        out = capsys.readouterr().out
+        if verdict is None:
+            assert code == 2 and "leaves the float range" not in out
+        else:
+            assert code == 0 and strict_json(out) == {"theorem_bound": verdict}
 
     def test_run_records_null_for_a_k0_beyond_the_float_range(
         self, tmp_path, monkeypatch
@@ -906,7 +930,7 @@ class TestStrictSummary:
         monkeypatch.setitem(analysis.ENVELOPE_CONSTANTS, "CAMOO", constants)
         tp = analysis.TheoremParams(math.e**2, 1.0, 1.0, 2, math.hypot(0.03, 0.03))
         with pytest.raises(ValueError, match="leaves the float range"):
-            analysis.theorem_k0(tp)
+            analysis._theorem_envelope(tp)
         out = tmp_path / "out"
         assert cli.cmd_run(write_config(tmp_path, doc), str(out)) == 0
         summary = strict_json((out / "summary.json").read_text())
@@ -979,13 +1003,13 @@ class TestTraceRoundTrip:
         path = tmp_path / "t.csv"
         traceio.write_trace_csv(trace, path)
         loaded = traceio.read_trace_csv(path)
-        assert loaded.steps == [r.step for r in trace.records]
-        for i, rec in enumerate(trace.records):
-            np.testing.assert_array_equal(loaded.f[i], rec.f)
-            np.testing.assert_array_equal(loaded.w[i], rec.w)
-            assert loaded.residual[i] == rec.residual
-            assert loaded.grad_norm[i] == rec.grad_norm
-            assert loaded.msq[i] is None
+        assert loaded.steps == trace.steps
+        np.testing.assert_array_equal(loaded.f, trace.f)
+        np.testing.assert_array_equal(loaded.w, trace.w)
+        assert loaded.residual == trace.residual
+        assert loaded.grad_norm == trace.grad_norm
+        assert loaded.msq == [None] * len(trace.steps)
+        assert loaded.config is None and loaded.mnorm == [None] * len(trace.steps)
 
     def test_optional_columns_roundtrip(self, tmp_path):
         trace = make_trace(
@@ -995,31 +1019,26 @@ class TestTraceRoundTrip:
         path = tmp_path / "t.csv"
         traceio.write_trace_csv(trace, path)
         loaded = traceio.read_trace_csv(path)
-        for i, rec in enumerate(trace.records):
-            assert loaded.lambda_min_est[i] == rec.lambda_min_est
+        assert loaded.lambda_min_est == trace.lambda_min_est
 
     def test_bytes_match_per_value_repr(self, tmp_path):
-        records = [
-            IterateRecord(
-                step=k,
-                f=np.array([-0.0, 5e-324, 1e308]),
-                w=np.array([1.0, 2.0, 0.0]) + k,
-                grad_norm=0.1 * k,
-                residual=-0.0 if k else None,
-                msq=5e-324,
-                lambda_min_est=1e308,
-                pu_gap=None,
-            )
-            for k in range(3)
-        ]
+        trace = column_trace(
+            range(3),
+            [[-0.0, 5e-324, 1e308]] * 3,
+            [[1.0 + k, 2.0 + k, 0.0 + k] for k in range(3)],
+            grad_norm=[0.1 * k for k in range(3)],
+            residual=[None, -0.0, -0.0],
+            msq=[5e-324] * 3,
+            lambda_min_est=[1e308] * 3,
+        )
         path, ref = tmp_path / "t.csv", tmp_path / "ref.csv"
-        traceio.write_trace_csv(RunTrace(records=records, config=None), path)
-        reference_write_trace_csv(RunTrace(records=records, config=None), ref)
+        traceio.write_trace_csv(trace, path)
+        reference_write_trace_csv(trace, ref)
         assert path.read_bytes() == ref.read_bytes()
 
         loaded = traceio.read_trace_csv(path)
-        assert loaded.f.tobytes() == np.stack([r.f for r in records]).tobytes()
-        assert loaded.w.tobytes() == np.stack([r.w for r in records]).tobytes()
+        assert loaded.f.tobytes() == trace.f.tobytes()
+        assert loaded.w.tobytes() == trace.w.tobytes()
         assert np.signbit(loaded.residual[1])
         assert loaded.residual[0] is None and loaded.pu_gap == [None] * 3
         assert loaded.msq == [5e-324] * 3 and loaded.lambda_min_est == [1e308] * 3
@@ -1048,20 +1067,15 @@ class TestTraceRoundTrip:
     def test_lossless_across_chunk_boundaries(self, tmp_path, rows):
         rng = np.random.default_rng(rows)
         values = rng.normal(size=(rows, 6)) * 10.0 ** rng.integers(-300, 300, (rows, 6))
-        records = [
-            IterateRecord(
-                step=k,
-                f=values[k, :2],
-                w=np.abs(values[k, 2:4]),
-                grad_norm=abs(values[k, 4]),
-                residual=values[k, 5] if k % 3 else None,
-                lambda_min_est=-0.0 if k % 2 else None,
-            )
-            for k in range(rows)
-        ]
-        # With no records the header takes m from the problem.
-        problem = problems.build(ProblemSpec(kind="specification"))
-        trace = RunTrace(records=records, config=None, problem=problem)
+        # With no rows the header takes m from the (0, 2) columns.
+        trace = column_trace(
+            range(rows),
+            values[:, :2],
+            np.abs(values[:, 2:4]),
+            grad_norm=np.abs(values[:, 4]).tolist(),
+            residual=[values[k, 5] if k % 3 else None for k in range(rows)],
+            lambda_min_est=[-0.0 if k % 2 else None for k in range(rows)],
+        )
         path = tmp_path / "t.csv"
         traceio.write_trace_csv(trace, path)
         loaded = traceio.read_trace_csv(path)
@@ -1071,7 +1085,7 @@ class TestTraceRoundTrip:
         assert loaded.w.tobytes() == np.abs(values[:, 2:4]).tobytes()
         for col in ("grad_norm", "residual", "lambda_min_est"):
             got = getattr(loaded, col)
-            want = [getattr(r, col) for r in records]
+            want = getattr(trace, col)
             assert [None if v is None else np.float64(v).tobytes() for v in got] == [
                 None if v is None else np.float64(v).tobytes() for v in want
             ]
@@ -1137,7 +1151,7 @@ class TestAnalyzeCommand:
 class TestPlotCommand:
     def test_two_record_trace_has_polylines(self, tmp_path):
         trace = make_trace(steps=1)
-        assert len(trace.records) == 2
+        assert trace.steps == [0, 1]
         svg = trace_svg(trace)
         root = ET.fromstring(svg)  # valid XML
         polylines = root.findall(".//{http://www.w3.org/2000/svg}polyline")

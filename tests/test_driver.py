@@ -195,9 +195,8 @@ class TestRunBasics:
 
     def test_zero_steps_single_record(self):
         trace = spec_run(WeightingChoice(kind="ew"), steps=0)
-        assert len(trace.records) == 1
-        assert trace.records[0].step == 0
-        np.testing.assert_allclose(trace.records[0].f, [1.0, 1.0])
+        assert trace.steps == [0]
+        np.testing.assert_allclose(trace.f, [[1.0, 1.0]])
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -212,23 +211,20 @@ class TestRunBasics:
 
     def test_record_thinning_keeps_final(self):
         trace = spec_run(WeightingChoice(kind="ew"), steps=10, record_every=4)
-        assert [r.step for r in trace.records] == [0, 4, 8, 10]
+        assert trace.steps == [0, 4, 8, 10]
 
     def test_monotone_weighted_decrease_small_step(self):
         # For step <= 1/beta the weighted value cannot increase.
         trace = spec_run(WeightingChoice(kind="ew"), steps=50, step=0.5)
-        for prev, nxt in zip(trace.records, trace.records[1:]):
-            f_w_next = float(prev.w @ nxt.f)
-            f_w_prev = float(prev.w @ prev.f)
-            assert f_w_next <= f_w_prev + 1e-12
+        f_w_prev = (trace.w * trace.f).sum(axis=1)
+        f_w_next = (trace.w[:-1] * trace.f[1:]).sum(axis=1)
+        assert np.all(f_w_next <= f_w_prev[:-1] + 1e-12)
 
     def test_bitwise_determinism(self):
         t1 = spec_run(WeightingChoice(kind="camoo"), steps=20)
         t2 = spec_run(WeightingChoice(kind="camoo"), steps=20)
-        for a, b in zip(t1.records, t2.records):
-            np.testing.assert_array_equal(a.f, b.f)
-            np.testing.assert_array_equal(a.w, b.w)
-            assert a.residual == b.residual
+        assert t1.f.tobytes() == t2.f.tobytes() and t1.w.tobytes() == t2.w.tobytes()
+        assert t1.residual == t2.residual
 
     def test_bitwise_determinism_with_hutchinson(self):
         spec = ProblemSpec(
@@ -250,9 +246,8 @@ class TestRunBasics:
             seed=5,
         )
         t1, t2 = run(cfg), run(cfg)
-        for a, b in zip(t1.records, t2.records):
-            np.testing.assert_array_equal(a.w, b.w)
-            assert a.msq == b.msq and a.pu_gap == b.pu_gap
+        assert t1.w.tobytes() == t2.w.tobytes()
+        assert t1.msq == t2.msq and t1.pu_gap == t2.pu_gap
 
     def test_x0_shape_checked(self):
         with pytest.raises(ConfigurationError):
@@ -268,18 +263,12 @@ class TestRunBasics:
         ew = spec_run(WeightingChoice(kind="ew"), steps=100)
         assert trace.final().residual > 1e6 * ew.final().residual
 
-    def test_constant_weights_are_shared_read_only(self):
+    def test_constant_weights_fill_the_weight_column(self):
         ew = spec_run(WeightingChoice(kind="ew"), steps=5)
         fixed = spec_run(WeightingChoice(kind="fixed", weights=(1.0, 0.0)), steps=5)
         for trace, want in ((ew, equal_weights(2)), (fixed, np.array([1.0, 0.0]))):
-            w = trace.records[0].w
-            assert not w.flags.writeable
-            assert w.tobytes() == want.tobytes()
-            assert all(r.w is w for r in trace.records)
-        # A solved rule's weights are copied into each record.
-        pamoo = spec_run(WeightingChoice(kind="pamoo"), steps=5)
-        assert all(r.w.flags.writeable and r.w.flags.owndata for r in pamoo.records)
-        assert len({id(r.w) for r in pamoo.records}) == len(pamoo.records)
+            assert trace.w.shape == (6, 2) and trace.w.dtype == np.float64
+            assert trace.w.tobytes() == np.tile(want, (6, 1)).tobytes()
 
     @pytest.mark.parametrize(
         "kwargs,message",
@@ -350,20 +339,15 @@ class TestCamooRuns:
             x0=(2.0,),
         )
         trace = run(cfg)
-        flipped = False
-        for rec in trace.records:
-            if rec.residual <= 0.05:
-                continue
-            # sign(x) equals sign(f1 - f2) since f1 - f2 = 2(sinh x - x).
-            sign_x = np.sign(rec.f[0] - rec.f[1])
-            assert np.sign(rec.w[0] - rec.w[1]) == sign_x
-            flipped = flipped or sign_x < 0
-        assert flipped  # the scaled step overshoots through the optimum
+        away = np.array(trace.residual) > 0.05
+        # sign(x) equals sign(f1 - f2) since f1 - f2 = 2(sinh x - x).
+        sign_x = np.sign(trace.f[away, 0] - trace.f[away, 1])
+        np.testing.assert_array_equal(np.sign(trace.w[away, 0] - trace.w[away, 1]), sign_x)
+        assert (sign_x < 0).any()  # the scaled step overshoots through the optimum
 
     def test_lambda_estimate_recorded(self):
         trace = spec_run(WeightingChoice(kind="camoo"), steps=5)
-        for rec in trace.records:
-            assert rec.lambda_min_est == pytest.approx(1.0, abs=1e-2)
+        assert trace.lambda_min_est == pytest.approx([1.0] * 6, abs=1e-2)
 
     @pytest.mark.parametrize(
         "problem,x0", [(TWO_DENSE, None), (POWER6, (0.5,) * 6)], ids=["quad", "power"]
@@ -388,9 +372,9 @@ class TestCamooRuns:
                 x0=x0,
             )
         )
-        assert len(trace.records) == len(scales) == 21
-        for rec, scale in zip(trace.records, scales):
-            assert 0.0 <= rec.pu_gap <= 1e-7 * scale
+        assert len(trace.pu_gap) == len(scales) == 21
+        for gap, scale in zip(trace.pu_gap, scales):
+            assert 0.0 <= gap <= 1e-7 * scale
 
     def test_lr_scaling_by_m(self):
         slow = spec_run(
@@ -410,8 +394,7 @@ class TestCamooRuns:
             camoo=CamooConfig(mode="diagonal-bilinear"),
         )
         trace = spec_run(wc, steps=5)
-        for rec in trace.records:
-            assert rec.pu_gap is not None and rec.pu_gap >= -1e-10
+        assert all(gap is not None and gap >= -1e-10 for gap in trace.pu_gap)
 
 
     def test_diag_mode_floor(self):
@@ -429,10 +412,9 @@ class TestCamooRuns:
                 steps=5,
             )
         )
-        for rec in trace.records:
-            assert np.all(rec.w >= 0.2 - 1e-12)
-            assert rec.w.sum() == pytest.approx(1.0, abs=1e-12)
-            np.testing.assert_allclose(rec.w, [0.2, 0.2, 0.6], atol=1e-9)
+        assert np.all(trace.w >= 0.2 - 1e-12)
+        np.testing.assert_allclose(trace.w.sum(axis=1), 1.0, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(trace.w, [[0.2, 0.2, 0.6]] * 6, atol=1e-9)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -457,10 +439,9 @@ class TestCamooRuns:
                 steps=8,
             )
         )
-        assert len(trace.records) == 9
-        for rec in trace.records:
-            assert abs(rec.w.sum() - 1.0) <= 1e-9
-            assert rec.w.min() >= w_min - 1e-9
+        assert trace.w.shape == (9, m)
+        assert np.all(np.abs(trace.w.sum(axis=1) - 1.0) <= 1e-9)
+        assert trace.w.min() >= w_min - 1e-9
 
     @pytest.mark.parametrize("variant", ["selection", "local_curvature"])
     def test_diag_mode_gap_bounds_the_suboptimality(self, monkeypatch, variant):
@@ -490,16 +471,16 @@ class TestCamooRuns:
                 steps=200,
             )
         )
-        assert len(trace.records) == len(diags) == 201
-        assert all(rec.pu_gap >= 0.0 for rec in trace.records)
+        assert len(trace.steps) == len(diags) == 201
+        assert all(gap >= 0.0 for gap in trace.pu_gap)
         # Every step, so that steps that take a second round are checked too.
-        for rec, D in zip(trace.records, diags):
-            assert rec.lambda_min_est == (rec.w @ D).min()
+        for w, value, gap, D in zip(trace.w, trace.lambda_min_est, trace.pu_gap, diags):
+            assert value == (w @ D).min()
             best = highs_max_min_value(D, 0.0)
-            assert rec.pu_gap >= best - rec.lambda_min_est - 1e-12
-            assert best - rec.lambda_min_est <= 1e-9 * (1.0 + abs(best))
+            assert gap >= best - value - 1e-12
+            assert best - value <= 1e-9 * (1.0 + abs(best))
             # The solve stops only once its own gap certifies the optimum.
-            assert rec.pu_gap <= 1e-9 * (1.0 + abs(best))
+            assert gap <= 1e-9 * (1.0 + abs(best))
 
 
 ONE_EVAL_WEIGHTINGS = {
@@ -524,7 +505,7 @@ class TestOneEvaluationPerIterate:
 
             monkeypatch.setattr(ObjectiveSet, name, counted)
         trace = spec_run(ONE_EVAL_WEIGHTINGS[kind], steps=10, step=0.1)
-        assert len(trace.records) == 11
+        assert len(trace.steps) == 11
         assert calls == {"evaluate": 11, "values": 0, "gradients": 0}
 
     @pytest.mark.parametrize("kind", list(ONE_EVAL_WEIGHTINGS))
@@ -549,8 +530,8 @@ class TestOneEvaluationPerIterate:
                 record_every=5,
             )
         )
-        assert len(trace.records) == 5
-        assert len(passes) == (steps + 1) + len(trace.records)
+        assert len(trace.steps) == 5
+        assert len(passes) == (steps + 1) + len(trace.steps)
 
 
 class TestFiniteChecksPerStep:
@@ -571,7 +552,7 @@ class TestFiniteChecksPerStep:
         def isfinite_calls(steps):
             calls.clear()
             cfg = RunConfig(SPEC01, ONE_EVAL_WEIGHTINGS[kind], inner, steps, x0=(1.0, 1.0))
-            assert len(run(cfg).records) == steps + 1
+            assert len(run(cfg).steps) == steps + 1
             return len(calls)
 
         assert isfinite_calls(30) == isfinite_calls(0)
@@ -594,8 +575,8 @@ class TestPamooRuns:
         )
         trace = run(cfg)
         x = 1.0
-        for rec in trace.records:
-            assert rec.residual == pytest.approx(abs(x), abs=1e-9)
+        for residual in trace.residual:
+            assert residual == pytest.approx(abs(x), abs=1e-9)
             # Polyak reference update for f = x^2: x <- x - (x^2/(2x)^2)*2x.
             x = x - (x * x) / (2 * x) ** 2 * (2 * x)
 
@@ -654,8 +635,8 @@ class TestNumericFailure:
         trace = err.value.payload
         assert trace is not None
         assert trace.error is not None
-        assert len(trace.records) > 0
-        assert all(np.all(np.isfinite(r.f)) for r in trace.records)
+        assert len(trace.steps) > 0
+        assert np.isfinite(trace.f).all()
 
     # Hand-built one-objective sets on R^1, each first
     # non-finite at step 2: f = x^2 under GD step 0.25 halves x, and the
@@ -703,8 +684,8 @@ class TestNumericFailure:
         trace = err.value.payload
         assert trace.error == f"step 2: {message}"
         assert str(err.value) == trace.error
-        assert len(trace.records) == 2
-        assert all(np.all(np.isfinite(r.f)) for r in trace.records)
+        assert trace.steps == [0, 1]
+        assert np.isfinite(trace.f).all()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_x0_fails_at_step_0(self, bad):
@@ -712,7 +693,7 @@ class TestNumericFailure:
             spec_run(WeightingChoice(kind="ew"), x0=(1.0, bad))
         trace = err.value.payload
         assert str(err.value) == trace.error == "step 0: non-finite iterate"
-        assert trace.records == []
+        assert trace.steps == [] and trace.f.shape == trace.w.shape == (0, 2)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_iterate_whose_square_overflows_is_finite(self):
@@ -722,8 +703,7 @@ class TestNumericFailure:
         trace = run(
             RunConfig(spec, WeightingChoice(kind="ew"), GDConfig(step=1.0), 3, x0=(1e160, -2e160))
         )
-        assert trace.error is None and len(trace.records) == 4
-        assert all(r.residual == math.inf for r in trace.records)
+        assert trace.error is None and trace.residual == [math.inf] * 4
         assert trace.final().f[0] == pytest.approx(5e20)
 
     @pytest.mark.filterwarnings("ignore:overflow")
@@ -747,7 +727,7 @@ class TestNumericFailure:
             spec_run(wc, steps=5)
         trace = err.value.payload
         assert str(err.value) == trace.error == "step 0: non-finite gradient"
-        assert trace.records == []
+        assert trace.steps == []
 
 
 def run_reference(cfg):
@@ -878,11 +858,11 @@ def test_run_matches_reference_loop(case, inner):
     )
     trace = run(cfg)
     want = run_reference(cfg)
-    assert len(trace.records) == len(want) == 26
+    assert len(trace.steps) == len(want) == 26
     names = ("f", "w", "grad_norm", "residual", "lambda_min_est", "pu_gap")
-    for rec, ref in zip(trace.records, want):
+    for i, ref in enumerate(want):
         for name, expected in zip(names, ref):
-            assert same_bits(getattr(rec, name), expected), (name, rec.step)
+            assert same_bits(getattr(trace, name)[i], expected), (name, trace.steps[i])
 
 
 @pytest.mark.parametrize("variant", ["selection", "local_curvature"])
@@ -910,10 +890,10 @@ def test_diagonal_camoo_run_matches_reference_kernel(monkeypatch, variant):
 
     monkeypatch.setattr(_TwoLayerMatching, "evaluate", with_reference_diag)
     want = run(cfg)
-    assert len(trace.records) == len(want.records) == 201
-    for rec, ref in zip(trace.records, want.records):
-        for name in ("f", "w", "lambda_min_est", "pu_gap"):
-            assert same_bits(getattr(rec, name), getattr(ref, name)), (name, rec.step)
+    assert len(trace.steps) == len(want.steps) == 201
+    assert trace.f.tobytes() == want.f.tobytes() and trace.w.tobytes() == want.w.tobytes()
+    for name in ("lambda_min_est", "pu_gap"):
+        assert same_bits(getattr(trace, name), getattr(want, name)), name
 
 
 def test_package_exports_the_run_front_door():

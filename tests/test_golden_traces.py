@@ -9,7 +9,9 @@ thread and two threads: the thread count is read once, at import, so only
 a new process can change it.
 
 Each run also pins its ``summary.json``, with the ``wall_time`` value
-masked, the one number that differs between two runs of one config.
+masked, the one number that differs between two runs of one config, and
+its trace read back from CSV equals the trace in memory bit for bit,
+column by column.
 
 Three of the runs also pin their plots: the ``plot.svg`` that ``amoo run``
 writes and the ``amoo plot`` re-render of the run's ``trace.csv`` must both
@@ -35,7 +37,8 @@ import numpy as np
 import pytest
 
 import amoo
-from amoo.cli import cmd_plot, cmd_run
+from amoo import driver, traceio
+from amoo.cli import cmd_plot, cmd_run, parse_run_config
 
 
 def spd_hessians(seed: int, m: int = 3, n: int = 12) -> list:
@@ -162,6 +165,23 @@ def test_trace_digest_is_pinned(name, tmp_path):
     assert cmd_run(str(config), str(out)) == 0
     assert sha256(out / "trace.csv") == GOLDEN_SHA256[name]
     assert summary_sha256(out / "summary.json") == SUMMARY_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_read_back_equals_the_run_column_by_column(name, tmp_path):
+    # mnorm is not in the CSV, so it reads back as None on every row.
+    trace = driver.run(parse_run_config(CONFIGS[name]))
+    path = tmp_path / "trace.csv"
+    traceio.write_trace_csv(trace, path)
+    back = traceio.read_trace_csv(path)
+    assert back.steps == trace.steps and back.m == trace.m
+    assert back.f.tobytes() == trace.f.tobytes() and back.w.tobytes() == trace.w.tobytes()
+    for col in ("grad_norm", "residual", "msq", "lambda_min_est", "pu_gap"):
+        got, want = getattr(back, col), getattr(trace, col)
+        assert [None if v is None else np.float64(v).tobytes() for v in got] == [
+            None if v is None else np.float64(v).tobytes() for v in want
+        ], col
+    assert back.mnorm == [None] * len(trace.steps) and back.config is None
 
 
 def trace_digests(out_dir: Path) -> dict:

@@ -5,15 +5,13 @@ per-point renderer they replaced, kept below as references."""
 
 import csv
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from amoo import plotting, traceio
-from amoo.driver import IterateRecord, RunTrace
 from amoo.plotting import trace_svg
-from amoo.traceio import LoadedTrace
+from traces import column_trace
 
 C = traceio._CHUNK_ROWS
 ROWS = [0, 1, C - 1, C, C + 1, 2 * C + 1]
@@ -28,10 +26,10 @@ def reference_write_trace_csv(trace, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(traceio.trace_header(trace.m))
-        for rec in trace.records:
+        for i, step in enumerate(trace.steps):
             writer.writerow(
-                [str(rec.step), *map(repr, rec.f.tolist()), *map(repr, rec.w.tolist())]
-                + [fmt(getattr(rec, name)) for name in OPTIONAL]
+                [str(step), *map(repr, trace.f[i].tolist()), *map(repr, trace.w[i].tolist())]
+                + [fmt(getattr(trace, name)[i]) for name in OPTIONAL]
             )
 
 
@@ -63,14 +61,8 @@ def reference_trace_svg(trace) -> str:
         span = max(hi - lo, 1e-12)
         return lambda v: M + (hi - v) / span * (H - 2 * M)
 
-    if hasattr(trace, "records"):
-        steps = [r.step for r in trace.records]
-        residual = [r.residual for r in trace.records]
-        msq = [r.msq for r in trace.records]
-        weights = [list(col) for col in zip(*(r.w.tolist() for r in trace.records))]
-    else:
-        steps, residual, msq = list(trace.steps), list(trace.residual), list(trace.msq)
-        weights = trace.w.T.tolist()
+    steps, residual, msq = list(trace.steps), list(trace.residual), list(trace.msq)
+    weights = trace.w.T.tolist()
     if not steps:
         raise ValueError("cannot plot an empty trace")
     width = 2 * W
@@ -111,7 +103,7 @@ def values(rng, shape, special=SPECIAL):
 
 
 def random_trace(seed, rows, m, optional, weights=None):
-    """Records with increasing steps.  ``optional`` is "empty", "partial" or
+    """A trace with increasing steps.  ``optional`` is "empty", "partial" or
     "full"; when partial, residual is empty through the first chunk."""
     rng = np.random.default_rng([seed, rows, m])
     f = values(rng, (rows, m))
@@ -125,33 +117,16 @@ def random_trace(seed, rows, m, optional, weights=None):
     if optional == "partial":
         present[:C, 1], present[C:, 1] = False, True
     steps = np.cumsum(rng.integers(1, 4, rows)) - 1
-    records = [
-        IterateRecord(
-            step=int(steps[k]),
-            f=f[k],
-            w=w[k],
-            **{n: float(extra[k, j]) if present[k, j] else None for j, n in enumerate(OPTIONAL)},
-        )
-        for k in range(rows)
-    ]
-    # With no records the header takes m from the problem.
-    problem = SimpleNamespace(objectives=SimpleNamespace(m=m))
-    return RunTrace(records=records, config=None, problem=problem)
+    columns = {
+        n: [float(extra[k, j]) if present[k, j] else None for k in range(rows)]
+        for j, n in enumerate(OPTIONAL)
+    }
+    return column_trace(steps.tolist(), f, w, **columns)
 
 
 def unit_weights(rng, shape):
     """Weights in [0, 1), with -0.0 and 5e-324 among them."""
     return values(rng, shape, special=[-0.0, 5e-324]).clip(-0.0, None) % 1.0
-
-
-def loaded(trace) -> LoadedTrace:
-    recs = trace.records
-    return LoadedTrace(
-        [r.step for r in recs],
-        np.array([r.f for r in recs]),
-        np.array([r.w for r in recs]),
-        *([getattr(r, n) for r in recs] for n in OPTIONAL),
-    )
 
 
 @pytest.mark.parametrize("optional", ["empty", "partial", "full"])
@@ -170,9 +145,7 @@ def test_renderer_matches_per_point_renderer(rows, optional):
     for m in range(1, 8):
         for weights in (unit_weights, None):  # None: special values as weights too
             trace = random_trace(1, rows, m, optional, weights)
-            want = reference_trace_svg(trace)
-            assert trace_svg(trace) == want
-            assert trace_svg(loaded(trace)) == want
+            assert trace_svg(trace) == reference_trace_svg(trace)
 
 
 def test_constant_weights_and_one_record():
@@ -186,15 +159,14 @@ def test_constant_weights_and_one_record():
 def test_nan_weights_render_as_before(where):
     # Python's min and max skip a NaN unless it comes first.
     trace = random_trace(3, C + 1, 3, "partial", unit_weights)
-    trace.records[where[0]].w[where[1]] = math.nan
+    trace.w[where] = math.nan
     assert trace_svg(trace) == reference_trace_svg(trace)
-    assert trace_svg(loaded(trace)) == reference_trace_svg(trace)
 
 
 def test_empty_trace_raises_in_both():
     for render in (trace_svg, reference_trace_svg):
         with pytest.raises(ValueError):
-            render(RunTrace(records=[], config=None))
+            render(column_trace([], np.empty((0, 2)), np.empty((0, 2))))
 
 
 @pytest.mark.parametrize("rows", [1, 2 * C + 1])
@@ -205,14 +177,14 @@ def test_read_back_trace_renders_as_its_original(tmp_path, rows):
 
 
 def constant_trace(rows, m, first_chunk_only=False):
-    """Records whose f and w columns each hold one value (with 0.0, -0.0 and
-    NaN among them) and whose optional fields are empty; with
+    """A trace whose f and w columns each hold one value (with 0.0, -0.0 and
+    NaN among them) and whose optional columns are empty; with
     ``first_chunk_only``, the columns vary after the first chunk."""
     trace = random_trace(5, rows, m, "empty", unit_weights)
     f = np.array([0.0, -0.0, math.nan, 0.1, 5e-324, -math.inf, 1e308][:m])
     w = np.array([-0.0, 0.0, math.nan, 1 / 3, 0.25, 5e-324, 1.0][:m])
-    for r in trace.records[: C if first_chunk_only else rows]:
-        r.f[:], r.w[:] = f, w
+    same = slice(C if first_chunk_only else rows)
+    trace.f[same], trace.w[same] = f, w
     return trace
 
 
@@ -224,24 +196,21 @@ def test_constant_columns_keep_their_bytes(tmp_path, rows, first_chunk_only):
         traceio.write_trace_csv(trace, tmp_path / "t.csv")
         reference_write_trace_csv(trace, tmp_path / "ref.csv")
         assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        want = reference_trace_svg(trace)
-        assert trace_svg(trace) == want
-        assert trace_svg(loaded(trace)) == want
+        assert trace_svg(trace) == reference_trace_svg(trace)
 
 
 def test_signed_zero_columns_keep_their_signs(tmp_path):
     # 0.0 == -0.0, but their bits and their cells differ.
     trace = random_trace(6, 2 * C + 1, 2, "full", unit_weights)
-    signs = np.random.default_rng(6).random((len(trace.records), 2)) < 0.5
-    for r, s in zip(trace.records, signs):
-        r.f[:], r.w[:] = np.where(s, -0.0, 0.0), np.where(s, 0.0, -0.0)
+    signs = np.random.default_rng(6).random((len(trace.steps), 2)) < 0.5
+    trace.f[:], trace.w[:] = np.where(signs, -0.0, 0.0), np.where(signs, 0.0, -0.0)
     traceio.write_trace_csv(trace, tmp_path / "t.csv")
     reference_write_trace_csv(trace, tmp_path / "ref.csv")
     text = (tmp_path / "t.csv").read_text()
     assert text == (tmp_path / "ref.csv").read_text() and ",-0.0," in text and ",0.0," in text
     back = traceio.read_trace_csv(tmp_path / "t.csv")
-    assert back.f.tobytes() == np.array([r.f for r in trace.records]).tobytes()
-    assert back.w.tobytes() == np.array([r.w for r in trace.records]).tobytes()
+    assert back.f.tobytes() == trace.f.tobytes()
+    assert back.w.tobytes() == trace.w.tobytes()
     # The SVG's y of a weight is never -0.0, so the points are checked directly.
     xs = np.linspace(50.0, 370.0, 2 * C + 1)
     at = np.ones(len(xs), dtype=bool)
@@ -258,8 +227,7 @@ def test_signed_zero_columns_keep_their_signs(tmp_path):
 
 def test_all_nan_weight_column(tmp_path):
     trace = random_trace(7, C + 1, 3, "partial", unit_weights)
-    for r in trace.records:
-        r.w[1] = math.nan
+    trace.w[:, 1] = math.nan
     traceio.write_trace_csv(trace, tmp_path / "t.csv")
     reference_write_trace_csv(trace, tmp_path / "ref.csv")
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -271,15 +239,14 @@ def test_all_nan_weight_column(tmp_path):
 @pytest.mark.parametrize("rows", [1, C + 1, 2 * C + 1])
 def test_reader_converts_constant_string_columns(tmp_path, rows):
     trace = constant_trace(rows, 7)
-    for k, r in enumerate(trace.records):
-        r.__dict__.update(grad_norm=2.5, residual=-0.0, msq=None if k < C else 1e-300)
+    trace.grad_norm, trace.residual = [2.5] * rows, [-0.0] * rows
+    trace.msq = [None if k < C else 1e-300 for k in range(rows)]
     traceio.write_trace_csv(trace, tmp_path / "t.csv")
     back = traceio.read_trace_csv(tmp_path / "t.csv")
-    recs = trace.records
-    assert back.f.tobytes() == np.array([r.f for r in recs]).tobytes()
-    assert back.w.tobytes() == np.array([r.w for r in recs]).tobytes()
+    assert back.f.tobytes() == trace.f.tobytes()
+    assert back.w.tobytes() == trace.w.tobytes()
     for name in OPTIONAL:
-        got, want = getattr(back, name), [getattr(r, name) for r in recs]
+        got, want = getattr(back, name), getattr(trace, name)
         assert [None if v is None else np.float64(v).tobytes() for v in got] == [
             None if v is None else np.float64(v).tobytes() for v in want
         ]
