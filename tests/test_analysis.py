@@ -280,30 +280,31 @@ class TestTheoremBoundNonFinite:
 
     @pytest.mark.parametrize("which", ["CAMOO", "PAMOO"])
     def test_k0_beyond_the_float_range_rejected(self, which):
-        # beta 1e200 against mu 1e-100, or beta 1 against mu 1e-217: k0
-        # overflows to inf.
-        for beta, mu in ((1e200, 1e-100), (1.0, 1e-217)):
-            tp = TheoremParams(beta=beta, mu=mu, m_self=1.0, m=2, r0=1.0, which=which)
-            with pytest.raises(ValueError, match="k0 = inf is not finite"):
-                _theorem_envelope(tp)
-            with pytest.raises(ValueError, match="k0"):
-                theorem_bound_check(residual_trace([(0, 1.0), (1, 0.5)]), tp)
+        # beta 1e200 against mu 1e-100: k0 overflows to inf.
+        tp = TheoremParams(beta=1e200, mu=1e-100, m_self=1.0, m=2, r0=1.0, which=which)
+        with pytest.raises(ValueError, match="k0 = inf is not finite"):
+            _theorem_envelope(tp)
+        with pytest.raises(ValueError, match="k0"):
+            theorem_bound_check(residual_trace([(0, 1.0), (1, 0.5)]), tp)
         # At -inf the geometric phase starts at step 0.
         tp = TheoremParams(beta=1e300, mu=1e-100, m_self=1e-300, m=2, r0=1e-100)
         assert _theorem_envelope(tp)[0] == 0
 
     @pytest.mark.parametrize(
-        "beta, mu, m_self",
+        "beta, mu, m_self, message",
         [
-            (1e308, 1e308, 0.0),  # 3 mu / (8 beta) is inf / inf
+            # (beta / mu) / sqrt(mu) overflows, so k0 is inf
+            (1.0, 1e-217, 1.0, "k0 = inf is not finite for"),
+            # 3 mu / (8 beta) is inf / inf
+            (1e308, 1e308, 0.0, "the envelope leaves the float range at"),
         ],
     )
-    def test_envelope_out_of_the_float_range_rejected(self, beta, mu, m_self):
+    def test_envelope_out_of_the_float_range_rejected(self, beta, mu, m_self, message):
         tp = TheoremParams(beta=beta, mu=mu, m_self=m_self, m=2, r0=1.0)
-        named = f"at beta={beta}, mu={mu}, m_self={m_self}"
-        with pytest.raises(ValueError, match=re.escape(f"leaves the float range {named}")):
+        named = f"beta={beta}, mu={mu}, m_self={m_self}"
+        with pytest.raises(ValueError, match=re.escape(f"{message} {named}")):
             _theorem_envelope(tp)
-        with pytest.raises(ValueError, match="leaves the float range"):
+        with pytest.raises(ValueError, match=re.escape(f"{message} {named}")):
             theorem_bound_check(residual_trace([(0, 1.0), (1, 0.5)]), tp)
 
     @pytest.mark.parametrize(
