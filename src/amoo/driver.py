@@ -3,8 +3,8 @@
 Each iteration asks a weight optimizer for objective weights at the current
 iterate, forms the weighted gradient, and applies one inner update (plain
 gradient descent or Adam).  ``_weigher`` is the one place that dispatches on
-the weighting kind, once per run.  Each recorded step appends to the columns
-of a RunTrace.  Runs are strictly sequential and deterministic given the
+the weighting kind, once per run.  Each recorded step fills one row of the
+columns of a RunTrace.  Runs are strictly sequential and deterministic given the
 config.
 """
 
@@ -360,15 +360,18 @@ def run(cfg: RunConfig) -> RunTrace:
 
     x_star = problem.optimum.x_star
     adam_state = adam_init(x) if isinstance(cfg.inner, AdamConfig) else None
-    steps, f_rows, w_rows = [], [], []
-    grad_norm, residual, msq, mnorm, lambda_min_est, pu_gap = ([] for _ in range(6))
+    # One row for step 0, each record_every-th step and the final step.  Each
+    # recorded f and w is copied into its row, so no solver array outlives
+    # its step.
+    rows = len(range(0, cfg.steps + 1, cfg.record_every)) + (cfg.steps % cfg.record_every != 0)
+    f_col, w_col = np.empty((rows, objs.m)), np.empty((rows, objs.m))
+    steps, grad_norm, residual, msq, mnorm, lambda_min_est, pu_gap = ([] for _ in range(7))
 
     def trace(error: str | None = None) -> RunTrace:
-        # Copies each recorded row of f and w into a (rows, m) column block.
-        f, w = (np.array(c, np.float64).reshape(len(steps), objs.m) for c in (f_rows, w_rows))
+        n = len(steps)
         return RunTrace(
-            steps, f, w, grad_norm, residual, msq, lambda_min_est, pu_gap, mnorm,
-            cfg, time.perf_counter() - t_start, error, problem,
+            steps, f_col[:n], w_col[:n], grad_norm, residual, msq, lambda_min_est,
+            pu_gap, mnorm, cfg, time.perf_counter() - t_start, error, problem,
         )
 
     def fail(message: str, step: int) -> NumericError:
@@ -395,9 +398,9 @@ def run(cfg: RunConfig) -> RunTrace:
             msq_k = mnorm_k = None
             if problem.mismatch is not None:
                 msq_k, mnorm_k = problem.mismatch(x)
+            f_col[len(steps)] = fvals
+            w_col[len(steps)] = w
             steps.append(k)
-            f_rows.append(fvals)
-            w_rows.append(w)
             grad_norm.append(math.sqrt(gg))
             residual.append(_norm(x - x_star))
             msq.append(msq_k)

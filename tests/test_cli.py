@@ -876,16 +876,19 @@ class TestStrictSummary:
         assert strict_json(capsys.readouterr().out) == {"theorem_bound": True}
 
     @pytest.mark.parametrize(
-        "beta, mu, m_self, verdict",
+        "beta, mu, m_self, error",
         [
-            ("1e160", "1e160", "2.6e-81", True),  # k0 3; beta**2 is beyond the range
-            ("1e210", "1e206", "1", None),  # k0 2e112; mu**1.5 is beyond the range
-            ("1", "1e-217", "1", None),  # k0 7e326
+            ("1e160", "1e160", "2.6e-81", None),  # k0 3; beta**2 is beyond the range
+            # k0 2e112; mu**1.5 is beyond the range
+            ("1e210", "1e206", "1", "error: no recorded step reaches k0 = "),
+            # k0 7e326
+            ("1", "1e-217", "1", "error: k0 = inf is not finite for beta=1.0, "
+             "mu=1e-217, m_self=1.0\n"),
         ],
         ids=["k0-3", "k0-unreached", "k0-inf"],
     )
     def test_theorem_check_forms_no_power_of_beta_or_mu(
-        self, tmp_path, capsys, beta, mu, m_self, verdict
+        self, tmp_path, capsys, beta, mu, m_self, error
     ):
         # Each once exited 2 with "the envelope leaves the float range".
         path = tmp_path / "t.csv"
@@ -893,10 +896,10 @@ class TestStrictSummary:
         argv = ["analyze", str(path), "--theorem-check", "--beta", beta, "--mu", mu]
         code = cli.main([*argv, "--m-self", m_self])
         out = capsys.readouterr().out
-        if verdict is None:
-            assert code == 2 and "leaves the float range" not in out
+        if error is None:
+            assert code == 0 and strict_json(out) == {"theorem_bound": True}
         else:
-            assert code == 0 and strict_json(out) == {"theorem_bound": verdict}
+            assert code == 2 and out.startswith(error)
 
     def test_run_records_null_for_a_k0_beyond_the_float_range(
         self, tmp_path, monkeypatch

@@ -1,6 +1,7 @@
 """The weighted descent loop: updates, recording, determinism, failure paths."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -586,6 +587,25 @@ class TestPamooRuns:
         np.testing.assert_array_equal(
             trace.problem.optimum.x_star, build(SPEC01).optimum.x_star
         )
+
+    def test_recorded_weights_keep_no_solver_array(self):
+        # PAMOO's weights are a row of its (2^m, m, 1) batch solve, 393 KB at
+        # m = 12: a record that kept that row kept the whole batch alive, so
+        # a 50-step run peaked about 19 MB above a 1-step one.
+        cfg = RunConfig(
+            problem=ProblemSpec(kind="selection", m=12, n=12),
+            weighting=WeightingChoice(kind="pamoo"), inner=GDConfig(step=0.1), steps=1,
+        )
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                run(replace(cfg, steps=steps))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(50) - peak(1) < 1e6
 
     def test_pamoo_converges_on_specification(self):
         wc, inner = theory_pamoo()
