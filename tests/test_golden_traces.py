@@ -1,7 +1,8 @@
 """Identical configs give bitwise-identical traces: one small `amoo run`
 config per weight rule, plus the network's ``local_curvature`` variant
 (powers alpha != 1, softplus curvature) under diagonal CAMOO and PAMOO,
-each pinned to the sha256 of its ``trace.csv``.  A long EW run crosses two
+and a misaligned set of powered quadratics under exact CAMOO, each pinned to
+the sha256 of its ``trace.csv``.  A long EW run crosses two
 chunks of the trace reader and writer (``traceio._CHUNK_ROWS`` rows each).
 
 Each digest is also checked in fresh processes whose OpenBLAS runs one
@@ -59,6 +60,17 @@ MLP = {
 }
 MLP_CURVED = {**MLP, "variant": "local_curvature"}
 QUAD = {"kind": "quad_family", "h_list": [h.tolist() for h in spd_hessians(0)]}
+# SLSQP's minimax point rounds differently under one and two OpenBLAS threads
+# for some shifts; these shifts give the same bits under 1, 2 and 4.
+MISALIGNED = {
+    "kind": "misaligned",
+    "base": {
+        "kind": "quad_family",
+        "h_list": [[[2.0, 0.5], [0.5, 1.0]], [[1.0, -0.3], [-0.3, 3.0]], [[1.0, 0.0], [0.0, 1.0]]],
+        "alpha_list": [1.0, 1.5, 2.0],
+    },
+    "shifts": [[0.3, -0.37], [0.16, -0.42], [-0.3, 0.2]],
+}
 
 CONFIGS = {
     "ew": {
@@ -78,6 +90,12 @@ CONFIGS = {
         "weighting": {"kind": "camoo", "camoo": {"mode": "exact-eigen"}},
         "inner": {"kind": "gd", "step": 0.5},
         "run": {"steps": 30, "camoo_lr_scale_by_m": False},
+    },
+    "camoo_misaligned": {
+        "problem": MISALIGNED,
+        "weighting": {"kind": "camoo", "camoo": {"mode": "exact-eigen"}},
+        "inner": {"kind": "gd", "step": 0.1},
+        "run": {"steps": 60, "camoo_lr_scale_by_m": False},
     },
     "camoo_diagonal": {
         "problem": MLP,
@@ -120,6 +138,7 @@ GOLDEN_SHA256 = {
     "ew": "64c8c09a7a8bf1b292996a739845bd11f09df822dca5e527d455ea47e98afe92",
     "fixed": "be7d0b833d8e8f1f7702ce5308a5e2a8fcd8d179a02e644e911d9cc6d14fa594",
     "camoo_exact": "95bdf590a92c0a14ff97f37478714f33a36cc80458b91849dc66320822e295c1",
+    "camoo_misaligned": "34f98399eab1c6c4ed4125656b4e352bf06e541d0c86cb8bfc3a8ff30ca8ca95",
     "camoo_diagonal": "321be2a817cb2f61b9bcef8752330826c5826f6cabafaf574bc0005702e5d394",
     "camoo_diagonal_softplus": "16021a331a4375cb6926ca6479883584ab725584b0b94e5fa39a3d702aaa6f02",
     "pamoo": "c89a5c2bd7a0a61b722db8eca50c6700ec305b5b1115176574391179e7101f89",
@@ -132,6 +151,7 @@ SUMMARY_SHA256 = {
     "ew": "1f1813afc9e28ccc36dd666b3a1f9b2e2936e9e862a36a67341a1956eaf2b495",
     "fixed": "ee77ec20475f046ebf98265b822edd82d0e206ebfc96478bd7df819140db1273",
     "camoo_exact": "8bb5911d12f37e20f081b8f3de983d2ceac66ec5a069c27ce86474117075c8c0",
+    "camoo_misaligned": "4385b076925635c60bda168a539c32b7df1f00d5c7606d6c6e3798866fbb22d1",
     "camoo_diagonal": "5a3bd1599ac97f37dd932e664c58feb9ebb31636be64ed6e6bf509d10a9b5e72",
     "camoo_diagonal_softplus": "f702e1428083c72ed8ce1bdda6b4b14fed17a4289239d381a4b55da9dc4753c4",
     "pamoo": "02104204d38b0008c13b65ce7126c8fc518779cd1c23f221303b2dec8244e8d4",
