@@ -59,7 +59,7 @@ class ObjectiveSet:
 
     ``evaluator(x)`` returns what ``evaluate`` does; ``hessian_stack(x)``,
     for kinds that have Hessians, returns the (m, dim, dim) stack of them.
-    Both must be pure functions of x.
+    Both must be pure functions of x: one point or one per objective (``evaluate``).
     """
 
     m: int
@@ -82,10 +82,10 @@ class ObjectiveSet:
 
     def evaluate(self, x: Array) -> tuple[Array, Array, Callable[[], Array]]:
         """Values (m,), stacked gradients J (m, n) and a zero-argument callable
-        giving the (m, n) Hessian diagonals, all at x, which must already be a
-        float64 vector of length ``dim``: unlike ``values``, it is not checked.
-        J and the diagonals are fresh arrays that the caller owns; the
-        diagonals are formed only when the callable is called."""
+        giving the (m, n) Hessian diagonals, all at x: a float64 point (dim,),
+        or (m, dim) with objective i at x[i] (as ``misalign`` evaluates its
+        base), unchecked, unlike in ``values``.  J and the diagonals are fresh
+        arrays that the caller owns; the callable forms the diagonals."""
         return self.evaluator(x)
 
     def hessians(self, x) -> Array:

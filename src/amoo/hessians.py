@@ -72,13 +72,11 @@ def diag_hessian_matrix(objectives: ObjectiveSet, x, cfg: HutchinsonConfig) -> A
     """
     x = as_vector(x, objectives.dim)
     n = objectives.dim
-    exact = objectives.hessian_stack is not None
-    hessians = objectives.hessians(x) if exact else None
+    hessians = None if objectives.hessian_stack is None else objectives.hessians(x)
     acc = np.zeros((objectives.m, n))
     for seq in np.random.SeedSequence(cfg.rng_seed).spawn(cfg.num_samples):
         z = _rademacher(seq, n)
-        # One matrix at a time: a batched matmul rounds differently.
-        hz = np.stack([H @ z for H in hessians]) if exact else hvp_fd(objectives, x, z)
+        hz = hvp_fd(objectives, x, z) if hessians is None else np.matvec(hessians, z)
         acc += z * hz
     est = acc / cfg.num_samples
     if not np.isfinite(est).all():

@@ -89,12 +89,12 @@ class Problem:
 
 
 class _QuadraticStack:
-    """(x'H_i x)^alpha_i for H of shape (m, n, n), one matmul per call.
-
-    Each q_i = x'H_i x and H_i x takes the same BLAS product and 1-D dot as a
-    one-objective ``x @ H_i @ x`` and ``H_i @ x``; a matvec ``(x @ H) @ x``
-    would round differently.  The rows with alpha != 1 (``bent``) apply the
-    power formulas to their own q_i and H_i x.
+    """(x'H_i x)^alpha_i for H of shape (m, n, n), at one point x (n,) or one
+    per objective (m, n), objective i at row i, by one code path: row i of
+    ``vecdot(vecmat(x, H), x)`` and ``matvec(H, x)`` has the bits of the
+    one-objective ``(x_i @ H_i).dot(x_i)`` and ``H_i @ x_i``, which a matvec
+    ``(x @ H) @ x`` would not.  The rows with alpha != 1 (``bent``) apply
+    the power formulas to their own q_i and H_i x_i.
     """
 
     def __init__(self, mats, alphas):
@@ -106,30 +106,35 @@ class _QuadraticStack:
         return ObjectiveSet(m, n, self.evaluate, self.hessians)
 
     def _products(self, x: Array):
-        return np.array([r.dot(x) for r in x @ self.H]), self.H @ x
+        return np.vecdot(np.vecmat(x, self.H), x), np.matvec(self.H, x)
+
+    def _bends(self, q: Array):
+        """(k, c1, c2) per bent row k: its Hessian is c1 H_k + c2 (H_k x)(H_k x)'."""
+        for k, a in self.bent:
+            qk, c2 = float(q[k]), 8.0 if a == 2.0 else 0.0  # c2's limit at q = 0
+            c2 = 4.0 * a * (a - 1.0) * qk ** (a - 2.0) if qk > 0.0 else c2
+            yield k, 2.0 * a * qk ** (a - 1.0), c2
 
     def evaluate(self, x: Array):
         q, hx = self._products(x)
-        J = 2.0 * hx
+        J, bends = 2.0 * hx, list(self._bends(q))
         for k, a in self.bent:
             J[k] = a * float(q[k]) ** (a - 1.0) * 2.0 * hx[k]
             q[k] = q[k] ** a
-        if self.bent:
-            return q, J, lambda: np.diagonal(self.hessians(x), axis1=1, axis2=2).copy()
-        return q, J, lambda: 2.0 * np.diagonal(self.H, axis1=1, axis2=2)
+        return q, J, partial(self._diagonals, bends, hx)
+
+    def _diagonals(self, bends, hx: Array) -> Array:
+        D = 2.0 * np.diagonal(self.H, axis1=1, axis2=2)
+        for k, c1, c2 in bends:
+            D[k] = c1 * np.diagonal(self.H[k]) + c2 * (hx[k] * hx[k])
+        return D
 
     def hessians(self, x: Array) -> Array:
         out = 2.0 * self.H
         if self.bent:
             q, hx = self._products(x)
-        for k, a in self.bent:
-            qk = float(q[k])
-            c1 = 2.0 * a * qk ** (a - 1.0)
-            if qk > 0.0:
-                c2 = 4.0 * a * (a - 1.0) * qk ** (a - 2.0)
-            else:
-                c2 = 8.0 if a == 2.0 else 0.0
-            out[k] = c1 * self.H[k] + c2 * np.outer(hx[k], hx[k])
+            for k, c1, c2 in self._bends(q):
+                out[k] = c1 * self.H[k] + c2 * np.outer(hx[k], hx[k])
         return out
 
 
@@ -161,16 +166,18 @@ def _build_local_curvature(spec: ProblemSpec) -> Problem:
     if n < 1:
         raise ValueError("local_curvature needs n >= 1")
 
-    signs = (1.0, -1.0)
+    signs = np.array([[1.0], [-1.0]])
 
     def evaluate(x):
         # expm1, not exp - 1: near the minimum 0 the values do not cancel against 1.
-        values = np.array([np.sum(np.expm1(s * x) - s * x) for s in signs])
-        J = np.stack([s * np.expm1(s * x) for s in signs])
-        return values, J, lambda: np.stack([np.exp(s * x) for s in signs])
+        sx = signs * x
+        e = np.expm1(sx)
+        return np.sum(e - sx, axis=1), signs * e, lambda: np.exp(sx)
 
     def hessians(x):
-        return np.stack([np.diag(np.exp(s * x)) for s in signs])
+        out = np.zeros((2, n, n))
+        out.reshape(2, -1)[:, :: n + 1] = np.exp(signs * x)
+        return out
 
     # beta and m_self hold on the |x_j| <= 2 region that the bundled runs use.
     meta = ProblemMeta(beta=float(np.exp(2.0)), mu_g=1.0, mu_l=1.0, m_self=1.0)
@@ -352,6 +359,10 @@ class _TwoLayerMatching:
     def evaluate(self, theta: Array):
         """(values, gradients, diagonals) of every objective from one forward
         pass; ``diagonals()`` forms the Hessian diagonals from that pass."""
+        if theta.ndim == 2:  # one point per objective: row i of the pass at row i
+            rows = [(i, self.evaluate(t)) for i, t in enumerate(theta)]
+            values, J = (np.stack([p[k][i] for i, p in rows]) for k in (0, 1))
+            return values, J, lambda: np.stack([p[2]()[i] for i, p in rows])
         w2, Z, A, R = self._forward(theta)
         q, V = self._per_sample(R)
         N = R.shape[0]
@@ -447,22 +458,13 @@ def build_mlp_matching(spec: ProblemSpec) -> Problem:
 
 
 def _shifted(base: ObjectiveSet, shifts: Array) -> ObjectiveSet:
-    """Objective i of the result is objective i of ``base`` at x - s_i: row i
-    of the base's pass there, for the values, gradients, diagonals and
-    Hessians alike, so one evaluation takes m base passes."""
+    """Objective i of the result is objective i of ``base`` at x - s_i: one
+    base call at the (m, n) points x - shifts gives every value, gradient,
+    diagonal and Hessian, each objective evaluated once."""
     shifts = np.array(shifts, dtype=np.float64)
-
-    def evaluate(x):
-        passes = [base.evaluate(x - s) for s in shifts]
-        values = np.array([p[0][i] for i, p in enumerate(passes)])
-        J = np.stack([p[1][i] for i, p in enumerate(passes)])
-        return values, J, lambda: np.stack([p[2]()[i] for i, p in enumerate(passes)])
-
-    def hessians(x):
-        return np.stack([base.hessians(x - s)[i] for i, s in enumerate(shifts)])
-
-    has_hessians = base.hessian_stack is not None
-    return ObjectiveSet(base.m, base.dim, evaluate, hessians if has_hessians else None)
+    stack = base.hessian_stack
+    hessians = None if stack is None else (lambda x: stack(x - shifts))
+    return ObjectiveSet(base.m, base.dim, lambda x: base.evaluate(x - shifts), hessians)
 
 
 # SLSQP's stopping tolerance and iteration cap, and the certificate's tolerance.

@@ -148,9 +148,9 @@ def _lp_layout(n: int, m: int) -> tuple[Array, Array, Array]:
     per shape: its rows over (w, t) with the C block zero; its candidate
     bases, each m-subset of the n + m inequality rows but the all-floor one
     (no row of it holds t), then the equality row n + m; and the identity
-    stack whose solve inverts every basis (a stack, since numpy 1.x reads a
-    2-D b as vectors).  Read-only: ``lru_cache`` hands the same arrays to
-    every caller, so a write would reach every later LP of that shape.
+    stack whose solve inverts every basis, one system per basis as
+    ``_solve_batch`` takes them.  Read-only: ``lru_cache`` hands the same
+    arrays to every caller, so a write would reach every later LP of that shape.
     """
     rows = np.zeros((n + m + 1, m + 1))
     rows[:n, m] = -1.0

@@ -226,6 +226,21 @@ def quad_objective_reference(H, alpha, x):
     return float((x @ H @ x) ** alpha), gradient, c1 * H + c2 * np.outer(hx, hx)
 
 
+def assert_rows_are_one_point_passes(objs, X):
+    """Row i of each output of ``objs`` at the (m, n) points X, one point per
+    objective, has the bits of row i of the one-point pass at X[i]: values,
+    gradients, Hessian diagonals and Hessians alike."""
+    values, J, diag = objs.evaluate(X)
+    D, H = diag(), objs.hessian_stack(X)
+    assert values.shape == (objs.m,) and J.shape == D.shape == X.shape
+    for i, x in enumerate(X):
+        values_i, J_i, diag_i = objs.evaluate(x)
+        assert values[i].tobytes() == values_i[i].tobytes()
+        assert J[i].tobytes() == J_i[i].tobytes()
+        assert D[i].tobytes() == diag_i()[i].tobytes()
+        assert H[i].tobytes() == objs.hessian_stack(x)[i].tobytes()
+
+
 class TestQuadraticStack:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -266,6 +281,38 @@ class TestQuadraticStack:
         assert objs.hessians(x).tobytes() == hessians.tobytes()
         want_diags = np.stack([np.diagonal(H) for H in hessians])
         assert diags().tobytes() == want_diags.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 5),
+        n=st.integers(1, 40),
+        log_scale=st.floats(-5.0, 5.0),
+        powers=st.booleans(),
+        zero_row=st.booleans(),
+    )
+    def test_rows_of_a_pass_per_objective_are_one_point_passes(
+        self, seed, m, n, log_scale, powers, zero_row
+    ):
+        rng = np.random.default_rng(seed)
+        mats = [B @ B.T for B in rng.normal(size=(m, n, n))]
+        alphas = rng.choice([1.0, 1.5, 2.0, 3.0], size=m) if powers else np.ones(m)
+        X = 10.0**log_scale * rng.normal(size=(m, n))
+        if zero_row:  # q = 0, where a bent row takes the curvature's limit
+            X[rng.integers(m)] = 0.0
+        objs = _QuadraticStack(mats, tuple(map(float, alphas))).objectives()
+        assert_rows_are_one_point_passes(objs, X)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        log_scale=st.floats(-5.0, 1.0),
+    )
+    def test_local_curvature_rows_are_one_point_passes(self, seed, n, log_scale):
+        objs = build(ProblemSpec(kind="local_curvature", n=n)).objectives
+        X = 10.0**log_scale * np.random.default_rng(seed).normal(size=(2, n))
+        assert_rows_are_one_point_passes(objs, X)
 
     @pytest.mark.parametrize(
         "spec, stacked",
@@ -628,20 +675,52 @@ class TestMisalign:
                     assert shifted.objectives.hessians(x)[i].tobytes() == want.tobytes()
         assert (shifted.objectives.hessian_stack is None) == (case == "network")
 
+    def test_one_base_call_per_evaluation(self, monkeypatch):
+        # One evaluate and one hessians of a misaligned set each call the
+        # base's once, at the (m, n) points x - s_i.
+        calls = []
+
+        def counted(name):
+            method = getattr(_QuadraticStack, name)
+
+            def wrapper(self, x):
+                calls.append((name, x))
+                return method(self, x)
+
+            return wrapper
+
+        for name in ("evaluate", "hessians"):
+            monkeypatch.setattr(_QuadraticStack, name, counted(name))
+        spec = run_c_problem()
+        problem = build(spec)
+        calls.clear()  # the minimax solve's
+        x = problem.x0 + 0.5
+        _, _, diag = problem.objectives.evaluate(x)
+        diag()
+        problem.objectives.hessians(x)
+        assert [name for name, _ in calls] == ["evaluate", "hessians"]
+        points = (x - np.array(spec.shifts)).tobytes()
+        assert [X.tobytes() for _, X in calls] == [points, points]
+
     def test_network_evaluate_takes_m_base_passes(self, monkeypatch):
+        # One evaluation of a misaligned network runs one forward pass per
+        # objective, inside the network's evaluator, at x - s_i.
         passes = []
-        evaluate = _TwoLayerMatching.evaluate
+        forward = _TwoLayerMatching._forward
 
         def counted(self, theta):
             passes.append(theta)
-            return evaluate(self, theta)
+            return forward(self, theta)
 
-        monkeypatch.setattr(_TwoLayerMatching, "evaluate", counted)
-        problem = build(misaligned_network())
+        monkeypatch.setattr(_TwoLayerMatching, "_forward", counted)
+        spec = misaligned_network()
+        problem = build(spec)
         passes.clear()  # the minimax solve's
         fvals, J, diag = problem.objectives.evaluate(problem.x0)
         diag()
         assert len(passes) == problem.objectives.m == 3
+        points = problem.x0 - np.array(spec.shifts)
+        assert [t.tobytes() for t in passes] == [t.tobytes() for t in points]
 
     def test_spec_roundtrip_through_build(self):
         spec = ProblemSpec(
