@@ -21,7 +21,7 @@ def quadratic(M):
     return ObjectiveSet(
         1,
         len(M),
-        lambda x: (np.array([0.5 * x @ M @ x]), (M @ x)[None], lambda: np.diagonal(M)[None]),
+        lambda x: (np.array([0.5 * x @ M @ x]), (M @ x)[None], lambda: np.diagonal(M)[None], None),
     )
 
 

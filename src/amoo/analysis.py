@@ -264,9 +264,9 @@ def self_concordance_check(objectives: ObjectiveSet, x, y, m_self: float) -> boo
     x = as_vector(x, objectives.dim)
     y = as_vector(y, objectives.dim)
     d = y - x
-    fx, J, _ = objectives.evaluate(x)
+    fx, J, _, hessians = objectives.evaluate(x)
     fy = objectives.evaluate(y)[0]
-    for H, f0, g, f1 in zip(objectives.hessians(x), fx, J, fy):
+    for H, f0, g, f1 in zip(hessians(), fx, J, fy):
         t = math.sqrt(max(float(d @ H @ d), 0.0))
         if m_self == 0.0:
             curv = 0.5 * t * t

@@ -57,15 +57,15 @@ def _frozen(arr: Array) -> Array:
 class ObjectiveSet:
     """m objectives over R^dim, evaluated together.
 
-    ``evaluator(x)`` returns what ``evaluate`` does; ``hessian_stack(x)``,
-    for kinds that have Hessians, returns the (m, dim, dim) stack of them.
-    Both must be pure functions of x: one point or one per objective (``evaluate``).
+    ``evaluator(x)`` returns what ``evaluate`` does, a pure function of x:
+    one point or one per objective.  ``has_hessians`` says whether its
+    passes give Hessians, so that a caller can ask before the first pass.
     """
 
     m: int
     dim: int
-    evaluator: Callable[[Array], tuple[Array, Array, Callable[[], Array]]]
-    hessian_stack: Callable[[Array], Array] | None = None
+    evaluator: Callable[[Array], tuple[Array, Array, Callable, Callable | None]]
+    has_hessians: bool = False
 
     def __post_init__(self):
         if self.m < 1 or self.dim < 1:
@@ -80,19 +80,19 @@ class ObjectiveSet:
         """Stacked gradients, shape (m, n); with ``values``, a view of ``evaluate``."""
         return self.evaluate(as_vector(x, self.dim))[1]
 
-    def evaluate(self, x: Array) -> tuple[Array, Array, Callable[[], Array]]:
-        """Values (m,), stacked gradients J (m, n) and a zero-argument callable
-        giving the (m, n) Hessian diagonals, all at x: a float64 point (dim,),
+    def evaluate(self, x: Array):
+        """Values (m,), stacked gradients J (m, n), and zero-argument callables
+        for the (m, n) Hessian diagonals and the (m, n, n) Hessians (None for
+        a set without Hessians), all from one pass at x: a float64 point (dim,),
         or (m, dim) with objective i at x[i] (as ``misalign`` evaluates its
-        base), unchecked, unlike in ``values``.  J and the diagonals are fresh
-        arrays that the caller owns; the callable forms the diagonals."""
+        base), unchecked, unlike in ``values``.  Each array is fresh, the caller's."""
         return self.evaluator(x)
 
     def hessians(self, x) -> Array:
-        """The (m, n, n) Hessian stack; UnsupportedQueryError if the set has none."""
-        if self.hessian_stack is None:
+        """The (m, n, n) Hessians of one pass; UnsupportedQueryError if the set has none."""
+        if not self.has_hessians:
             raise UnsupportedQueryError("this objective set has no Hessians")
-        return self.hessian_stack(as_vector(x, self.dim))
+        return self.evaluate(as_vector(x, self.dim))[3]()
 
 
 @dataclass(frozen=True)

@@ -239,8 +239,8 @@ def build_problem(spec: problems.ProblemSpec) -> problems.Problem:
 
 
 def _weigher(cfg: RunConfig, problem: problems.Problem):
-    """The run's weight rule as ``weigh(fvals, J, diag, x) -> (weights,
-    lambda_min_est, pu_gap)``, from one ``ObjectiveSet.evaluate(x)``.
+    """The run's weight rule as ``weigh(fvals, J, diag, hessians, x) ->
+    (weights, lambda_min_est, pu_gap)``, from one ``ObjectiveSet.evaluate(x)``.
 
     The settings are checked against the problem here, before the first step:
     PAMOO takes at most PAMOO_MAX_M objectives; exact CAMOO needs the set's
@@ -255,7 +255,7 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
         if m > PAMOO_MAX_M:
             raise ConfigurationError(f"pamoo takes at most {PAMOO_MAX_M} objectives")
 
-        def weigh_pamoo(fvals, J, diag, x):
+        def weigh_pamoo(fvals, J, diag, hessians, x):
             return pamoo_weights(*pamoo_context(fvals, J), wc.pamoo), None, None
 
         return weigh_pamoo
@@ -269,7 +269,7 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
             )
         probes = wc.hutchinson
         if camoo.mode == MODE_EXACT:
-            if objs.hessian_stack is None:
+            if not objs.has_hessians:
                 raise ConfigurationError(
                     f"weighting.camoo.mode {camoo.mode!r} needs every objective's "
                     "Hessian, which this problem does not give"
@@ -278,21 +278,21 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
                 raise ConfigurationError(
                     "weighting.hutchinson is read only in diagonal-bilinear mode"
                 )
-            solve, curvature = solve_camoo_exact, lambda diag, x: objs.hessians(x)
+            solve, curvature = solve_camoo_exact, lambda diag, hessians, x: hessians()
         elif probes is None:
-            solve, curvature = solve_camoo_diagonal, lambda diag, x: diag()
+            solve, curvature = solve_camoo_diagonal, lambda diag, hessians, x: diag()
         else:
             tracker = DiagHessianTracker(
                 replace(probes, rng_seed=_mixed_seed(cfg.seed, probes.rng_seed))
             )
             solve = solve_camoo_diagonal
-            curvature = lambda diag, x: tracker.update(objs, x)  # noqa: E731
+            curvature = lambda diag, hessians, x: tracker.update(objs, x)  # noqa: E731
 
         warm = None
 
-        def weigh_camoo(fvals, J, diag, x):
+        def weigh_camoo(fvals, J, diag, hessians, x):
             nonlocal warm
-            result = solve(curvature(diag, x), camoo, warm=warm)
+            result = solve(curvature(diag, hessians, x), camoo, warm=warm)
             warm = result.cuts
             return result.weights, result.value, result.gap
 
@@ -314,7 +314,7 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
             )
         if not const_w.sum() > 0:
             raise ConfigurationError("bad fixed weights in weighting: they sum to 0")
-    return lambda fvals, J, diag, x: (const_w, None, None)
+    return lambda fvals, J, diag, hessians, x: (const_w, None, None)
 
 
 def run(cfg: RunConfig) -> RunTrace:
@@ -325,11 +325,11 @@ def run(cfg: RunConfig) -> RunTrace:
     weights computed there.  With CAMOO and ``camoo_lr_scale_by_m`` set, the
     inner step is multiplied by m; every rule's weights sum to 1 (equal
     weights are 1/m), so CAMOO then steps m times farther than EW or PAMOO.
-    Values, gradients and the Hessian diagonals come from one
-    ``ObjectiveSet.evaluate`` call per iterate, shared by the weight rule
-    and the inner step; only the diagonal CAMOO rule forms the diagonals,
-    from that same pass, unless Hutchinson estimates replace them.  CAMOO
-    records its solve's value as ``lambda_min_est`` and its certified gap as
+    Values, gradients, Hessian diagonals and Hessians come from one
+    ``ObjectiveSet.evaluate`` call per iterate, shared by the weight rule and
+    the inner step; diagonal CAMOO forms the diagonals, unless Hutchinson
+    estimates replace them, and exact CAMOO the Hessians, from that pass.
+    CAMOO records its solve's value as ``lambda_min_est`` and its certified gap as
     ``pu_gap``: Kelley's gap in exact mode (``weighting.solve_camoo_exact``),
     the exact column-generation gap in diagonal mode
     (``weighting.solve_camoo_diagonal``).  x0's shape is checked once,
@@ -381,11 +381,11 @@ def run(cfg: RunConfig) -> RunTrace:
     for k in range(cfg.steps + 1):
         if not _finite(x):
             raise fail("non-finite iterate", k)
-        fvals, J, diag = objs.evaluate(x)
+        fvals, J, diag, hessians = objs.evaluate(x)
         if not _finite(fvals):
             raise fail("non-finite objective value", k)
         try:
-            w, lambda_est, gap = weigh(fvals, J, diag, x)
+            w, lambda_est, gap = weigh(fvals, J, diag, hessians, x)
         except NumericError as exc:
             raise fail(str(exc), k) from exc
 

@@ -72,7 +72,7 @@ def diag_hessian_matrix(objectives: ObjectiveSet, x, cfg: HutchinsonConfig) -> A
     """
     x = as_vector(x, objectives.dim)
     n = objectives.dim
-    hessians = None if objectives.hessian_stack is None else objectives.hessians(x)
+    hessians = objectives.hessians(x) if objectives.has_hessians else None
     acc = np.zeros((objectives.m, n))
     for seq in np.random.SeedSequence(cfg.rng_seed).spawn(cfg.num_samples):
         z = _rademacher(seq, n)

@@ -94,16 +94,18 @@ class _QuadraticStack:
     ``vecdot(vecmat(x, H), x)`` and ``matvec(H, x)`` has the bits of the
     one-objective ``(x_i @ H_i).dot(x_i)`` and ``H_i @ x_i``, which a matvec
     ``(x @ H) @ x`` would not.  The rows with alpha != 1 (``bent``) apply
-    the power formulas to their own q_i and H_i x_i.
+    the power formulas to their own q_i and H_i x_i; without them, every
+    pass returns the same callables ``_flat``, as nothing they give depends on x.
     """
 
     def __init__(self, mats, alphas):
         self.H = np.stack(mats)
         self.bent = [(k, a) for k, a in enumerate(alphas) if a != 1.0]
+        self._flat = partial(self._diagonals, [], None), partial(self._hessians, [], None)
 
     def objectives(self) -> ObjectiveSet:
         m, n = self.H.shape[:2]
-        return ObjectiveSet(m, n, self.evaluate, self.hessians)
+        return ObjectiveSet(m, n, self.evaluate, True)
 
     def _products(self, x: Array):
         return np.vecdot(np.vecmat(x, self.H), x), np.matvec(self.H, x)
@@ -117,11 +119,13 @@ class _QuadraticStack:
 
     def evaluate(self, x: Array):
         q, hx = self._products(x)
+        if not self.bent:
+            return q, 2.0 * hx, *self._flat
         J, bends = 2.0 * hx, list(self._bends(q))
         for k, a in self.bent:
             J[k] = a * float(q[k]) ** (a - 1.0) * 2.0 * hx[k]
             q[k] = q[k] ** a
-        return q, J, partial(self._diagonals, bends, hx)
+        return q, J, partial(self._diagonals, bends, hx), partial(self._hessians, bends, hx)
 
     def _diagonals(self, bends, hx: Array) -> Array:
         D = 2.0 * np.diagonal(self.H, axis1=1, axis2=2)
@@ -129,12 +133,10 @@ class _QuadraticStack:
             D[k] = c1 * np.diagonal(self.H[k]) + c2 * (hx[k] * hx[k])
         return D
 
-    def hessians(self, x: Array) -> Array:
+    def _hessians(self, bends, hx: Array) -> Array:
         out = 2.0 * self.H
-        if self.bent:
-            q, hx = self._products(x)
-            for k, c1, c2 in self._bends(q):
-                out[k] = c1 * self.H[k] + c2 * np.outer(hx[k], hx[k])
+        for k, c1, c2 in bends:
+            out[k] = c1 * self.H[k] + c2 * np.outer(hx[k], hx[k])
         return out
 
 
@@ -168,20 +170,20 @@ def _build_local_curvature(spec: ProblemSpec) -> Problem:
 
     signs = np.array([[1.0], [-1.0]])
 
+    def hessians(sx):
+        out = np.zeros((2, n, n))
+        out.reshape(2, -1)[:, :: n + 1] = np.exp(sx)
+        return out
+
     def evaluate(x):
         # expm1, not exp - 1: near the minimum 0 the values do not cancel against 1.
         sx = signs * x
         e = np.expm1(sx)
-        return np.sum(e - sx, axis=1), signs * e, lambda: np.exp(sx)
-
-    def hessians(x):
-        out = np.zeros((2, n, n))
-        out.reshape(2, -1)[:, :: n + 1] = np.exp(signs * x)
-        return out
+        return np.sum(e - sx, axis=1), signs * e, lambda: np.exp(sx), lambda: hessians(sx)
 
     # beta and m_self hold on the |x_j| <= 2 region that the bundled runs use.
     meta = ProblemMeta(beta=float(np.exp(2.0)), mu_g=1.0, mu_l=1.0, m_self=1.0)
-    return _at_origin(spec, ObjectiveSet(2, n, evaluate, hessians), meta)
+    return _at_origin(spec, ObjectiveSet(2, n, evaluate, True), meta)
 
 
 def _build_quad_family(spec: ProblemSpec) -> Problem:
@@ -357,12 +359,12 @@ class _TwoLayerMatching:
         return np.where(q > 0.0, c2, 0.0) if alpha < 2.0 else c2
 
     def evaluate(self, theta: Array):
-        """(values, gradients, diagonals) of every objective from one forward
-        pass; ``diagonals()`` forms the Hessian diagonals from that pass."""
+        """(values, gradients, diagonals, None: no Hessians) of every objective
+        from one forward pass; ``diagonals()`` forms the diagonals from it."""
         if theta.ndim == 2:  # one point per objective: row i of the pass at row i
             rows = [(i, self.evaluate(t)) for i, t in enumerate(theta)]
             values, J = (np.stack([p[k][i] for i, p in rows]) for k in (0, 1))
-            return values, J, lambda: np.stack([p[2]()[i] for i, p in rows])
+            return values, J, lambda: np.stack([p[2]()[i] for i, p in rows]), None
         w2, Z, A, R = self._forward(theta)
         q, V = self._per_sample(R)
         N = R.shape[0]
@@ -386,7 +388,7 @@ class _TwoLayerMatching:
         np.matmul(S.transpose(0, 2, 1), self.X, out=gw1)
         np.add.reduce(S, axis=1, out=gb1)
         J /= N
-        return fvals, J, partial(self._diag_hessians, w2, d1, A, q, V, p1)
+        return fvals, J, partial(self._diag_hessians, w2, d1, A, q, V, p1), None
 
     def _diag_hessians(self, w2, d1, A, q, V, p1) -> Array:
         """Exact parameterwise second derivatives (almost everywhere for relu),
@@ -459,12 +461,10 @@ def build_mlp_matching(spec: ProblemSpec) -> Problem:
 
 def _shifted(base: ObjectiveSet, shifts: Array) -> ObjectiveSet:
     """Objective i of the result is objective i of ``base`` at x - s_i: one
-    base call at the (m, n) points x - shifts gives every value, gradient,
+    base pass at the (m, n) points x - shifts gives every value, gradient,
     diagonal and Hessian, each objective evaluated once."""
     shifts = np.array(shifts, dtype=np.float64)
-    stack = base.hessian_stack
-    hessians = None if stack is None else (lambda x: stack(x - shifts))
-    return ObjectiveSet(base.m, base.dim, lambda x: base.evaluate(x - shifts), hessians)
+    return ObjectiveSet(base.m, base.dim, lambda x: base.evaluate(x - shifts), base.has_hessians)
 
 
 # SLSQP's stopping tolerance and iteration cap, and the certificate's tolerance.
@@ -496,7 +496,7 @@ def _minimax_point(objectives: ObjectiveSet, x0: Array):
         options={"ftol": _MINIMAX_FTOL, "maxiter": _MINIMAX_MAXITER},
     )
     x = np.array(res.x[:n])
-    fvals, J, _ = objectives.evaluate(x)
+    fvals, J = objectives.evaluate(x)[:2]
     worst = float(np.max(fvals))
     active = J[fvals >= worst - _KKT_TOL * (1.0 + abs(worst))]
     scale = 1.0 + np.linalg.norm(J, axis=1).max()

@@ -14,14 +14,14 @@ def one_objective(dim, value, gradient, hessian=None):
         raise UnsupportedQueryError("this objective has no Hessian")
 
     def evaluate(x):
+        values = np.array([value(x)], dtype=np.float64)
         J = np.asarray(gradient(x), dtype=np.float64).reshape(1, dim)
-        diag = no_diagonals if hessian is None else (lambda: np.array([np.diagonal(hessian(x))]))
-        return np.array([value(x)], dtype=np.float64), J, diag
+        if hessian is None:
+            return values, J, no_diagonals, None
+        H = lambda: np.asarray(hessian(x), dtype=np.float64).reshape(1, dim, dim)  # noqa: E731
+        return values, J, lambda: np.array([np.diagonal(hessian(x))]), H
 
-    def hessians(x):
-        return np.asarray(hessian(x), dtype=np.float64).reshape(1, dim, dim)
-
-    return ObjectiveSet(1, dim, evaluate, None if hessian is None else hessians)
+    return ObjectiveSet(1, dim, evaluate, hessian is not None)
 
 
 def quadratic(M, with_hessian=False):
@@ -34,6 +34,7 @@ def quadratic(M, with_hessian=False):
 def stack(*sets):
     """The set whose objectives are those of ``sets``, in order; it has
     Hessians if each of them has."""
+    exact = all(s.has_hessians for s in sets)
 
     def evaluate(x):
         parts = [s.evaluate(x) for s in sets]
@@ -41,24 +42,18 @@ def stack(*sets):
             np.concatenate([p[0] for p in parts]),
             np.concatenate([p[1] for p in parts]),
             lambda: np.concatenate([p[2]() for p in parts]),
+            (lambda: np.concatenate([p[3]() for p in parts])) if exact else None,
         )
 
-    def hessians(x):
-        return np.concatenate([s.hessians(x) for s in sets])
-
-    exact = all(s.hessian_stack is not None for s in sets)
-    return ObjectiveSet(sum(s.m for s in sets), sets[0].dim, evaluate, hessians if exact else None)
+    return ObjectiveSet(sum(s.m for s in sets), sets[0].dim, evaluate, exact)
 
 
 def row(objectives, i):
     """Objective i of ``objectives`` alone, read from the whole set's pass."""
 
     def evaluate(x):
-        values, J, diag = objectives.evaluate(x)
-        return values[i : i + 1], J[i : i + 1], lambda: diag()[i : i + 1]
+        values, J, diag, hessians = objectives.evaluate(x)
+        rows = None if hessians is None else (lambda: hessians()[i : i + 1])
+        return values[i : i + 1], J[i : i + 1], lambda: diag()[i : i + 1], rows
 
-    def hessians(x):
-        return objectives.hessians(x)[i : i + 1]
-
-    exact = objectives.hessian_stack is not None
-    return ObjectiveSet(1, objectives.dim, evaluate, hessians if exact else None)
+    return ObjectiveSet(1, objectives.dim, evaluate, objectives.has_hessians)

@@ -28,6 +28,7 @@ from amoo.driver import (
     run,
     theory_camoo,
 )
+from amoo.core import ObjectiveSet
 from amoo.linalg import min_eigenpair, weighted_hessian
 from amoo.weighting import max_min_weights
 from amoo.problems import ProblemSpec, build
@@ -607,6 +608,23 @@ class TestSelfConcordance:
 
     def test_same_point_equality(self):
         assert self_concordance_check(self.EXP, [0.7], [0.7], m_self=1.0)
+
+    def test_one_pass_at_x(self, monkeypatch):
+        # x's values, gradients and Hessians come from one pass, and y's
+        # values from another; ObjectiveSet.hessians is never called.
+        objs = build(ProblemSpec(kind="local_curvature", n=2)).objectives
+        points = []
+        evaluate = ObjectiveSet.evaluate
+
+        def counted(self, x):
+            points.append(x)
+            return evaluate(self, x)
+
+        monkeypatch.setattr(ObjectiveSet, "evaluate", counted)
+        monkeypatch.setattr(ObjectiveSet, "hessians", lambda *a: pytest.fail("hessians"))
+        x, y = np.array([0.3, -0.2]), np.array([1.0, 0.5])
+        assert self_concordance_check(objs, x, y, m_self=1.0)
+        assert [p.tobytes() for p in points] == [x.tobytes(), y.tobytes()]
 
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError):

@@ -30,7 +30,15 @@ from amoo.driver import (
     theory_pamoo,
 )
 from amoo.hessians import HutchinsonConfig, diag_hessian_matrix
-from amoo.problems import Problem, ProblemMeta, ProblemSpec, _TwoLayerMatching, build
+from amoo.cli import parse_run_config
+from amoo.problems import (
+    Problem,
+    ProblemMeta,
+    ProblemSpec,
+    _QuadraticStack,
+    _TwoLayerMatching,
+    build,
+)
 from amoo.weighting import (
     CamooConfig,
     PamooConfig,
@@ -40,7 +48,7 @@ from amoo.weighting import (
     pamoo_weights,
     solve_camoo_exact,
 )
-from test_golden_traces import spd_hessians
+from test_golden_traces import CONFIGS, spd_hessians
 from test_problems import mlp_objective_reference
 from test_weighting import highs_max_min_value
 from objective_sets import one_objective
@@ -453,13 +461,13 @@ class TestCamooRuns:
         evaluate = _TwoLayerMatching.evaluate
 
         def keep_diag(model, theta):
-            fvals, J, diag = evaluate(model, theta)
+            fvals, J, diag, hessians = evaluate(model, theta)
 
             def kept():
                 diags.append(diag())
                 return diags[-1]
 
-            return fvals, J, kept
+            return fvals, J, kept, hessians
 
         monkeypatch.setattr(_TwoLayerMatching, "evaluate", keep_diag)
         trace = run(
@@ -508,6 +516,28 @@ class TestOneEvaluationPerIterate:
         trace = spec_run(ONE_EVAL_WEIGHTINGS[kind], steps=10, step=0.1)
         assert len(trace.steps) == 11
         assert calls == {"evaluate": 11, "values": 0, "gradients": 0}
+
+    def test_exact_camoo_takes_the_hessians_of_the_pass(self, monkeypatch):
+        # Exact CAMOO on the camoo_misaligned golden's problem, whose base has
+        # powers: the base's evaluate runs once per iterate and its pass gives
+        # the Hessians, so ObjectiveSet.hessians is never called.
+        calls = []
+        evaluate = _QuadraticStack.evaluate
+
+        def counted(self, x):
+            calls.append(x)
+            return evaluate(self, x)
+
+        monkeypatch.setattr(_QuadraticStack, "evaluate", counted)
+        monkeypatch.setattr(ObjectiveSet, "hessians", lambda *a: pytest.fail("hessians"))
+        cfg = parse_run_config(CONFIGS["camoo_misaligned"])
+        problem = build(cfg.problem)
+        monkeypatch.setattr(amoo.driver, "build_problem", lambda spec: problem)
+        calls.clear()  # the minimax solve's
+        trace = run(cfg)
+        assert len(calls) == cfg.steps + 1 == 61
+        assert all(X.shape == (3, 2) for X in calls)
+        assert all(gap is not None for gap in trace.pu_gap)
 
     @pytest.mark.parametrize("kind", list(ONE_EVAL_WEIGHTINGS))
     def test_one_forward_pass_per_iterate_on_the_mlp(self, monkeypatch, kind):
@@ -904,9 +934,9 @@ def test_diagonal_camoo_run_matches_reference_kernel(monkeypatch, variant):
     evaluate = _TwoLayerMatching.evaluate
 
     def with_reference_diag(model, theta):
-        fvals, J, _ = evaluate(model, theta)
+        fvals, J, _, hessians = evaluate(model, theta)
         ref = [mlp_objective_reference(model, theta, k)[2] for k in range(model.m)]
-        return fvals, J, lambda: np.stack(ref)
+        return fvals, J, lambda: np.stack(ref), hessians
 
     monkeypatch.setattr(_TwoLayerMatching, "evaluate", with_reference_diag)
     want = run(cfg)

@@ -230,15 +230,15 @@ def assert_rows_are_one_point_passes(objs, X):
     """Row i of each output of ``objs`` at the (m, n) points X, one point per
     objective, has the bits of row i of the one-point pass at X[i]: values,
     gradients, Hessian diagonals and Hessians alike."""
-    values, J, diag = objs.evaluate(X)
-    D, H = diag(), objs.hessian_stack(X)
+    values, J, diag, hessians = objs.evaluate(X)
+    D, H = diag(), hessians()
     assert values.shape == (objs.m,) and J.shape == D.shape == X.shape
     for i, x in enumerate(X):
-        values_i, J_i, diag_i = objs.evaluate(x)
+        values_i, J_i, diag_i, hessians_i = objs.evaluate(x)
         assert values[i].tobytes() == values_i[i].tobytes()
         assert J[i].tobytes() == J_i[i].tobytes()
         assert D[i].tobytes() == diag_i()[i].tobytes()
-        assert H[i].tobytes() == objs.hessian_stack(x)[i].tobytes()
+        assert H[i].tobytes() == hessians_i()[i].tobytes()
 
 
 class TestQuadraticStack:
@@ -271,13 +271,14 @@ class TestQuadraticStack:
             quad_objective_reference(H, a if powers else 1.0, x)
             for H, a in zip(mats, alphas)
         ]
-        values, grads, diags = objs.evaluate(x)
+        values, grads, diags, pass_hessians = objs.evaluate(x)
         # tobytes() tells -0.0 from +0.0, which np.array_equal does not.
         assert values.tobytes() == np.array([r[0] for r in ref]).tobytes()
         assert objs.values(x).tobytes() == values.tobytes()
         assert grads.tobytes() == np.stack([r[1] for r in ref]).tobytes()
         assert objs.gradients(x).tobytes() == grads.tobytes()
         hessians = np.stack([r[2] for r in ref])
+        assert pass_hessians().tobytes() == hessians.tobytes()
         assert objs.hessians(x).tobytes() == hessians.tobytes()
         want_diags = np.stack([np.diagonal(H) for H in hessians])
         assert diags().tobytes() == want_diags.tobytes()
@@ -398,7 +399,7 @@ def test_evaluate_is_values_and_gradients(case, point):
     problem = build(EVALUATE_CASES[case])
     objs = problem.objectives
     x = evaluate_point(problem, point)
-    fvals, J, _ = objs.evaluate(x)
+    fvals, J = objs.evaluate(x)[:2]
     assert fvals.tobytes() == objs.values(x).tobytes()
     assert J.tobytes() == objs.gradients(x).tobytes()
 
@@ -409,7 +410,7 @@ def test_evaluate_diagonals_match_reference(case, point):
     problem = build(EVALUATE_CASES[case])
     objs = problem.objectives
     x = evaluate_point(problem, point)
-    if objs.hessian_stack is None:
+    if not objs.has_hessians:
         model = model_of(objs)
         want = [mlp_objective_reference(model, x, i)[2] for i in range(objs.m)]
     else:
@@ -425,17 +426,91 @@ def test_derivatives_match_finite_differences(case):
     problem = build(EVALUATE_CASES[case])
     objs = problem.objectives
     x = evaluate_point(problem, "random")
-    fvals, J, diag = objs.evaluate(x)
+    fvals, J, diag, hessians = objs.evaluate(x)
     scale = 1.0 + np.abs(J).max()
     np.testing.assert_allclose(J, fd_gradient(objs.values, x), rtol=1e-5, atol=1e-6 * scale)
-    if objs.hessian_stack is None:
+    assert objs.has_hessians == (hessians is not None)
+    if hessians is None:
         return
-    H = objs.hessians(x)
+    H = hessians()
     assert H.shape == (objs.m, objs.dim, objs.dim)
     assert np.abs(H - H.transpose(0, 2, 1)).max() <= 1e-12 * (1.0 + np.abs(H).max())
     fd = fd_gradient(objs.gradients, x)
     np.testing.assert_allclose(H, fd, rtol=1e-5, atol=1e-6 * (1.0 + np.abs(H).max()))
     assert diag().tobytes() == np.diagonal(H, axis1=1, axis2=2).tobytes()
+
+
+# Each analytic kind, its Hessians set down independently of the stack: the
+# matrices of every quadratic, and for the last quad_family a bent row of
+# each power, so that q = 0 meets both limits of c2 (8 at alpha 2, else 0).
+HESSIAN_CASES = {
+    "specification": ProblemSpec(kind="specification", delta=0.2),
+    "selection": ProblemSpec(kind="selection", delta=0.1, m=3, n=4),
+    "local_curvature": ProblemSpec(kind="local_curvature", n=3),
+    "quad_family": EVALUATE_CASES["quad_family"],
+    "quad_family-alpha": ProblemSpec(
+        kind="quad_family",
+        h_list=tuple(
+            (B @ B.T).tolist() for B in np.random.default_rng(8).normal(size=(4, 3, 3))
+        ),
+        alpha_list=(1.0, 1.5, 3.0, 2.0),
+    ),
+}
+
+
+def reference_hessian(spec, i, p):
+    """Objective i's Hessian at the point p (n,): 2H, c1 H + c2 (Hp)(Hp)'
+    for a power, or diag(e^{+-p})."""
+    if spec.kind == "local_curvature":
+        return np.diag(np.exp(p if i == 0 else -p))
+    if spec.kind == "specification":
+        d = spec.delta
+        mats = [np.diag([1.0 - d, d]), np.diag([d, 1.0 - d])]
+    elif spec.kind == "selection":
+        weak = np.diag(np.r_[1.0 - spec.delta, np.full(spec.n - 1, spec.delta)])
+        mats = [weak] * (spec.m - 1) + [np.eye(spec.n)]
+    else:
+        mats = [np.array(H) for H in spec.h_list]
+    alpha = spec.alpha_list[i] if spec.alpha_list else 1.0
+    return quad_objective_reference(mats[i], alpha, p)[2]
+
+
+def hessian_pass(case, misaligned, shape):
+    """(spec, the pass at the point, the points at which the base meets it,
+    one per objective).  The (m, n) point puts the base's last row at 0."""
+    spec = HESSIAN_CASES[case]
+    base = build(spec).objectives
+    m, n = base.m, base.dim
+    rng = np.random.default_rng(12)
+    shifts = 0.2 * rng.normal(size=(m, n)) if misaligned else np.zeros((m, n))
+    x = {"point": rng.normal(size=n), "zero": np.zeros(n), "rows": rng.normal(size=(m, n))}[
+        shape
+    ]
+    if shape == "rows":
+        x[-1] = shifts[-1]
+    objs = base
+    if misaligned:
+        objs = build(
+            ProblemSpec(kind="misaligned", base=spec, shifts=tuple(map(tuple, shifts)))
+        ).objectives
+    return spec, objs.evaluate(x), np.broadcast_to(x, (m, n)) - shifts
+
+
+@pytest.mark.parametrize("shape", ["point", "zero", "rows"])
+@pytest.mark.parametrize("misaligned", [False, True])
+@pytest.mark.parametrize("case", list(HESSIAN_CASES))
+def test_pass_hessians_equal_the_reference(case, misaligned, shape):
+    spec, (_, _, _, hessians), points = hessian_pass(case, misaligned, shape)
+    want = np.stack([reference_hessian(spec, i, p) for i, p in enumerate(points)])
+    assert hessians().tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", ["point", "zero", "rows"])
+@pytest.mark.parametrize("misaligned", [False, True])
+@pytest.mark.parametrize("case", list(HESSIAN_CASES))
+def test_pass_diagonals_are_the_diagonals_of_its_hessians(case, misaligned, shape):
+    _, (_, _, diag, hessians), _ = hessian_pass(case, misaligned, shape)
+    assert diag().tobytes() == np.diagonal(hessians(), axis1=1, axis2=2).tobytes()
 
 
 class TestMlpMatching:
@@ -663,44 +738,40 @@ class TestMisalign:
         rng = np.random.default_rng(9)
         for _ in range(20):
             x = shifted.x0 + rng.normal(size=shifts.shape[1])
-            fvals, J, diag = shifted.objectives.evaluate(x)
+            fvals, J, diag, hessians = shifted.objectives.evaluate(x)
             D = diag()
+            H = None if hessians is None else hessians()
             for i, s in enumerate(shifts):
-                bf, bJ, bdiag = base.objectives.evaluate(x - s)
+                bf, bJ, bdiag, bhessians = base.objectives.evaluate(x - s)
                 assert fvals[i].tobytes() == bf[i].tobytes()
                 assert J[i].tobytes() == bJ[i].tobytes()
                 assert D[i].tobytes() == bdiag()[i].tobytes()
                 if case != "network":
-                    want = base.objectives.hessians(x - s)[i]
-                    assert shifted.objectives.hessians(x)[i].tobytes() == want.tobytes()
-        assert (shifted.objectives.hessian_stack is None) == (case == "network")
+                    assert H[i].tobytes() == bhessians()[i].tobytes()
+        assert shifted.objectives.has_hessians == (case != "network")
+        assert (hessians is None) == (case == "network")
 
     def test_one_base_call_per_evaluation(self, monkeypatch):
-        # One evaluate and one hessians of a misaligned set each call the
-        # base's once, at the (m, n) points x - s_i.
+        # One pass of a misaligned set calls the base's evaluate once, at the
+        # (m, n) points x - s_i, and its diagonals and Hessians come from
+        # that pass.
         calls = []
+        method = _QuadraticStack.evaluate
 
-        def counted(name):
-            method = getattr(_QuadraticStack, name)
+        def counted(self, x):
+            calls.append(x)
+            return method(self, x)
 
-            def wrapper(self, x):
-                calls.append((name, x))
-                return method(self, x)
-
-            return wrapper
-
-        for name in ("evaluate", "hessians"):
-            monkeypatch.setattr(_QuadraticStack, name, counted(name))
+        monkeypatch.setattr(_QuadraticStack, "evaluate", counted)
         spec = run_c_problem()
         problem = build(spec)
         calls.clear()  # the minimax solve's
         x = problem.x0 + 0.5
-        _, _, diag = problem.objectives.evaluate(x)
+        _, _, diag, hessians = problem.objectives.evaluate(x)
         diag()
-        problem.objectives.hessians(x)
-        assert [name for name, _ in calls] == ["evaluate", "hessians"]
+        hessians()
         points = (x - np.array(spec.shifts)).tobytes()
-        assert [X.tobytes() for _, X in calls] == [points, points]
+        assert [X.tobytes() for X in calls] == [points]
 
     def test_network_evaluate_takes_m_base_passes(self, monkeypatch):
         # One evaluation of a misaligned network runs one forward pass per
@@ -716,7 +787,7 @@ class TestMisalign:
         spec = misaligned_network()
         problem = build(spec)
         passes.clear()  # the minimax solve's
-        fvals, J, diag = problem.objectives.evaluate(problem.x0)
+        fvals, J, diag, _ = problem.objectives.evaluate(problem.x0)
         diag()
         assert len(passes) == problem.objectives.m == 3
         points = problem.x0 - np.array(spec.shifts)
@@ -797,7 +868,7 @@ class TestMinimaxPoint:
         rng = np.random.default_rng(seed)
         shifted = misalign(base, rng.normal(scale=scale, size=(m, n)))
         opt = shifted.optimum
-        f, J, _ = shifted.objectives.evaluate(opt.x_star)
+        f, J = shifted.objectives.evaluate(opt.x_star)[:2]
         gaps = f - opt.f_star
         assert opt.alignment_eps == max(np.max(gaps), 0.0)
         # Simplex weights on the worst objectives cancel their gradients.

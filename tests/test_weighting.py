@@ -657,7 +657,7 @@ class TestPamoo:
                 hidden=32, output_dim=7, dataset_size=50, seed=0,
             )
         )
-        fvals, J, _ = problem.objectives.evaluate(np.array(problem.x0))
+        fvals, J = problem.objectives.evaluate(np.array(problem.x0))[:2]
         gaps, gram = pamoo_context(fvals, J)
         cfg = PamooConfig()
         Q = gram + cfg.gram_tau * np.eye(3)
