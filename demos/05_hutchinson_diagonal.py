@@ -16,8 +16,8 @@ from amoo.hessians import HutchinsonConfig, diag_hessian_matrix, hvp_fd
 
 
 def quadratic(M):
-    """0.5 x'Mx as a one-objective set without Hessians: the estimates below
-    use its gradients M x only."""
+    """0.5 x'Mx as a one-objective set without Hessians (its pass gives None
+    for them): the estimates below use its gradients M x only."""
     return ObjectiveSet(
         1,
         len(M),

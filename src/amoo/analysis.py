@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ObjectiveSet, as_vector
+from .core import ObjectiveSet, UnsupportedQueryError, as_vector
 from .linalg import min_eigenpair, spectral_norm, weighted_hessian
 from .weighting import solve_camoo_diagonal, solve_camoo_exact
 
@@ -167,7 +167,7 @@ def _theorem_envelope(tp: TheoremParams) -> tuple[int, float, float]:
     that put k0 at +inf or NaN, or the slope or factor out of the float
     range, are a ValueError naming them."""
     c_lin, c_geo = ENVELOPE_CONSTANTS[tp.which]
-    factor = math.sqrt(max(1.0 - 3.0 * tp.mu / (c_geo * tp.beta), 0.0))
+    factor = math.sqrt(max(1.0 - (3.0 / c_geo) * (tp.mu / tp.beta), 0.0))
     k0 = slope = 0.0
     if tp.m_self > 0:
         root_mu = math.sqrt(tp.mu)
@@ -261,6 +261,8 @@ def self_concordance_check(objectives: ObjectiveSet, x, y, m_self: float) -> boo
     """
     if m_self < 0:
         raise ValueError("m_self must be nonnegative")
+    if not objectives.has_hessians:
+        raise UnsupportedQueryError("the self-concordance check needs the set's Hessians")
     x = as_vector(x, objectives.dim)
     y = as_vector(y, objectives.dim)
     d = y - x

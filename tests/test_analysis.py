@@ -28,7 +28,7 @@ from amoo.driver import (
     run,
     theory_camoo,
 )
-from amoo.core import ObjectiveSet
+from amoo.core import ObjectiveSet, UnsupportedQueryError
 from amoo.linalg import min_eigenpair, weighted_hessian
 from amoo.weighting import max_min_weights
 from amoo.problems import ProblemSpec, build
@@ -296,8 +296,6 @@ class TestTheoremBoundNonFinite:
         [
             # (beta / mu) / sqrt(mu) overflows, so k0 is inf
             (1.0, 1e-217, 1.0, "k0 = inf is not finite for"),
-            # 3 mu / (8 beta) is inf / inf
-            (1e308, 1e308, 0.0, "the envelope leaves the float range at"),
         ],
     )
     def test_envelope_out_of_the_float_range_rejected(self, beta, mu, m_self, message):
@@ -307,6 +305,15 @@ class TestTheoremBoundNonFinite:
             _theorem_envelope(tp)
         with pytest.raises(ValueError, match=re.escape(f"{message} {named}")):
             theorem_bound_check(residual_trace([(0, 1.0), (1, 0.5)]), tp)
+
+    def test_largest_constants_give_a_verdict(self):
+        # 3 mu / (8 beta) once made inf / inf here; (3 / 8) (mu / beta) is
+        # 3 / 8, and the factor is sqrt(5 / 8).
+        tp = TheoremParams(beta=1e308, mu=1e308, m_self=0.0, m=2, r0=1.0)
+        assert _theorem_envelope(tp) == (0, 0.0, math.sqrt(0.625))
+        # One step of the decay allows 0.7906 of r0.
+        assert theorem_bound_check(residual_trace([(0, 1.0), (1, 0.79)]), tp)
+        assert not theorem_bound_check(residual_trace([(0, 1.0), (1, 0.8)]), tp)
 
     @pytest.mark.parametrize(
         "beta, mu, m_self, k0, slope",
@@ -394,7 +401,7 @@ class TestRejectedInputs:
 def envelope_constants(tp: TheoremParams):
     """(k0, slope, factor) of the envelope of ``tp``; slope 0 without a pre-phase."""
     c_lin, c_geo = ENVELOPE_CONSTANTS[tp.which]
-    factor = math.sqrt(max(1.0 - 3.0 * tp.mu / (c_geo * tp.beta), 0.0))
+    factor = math.sqrt(max(1.0 - (3.0 / c_geo) * (tp.mu / tp.beta), 0.0))
     slope = 0.0
     if tp.m_self > 0:
         root_mu = math.sqrt(tp.mu)
@@ -629,6 +636,11 @@ class TestSelfConcordance:
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError):
             self_concordance_check(self.EXP, [0.0], [1.0], m_self=-1.0)
+
+    def test_a_set_without_hessians_is_rejected(self):
+        first_order = one_objective(1, lambda x: float(x[0] ** 2), lambda x: 2.0 * x)
+        with pytest.raises(UnsupportedQueryError, match="needs the set's Hessians"):
+            self_concordance_check(first_order, [0.0], [1.0], m_self=0.0)
 
 
 class TestWeylDegradation:

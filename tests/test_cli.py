@@ -854,18 +854,27 @@ class TestStrictSummary:
         assert "error: k0 = inf is not finite" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "beta, mu, m_self", [("1e308", "1e308", "0")], ids=["nan-factor"]
+        "constants", [(5e-324, 8.0), (16.0, math.nan)], ids=["slope-inf", "factor-nan"]
     )
     def test_envelope_out_of_the_float_range_exits_2(
-        self, tmp_path, capsys, beta, mu, m_self
+        self, tmp_path, capsys, monkeypatch, constants
     ):
+        monkeypatch.setitem(analysis.ENVELOPE_CONSTANTS, "CAMOO", constants)
         path = tmp_path / "t.csv"
         traceio.write_trace_csv(make_trace(steps=60), path)
-        argv = ["analyze", str(path), "--theorem-check", "--beta", beta, "--mu", mu]
-        assert cli.main([*argv, "--m-self", m_self]) == 2
+        argv = ["analyze", str(path), "--theorem-check", "--beta", "2", "--mu", "1"]
+        assert cli.main([*argv, "--m-self", "1"]) == 2
         out = capsys.readouterr().out
-        assert out.startswith("error: the envelope leaves the float range at beta=")
-        assert f"mu={float(mu)}, m_self={float(m_self)}" in out
+        assert out == "error: the envelope leaves the float range at beta=2.0, mu=1.0, m_self=1.0\n"
+
+    def test_largest_constants_give_a_verdict(self, tmp_path, capsys):
+        # 3 mu / (8 beta) once made inf / inf here and exited 2.  Each step of
+        # the run scales the residual by 0.75, within the factor sqrt(5 / 8).
+        path = tmp_path / "t.csv"
+        traceio.write_trace_csv(make_trace(steps=60), path)
+        argv = ["analyze", str(path), "--theorem-check", "--beta", "1e308", "--mu", "1e308"]
+        assert cli.main(argv) == 0
+        assert strict_json(capsys.readouterr().out) == {"theorem_bound": True}
 
     def test_no_pre_phase_needs_no_slope(self, tmp_path, capsys):
         # k0 is 0, so the slope is never formed.
