@@ -18,11 +18,10 @@ from amoo.hessians import HutchinsonConfig, diag_hessian_matrix, hvp_fd
 def quadratic(M):
     """0.5 x'Mx as a one-objective set without Hessians (its pass gives None
     for them): the estimates below use its gradients M x only."""
-    return ObjectiveSet(
-        1,
-        len(M),
-        lambda x: (np.array([0.5 * x @ M @ x]), (M @ x)[None], lambda: np.diagonal(M)[None], None),
-    )
+    def evaluate(x):
+        return np.array([0.5 * x @ M @ x]), (M @ x)[None], lambda: np.diagonal(M)[None], None
+
+    return ObjectiveSet(1, len(M), evaluate)
 
 
 # --- a single probe is exact on diagonal curvature ---------------------------

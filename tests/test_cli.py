@@ -865,7 +865,8 @@ class TestStrictSummary:
         argv = ["analyze", str(path), "--theorem-check", "--beta", "2", "--mu", "1"]
         assert cli.main([*argv, "--m-self", "1"]) == 2
         out = capsys.readouterr().out
-        assert out == "error: the envelope leaves the float range at beta=2.0, mu=1.0, m_self=1.0\n"
+        named = "beta=2.0, mu=1.0, m_self=1.0"
+        assert out == f"error: the envelope leaves the float range at {named}\n"
 
     def test_largest_constants_give_a_verdict(self, tmp_path, capsys):
         # 3 mu / (8 beta) once made inf / inf here and exited 2.  Each step of
