@@ -80,7 +80,7 @@ class ObjectiveSet:
         """Stacked gradients, shape (m, n); with ``values``, a view of ``evaluate``."""
         return self.evaluate(as_vector(x, self.dim))[1]
 
-    def evaluate(self, x: Array):
+    def evaluate(self, x: Array) -> tuple[Array, Array, Callable, Callable | None]:
         """Values (m,), stacked gradients J (m, n), and zero-argument callables
         for the (m, n) Hessian diagonals and the (m, n, n) Hessians (None for
         a set without Hessians), all from one pass at x: a float64 point (dim,),
