@@ -23,11 +23,12 @@ from .weighting import (
     PAMOO_MAX_M,
     CamooConfig,
     PamooConfig,
+    _pamoo_solve,
     equal_weights,
     pamoo_context,
-    pamoo_weights,
-    # No rule calls the game solver, but the benchmark wraps this name
-    # (perfbench/layers.py and workloads.py) on every mlp_matching pass.
+    # No rule calls these two, but perfbench/layers.py wraps both names here,
+    # and workloads.py the game solver on every mlp_matching pass.
+    pamoo_weights,  # noqa: F401
     solve_bilinear_pu,  # noqa: F401
     solve_camoo_diagonal,
     solve_camoo_exact,
@@ -73,8 +74,6 @@ class AdamState:
 def step_gd(x: Array, g: Array, step: float) -> Array:
     """One plain gradient step x - step * g."""
     g = np.asarray(g, dtype=np.float64)
-    if not _finite(g):
-        raise NumericError("non-finite gradient in GD step")
     return np.asarray(x, dtype=np.float64) - step * g
 
 
@@ -86,8 +85,6 @@ def adam_init(x: Array) -> AdamState:
 def step_adam(state: AdamState, g: Array, lr: float):
     """One Adam update with bias correction; returns (new_state, new_x)."""
     g = np.asarray(g, dtype=np.float64)
-    if not _finite(g):
-        raise NumericError("non-finite gradient in Adam step")
     t = state.t + 1
     # m1 = b1 m1 + (1 - b1) g, m2 = b2 m2 + (1 - b2) g g and x - lr m1_hat /
     # (sqrt(m2_hat) + eps) in that operation order, in place on fresh arrays:
@@ -245,7 +242,8 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
     The settings are checked against the problem here, before the first step:
     PAMOO takes at most PAMOO_MAX_M objectives; exact CAMOO needs the set's
     Hessians; ``hutchinson`` in exact mode, which the rule would not read, is
-    rejected.  CAMOO warm starts each solve from the previous solve's cuts.
+    rejected.  CAMOO warm starts each solve from the previous solve's cuts,
+    PAMOO from its held set and checks only that J J' did not overflow.
     """
     objs = problem.objectives
     m = objs.m
@@ -255,8 +253,15 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
         if m > PAMOO_MAX_M:
             raise ConfigurationError(f"pamoo takes at most {PAMOO_MAX_M} objectives")
 
+        held = None
+
         def weigh_pamoo(fvals, J, diag, hessians, x):
-            return pamoo_weights(*pamoo_context(fvals, J), wc.pamoo), None, None
+            nonlocal held
+            gaps, gram = pamoo_context(fvals, J)
+            if not _finite(gram):
+                raise NumericError("PAMOO Gram matrix has non-finite entries")
+            w, held = _pamoo_solve(gaps, gram, wc.pamoo, held)
+            return w, None, None
 
         return weigh_pamoo
 

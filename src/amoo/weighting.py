@@ -363,9 +363,10 @@ def solve_camoo_diagonal(
 # ---------------------------------------------------------------------------
 
 
-# The most objectives ``pamoo_weights`` solves for: it solves 2^m systems.  One
-# solve took 0.08 ms at m = 3, 12 ms at m = 12 and 60 ms at m = 14 (timeit,
-# 2-vCPU x86-64, OpenBLAS on one thread).
+# The most objectives ``pamoo_weights`` solves for: a cold solve enumerates 2^m
+# systems.  It took 0.035 ms at m = 3, 9.9 ms at m = 12 and 52 ms at m = 14, and
+# a warm solve whose hint holds 0.020-0.026 ms (timeit, 2-vCPU x86-64, OpenBLAS
+# on one thread; ``pamoo_weights``' checks add 0.02 ms at m = 3).
 PAMOO_MAX_M = 12
 
 # The KKT residual, relative to max |gaps| + max |Q| floor, plus the smallest
@@ -379,24 +380,26 @@ PAMOO_KKT_TOL = 1e-6
 def pamoo_context(fvals, J) -> tuple[Array, Array]:
     """``(gaps, gram)`` at one iterate: gaps_i = f_i(x), since every objective
     is 0 at its own minimum, and the Gram matrix J J' of the (m, n)
-    gradients ``J``."""
+    gradients ``J``, exactly symmetric: numpy forms A A' by one BLAS syrk."""
     J = np.asarray(J, dtype=np.float64)
     return as_vector(fvals, name="fvals"), J @ J.T
+
+
+@functools.lru_cache(maxsize=PAMOO_MAX_M)
+def _held_sets(m: int) -> tuple[Array, Array]:
+    """PAMOO's 2^m floor-held sets as a (2^m, m) mask, all held first, so that
+    a tie goes to the weights set exactly to the floor, and the m x m identity;
+    built once per m and read-only, as ``_lp_layout``'s arrays are."""
+    held, eye = (np.arange(2**m)[::-1, None] >> np.arange(m) & 1).astype(bool), np.eye(m)
+    held.flags.writeable = eye.flags.writeable = False
+    return held, eye
 
 
 def pamoo_weights(gaps, gram, cfg: PamooConfig | None = None) -> Array:
     """Maximize phi(w) = 2 w'gaps - w'Qw over w >= clip_floor, Q = G + tau I,
     where ``gaps`` and the m x m symmetric PSD ``gram`` G are what
-    ``pamoo_context`` returns.
-
-    Exact: each of the 2^m sets of weights held at the floor (m at most
-    PAMOO_MAX_M) gives the system Qw = gaps on the free rows, w = floor on the
-    held ones, all solved in one batch, exactly singular ones set aside.  The
-    solution on the floored orthant with the largest phi is the maximum, when
-    there is one.  Its KKT residual (|gaps - Qw| where w > floor, gaps - Qw
-    where w = floor) certifies it; above PAMOO_KKT_TOL, phi is unbounded, or
-    nearly so (tau is 0 and the gaps grow along a nonnegative null direction
-    of G), and NumericError is raised, as for a non-finite ``gram``.
+    ``pamoo_context`` returns.  Every input is checked, a non-finite ``gram``
+    raising NumericError, and ``_pamoo_solve`` solves exactly without a hint.
     """
     cfg = cfg or PamooConfig()
     gaps = as_vector(gaps, name="gaps")
@@ -413,22 +416,48 @@ def pamoo_weights(gaps, gram, cfg: PamooConfig | None = None) -> Array:
     evals = np.linalg.eigvalsh(gram)
     if evals[0] < -1e-10 * (1.0 + np.abs(evals).max()):
         raise ValueError(f"gram matrix is not PSD: min eigenvalue {evals[0]}")
+    return _pamoo_solve(gaps, gram, cfg)[0]
 
-    Q = gram + cfg.gram_tau * np.eye(m)
+
+def _pamoo_solve(gaps, gram, cfg: PamooConfig, held: int | None = None) -> tuple[Array, int]:
+    """``pamoo_weights``' maximum and its set's index in ``_held_sets``, for
+    finite gaps and a finite, exactly symmetric PSD ``gram``, unchecked.  The
+    hint ``held`` is solved alone and kept under strict complementarity (free
+    weights above the floor, gaps - Qw below 0 on held rows), which makes it
+    the maximum.  Else each set's system, Qw = gaps on its free rows and
+    w = floor on its held ones, is solved in one batch, exactly singular ones
+    set aside, and the largest phi on the floored orthant wins.  Either answer
+    must pass the KKT test, or the hint's falls through too; above PAMOO_KKT_TOL
+    the residual means phi is unbounded, or nearly so (tau is 0 and the gaps
+    grow along a nonnegative null direction of G): NumericError.
+    """
+    sets, eye = _held_sets(len(gaps))
+    Q = gram + cfg.gram_tau * eye
     floor = cfg.clip_floor
-    # All held first: a tie goes to the weights set exactly to the floor.
-    held = (np.arange(2**m)[::-1, None] >> np.arange(m) & 1).astype(bool)
-    A = np.where(held[:, :, None], np.eye(m), Q)
-    w, singular = _solve_batch(A, np.where(held, floor, gaps)[:, :, None])
-    w = w[:, :, 0]
-    w[held] = floor
-    # phi with (Qw)_i = gaps_i on the free rows, not the rounding of w'Qw.
-    phi = np.where(held, floor * (2.0 * gaps - w @ Q), w * gaps).sum(axis=1)
-    phi[singular | ~(w >= floor).all(axis=1) | np.isnan(phi)] = -np.inf
-    w = w[int(np.argmax(phi))]
-    r = gaps - Q @ w
-    kkt = float(np.where(w > floor, np.abs(r), np.maximum(r, 0.0)).max())
     tol = PAMOO_KKT_TOL * (np.abs(gaps).max() + np.abs(Q).max() * floor)
-    if not kkt <= tol + np.finfo(float).tiny:
-        raise NumericError(f"PAMOO inner problem is unbounded: KKT residual {kkt:.3g}")
-    return w
+    tol += np.finfo(float).tiny
+    if held is not None:
+        h = sets[held]
+        try:
+            w = np.linalg.solve(np.where(h[:, None], eye, Q), np.where(h, floor, gaps))
+        except np.linalg.LinAlgError:  # exactly singular
+            w = np.full(len(gaps), np.nan)
+        w[h] = floor
+        r = gaps - Q @ w
+        strict = (np.where(h, r, floor - w) < 0.0).all()
+    # Under strict complementarity the KKT residual is |gaps - Qw| on free rows.
+    if held is None or not (strict and np.abs(r[~h]).max(initial=0.0) <= tol):
+        A = np.where(sets[:, :, None], eye, Q)
+        w, singular = _solve_batch(A, np.where(sets, floor, gaps)[:, :, None])
+        w = w[:, :, 0]
+        w[sets] = floor
+        # phi with (Qw)_i = gaps_i on the free rows, not the rounding of w'Qw.
+        phi = np.where(sets, floor * (2.0 * gaps - w @ Q), w * gaps).sum(axis=1)
+        phi[singular | ~(w >= floor).all(axis=1) | np.isnan(phi)] = -np.inf
+        held = int(np.argmax(phi))
+        w = w[held]
+        r = gaps - Q @ w
+        kkt = float(np.where(w > floor, np.abs(r), np.maximum(r, 0.0)).max())
+        if not kkt <= tol:
+            raise NumericError(f"PAMOO inner problem is unbounded: KKT residual {kkt:.3g}")
+    return w, held

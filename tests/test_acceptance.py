@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import amoo.driver
 from amoo import cli
 from amoo.analysis import TheoremParams, theorem_bound_check, weyl_degradation_suite
 from amoo.driver import (
@@ -272,8 +273,18 @@ def _mlp_final_msq(variant: str, kind: str, seed: int) -> float:
     return trace.final().msq
 
 
-def test_criterion_9_network_matching_ordering():
+def test_criterion_9_network_matching_ordering(monkeypatch):
     c = Criterion(9, "adaptive weights beat equal weights on the matching toy", 120.0)
+    # Every PAMOO step's warm-started answer is the hint-free kernel's.
+    warm_solve = amoo.driver._pamoo_solve
+
+    def checked_solve(gaps, gram, cfg, held):
+        w, index = warm_solve(gaps, gram, cfg, held)
+        cold_w, cold_index = warm_solve(gaps, gram, cfg)
+        assert np.array_equal(w, cold_w) and index == cold_index
+        return w, index
+
+    monkeypatch.setattr(amoo.driver, "_pamoo_solve", checked_solve)
     seeds = [0, 1, 2, 3, 4]
     ok = True
     details = []

@@ -713,6 +713,121 @@ class TestPamoo:
         assert np.linalg.eigvalsh(gram)[0] >= -1e-10
 
 
+def kernel_outcome(gaps, gram, cfg, held=None):
+    """``_pamoo_solve``'s weight bytes and held-set index, or its error."""
+    try:
+        w, index = amoo.weighting._pamoo_solve(gaps, gram, cfg, held)
+    except NumericError as exc:
+        return "error", str(exc)
+    return w.tobytes(), index
+
+
+def solve_batch_calls(gaps, gram, cfg, held):
+    """How often ``_pamoo_solve`` with the hint ``held`` enumerates."""
+    with mock.patch.object(
+        amoo.weighting, "_solve_batch", wraps=amoo.weighting._solve_batch
+    ) as spy:
+        kernel_outcome(gaps, gram, cfg, held)
+    return spy.call_count
+
+
+class TestPamooKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 5),
+        floor=st.sampled_from([0.0, 1e-6]),
+        tau=st.sampled_from([0.0, 1e-4]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_hint_gives_the_enumeration_bits(self, m, floor, tau, seed):
+        # At tau = 0, B of full row rank keeps Q positive definite.
+        rng = np.random.default_rng(seed)
+        B = rng.normal(size=(m, m + int(rng.integers(0, 3))))
+        gaps = rng.uniform(-0.5, 2.0, size=m)
+        gram = B @ B.T
+        cfg = PamooConfig(clip_floor=floor, gram_tau=tau)
+        cold = kernel_outcome(gaps, gram, cfg)
+        assert cold[0] == pamoo_weights(gaps, gram, cfg).tobytes()
+        for held in range(2**m):
+            assert kernel_outcome(gaps, gram, cfg, held) == cold, held
+
+    def test_the_optimal_hint_solves_one_system(self):
+        gaps = np.array([1.0, 0.0])
+        gram = np.array([[1.0, 0.9], [0.9, 1.0]])
+        cfg = PamooConfig(gram_tau=0.0)
+        w, held = amoo.weighting._pamoo_solve(gaps, gram, cfg)
+        assert held == 1 and w[1] == cfg.clip_floor  # the second weight held
+        assert solve_batch_calls(gaps, gram, cfg, held) == 0
+
+    @pytest.mark.parametrize(
+        "gaps, gram, held",
+        [
+            # The all-free system of a rank-one Gram at tau = 0 is singular.
+            (np.array([1.0, 0.5]), np.outer([1.0, 2.0], [1.0, 2.0]), 3),
+            # All free puts the second weight below the floor.
+            (np.array([1.0, 0.0]), np.array([[1.0, 0.9], [0.9, 1.0]]), 3),
+            # All held leaves positive gaps - Qw on the held rows.
+            (np.array([1.0, 0.0]), np.array([[1.0, 0.9], [0.9, 1.0]]), 0),
+            # Unbounded along (1, 1): the hint falls through, and so the
+            # enumeration raises.
+            (np.ones(2), np.array([[1.0, -1.0], [-1.0, 1.0]]), 3),
+        ],
+        ids=["singular", "below-floor", "positive-residual", "unbounded"],
+    )
+    def test_a_stale_hint_falls_back_to_the_enumeration(self, gaps, gram, held):
+        cfg = PamooConfig(gram_tau=0.0)
+        assert solve_batch_calls(gaps, gram, cfg, held) == 1
+        assert kernel_outcome(gaps, gram, cfg, held) == kernel_outcome(gaps, gram, cfg)
+
+    def test_a_tie_falls_back_to_the_floor(self):
+        # The free solution of gaps = Q floor is the floor itself: a tie that
+        # the strict test rejects, and the enumeration holds every weight.
+        cfg = PamooConfig(gram_tau=0.0, clip_floor=0.5)
+        gram = np.array([[2.0, 0.0], [0.0, 4.0]])
+        gaps = gram @ np.full(2, 0.5)
+        assert solve_batch_calls(gaps, gram, cfg, 3) == 1
+        w, held = amoo.weighting._pamoo_solve(gaps, gram, cfg, 3)
+        assert held == 0 and w.tolist() == [0.5, 0.5]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ProblemSpec(kind="specification", delta=0.1),
+            ProblemSpec(kind="selection", delta=0.1, m=3, n=4),
+            ProblemSpec(kind="local_curvature"),
+            ProblemSpec(
+                kind="misaligned",
+                base=ProblemSpec(kind="specification", delta=0.1),
+                shifts=((0.0, 0.0), (0.3, -0.2)),
+            ),
+            *(
+                ProblemSpec(
+                    kind="mlp_matching", variant=variant, input_dim=20, hidden=32,
+                    output_dim=7, dataset_size=50, seed=1,
+                )
+                for variant in ("selection", "local_curvature")
+            ),
+        ],
+        ids=[
+            "specification", "selection", "local_curvature", "misaligned",
+            "mlp-selection", "mlp-local_curvature",
+        ],
+    )
+    def test_context_gram_is_exactly_symmetric(self, spec):
+        # What lets the driver hand the Gram to the kernel unsymmetrized.
+        problem = build(spec)
+        rng = np.random.default_rng(3)
+        x0 = np.array(problem.x0)
+        for scale in (0.0, 0.1, 1.0):
+            x = x0 + scale * rng.normal(size=x0.shape)
+            gram = pamoo_context(*problem.objectives.evaluate(x)[:2])[1]
+            assert np.array_equal(gram, gram.T)
+
+    def test_held_sets_are_read_only(self):
+        for array in amoo.weighting._held_sets(3):
+            assert not array.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # The batched square solve behind both exact rules
 # ---------------------------------------------------------------------------
