@@ -291,7 +291,7 @@ def _weigher(cfg: RunConfig, problem: problems.Problem):
                 replace(probes, rng_seed=_mixed_seed(cfg.seed, probes.rng_seed))
             )
             solve = solve_camoo_diagonal
-            curvature = lambda diag, hessians, x: tracker.update(objs, x)  # noqa: E731
+            curvature = lambda diag, hessians, x: tracker.update(objs, x, hessians)  # noqa: E731
 
         warm = None
 

@@ -59,24 +59,28 @@ def _rademacher(seq: np.random.SeedSequence, n: int) -> Array:
     return rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0
 
 
-def diag_hessian_matrix(objectives: ObjectiveSet, x, cfg: HutchinsonConfig) -> Array:
+def diag_hessian_matrix(
+    objectives: ObjectiveSet, x, cfg: HutchinsonConfig, hessians=None
+) -> Array:
     """Hutchinson estimates of the m Hessian diagonals as an (m, n) matrix:
     the average of z * (H_i z) over Rademacher z, one z per sample of
     ``cfg.rng_seed`` shared by every objective.
 
-    Uses the set's analytic Hessians when it has them, the finite-difference
-    products of ``hvp_fd`` otherwise.  Deterministic given
-    ``cfg.rng_seed``; the expectation over z equals the true diagonals.  A
-    non-finite estimate raises ValueError.  Analytic diagonals come from
-    ``ObjectiveSet.evaluate(x)[2]()`` instead.
+    Uses the set's analytic Hessians when it has them, from ``hessians``, the
+    callable of the caller's ``evaluate(x)`` pass, or else from a pass of its
+    own; the finite-difference products of ``hvp_fd`` otherwise.  Deterministic
+    given ``cfg.rng_seed``; the expectation over z equals the true diagonals.  A
+    non-finite estimate raises ValueError.  Analytic diagonals are ``evaluate(x)[2]()``.
     """
     x = as_vector(x, objectives.dim)
     n = objectives.dim
-    hessians = objectives.hessians(x) if objectives.has_hessians else None
+    if hessians is None and objectives.has_hessians:
+        hessians = objectives.evaluate(x)[3]
+    H = None if hessians is None else hessians()
     acc = np.zeros((objectives.m, n))
     for seq in np.random.SeedSequence(cfg.rng_seed).spawn(cfg.num_samples):
         z = _rademacher(seq, n)
-        hz = hvp_fd(objectives, x, z) if hessians is None else np.matvec(hessians, z)
+        hz = hvp_fd(objectives, x, z) if H is None else np.matvec(H, z)
         acc += z * hz
     est = acc / cfg.num_samples
     if not np.isfinite(est).all():
@@ -92,7 +96,7 @@ class DiagHessianTracker:
         self.cfg = cfg
         self._calls = 0
 
-    def update(self, objectives: ObjectiveSet, x) -> Array:
+    def update(self, objectives: ObjectiveSet, x, hessians=None) -> Array:
         call_cfg = replace(self.cfg, rng_seed=self.cfg.rng_seed + self._calls)
         self._calls += 1
-        return diag_hessian_matrix(objectives, x, call_cfg)
+        return diag_hessian_matrix(objectives, x, call_cfg, hessians)

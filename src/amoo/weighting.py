@@ -13,7 +13,7 @@ Three families:
   matrix game max_w min_q w'Aq is the LP ``max_min_weights(A)``, whose
   multipliers are the column player's q,
 * Polyak-style weights that maximize 2 w'gaps - w'(G + tau I)w over the
-  floored orthant, exactly, over which weights sit on the floor.
+  floored orthant, exactly, by the floor-held set with the largest KKT slack.
 
 Solvers are deterministic single-threaded state machines; warm starts are
 passed in explicitly by the caller.  Every rule returns its weights as a
@@ -34,7 +34,7 @@ from .linalg import (
     check_symmetric,
     hessian_stack,
     min_eigenpair_unchecked,
-    spectral_norm,
+    spectral_norm,  # noqa: F401  (no solve calls it; perfbench/layers.py wraps it here)
 )
 
 MODE_EXACT = "exact-eigen"
@@ -280,7 +280,7 @@ def solve_camoo_exact(
     m, n = stack.shape[:2]
     if m * cfg.w_min > 1.0 + 1e-12:
         raise ValueError(f"floor infeasible: m*w_min = {m * cfg.w_min}")
-    tol = 1e-7 * max(spectral_norm(H) for H in stack)
+    tol = 1e-7 * np.abs(np.linalg.eigvalsh(stack)).max()
 
     if warm is None:
         centre = np.einsum("i,ijk->jk", equal_weights(m), stack)
@@ -370,10 +370,10 @@ def solve_camoo_diagonal(
 PAMOO_MAX_M = 12
 
 # The KKT residual, relative to max |gaps| + max |Q| floor, plus the smallest
-# normal float, that certifies a PAMOO solve.  Rounding leaves about 1e-16 |Q|
-# |w| (up to 7.8e-11 in criterion 10) and, once the gaps are subnormal, up to
-# 9.5e-310; an unbounded problem leaves gaps'd / sum(d) for its direction d,
-# and so does the w of order 1/eps of a system singular to rounding.
+# normal float, that a PAMOO solve accepts, on free rows and as held rows' slack.
+# Rounding leaves about 1e-16 |Q| |w| (up to 7.8e-11 in criterion 10) and, once
+# the gaps are subnormal, up to 9.5e-310; an unbounded problem leaves gaps'd /
+# sum(d) for its direction d, as does a near-singular system's w of order 1/eps.
 PAMOO_KKT_TOL = 1e-6
 
 
@@ -420,44 +420,39 @@ def pamoo_weights(gaps, gram, cfg: PamooConfig | None = None) -> Array:
 
 
 def _pamoo_solve(gaps, gram, cfg: PamooConfig, held: int | None = None) -> tuple[Array, int]:
-    """``pamoo_weights``' maximum and its set's index in ``_held_sets``, for
-    finite gaps and a finite, exactly symmetric PSD ``gram``, unchecked.  The
-    hint ``held`` is solved alone and kept under strict complementarity (free
-    weights above the floor, gaps - Qw below 0 on held rows), which makes it
-    the maximum.  Else each set's system, Qw = gaps on its free rows and
-    w = floor on its held ones, is solved in one batch, exactly singular ones
-    set aside, and the largest phi on the floored orthant wins.  Either answer
-    must pass the KKT test, or the hint's falls through too; above PAMOO_KKT_TOL
-    the residual means phi is unbounded, or nearly so (tau is 0 and the gaps
-    grow along a nonnegative null direction of G): NumericError.
-    """
+    """``pamoo_weights``' maximum and its set's index in ``_held_sets``, for finite
+    gaps and a finite, exactly symmetric PSD ``gram``, unchecked.  Set h's system
+    is Qw = gaps on free rows and w = floor on held ones; its least KKT slack,
+    min(w - floor on free rows, Qw - gaps on held ones), is >= 0 at the maximum
+    (Nocedal & Wright 2006, 16.5), and -inf for a singular system, a free w below
+    the floor or a free |Qw - gaps| > tol.  The hint ``held`` is solved alone and
+    kept at slack > 0; else the largest slack over one batch of every set wins, a
+    tie going to the most held.  Below -tol, phi is unbounded or nearly so (tau
+    0, gaps growing along a nonnegative null direction of G): NumericError."""
     sets, eye = _held_sets(len(gaps))
     Q = gram + cfg.gram_tau * eye
     floor = cfg.clip_floor
     tol = PAMOO_KKT_TOL * (np.abs(gaps).max() + np.abs(Q).max() * floor)
     tol += np.finfo(float).tiny
+    def least_slack(h, w):  # of the (k, m) sets h at their weights w, NaN if singular
+        w[h] = floor
+        r = w @ Q - gaps
+        ok = (np.abs(r) <= tol) & (w >= floor)
+        slack = np.where(h, r, np.where(ok, w - floor, -np.inf)).min(axis=1)
+        return np.fmax(slack, -np.inf)  # a NaN slack is -inf too
     if held is not None:
         h = sets[held]
         try:
             w = np.linalg.solve(np.where(h[:, None], eye, Q), np.where(h, floor, gaps))
         except np.linalg.LinAlgError:  # exactly singular
             w = np.full(len(gaps), np.nan)
-        w[h] = floor
-        r = gaps - Q @ w
-        strict = (np.where(h, r, floor - w) < 0.0).all()
-    # Under strict complementarity the KKT residual is |gaps - Qw| on free rows.
-    if held is None or not (strict and np.abs(r[~h]).max(initial=0.0) <= tol):
-        A = np.where(sets[:, :, None], eye, Q)
-        w, singular = _solve_batch(A, np.where(sets, floor, gaps)[:, :, None])
-        w = w[:, :, 0]
-        w[sets] = floor
-        # phi with (Qw)_i = gaps_i on the free rows, not the rounding of w'Qw.
-        phi = np.where(sets, floor * (2.0 * gaps - w @ Q), w * gaps).sum(axis=1)
-        phi[singular | ~(w >= floor).all(axis=1) | np.isnan(phi)] = -np.inf
-        held = int(np.argmax(phi))
-        w = w[held]
-        r = gaps - Q @ w
-        kkt = float(np.where(w > floor, np.abs(r), np.maximum(r, 0.0)).max())
-        if not kkt <= tol:
-            raise NumericError(f"PAMOO inner problem is unbounded: KKT residual {kkt:.3g}")
-    return w, held
+        if least_slack(h[None], w[None])[0] > 0.0:
+            return w, held
+    A = np.where(sets[:, :, None], eye, Q)
+    w, singular = _solve_batch(A, np.where(sets, floor, gaps)[:, :, None])
+    w[singular] = np.nan
+    slack = least_slack(sets, w[:, :, 0])
+    held = int(np.argmax(slack))
+    if not slack[held] >= -tol:
+        raise NumericError(f"PAMOO inner problem is unbounded: KKT residual {-slack[held]:.3g}")
+    return w[held, :, 0], held

@@ -490,9 +490,20 @@ ONE_EVAL_WEIGHTINGS = {
     "pamoo": WeightingChoice(kind="pamoo"),
 }
 
+# Hutchinson probes take the Hessians of the pass on a set that has them, and
+# two passes per probe (``hvp_fd``) on the network, which has none.
+ONE_PASS_WEIGHTINGS = {
+    **ONE_EVAL_WEIGHTINGS,
+    "camoo-diag-hutchinson": WeightingChoice(
+        kind="camoo",
+        camoo=CamooConfig(mode="diagonal-bilinear"),
+        hutchinson=HutchinsonConfig(num_samples=3),
+    ),
+}
+
 
 class TestOneEvaluationPerIterate:
-    @pytest.mark.parametrize("kind", list(ONE_EVAL_WEIGHTINGS))
+    @pytest.mark.parametrize("kind", list(ONE_PASS_WEIGHTINGS))
     def test_one_evaluate_call_per_iterate(self, monkeypatch, kind):
         calls = {"evaluate": 0, "values": 0, "gradients": 0}
         for name in calls:
@@ -503,7 +514,7 @@ class TestOneEvaluationPerIterate:
                 return _original(self, x)
 
             monkeypatch.setattr(ObjectiveSet, name, counted)
-        trace = spec_run(ONE_EVAL_WEIGHTINGS[kind], steps=10, step=0.1)
+        trace = spec_run(ONE_PASS_WEIGHTINGS[kind], steps=10, step=0.1)
         assert len(trace.steps) == 11
         assert calls == {"evaluate": 11, "values": 0, "gradients": 0}
 

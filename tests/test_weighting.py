@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,7 @@ from scipy import optimize
 import amoo.weighting
 from amoo.core import NumericError
 from amoo.linalg import (
+    hessian_stack,
     min_eigenpair,
     spectral_norm,
     weighted_hessian,
@@ -419,6 +421,23 @@ class TestCamooExact:
             assert warm.converged and warm.iterations <= 2
             assert abs(warm.value - cold.value) <= max(cold.gap, warm.gap)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        m=st.integers(1, 8),
+        n=st.integers(1, 12),
+        scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e300]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_tolerance_takes_each_spectral_norm_from_one_batch(self, m, n, scale, seed):
+        # The solve's tolerance is 1e-7 max_i ||H_i||_2, from one eigvalsh over
+        # the stack that hessian_stack validated and symmetrized; m calls of
+        # spectral_norm, which validates each matrix again, give the same bits.
+        # The draws are indefinite and symmetric only to within rounding.
+        A = np.random.default_rng(seed).normal(size=(2, m, n, n))
+        stack = hessian_stack(scale * (A[0] + A[0].mT + 1e-14 * A[1]))
+        batch = np.abs(np.linalg.eigvalsh(stack)).max()
+        assert batch == max(spectral_norm(H) for H in stack)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_golden_solves_stay_in_closed_form(self, seed):
         mats = spd_hessians(seed)
@@ -723,12 +742,45 @@ def kernel_outcome(gaps, gram, cfg, held=None):
 
 
 def solve_batch_calls(gaps, gram, cfg, held):
-    """How often ``_pamoo_solve`` with the hint ``held`` enumerates."""
+    """How often ``_pamoo_solve`` with the hint ``held`` enumerates: its
+    ``_solve_batch`` calls over all 2^m held sets."""
     with mock.patch.object(
         amoo.weighting, "_solve_batch", wraps=amoo.weighting._solve_batch
     ) as spy:
         kernel_outcome(gaps, gram, cfg, held)
-    return spy.call_count
+    return sum(len(call.args[0]) == 2 ** len(gaps) for call in spy.call_args_list)
+
+
+def exact_kkt_points(gaps, gram, cfg):
+    """Every (held mask, w) whose system, solved in exact rational arithmetic
+    by Gauss-Jordan elimination, gives a KKT point of max 2 w'gaps -
+    w'(G + tau I)w over w >= floor: free weights at or above the floor and
+    (G + tau I)w - gaps >= 0 on the held rows."""
+    m = len(gaps)
+    g = [Fraction(x) for x in gaps]
+    tau, floor = Fraction(cfg.gram_tau), Fraction(cfg.clip_floor)
+    Q = [[Fraction(gram[i][j]) + tau * (i == j) for j in range(m)] for i in range(m)]
+    points = []
+    for held in itertools.product((True, False), repeat=m):
+        rows = [
+            [Fraction(i == j) for j in range(m)] + [floor] if held[i] else [*Q[i], g[i]]
+            for i in range(m)
+        ]
+        for c in range(m):
+            pivot = next((r for r in range(c, m) if rows[r][c]), None)
+            if pivot is None:  # singular
+                break
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            for r in range(m):
+                if r != c:
+                    f = rows[r][c] / rows[c][c]
+                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+        else:
+            w = [rows[i][m] / rows[i][i] for i in range(m)]
+            r = [sum(q * wj for q, wj in zip(Q[i], w)) - g[i] for i in range(m)]
+            if all(r[i] >= 0 if held[i] else w[i] >= floor for i in range(m)):
+                points.append((held, w))
+    return points
 
 
 class TestPamooKernel:
@@ -737,19 +789,60 @@ class TestPamooKernel:
         m=st.integers(1, 5),
         floor=st.sampled_from([0.0, 1e-6]),
         tau=st.sampled_from([0.0, 1e-4]),
+        near=st.sampled_from([None, 1, 2, 3, 4]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_every_hint_gives_the_enumeration_bits(self, m, floor, tau, seed):
+    def test_every_hint_gives_the_enumeration_bits(self, m, floor, tau, near, seed):
         # At tau = 0, B of full row rank keeps Q positive definite.
         rng = np.random.default_rng(seed)
         B = rng.normal(size=(m, m + int(rng.integers(0, 3))))
         gaps = rng.uniform(-0.5, 2.0, size=m)
         gram = B @ B.T
+        if near is not None:
+            # The maximum has one weight 10^-near above the floor, relatively:
+            # phi's rounding cannot tell it from the floor when near >= 2, and
+            # a condition number below 1e4 keeps w's rounding under the margin.
+            Q = gram + tau * np.eye(m)
+            assume(floor > 0.0 and np.linalg.cond(Q) < 1e4)
+            w_star = rng.uniform(0.5, 2.0, size=m)
+            w_star[rng.integers(m)] = floor * (1.0 + 10.0**-near)
+            gaps = Q @ w_star
         cfg = PamooConfig(clip_floor=floor, gram_tau=tau)
         cold = kernel_outcome(gaps, gram, cfg)
-        assert cold[0] == pamoo_weights(gaps, gram, cfg).tobytes()
+        w = pamoo_weights(gaps, gram, cfg)
+        assert cold[0] == w.tobytes() and w.min() >= floor
+        if near is not None:
+            assert cold[1] == 2**m - 1  # every weight free
         for held in range(2**m):
             assert kernel_outcome(gaps, gram, cfg, held) == cold, held
+
+    @pytest.mark.parametrize(
+        "gaps, gram, cfg",
+        [
+            # w_2 is 1e-10 above the floor; phi's rounding cannot see it.
+            ([1.0, 1e-6 + 1e-10], [[1.0, 0.0], [0.0, 1.0]],
+             PamooConfig(gram_tau=0.0, clip_floor=1e-6)),
+            # Step 64 of the benchmark's selection network run at seed 922:
+            # w_3 is 7e-7 above the floor and cond(Q) is 5.7e7.
+            ([107.845811088402, 14.154734090371488, 13.217823320391178],
+             [[5518.678362345112, 720.2311347158909, 672.2466624395985],
+              [720.2311347158909, 500.8623154222994, 498.66862722936355],
+              [672.2466624395985, 498.66862722936355, 496.9328468772607]],
+             PamooConfig()),
+        ],
+        ids=["unit-gram", "mlp-selection-922"],
+    )
+    def test_a_weight_just_above_the_floor_stays_free(self, gaps, gram, cfg):
+        gaps, gram = np.array(gaps), np.array(gram)
+        ((held, exact),) = exact_kkt_points(gaps, gram, cfg)
+        assert not any(held)
+        w = pamoo_weights(gaps, gram, cfg)
+        cold = kernel_outcome(gaps, gram, cfg)
+        assert cold == (w.tobytes(), 2 ** len(gaps) - 1)
+        np.testing.assert_allclose(w, [float(x) for x in exact], rtol=1e-5)
+        assert w.min() > cfg.clip_floor
+        for hint in range(2 ** len(gaps)):
+            assert kernel_outcome(gaps, gram, cfg, hint) == cold, hint
 
     def test_the_optimal_hint_solves_one_system(self):
         gaps = np.array([1.0, 0.0])
